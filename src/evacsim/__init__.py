@@ -37,7 +37,7 @@ from .scenario import (
 )
 from .sweep import compare_backends, run_sweep
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "EMPTY_STATE_DIGEST",

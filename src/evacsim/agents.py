@@ -1,11 +1,20 @@
 """Agent state, perception and decision making.
 
-Agents carry a physical state (position, health, mobility) and a
-behavioural profile (speed preference, collaboration, insistence,
-knowledge, experience, nervousness, role).  Each decision round an
-agent perceives its surroundings (limited by sight range and walls),
-scores candidate exits, and emits an :class:`Intention`: target exit,
-next waypoint, desired speed, and any messages to announce.
+The whole population lives in one :class:`Population`: parallel arrays
+indexed by agent id, holding each agent's physical state (position,
+body radius, health, mobility, sight range), its behavioural profile
+(speed preference, reaction time, collaboration, insistence,
+knowledge, experience, nervousness, gender, age, role) and its current
+status and target exit.  The simulation loop, the movement backends
+and the state digest all read and write these arrays; nothing keeps a
+second copy.
+
+Each decision round an agent perceives its surroundings (limited by
+sight range and walls), scores candidate exits, and emits an
+:class:`Intention`: target exit, next waypoint, desired speed, and any
+messages to announce.  The decision functions take the population and
+the agent's row and update its nervousness, insistence and target in
+place.
 
 Nothing in a percept reaches beyond the agent's sight range plus its
 own belief store, so decisions stay local by construction.
@@ -20,9 +29,9 @@ from enum import IntEnum
 import numpy as np
 
 from .config import PARAM_DEFAULTS
-from .errors import SchemaViolation, SemanticViolation, SimulationError
+from .errors import SemanticViolation, SimulationError
 from .hazard import HazardSample, visibility_range_bulk
-from .scenario import CellKind, DistSpec, Geometry, PopulationSpec, los_pairs
+from .scenario import FLOAT01, CellKind, DistSpec, Geometry, PopulationSpec, los_pairs
 from .spatialhash import SpatialHash
 
 
@@ -44,87 +53,36 @@ NO_TARGET = -1
 
 
 @dataclass
-class Agent:
-    id: int
-    position: tuple[float, float]   # m
-    health: float                   # [0, 1]; 0 means dead
-    mobility: int                   # 0 immobile, 1 walking, 2 panic run
-    speed_pref: float               # m/s at mobility 1
-    vision_range: float             # m, refreshed from local smoke each tick
-    reaction_time: float            # s of pre-movement delay after the alarm
-    collaboration: float            # [0, 1]
-    insistence: float               # [0, 1], probability of keeping the current plan
-    knowledge: float                # [0, 1], building familiarity
-    experience: float               # [0, 1]
-    nervousness: float              # [0, 1]
-    gender: str                     # "F" | "M"
-    age: int
-    role: int                       # 0 none, 1 top leader, 2 second level, ...
-    status: AgentStatus = AgentStatus.PREMOVEMENT
-    radius: float = 0.0             # m, body radius (social-force backend only)
-    target_exit: int = NO_TARGET    # current goal exit zone id
+class Population:
+    """Every agent's state, one array row per agent id."""
 
+    pos: np.ndarray            # (N, 2) m
+    radius: np.ndarray         # m, body radius (social-force backend only)
+    health: np.ndarray         # [0, 1]; 0 means dead
+    mobility: np.ndarray       # 0 immobile, 1 walking, 2 panic run
+    speed_pref: np.ndarray     # m/s at mobility 1
+    vision: np.ndarray         # m, refreshed from local smoke each tick
+    reaction_time: np.ndarray  # s of pre-movement delay after the alarm
+    collaboration: np.ndarray  # [0, 1]
+    insistence: np.ndarray     # [0, 1], probability of keeping the current plan
+    knowledge: np.ndarray      # [0, 1], building familiarity
+    experience: np.ndarray     # [0, 1]
+    nervousness: np.ndarray    # [0, 1]
+    gender: np.ndarray         # "F" | "M"
+    age: np.ndarray
+    role: np.ndarray           # 0 none, 1 top leader, 2 second level, ...
+    status: np.ndarray         # AgentStatus codes
+    target: np.ndarray         # current goal exit zone id, or NO_TARGET
 
-def agent_rank(role: int) -> float:
-    """Hierarchy rank for leader comparisons; unranked agents sit at the
-    bottom so any positive role counts as a leader to them."""
-    return float(role) if role > 0 else math.inf
+    def __len__(self) -> int:
+        return len(self.pos)
 
 
 # ---------------------------------------------------------------------------
 # attribute sampling
 # ---------------------------------------------------------------------------
 
-FLOAT01 = ("health", "collaboration", "insistence", "knowledge", "experience", "nervousness")
-
-DEFAULT_ATTRIBUTES: dict[str, DistSpec] = {
-    "health": DistSpec(kind="constant", value=1.0),
-    "mobility": DistSpec(kind="constant", value=1),
-    "speed_pref": DistSpec(kind="constant", value=1.34),
-    "collaboration": DistSpec(kind="constant", value=0.5),
-    "insistence": DistSpec(kind="constant", value=0.8),
-    "knowledge": DistSpec(kind="constant", value=1.0),
-    "experience": DistSpec(kind="constant", value=0.0),
-    "nervousness": DistSpec(kind="constant", value=0.0),
-    "gender": DistSpec(kind="categorical", values=["F", "M"], weights=[0.5, 0.5]),
-    "age": DistSpec(kind="constant", value=35),
-    "role": DistSpec(kind="constant", value=0),
-}
-
 INT_ATTRS = ("mobility", "age", "role")
-
-
-def _is_real(v) -> bool:
-    """A finite int or float; booleans and NaN are not quantities."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _check_support(attr: str, spec: DistSpec, params: dict) -> None:
-    where = f"population.attributes.{attr}"
-    support = spec.support()
-    if attr in FLOAT01:
-        # out-of-range values are clamped at spawn; only non-numbers are errors
-        if not all(_is_real(v) for v in support):
-            raise SemanticViolation(where, "values must be finite numbers (clamped to [0, 1])")
-    elif attr == "mobility":
-        if any(v not in (0, 1, 2) for v in support):
-            raise SemanticViolation(where, "mobility must be 0, 1 or 2")
-    elif attr == "speed_pref":
-        cap = float(params["speed_cap"])
-        if any(not _is_real(v) or not 0 < v <= cap for v in support):
-            raise SemanticViolation(where, f"speed_pref must lie in (0, {cap}]")
-    elif attr == "gender":
-        if any(v not in ("F", "M") for v in support):
-            raise SemanticViolation(where, "gender must be 'F' or 'M'")
-    elif attr in ("age", "role"):
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in support):
-            raise SemanticViolation(where, "must be a non-negative integer")
-    elif attr == "reaction_time":
-        rt_max = float(params["rt_max"])
-        if any(not _is_real(v) or not 0 <= v <= rt_max for v in support):
-            raise SemanticViolation(where, f"reaction_time must lie in [0, {rt_max}]")
-    else:
-        raise SchemaViolation(where, "unknown agent attribute")
 
 
 def _sample_attr(attr: str, spec: DistSpec, count: int, rng: np.random.Generator):
@@ -153,32 +111,11 @@ def _sample_attr(attr: str, spec: DistSpec, count: int, rng: np.random.Generator
     return np.array([float(v) for v in values])
 
 
-def effective_speed(agent, params: dict | None = None) -> float:
+def effective_speed(health: np.ndarray, mobility: np.ndarray, speed_pref: np.ndarray, params: dict) -> np.ndarray:
     """Walking speed after health and mobility: health times the mobility
     base (0, speed_pref, or the panic speed), clamped to the global cap."""
-    p = params or PARAM_DEFAULTS
-    if agent.mobility == 0:
-        base = 0.0
-    elif agent.mobility == 1:
-        base = agent.speed_pref
-    else:
-        base = float(p["v_panic"])
-    return min(max(agent.health * base, 0.0), float(p["speed_cap"]))
-
-
-def effective_speed_bulk(health: np.ndarray, mobility: np.ndarray, speed_pref: np.ndarray, params: dict) -> np.ndarray:
     base = np.where(mobility == 1, speed_pref, np.where(mobility == 2, float(params["v_panic"]), 0.0))
     return np.clip(health * base, 0.0, float(params["speed_cap"]))
-
-
-def compute_reaction_time(agent, rng: np.random.Generator, params: dict | None = None) -> float:
-    """Pre-movement delay: lognormal around the configured median, shortened
-    by experience and halved for top-level leaders, clamped to [min, max]."""
-    p = params or PARAM_DEFAULTS
-    draw = rng.lognormal(mean=math.log(float(p["rt_median"])), sigma=float(p["rt_sigma"]))
-    factor = float(p["rt_leader_factor"]) if agent.role == 1 else 1.0
-    rt = draw * (1.0 - 0.5 * agent.experience) * factor
-    return float(min(max(rt, float(p["rt_min"])), float(p["rt_max"])))
 
 
 def spawn_population(
@@ -188,7 +125,7 @@ def spawn_population(
     params: dict | None = None,
     backend: str = "ca",
     room_labels: np.ndarray | None = None,
-) -> list[Agent]:
+) -> Population:
     """Create the initial population: attributes from the per-attribute
     distributions, positions packed without overlap inside the spawn
     region.  Fully reproducible from the seed streams.
@@ -201,12 +138,7 @@ def spawn_population(
     """
     p = params or PARAM_DEFAULTS
     count = spec.count
-
-    merged = dict(DEFAULT_ATTRIBUTES)
-    merged.update(spec.attributes)
-    for attr, dist in merged.items():
-        dist.validate(attr)
-        _check_support(attr, dist, p)
+    merged = spec.attribute_specs(p)
 
     rng_attrs = streams.spawn_attrs
     sampled: dict[str, object] = {}
@@ -242,33 +174,27 @@ def spawn_population(
         picks = streams.spawn_pos.choice(len(cells), size=count, replace=False) if count else []
         positions = [geometry.cell_center(*cells[int(k)]) for k in picks]
 
-    od0 = np.zeros(count)
-    vision0 = visibility_range_bulk(od0, np.asarray(sampled["health"], dtype=np.float64), p)
+    vision0 = visibility_range_bulk(np.zeros(count), sampled["health"], p)
 
-    agents = []
-    for i in range(count):
-        agents.append(
-            Agent(
-                id=i,
-                position=(float(positions[i][0]), float(positions[i][1])),
-                health=float(sampled["health"][i]),
-                mobility=int(sampled["mobility"][i]),
-                speed_pref=float(speed_pref[i]),
-                vision_range=float(vision0[i]),
-                reaction_time=float(reaction[i]),
-                collaboration=float(sampled["collaboration"][i]),
-                insistence=float(sampled["insistence"][i]),
-                knowledge=float(sampled["knowledge"][i]),
-                experience=float(sampled["experience"][i]),
-                nervousness=float(sampled["nervousness"][i]),
-                gender=str(sampled["gender"][i]),
-                age=int(sampled["age"][i]),
-                role=int(sampled["role"][i]),
-                status=AgentStatus.PREMOVEMENT,
-                radius=float(radii[i]),
-            )
-        )
-    return agents
+    return Population(
+        pos=np.array(positions, dtype=np.float64).reshape(count, 2),
+        radius=radii,
+        health=sampled["health"],
+        mobility=np.asarray(sampled["mobility"], dtype=np.int64),
+        speed_pref=speed_pref,
+        vision=vision0,
+        reaction_time=reaction,
+        collaboration=sampled["collaboration"],
+        insistence=sampled["insistence"],
+        knowledge=sampled["knowledge"],
+        experience=sampled["experience"],
+        nervousness=sampled["nervousness"],
+        gender=np.asarray(sampled["gender"], dtype=str),
+        age=np.asarray(sampled["age"], dtype=np.int64),
+        role=np.asarray(sampled["role"], dtype=np.int64),
+        status=np.full(count, int(AgentStatus.PREMOVEMENT), dtype=np.uint8),
+        target=np.full(count, NO_TARGET, dtype=np.int32),
+    )
 
 
 def _spawn_cells(spec: PopulationSpec, geometry: Geometry, room_labels: np.ndarray | None) -> list[tuple[int, int]]:
@@ -395,19 +321,11 @@ class BeliefStore:
             self.progress.popleft()
 
 
-def init_beliefs(agents: list[Agent], n_exits: int, rng: np.random.Generator) -> list[BeliefStore]:
+def init_beliefs(knowledge: np.ndarray, n_exits: int, rng: np.random.Generator) -> list[BeliefStore]:
     """Seed each agent's known exits: every exit is familiar independently
     with probability equal to the agent's building knowledge."""
-    stores = []
-    for agent in agents:
-        store = BeliefStore()
-        if n_exits:
-            draws = rng.random(n_exits)
-            for z in range(n_exits):
-                if draws[z] < agent.knowledge:
-                    store.known[z] = True
-        stores.append(store)
-    return stores
+    familiar = rng.random((len(knowledge), n_exits)) < knowledge[:, None]
+    return [BeliefStore(known={z: True for z, hit in enumerate(row) if hit}) for row in familiar.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -425,27 +343,14 @@ class ExitSight:
 
 
 @dataclass
-class AgentSighting:
-    id: int
-    position: tuple[float, float]
-    heading: tuple[float, float]
-    role: int
-
-
-@dataclass
 class WorldView:
-    """Frozen per-round snapshot the perception/decision layer reads from."""
+    """What the perception/decision layer reads in one round: the
+    population plus this tick's hazard exposure and the exit geometry."""
 
     geometry: Geometry
     params: dict
     t: float
-    alarm_active: bool
-    positions: np.ndarray          # (N, 2) m
-    headings: np.ndarray           # (N, 2) unit-ish movement direction
-    statuses: np.ndarray           # (N,) AgentStatus codes
-    targets: np.ndarray            # (N,) exit zone id or NO_TARGET
-    roles: np.ndarray              # (N,)
-    vision: np.ndarray             # (N,) m
+    pop: Population
     local_temp: np.ndarray         # (N,)
     local_od: np.ndarray
     local_tox: np.ndarray
@@ -453,7 +358,6 @@ class WorldView:
     temp_frame: np.ndarray
     tox_frame: np.ndarray
     exit_fields: list[np.ndarray]  # per exit zone, distances in cells
-    field_global: np.ndarray
     zone_centers: np.ndarray       # (E, 2) m
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
@@ -465,14 +369,13 @@ class WorldView:
 
     def present(self) -> np.ndarray:
         """Indices of agents physically in the building (not exited/dead)."""
-        return np.nonzero(
-            (self.statuses == AgentStatus.PREMOVEMENT) | (self.statuses == AgentStatus.MOVING)
-        )[0]
+        status = self.pop.status
+        return np.nonzero((status == AgentStatus.PREMOVEMENT) | (status == AgentStatus.MOVING))[0]
 
     def ensure_hash(self) -> SpatialHash:
         if self.hash is None:
             present = self.present()
-            self.hash = SpatialHash(self.positions[present], max(float(self.params["sf_cutoff"]), 3.0), ids=present)
+            self.hash = SpatialHash(self.pop.pos[present], max(float(self.params["sf_cutoff"]), 3.0), ids=present)
         return self.hash
 
     def ensure_wide_hash(self, radius: float) -> SpatialHash:
@@ -480,11 +383,11 @@ class WorldView:
         never trigger a rebuild.  Cached for the round like ensure_hash."""
         if self.hash_wide is None or self.hash_wide.cell < radius:
             present = self.present()
-            self.hash_wide = SpatialHash(self.positions[present], radius, ids=present)
+            self.hash_wide = SpatialHash(self.pop.pos[present], radius, ids=present)
         return self.hash_wide
 
     def cell_of(self, i: int) -> tuple[int, int]:
-        return self.geometry.cell_of((self.positions[i][0], self.positions[i][1]))
+        return self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
 
     def exit_distance_m(self, i: int, zone_id: int) -> float:
         x, y = self.cell_of(i)
@@ -493,13 +396,13 @@ class WorldView:
     def query_visible(self, i: int) -> np.ndarray:
         """Agent indices within sight of agent i (range + line of sight)."""
         h = self.ensure_hash()
-        rows = h.query_radius(self.positions[i], float(self.vision[i]))
+        rows = h.query_radius(self.pop.pos[i], float(self.pop.vision[i]))
         ids = h.ids[rows]
         ids = ids[ids != i]
         if len(ids) and self.has_interior_blockers:
             me = np.array(self.cell_of(i), dtype=np.float64)
             cs = self.geometry.cell_size
-            theirs = np.floor(self.positions[ids] / cs)
+            theirs = np.floor(self.pop.pos[ids] / cs)
             clear = los_pairs(self.geometry.blocked_mask, np.tile(me, (len(ids), 1)), theirs)
             ids = ids[clear]
         return ids
@@ -531,40 +434,22 @@ class Percept:
     """Everything one agent senses this round."""
 
     t: float
-    alarm_active: bool
     local_hazard: HazardSample
-    vision: float
+    speed: float                     # m/s, own walking speed after health and mobility
     visible_exits: list[ExitSight]
     herd_votes: dict[int, float]     # exit id -> leader-weighted count of neighbours heading there
     herd_total: float                # weighted count of all visible neighbours
     congestion_by_exit: dict[int, int]
     follow_distance: dict[int, float]  # exit id -> distance to nearest neighbour heading there
     _world: WorldView | None = None
-    _index: int = -1
-
-    @property
-    def visible_agents(self) -> list[AgentSighting]:
-        if self._world is None:
-            return []
-        w = self._world
-        out = []
-        for j in w.query_visible(self._index):
-            out.append(
-                AgentSighting(
-                    id=int(j),
-                    position=(float(w.positions[j][0]), float(w.positions[j][1])),
-                    heading=(float(w.headings[j][0]), float(w.headings[j][1])),
-                    role=int(w.roles[j]),
-                )
-            )
-        return out
 
 
-def _neighbour_stats(world: WorldView, indices: np.ndarray, collab: np.ndarray):
+def _neighbour_stats(world: WorldView, indices: np.ndarray):
     """Per-agent herd votes, totals, congestion counts and follow distances,
     estimated over neighbours within sight (capped at the congestion
     radius).  Returns dense (len(indices), n_zones) arrays."""
     p = world.params
+    pop = world.pop
     n_zones = len(world.zone_centers)
     n = len(indices)
     votes = np.zeros((n, n_zones))
@@ -584,7 +469,7 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray, collab: np.ndarray):
         obs_parts: list[np.ndarray] = []
         seen_parts: list[np.ndarray] = []
         for i in indices:
-            rows = h.query_radius(world.positions[int(i)], r_cap)
+            rows = h.query_radius(pop.pos[int(i)], r_cap)
             ids = h.ids[rows]
             ids = ids[ids != int(i)]
             if len(ids):
@@ -603,34 +488,34 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray, collab: np.ndarray):
         # both directions: observer -> observed
         obs = np.concatenate([gi, gj])
         seen = np.concatenate([gj, gi])
-    d = np.linalg.norm(world.positions[obs] - world.positions[seen], axis=1)
-    keep = d <= np.minimum(world.vision[obs], r_cap)
+    d = np.linalg.norm(pop.pos[obs] - pop.pos[seen], axis=1)
+    keep = d <= np.minimum(pop.vision[obs], r_cap)
     obs, seen, d = obs[keep], seen[keep], d[keep]
 
     # restrict observers to the requested indices
-    pos_in = np.full(len(world.positions), -1, dtype=np.int64)
+    pos_in = np.full(len(pop), -1, dtype=np.int64)
     pos_in[indices] = np.arange(n)
     keep = pos_in[obs] >= 0
     obs, seen, d = obs[keep], seen[keep], d[keep]
 
     if len(obs) and world.has_interior_blockers:
         cs = world.geometry.cell_size
-        a = np.floor(world.positions[obs] / cs)
-        b = np.floor(world.positions[seen] / cs)
+        a = np.floor(pop.pos[obs] / cs)
+        b = np.floor(pop.pos[seen] / cs)
         clear = los_pairs(world.geometry.blocked_mask, a, b)
         obs, seen, d = obs[clear], seen[clear], d[clear]
     if len(obs) == 0:
         return votes, totals, congestion, follow
 
     rows = pos_in[obs]
-    roles_seen = world.roles[seen]
-    rank_obs = np.where(world.roles[obs] > 0, world.roles[obs], np.iinfo(np.int64).max)
+    roles_seen = pop.role[seen]
+    rank_obs = np.where(pop.role[obs] > 0, pop.role[obs], np.iinfo(np.int64).max)
     leader = (roles_seen > 0) & (roles_seen < rank_obs)
-    weight = np.where(leader, 1.0 + collab[rows], 1.0)
+    weight = np.where(leader, 1.0 + pop.collaboration[obs], 1.0)
 
     np.add.at(totals, rows, weight)
-    tgt = world.targets[seen]
-    moving = world.statuses[seen] == AgentStatus.MOVING
+    tgt = pop.target[seen]
+    moving = pop.status[seen] == AgentStatus.MOVING
     has_target = (tgt >= 0) & moving
     np.add.at(votes, (rows[has_target], tgt[has_target]), weight[has_target])
     np.add.at(congestion, (rows[has_target], tgt[has_target]), 1)
@@ -638,16 +523,18 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray, collab: np.ndarray):
     return votes, totals, congestion, follow
 
 
-def build_percepts(world: WorldView, indices: np.ndarray, collab_all: np.ndarray) -> list[Percept]:
+def build_percepts(world: WorldView, indices: np.ndarray) -> list[Percept]:
     """Percepts for the given agent indices, sharing one round of
-    vectorised visibility and neighbour statistics."""
+    vectorised visibility, neighbour statistics and walking speeds."""
     p = world.params
+    pop = world.pop
     geometry = world.geometry
     cs = geometry.cell_size
     n = len(indices)
-    votes, totals, congestion, follow = _neighbour_stats(world, indices, collab_all[indices])
+    votes, totals, congestion, follow = _neighbour_stats(world, indices)
+    speeds = effective_speed(pop.health[indices], pop.mobility[indices], pop.speed_pref[indices], p).tolist()
 
-    pos = world.positions[indices]
+    pos = pop.pos[indices]
     cells = np.floor(pos / cs).astype(np.int64)
     cells[:, 0] = np.clip(cells[:, 0], 0, geometry.width - 1)
     cells[:, 1] = np.clip(cells[:, 1], 0, geometry.height - 1)
@@ -661,7 +548,7 @@ def build_percepts(world: WorldView, indices: np.ndarray, collab_all: np.ndarray
         d2 = ((pos[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         nearest = np.argmin(d2, axis=1)
         dmin = np.sqrt(d2[np.arange(n), nearest])
-        vis = dmin <= world.vision[indices]
+        vis = dmin <= pop.vision[indices]
         if vis.any() and world.has_interior_blockers:
             rows = np.nonzero(vis)[0]
             clear = los_pairs(geometry.blocked_mask, cells[rows], zc[nearest[rows]])
@@ -682,7 +569,7 @@ def build_percepts(world: WorldView, indices: np.ndarray, collab_all: np.ndarray
                 od_exit = 0.0
             else:
                 zc = world.zone_cells[z][ncell]
-                max_cells = world.vision[i] / cs
+                max_cells = pop.vision[i] / cs
                 hz = _hazard_score_along(world, (cells[row][0], cells[row][1]), (zc[0], zc[1]), max_cells)
                 center_cell = world.zone_cells[z][len(world.zone_cells[z]) // 2]
                 od_exit = float(world.od_frame[center_cell[1], center_cell[0]])
@@ -698,28 +585,19 @@ def build_percepts(world: WorldView, indices: np.ndarray, collab_all: np.ndarray
         percepts.append(
             Percept(
                 t=world.t,
-                alarm_active=world.alarm_active,
                 local_hazard=HazardSample(
                     float(world.local_temp[i]), float(world.local_od[i]), float(world.local_tox[i])
                 ),
-                vision=float(world.vision[i]),
+                speed=speeds[row],
                 visible_exits=visible_exits,
                 herd_votes={z: float(votes[row, z]) for z in range(n_zones) if votes[row, z] > 0},
                 herd_total=float(totals[row]),
                 congestion_by_exit={z: int(congestion[row, z]) for z in range(n_zones) if congestion[row, z]},
                 follow_distance={z: float(follow[row, z]) for z in range(n_zones) if np.isfinite(follow[row, z])},
                 _world=world,
-                _index=i,
             )
         )
     return percepts
-
-
-def perceive(world: WorldView, agent_index: int, collab_all: np.ndarray | None = None) -> Percept:
-    """Percept for a single agent (bulk path with one index)."""
-    if collab_all is None:
-        collab_all = np.zeros(len(world.positions))
-    return build_percepts(world, np.array([agent_index]), collab_all)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -737,32 +615,26 @@ class Intention:
     lost: bool = False
 
 
-def choose_exit(agent, percept: Percept, beliefs: BeliefStore, rng=None, params: dict | None = None) -> int | None:
-    """Pick the best exit by expected cost, blended with the crowd.
+def choose_exit(pop: Population, i: int, percept: Percept, beliefs: BeliefStore, params: dict | None = None) -> int | None:
+    """Pick agent ``i``'s best exit by expected cost, blended with the crowd.
 
     Utility trades off travel time, visible congestion, hazard along the
     way and familiarity; the herding term follows where visible
     neighbours (leaders amplified) are heading, weighted by the agent's
-    nervousness.  Returns None when no candidate exit exists.
+    nervousness.  Ties on score break on utility, then on the smallest
+    id.  Returns None when no candidate exit exists.
     """
-    del rng  # deterministic; ties on score break on utility, then on the smallest id
     p = params or PARAM_DEFAULTS
     candidates: dict[int, ExitSight] = {}
     for sight in percept.visible_exits:
         candidates[sight.exit_id] = sight
     world = percept._world
-    for z, familiar in beliefs.known.items():
-        if z in candidates:
-            continue
-        if world is not None and percept._index >= 0:
-            d = world.exit_distance_m(percept._index, z)
-            if not math.isfinite(d):
-                continue
-        else:
-            d = None
-        if d is None:
-            continue
-        candidates[z] = ExitSight(exit_id=z, distance=d, congestion=0.0, hazard=0.0)
+    if world is not None:
+        for z in beliefs.known:
+            if z not in candidates:
+                d = world.exit_distance_m(i, z)
+                if math.isfinite(d):
+                    candidates[z] = ExitSight(exit_id=z, distance=d, congestion=0.0, hazard=0.0)
     for z, d_follow in percept.follow_distance.items():
         if z not in candidates:
             candidates[z] = ExitSight(
@@ -776,8 +648,8 @@ def choose_exit(agent, percept: Percept, beliefs: BeliefStore, rng=None, params:
     if not candidates:
         return None
 
-    v = max(effective_speed(agent, p), 0.1)
-    n = agent.nervousness
+    v = max(percept.speed, 0.1)
+    n = float(pop.nervousness[i])
     best_z = None
     best_key = (-math.inf, -math.inf)
     for z in sorted(candidates):
@@ -798,9 +670,10 @@ def choose_exit(agent, percept: Percept, beliefs: BeliefStore, rng=None, params:
     return best_z
 
 
-def update_insistence(agent, beliefs: BeliefStore, dt_window: float, params: dict | None = None) -> None:
-    """Decay insistence when the displacement over the progress window
-    falls short of a fraction of what the agent could have walked."""
+def update_insistence(pop: Population, i: int, speed: float, beliefs: BeliefStore, dt_window: float, params: dict | None = None) -> None:
+    """Decay agent ``i``'s insistence when its displacement over the
+    progress window falls short of a fraction of what it could have
+    walked at ``speed``."""
     p = params or PARAM_DEFAULTS
     if len(beliefs.progress) < 2:
         return
@@ -809,40 +682,44 @@ def update_insistence(agent, beliefs: BeliefStore, dt_window: float, params: dic
     if t1 - t0 < dt_window * 0.5:
         return
     displacement = math.hypot(x1 - x0, y1 - y0)
-    threshold = float(p["progress_eta"]) * effective_speed(agent, p) * (t1 - t0)
+    threshold = float(p["progress_eta"]) * speed * (t1 - t0)
     if displacement < threshold:
-        agent.insistence = max(float(p["insistence_floor"]), agent.insistence * float(p["insistence_decay"]))
+        pop.insistence[i] = max(float(p["insistence_floor"]), float(pop.insistence[i]) * float(p["insistence_decay"]))
 
 
-def inform_neighbors(agent, agent_index: int, messages: list[tuple], world: WorldView, beliefs_all: list[BeliefStore], rng: np.random.Generator) -> list[int]:
-    """Deliver belief messages to visible neighbours, each with probability
-    equal to the sender's collaboration.  One hop per tick: receivers do
-    not relay until their own next decision round.  Returns receiver ids."""
+def inform_neighbors(i: int, messages: list[tuple], world: WorldView, beliefs_all: list[BeliefStore], rng: np.random.Generator) -> list[int]:
+    """Deliver agent ``i``'s belief messages to visible neighbours, each
+    with probability equal to the sender's collaboration.  One hop per
+    tick: receivers do not relay until their own next decision round.
+    Returns receiver ids."""
     if not messages:
         return []
+    collaboration = float(world.pop.collaboration[i])
     receivers = []
-    for j in world.query_visible(agent_index):
-        if rng.random() < agent.collaboration:
+    for j in world.query_visible(i).tolist():
+        if rng.random() < collaboration:
             for message in messages:
-                beliefs_all[int(j)].apply_message(message)
-            receivers.append(int(j))
+                beliefs_all[j].apply_message(message)
+            receivers.append(j)
     return receivers
 
 
-def decide(agent, percept: Percept, beliefs: BeliefStore, rng: np.random.Generator, params: dict | None = None) -> Intention:
-    """One decision round for one agent past its pre-movement delay.
+def decide(pop: Population, i: int, percept: Percept, beliefs: BeliefStore, rng: np.random.Generator, params: dict | None = None) -> Intention:
+    """One decision round for agent ``i``, past its pre-movement delay.
 
     Marks freshly observed blocked exits (and queues announcements),
     decays insistence when progress stalls, rolls the replan lottery,
     picks an exit if needed, and derives waypoint and desired speed.
     Nervousness grows with replans and dense smoke, damped by
     experience; desired speed is effective speed scaled by (1 +
-    nervousness), capped globally.
+    nervousness), capped globally.  The agent's nervousness,
+    insistence and target are updated in ``pop``.
     """
     p = params or PARAM_DEFAULTS
     world = percept._world
     announce: list[tuple] = []
     grew_nervous = 0.0
+    target = int(pop.target[i])
 
     # blocked-exit discovery
     newly_blocked = False
@@ -850,7 +727,7 @@ def decide(agent, percept: Percept, beliefs: BeliefStore, rng: np.random.Generat
         if sight.od_at_exit > float(p["od_blocked"]) and sight.exit_id not in beliefs.blocked:
             beliefs.block_exit(sight.exit_id, percept.t)
             announce.append(("exit_blocked", sight.exit_id, percept.t))
-            if sight.exit_id == agent.target_exit:
+            if sight.exit_id == target:
                 newly_blocked = True
 
     # newly seen exits become known (learned, not familiar)
@@ -859,14 +736,13 @@ def decide(agent, percept: Percept, beliefs: BeliefStore, rng: np.random.Generat
 
     # progress bookkeeping at the configured window
     window = float(p["progress_window"])
-    beliefs.record_position(percept.t, agent.position, window)
+    beliefs.record_position(percept.t, pop.pos[i].tolist(), window)
     if beliefs.next_progress_check is None:
         beliefs.next_progress_check = percept.t + window
     elif percept.t >= beliefs.next_progress_check:
-        update_insistence(agent, beliefs, window, p)
+        update_insistence(pop, i, percept.speed, beliefs, window, p)
         beliefs.next_progress_check = percept.t + window
 
-    target = agent.target_exit
     replanned = False
     need_choice = (
         target == NO_TARGET
@@ -874,11 +750,11 @@ def decide(agent, percept: Percept, beliefs: BeliefStore, rng: np.random.Generat
         or newly_blocked
         or beliefs.lost
     )
-    if not need_choice and rng.random() < 1.0 - agent.insistence:
+    if not need_choice and rng.random() < 1.0 - float(pop.insistence[i]):
         need_choice = True
 
     if need_choice:
-        choice = choose_exit(agent, percept, beliefs, None, p)
+        choice = choose_exit(pop, i, percept, beliefs, p)
         if choice is None:
             beliefs.lost = True
             new_target = NO_TARGET
@@ -893,19 +769,21 @@ def decide(agent, percept: Percept, beliefs: BeliefStore, rng: np.random.Generat
     if percept.local_hazard.optical_density > float(p["od_nervous"]):
         grew_nervous += float(p["dn_smoke"])
 
+    nervousness = float(pop.nervousness[i])
     if grew_nervous:
-        scale = float(p["nervousness_growth"]) * (1.0 - 0.5 * agent.experience)
-        agent.nervousness = min(1.0, max(0.0, agent.nervousness + grew_nervous * scale))
+        scale = float(p["nervousness_growth"]) * (1.0 - 0.5 * float(pop.experience[i]))
+        nervousness = min(1.0, max(0.0, nervousness + grew_nervous * scale))
+        pop.nervousness[i] = nervousness
 
     waypoint = None
     lost = target == NO_TARGET
     if not lost and world is not None and world.waypoint_fn is not None:
-        waypoint = world.waypoint_fn(percept._index, target)
+        waypoint = world.waypoint_fn(i, target)
     elif lost and world is not None and world.lost_waypoint_fn is not None:
-        waypoint = world.lost_waypoint_fn(percept._index)
+        waypoint = world.lost_waypoint_fn(i)
 
-    desired = min(effective_speed(agent, p) * (1.0 + agent.nervousness), float(p["speed_cap"]))
-    agent.target_exit = target
+    desired = min(percept.speed * (1.0 + nervousness), float(p["speed_cap"]))
+    pop.target[i] = target
     return Intention(
         target_exit=target,
         waypoint=waypoint,

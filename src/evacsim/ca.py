@@ -75,17 +75,17 @@ class CaState:
             raise AssertionError("agent coordinate map disagrees with the lattice")
 
 
-def speed_ticks(v_eff: float, v_grid: float) -> int:
-    """Number of lattice ticks per single-cell move for a walking speed.
+def speed_ticks(v_eff, v_grid: float) -> np.ndarray:
+    """Number of lattice ticks per single-cell move for each walking speed.
 
     The lattice moves one cell per tick at most (v_grid = cell/dt), so a
     speed of v_grid/2 becomes one move every 2 ticks.  Speeds above the
-    lattice rate saturate at one move per tick.
+    lattice rate saturate at one move per tick; a speed of zero or less
+    gives 0, meaning the agent never moves.
     """
-    if v_eff <= 0:
-        return 0
-    k = int(np.floor(v_grid / v_eff + 0.5))
-    return max(1, k)
+    v = np.asarray(v_eff, dtype=np.float64)
+    k = np.maximum(1, np.floor(v_grid / np.maximum(v, 1e-9) + 0.5)).astype(np.int64)
+    return np.where(v > 0, k, 0)
 
 
 def ca_step(

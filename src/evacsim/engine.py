@@ -23,17 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import (
-    NO_TARGET,
     AgentStatus,
     WorldView,
     build_percepts,
     decide,
-    effective_speed_bulk,
+    effective_speed,
     inform_neighbors,
     init_beliefs,
     spawn_population,
 )
-from .ca import CaState, ca_step
+from .ca import CaState, ca_step, speed_ticks
 from .config import RunConfig, SF_DECISION_INTERVAL, SF_TRAJECTORY_INTERVAL, half_up
 from .errors import SimulationError
 from .flow import FlowState, flow_step, route_to_destination
@@ -90,7 +89,7 @@ def state_digest(
     return h.hexdigest()
 
 
-#: digest of the agentless state at t = 0; pinned by the test suite
+#: digest of the agentless state at t = 0; pinned by tests/test_golden.py
 EMPTY_STATE_DIGEST = state_digest(0.0, (), (), (), (), (), (), ())
 
 
@@ -254,27 +253,15 @@ class _Simulation:
             and self.hazard.temperature.max() <= AMBIENT_TEMP + SENSE_EPS
         )
 
-        # population
-        agents = spawn_population(
+        # population: the one copy of every agent's state
+        self.pop = spawn_population(
             scenario.population, geometry, self.streams, self.params, self.backend, self.room_labels
         )
-        self.agents = agents
-        n = len(agents)
+        n = len(self.pop)
         self.n = n
-        self.beliefs = init_beliefs(agents, len(self.zones), self.streams.spawn_attrs)
+        self.beliefs = init_beliefs(self.pop.knowledge, len(self.zones), self.streams.spawn_attrs)
 
         self.ids = np.arange(n, dtype=np.int64)
-        self.pos = np.array([a.position for a in agents], dtype=np.float64).reshape(n, 2)
-        self.heading = np.zeros((n, 2))
-        self.status = np.full(n, int(AgentStatus.PREMOVEMENT), dtype=np.uint8)
-        self.target = np.full(n, NO_TARGET, dtype=np.int32)
-        self.health = np.array([a.health for a in agents], dtype=np.float64)
-        self.mobility = np.array([a.mobility for a in agents], dtype=np.int64)
-        self.speed_pref = np.array([a.speed_pref for a in agents], dtype=np.float64)
-        self.collab = np.array([a.collaboration for a in agents], dtype=np.float64)
-        self.roles = np.array([a.role for a in agents], dtype=np.int64)
-        self.rt = np.array([a.reaction_time for a in agents], dtype=np.float64)
-        self.vision = np.array([a.vision_range for a in agents], dtype=np.float64)
         self.desired = np.zeros(n)
         self.waypoint = np.full((n, 2), np.nan)
         self.path_len = np.zeros(n)
@@ -318,13 +305,12 @@ class _Simulation:
         self.sf_state = None
         self.flow_state = None
         if self.backend == "ca":
-            cells = [geometry.cell_of((x, y)) for x, y in self.pos]
+            cells = [geometry.cell_of((x, y)) for x, y in self.pop.pos]
             self.ca_state = CaState.from_cells(geometry, cells)
             self.fields_stack = np.stack(self.exit_fields + [self.field_global])
             self.v_grid = self.cs / self.dt
         elif self.backend == "sf":
-            self.sf_state = SfState.from_agents(self.agents, p)
-            self.pos = self.sf_state.pos  # shared storage: sf_step moves it in place
+            self.sf_state = SfState.from_bodies(self.pop.pos, self.pop.radius, p)
             self.wall_cells = exposed_wall_cells(geometry)
             self._route_tables: dict[int, dict[int, int | None]] = {}
             self._arc_push: dict[int, np.ndarray | None] = {}
@@ -347,7 +333,7 @@ class _Simulation:
                     "use spawn.node with a hand-written network"
                 )
             for i in range(self.n):
-                cx, cy = self.geometry.cell_of((self.pos[i][0], self.pos[i][1]))
+                cx, cy = self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
                 label = int(self.room_labels[cy, cx])
                 if label < 0:
                     label = self._nearest_room_label(cx, cy)
@@ -367,7 +353,7 @@ class _Simulation:
             if point is None:
                 members = [i for i, nd in assignment.items() if nd == node.id]
                 if members:
-                    point = self.pos[members].mean(axis=0)
+                    point = self.pop.pos[members].mean(axis=0)
                 else:
                     point = np.zeros(2)
                     self.warnings.append(f"node {node.id} has no geometry; placed at origin")
@@ -478,7 +464,7 @@ class _Simulation:
 
     def _sf_waypoint(self, i: int, zone_id: int) -> tuple[float, float] | None:
         geometry = self.geometry
-        cx, cy = geometry.cell_of((self.pos[i][0], self.pos[i][1]))
+        cx, cy = geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
         wp = None
         room = int(self.room_labels[cy, cx]) if self.room_labels is not None else -1
         if room >= 0:
@@ -489,13 +475,13 @@ class _Simulation:
                     # doorless hop straight for the nearest zone cell
                     zc = self.zone_cells[zone_id]
                     centers = (zc + 0.5) * self.cs
-                    d2 = ((centers - self.pos[i]) ** 2).sum(axis=1)
+                    d2 = ((centers - self.pop.pos[i]) ** 2).sum(axis=1)
                     wp = centers[int(np.argmin(d2))]
         if wp is None:
             wp = self._field_hop(self.exit_fields[zone_id], cx, cy)
         if wp is not None:
-            dx = float(wp[0]) - self.pos[i][0]
-            dy = float(wp[1]) - self.pos[i][1]
+            dx = float(wp[0]) - self.pop.pos[i][0]
+            dy = float(wp[1]) - self.pop.pos[i][1]
             if math.hypot(dx, dy) < float(self.params["waypoint_reach"]):
                 hop = self._field_hop(self.exit_fields[zone_id], cx, cy)
                 if hop is not None:
@@ -505,14 +491,14 @@ class _Simulation:
         return (float(wp[0]), float(wp[1]))
 
     def _lost_waypoint(self, i: int) -> tuple[float, float] | None:
-        cx, cy = self.geometry.cell_of((self.pos[i][0], self.pos[i][1]))
+        cx, cy = self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
         return self._field_hop(self.field_global, cx, cy)
 
     # -- per-tick phases -----------------------------------------------------
 
     def _inside_mask(self) -> np.ndarray:
-        return (self.status == int(AgentStatus.PREMOVEMENT)) | (
-            self.status == int(AgentStatus.MOVING)
+        return (self.pop.status == int(AgentStatus.PREMOVEMENT)) | (
+            self.pop.status == int(AgentStatus.MOVING)
         )
 
     def _all_done(self) -> bool:
@@ -526,8 +512,8 @@ class _Simulation:
         if len(inside) == 0:
             return
         cs = self.cs
-        cx = np.clip((self.pos[inside, 0] / cs).astype(np.int64), 0, self.geometry.width - 1)
-        cy = np.clip((self.pos[inside, 1] / cs).astype(np.int64), 0, self.geometry.height - 1)
+        cx = np.clip((self.pop.pos[inside, 0] / cs).astype(np.int64), 0, self.geometry.width - 1)
+        cy = np.clip((self.pop.pos[inside, 1] / cs).astype(np.int64), 0, self.geometry.height - 1)
         temp = self.temp_frame[cy, cx]
         od = self.od_frame[cy, cx]
         tox = self.tox_frame[cy, cx]
@@ -539,20 +525,16 @@ class _Simulation:
         hurt = dec > 0
         if hurt.any():
             rows = inside[hurt]
-            self.health[rows] = np.maximum(0.0, self.health[rows] - dec[hurt])
-            for i in rows:
-                self.agents[i].health = float(self.health[i])
-            dead = rows[self.health[rows] <= 0.0]
+            self.pop.health[rows] = np.maximum(0.0, self.pop.health[rows] - dec[hurt])
+            dead = rows[self.pop.health[rows] <= 0.0]
             for i in dead:
                 self._kill(int(i), t)
-        self.vision[inside] = visibility_range_bulk(
-            self.local_od[inside], self.health[inside], self.params
+        self.pop.vision[inside] = visibility_range_bulk(
+            self.local_od[inside], self.pop.health[inside], self.params
         )
 
     def _kill(self, i: int, t: float) -> None:
-        self.status[i] = int(AgentStatus.DEAD)
-        self.agents[i].status = AgentStatus.DEAD
-        self.agents[i].health = 0.0
+        self.pop.status[i] = int(AgentStatus.DEAD)
         self.death_t[i] = t
         self.events.append(EventRecord(t, "died", i, {}))
         if self.ca_state is not None:
@@ -567,21 +549,19 @@ class _Simulation:
     def _premovement_phase(self, t: float) -> np.ndarray:
         """Start everyone whose delay has elapsed or who senses the
         hazard directly; returns the newly moving indices."""
-        waiting = self.status == int(AgentStatus.PREMOVEMENT)
+        waiting = self.pop.status == int(AgentStatus.PREMOVEMENT)
         if not waiting.any():
             return np.zeros(0, dtype=np.int64)
         due = np.zeros(self.n, dtype=bool)
         if t + SENSE_EPS >= self.config.alarm_time:
-            due = t + SENSE_EPS >= self.config.alarm_time + self.rt
+            due = t + SENSE_EPS >= self.config.alarm_time + self.pop.reaction_time
         sensed = (
             (self.local_od > SENSE_EPS)
             | (self.local_temp > AMBIENT_TEMP + SENSE_EPS)
             | (self.local_tox > SENSE_EPS)
         )
         start = np.nonzero(waiting & (due | sensed))[0]
-        for i in start:
-            self.status[i] = int(AgentStatus.MOVING)
-            self.agents[i].status = AgentStatus.MOVING
+        self.pop.status[start] = int(AgentStatus.MOVING)
         if self.flow_state is not None and len(start):
             self.flow_state.eligible.update(int(i) for i in start)
         return start
@@ -591,23 +571,17 @@ class _Simulation:
             return  # routing is static on the coarse network
         if k % self.decide_every == 0:
             deciders = np.nonzero(
-                (self.status == int(AgentStatus.MOVING)) & (self.mobility > 0)
+                (self.pop.status == int(AgentStatus.MOVING)) & (self.pop.mobility > 0)
             )[0]
         else:
-            deciders = newly_moving[self.mobility[newly_moving] > 0]
+            deciders = newly_moving[self.pop.mobility[newly_moving] > 0]
         if len(deciders) == 0:
             return
         world = WorldView(
             geometry=self.geometry,
             params=self.params,
             t=t,
-            alarm_active=t + SENSE_EPS >= self.config.alarm_time,
-            positions=self.pos,
-            headings=self.heading,
-            statuses=self.status,
-            targets=self.target,
-            roles=self.roles,
-            vision=self.vision,
+            pop=self.pop,
             local_temp=self.local_temp,
             local_od=self.local_od,
             local_tox=self.local_tox,
@@ -615,7 +589,6 @@ class _Simulation:
             temp_frame=self.temp_frame,
             tox_frame=self.tox_frame,
             exit_fields=self.exit_fields,
-            field_global=self.field_global,
             zone_centers=self.zone_centers,
             zone_cells=self.zone_cells,
             has_interior_blockers=self.has_interior_blockers,
@@ -623,21 +596,17 @@ class _Simulation:
             waypoint_fn=self._sf_waypoint if self.backend == "sf" else None,
             lost_waypoint_fn=self._lost_waypoint if self.backend == "sf" else None,
         )
-        percepts = build_percepts(world, deciders, self.collab)
+        percepts = build_percepts(world, deciders)
         rng = self.streams.decisions
         announcers: list[tuple[int, list[tuple]]] = []
         for row, i in enumerate(deciders):
             i = int(i)
-            agent = self.agents[i]
-            agent.position = (float(self.pos[i][0]), float(self.pos[i][1]))
-            agent.health = float(self.health[i])
-            intent = decide(agent, percepts[row], self.beliefs[i], rng, self.params)
+            intent = decide(self.pop, i, percepts[row], self.beliefs[i], rng, self.params)
             if intent.replanned:
                 self.replans[i] += 1
                 self.events.append(
                     EventRecord(t, "replanned", i, {"to": int(intent.target_exit)})
                 )
-            self.target[i] = intent.target_exit
             self.desired[i] = intent.desired_speed
             if intent.waypoint is None:
                 self.waypoint[i] = (np.nan, np.nan)
@@ -647,9 +616,7 @@ class _Simulation:
                 announcers.append((i, intent.announce))
         # message barrier: deliveries land after every decision this round
         for i, messages in announcers:
-            receivers = inform_neighbors(
-                self.agents[i], i, messages, world, self.beliefs, rng
-            )
+            receivers = inform_neighbors(i, messages, world, self.beliefs, rng)
             if receivers:
                 self.events.append(
                     EventRecord(
@@ -661,8 +628,7 @@ class _Simulation:
                 )
 
     def _exit_agent(self, i: int, t: float, zone_id: int | None, door_id: str | None) -> None:
-        self.status[i] = int(AgentStatus.EXITED)
-        self.agents[i].status = AgentStatus.EXITED
+        self.pop.status[i] = int(AgentStatus.EXITED)
         self.exit_t[i] = t
         payload: dict = {}
         if zone_id is not None:
@@ -694,14 +660,14 @@ class _Simulation:
             dst_node = network.node_by_id(arc.dst)
             for agent_id in cohort.ids:
                 self.path_len[agent_id] += hop
-                self.pos[agent_id] = dst_pt
+                self.pop.pos[agent_id] = dst_pt
                 if dst_node.kind == "destination":
                     zone_id = arc.dst - self.n_rooms if arc.dst >= self.n_rooms else None
                     self._exit_agent(agent_id, t, zone_id, arc.door_id)
         for cohort in state.in_transit:
             point = self.arc_points[cohort.arc_index]
             for agent_id in cohort.ids:
-                self.pos[agent_id] = point
+                self.pop.pos[agent_id] = point
 
     def _ca_tick(self, k: int, t: float) -> None:
         state = self.ca_state
@@ -720,28 +686,27 @@ class _Simulation:
                 state.vacate(i)
 
         movable = (
-            (self.status == int(AgentStatus.MOVING))
-            & (self.mobility > 0)
+            (self.pop.status == int(AgentStatus.MOVING))
+            & (self.pop.mobility > 0)
             & state.present
         )
         move_ids = np.nonzero(movable)[0]
         if len(move_ids):
             # walk at the decided speed (nervousness-scaled); agents that
             # have not decided yet fall back to their bodily speed
-            v_eff = effective_speed_bulk(
-                self.health[move_ids],
-                self.mobility[move_ids],
-                self.speed_pref[move_ids],
+            v_eff = effective_speed(
+                self.pop.health[move_ids],
+                self.pop.mobility[move_ids],
+                self.pop.speed_pref[move_ids],
                 self.params,
             )
             v_des = self.desired[move_ids]
-            v_move = np.where(v_des > 0, v_des, v_eff)
-            skip = np.maximum(1, np.floor(self.v_grid / np.maximum(v_move, 1e-9) + 0.5))
-            move_ids = move_ids[(k % skip.astype(np.int64)) == 0]
+            ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
+            move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
         if len(move_ids) == 0:
             state.tick += 1
             return
-        field_index = np.where(self.target >= 0, self.target, len(self.zones)).astype(np.int64)
+        field_index = np.where(self.pop.target >= 0, self.pop.target, len(self.zones)).astype(np.int64)
         old_x = state.x[move_ids].copy()
         old_y = state.y[move_ids].copy()
         moved = ca_step(
@@ -760,15 +725,12 @@ class _Simulation:
         oy = old_y[sel].astype(np.float64)
         nx = state.x[moved].astype(np.float64)
         ny = state.y[moved].astype(np.float64)
-        self.pos[moved, 0] = (nx + 0.5) * self.cs
-        self.pos[moved, 1] = (ny + 0.5) * self.cs
+        self.pop.pos[moved, 0] = (nx + 0.5) * self.cs
+        self.pop.pos[moved, 1] = (ny + 0.5) * self.cs
         dx = (nx - ox) * self.cs
         dy = (ny - oy) * self.cs
         length = np.hypot(dx, dy)
         self.path_len[moved] += length
-        nonzero = length > 0
-        self.heading[moved[nonzero], 0] = dx[nonzero] / length[nonzero]
-        self.heading[moved[nonzero], 1] = dy[nonzero] / length[nonzero]
         # crossings: stepping onto an instrumented span from outside it
         site_new = self.site_of_cell[ny.astype(np.int64), nx.astype(np.int64)]
         site_old = self.site_of_cell[oy.astype(np.int64), ox.astype(np.int64)]
@@ -780,9 +742,9 @@ class _Simulation:
 
     def _sf_tick(self, k: int, t: float) -> None:
         state = self.sf_state
-        moving = (self.status == int(AgentStatus.MOVING)) & (self.mobility > 0)
+        moving = (self.pop.status == int(AgentStatus.MOVING)) & (self.pop.mobility > 0)
         desired = np.where(moving, self.desired, 0.0)
-        old_pos = self.pos.copy()
+        old_pos = self.pop.pos.copy()
         sf_step(
             state,
             self.geometry,
@@ -795,13 +757,9 @@ class _Simulation:
         active = np.nonzero(state.active)[0]
         if len(active) == 0:
             return
-        delta = self.pos[active] - old_pos[active]
+        delta = self.pop.pos[active] - old_pos[active]
         length = np.hypot(delta[:, 0], delta[:, 1])
         self.path_len[active] += length
-        speed = np.hypot(state.vel[active, 0], state.vel[active, 1])
-        turn = speed > 1e-3
-        rows = active[turn]
-        self.heading[rows] = state.vel[rows] / speed[turn, None]
 
         # plane crossings through interior openings; openings lying on
         # exit cells swallow bodies before their centre reaches the
@@ -810,7 +768,7 @@ class _Simulation:
             if site.covers_exit:
                 continue
             rel_old = old_pos[active] - site.center
-            rel_new = self.pos[active] - site.center
+            rel_new = self.pop.pos[active] - site.center
             s_old = rel_old @ site.upstream
             s_new = rel_new @ site.upstream
             tangent = np.array([-site.upstream[1], site.upstream[0]])
@@ -822,14 +780,14 @@ class _Simulation:
 
         # arrivals: a body whose centre reaches an exit cell is out
         cs = self.cs
-        cx = np.clip((self.pos[active, 0] / cs).astype(np.int64), 0, self.geometry.width - 1)
-        cy = np.clip((self.pos[active, 1] / cs).astype(np.int64), 0, self.geometry.height - 1)
+        cx = np.clip((self.pop.pos[active, 0] / cs).astype(np.int64), 0, self.geometry.width - 1)
+        cy = np.clip((self.pop.pos[active, 1] / cs).astype(np.int64), 0, self.geometry.height - 1)
         zones_here = self.zone_grid[cy, cx]
         leaving = active[zones_here >= 0]
         through: dict[int, int] = {}
         for i in leaving:
             i = int(i)
-            gx, gy = self.geometry.cell_of((self.pos[i][0], self.pos[i][1]))
+            gx, gy = self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
             zone_id = int(self.zone_grid[gy, gx])
             site_index = int(self.site_of_cell[gy, gx])
             door_id = self.sites[site_index].door_id if site_index >= 0 else None
@@ -843,7 +801,7 @@ class _Simulation:
 
     def _clog_phase(self, t: float) -> None:
         window = float(self.params["clog_window"])
-        positions = self.pos[self.sf_state.active]
+        positions = self.pop.pos[self.sf_state.active]
         for site in self.sites:
             if site.first_cross_t is None:
                 continue
@@ -877,10 +835,10 @@ class _Simulation:
             (
                 t,
                 self.ids,
-                self.pos[:, 0].astype(np.float32),
-                self.pos[:, 1].astype(np.float32),
-                self.health.astype(np.float32),
-                self.status.copy(),
+                self.pop.pos[:, 0].astype(np.float32),
+                self.pop.pos[:, 1].astype(np.float32),
+                self.pop.health.astype(np.float32),
+                self.pop.status.copy(),
             )
         )
 
@@ -920,21 +878,13 @@ class _Simulation:
         if not self.trajectory or self.trajectory[-1][0] != t_end:
             self._sample(t_end)
 
-        nervousness = np.array([a.nervousness for a in self.agents], dtype=np.float64)
-        insistence = np.array([a.insistence for a in self.agents], dtype=np.float64)
+        pop = self.pop
         digest = state_digest(
-            t_end,
-            self.pos[:, 0],
-            self.pos[:, 1],
-            self.status,
-            self.health,
-            nervousness,
-            insistence,
-            self.target,
+            t_end, pop.pos[:, 0], pop.pos[:, 1], pop.status, pop.health, pop.nervousness, pop.insistence, pop.target
         )
 
-        exited = int((self.status == int(AgentStatus.EXITED)).sum())
-        fatalities = int((self.status == int(AgentStatus.DEAD)).sum())
+        exited = int((self.pop.status == int(AgentStatus.EXITED)).sum())
+        fatalities = int((self.pop.status == int(AgentStatus.DEAD)).sum())
         assert exited + fatalities + int(self._inside_mask().sum()) == self.n
 
         curve = []

@@ -80,6 +80,7 @@ def flow_route(network: EgressNetwork) -> dict[int, int | None]:
     """
     dests = sorted(n.id for n in network.destinations())
     per_dest = {d: _distances_to(network, d) for d in dests}
+    per_route = {d: route_to_destination(network, d) for d in dests}
     table: dict[int, int | None] = {}
     dest_set = set(dests)
     for node in network.nodes:
@@ -97,17 +98,7 @@ def flow_route(network: EgressNetwork) -> dict[int, int | None]:
                 "network.connectivity", f"node {node.id} cannot reach any destination"
             )
         _, dest = best
-        dist = per_dest[dest]
-        best_arc = None
-        best_time = None
-        for arc_index, arc in network.out_arcs(node.id):
-            if arc.dst not in dist:
-                continue
-            t = arc.traversal_time + dist[arc.dst]
-            if best_time is None or t < best_time:
-                best_time = t
-                best_arc = arc_index
-        table[node.id] = best_arc
+        table[node.id] = per_route[dest][node.id]
     return table
 
 
@@ -166,18 +157,6 @@ class FlowState:
             raise AssertionError(
                 f"person conservation broken at tick {self.tick}: {have} != {self.total}"
             )
-
-    def locate(self, agent_id: int):
-        """('node', node id) | ('arc', arc index) | ('arrived', node id)."""
-        if agent_id in self.arrived:
-            return ("arrived", self.arrived[agent_id][1])
-        for node_id, q in self.queues.items():
-            if agent_id in q:
-                return ("node", node_id)
-        for cohort in self.in_transit:
-            if agent_id in cohort.ids:
-                return ("arc", cohort.arc_index)
-        return None
 
     def remove(self, agent_id: int) -> bool:
         """Take one person out of the system (death); ignores arrived ids."""

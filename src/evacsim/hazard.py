@@ -292,25 +292,6 @@ def health_decrement(temp, od, tox, dt: float, params: dict):
     return dt * (c_temp * heat + c_tox * np.asarray(tox))
 
 
-def update_health(agent, sample: HazardSample, dt: float, params: dict | None = None) -> float:
-    """Apply one tick of hazard exposure to an agent in place.
-
-    Health only ever decreases; at zero the agent is dead and immobile.
-    Returns the new health value.
-    """
-    from .agents import AgentStatus
-
-    p = params or PARAM_DEFAULTS
-    loss = float(health_decrement(sample.temperature, sample.optical_density, sample.toxicity, dt, p))
-    new_health = min(agent.health, max(0.0, min(1.0, agent.health - loss)))
-    agent.health = new_health
-    if new_health <= 0.0:
-        agent.health = 0.0
-        agent.mobility = 0
-        agent.status = AgentStatus.DEAD
-    return agent.health
-
-
 def smoke_mass(field: HazardField, frame_index: int) -> float:
     """Total optical density in one stored frame (conservation checks)."""
     return float(field.optical_density[frame_index].sum())

@@ -226,14 +226,3 @@ def ascii_snapshot(geometry: Geometry, positions: np.ndarray, statuses: np.ndarr
                 rows[cy][cx] = "@"
     return "\n".join("".join(r) for r in rows)
 
-
-def reconstruct_egress_counts(result: RunResult) -> list[tuple[float, int]]:
-    """Exited counts per trajectory sample time, from statuses alone.
-
-    Must agree with counting exit events strictly before each sample
-    time; the acceptance suite holds the two together.
-    """
-    out = []
-    for (t, ids, xs, ys, health, statuses) in result.trajectory:
-        out.append((t, int((statuses == int(AgentStatus.EXITED)).sum())))
-    return out

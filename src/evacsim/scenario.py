@@ -575,6 +575,56 @@ class DistSpec:
         return doc
 
 
+FLOAT01 = ("health", "collaboration", "insistence", "knowledge", "experience", "nervousness")
+
+DEFAULT_ATTRIBUTES: dict[str, DistSpec] = {
+    "health": DistSpec(kind="constant", value=1.0),
+    "mobility": DistSpec(kind="constant", value=1),
+    "speed_pref": DistSpec(kind="constant", value=1.34),
+    "collaboration": DistSpec(kind="constant", value=0.5),
+    "insistence": DistSpec(kind="constant", value=0.8),
+    "knowledge": DistSpec(kind="constant", value=1.0),
+    "experience": DistSpec(kind="constant", value=0.0),
+    "nervousness": DistSpec(kind="constant", value=0.0),
+    "gender": DistSpec(kind="categorical", values=["F", "M"], weights=[0.5, 0.5]),
+    "age": DistSpec(kind="constant", value=35),
+    "role": DistSpec(kind="constant", value=0),
+}
+
+
+def _is_real(v) -> bool:
+    """A finite int or float; booleans and NaN are not quantities."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_support(attr: str, spec: DistSpec, params: dict) -> None:
+    where = f"population.attributes.{attr}"
+    support = spec.support()
+    if attr in FLOAT01:
+        # out-of-range values are clamped at spawn; only non-numbers are errors
+        if not all(_is_real(v) for v in support):
+            raise SemanticViolation(where, "values must be finite numbers (clamped to [0, 1])")
+    elif attr == "mobility":
+        if any(v not in (0, 1, 2) for v in support):
+            raise SemanticViolation(where, "mobility must be 0, 1 or 2")
+    elif attr == "speed_pref":
+        cap = float(params["speed_cap"])
+        if any(not _is_real(v) or not 0 < v <= cap for v in support):
+            raise SemanticViolation(where, f"speed_pref must lie in (0, {cap}]")
+    elif attr == "gender":
+        if any(v not in ("F", "M") for v in support):
+            raise SemanticViolation(where, "gender must be 'F' or 'M'")
+    elif attr in ("age", "role"):
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in support):
+            raise SemanticViolation(where, "must be a non-negative integer")
+    elif attr == "reaction_time":
+        rt_max = float(params["rt_max"])
+        if any(not _is_real(v) or not 0 <= v <= rt_max for v in support):
+            raise SemanticViolation(where, f"reaction_time must lie in [0, {rt_max}]")
+    else:
+        raise SchemaViolation(where, "unknown agent attribute")
+
+
 @dataclass
 class PopulationSpec:
     count: int
@@ -582,7 +632,7 @@ class PopulationSpec:
     spawn_node: int | None = None
     attributes: dict[str, DistSpec] = field(default_factory=dict)
 
-    def validate(self, geometry: Geometry) -> None:
+    def validate(self, geometry: Geometry, params: dict) -> None:
         if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 0:
             raise SchemaViolation("population.count", "must be a non-negative integer")
         if self.spawn_rect is not None and self.spawn_node is not None:
@@ -593,8 +643,17 @@ class PopulationSpec:
                 raise SemanticViolation("population.spawn", "rect corners are inverted")
             if not (geometry.in_bounds(x0, y0) and geometry.in_bounds(x1, y1)):
                 raise SemanticViolation("population.spawn", "rect extends outside the grid")
-        for attr, dist in self.attributes.items():
+        self.attribute_specs(params)
+
+    def attribute_specs(self, params: dict) -> dict[str, DistSpec]:
+        """Every agent attribute's distribution, defaults filled in, each
+        checked for its shape and for values usable under ``params``."""
+        merged = dict(DEFAULT_ATTRIBUTES)
+        merged.update(self.attributes)
+        for attr, dist in merged.items():
             dist.validate(attr)
+            _check_support(attr, dist, params)
+        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +760,10 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         network = _parse_network(doc["network"])
         network.validate()
 
+    # the population's attribute ranges depend on the run parameters
+    config = RunConfig.from_dict(doc.get("config", {}) or {})
     population = _parse_population(_require(doc, "population", dict, "$"))
-    population.validate(geometry)
+    population.validate(geometry, config.params())
     if population.spawn_node is not None and network is None:
         # spawn-by-node against the derived network is resolved at run time;
         # make sure derivation will succeed so errors surface at parse time
@@ -710,7 +771,6 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
 
     hazard_source = _parse_hazard_source(doc.get("hazard"), base_dir)
 
-    config = RunConfig.from_dict(doc.get("config", {}) or {})
     return Scenario(
         geometry=geometry,
         population=population,

@@ -68,18 +68,15 @@ class SfState:
     _nbr_pairs: tuple | None = field(default=None, repr=False)
 
     @classmethod
-    def from_agents(cls, agents, params: dict | None = None) -> "SfState":
+    def from_bodies(cls, pos: np.ndarray, radius: np.ndarray, params: dict | None = None) -> "SfState":
+        """State over the population's own ``pos`` array, which sf_step
+        then moves in place; a zero radius takes the smallest body size."""
         p = params or PARAM_DEFAULTS
-        n = len(agents)
-        pos = np.zeros((n, 2))
-        radius = np.zeros(n)
-        for i, agent in enumerate(agents):
-            pos[i] = agent.position
-            radius[i] = agent.radius if agent.radius > 0 else float(p["sf_radius_lo"])
+        n = len(pos)
         return cls(
             pos=pos,
             vel=np.zeros((n, 2)),
-            radius=radius,
+            radius=np.where(radius > 0, radius, float(p["sf_radius_lo"])),
             mass=np.full(n, float(p["sf_mass"])),
             active=np.ones(n, dtype=bool),
         )
@@ -278,32 +275,6 @@ def wall_forces(
     else:
         contacts = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
     return force, contacts
-
-
-def sf_forces(
-    pos: np.ndarray,
-    vel: np.ndarray,
-    radius: np.ndarray,
-    mass: np.ndarray,
-    desired_speed: np.ndarray,
-    waypoint: np.ndarray,
-    wall_cells: np.ndarray,
-    cell_size: float,
-    params: dict | None = None,
-) -> tuple[np.ndarray, tuple, tuple]:
-    """Driving + repulsion + compression force on every body.
-
-    Sliding friction is not part of the force sum; it is applied after
-    integration as velocity impulses (see ``apply_contact_friction``).
-    Returns (force, pair contacts, wall contacts).
-    """
-    p = params or PARAM_DEFAULTS
-    total = driving_force(pos, vel, mass, desired_speed, waypoint, p)
-    pair, pair_contacts = pair_forces(pos, radius, p)
-    wall, wall_contacts = wall_forces(pos, radius, wall_cells, cell_size, p)
-    total += pair
-    total += wall
-    return total, pair_contacts, wall_contacts
 
 
 def apply_contact_friction(

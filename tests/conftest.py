@@ -7,10 +7,14 @@ Scenario documents are assembled as plain dicts and serialised with
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 from evacsim import parse_scenario
+from evacsim.agents import NO_TARGET, AgentStatus, Population
 
 
 def grid_rows(width, height, exits=(), obstacles=(), walls=()):
@@ -75,6 +79,23 @@ def room_doc(
     return doc
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCENARIOS = os.path.join(ROOT, "scenarios")
+
+
+def run_cli(*args):
+    """``python -m evacsim ARGS`` against this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "evacsim", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 def make_scenario(doc):
     return parse_scenario(json.dumps(doc))
 
@@ -98,3 +119,30 @@ def brute_force_pairs(positions, radius):
         hit = np.nonzero((d * d).sum(axis=1) <= r2)[0]
         out.extend((i, i + 1 + int(j)) for j in hit)
     return sorted(out)
+
+
+def one_agent(**attrs):
+    """One-row Population for decision-layer tests: a healthy, calm,
+    walking agent that is already moving; keyword arguments override
+    any attribute by its Population field name."""
+    row = dict(
+        pos=(1.0, 1.0),
+        radius=0.0,
+        health=1.0,
+        mobility=1,
+        speed_pref=1.34,
+        vision=30.0,
+        reaction_time=1.0,
+        collaboration=0.5,
+        insistence=0.8,
+        knowledge=1.0,
+        experience=0.0,
+        nervousness=0.0,
+        gender="F",
+        age=35,
+        role=0,
+        status=int(AgentStatus.MOVING),
+        target=NO_TARGET,
+    )
+    row.update(attrs)
+    return Population(**{name: np.array([value]) for name, value in row.items()})

@@ -46,6 +46,27 @@ def test_speed_ticks_rounds_to_nearest_divisor():
     assert speed_ticks(10 * v_grid, v_grid) == 1
     assert speed_ticks(0.0, v_grid) == 0
     assert speed_ticks(-1.0, v_grid) == 0
+    speeds = np.array([v_grid, v_grid / 2, v_grid / 1.5, 10 * v_grid, 0.0, -1.0])
+    assert speed_ticks(speeds, v_grid).tolist() == [1, 2, 2, 1, 0, 0]
+
+
+def test_zero_speed_agent_never_steps():
+    # moving from t = 0 but with no health left: speed 0 must mean no
+    # step at all, not one step on the tick where k % skip == 0
+    doc = room_doc(
+        grid_rows(8, 5, exits=[(7, 2)]),
+        count=1,
+        spawn=[2, 2, 2, 2],
+        attributes=[
+            {"attr": "health", "dist": "constant", "value": 0.0},
+            {"attr": "reaction_time", "dist": "constant", "value": 0.0},
+        ],
+        alarm_time=0.0,
+        max_sim_time=10.0,
+    )
+    result = run(make_scenario(doc))
+    assert result.timeout
+    assert result.per_agent[0].path_length == 0.0
 
 
 # -- single-step mechanics -----------------------------------------------------

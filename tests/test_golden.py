@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from evacsim import EMPTY_STATE_DIGEST, run
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCENARIOS = os.path.join(ROOT, "scenarios")
+from conftest import SCENARIOS, run_cli
 
 
 def _scenario_text(name, max_sim_time=None, backend=None, smoke=None):
@@ -69,18 +66,7 @@ def test_lethal_smoke_digest(backend, digest, dead):
 
 
 def test_cli_run_writes_the_same_digest(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "evacsim", "run", os.path.join(SCENARIOS, "two_rooms.json"),
-         "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_cli("run", os.path.join(SCENARIOS, "two_rooms.json"), "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "metrics.json", encoding="utf-8") as fh:
         assert json.load(fh)["digest"] == "225cb0f5cde75f80"

@@ -139,7 +139,7 @@ def test_serialize_round_trip_is_stable():
         count=7,
         attributes=[
             {"attr": "age", "dist": "uniform", "lo": 20, "hi": 60},
-            {"attr": "gender", "dist": "categorical", "values": [0, 1], "weights": [0.5, 0.5]},
+            {"attr": "gender", "dist": "categorical", "values": ["F", "M"], "weights": [0.5, 0.5]},
         ],
         doors=[{"id": "main", "cells": [[9, 3], [9, 4]], "width": 1.0}],
         overrides={"v_ref": 1.5},
