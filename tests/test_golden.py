@@ -1,7 +1,9 @@
 """Golden state digests of the bundled scenarios.
 
 Each case runs a shipped scenario (optionally cut at a simulated time
-limit) and compares the run's 64-bit state digest with the value the
+limit or moved to another backend) and compares the run's 64-bit state
+digest, and the outcome the digest does not see (exits, deaths, end
+time, events by kind and crossings per door), with the values the
 simulator has always produced for it.  Any change to spawning, the
 decision layer, a movement backend or the hazard coupling moves a
 digest, so a refactor that is meant to keep behaviour must keep all of
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -32,19 +35,67 @@ def _scenario_text(name, max_sim_time=None, backend=None, smoke=None):
     return json.dumps(doc)
 
 
+def _outcome(result):
+    """What a run ends with beyond its digest: exit and death counts,
+    end time, events by kind and people through each instrumented door."""
+    crossings = Counter()
+    for _t, door_id, count in result.crossings:
+        crossings[door_id] += count
+    return {
+        "exited": result.exited,
+        "fatalities": result.fatalities,
+        "t_end": result.t_end,
+        "events": dict(Counter(event.kind for event in result.events)),
+        "crossings": dict(crossings),
+    }
+
+
+def _outcome_of(exited, t_end, events, crossings, fatalities=0):
+    return {"exited": exited, "fatalities": fatalities, "t_end": t_end, "events": events, "crossings": crossings}
+
+
+def _shipped(name, max_sim_time, digest, outcome, backend=None):
+    key = [name] + ([backend] if backend else []) + [str(max_sim_time), digest]
+    return pytest.param(name, max_sim_time, backend, digest, outcome, id="-".join(key))
+
+
 @pytest.mark.parametrize(
-    "name, max_sim_time, digest",
+    "name, max_sim_time, backend, digest, outcome",
     [
-        ("corridor", None, "ce7b1e609c6b9641"),
-        ("herding_two_exit", None, "533cf7fd54476ea3"),
-        ("minimal_room", None, "d6eeecd0427097f3"),
-        ("two_rooms", None, "225cb0f5cde75f80"),
-        ("big_hall_ca", 10.0, "a7eb833e0113b126"),
-        ("benchmark_room_sf", 5.0, "d3d223ef8496227b"),
+        _shipped("corridor", None, "ce7b1e609c6b9641", _outcome_of(40, 192.0, {"exited": 40}, {"exit:0": 40})),
+        _shipped(
+            "herding_two_exit",
+            None,
+            "533cf7fd54476ea3",
+            _outcome_of(80, 10.74074074074074, {"exited": 80, "replanned": 14}, {"exit:0": 40, "exit:1": 40}),
+        ),
+        _shipped("minimal_room", None, "d6eeecd0427097f3", _outcome_of(10, 120.14925373134328, {"exited": 10}, {"exit:0": 10})),
+        _shipped(
+            "two_rooms",
+            None,
+            "225cb0f5cde75f80",
+            _outcome_of(60, 202.61194029850745, {"exited": 60}, {"exit:0": 60, "mid": 60}),
+        ),
+        _shipped(
+            "big_hall_ca",
+            10.0,
+            "a7eb833e0113b126",
+            _outcome_of(6, 10.074626865671641, {"exited": 6}, {"exit:0": 1, "exit:1": 2, "exit:2": 3, "exit:3": 2}),
+        ),
+        _shipped("benchmark_room_sf", 5.0, "d3d223ef8496227b", _outcome_of(0, 5.0, {}, {})),
+        # two_rooms has the only interior door of the shipped scenarios, so
+        # these two are the goldens that reach flow door crossings and
+        # social-force plane crossings
+        _shipped(
+            "two_rooms", None, "42eeeee20db2d113", _outcome_of(60, 194.0, {"exited": 60}, {"exit:0": 60, "mid": 60}), "flow"
+        ),
+        _shipped("two_rooms", 40.0, "ee083f0c37d5130a", _outcome_of(11, 40.0, {"exited": 11}, {"exit:0": 11}), "sf"),
     ],
 )
-def test_shipped_scenario_digest(name, max_sim_time, digest):
-    assert run(_scenario_text(name, max_sim_time)).digest == digest
+def test_shipped_scenario_digest(name, max_sim_time, backend, digest, outcome):
+    result = run(_scenario_text(name, max_sim_time, backend))
+    assert result.digest == digest
+    assert _outcome(result) == outcome
 
 
 # thick, hot and toxic smoke from the room centre: people die on the
@@ -53,16 +104,31 @@ LETHAL_SMOKE = {"rate": 5.0, "tox_per_od": 0.05, "temp_per_od": 40.0, "duration"
 
 
 @pytest.mark.parametrize(
-    "backend, digest, dead",
+    "backend, digest, dead, outcome",
     [
-        ("sf", "f8db001c5883694e", 2),
-        ("flow", "2b885fc0610a06d5", 13),
+        pytest.param(
+            "sf",
+            "f8db001c5883694e",
+            2,
+            _outcome_of(
+                78, 26.35, {"died": 2, "exited": 78, "replanned": 102}, {"exit:0": 38, "exit:1": 40}, fatalities=2
+            ),
+            id="sf-f8db001c5883694e-2",
+        ),
+        pytest.param(
+            "flow",
+            "2b885fc0610a06d5",
+            13,
+            _outcome_of(56, 30.0, {"died": 13, "exited": 56}, {"exit:0": 56}, fatalities=13),
+            id="flow-2b885fc0610a06d5-13",
+        ),
     ],
 )
-def test_lethal_smoke_digest(backend, digest, dead):
+def test_lethal_smoke_digest(backend, digest, dead, outcome):
     result = run(_scenario_text("herding_two_exit", 30.0, backend, LETHAL_SMOKE))
     assert result.fatalities == dead
     assert result.digest == digest
+    assert _outcome(result) == outcome
 
 
 def test_cli_run_writes_the_same_digest(tmp_path):
