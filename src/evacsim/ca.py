@@ -12,10 +12,11 @@ slow agent simply sits out a fraction of the ticks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationError
 from .scenario import Geometry
 
 # Candidate order for one move: stay first, then the 8-neighbourhood in
@@ -41,7 +42,6 @@ class CaState:
     y: np.ndarray
     present: np.ndarray                      # (N,) bool, agent physically on the grid
     tick: int = 0
-    warnings: list[str] = field(default_factory=list)
 
     @classmethod
     def from_cells(cls, geometry: Geometry, cells: list[tuple[int, int]]) -> "CaState":
@@ -51,7 +51,7 @@ class CaState:
         ys = np.zeros(n, dtype=np.int32)
         for agent_id, (cx, cy) in enumerate(cells):
             if occupancy[cy, cx] != EMPTY_CELL:
-                raise AssertionError(f"two agents spawned into cell {(cx, cy)}")
+                raise SimulationError(f"agents {int(occupancy[cy, cx])} and {agent_id} spawned into cell {(cx, cy)}")
             occupancy[cy, cx] = agent_id
             xs[agent_id] = cx
             ys[agent_id] = cy
@@ -67,12 +67,15 @@ class CaState:
         ys, xs = np.nonzero(self.occupancy != EMPTY_CELL)
         ids = self.occupancy[ys, xs]
         if len(ids) != int(self.present.sum()):
-            raise AssertionError("occupancy cell count != present agent count")
+            raise SimulationError(
+                f"tick {self.tick}: {len(ids)} occupied cells for {int(self.present.sum())} agents on the grid"
+            )
         if len(np.unique(ids)) != len(ids):
-            raise AssertionError("one agent occupies two cells")
+            raise SimulationError(f"tick {self.tick}: one agent occupies two cells")
         idx = np.nonzero(self.present)[0]
-        if not (self.occupancy[self.y[idx], self.x[idx]] == idx).all():
-            raise AssertionError("agent coordinate map disagrees with the lattice")
+        stray = idx[self.occupancy[self.y[idx], self.x[idx]] != idx]
+        if len(stray):
+            raise SimulationError(f"tick {self.tick}: agents {stray.tolist()} are not where the lattice holds them")
 
 
 def speed_ticks(v_eff, v_grid: float) -> np.ndarray:

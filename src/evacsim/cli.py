@@ -115,7 +115,7 @@ def cmd_validate(args) -> int:
     print(f"network: {rooms} rooms, {len(network.arcs)} arcs")
     print(f"hazard: {scenario.hazard_source.kind} ({len(hazard.timestamps)} frames)")
     print(f"backend: {scenario.config.backend}  seed: {scenario.config.seed}")
-    for warning in network.warnings:
+    for warning in scenario.warnings + network.warnings:
         print(f"warning: {warning}")
     return EXIT_OK
 

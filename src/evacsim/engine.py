@@ -206,16 +206,16 @@ class _Simulation:
         self.cs = self.geometry.cell_size
         self.dt = self.config.resolved_dt(self.cs)
         self.streams = RngStreams(self.config.seed)
-        self.warnings: list[str] = []
+        self.warnings: list[str] = list(scenario.warnings)
         self.events: list[EventRecord] = []
         self.trajectory: list[tuple] = []
         self.crossings: list[tuple[float, str, int]] = []
 
         geometry = self.geometry
         self.zones = geometry.exit_zones
-        self.zone_grid = geometry.zone_of_cell()
+        self.zone_grid = geometry.zone_grid
         self.exit_fields = [distance_field(geometry, z.cells) for z in self.zones]
-        self.field_global = distance_field(geometry)
+        self.field_global = geometry.exit_distance
         blocked = geometry.blocked_mask
         self.has_interior_blockers = (
             bool(blocked[1:-1, 1:-1].any()) if min(blocked.shape) > 2 else False
@@ -885,7 +885,9 @@ class _Simulation:
 
         exited = int((self.pop.status == int(AgentStatus.EXITED)).sum())
         fatalities = int((self.pop.status == int(AgentStatus.DEAD)).sum())
-        assert exited + fatalities + int(self._inside_mask().sum()) == self.n
+        inside = int(self._inside_mask().sum())
+        if exited + fatalities + inside != self.n:
+            raise SimulationError(f"tick {k}: {exited} exited + {fatalities} dead + {inside} inside != {self.n} people")
 
         curve = []
         total = 0
@@ -925,8 +927,6 @@ class _Simulation:
         }
 
         warnings = list(self.warnings)
-        if self.ca_state is not None:
-            warnings.extend(self.ca_state.warnings)
         if self.sf_state is not None:
             warnings.extend(self.sf_state.warnings)
 

@@ -154,9 +154,7 @@ class FlowState:
     def check_conservation(self) -> None:
         have = self.waiting_count() + self.transit_count() + len(self.arrived)
         if have != self.total:
-            raise AssertionError(
-                f"person conservation broken at tick {self.tick}: {have} != {self.total}"
-            )
+            raise SimulationError(f"tick {self.tick}: person conservation broken: {have} != {self.total}")
 
     def remove(self, agent_id: int) -> bool:
         """Take one person out of the system (death); ignores arrived ids."""
@@ -207,7 +205,8 @@ def flow_step(state: FlowState) -> list[Cohort]:
             queue.appendleft(agent_id)
         if not taken:
             continue
-        assert len(taken) <= arc.capacity
+        if len(taken) > arc.capacity:
+            raise SimulationError(f"tick {tick}: {len(taken)} people on arc {arc_index} of capacity {arc.capacity}")
         state.in_transit.append(
             Cohort(arc_index=arc_index, ids=taken, depart_tick=tick, arrival_tick=tick + arc.traversal_time)
         )

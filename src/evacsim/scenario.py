@@ -13,6 +13,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import IntEnum
 
 import numpy as np
@@ -77,16 +78,20 @@ class Geometry:
 
     def __post_init__(self):
         self.kinds = np.asarray(self.kinds, dtype=np.int8)
-        self._exit_zones: list[ExitZone] | None = None
 
-    # -- masks ---------------------------------------------------------
-    @property
+    # -- derived grids, computed once and read-only -----------------------
+    @cached_property
     def open_mask(self) -> np.ndarray:
-        return (self.kinds == CellKind.EMPTY) | (self.kinds == CellKind.EXIT)
+        return _frozen((self.kinds == CellKind.EMPTY) | (self.kinds == CellKind.EXIT))
 
-    @property
+    @cached_property
     def blocked_mask(self) -> np.ndarray:
-        return ~self.open_mask
+        return _frozen(~self.open_mask)
+
+    @cached_property
+    def exit_distance(self) -> np.ndarray:
+        """Distance field (cells) to the nearest exit cell of any zone."""
+        return _frozen(distance_field(self))
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -104,28 +109,27 @@ class Geometry:
         return (x, y)
 
     # -- exits -----------------------------------------------------------
-    @property
+    @cached_property
     def exit_zones(self) -> list[ExitZone]:
         """Exit cells grouped into 4-connected clusters, in scan order."""
-        if self._exit_zones is None:
-            exit_mask = self.kinds == CellKind.EXIT
-            seen = np.zeros_like(exit_mask, dtype=bool)
-            zones: list[ExitZone] = []
-            for y in range(self.height):
-                for x in range(self.width):
-                    if exit_mask[y, x] and not seen[y, x]:
-                        cells = _flood(exit_mask, seen, x, y)
-                        zones.append(ExitZone(id=len(zones), cells=sorted(cells, key=lambda c: (c[1], c[0]))))
-            self._exit_zones = zones
-        return self._exit_zones
+        exit_mask = self.kinds == CellKind.EXIT
+        seen = np.zeros_like(exit_mask, dtype=bool)
+        zones: list[ExitZone] = []
+        for y in range(self.height):
+            for x in range(self.width):
+                if exit_mask[y, x] and not seen[y, x]:
+                    cells = _flood(exit_mask, seen, x, y)
+                    zones.append(ExitZone(id=len(zones), cells=sorted(cells, key=lambda c: (c[1], c[0]))))
+        return zones
 
-    def zone_of_cell(self) -> np.ndarray:
+    @cached_property
+    def zone_grid(self) -> np.ndarray:
         """int32 grid mapping exit cells to their zone id, -1 elsewhere."""
         out = np.full((self.height, self.width), -1, dtype=np.int32)
         for zone in self.exit_zones:
             for (x, y) in zone.cells:
                 out[y, x] = zone.id
-        return out
+        return _frozen(out)
 
     # -- validation ------------------------------------------------------
     def validate(self) -> list[str]:
@@ -154,8 +158,7 @@ class Geometry:
             seen_door_ids.add(door.id)
             _check_door_span(self, door)
         warnings = []
-        dist = distance_field(self)
-        unreachable = int((self.open_mask & ~np.isfinite(dist)).sum())
+        unreachable = int((self.open_mask & ~np.isfinite(self.exit_distance)).sum())
         if unreachable:
             warnings.append(f"{unreachable} open cell(s) cannot reach any exit")
         return warnings
@@ -171,6 +174,11 @@ class Geometry:
             and self.exits == other.exits
             and self.doors == other.doors
         )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _flood(mask: np.ndarray, seen: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:
@@ -434,7 +442,7 @@ def derive_network(geometry: Geometry, params: dict | None = None) -> EgressNetw
                 region_cells[r].append((x, y))
 
     zones = geometry.exit_zones
-    zone_grid = geometry.zone_of_cell()
+    zone_grid = geometry.zone_grid
 
     nodes: list[Node] = []
     for r in range(n_rooms):
@@ -702,6 +710,7 @@ class Scenario:
     config: RunConfig
     network: EgressNetwork | None = None
     hazard_source: HazardSource = field(default_factory=lambda: HazardSource(kind="ambient"))
+    warnings: list[str] = field(default_factory=list)  # from geometry validation
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scenario):
@@ -753,7 +762,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     _reject_unknown(doc, {"geometry", "network", "population", "hazard", "config"}, "$")
 
     geometry = _parse_geometry(_require(doc, "geometry", dict, "$"))
-    geometry.validate()
+    warnings = geometry.validate()
 
     network = None
     if doc.get("network") is not None:
@@ -777,6 +786,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         config=config,
         network=network,
         hazard_source=hazard_source,
+        warnings=warnings,
     )
 
 

@@ -406,14 +406,15 @@ def sf_step(
     if n_projected:
         state.warnings.append(f"tick {state.tick}: projected {n_projected} bodies out of walls")
 
+    cells_x = np.clip((new_pos[:, 0] / geometry.cell_size).astype(np.int64), 0, geometry.width - 1)
+    cells_y = np.clip((new_pos[:, 1] / geometry.cell_size).astype(np.int64), 0, geometry.height - 1)
+    in_wall = geometry.blocked_mask[cells_y, cells_x]
+    if in_wall.any():
+        raise SimulationError(f"tick {state.tick}: body centres of agents {idx[in_wall].tolist()} ended the step inside a wall")
+
     state.pos[idx] = new_pos
     state.vel[idx] = vel
     state.tick += 1
-
-    cells_x = np.clip((new_pos[:, 0] / geometry.cell_size).astype(np.int64), 0, geometry.width - 1)
-    cells_y = np.clip((new_pos[:, 1] / geometry.cell_size).astype(np.int64), 0, geometry.height - 1)
-    if geometry.blocked_mask[cells_y, cells_x].any():
-        raise AssertionError("body centre ended the step inside a wall")
 
 
 def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):

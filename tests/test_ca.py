@@ -9,6 +9,7 @@ import pytest
 
 from evacsim import run
 from evacsim.ca import CANDIDATE_STEPS, EMPTY_CELL, CaState, ca_step, speed_ticks
+from evacsim.errors import SimulationError
 from evacsim.scenario import distance_field
 
 from conftest import grid_rows, instant_reaction, make_scenario, room_doc
@@ -156,13 +157,13 @@ def test_bijection_guard_catches_corruption():
     state = CaState.from_cells(geo, [(1, 1), (2, 1)])
     state.check_bijection()
     state.occupancy[1, 2] = EMPTY_CELL  # agent 1 no longer backed by the grid
-    with pytest.raises(AssertionError):
+    with pytest.raises(SimulationError):
         state.check_bijection()
 
 
 def test_from_cells_rejects_double_occupancy():
     geo = _geometry(["######", "#...E#", "######"])
-    with pytest.raises(AssertionError):
+    with pytest.raises(SimulationError):
         CaState.from_cells(geo, [(1, 1), (1, 1)])
 
 

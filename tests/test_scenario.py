@@ -15,6 +15,7 @@ from evacsim import (
     derive_network,
     load_scenario,
     parse_scenario,
+    run,
     serialize_scenario,
 )
 from evacsim.scenario import (
@@ -26,7 +27,7 @@ from evacsim.scenario import (
     room_regions,
 )
 
-from conftest import doc_text, grid_rows, make_scenario, room_doc
+from conftest import doc_text, grid_rows, make_scenario, room_doc, run_cli
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,14 +89,21 @@ def test_spawn_rect_outside_grid_rejected():
         make_scenario(doc)
 
 
-def test_unreachable_pocket_is_a_warning_not_an_error():
+def test_unreachable_pocket_is_a_warning_not_an_error(tmp_path):
     # a sealed-off pocket parses fine (partial buildings are inspectable)
-    # but validation flags the cells that cannot reach an exit
+    # but validation flags the cells that cannot reach an exit, and so do
+    # `evacsim validate` and the run's warnings
     rows = grid_rows(8, 5, exits=[(7, 2)], walls=[(3, 1), (3, 2), (3, 3)])
-    doc = room_doc(rows, spawn=[1, 1, 2, 3])
+    doc = room_doc(rows, spawn=[1, 1, 2, 3], max_sim_time=5.0)
     scn = make_scenario(doc)
     warnings = scn.geometry.validate()
     assert any("reach" in w for w in warnings)
+    assert "6 open cell(s) cannot reach any exit" in run(scn).warnings
+    path = tmp_path / "pocket.json"
+    path.write_text(doc_text(doc), encoding="utf-8")
+    proc = run_cli("validate", path)
+    assert proc.returncode == 0, proc.stderr
+    assert "warning: 6 open cell(s) cannot reach any exit" in proc.stdout.splitlines()
 
 
 def test_unknown_override_key_rejected():
