@@ -11,10 +11,12 @@ second copy.
 
 Each decision round an agent perceives its surroundings (limited by
 sight range and walls), scores candidate exits, and emits an
-:class:`Intention`: target exit, next waypoint, desired speed, and any
-messages to announce.  The decision functions take the population and
-the agent's row and update its nervousness, insistence and target in
-place.
+:class:`Intention`: target exit, desired speed, and any messages to
+announce.  The decision functions take the population and the agent's
+row and update its nervousness, insistence and target in place.  How
+the body gets to the target exit (a social-force waypoint, a lattice
+step down the exit's distance field, a queue on the route network) is
+the movement backend's business, not the decision layer's.
 
 Nothing in a percept reaches beyond the agent's sight range plus its
 own belief store, so decisions stay local by construction.
@@ -364,8 +366,6 @@ class WorldView:
     ambient_air: bool = False      # hazard frames are all-clear this round
     hash: SpatialHash | None = None
     hash_wide: SpatialHash | None = None
-    waypoint_fn: object = None     # (agent_index, zone_id) -> (x, y) m or None
-    lost_waypoint_fn: object = None
 
     def present(self) -> np.ndarray:
         """Indices of agents physically in the building (not exited/dead)."""
@@ -608,11 +608,9 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> list[Percept]:
 @dataclass
 class Intention:
     target_exit: int                       # exit zone id, or NO_TARGET when lost
-    waypoint: tuple[float, float] | None   # m
     desired_speed: float                   # m/s, <= speed_cap
     announce: list[tuple] = field(default_factory=list)
     replanned: bool = False
-    lost: bool = False
 
 
 def choose_exit(pop: Population, i: int, percept: Percept, beliefs: BeliefStore, params: dict | None = None) -> int | None:
@@ -709,14 +707,13 @@ def decide(pop: Population, i: int, percept: Percept, beliefs: BeliefStore, rng:
 
     Marks freshly observed blocked exits (and queues announcements),
     decays insistence when progress stalls, rolls the replan lottery,
-    picks an exit if needed, and derives waypoint and desired speed.
+    picks an exit if needed, and derives the desired speed.
     Nervousness grows with replans and dense smoke, damped by
     experience; desired speed is effective speed scaled by (1 +
     nervousness), capped globally.  The agent's nervousness,
     insistence and target are updated in ``pop``.
     """
     p = params or PARAM_DEFAULTS
-    world = percept._world
     announce: list[tuple] = []
     grew_nervous = 0.0
     target = int(pop.target[i])
@@ -775,20 +772,6 @@ def decide(pop: Population, i: int, percept: Percept, beliefs: BeliefStore, rng:
         nervousness = min(1.0, max(0.0, nervousness + grew_nervous * scale))
         pop.nervousness[i] = nervousness
 
-    waypoint = None
-    lost = target == NO_TARGET
-    if not lost and world is not None and world.waypoint_fn is not None:
-        waypoint = world.waypoint_fn(i, target)
-    elif lost and world is not None and world.lost_waypoint_fn is not None:
-        waypoint = world.lost_waypoint_fn(i)
-
     desired = min(percept.speed * (1.0 + nervousness), float(p["speed_cap"]))
     pop.target[i] = target
-    return Intention(
-        target_exit=target,
-        waypoint=waypoint,
-        desired_speed=desired,
-        announce=announce,
-        replanned=replanned,
-        lost=lost,
-    )
+    return Intention(target_exit=target, desired_speed=desired, announce=announce, replanned=replanned)

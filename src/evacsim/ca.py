@@ -67,9 +67,7 @@ class CaState:
         ys, xs = np.nonzero(self.occupancy != EMPTY_CELL)
         ids = self.occupancy[ys, xs]
         if len(ids) != int(self.present.sum()):
-            raise SimulationError(
-                f"tick {self.tick}: {len(ids)} occupied cells for {int(self.present.sum())} agents on the grid"
-            )
+            raise SimulationError(f"tick {self.tick}: occupancy cell count != present agent count")
         if len(np.unique(ids)) != len(ids):
             raise SimulationError(f"tick {self.tick}: one agent occupies two cells")
         idx = np.nonzero(self.present)[0]

@@ -2,11 +2,27 @@
 
 Each tick advances the clock from t to t + dt through a fixed phase
 order: hazard exposure and deaths, pre-movement transitions, decision
-rounds (with message delivery after every agent has decided), the
-movement backend, and finally door/clog bookkeeping.  Every event
-raised while advancing t -> t + dt is stamped exactly t; trajectory
-samples are taken at the top of the loop, so a sample at time s
-reflects precisely the events stamped strictly before s.
+rounds (with message delivery after every agent has decided), then one
+step of the movement backend.  Every event raised while advancing
+t -> t + dt is stamped exactly t; trajectory samples are taken at the
+top of the loop, so a sample at time s reflects precisely the events
+stamped strictly before s.
+
+The first three phases, exits, deaths and result assembly are shared.
+The backend is one mover object, picked once by ``config.backend`` from
+``MOVERS``, and the shared phases reach it only through
+
+- ``start(ids)``: these people just began moving;
+- ``steer(ids)``: these people just decided (their target is in the
+  population arrays);
+- ``step(k, t)``: one movement tick, including arrivals, door crossings
+  and clog checks;
+- ``remove(i)``: agent i died;
+- ``warnings``: the backend's own warnings.
+
+Class constants on each mover give its default decision and trajectory
+cadence, whether it makes decision rounds at all, and whether it needs
+instrumented door sites and a route network.
 
 Determinism is load-bearing throughout: agents are always iterated in
 ascending id order, random substreams are dedicated per concern, and
@@ -23,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import (
+    NO_TARGET,
     AgentStatus,
     WorldView,
     build_percepts,
@@ -194,7 +211,8 @@ def door_sites(geometry: Geometry) -> list[DoorSite]:
 
 
 class _Simulation:
-    """Mutable run state; built once per run() call."""
+    """Mutable run state and the phases every backend shares; built once
+    per run() call."""
 
     def __init__(self, scenario: Scenario, config: RunConfig | None = None):
         self.scenario = scenario
@@ -202,6 +220,7 @@ class _Simulation:
         self.config = config if config is not None else scenario.config
         self.config.validate()
         self.backend = self.config.backend
+        mover_cls = MOVERS[self.backend]
         self.params = self.config.params()
         self.cs = self.geometry.cell_size
         self.dt = self.config.resolved_dt(self.cs)
@@ -215,7 +234,6 @@ class _Simulation:
         self.zones = geometry.exit_zones
         self.zone_grid = geometry.zone_grid
         self.exit_fields = [distance_field(geometry, z.cells) for z in self.zones]
-        self.field_global = geometry.exit_distance
         blocked = geometry.blocked_mask
         self.has_interior_blockers = (
             bool(blocked[1:-1, 1:-1].any()) if min(blocked.shape) > 2 else False
@@ -227,18 +245,16 @@ class _Simulation:
         )
         self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in self.zones]
 
-        # route network: the flow backend moves on it, the continuous
-        # backend steers by it, and spawn-by-node needs its room labels
+        # route network: the movers that need it move or steer on it, and
+        # spawn-by-node needs its room labels
         self.network = None
         self.room_labels = None
-        needs_network = self.backend in ("flow", "sf") or scenario.population.spawn_node is not None
-        if self.backend == "flow" and scenario.network is not None:
+        if mover_cls.given_network and scenario.network is not None:
             self.network = scenario.network
-            self.room_labels = scenario.network.room_labels
-        elif needs_network:
+        elif mover_cls.needs_network or scenario.population.spawn_node is not None:
             self.network = derive_network(geometry, self.params)
-            self.room_labels = self.network.room_labels
         if self.network is not None:
+            self.room_labels = self.network.room_labels
             self.warnings.extend(self.network.warnings)
         self.n_rooms = (
             int(self.room_labels.max()) + 1
@@ -263,7 +279,6 @@ class _Simulation:
 
         self.ids = np.arange(n, dtype=np.int64)
         self.desired = np.zeros(n)
-        self.waypoint = np.full((n, 2), np.nan)
         self.path_len = np.zeros(n)
         self.replans = np.zeros(n, dtype=np.int64)
         self.exit_t = np.full(n, np.nan)
@@ -278,221 +293,20 @@ class _Simulation:
         # cadences, in ticks
         decision_interval = float(self.params["decision_interval"])
         if decision_interval <= 0:
-            decision_interval = (
-                SF_DECISION_INTERVAL if self.backend == "sf" else CA_DECISION_INTERVAL
-            )
+            decision_interval = mover_cls.decision_interval
         self.decide_every = max(1, half_up(decision_interval / self.dt))
         traj_interval = float(self.params["trajectory_interval"])
         if traj_interval <= 0:
-            traj_interval = SF_TRAJECTORY_INTERVAL if self.backend == "sf" else self.dt
+            traj_interval = mover_cls.trajectory_interval or self.dt
         self.sample_every = max(1, half_up(traj_interval / self.dt))
-        self.arch_every = max(1, half_up(ARCH_CHECK_INTERVAL / self.dt))
 
-        self.sites = door_sites(geometry) if self.backend in ("ca", "sf") else []
+        self.sites = door_sites(geometry) if mover_cls.needs_sites else []
         self.site_of_cell = np.full((geometry.height, geometry.width), -1, dtype=np.int32)
         for si, site in enumerate(self.sites):
             for (x, y) in site.cells:
                 self.site_of_cell[y, x] = si
 
-        self._init_backend()
-
-    # -- backend wiring ----------------------------------------------------
-
-    def _init_backend(self) -> None:
-        geometry = self.geometry
-        p = self.params
-        self.ca_state = None
-        self.sf_state = None
-        self.flow_state = None
-        if self.backend == "ca":
-            cells = [geometry.cell_of((x, y)) for x, y in self.pop.pos]
-            self.ca_state = CaState.from_cells(geometry, cells)
-            self.fields_stack = np.stack(self.exit_fields + [self.field_global])
-            self.v_grid = self.cs / self.dt
-        elif self.backend == "sf":
-            self.sf_state = SfState.from_bodies(self.pop.pos, self.pop.radius, p)
-            self.wall_cells = exposed_wall_cells(geometry)
-            self._route_tables: dict[int, dict[int, int | None]] = {}
-            self._arc_push: dict[int, np.ndarray | None] = {}
-        elif self.backend == "flow":
-            self._init_flow()
-        else:
-            raise SimulationError(f"unknown backend {self.backend!r}")
-
-    def _init_flow(self) -> None:
-        network = self.network
-        spawn_node = self.scenario.population.spawn_node
-        assignment: dict[int, int] = {}
-        if spawn_node is not None:
-            for i in range(self.n):
-                assignment[i] = spawn_node
-        else:
-            if self.room_labels is None:
-                raise SimulationError(
-                    "area-spawned populations need a network with room labels; "
-                    "use spawn.node with a hand-written network"
-                )
-            for i in range(self.n):
-                cx, cy = self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
-                label = int(self.room_labels[cy, cx])
-                if label < 0:
-                    label = self._nearest_room_label(cx, cy)
-                assignment[i] = label
-        self.flow_state = FlowState.from_assignment(network, assignment)
-
-        # display/health positions for the coarse model
-        self.node_points: dict[int, np.ndarray] = {}
-        for node in network.nodes:
-            point = None
-            if node.kind == "room" and self.room_labels is not None:
-                ys, xs = np.nonzero(self.room_labels == node.id)
-                if len(xs):
-                    point = np.array([(xs.mean() + 0.5) * self.cs, (ys.mean() + 0.5) * self.cs])
-            if point is None and node.cell is not None:
-                point = np.array(self.geometry.cell_center(*node.cell))
-            if point is None:
-                members = [i for i, nd in assignment.items() if nd == node.id]
-                if members:
-                    point = self.pop.pos[members].mean(axis=0)
-                else:
-                    point = np.zeros(2)
-                    self.warnings.append(f"node {node.id} has no geometry; placed at origin")
-            self.node_points[node.id] = point
-        doors = {d.id: d for d in self.geometry.doors}
-        self.arc_points = []
-        for arc in network.arcs:
-            door = doors.get(arc.door_id)
-            if door is not None:
-                self.arc_points.append(np.array(door.center(self.cs)))
-            else:
-                self.arc_points.append(
-                    0.5 * (self.node_points[arc.src] + self.node_points[arc.dst])
-                )
-
-    def _nearest_room_label(self, cx: int, cy: int) -> int:
-        """Closest labelled cell (Chebyshev rings); for agents spawned on
-        door-span cells that belong to no room region."""
-        labels = self.room_labels
-        h, w = labels.shape
-        for r in range(1, max(h, w)):
-            best = None
-            for y in range(max(0, cy - r), min(h, cy + r + 1)):
-                for x in range(max(0, cx - r), min(w, cx + r + 1)):
-                    if max(abs(x - cx), abs(y - cy)) != r:
-                        continue
-                    if labels[y, x] >= 0:
-                        d = (x - cx) ** 2 + (y - cy) ** 2
-                        key = (d, int(labels[y, x]))
-                        if best is None or key < best:
-                            best = key
-            if best is not None:
-                return best[1]
-        raise SimulationError(f"no room region near cell ({cx}, {cy})")
-
-    # -- social-force steering ----------------------------------------------
-
-    def _route_table(self, zone_id: int) -> dict[int, int | None]:
-        table = self._route_tables.get(zone_id)
-        if table is None:
-            table = route_to_destination(self.network, self.n_rooms + zone_id)
-            self._route_tables[zone_id] = table
-        return table
-
-    def _arc_push_point(self, arc_index: int) -> np.ndarray | None:
-        """Where to aim when taking this arc: just beyond the door centre
-        on the destination side (None for doorless arcs)."""
-        if arc_index in self._arc_push:
-            return self._arc_push[arc_index]
-        arc = self.network.arcs[arc_index]
-        doors = {d.id: d for d in self.geometry.doors}
-        door = doors.get(arc.door_id)
-        point = None
-        if door is not None:
-            center = np.array(door.center(self.cs))
-
-            # destination-side cells adjacent to the span
-            if arc.dst >= self.n_rooms:
-                zone_id = arc.dst - self.n_rooms
-
-                def member(x: int, y: int) -> bool:
-                    return int(self.zone_grid[y, x]) == zone_id
-
-            else:
-
-                def member(x: int, y: int) -> bool:
-                    return int(self.room_labels[y, x]) == arc.dst
-
-            acc = np.zeros(2)
-            count = 0
-            for (x, y) in door.cells:
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    nx, ny = x + dx, y + dy
-                    if self.geometry.in_bounds(nx, ny) and member(nx, ny):
-                        acc += self.geometry.cell_center(nx, ny)
-                        count += 1
-            if count:
-                direction = acc / count - center
-                norm = float(np.linalg.norm(direction))
-                if norm > 1e-9:
-                    point = center + direction / norm * (0.9 * self.cs)
-            if point is None:
-                point = center
-        self._arc_push[arc_index] = point
-        return point
-
-    def _field_hop(self, field_grid: np.ndarray, cx: int, cy: int) -> tuple[float, float] | None:
-        """Centre of the steepest-descent neighbour cell, or None at a
-        minimum / in an unreachable pocket."""
-        geometry = self.geometry
-        here = field_grid[cy, cx]
-        best = None
-        best_val = here if math.isfinite(here) else math.inf
-        open_mask = geometry.open_mask
-        for dx, dy, _cost in NEIGHBOURS_8:
-            nx, ny = cx + dx, cy + dy
-            if not geometry.in_bounds(nx, ny) or not open_mask[ny, nx]:
-                continue
-            if dx and dy and not (open_mask[cy, nx] and open_mask[ny, cx]):
-                continue
-            val = field_grid[ny, nx]
-            if val < best_val:
-                best_val = val
-                best = (nx, ny)
-        if best is None:
-            return None
-        return self.geometry.cell_center(*best)
-
-    def _sf_waypoint(self, i: int, zone_id: int) -> tuple[float, float] | None:
-        geometry = self.geometry
-        cx, cy = geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
-        wp = None
-        room = int(self.room_labels[cy, cx]) if self.room_labels is not None else -1
-        if room >= 0:
-            arc_index = self._route_table(zone_id).get(room)
-            if arc_index is not None:
-                wp = self._arc_push_point(arc_index)
-                if wp is None:
-                    # doorless hop straight for the nearest zone cell
-                    zc = self.zone_cells[zone_id]
-                    centers = (zc + 0.5) * self.cs
-                    d2 = ((centers - self.pop.pos[i]) ** 2).sum(axis=1)
-                    wp = centers[int(np.argmin(d2))]
-        if wp is None:
-            wp = self._field_hop(self.exit_fields[zone_id], cx, cy)
-        if wp is not None:
-            dx = float(wp[0]) - self.pop.pos[i][0]
-            dy = float(wp[1]) - self.pop.pos[i][1]
-            if math.hypot(dx, dy) < float(self.params["waypoint_reach"]):
-                hop = self._field_hop(self.exit_fields[zone_id], cx, cy)
-                if hop is not None:
-                    wp = hop
-        if wp is None:
-            return None
-        return (float(wp[0]), float(wp[1]))
-
-    def _lost_waypoint(self, i: int) -> tuple[float, float] | None:
-        cx, cy = self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
-        return self._field_hop(self.field_global, cx, cy)
+        self.mover = mover_cls(self)
 
     # -- per-tick phases -----------------------------------------------------
 
@@ -537,14 +351,7 @@ class _Simulation:
         self.pop.status[i] = int(AgentStatus.DEAD)
         self.death_t[i] = t
         self.events.append(EventRecord(t, "died", i, {}))
-        if self.ca_state is not None:
-            self.ca_state.vacate(i)
-        if self.sf_state is not None:
-            self.sf_state.active[i] = False
-            self.sf_state.vel[i] = 0.0
-        if self.flow_state is not None:
-            self.flow_state.remove(i)
-            self.flow_state.eligible.discard(i)
+        self.mover.remove(i)
 
     def _premovement_phase(self, t: float) -> np.ndarray:
         """Start everyone whose delay has elapsed or who senses the
@@ -562,13 +369,12 @@ class _Simulation:
         )
         start = np.nonzero(waiting & (due | sensed))[0]
         self.pop.status[start] = int(AgentStatus.MOVING)
-        if self.flow_state is not None and len(start):
-            self.flow_state.eligible.update(int(i) for i in start)
+        self.mover.start(start)
         return start
 
     def _decision_phase(self, k: int, t: float, newly_moving: np.ndarray) -> None:
-        if self.backend == "flow":
-            return  # routing is static on the coarse network
+        if not self.mover.decides:
+            return
         if k % self.decide_every == 0:
             deciders = np.nonzero(
                 (self.pop.status == int(AgentStatus.MOVING)) & (self.pop.mobility > 0)
@@ -593,8 +399,6 @@ class _Simulation:
             zone_cells=self.zone_cells,
             has_interior_blockers=self.has_interior_blockers,
             ambient_air=self.ambient_only,
-            waypoint_fn=self._sf_waypoint if self.backend == "sf" else None,
-            lost_waypoint_fn=self._lost_waypoint if self.backend == "sf" else None,
         )
         percepts = build_percepts(world, deciders)
         rng = self.streams.decisions
@@ -608,12 +412,9 @@ class _Simulation:
                     EventRecord(t, "replanned", i, {"to": int(intent.target_exit)})
                 )
             self.desired[i] = intent.desired_speed
-            if intent.waypoint is None:
-                self.waypoint[i] = (np.nan, np.nan)
-            else:
-                self.waypoint[i] = intent.waypoint
             if intent.announce:
                 announcers.append((i, intent.announce))
+        self.mover.steer(deciders)
         # message barrier: deliveries land after every decision this round
         for i, messages in announcers:
             receivers = inform_neighbors(i, messages, world, self.beliefs, rng)
@@ -637,196 +438,21 @@ class _Simulation:
             payload["door"] = door_id
         self.events.append(EventRecord(t, "exited", i, payload))
 
+    def _leave(self, i: int, t: float, cx: int, cy: int) -> int:
+        """Agent i, standing on exit cell (cx, cy), leaves the building;
+        returns the index of the door site covering that cell, or -1."""
+        site_index = int(self.site_of_cell[cy, cx])
+        door_id = self.sites[site_index].door_id if site_index >= 0 else None
+        self._exit_agent(i, t, int(self.zone_grid[cy, cx]), door_id)
+        self.mover.remove(i)
+        return site_index
+
     def _record_crossing(self, t: float, site_index: int, count: int) -> None:
         site = self.sites[site_index]
         self.crossings.append((t, site.door_id, count))
         site.recent.append((t, count))
         if site.first_cross_t is None:
             site.first_cross_t = t
-
-    # -- backend ticks ---------------------------------------------------
-
-    def _flow_tick(self, t: float) -> None:
-        state = self.flow_state
-        delivered = flow_step(state)
-        network = self.network
-        for cohort in delivered:
-            arc = network.arcs[cohort.arc_index]
-            if arc.door_id:
-                self.crossings.append((t, arc.door_id, len(cohort.ids)))
-            src_pt = self.node_points[arc.src]
-            dst_pt = self.node_points[arc.dst]
-            hop = float(np.linalg.norm(dst_pt - src_pt))
-            dst_node = network.node_by_id(arc.dst)
-            for agent_id in cohort.ids:
-                self.path_len[agent_id] += hop
-                self.pop.pos[agent_id] = dst_pt
-                if dst_node.kind == "destination":
-                    zone_id = arc.dst - self.n_rooms if arc.dst >= self.n_rooms else None
-                    self._exit_agent(agent_id, t, zone_id, arc.door_id)
-        for cohort in state.in_transit:
-            point = self.arc_points[cohort.arc_index]
-            for agent_id in cohort.ids:
-                self.pop.pos[agent_id] = point
-
-    def _ca_tick(self, k: int, t: float) -> None:
-        state = self.ca_state
-        geometry = self.geometry
-        # arrival check first: anyone standing on an exit cell leaves
-        present = np.nonzero(state.present)[0]
-        if len(present):
-            zones_here = self.zone_grid[state.y[present], state.x[present]]
-            leaving = present[zones_here >= 0]
-            for i in leaving:
-                i = int(i)
-                zone_id = int(self.zone_grid[state.y[i], state.x[i]])
-                site_index = int(self.site_of_cell[state.y[i], state.x[i]])
-                door_id = self.sites[site_index].door_id if site_index >= 0 else None
-                self._exit_agent(i, t, zone_id, door_id)
-                state.vacate(i)
-
-        movable = (
-            (self.pop.status == int(AgentStatus.MOVING))
-            & (self.pop.mobility > 0)
-            & state.present
-        )
-        move_ids = np.nonzero(movable)[0]
-        if len(move_ids):
-            # walk at the decided speed (nervousness-scaled); agents that
-            # have not decided yet fall back to their bodily speed
-            v_eff = effective_speed(
-                self.pop.health[move_ids],
-                self.pop.mobility[move_ids],
-                self.pop.speed_pref[move_ids],
-                self.params,
-            )
-            v_des = self.desired[move_ids]
-            ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
-            move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
-        if len(move_ids) == 0:
-            state.tick += 1
-            return
-        field_index = np.where(self.pop.target >= 0, self.pop.target, len(self.zones)).astype(np.int64)
-        old_x = state.x[move_ids].copy()
-        old_y = state.y[move_ids].copy()
-        moved = ca_step(
-            state,
-            geometry,
-            self.fields_stack,
-            field_index,
-            move_ids,
-            self.streams.ca_conflicts,
-            float(self.params["ca_noise"]),
-        )
-        if len(moved) == 0:
-            return
-        sel = np.searchsorted(move_ids, moved)
-        ox = old_x[sel].astype(np.float64)
-        oy = old_y[sel].astype(np.float64)
-        nx = state.x[moved].astype(np.float64)
-        ny = state.y[moved].astype(np.float64)
-        self.pop.pos[moved, 0] = (nx + 0.5) * self.cs
-        self.pop.pos[moved, 1] = (ny + 0.5) * self.cs
-        dx = (nx - ox) * self.cs
-        dy = (ny - oy) * self.cs
-        length = np.hypot(dx, dy)
-        self.path_len[moved] += length
-        # crossings: stepping onto an instrumented span from outside it
-        site_new = self.site_of_cell[ny.astype(np.int64), nx.astype(np.int64)]
-        site_old = self.site_of_cell[oy.astype(np.int64), ox.astype(np.int64)]
-        entered = (site_new >= 0) & (site_new != site_old)
-        if entered.any():
-            for site_index in np.unique(site_new[entered]):
-                count = int((site_new[entered] == site_index).sum())
-                self._record_crossing(t, int(site_index), count)
-
-    def _sf_tick(self, k: int, t: float) -> None:
-        state = self.sf_state
-        moving = (self.pop.status == int(AgentStatus.MOVING)) & (self.pop.mobility > 0)
-        desired = np.where(moving, self.desired, 0.0)
-        old_pos = self.pop.pos.copy()
-        sf_step(
-            state,
-            self.geometry,
-            self.wall_cells,
-            desired,
-            self.waypoint,
-            self.dt,
-            self.params,
-        )
-        active = np.nonzero(state.active)[0]
-        if len(active) == 0:
-            return
-        delta = self.pop.pos[active] - old_pos[active]
-        length = np.hypot(delta[:, 0], delta[:, 1])
-        self.path_len[active] += length
-
-        # plane crossings through interior openings; openings lying on
-        # exit cells swallow bodies before their centre reaches the
-        # plane, so those are counted at removal below instead
-        for site_index, site in enumerate(self.sites):
-            if site.covers_exit:
-                continue
-            rel_old = old_pos[active] - site.center
-            rel_new = self.pop.pos[active] - site.center
-            s_old = rel_old @ site.upstream
-            s_new = rel_new @ site.upstream
-            tangent = np.array([-site.upstream[1], site.upstream[0]])
-            offset = np.abs(rel_new @ tangent)
-            crossed = (s_old > 0) & (s_new <= 0) & (offset <= site.half_span + CROSS_SLACK)
-            count = int(crossed.sum())
-            if count:
-                self._record_crossing(t, site_index, count)
-
-        # arrivals: a body whose centre reaches an exit cell is out
-        cs = self.cs
-        cx = np.clip((self.pop.pos[active, 0] / cs).astype(np.int64), 0, self.geometry.width - 1)
-        cy = np.clip((self.pop.pos[active, 1] / cs).astype(np.int64), 0, self.geometry.height - 1)
-        zones_here = self.zone_grid[cy, cx]
-        leaving = active[zones_here >= 0]
-        through: dict[int, int] = {}
-        for i in leaving:
-            i = int(i)
-            gx, gy = self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
-            zone_id = int(self.zone_grid[gy, gx])
-            site_index = int(self.site_of_cell[gy, gx])
-            door_id = self.sites[site_index].door_id if site_index >= 0 else None
-            self._exit_agent(i, t, zone_id, door_id)
-            state.active[i] = False
-            state.vel[i] = 0.0
-            if site_index >= 0:
-                through[site_index] = through.get(site_index, 0) + 1
-        for site_index, count in through.items():
-            self._record_crossing(t, site_index, count)
-
-    def _clog_phase(self, t: float) -> None:
-        window = float(self.params["clog_window"])
-        positions = self.pop.pos[self.sf_state.active]
-        for site in self.sites:
-            if site.first_cross_t is None:
-                continue
-            if t < site.first_cross_t + window:
-                continue
-            site.recent = [(et, n) for (et, n) in site.recent if et > t - window - 1.0]
-            through = sum(n for (et, n) in site.recent if t - window < et <= t)
-            rate = through / window
-            clogged, band = detect_arch(
-                positions,
-                (float(site.center[0]), float(site.center[1])),
-                (float(site.upstream[0]), float(site.upstream[1])),
-                rate,
-                self.params,
-            )
-            if clogged and not site.clogged:
-                site.clogged = True
-                self.events.append(
-                    EventRecord(t, "clog_start", site.door_id, {"band": band, "flow": rate})
-                )
-            elif not clogged and site.clogged:
-                site.clogged = False
-                self.events.append(
-                    EventRecord(t, "clog_end", site.door_id, {"band": band, "flow": rate})
-                )
 
     # -- sampling and assembly ---------------------------------------------
 
@@ -846,14 +472,7 @@ class _Simulation:
         self._hazard_phase(t)
         newly_moving = self._premovement_phase(t)
         self._decision_phase(k, t, newly_moving)
-        if self.backend == "flow":
-            self._flow_tick(t)
-        elif self.backend == "ca":
-            self._ca_tick(k, t)
-        else:
-            self._sf_tick(k, t)
-            if k % self.arch_every == 0:
-                self._clog_phase(t)
+        self.mover.step(k, t)
 
     def run(self) -> RunResult:
         max_ticks = max(1, int(math.ceil(self.config.max_sim_time / self.dt - 1e-9)))
@@ -926,10 +545,6 @@ class _Simulation:
             "params": {key: self.params[key] for key in sorted(self.params)},
         }
 
-        warnings = list(self.warnings)
-        if self.sf_state is not None:
-            warnings.extend(self.sf_state.warnings)
-
         return RunResult(
             backend=self.backend,
             dt=self.dt,
@@ -947,8 +562,408 @@ class _Simulation:
             config_echo=config_echo,
             digest=digest,
             trajectory=self.trajectory,
-            warnings=warnings,
+            warnings=self.warnings + self.mover.warnings,
         )
+
+
+class _Mover:
+    """One movement backend behind the interface the shared phases call
+    (see the module docstring); ``start`` and ``steer`` do nothing here."""
+
+    decision_interval = CA_DECISION_INTERVAL  # s between decision rounds by default
+    trajectory_interval = 0.0  # s between samples by default; 0 = every tick
+    decides = True             # runs decision rounds at all
+    needs_sites = False        # counts crossings at instrumented doors
+    needs_network = False      # moves or steers on the route network
+    given_network = False      # a scenario's hand-written network replaces the derived one
+
+    def __init__(self, sim: _Simulation):
+        self.sim = sim
+        self.warnings: list[str] = []
+
+    def start(self, ids: np.ndarray) -> None:
+        pass
+
+    def steer(self, ids: np.ndarray) -> None:
+        pass
+
+
+class _CaMover(_Mover):
+    """Synchronous steps on the occupancy lattice down the target's field."""
+
+    needs_sites = True
+
+    def __init__(self, sim: _Simulation):
+        super().__init__(sim)
+        self.state = CaState.from_cells(sim.geometry, [sim.geometry.cell_of((x, y)) for x, y in sim.pop.pos])
+        self.fields_stack = np.stack(sim.exit_fields + [sim.geometry.exit_distance])
+        self.v_grid = sim.cs / sim.dt
+
+    def remove(self, i: int) -> None:
+        self.state.vacate(i)
+
+    def step(self, k: int, t: float) -> None:
+        sim = self.sim
+        pop = sim.pop
+        state = self.state
+        # arrival check first: anyone standing on an exit cell leaves
+        present = np.nonzero(state.present)[0]
+        if len(present):
+            zones_here = sim.zone_grid[state.y[present], state.x[present]]
+            for i in present[zones_here >= 0].tolist():
+                sim._leave(i, t, int(state.x[i]), int(state.y[i]))
+
+        movable = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0) & state.present
+        move_ids = np.nonzero(movable)[0]
+        if len(move_ids):
+            # walk at the decided speed (nervousness-scaled); agents that
+            # have not decided yet fall back to their bodily speed
+            v_eff = effective_speed(pop.health[move_ids], pop.mobility[move_ids], pop.speed_pref[move_ids], sim.params)
+            v_des = sim.desired[move_ids]
+            ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
+            move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
+        if len(move_ids) == 0:
+            state.tick += 1
+            return
+        field_index = np.where(pop.target >= 0, pop.target, len(sim.zones)).astype(np.int64)
+        old_x = state.x[move_ids].copy()
+        old_y = state.y[move_ids].copy()
+        moved = ca_step(
+            state,
+            sim.geometry,
+            self.fields_stack,
+            field_index,
+            move_ids,
+            sim.streams.ca_conflicts,
+            float(sim.params["ca_noise"]),
+        )
+        if len(moved) == 0:
+            return
+        cs = sim.cs
+        sel = np.searchsorted(move_ids, moved)
+        ox = old_x[sel].astype(np.float64)
+        oy = old_y[sel].astype(np.float64)
+        nx = state.x[moved].astype(np.float64)
+        ny = state.y[moved].astype(np.float64)
+        pop.pos[moved, 0] = (nx + 0.5) * cs
+        pop.pos[moved, 1] = (ny + 0.5) * cs
+        sim.path_len[moved] += np.hypot((nx - ox) * cs, (ny - oy) * cs)
+        # crossings: stepping onto an instrumented span from outside it
+        site_new = sim.site_of_cell[ny.astype(np.int64), nx.astype(np.int64)]
+        site_old = sim.site_of_cell[oy.astype(np.int64), ox.astype(np.int64)]
+        entered = (site_new >= 0) & (site_new != site_old)
+        if entered.any():
+            for site_index in np.unique(site_new[entered]):
+                count = int((site_new[entered] == site_index).sum())
+                sim._record_crossing(t, int(site_index), count)
+
+
+class _SfMover(_Mover):
+    """Social-force bodies heading for waypoints along the route network."""
+
+    decision_interval = SF_DECISION_INTERVAL
+    trajectory_interval = SF_TRAJECTORY_INTERVAL
+    needs_sites = True
+    needs_network = True
+
+    def __init__(self, sim: _Simulation):
+        super().__init__(sim)
+        self.state = SfState.from_bodies(sim.pop.pos, sim.pop.radius, sim.params)
+        self.warnings = self.state.warnings
+        self.wall_cells = exposed_wall_cells(sim.geometry)
+        self.waypoint = np.full((sim.n, 2), np.nan)
+        self.arch_every = max(1, half_up(ARCH_CHECK_INTERVAL / sim.dt))
+        # per exit zone, each room's next arc toward it; per arc, where to aim
+        self.routes = [route_to_destination(sim.network, sim.n_rooms + z.id) for z in sim.zones]
+        doors = {d.id: d for d in sim.geometry.doors}
+        self.arc_push = [self._push_point(arc, doors.get(arc.door_id)) for arc in sim.network.arcs]
+
+    def remove(self, i: int) -> None:
+        self.state.active[i] = False
+        self.state.vel[i] = 0.0
+
+    # -- steering ------------------------------------------------------------
+
+    def steer(self, ids: np.ndarray) -> None:
+        """Aim each decider at the next waypoint toward its target exit,
+        or down the all-exits field when it has none."""
+        pop = self.sim.pop
+        for i in ids.tolist():
+            zone_id = int(pop.target[i])
+            cx, cy = self.sim.geometry.cell_of((pop.pos[i][0], pop.pos[i][1]))
+            if zone_id == NO_TARGET:
+                wp = self._field_hop(self.sim.geometry.exit_distance, cx, cy)
+            else:
+                wp = self._waypoint(i, zone_id, cx, cy)
+            self.waypoint[i] = (np.nan, np.nan) if wp is None else wp
+
+    def _push_point(self, arc, door) -> np.ndarray | None:
+        """Where to aim when taking this arc through this door: just
+        beyond the door centre on the destination side (None without a
+        door)."""
+        if door is None:
+            return None
+        sim = self.sim
+        center = np.array(door.center(sim.cs))
+        # destination-side cells adjacent to the span
+        if arc.dst >= sim.n_rooms:
+            labels, label = sim.zone_grid, arc.dst - sim.n_rooms
+        else:
+            labels, label = sim.room_labels, arc.dst
+        acc = np.zeros(2)
+        count = 0
+        for (x, y) in door.cells:
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                nx, ny = x + dx, y + dy
+                if sim.geometry.in_bounds(nx, ny) and int(labels[ny, nx]) == label:
+                    acc += sim.geometry.cell_center(nx, ny)
+                    count += 1
+        if count:
+            direction = acc / count - center
+            norm = float(np.linalg.norm(direction))
+            if norm > 1e-9:
+                return center + direction / norm * (0.9 * sim.cs)
+        return center
+
+    def _field_hop(self, field_grid: np.ndarray, cx: int, cy: int) -> tuple[float, float] | None:
+        """Centre of the steepest-descent neighbour cell, or None at a
+        minimum / in an unreachable pocket."""
+        geometry = self.sim.geometry
+        here = field_grid[cy, cx]
+        best = None
+        best_val = here if math.isfinite(here) else math.inf
+        open_mask = geometry.open_mask
+        for dx, dy, _cost in NEIGHBOURS_8:
+            nx, ny = cx + dx, cy + dy
+            if not geometry.in_bounds(nx, ny) or not open_mask[ny, nx]:
+                continue
+            if dx and dy and not (open_mask[cy, nx] and open_mask[ny, cx]):
+                continue
+            val = field_grid[ny, nx]
+            if val < best_val:
+                best_val = val
+                best = (nx, ny)
+        if best is None:
+            return None
+        return geometry.cell_center(*best)
+
+    def _waypoint(self, i: int, zone_id: int, cx: int, cy: int):
+        """Where agent i, on cell (cx, cy), aims next on its way to exit
+        zone_id: the next door of its route, else down the zone's field."""
+        sim = self.sim
+        pos = sim.pop.pos[i]
+        wp = None
+        room = int(sim.room_labels[cy, cx])
+        if room >= 0:
+            arc_index = self.routes[zone_id].get(room)
+            if arc_index is not None:
+                wp = self.arc_push[arc_index]
+                if wp is None:
+                    # doorless hop straight for the nearest zone cell
+                    centers = (sim.zone_cells[zone_id] + 0.5) * sim.cs
+                    d2 = ((centers - pos) ** 2).sum(axis=1)
+                    wp = centers[int(np.argmin(d2))]
+        if wp is None:
+            wp = self._field_hop(sim.exit_fields[zone_id], cx, cy)
+        if wp is not None:
+            if math.hypot(float(wp[0]) - pos[0], float(wp[1]) - pos[1]) < float(sim.params["waypoint_reach"]):
+                hop = self._field_hop(sim.exit_fields[zone_id], cx, cy)
+                if hop is not None:
+                    wp = hop
+        return wp
+
+    # -- movement ------------------------------------------------------------
+
+    def step(self, k: int, t: float) -> None:
+        self._move(t)
+        if k % self.arch_every == 0:
+            self._clog_phase(t)
+
+    def _move(self, t: float) -> None:
+        sim = self.sim
+        pop = sim.pop
+        state = self.state
+        moving = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0)
+        desired = np.where(moving, sim.desired, 0.0)
+        old_pos = pop.pos.copy()
+        sf_step(state, sim.geometry, self.wall_cells, desired, self.waypoint, sim.dt, sim.params)
+        active = np.nonzero(state.active)[0]
+        if len(active) == 0:
+            return
+        delta = pop.pos[active] - old_pos[active]
+        sim.path_len[active] += np.hypot(delta[:, 0], delta[:, 1])
+
+        # plane crossings through interior openings; openings lying on
+        # exit cells swallow bodies before their centre reaches the
+        # plane, so those are counted at removal below instead
+        for site_index, site in enumerate(sim.sites):
+            if site.covers_exit:
+                continue
+            rel_old = old_pos[active] - site.center
+            rel_new = pop.pos[active] - site.center
+            s_old = rel_old @ site.upstream
+            s_new = rel_new @ site.upstream
+            tangent = np.array([-site.upstream[1], site.upstream[0]])
+            offset = np.abs(rel_new @ tangent)
+            crossed = (s_old > 0) & (s_new <= 0) & (offset <= site.half_span + CROSS_SLACK)
+            count = int(crossed.sum())
+            if count:
+                sim._record_crossing(t, site_index, count)
+
+        # arrivals: a body whose centre reaches an exit cell is out
+        cs = sim.cs
+        cx = np.clip((pop.pos[active, 0] / cs).astype(np.int64), 0, sim.geometry.width - 1)
+        cy = np.clip((pop.pos[active, 1] / cs).astype(np.int64), 0, sim.geometry.height - 1)
+        leaving = sim.zone_grid[cy, cx] >= 0
+        through: dict[int, int] = {}
+        for i, x, y in zip(active[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):
+            site_index = sim._leave(i, t, x, y)
+            if site_index >= 0:
+                through[site_index] = through.get(site_index, 0) + 1
+        for site_index, count in through.items():
+            sim._record_crossing(t, site_index, count)
+
+    def _clog_phase(self, t: float) -> None:
+        sim = self.sim
+        window = float(sim.params["clog_window"])
+        positions = sim.pop.pos[self.state.active]
+        for site in sim.sites:
+            if site.first_cross_t is None:
+                continue
+            if t < site.first_cross_t + window:
+                continue
+            site.recent = [(et, n) for (et, n) in site.recent if et > t - window - 1.0]
+            through = sum(n for (et, n) in site.recent if t - window < et <= t)
+            rate = through / window
+            clogged, band = detect_arch(
+                positions,
+                (float(site.center[0]), float(site.center[1])),
+                (float(site.upstream[0]), float(site.upstream[1])),
+                rate,
+                sim.params,
+            )
+            if clogged and not site.clogged:
+                site.clogged = True
+                sim.events.append(
+                    EventRecord(t, "clog_start", site.door_id, {"band": band, "flow": rate})
+                )
+            elif not clogged and site.clogged:
+                site.clogged = False
+                sim.events.append(
+                    EventRecord(t, "clog_end", site.door_id, {"band": band, "flow": rate})
+                )
+
+
+class _FlowMover(_Mover):
+    """Cohorts queueing along the coarse route network; routes are static,
+    so there are no decision rounds."""
+
+    decides = False
+    needs_network = True
+    given_network = True
+
+    def __init__(self, sim: _Simulation):
+        super().__init__(sim)
+        network = sim.network
+        spawn_node = sim.scenario.population.spawn_node
+        assignment: dict[int, int] = {}
+        if spawn_node is not None:
+            for i in range(sim.n):
+                assignment[i] = spawn_node
+        else:
+            if sim.room_labels is None:
+                raise SimulationError(
+                    "area-spawned populations need a network with room labels; "
+                    "use spawn.node with a hand-written network"
+                )
+            for i in range(sim.n):
+                cx, cy = sim.geometry.cell_of((sim.pop.pos[i][0], sim.pop.pos[i][1]))
+                label = int(sim.room_labels[cy, cx])
+                if label < 0:
+                    label = self._nearest_room_label(cx, cy)
+                assignment[i] = label
+        self.state = FlowState.from_assignment(network, assignment)
+
+        # display/health positions for the coarse model
+        self.node_points: dict[int, np.ndarray] = {}
+        for node in network.nodes:
+            point = None
+            if node.kind == "room" and sim.room_labels is not None:
+                ys, xs = np.nonzero(sim.room_labels == node.id)
+                if len(xs):
+                    point = np.array([(xs.mean() + 0.5) * sim.cs, (ys.mean() + 0.5) * sim.cs])
+            if point is None and node.cell is not None:
+                point = np.array(sim.geometry.cell_center(*node.cell))
+            if point is None:
+                members = [i for i, nd in assignment.items() if nd == node.id]
+                if members:
+                    point = sim.pop.pos[members].mean(axis=0)
+                else:
+                    point = np.zeros(2)
+                    self.warnings.append(f"node {node.id} has no geometry; placed at origin")
+            self.node_points[node.id] = point
+        doors = {d.id: d for d in sim.geometry.doors}
+        self.arc_points = []
+        for arc in network.arcs:
+            door = doors.get(arc.door_id)
+            if door is not None:
+                self.arc_points.append(np.array(door.center(sim.cs)))
+            else:
+                self.arc_points.append(
+                    0.5 * (self.node_points[arc.src] + self.node_points[arc.dst])
+                )
+
+    def _nearest_room_label(self, cx: int, cy: int) -> int:
+        """Closest labelled cell (Chebyshev rings); for agents spawned on
+        door-span cells that belong to no room region."""
+        labels = self.sim.room_labels
+        h, w = labels.shape
+        for r in range(1, max(h, w)):
+            best = None
+            for y in range(max(0, cy - r), min(h, cy + r + 1)):
+                for x in range(max(0, cx - r), min(w, cx + r + 1)):
+                    if max(abs(x - cx), abs(y - cy)) != r:
+                        continue
+                    if labels[y, x] >= 0:
+                        d = (x - cx) ** 2 + (y - cy) ** 2
+                        key = (d, int(labels[y, x]))
+                        if best is None or key < best:
+                            best = key
+            if best is not None:
+                return best[1]
+        raise SimulationError(f"no room region near cell ({cx}, {cy})")
+
+    def start(self, ids: np.ndarray) -> None:
+        self.state.eligible.update(ids.tolist())
+
+    def remove(self, i: int) -> None:
+        self.state.remove(i)
+        self.state.eligible.discard(i)
+
+    def step(self, k: int, t: float) -> None:
+        sim = self.sim
+        network = sim.network
+        for cohort in flow_step(self.state):
+            arc = network.arcs[cohort.arc_index]
+            if arc.door_id:
+                sim.crossings.append((t, arc.door_id, len(cohort.ids)))
+            src_pt = self.node_points[arc.src]
+            dst_pt = self.node_points[arc.dst]
+            hop = float(np.linalg.norm(dst_pt - src_pt))
+            dst_node = network.node_by_id(arc.dst)
+            for agent_id in cohort.ids:
+                sim.path_len[agent_id] += hop
+                sim.pop.pos[agent_id] = dst_pt
+                if dst_node.kind == "destination":
+                    zone_id = arc.dst - sim.n_rooms if arc.dst >= sim.n_rooms else None
+                    sim._exit_agent(agent_id, t, zone_id, arc.door_id)
+        for cohort in self.state.in_transit:
+            point = self.arc_points[cohort.arc_index]
+            for agent_id in cohort.ids:
+                sim.pop.pos[agent_id] = point
+
+
+MOVERS = {"ca": _CaMover, "sf": _SfMover, "flow": _FlowMover}
 
 
 def run(scenario: Scenario | str, config: RunConfig | None = None) -> RunResult:

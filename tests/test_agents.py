@@ -330,7 +330,6 @@ def test_agent_with_nothing_to_go_on_is_lost():
     beliefs = BeliefStore()
     rng = np.random.default_rng(0)
     intention = decide(agent, 0, _percept(), beliefs, rng)
-    assert intention.lost
     assert intention.target_exit == NO_TARGET
     assert beliefs.lost
 
@@ -341,7 +340,6 @@ def test_lost_agent_recovers_when_an_exit_appears():
     rng = np.random.default_rng(0)
     decide(agent, 0, _percept(), beliefs, rng)
     intention = decide(agent, 0, _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0)]), beliefs, rng)
-    assert not intention.lost
     assert intention.target_exit == 0
     assert agent.target[0] == 0
 
