@@ -172,17 +172,15 @@ def _make_door_site(geometry: Geometry, door_id: str, cells: list[tuple[int, int
         normal_axis = 0 if counts[0] >= counts[1] else 1
     step = np.zeros(2, dtype=np.int64)
     step[normal_axis] = 1
-    plus = minus = 0
+    # the crowd comes from the side farther from every exit
+    farthest = {1: -math.inf, -1: -math.inf}
     for (x, y) in cells:
         for sign in (1, -1):
             nx, ny = x + sign * step[0], y + sign * step[1]
-            if geometry.in_bounds(nx, ny) and geometry.kinds[ny, nx] == CellKind.EMPTY:
-                if sign > 0:
-                    plus += 1
-                else:
-                    minus += 1
+            if geometry.in_bounds(nx, ny) and math.isfinite(geometry.exit_distance[ny, nx]):
+                farthest[sign] = max(farthest[sign], float(geometry.exit_distance[ny, nx]))
     upstream = np.zeros(2)
-    upstream[normal_axis] = 1.0 if plus >= minus else -1.0
+    upstream[normal_axis] = 1.0 if farthest[1] >= farthest[-1] else -1.0
     tangent_axis = 1 - normal_axis
     half_span = (int(ext[tangent_axis]) + 1) * cs / 2.0
     covers_exit = any(geometry.kinds[y, x] == CellKind.EXIT for (x, y) in cells)

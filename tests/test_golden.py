@@ -89,7 +89,9 @@ def _shipped(name, max_sim_time, digest, outcome, backend=None):
         _shipped(
             "two_rooms", None, "42eeeee20db2d113", _outcome_of(60, 194.0, {"exited": 60}, {"exit:0": 60, "mid": 60}), "flow"
         ),
-        _shipped("two_rooms", 40.0, "ee083f0c37d5130a", _outcome_of(11, 40.0, {"exited": 11}, {"exit:0": 11}), "sf"),
+        _shipped(
+            "two_rooms", 40.0, "ee083f0c37d5130a", _outcome_of(11, 40.0, {"exited": 11}, {"exit:0": 11, "mid": 19}), "sf"
+        ),
     ],
 )
 def test_shipped_scenario_digest(name, max_sim_time, backend, digest, outcome):
