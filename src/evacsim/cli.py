@@ -235,6 +235,11 @@ def cmd_compare(args) -> int:
         with open(os.path.join(args.out, "compare.json"), "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    for row in rows:
+        if row["error"]:
+            print(f"{ERROR_PREFIX} {row['backend']}: {row['error']}", file=sys.stderr)
+    if any(row["error"] for row in rows):
+        return EXIT_RUNTIME
     return EXIT_TIMEOUT if any(row["timeout"] for row in rows) else EXIT_OK
 
 

@@ -9,20 +9,13 @@ top of the loop, so a sample at time s reflects precisely the events
 stamped strictly before s.
 
 The first three phases, exits, deaths and result assembly are shared.
-The backend is one mover object, picked once by ``config.backend`` from
-``MOVERS``, and the shared phases reach it only through
-
-- ``start(ids)``: these people just began moving;
-- ``steer(ids)``: these people just decided (their target is in the
-  population arrays);
-- ``step(k, t)``: one movement tick, including arrivals, door crossings
-  and clog checks;
-- ``remove(i)``: agent i died;
-- ``warnings``: the backend's own warnings.
-
-Class constants on each mover give its default decision and trajectory
-cadence, whether it makes decision rounds at all, and whether it needs
-instrumented door sites and a route network.
+The backend is one mover from ``MOVERS``, picked by ``config.backend``;
+the shared phases call only its ``start(ids)`` (people who just began
+moving), ``steer(ids)`` (after a decision round), ``step(k, t)`` (one
+movement tick with its arrivals, door crossings and clog checks),
+``remove(i)`` (a death) and ``warnings``.  Class constants on each mover
+give its default decision and trajectory cadence, whether it makes
+decision rounds at all, and whether it needs door sites and a network.
 
 Determinism is load-bearing throughout: agents are always iterated in
 ascending id order, random substreams are dedicated per concern, and
@@ -140,7 +133,7 @@ class DoorSite:
     door_id: str
     cells: list[tuple[int, int]]
     center: np.ndarray        # (2,) m
-    upstream: np.ndarray      # (2,) unit normal pointing into the crowd side
+    upstream: np.ndarray      # (2,) unit normal toward the side farther from every exit
     half_span: float          # m along the opening
     covers_exit: bool = False  # opening lies on exit cells (bodies vanish here)
 
@@ -209,8 +202,7 @@ def door_sites(geometry: Geometry) -> list[DoorSite]:
 
 
 class _Simulation:
-    """Mutable run state and the phases every backend shares; built once
-    per run() call."""
+    """Run state and the phases every backend shares; one per run() call."""
 
     def __init__(self, scenario: Scenario, config: RunConfig | None = None):
         self.scenario = scenario
@@ -288,15 +280,13 @@ class _Simulation:
         self.local_tox = np.zeros(n)
         self.temp_frame, self.od_frame, self.tox_frame = self.hazard.frame_at(0.0)
 
-        # cadences, in ticks
-        decision_interval = float(self.params["decision_interval"])
-        if decision_interval <= 0:
-            decision_interval = mover_cls.decision_interval
-        self.decide_every = max(1, half_up(decision_interval / self.dt))
-        traj_interval = float(self.params["trajectory_interval"])
-        if traj_interval <= 0:
-            traj_interval = mover_cls.trajectory_interval or self.dt
-        self.sample_every = max(1, half_up(traj_interval / self.dt))
+        # cadences, in ticks; an interval parameter <= 0 takes the mover's default
+        def every(key: str, default: float) -> int:
+            seconds = float(self.params[key])
+            return max(1, half_up((seconds if seconds > 0 else default) / self.dt))
+
+        self.decide_every = every("decision_interval", mover_cls.decision_interval)
+        self.sample_every = every("trajectory_interval", mover_cls.trajectory_interval or self.dt)
 
         self.sites = door_sites(geometry) if mover_cls.needs_sites else []
         self.site_of_cell = np.full((geometry.height, geometry.width), -1, dtype=np.int32)
@@ -466,12 +456,6 @@ class _Simulation:
             )
         )
 
-    def _tick(self, k: int, t: float) -> None:
-        self._hazard_phase(t)
-        newly_moving = self._premovement_phase(t)
-        self._decision_phase(k, t, newly_moving)
-        self.mover.step(k, t)
-
     def run(self) -> RunResult:
         max_ticks = max(1, int(math.ceil(self.config.max_sim_time / self.dt - 1e-9)))
         k = 0
@@ -481,7 +465,10 @@ class _Simulation:
                 self._sample(t)
             if self._all_done():
                 break
-            self._tick(k, t)
+            self._hazard_phase(t)
+            newly_moving = self._premovement_phase(t)
+            self._decision_phase(k, t, newly_moving)
+            self.mover.step(k, t)
             k += 1
         t_end = k * self.dt
         timeout = not self._all_done()
@@ -696,9 +683,8 @@ class _SfMover(_Mover):
             self.waypoint[i] = (np.nan, np.nan) if wp is None else wp
 
     def _push_point(self, arc, door) -> np.ndarray | None:
-        """Where to aim when taking this arc through this door: just
-        beyond the door centre on the destination side (None without a
-        door)."""
+        """Where to aim when taking this arc through this door: just beyond
+        the door centre on the destination side (None without a door)."""
         if door is None:
             return None
         sim = self.sim
@@ -746,8 +732,7 @@ class _SfMover(_Mover):
         return geometry.cell_center(*best)
 
     def _waypoint(self, i: int, zone_id: int, cx: int, cy: int):
-        """Where agent i, on cell (cx, cy), aims next on its way to exit
-        zone_id: the next door of its route, else down the zone's field."""
+        """Next aim point of agent i, on cell (cx, cy), toward exit zone_id."""
         sim = self.sim
         pos = sim.pop.pos[i]
         wp = None

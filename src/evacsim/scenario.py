@@ -78,20 +78,17 @@ class Geometry:
 
     def __post_init__(self):
         self.kinds = np.asarray(self.kinds, dtype=np.int8)
-
-    # -- derived grids, computed once and read-only -----------------------
-    @cached_property
-    def open_mask(self) -> np.ndarray:
-        return _frozen((self.kinds == CellKind.EMPTY) | (self.kinds == CellKind.EXIT))
-
-    @cached_property
-    def blocked_mask(self) -> np.ndarray:
-        return _frozen(~self.open_mask)
+        # derived grids below are computed once and read-only
+        self.open_mask = (self.kinds == CellKind.EMPTY) | (self.kinds == CellKind.EXIT)
+        self.blocked_mask = ~self.open_mask
+        self.open_mask.flags.writeable = self.blocked_mask.flags.writeable = False
 
     @cached_property
     def exit_distance(self) -> np.ndarray:
         """Distance field (cells) to the nearest exit cell of any zone."""
-        return _frozen(distance_field(self))
+        dist = distance_field(self)
+        dist.flags.writeable = False
+        return dist
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -129,7 +126,8 @@ class Geometry:
         for zone in self.exit_zones:
             for (x, y) in zone.cells:
                 out[y, x] = zone.id
-        return _frozen(out)
+        out.flags.writeable = False
+        return out
 
     # -- validation ------------------------------------------------------
     def validate(self) -> list[str]:
@@ -174,11 +172,6 @@ class Geometry:
             and self.exits == other.exits
             and self.doors == other.doors
         )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _flood(mask: np.ndarray, seen: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:

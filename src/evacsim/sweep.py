@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .engine import run
-from .errors import SchemaViolation, SemanticViolation
+from .errors import SchemaViolation, SemanticViolation, SimulationError
 from .metrics import clog_fraction, egress_stats
 from .scenario import parse_scenario
 
@@ -188,6 +188,8 @@ def _median(sorted_values: list) -> float | None:
 
 
 BACKENDS_COMPARED = ("flow", "ca", "sf")
+COMPARE_FIELDS = ("backend", "error", "dt", "seed", "population", "exited", "fatalities", "timeout",
+                  "t_total", "t_50", "t_95", "clog_fraction", "digest")
 
 
 def compare_backends(
@@ -198,6 +200,7 @@ def compare_backends(
 ) -> list[dict]:
     """Run the same scenario under each backend with one shared seed, so
     the populations (attributes, placement order) match draw for draw.
+    A backend whose run fails gets its ``error`` and None in every field.
     """
     out = []
     for backend in backends:
@@ -207,11 +210,16 @@ def compare_backends(
         if seed is not None:
             cfg["seed"] = seed
         scenario = parse_scenario(json.dumps(doc), base_dir)
-        result = run(scenario)
+        try:
+            result = run(scenario)
+        except SimulationError as exc:
+            out.append({**dict.fromkeys(COMPARE_FIELDS), "backend": backend, "error": str(exc)})
+            continue
         t_total, t_50, t_95, fatalities = egress_stats(result)
         out.append(
             {
                 "backend": backend,
+                "error": None,
                 "dt": result.dt,
                 "seed": result.seed,
                 "population": result.population,

@@ -21,3 +21,20 @@ def test_validate_rejects_what_run_rejects(tmp_path, attr, bad):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args[0], proc.stdout)
         assert proc.stderr.startswith("evacsim:error:"), proc.stderr
+
+
+def test_compare_reports_the_backends_that_ran_when_one_fails(tmp_path):
+    # the corridor's spawn rectangle holds 40 people on the grid but not
+    # 40 social-force bodies
+    proc = run_cli("compare", os.path.join(SCENARIOS, "corridor.json"), "--out", tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    rows = {line.split()[0]: line for line in proc.stdout.splitlines()[1:]}
+    assert sorted(rows) == ["ca", "flow", "sf"]
+    assert rows["flow"].split()[4] == "40" and rows["ca"].split()[4] == "40"
+    assert proc.stderr == "evacsim:error: sf: could not place 40 bodies in the spawn region (16 placed)\n"
+    with open(tmp_path / "compare.json", encoding="utf-8") as fh:
+        written = {row["backend"]: row for row in json.load(fh)}
+    assert written["flow"]["error"] is None and written["flow"]["exited"] == 40
+    assert written["sf"]["error"].startswith("could not place 40 bodies")
+    assert all(value is None for key, value in written["sf"].items() if key not in ("backend", "error"))
+    assert set(written["sf"]) == set(written["ca"]) == set(written["flow"])
