@@ -27,6 +27,7 @@ import hashlib
 import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -552,8 +553,7 @@ class _Simulation:
 
 
 class _Mover:
-    """One movement backend behind the interface the shared phases call
-    (see the module docstring); ``start`` and ``steer`` do nothing here."""
+    """A movement backend as the shared phases see it (module docstring)."""
 
     decision_interval = CA_DECISION_INTERVAL  # s between decision rounds by default
     trajectory_interval = 0.0  # s between samples by default; 0 = every tick
@@ -563,7 +563,7 @@ class _Mover:
     given_network = False      # a scenario's hand-written network replaces the derived one
 
     def __init__(self, sim: _Simulation):
-        self.sim = sim
+        self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
         self.warnings: list[str] = []
 
     def start(self, ids: np.ndarray) -> None:

@@ -13,8 +13,8 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class Geometry:
 
     def __post_init__(self):
         self.kinds = np.asarray(self.kinds, dtype=np.int8)
-        # derived grids below are computed once and read-only
+        # derived grids (these masks, the cached properties) are built once, read-only
         self.open_mask = (self.kinds == CellKind.EMPTY) | (self.kinds == CellKind.EXIT)
         self.blocked_mask = ~self.open_mask
         self.open_mask.flags.writeable = self.blocked_mask.flags.writeable = False

@@ -410,7 +410,7 @@ def sf_step(
     cells_y = np.clip((new_pos[:, 1] / geometry.cell_size).astype(np.int64), 0, geometry.height - 1)
     in_wall = geometry.blocked_mask[cells_y, cells_x]
     if in_wall.any():
-        raise SimulationError(f"tick {state.tick}: body centres of agents {idx[in_wall].tolist()} ended the step inside a wall")
+        raise SimulationError(f"tick {state.tick}: agents {idx[in_wall].tolist()} ended the step inside a wall")
 
     state.pos[idx] = new_pos
     state.vel[idx] = vel
