@@ -133,6 +133,41 @@ def test_lethal_smoke_digest(backend, digest, dead, outcome):
     assert _outcome(result) == outcome
 
 
+# smoke beside the west exit: the goldens that reach hazard-scored sight
+# lines, blocked-exit discovery and messaging under a decision backend
+SMOKE_BESIDE_EXIT = {"source": [4, 21], "rate": 3.0}
+
+
+@pytest.mark.parametrize(
+    "backend, max_sim_time, digest, outcome, receivers",
+    [
+        pytest.param(
+            "ca",
+            None,
+            "9ce7b98121e43d01",
+            _outcome_of(
+                80, 17.59259259259259, {"exited": 80, "replanned": 14, "informed": 11}, {"exit:0": 36, "exit:1": 44}
+            ),
+            65,
+            id="ca-9ce7b98121e43d01",
+        ),
+        pytest.param(
+            "sf",
+            10.0,
+            "18c1103aac244c83",
+            _outcome_of(22, 10.0, {"exited": 22, "replanned": 104, "informed": 60}, {"exit:0": 12, "exit:1": 10}),
+            1485,
+            id="sf-10.0-18c1103aac244c83",
+        ),
+    ],
+)
+def test_smoke_beside_an_exit_digest(backend, max_sim_time, digest, outcome, receivers):
+    result = run(_scenario_text("herding_two_exit", max_sim_time, backend, SMOKE_BESIDE_EXIT))
+    assert result.digest == digest
+    assert _outcome(result) == outcome
+    assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+
+
 def test_cli_run_writes_the_same_digest(tmp_path):
     proc = run_cli("run", os.path.join(SCENARIOS, "two_rooms.json"), "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
