@@ -1,38 +1,45 @@
-"""Agent state, perception and decision making.
+"""Agent state, perception and decision making, in arrays.
 
 The whole population lives in one :class:`Population`: parallel arrays
 indexed by agent id, holding each agent's physical state (position,
 body radius, health, mobility, sight range), its behavioural profile
 (speed preference, reaction time, collaboration, insistence,
 knowledge, experience, nervousness, gender, age, role) and its current
-status and target exit.  The simulation loop, the movement backends
-and the state digest all read and write these arrays; nothing keeps a
-second copy.
+status and target exit.  What the agents believe lives in one
+:class:`Beliefs` record beside it: (N, E) flags for the exits each agent
+knows, knew before the alarm and holds to be blocked, whether it is
+lost, and a ring of its recent positions for the progress check.  The
+simulation loop, the movement backends and the state digest read and
+write these arrays; nothing keeps a second copy.
 
-Each decision round an agent perceives its surroundings (limited by
-sight range and walls), scores candidate exits, and emits an
-:class:`Intention`: target exit, desired speed, and any messages to
-announce.  The decision functions take the population and the agent's
-row and update its nervousness, insistence and target in place.  How
-the body gets to the target exit (a social-force waypoint, a lattice
-step down the exit's distance field, a queue on the route network) is
-the movement backend's business, not the decision layer's.
+A decision round works on the round's decider rows at once.
+:func:`build_percepts` senses for all of them together and returns one
+:class:`Percepts` record of (n,) and (n, E) arrays: walking speed, local
+smoke, which exits are in sight, walking distances, congestion, the
+hazard along every sight line, and the herd votes, totals and follow
+distances of visible neighbours.  :func:`decide` then updates beliefs,
+insistence, nervousness and targets for every row, drawing the replan
+lottery in ascending id order, and calls :func:`choose_exit` once for the
+rows that need an exit.  After the round each agent that saw an exit
+blocked tells its visible neighbours (:func:`inform_neighbors`).  How the
+body gets to the target exit (a social-force waypoint, a lattice step
+down the exit's distance field, a queue on the route network) is the
+movement backend's business, not the decision layer's.
 
 Nothing in a percept reaches beyond the agent's sight range plus its
-own belief store, so decisions stay local by construction.
+own beliefs, so decisions stay local by construction.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
 import numpy as np
 
 from .config import PARAM_DEFAULTS
 from .errors import SemanticViolation, SimulationError
-from .hazard import HazardSample, visibility_range_bulk
+from .hazard import visibility_range_bulk
 from .scenario import FLOAT01, CellKind, DistSpec, Geometry, PopulationSpec, los_pairs
 from .spatialhash import SpatialHash
 
@@ -289,59 +296,59 @@ def _touches_blocked(px: float, py: float, r: float, blocked: np.ndarray, cs: fl
     return False
 
 
+
 # ---------------------------------------------------------------------------
 # beliefs
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class BeliefStore:
-    """What one agent holds to be true about the building."""
+class Beliefs:
+    """What every agent holds to be true about the building: one row per
+    agent id and, in the (N, E) arrays, one column per exit zone."""
 
-    known: dict[int, bool] = field(default_factory=dict)      # exit id -> familiar at spawn
-    blocked: dict[int, float] = field(default_factory=dict)   # exit id -> time observed/heard
-    progress: deque = field(default_factory=deque)            # (t, x, y) samples
-    next_progress_check: float | None = None
-    lost: bool = False
+    known: np.ndarray       # (N, E) bool: familiar, seen or heard of
+    familiar: np.ndarray    # (N, E) bool: known before the alarm
+    blocked: np.ndarray     # (N, E) bool: seen or heard to be blocked
+    lost: np.ndarray        # (N,) bool: found no exit to head for last round
+    next_check: np.ndarray  # (N,) s, time of the next progress check; NaN before the first round
+    progress: np.ndarray    # (N, R, 3) ring of (t, x, y) samples, one per round; NaN where unused
+    head: np.ndarray        # (N,) ring slot the next sample goes to
 
-    def learn_exit(self, exit_id: int) -> None:
-        self.known.setdefault(exit_id, False)
-
-    def block_exit(self, exit_id: int, t: float) -> None:
-        self.blocked.setdefault(exit_id, t)
-        self.learn_exit(exit_id)
-
-    def apply_message(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "exit_blocked":
-            self.block_exit(int(message[1]), float(message[2]))
-
-    def record_position(self, t: float, pos: tuple[float, float], window: float) -> None:
-        self.progress.append((t, pos[0], pos[1]))
-        horizon = t - window
-        while self.progress and self.progress[0][0] < horizon - 1e-9:
-            self.progress.popleft()
+    def record_position(self, rows: np.ndarray, t: float, pos: np.ndarray) -> None:
+        slot = self.head[rows]
+        self.progress[rows, slot, 0] = t
+        self.progress[rows, slot, 1:] = pos
+        self.head[rows] = (slot + 1) % self.progress.shape[1]
 
 
-def init_beliefs(knowledge: np.ndarray, n_exits: int, rng: np.random.Generator) -> list[BeliefStore]:
+def init_beliefs(
+    knowledge: np.ndarray, n_exits: int, rng: np.random.Generator, window: float, round_interval: float
+) -> Beliefs:
     """Seed each agent's known exits: every exit is familiar independently
-    with probability equal to the agent's building knowledge."""
-    familiar = rng.random((len(knowledge), n_exits)) < knowledge[:, None]
-    return [BeliefStore(known={z: True for z, hit in enumerate(row) if hit}) for row in familiar.tolist()]
+    with probability equal to the agent's building knowledge.
+
+    The progress ring holds every round within ``window`` seconds at one
+    round per ``round_interval`` seconds, plus the off-cadence round an
+    agent makes when it starts moving and one slot of rounding slack.
+    """
+    n = len(knowledge)
+    familiar = rng.random((n, n_exits)) < knowledge[:, None]
+    samples = max(0, int(window / round_interval)) + 3
+    return Beliefs(
+        known=familiar.copy(),
+        familiar=familiar,
+        blocked=np.zeros_like(familiar),
+        lost=np.zeros(n, dtype=bool),
+        next_check=np.full(n, np.nan),
+        progress=np.full((n, samples, 3), np.nan),
+        head=np.zeros(n, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
 # perception
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExitSight:
-    exit_id: int
-    distance: float       # m, walking distance to the exit
-    congestion: float     # persons seen heading there
-    hazard: float         # smoke/heat score along the sight line
-    od_at_exit: float = 0.0
 
 
 @dataclass
@@ -353,9 +360,7 @@ class WorldView:
     params: dict
     t: float
     pop: Population
-    local_temp: np.ndarray         # (N,)
-    local_od: np.ndarray
-    local_tox: np.ndarray
+    local_od: np.ndarray           # (N,) optical density where each agent stands
     od_frame: np.ndarray           # (H, W) current optical density
     temp_frame: np.ndarray
     tox_frame: np.ndarray
@@ -386,13 +391,6 @@ class WorldView:
             self.hash_wide = SpatialHash(self.pop.pos[present], radius, ids=present)
         return self.hash_wide
 
-    def cell_of(self, i: int) -> tuple[int, int]:
-        return self.geometry.cell_of((self.pop.pos[i][0], self.pop.pos[i][1]))
-
-    def exit_distance_m(self, i: int, zone_id: int) -> float:
-        x, y = self.cell_of(i)
-        return float(self.exit_fields[zone_id][y, x]) * self.geometry.cell_size
-
     def query_visible(self, i: int) -> np.ndarray:
         """Agent indices within sight of agent i (range + line of sight)."""
         h = self.ensure_hash()
@@ -400,48 +398,69 @@ class WorldView:
         ids = h.ids[rows]
         ids = ids[ids != i]
         if len(ids) and self.has_interior_blockers:
-            me = np.array(self.cell_of(i), dtype=np.float64)
             cs = self.geometry.cell_size
+            me = np.floor(self.pop.pos[i] / cs)
             theirs = np.floor(self.pop.pos[ids] / cs)
             clear = los_pairs(self.geometry.blocked_mask, np.tile(me, (len(ids), 1)), theirs)
             ids = ids[clear]
         return ids
 
 
-def _hazard_score_along(world: WorldView, from_cell, to_cell, max_cells: float) -> float:
-    """Mean hazard over samples along the sight line, clipped at the
-    perceiver's sight range."""
-    p = world.params
-    fx, fy = from_cell
-    tx, ty = to_cell
-    dx, dy = tx - fx, ty - fy
-    length = math.hypot(dx, dy)
-    if length > max_cells > 0:
-        scale = max_cells / length
-        tx, ty = fx + dx * scale, fy + dy * scale
-    n = 8
-    xs = np.clip(np.linspace(fx, tx, n).astype(np.int64), 0, world.geometry.width - 1)
-    ys = np.clip(np.linspace(fy, ty, n).astype(np.int64), 0, world.geometry.height - 1)
-    od = world.od_frame[ys, xs]
-    temp = world.temp_frame[ys, xs]
-    tox = world.tox_frame[ys, xs]
-    heat = np.maximum(0.0, temp - float(p["temp_crit"])) / float(p["temp_scale"])
-    return float(np.mean(od + heat + tox))
+SIGHT_SAMPLES = 8  # points sampled along each sight line
+
+
+def sight_line_hazard(
+    od_frame: np.ndarray,
+    temp_frame: np.ndarray,
+    tox_frame: np.ndarray,
+    start: np.ndarray,
+    stop: np.ndarray,
+    max_cells: np.ndarray,
+    params: dict,
+) -> np.ndarray:
+    """Mean hazard (optical density + heat above ``temp_crit`` + toxicity)
+    over evenly spaced points from each (P, 2) start cell toward its stop
+    cell, the line clipped at ``max_cells``, the perceiver's sight range."""
+    start = np.asarray(start, dtype=np.float64)
+    end = np.asarray(stop, dtype=np.float64).copy()
+    delta = end - start
+    length = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
+    clip = (length > max_cells) & (max_cells > 0)
+    scale = max_cells[clip] / length[clip]
+    end[clip] = start[clip] + delta[clip] * scale[:, None]
+    # the points np.linspace(start, end, SIGHT_SAMPLES) makes for one line;
+    # a batched np.linspace rounds every line differently once any has a zero step
+    step = (end - start) / (SIGHT_SAMPLES - 1)
+    points = np.arange(SIGHT_SAMPLES, dtype=np.float64)[None, :, None] * step[:, None, :] + start[:, None, :]
+    points[:, -1] = end
+    height, width = od_frame.shape
+    xs = np.clip(points[:, :, 0].astype(np.int64), 0, width - 1)
+    ys = np.clip(points[:, :, 1].astype(np.int64), 0, height - 1)
+    heat = np.maximum(0.0, temp_frame[ys, xs] - float(params["temp_crit"])) / float(params["temp_scale"])
+    return (od_frame[ys, xs] + heat + tox_frame[ys, xs]).mean(axis=1)
 
 
 @dataclass
-class Percept:
-    """Everything one agent senses this round."""
+class Percepts:
+    """Everything the deciders of one round sense: row r describes the
+    agent in row r of the round, and (n, E) arrays have one column per
+    exit zone."""
 
     t: float
-    local_hazard: HazardSample
-    speed: float                     # m/s, own walking speed after health and mobility
-    visible_exits: list[ExitSight]
-    herd_votes: dict[int, float]     # exit id -> leader-weighted count of neighbours heading there
-    herd_total: float                # weighted count of all visible neighbours
-    congestion_by_exit: dict[int, int]
-    follow_distance: dict[int, float]  # exit id -> distance to nearest neighbour heading there
-    _world: WorldView | None = None
+    speed: np.ndarray       # (n,) m/s, own walking speed after health and mobility
+    local_od: np.ndarray    # (n,) optical density where the agent stands
+    visible: np.ndarray     # (n, E) bool: exit in sight and walkable from here
+    distance: np.ndarray    # (n, E) m, walking distance to each exit; inf where unreachable
+    hazard: np.ndarray      # (n, E) smoke/heat score along the sight line; 0 where not visible
+    exit_od: np.ndarray     # (n, E) optical density at each visible exit; 0 elsewhere
+    congestion: np.ndarray  # (n, E) persons seen heading to each exit
+    votes: np.ndarray       # (n, E) leader-weighted count of neighbours heading to each exit
+    totals: np.ndarray      # (n,) weighted count of all visible neighbours
+    follow: np.ndarray      # (n, E) m, to the nearest neighbour heading to each exit; inf if none
+
+    def take(self, sel: np.ndarray) -> "Percepts":
+        """The percepts of rows ``sel`` of this round."""
+        return replace(self, **{f.name: getattr(self, f.name)[sel] for f in fields(self) if f.name != "t"})
 
 
 def _neighbour_stats(world: WorldView, indices: np.ndarray):
@@ -513,91 +532,78 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
     leader = (roles_seen > 0) & (roles_seen < rank_obs)
     weight = np.where(leader, 1.0 + pop.collaboration[obs], 1.0)
 
-    np.add.at(totals, rows, weight)
+    # bincount adds in array order, as np.add.at does, so the sums are the same
+    totals = np.bincount(rows, weights=weight, minlength=n)
     tgt = pop.target[seen]
     moving = pop.status[seen] == AgentStatus.MOVING
     has_target = (tgt >= 0) & moving
-    np.add.at(votes, (rows[has_target], tgt[has_target]), weight[has_target])
-    np.add.at(congestion, (rows[has_target], tgt[has_target]), 1)
+    flat = rows[has_target] * n_zones + tgt[has_target]
+    votes = np.bincount(flat, weights=weight[has_target], minlength=n * n_zones).astype(np.float64)  # int when empty
+    votes = votes.reshape(n, n_zones)
+    congestion = np.bincount(flat, minlength=n * n_zones).reshape(n, n_zones)
     np.minimum.at(follow, (rows[has_target], tgt[has_target]), d[has_target])
     return votes, totals, congestion, follow
 
 
-def build_percepts(world: WorldView, indices: np.ndarray) -> list[Percept]:
-    """Percepts for the given agent indices, sharing one round of
-    vectorised visibility, neighbour statistics and walking speeds."""
+def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
+    """Percepts for the given agent indices, from one round of vectorised
+    visibility, sight-line hazard, neighbour statistics and walking speeds."""
     p = world.params
     pop = world.pop
     geometry = world.geometry
     cs = geometry.cell_size
     n = len(indices)
+    n_zones = len(world.zone_centers)
     votes, totals, congestion, follow = _neighbour_stats(world, indices)
-    speeds = effective_speed(pop.health[indices], pop.mobility[indices], pop.speed_pref[indices], p).tolist()
 
     pos = pop.pos[indices]
+    vision = pop.vision[indices]
     cells = np.floor(pos / cs).astype(np.int64)
     cells[:, 0] = np.clip(cells[:, 0], 0, geometry.width - 1)
     cells[:, 1] = np.clip(cells[:, 1], 0, geometry.height - 1)
 
-    # visibility of each exit zone: distance to its nearest cell + sight line
-    n_zones = len(world.zone_centers)
-    sights: list[list[tuple]] = [[] for _ in range(n)]
+    # each exit zone: walking distance, and whether its nearest cell is in sight
+    distance = np.empty((n, n_zones))
+    visible = np.zeros((n, n_zones), dtype=bool)
+    nearest = np.zeros((n, n_zones), dtype=np.int64)
     for z in range(n_zones):
         zc = world.zone_cells[z]
         centers = (zc + 0.5) * cs
         d2 = ((pos[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argmin(d2, axis=1)
-        dmin = np.sqrt(d2[np.arange(n), nearest])
-        vis = dmin <= pop.vision[indices]
+        nearest[:, z] = np.argmin(d2, axis=1)
+        vis = np.sqrt(d2[np.arange(n), nearest[:, z]]) <= vision
         if vis.any() and world.has_interior_blockers:
             rows = np.nonzero(vis)[0]
-            clear = los_pairs(geometry.blocked_mask, cells[rows], zc[nearest[rows]])
-            vis[rows] = clear
-        for row in np.nonzero(vis)[0]:
-            sights[row].append((z, int(nearest[row])))
+            vis[rows] = los_pairs(geometry.blocked_mask, cells[rows], zc[nearest[rows, z]])
+        visible[:, z] = vis
+        distance[:, z] = world.exit_fields[z][cells[:, 1], cells[:, 0]] * cs
+    visible &= np.isfinite(distance)  # in sight through an opening is not walkable from here
 
-    percepts = []
-    for row in range(n):
-        i = int(indices[row])
-        visible_exits = []
-        for (z, ncell) in sights[row]:
-            field_d = world.exit_fields[z][cells[row][1], cells[row][0]]
-            if not np.isfinite(field_d):
-                continue  # visible through an opening but not walkable from here
-            if world.ambient_air:
-                hz = 0.0
-                od_exit = 0.0
-            else:
-                zc = world.zone_cells[z][ncell]
-                max_cells = pop.vision[i] / cs
-                hz = _hazard_score_along(world, (cells[row][0], cells[row][1]), (zc[0], zc[1]), max_cells)
-                center_cell = world.zone_cells[z][len(world.zone_cells[z]) // 2]
-                od_exit = float(world.od_frame[center_cell[1], center_cell[0]])
-            visible_exits.append(
-                ExitSight(
-                    exit_id=z,
-                    distance=float(field_d) * cs,
-                    congestion=float(congestion[row, z]),
-                    hazard=hz,
-                    od_at_exit=od_exit,
-                )
-            )
-        percepts.append(
-            Percept(
-                t=world.t,
-                local_hazard=HazardSample(
-                    float(world.local_temp[i]), float(world.local_od[i]), float(world.local_tox[i])
-                ),
-                speed=speeds[row],
-                visible_exits=visible_exits,
-                herd_votes={z: float(votes[row, z]) for z in range(n_zones) if votes[row, z] > 0},
-                herd_total=float(totals[row]),
-                congestion_by_exit={z: int(congestion[row, z]) for z in range(n_zones) if congestion[row, z]},
-                follow_distance={z: float(follow[row, z]) for z in range(n_zones) if np.isfinite(follow[row, z])},
-                _world=world,
-            )
+    hazard = np.zeros((n, n_zones))
+    exit_od = np.zeros((n, n_zones))
+    if not world.ambient_air:
+        rows, zones = np.nonzero(visible)
+        first_cell = np.cumsum([0] + [len(zc) for zc in world.zone_cells])
+        stop = np.concatenate(world.zone_cells)[first_cell[zones] + nearest[rows, zones]]
+        hazard[rows, zones] = sight_line_hazard(
+            world.od_frame, world.temp_frame, world.tox_frame, cells[rows], stop, vision[rows] / cs, p
         )
-    return percepts
+        middle = np.array([zc[len(zc) // 2] for zc in world.zone_cells])
+        exit_od[rows, zones] = world.od_frame[middle[zones, 1], middle[zones, 0]]
+
+    return Percepts(
+        t=world.t,
+        speed=effective_speed(pop.health[indices], pop.mobility[indices], pop.speed_pref[indices], p),
+        local_od=world.local_od[indices],
+        visible=visible,
+        distance=distance,
+        hazard=hazard,
+        exit_od=exit_od,
+        congestion=congestion,
+        votes=votes,
+        totals=totals,
+        follow=follow,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -605,173 +611,145 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> list[Percept]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Intention:
-    target_exit: int                       # exit zone id, or NO_TARGET when lost
-    desired_speed: float                   # m/s, <= speed_cap
-    announce: list[tuple] = field(default_factory=list)
-    replanned: bool = False
+def choose_exit(
+    pop: Population, rows: np.ndarray, percepts: Percepts, beliefs: Beliefs, params: dict | None = None
+) -> np.ndarray:
+    """Pick each row's best exit by expected cost, blended with the crowd.
 
-
-def choose_exit(pop: Population, i: int, percept: Percept, beliefs: BeliefStore, params: dict | None = None) -> int | None:
-    """Pick agent ``i``'s best exit by expected cost, blended with the crowd.
-
-    Utility trades off travel time, visible congestion, hazard along the
-    way and familiarity; the herding term follows where visible
+    Candidates are the exits in sight, then the known exits walkable from
+    here, then the exits a visible neighbour is heading to (at the
+    follow distance plus a catch-up penalty), less every exit believed
+    blocked.  Utility trades off travel time, visible congestion, hazard
+    along the way and familiarity; the herding term follows where visible
     neighbours (leaders amplified) are heading, weighted by the agent's
     nervousness.  Ties on score break on utility, then on the smallest
-    id.  Returns None when no candidate exit exists.
+    id.  Rows with no candidate exit get NO_TARGET.
     """
     p = params or PARAM_DEFAULTS
-    candidates: dict[int, ExitSight] = {}
-    for sight in percept.visible_exits:
-        candidates[sight.exit_id] = sight
-    world = percept._world
-    if world is not None:
-        for z in beliefs.known:
-            if z not in candidates:
-                d = world.exit_distance_m(i, z)
-                if math.isfinite(d):
-                    candidates[z] = ExitSight(exit_id=z, distance=d, congestion=0.0, hazard=0.0)
-    for z, d_follow in percept.follow_distance.items():
-        if z not in candidates:
-            candidates[z] = ExitSight(
-                exit_id=z,
-                distance=d_follow + float(p["follow_penalty"]),
-                congestion=float(percept.congestion_by_exit.get(z, 0)),
-                hazard=0.0,
-            )
-    for z in beliefs.blocked:
-        candidates.pop(z, None)
-    if not candidates:
-        return None
+    visible = percepts.visible
+    known = beliefs.known[rows] & ~visible & np.isfinite(percepts.distance)
+    follow = ~visible & ~known & np.isfinite(percepts.follow)
+    candidate = (visible | known | follow) & ~beliefs.blocked[rows]
 
-    v = max(percept.speed, 0.1)
-    n = float(pop.nervousness[i])
-    best_z = None
-    best_key = (-math.inf, -math.inf)
-    for z in sorted(candidates):
-        sight = candidates[z]
-        utility = (
-            -float(p["w_distance"]) * sight.distance / v
-            - float(p["w_congestion"]) * sight.congestion
-            - float(p["w_hazard"]) * sight.hazard
-            + float(p["w_familiar"]) * (1.0 if beliefs.known.get(z) else 0.0)
-        )
-        herd = percept.herd_votes.get(z, 0.0) / percept.herd_total if percept.herd_total > 0 else 0.0
-        score = (1.0 - n) * utility + n * herd
-        # a fully nervous agent whose crowd term ties falls back on its own judgement
-        key = (score, utility)
-        if key > best_key:
-            best_key = key
-            best_z = z
-    return best_z
-
-
-def update_insistence(pop: Population, i: int, speed: float, beliefs: BeliefStore, dt_window: float, params: dict | None = None) -> None:
-    """Decay agent ``i``'s insistence when its displacement over the
-    progress window falls short of a fraction of what it could have
-    walked at ``speed``."""
-    p = params or PARAM_DEFAULTS
-    if len(beliefs.progress) < 2:
-        return
-    t1, x1, y1 = beliefs.progress[-1]
-    t0, x0, y0 = beliefs.progress[0]
-    if t1 - t0 < dt_window * 0.5:
-        return
-    displacement = math.hypot(x1 - x0, y1 - y0)
-    threshold = float(p["progress_eta"]) * speed * (t1 - t0)
-    if displacement < threshold:
-        pop.insistence[i] = max(float(p["insistence_floor"]), float(pop.insistence[i]) * float(p["insistence_decay"]))
-
-
-def inform_neighbors(i: int, messages: list[tuple], world: WorldView, beliefs_all: list[BeliefStore], rng: np.random.Generator) -> list[int]:
-    """Deliver agent ``i``'s belief messages to visible neighbours, each
-    with probability equal to the sender's collaboration.  One hop per
-    tick: receivers do not relay until their own next decision round.
-    Returns receiver ids."""
-    if not messages:
-        return []
-    collaboration = float(world.pop.collaboration[i])
-    receivers = []
-    for j in world.query_visible(i).tolist():
-        if rng.random() < collaboration:
-            for message in messages:
-                beliefs_all[j].apply_message(message)
-            receivers.append(j)
-    return receivers
-
-
-def decide(pop: Population, i: int, percept: Percept, beliefs: BeliefStore, rng: np.random.Generator, params: dict | None = None) -> Intention:
-    """One decision round for agent ``i``, past its pre-movement delay.
-
-    Marks freshly observed blocked exits (and queues announcements),
-    decays insistence when progress stalls, rolls the replan lottery,
-    picks an exit if needed, and derives the desired speed.
-    Nervousness grows with replans and dense smoke, damped by
-    experience; desired speed is effective speed scaled by (1 +
-    nervousness), capped globally.  The agent's nervousness,
-    insistence and target are updated in ``pop``.
-    """
-    p = params or PARAM_DEFAULTS
-    announce: list[tuple] = []
-    grew_nervous = 0.0
-    target = int(pop.target[i])
-
-    # blocked-exit discovery
-    newly_blocked = False
-    for sight in percept.visible_exits:
-        if sight.od_at_exit > float(p["od_blocked"]) and sight.exit_id not in beliefs.blocked:
-            beliefs.block_exit(sight.exit_id, percept.t)
-            announce.append(("exit_blocked", sight.exit_id, percept.t))
-            if sight.exit_id == target:
-                newly_blocked = True
-
-    # newly seen exits become known (learned, not familiar)
-    for sight in percept.visible_exits:
-        beliefs.learn_exit(sight.exit_id)
-
-    # progress bookkeeping at the configured window
-    window = float(p["progress_window"])
-    beliefs.record_position(percept.t, pop.pos[i].tolist(), window)
-    if beliefs.next_progress_check is None:
-        beliefs.next_progress_check = percept.t + window
-    elif percept.t >= beliefs.next_progress_check:
-        update_insistence(pop, i, percept.speed, beliefs, window, p)
-        beliefs.next_progress_check = percept.t + window
-
-    replanned = False
-    need_choice = (
-        target == NO_TARGET
-        or target in beliefs.blocked
-        or newly_blocked
-        or beliefs.lost
+    distance = np.where(follow, percepts.follow + float(p["follow_penalty"]), percepts.distance)
+    distance = np.where(candidate, distance, 0.0)  # finite off the candidates, which are masked below
+    congestion = np.where(known, 0, percepts.congestion)
+    hazard = np.where(visible, percepts.hazard, 0.0)
+    v = np.maximum(percepts.speed, 0.1)[:, None]
+    n = pop.nervousness[rows][:, None]
+    utility = (
+        -float(p["w_distance"]) * distance / v
+        - float(p["w_congestion"]) * congestion
+        - float(p["w_hazard"]) * hazard
+        + float(p["w_familiar"]) * beliefs.familiar[rows]
     )
-    if not need_choice and rng.random() < 1.0 - float(pop.insistence[i]):
-        need_choice = True
+    totals = percepts.totals[:, None]
+    herd = np.divide(percepts.votes, totals, out=np.zeros_like(percepts.votes), where=totals > 0)
+    score = np.where(candidate, (1.0 - n) * utility + n * herd, -np.inf)
 
-    if need_choice:
-        choice = choose_exit(pop, i, percept, beliefs, p)
-        if choice is None:
-            beliefs.lost = True
-            new_target = NO_TARGET
-        else:
-            beliefs.lost = False
-            new_target = choice
-        if new_target != target and target != NO_TARGET:
-            replanned = True
-            grew_nervous += float(p["dn_replan"])
-        target = new_target
+    # a fully nervous agent whose crowd term ties falls back on its own judgement
+    best = candidate & (score == score.max(axis=1, keepdims=True))
+    utility = np.where(best, utility, -np.inf)
+    best &= utility == utility.max(axis=1, keepdims=True)
+    return np.where(candidate.any(axis=1), best.argmax(axis=1), NO_TARGET)
 
-    if percept.local_hazard.optical_density > float(p["od_nervous"]):
-        grew_nervous += float(p["dn_smoke"])
 
-    nervousness = float(pop.nervousness[i])
-    if grew_nervous:
-        scale = float(p["nervousness_growth"]) * (1.0 - 0.5 * float(pop.experience[i]))
-        nervousness = min(1.0, max(0.0, nervousness + grew_nervous * scale))
-        pop.nervousness[i] = nervousness
+def update_insistence(
+    pop: Population, rows: np.ndarray, speed: np.ndarray, beliefs: Beliefs, dt_window: float, params: dict | None = None
+) -> None:
+    """Decay each row's insistence when its displacement over the progress
+    window (oldest to newest sample within it) falls short of a fraction
+    of what it could have walked at ``speed``."""
+    p = params or PARAM_DEFAULTS
+    ring = beliefs.progress[rows]
+    ts = np.where(np.isnan(ring[:, :, 0]), -np.inf, ring[:, :, 0])
+    k = np.arange(len(rows))
+    last = ts.argmax(axis=1)
+    t1 = ts[k, last]
+    held = ts >= (t1 - dt_window)[:, None] - 1e-9
+    first = np.where(held, ts, np.inf).argmin(axis=1)
+    span = t1 - ts[k, first]
+    dx = ring[k, last, 1] - ring[k, first, 1]
+    dy = ring[k, last, 2] - ring[k, first, 2]
+    displacement = np.sqrt(dx * dx + dy * dy)
+    stalled = rows[(span >= dt_window * 0.5) & (displacement < float(p["progress_eta"]) * speed * span)]
+    pop.insistence[stalled] = np.maximum(
+        float(p["insistence_floor"]), pop.insistence[stalled] * float(p["insistence_decay"])
+    )
 
-    desired = min(percept.speed * (1.0 + nervousness), float(p["speed_cap"]))
-    pop.target[i] = target
-    return Intention(target_exit=target, desired_speed=desired, announce=announce, replanned=replanned)
+
+def inform_neighbors(
+    i: int, exits: np.ndarray, world: WorldView, beliefs: Beliefs, rng: np.random.Generator
+) -> list[int]:
+    """Tell agent ``i``'s visible neighbours that ``exits`` are blocked,
+    each neighbour with probability equal to the sender's collaboration.
+    One hop per tick: receivers do not relay until their own next
+    decision round.  Returns receiver ids."""
+    seen = world.query_visible(i)
+    receivers = seen[rng.random(len(seen)) < float(world.pop.collaboration[i])]
+    heard = np.ix_(receivers, exits)
+    beliefs.blocked[heard] = True
+    beliefs.known[heard] = True
+    return receivers.tolist()
+
+
+def decide(
+    pop: Population,
+    rows: np.ndarray,
+    percepts: Percepts,
+    beliefs: Beliefs,
+    rng: np.random.Generator,
+    params: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One decision round for the agents ``rows`` (ascending ids), all
+    past their pre-movement delay.
+
+    Marks freshly seen blocked exits, learns the exits in sight, decays
+    insistence when progress stalls, rolls the replan lottery (one draw
+    per row that has no reason to choose anyway, in row order), and
+    picks an exit for every row that needs one.  Nervousness grows with
+    replans and dense smoke, damped by experience; desired speed is
+    effective speed scaled by (1 + nervousness), capped globally.  The
+    rows' nervousness, insistence and target are updated in ``pop``.
+
+    Returns each row's desired speed, whether it replanned, and the
+    (k, E) exits it newly saw blocked, which it is to announce.
+    """
+    p = params or PARAM_DEFAULTS
+    t = percepts.t
+    target = pop.target[rows]
+
+    announce = percepts.visible & (percepts.exit_od > float(p["od_blocked"])) & ~beliefs.blocked[rows]
+    beliefs.blocked[rows] |= announce
+    beliefs.known[rows] |= percepts.visible
+
+    window = float(p["progress_window"])
+    beliefs.record_position(rows, t, pop.pos[rows])
+    check = beliefs.next_check[rows]
+    due = t >= check
+    update_insistence(pop, rows[due], percepts.speed[due], beliefs, window, p)
+    beliefs.next_check[rows[due | np.isnan(check)]] = t + window
+
+    has_target = target != NO_TARGET
+    need = ~has_target | beliefs.lost[rows]
+    need[has_target] |= beliefs.blocked[rows[has_target], target[has_target]]
+    free = np.nonzero(~need)[0]
+    need[free] = rng.random(len(free)) < 1.0 - pop.insistence[rows[free]]
+
+    new_target = target.copy()
+    chosen = np.nonzero(need)[0]
+    if len(chosen):
+        new_target[chosen] = choose_exit(pop, rows[chosen], percepts.take(chosen), beliefs, p)
+        beliefs.lost[rows[chosen]] = new_target[chosen] == NO_TARGET
+    replanned = has_target & (new_target != target)
+
+    grew = np.where(replanned, float(p["dn_replan"]), 0.0) + np.where(
+        percepts.local_od > float(p["od_nervous"]), float(p["dn_smoke"]), 0.0
+    )
+    nervousness = pop.nervousness[rows]
+    scale = float(p["nervousness_growth"]) * (1.0 - 0.5 * pop.experience[rows])
+    nervousness = np.where(grew != 0.0, np.minimum(1.0, np.maximum(0.0, nervousness + grew * scale)), nervousness)
+    pop.nervousness[rows] = nervousness
+    pop.target[rows] = new_target
+    desired = np.minimum(percepts.speed * (1.0 + nervousness), float(p["speed_cap"]))
+    return desired, replanned, announce

@@ -28,7 +28,7 @@ import math
 import os
 import struct
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,11 +137,7 @@ class DoorSite:
     upstream: np.ndarray      # (2,) unit normal toward the side farther from every exit
     half_span: float          # m along the opening
     covers_exit: bool = False  # opening lies on exit cells (bodies vanish here)
-
-    # mutable per-run counters
-    first_cross_t: float | None = None
-    recent: list = field(default_factory=list)   # (t, persons) crossing records
-    clogged: bool = False
+    clogged: bool = False      # inside a clog episode (social-force runs)
 
 
 def _make_door_site(geometry: Geometry, door_id: str, cells: list[tuple[int, int]]) -> DoorSite:
@@ -266,7 +262,6 @@ class _Simulation:
         )
         n = len(self.pop)
         self.n = n
-        self.beliefs = init_beliefs(self.pop.knowledge, len(self.zones), self.streams.spawn_attrs)
 
         self.ids = np.arange(n, dtype=np.int64)
         self.desired = np.zeros(n)
@@ -288,6 +283,13 @@ class _Simulation:
 
         self.decide_every = every("decision_interval", mover_cls.decision_interval)
         self.sample_every = every("trajectory_interval", mover_cls.trajectory_interval or self.dt)
+        self.beliefs = init_beliefs(
+            self.pop.knowledge,
+            len(self.zones),
+            self.streams.spawn_attrs,
+            float(self.params["progress_window"]),
+            self.decide_every * self.dt,
+        )
 
         self.sites = door_sites(geometry) if mover_cls.needs_sites else []
         self.site_of_cell = np.full((geometry.height, geometry.width), -1, dtype=np.int32)
@@ -377,9 +379,7 @@ class _Simulation:
             params=self.params,
             t=t,
             pop=self.pop,
-            local_temp=self.local_temp,
             local_od=self.local_od,
-            local_tox=self.local_tox,
             od_frame=self.od_frame,
             temp_frame=self.temp_frame,
             tox_frame=self.tox_frame,
@@ -391,30 +391,20 @@ class _Simulation:
         )
         percepts = build_percepts(world, deciders)
         rng = self.streams.decisions
-        announcers: list[tuple[int, list[tuple]]] = []
-        for row, i in enumerate(deciders):
-            i = int(i)
-            intent = decide(self.pop, i, percepts[row], self.beliefs[i], rng, self.params)
-            if intent.replanned:
-                self.replans[i] += 1
-                self.events.append(
-                    EventRecord(t, "replanned", i, {"to": int(intent.target_exit)})
-                )
-            self.desired[i] = intent.desired_speed
-            if intent.announce:
-                announcers.append((i, intent.announce))
+        desired, replanned, announce = decide(self.pop, deciders, percepts, self.beliefs, rng, self.params)
+        self.desired[deciders] = desired
+        replanners = deciders[replanned]
+        self.replans[replanners] += 1
+        for i in replanners.tolist():
+            self.events.append(EventRecord(t, "replanned", i, {"to": int(self.pop.target[i])}))
         self.mover.steer(deciders)
         # message barrier: deliveries land after every decision this round
-        for i, messages in announcers:
-            receivers = inform_neighbors(i, messages, world, self.beliefs, rng)
+        for row in np.nonzero(announce.any(axis=1))[0].tolist():
+            i = int(deciders[row])
+            receivers = inform_neighbors(i, np.nonzero(announce[row])[0], world, self.beliefs, rng)
             if receivers:
                 self.events.append(
-                    EventRecord(
-                        t,
-                        "informed",
-                        i,
-                        {"receivers": receivers, "kinds": sorted({m[0] for m in messages})},
-                    )
+                    EventRecord(t, "informed", i, {"receivers": receivers, "kinds": ["exit_blocked"]})
                 )
 
     def _exit_agent(self, i: int, t: float, zone_id: int | None, door_id: str | None) -> None:
@@ -437,11 +427,7 @@ class _Simulation:
         return site_index
 
     def _record_crossing(self, t: float, site_index: int, count: int) -> None:
-        site = self.sites[site_index]
-        self.crossings.append((t, site.door_id, count))
-        site.recent.append((t, count))
-        if site.first_cross_t is None:
-            site.first_cross_t = t
+        self.crossings.append((t, self.sites[site_index].door_id, count))
 
     # -- sampling and assembly ---------------------------------------------
 
@@ -658,6 +644,9 @@ class _SfMover(_Mover):
         self.wall_cells = exposed_wall_cells(sim.geometry)
         self.waypoint = np.full((sim.n, 2), np.nan)
         self.arch_every = max(1, half_up(ARCH_CHECK_INTERVAL / sim.dt))
+        # per site, its first crossing time and the (t, persons) crossings of the clog window
+        self.first_cross_t: list[float | None] = [None] * len(sim.sites)
+        self.recent: list[list[tuple[float, int]]] = [[] for _ in sim.sites]
         # per exit zone, each room's next arc toward it; per arc, where to aim
         self.routes = [route_to_destination(sim.network, sim.n_rooms + z.id) for z in sim.zones]
         doors = {d.id: d for d in sim.geometry.doors}
@@ -791,7 +780,7 @@ class _SfMover(_Mover):
             crossed = (s_old > 0) & (s_new <= 0) & (offset <= site.half_span + CROSS_SLACK)
             count = int(crossed.sum())
             if count:
-                sim._record_crossing(t, site_index, count)
+                self._crossed(t, site_index, count)
 
         # arrivals: a body whose centre reaches an exit cell is out
         cs = sim.cs
@@ -804,19 +793,25 @@ class _SfMover(_Mover):
             if site_index >= 0:
                 through[site_index] = through.get(site_index, 0) + 1
         for site_index, count in through.items():
-            sim._record_crossing(t, site_index, count)
+            self._crossed(t, site_index, count)
+
+    def _crossed(self, t: float, site_index: int, count: int) -> None:
+        self.sim._record_crossing(t, site_index, count)
+        self.recent[site_index].append((t, count))
+        if self.first_cross_t[site_index] is None:
+            self.first_cross_t[site_index] = t
 
     def _clog_phase(self, t: float) -> None:
         sim = self.sim
         window = float(sim.params["clog_window"])
         positions = sim.pop.pos[self.state.active]
-        for site in sim.sites:
-            if site.first_cross_t is None:
+        for site_index, site in enumerate(sim.sites):
+            first = self.first_cross_t[site_index]
+            if first is None or t < first + window:
                 continue
-            if t < site.first_cross_t + window:
-                continue
-            site.recent = [(et, n) for (et, n) in site.recent if et > t - window - 1.0]
-            through = sum(n for (et, n) in site.recent if t - window < et <= t)
+            recent = [(et, n) for (et, n) in self.recent[site_index] if et > t - window - 1.0]
+            self.recent[site_index] = recent
+            through = sum(n for (et, n) in recent if t - window < et <= t)
             rate = through / window
             clogged, band = detect_arch(
                 positions,

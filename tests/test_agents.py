@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,21 +11,34 @@ import pytest
 from evacsim import SchemaViolation, SemanticViolation
 from evacsim.agents import (
     NO_TARGET,
-    BeliefStore,
-    ExitSight,
-    Percept,
+    Percepts,
+    Population,
     choose_exit,
     decide,
     effective_speed,
+    init_beliefs,
+    sight_line_hazard,
     spawn_population,
     update_insistence,
 )
 from evacsim.config import PARAM_DEFAULTS
-from evacsim.hazard import HazardSample
 from evacsim.rng import RngStreams
 from evacsim.scenario import DistSpec, PopulationSpec
 
 from conftest import grid_rows, make_scenario, one_agent, room_doc
+
+EXITS = 3                # exit zones in the hand-built percepts and beliefs
+ROW = np.array([0])      # the one row of a one_agent() population
+
+
+class Sight(NamedTuple):
+    """One exit as a hand-built percept sees it."""
+
+    exit_id: int
+    distance: float       # m, walking distance
+    congestion: float     # persons seen heading there
+    hazard: float         # score along the sight line
+    od_at_exit: float = 0.0
 
 
 def _speed(agent):
@@ -33,17 +47,39 @@ def _speed(agent):
 
 
 def _percept(visible=(), votes=None, total=0.0, congestion=None, follow=None, od=0.0, t=0.0, speed=1.34):
-    """A percept handed the default one_agent's walking speed unless told otherwise."""
-    return Percept(
+    """One-row percepts, handed the default one_agent's walking speed unless told otherwise."""
+    row = {name: np.zeros((1, EXITS)) for name in ("hazard", "exit_od", "congestion", "votes")}
+    distance = np.full((1, EXITS), np.inf)
+    seen = np.zeros((1, EXITS), dtype=bool)
+    for sight in visible:
+        z = sight.exit_id
+        seen[0, z] = True
+        distance[0, z] = sight.distance
+        row["congestion"][0, z] = sight.congestion
+        row["hazard"][0, z] = sight.hazard
+        row["exit_od"][0, z] = sight.od_at_exit
+    for z, count in (congestion or {}).items():
+        row["congestion"][0, z] = count
+    for z, weight in (votes or {}).items():
+        row["votes"][0, z] = weight
+    follow_d = np.full((1, EXITS), np.inf)
+    for z, d in (follow or {}).items():
+        follow_d[0, z] = d
+    return Percepts(
         t=t,
-        local_hazard=HazardSample(20.0, od, 0.0),
-        speed=speed,
-        visible_exits=list(visible),
-        herd_votes=votes or {},
-        herd_total=total,
-        congestion_by_exit=congestion or {},
-        follow_distance=follow or {},
+        speed=np.array([speed]),
+        local_od=np.array([od]),
+        visible=seen,
+        distance=distance,
+        totals=np.array([total]),
+        follow=follow_d,
+        **row,
     )
+
+
+def _beliefs(rows=1):
+    """Beliefs with no exit known, seen or blocked yet."""
+    return init_beliefs(np.zeros(rows), EXITS, np.random.default_rng(0), PARAM_DEFAULTS["progress_window"], 1.0)
 
 
 def _geometry(width=10, height=8):
@@ -230,96 +266,96 @@ def test_panic_mobility_uses_the_panic_speed():
 
 def test_calm_agent_takes_the_nearest_exit():
     agent = one_agent()
-    beliefs = BeliefStore()
-    percept = _percept(visible=[ExitSight(0, 20.0, 0.0, 0.0), ExitSight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    beliefs = _beliefs()
+    percept = _percept(visible=[Sight(0, 20.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
 
 
 def test_congestion_pushes_agents_to_the_farther_door():
     agent = one_agent()
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     heavy = 2 * PARAM_DEFAULTS["w_distance"] * 10.0 / 1.34 / PARAM_DEFAULTS["w_congestion"]
     percept = _percept(
-        visible=[ExitSight(0, 5.0, heavy, 0.0), ExitSight(1, 15.0, 0.0, 0.0)]
+        visible=[Sight(0, 5.0, heavy, 0.0), Sight(1, 15.0, 0.0, 0.0)]
     )
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
 
 
 def test_blocked_exits_are_never_chosen():
     agent = one_agent()
-    beliefs = BeliefStore()
-    beliefs.block_exit(1, 0.0)
-    percept = _percept(visible=[ExitSight(0, 20.0, 0.0, 0.0), ExitSight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, 0, percept, beliefs) == 0
-    beliefs.block_exit(0, 0.0)
-    assert choose_exit(agent, 0, percept, beliefs) is None
+    beliefs = _beliefs()
+    beliefs.blocked[0, 1] = True
+    percept = _percept(visible=[Sight(0, 20.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 0
+    beliefs.blocked[0, 0] = True
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == NO_TARGET
 
 
 def test_ties_break_on_the_smallest_exit_id():
     agent = one_agent()
-    beliefs = BeliefStore()
-    percept = _percept(visible=[ExitSight(2, 5.0, 0.0, 0.0), ExitSight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    beliefs = _beliefs()
+    percept = _percept(visible=[Sight(2, 5.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
 
 
 def test_fully_nervous_agent_follows_the_crowd():
     agent = one_agent(nervousness=1.0)
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     percept = _percept(
-        visible=[ExitSight(0, 5.0, 0.0, 0.0), ExitSight(1, 40.0, 0.0, 0.0)],
+        visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 40.0, 0.0, 0.0)],
         votes={1: 9.0, 0: 1.0},
         total=10.0,
     )
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
     # the same crowd has no pull on a calm agent
-    assert choose_exit(one_agent(nervousness=0.0), 0, percept, beliefs) == 0
+    assert choose_exit(one_agent(nervousness=0.0), ROW, percept, beliefs)[0] == 0
 
 
 def test_fully_nervous_agent_without_a_crowd_signal_uses_its_own_judgement():
     agent = one_agent(nervousness=1.0)
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     # nobody to follow: every herd term is 0, so utility decides
-    percept = _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0), ExitSight(1, 4.0, 0.0, 0.0)])
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
     # the crowd splits evenly between the two exits: utility decides again
     percept = _percept(
-        visible=[ExitSight(0, 5.0, 0.0, 0.0), ExitSight(1, 4.0, 0.0, 0.0)],
+        visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)],
         votes={0: 3.0, 1: 3.0},
         total=6.0,
     )
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
 
 
 def test_followed_neighbours_add_a_catch_up_penalty():
     agent = one_agent()
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     pen = PARAM_DEFAULTS["follow_penalty"]
     # the follow channel's only candidate loses to a visible exit that is
     # nearer than follow distance + penalty, and wins otherwise
     percept = _percept(
-        visible=[ExitSight(0, 8.0 + pen + 1.0, 0.0, 0.0)], follow={1: 8.0}
+        visible=[Sight(0, 8.0 + pen + 1.0, 0.0, 0.0)], follow={1: 8.0}
     )
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
     percept = _percept(
-        visible=[ExitSight(0, 8.0 + pen - 1.0, 0.0, 0.0)], follow={1: 8.0}
+        visible=[Sight(0, 8.0 + pen - 1.0, 0.0, 0.0)], follow={1: 8.0}
     )
-    assert choose_exit(agent, 0, percept, beliefs) == 0
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 0
 
 
 def test_familiar_exits_get_a_bonus_over_equal_strangers():
     agent = one_agent()
-    beliefs = BeliefStore()
-    beliefs.known[1] = True  # familiar from the start
-    percept = _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0), ExitSight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    beliefs = _beliefs()
+    beliefs.familiar[0, 1] = beliefs.known[0, 1] = True  # familiar from the start
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
 
 
 def test_hazardous_route_is_penalised():
     agent = one_agent()
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     bad = 2 * PARAM_DEFAULTS["w_distance"] * 10.0 / 1.34 / PARAM_DEFAULTS["w_hazard"]
-    percept = _percept(visible=[ExitSight(0, 5.0, 0.0, bad), ExitSight(1, 15.0, 0.0, 0.0)])
-    assert choose_exit(agent, 0, percept, beliefs) == 1
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, bad), Sight(1, 15.0, 0.0, 0.0)])
+    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
 
 
 # -- the decision round -----------------------------------------------------------
@@ -327,55 +363,55 @@ def test_hazardous_route_is_penalised():
 
 def test_agent_with_nothing_to_go_on_is_lost():
     agent = one_agent(target=NO_TARGET)
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    intention = decide(agent, 0, _percept(), beliefs, rng)
-    assert intention.target_exit == NO_TARGET
-    assert beliefs.lost
+    decide(agent, ROW, _percept(), beliefs, rng)
+    assert agent.target[0] == NO_TARGET
+    assert beliefs.lost[0]
 
 
 def test_lost_agent_recovers_when_an_exit_appears():
     agent = one_agent(target=NO_TARGET)
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    decide(agent, 0, _percept(), beliefs, rng)
-    intention = decide(agent, 0, _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0)]), beliefs, rng)
-    assert intention.target_exit == 0
+    decide(agent, ROW, _percept(), beliefs, rng)
+    decide(agent, ROW, _percept(visible=[Sight(0, 5.0, 0.0, 0.0)]), beliefs, rng)
     assert agent.target[0] == 0
+    assert not beliefs.lost[0]
 
 
 def test_smoke_at_an_exit_marks_it_blocked_and_announces():
     agent = one_agent(target=1)
-    beliefs = BeliefStore()
-    beliefs.learn_exit(1)
+    beliefs = _beliefs()
+    beliefs.known[0, 1] = True
     rng = np.random.default_rng(0)
     thick = PARAM_DEFAULTS["od_blocked"] + 0.5
     percept = _percept(
         visible=[
-            ExitSight(1, 5.0, 0.0, 0.0, od_at_exit=thick),
-            ExitSight(0, 9.0, 0.0, 0.0),
+            Sight(1, 5.0, 0.0, 0.0, od_at_exit=thick),
+            Sight(0, 9.0, 0.0, 0.0),
         ]
     )
-    intention = decide(agent, 0, percept, beliefs, rng)
-    assert 1 in beliefs.blocked
-    assert ("exit_blocked", 1, 0.0) in intention.announce
-    assert intention.target_exit == 0
-    assert intention.replanned
+    _, replanned, announce = decide(agent, ROW, percept, beliefs, rng)
+    assert beliefs.blocked[0, 1]
+    assert announce[0].tolist() == [False, True, False]
+    assert agent.target[0] == 0
+    assert replanned[0]
 
 
 def test_replanning_and_smoke_raise_nervousness():
     agent = one_agent(target=1, insistence=1.0)
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     rng = np.random.default_rng(0)
     thick = PARAM_DEFAULTS["od_blocked"] + 0.5
     percept = _percept(
         visible=[
-            ExitSight(1, 5.0, 0.0, 0.0, od_at_exit=thick),
-            ExitSight(0, 9.0, 0.0, 0.0),
+            Sight(1, 5.0, 0.0, 0.0, od_at_exit=thick),
+            Sight(0, 9.0, 0.0, 0.0),
         ],
         od=PARAM_DEFAULTS["od_nervous"] + 0.1,
     )
-    decide(agent, 0, percept, beliefs, rng)
+    decide(agent, ROW, percept, beliefs, rng)
     want = PARAM_DEFAULTS["dn_replan"] + PARAM_DEFAULTS["dn_smoke"]
     assert math.isclose(agent.nervousness[0], want)
 
@@ -385,50 +421,170 @@ def test_experience_damps_nervousness_growth():
     rookie = one_agent(target=0, insistence=1.0, experience=0.0)
     rng = np.random.default_rng(0)
     percept = _percept(
-        visible=[ExitSight(0, 5.0, 0.0, 0.0)], od=PARAM_DEFAULTS["od_nervous"] + 0.1
+        visible=[Sight(0, 5.0, 0.0, 0.0)], od=PARAM_DEFAULTS["od_nervous"] + 0.1
     )
-    decide(rookie, 0, percept, BeliefStore(), rng)
-    decide(veteran, 0, percept, BeliefStore(), rng)
+    decide(rookie, ROW, percept, _beliefs(), rng)
+    decide(veteran, ROW, percept, _beliefs(), rng)
     assert math.isclose(veteran.nervousness[0], rookie.nervousness[0] / 2)
 
 
 def test_desired_speed_rises_with_nervousness_up_to_the_cap():
     rng = np.random.default_rng(0)
-    percept = _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0)])
-    calm = decide(one_agent(insistence=1.0), 0, percept, BeliefStore(), rng)
-    nervous = decide(one_agent(insistence=1.0, nervousness=1.0), 0, percept, BeliefStore(), rng)
-    assert math.isclose(calm.desired_speed, 1.34)
-    assert math.isclose(nervous.desired_speed, 2.68)
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)])
+    calm, _, _ = decide(one_agent(insistence=1.0), ROW, percept, _beliefs(), rng)
+    nervous, _, _ = decide(one_agent(insistence=1.0, nervousness=1.0), ROW, percept, _beliefs(), rng)
+    assert math.isclose(calm[0], 1.34)
+    assert math.isclose(nervous[0], 2.68)
     runner = one_agent(insistence=1.0, nervousness=1.0, speed_pref=6.0)
-    percept = _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0)], speed=_speed(runner))
-    fast = decide(runner, 0, percept, BeliefStore(), rng)
-    assert fast.desired_speed == PARAM_DEFAULTS["speed_cap"]
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], speed=_speed(runner))
+    fast, _, _ = decide(runner, ROW, percept, _beliefs(), rng)
+    assert fast[0] == PARAM_DEFAULTS["speed_cap"]
 
 
 def test_full_insistence_never_replans_without_cause():
     agent = one_agent(target=0, insistence=1.0)
-    beliefs = BeliefStore()
-    beliefs.learn_exit(0)
+    beliefs = _beliefs()
+    beliefs.known[0, 0] = True
     rng = np.random.default_rng(42)
-    percept = _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0), ExitSight(1, 4.0, 0.0, 0.0)])
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
     for _ in range(500):
-        intention = decide(agent, 0, percept, beliefs, rng)
-        assert intention.target_exit == 0
-        assert not intention.replanned
+        _, replanned, _ = decide(agent, ROW, percept, beliefs, rng)
+        assert agent.target[0] == 0
+        assert not replanned[0]
 
 
 def test_low_insistence_triggers_the_replan_lottery():
     agent = one_agent(target=0, insistence=0.1)
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     rng = np.random.default_rng(42)
-    percept = _percept(visible=[ExitSight(0, 5.0, 0.0, 0.0), ExitSight(1, 4.0, 0.0, 0.0)])
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
     switched = 0
     for _ in range(100):
         agent.target[0] = 0
-        intention = decide(agent, 0, percept, beliefs, rng)
-        if intention.target_exit == 1:
+        decide(agent, ROW, percept, beliefs, rng)
+        if agent.target[0] == 1:
             switched += 1
     assert switched > 50  # the lottery fires ~90% of rounds here
+
+
+def _crowd(k, rng):
+    """k agents with random targets (some none), insistence, nervousness,
+    experience and positions."""
+    agents = [
+        one_agent(
+            target=int(rng.integers(-1, EXITS)),
+            insistence=float(rng.uniform(0.0, 1.0)),
+            nervousness=float(rng.uniform(0.0, 1.0)),
+            experience=float(rng.uniform(0.0, 1.0)),
+            pos=(float(rng.uniform(1.0, 9.0)), 1.0),
+        )
+        for _ in range(k)
+    ]
+    return Population(**{name: np.concatenate([getattr(a, name) for a in agents]) for name in vars(agents[0])})
+
+
+def test_one_bulk_round_matches_one_row_rounds_in_id_order():
+    k = 24
+    setup = np.random.default_rng(3)
+    pop = _crowd(k, setup)
+    thick = PARAM_DEFAULTS["od_blocked"] + 0.5
+    rows_percepts = []
+    for r in range(k):
+        distances = setup.uniform(2.0, 30.0, EXITS)
+        if pop.target[r] >= 0:
+            distances[pop.target[r]] = 60.0  # so a lottery that fires moves the agent
+        smoky = setup.random(EXITS) < 0.2
+        rows_percepts.append(
+            _percept(
+                visible=[
+                    Sight(z, distances[z], float(setup.integers(0, 5)), 0.0, thick if smoky[z] else 0.0)
+                    for z in range(EXITS)
+                ],
+                votes={z: float(setup.integers(0, 4)) for z in range(EXITS)},
+                total=6.0,
+                od=float(setup.uniform(0.0, 2.0 * PARAM_DEFAULTS["od_nervous"])),
+                t=10.0,
+                speed=float(setup.uniform(0.5, 1.5)),
+            )
+        )
+    arrays = [name for name in vars(rows_percepts[0]) if name != "t"]
+    percepts = Percepts(t=10.0, **{name: np.concatenate([vars(p)[name] for p in rows_percepts]) for name in arrays})
+    rows = np.arange(k)
+
+    def start():
+        """A copy of the crowd, and beliefs with a progress check due for every other row."""
+        beliefs = _beliefs(k)
+        beliefs.record_position(rows, 6.0, pop.pos)
+        beliefs.next_check[::2] = 9.0
+        return Population(**{n: v.copy() for n, v in vars(pop).items()}), beliefs
+
+    bulk_pop, bulk_beliefs = start()
+    bulk_rng = np.random.default_rng(11)
+    desired, replanned, _ = decide(bulk_pop, rows, percepts, bulk_beliefs, bulk_rng)
+
+    one_pop, one_beliefs = start()
+    one_rng = np.random.default_rng(11)
+    one_desired, one_replanned = [], []
+    for r in range(k):
+        d, rep, _ = decide(one_pop, rows[r : r + 1], percepts.take([r]), one_beliefs, one_rng)
+        one_desired.append(d[0])
+        one_replanned.append(rep[0])
+
+    assert 0 < replanned.sum() < k  # the round mixes kept and changed plans
+    assert (bulk_pop.insistence != pop.insistence).any()  # and stalled progress checks
+    assert np.array_equal(bulk_pop.target, one_pop.target)
+    assert np.array_equal(bulk_pop.insistence, one_pop.insistence)
+    assert np.array_equal(bulk_pop.nervousness, one_pop.nervousness)
+    assert np.array_equal(desired, np.array(one_desired))
+    assert np.array_equal(replanned, np.array(one_replanned))
+    assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
+    # one draw per row that had no reason to choose: a target, not seen blocked
+    thick_target = np.array([r >= 0 and percepts.exit_od[row, r] > 0 for row, r in enumerate(pop.target)])
+    lottery = np.random.default_rng(11)
+    lottery.random(int(((pop.target != NO_TARGET) & ~thick_target).sum()))
+    assert bulk_rng.bit_generator.state == lottery.bit_generator.state
+
+
+# -- sight-line hazard ---------------------------------------------------------------
+
+
+def _hazard_along_one_line(od, temp, tox, start, stop, max_cells, params):
+    """Reference: one sight line at a time, through math.hypot and np.linspace."""
+    fx, fy = start
+    tx, ty = stop
+    dx, dy = tx - fx, ty - fy
+    length = math.hypot(dx, dy)
+    if length > max_cells > 0:
+        scale = max_cells / length
+        tx, ty = fx + dx * scale, fy + dy * scale
+    height, width = od.shape
+    xs = np.clip(np.linspace(fx, tx, 8).astype(np.int64), 0, width - 1)
+    ys = np.clip(np.linspace(fy, ty, 8).astype(np.int64), 0, height - 1)
+    heat = np.maximum(0.0, temp[ys, xs] - float(params["temp_crit"])) / float(params["temp_scale"])
+    return float(np.mean(od[ys, xs] + heat + tox[ys, xs]))
+
+
+def test_sight_line_hazard_matches_one_line_at_a_time_exactly():
+    rng = np.random.default_rng(8)
+    height, width = 40, 60
+    od = rng.uniform(0.0, 3.0, (height, width))
+    temp = rng.uniform(20.0, 120.0, (height, width))
+    tox = rng.uniform(0.0, 0.01, (height, width))
+    lines = 3000
+    start = rng.integers(0, [width, height], size=(lines, 2))
+    stop = rng.integers(0, [width, height], size=(lines, 2))
+    stop[:300, 0] = start[:300, 0]        # vertical
+    stop[300:600, 1] = start[300:600, 1]  # horizontal
+    stop[600:650] = start[600:650]        # zero length
+    max_cells = rng.uniform(0.0, 40.0, lines)  # many lines clipped at the sight range
+    max_cells[650:700] = 0.0
+    got = sight_line_hazard(od, temp, tox, start, stop, max_cells, PARAM_DEFAULTS)
+    want = [
+        _hazard_along_one_line(od, temp, tox, start[i], stop[i], max_cells[i], PARAM_DEFAULTS) for i in range(lines)
+    ]
+    length = np.hypot(*(stop - start).T)
+    assert (length > max_cells).sum() > 1000
+    assert got.tolist() == want
 
 
 # -- insistence decay --------------------------------------------------------------
@@ -437,25 +593,25 @@ def test_low_insistence_triggers_the_replan_lottery():
 def test_insistence_decays_only_when_progress_stalls():
     window = PARAM_DEFAULTS["progress_window"]
     stuck = one_agent()
-    beliefs = BeliefStore()
-    beliefs.record_position(0.0, (1.0, 1.0), window)
-    beliefs.record_position(window, (1.05, 1.0), window)
-    update_insistence(stuck, 0, 1.34, beliefs, window)
+    beliefs = _beliefs()
+    beliefs.record_position(ROW, 0.0, np.array([[1.0, 1.0]]))
+    beliefs.record_position(ROW, window, np.array([[1.05, 1.0]]))
+    update_insistence(stuck, ROW, np.array([1.34]), beliefs, window)
     assert math.isclose(stuck.insistence[0], 0.8 * PARAM_DEFAULTS["insistence_decay"])
 
     walker = one_agent()
-    beliefs = BeliefStore()
-    beliefs.record_position(0.0, (1.0, 1.0), window)
-    beliefs.record_position(window, (1.0 + 1.34 * window, 1.0), window)
-    update_insistence(walker, 0, 1.34, beliefs, window)
+    beliefs = _beliefs()
+    beliefs.record_position(ROW, 0.0, np.array([[1.0, 1.0]]))
+    beliefs.record_position(ROW, window, np.array([[1.0 + 1.34 * window, 1.0]]))
+    update_insistence(walker, ROW, np.array([1.34]), beliefs, window)
     assert walker.insistence[0] == 0.8
 
 
 def test_insistence_never_falls_below_the_floor():
     agent = one_agent(insistence=PARAM_DEFAULTS["insistence_floor"] * 1.01)
-    beliefs = BeliefStore()
+    beliefs = _beliefs()
     window = PARAM_DEFAULTS["progress_window"]
     for k in range(20):
-        beliefs.record_position(k * window, (1.0, 1.0), window)
-        update_insistence(agent, 0, 1.34, beliefs, window)
+        beliefs.record_position(ROW, k * window, np.array([[1.0, 1.0]]))
+        update_insistence(agent, ROW, np.array([1.34]), beliefs, window)
     assert agent.insistence[0] == PARAM_DEFAULTS["insistence_floor"]
