@@ -168,6 +168,58 @@ def test_smoke_beside_an_exit_digest(backend, max_sim_time, digest, outcome, rec
     assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
 
 
+# one person in ten a top leader and one in ten a second-level leader, with
+# spread-out collaboration: the goldens whose herd weights are not all 1.0,
+# so the float sums of votes and totals depend on their summation order
+LEADERS = [
+    {"attr": "role", "dist": "categorical", "values": [0, 1, 2], "weights": [0.8, 0.1, 0.1]},
+    {"attr": "collaboration", "dist": "uniform", "lo": 0.0, "hi": 1.0},
+]
+
+
+@pytest.mark.parametrize(
+    "backend, max_sim_time, smoke, digest, outcome, receivers",
+    [
+        pytest.param(
+            "ca",
+            None,
+            None,
+            "6059a43af65f2287",
+            _outcome_of(80, 10.925925925925926, {"exited": 80, "replanned": 23}, {"exit:0": 41, "exit:1": 39}),
+            0,
+            id="ca-6059a43af65f2287",
+        ),
+        pytest.param(
+            "sf",
+            10.0,
+            None,
+            "36d7216ebce29e0b",
+            _outcome_of(19, 10.0, {"exited": 19, "replanned": 74}, {"exit:0": 10, "exit:1": 9}),
+            0,
+            id="sf-10.0-36d7216ebce29e0b",
+        ),
+        pytest.param(
+            "ca",
+            None,
+            SMOKE_BESIDE_EXIT,
+            "8d3d57145300e343",
+            _outcome_of(
+                80, 17.77777777777778, {"exited": 80, "replanned": 16, "informed": 10}, {"exit:0": 34, "exit:1": 46}
+            ),
+            92,
+            id="ca-smoke-8d3d57145300e343",
+        ),
+    ],
+)
+def test_leaders_digest(backend, max_sim_time, smoke, digest, outcome, receivers):
+    doc = json.loads(_scenario_text("herding_two_exit", max_sim_time, backend, smoke))
+    doc["population"]["attributes"] += LEADERS
+    result = run(json.dumps(doc))
+    assert result.digest == digest
+    assert _outcome(result) == outcome
+    assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+
+
 def test_cli_run_writes_the_same_digest(tmp_path):
     proc = run_cli("run", os.path.join(SCENARIOS, "two_rooms.json"), "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
