@@ -21,10 +21,15 @@ distances of visible neighbours.  :func:`decide` then updates beliefs,
 insistence, nervousness and targets for every row, drawing the replan
 lottery in ascending id order, and calls :func:`choose_exit` once for the
 rows that need an exit.  After the round each agent that saw an exit
-blocked tells its visible neighbours (:func:`inform_neighbors`).  How the
-body gets to the target exit (a social-force waypoint, a lattice step
-down the exit's distance field, a queue on the route network) is the
-movement backend's business, not the decision layer's.
+blocked tells its visible neighbours (:func:`inform_neighbors`).  The
+herd statistics and the messages find neighbours the same way
+(:meth:`WorldView.neighbours`): each query point looks up its 3x3 block
+of buckets in a spatial hash of everyone in the building, so only the
+pairs of the round's observers are ever enumerated.
+
+How the body gets to the target exit (a social-force waypoint, a lattice
+step down the exit's distance field, a queue on the route network) is
+the movement backend's business, not the decision layer's.
 
 Nothing in a percept reaches beyond the agent's sight range plus its
 own beliefs, so decisions stay local by construction.
@@ -354,7 +359,9 @@ def init_beliefs(
 @dataclass
 class WorldView:
     """What the perception/decision layer reads in one round: the
-    population plus this tick's hazard exposure and the exit geometry."""
+    population plus this tick's hazard exposure and the exit geometry.
+    Herd statistics and messaging both find who sees whom through
+    :meth:`neighbours`, one cell-list query of the round's observers."""
 
     geometry: Geometry
     params: dict
@@ -369,41 +376,34 @@ class WorldView:
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
     ambient_air: bool = False      # hazard frames are all-clear this round
-    hash: SpatialHash | None = None
-    hash_wide: SpatialHash | None = None
+    hash: SpatialHash | None = None  # agents in the building, bucketed at the last reach asked for
 
-    def present(self) -> np.ndarray:
-        """Indices of agents physically in the building (not exited/dead)."""
-        status = self.pop.status
-        return np.nonzero((status == AgentStatus.PREMOVEMENT) | (status == AgentStatus.MOVING))[0]
+    def neighbours(
+        self, observers: np.ndarray, radius: np.ndarray, reach: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (k, seen, d2): agent ``seen``, in the building and not
+        ``observers[k]`` itself, lies within ``radius[k]`` of it (d2 the
+        squared distance) with a clear line of sight, sorted by (k, seen).
 
-    def ensure_hash(self) -> SpatialHash:
-        if self.hash is None:
-            present = self.present()
-            self.hash = SpatialHash(self.pop.pos[present], max(float(self.params["sf_cutoff"]), 3.0), ids=present)
-        return self.hash
-
-    def ensure_wide_hash(self, radius: float) -> SpatialHash:
-        """Hash whose buckets cover ``radius``, so queries at that radius
-        never trigger a rebuild.  Cached for the round like ensure_hash."""
-        if self.hash_wide is None or self.hash_wide.cell < radius:
-            present = self.present()
-            self.hash_wide = SpatialHash(self.pop.pos[present], radius, ids=present)
-        return self.hash_wide
-
-    def query_visible(self, i: int) -> np.ndarray:
-        """Agent indices within sight of agent i (range + line of sight)."""
-        h = self.ensure_hash()
-        rows = h.query_radius(self.pop.pos[i], float(self.pop.vision[i]))
-        ids = h.ids[rows]
-        ids = ids[ids != i]
-        if len(ids) and self.has_interior_blockers:
+        ``reach`` bounds every radius.  The hash of the agents in the
+        building is bucketed at it and rebuilt only when a caller asks for
+        another reach, so a round pays one build per reach it uses.
+        """
+        if self.hash is None or self.hash.cell != reach:
+            status = self.pop.status
+            present = np.nonzero((status == AgentStatus.PREMOVEMENT) | (status == AgentStatus.MOVING))[0]
+            self.hash = SpatialHash(self.pop.pos[present], reach, ids=present)
+        k, rows, d2 = self.hash.query_points(self.pop.pos[observers], reach)
+        seen = self.hash.ids[rows]
+        keep = (seen != observers[k]) & (d2 <= radius[k] ** 2)
+        k, seen, d2 = k[keep], seen[keep], d2[keep]
+        if len(k) and self.has_interior_blockers:
             cs = self.geometry.cell_size
-            me = np.floor(self.pop.pos[i] / cs)
-            theirs = np.floor(self.pop.pos[ids] / cs)
-            clear = los_pairs(self.geometry.blocked_mask, np.tile(me, (len(ids), 1)), theirs)
-            ids = ids[clear]
-        return ids
+            clear = los_pairs(
+                self.geometry.blocked_mask, np.floor(self.pop.pos[observers[k]] / cs), np.floor(self.pop.pos[seen] / cs)
+            )
+            k, seen, d2 = k[clear], seen[clear], d2[clear]
+        return k, seen, d2
 
 
 SIGHT_SAMPLES = 8  # points sampled along each sight line
@@ -475,64 +475,18 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
     totals = np.zeros(n)
     congestion = np.zeros((n, n_zones), dtype=np.int64)
     follow = np.full((n, n_zones), np.inf)
-    if n == 0:
-        return votes, totals, congestion, follow
-
     r_cap = float(p["congestion_radius"])
-    h = world.ensure_wide_hash(r_cap)
-    if len(h.positions) < 2:
+    rows, seen, d2 = world.neighbours(indices, np.minimum(pop.vision[indices], r_cap), r_cap)
+    if len(rows) == 0:
         return votes, totals, congestion, follow
-    if len(indices) * 8 < len(h.positions):
-        # few observers (e.g. agents that just started moving): query
-        # each one's disc instead of enumerating every pair in the crowd
-        obs_parts: list[np.ndarray] = []
-        seen_parts: list[np.ndarray] = []
-        for i in indices:
-            rows = h.query_radius(pop.pos[int(i)], r_cap)
-            ids = h.ids[rows]
-            ids = ids[ids != int(i)]
-            if len(ids):
-                obs_parts.append(np.full(len(ids), int(i), dtype=np.int64))
-                seen_parts.append(ids)
-        if not obs_parts:
-            return votes, totals, congestion, follow
-        obs = np.concatenate(obs_parts)
-        seen = np.concatenate(seen_parts)
-    else:
-        pi, pj = h.query_pairs(r_cap)
-        if len(pi) == 0:
-            return votes, totals, congestion, follow
-        gi = h.ids[pi]
-        gj = h.ids[pj]
-        # both directions: observer -> observed
-        obs = np.concatenate([gi, gj])
-        seen = np.concatenate([gj, gi])
-    d = np.linalg.norm(pop.pos[obs] - pop.pos[seen], axis=1)
-    keep = d <= np.minimum(pop.vision[obs], r_cap)
-    obs, seen, d = obs[keep], seen[keep], d[keep]
-
-    # restrict observers to the requested indices
-    pos_in = np.full(len(pop), -1, dtype=np.int64)
-    pos_in[indices] = np.arange(n)
-    keep = pos_in[obs] >= 0
-    obs, seen, d = obs[keep], seen[keep], d[keep]
-
-    if len(obs) and world.has_interior_blockers:
-        cs = world.geometry.cell_size
-        a = np.floor(pop.pos[obs] / cs)
-        b = np.floor(pop.pos[seen] / cs)
-        clear = los_pairs(world.geometry.blocked_mask, a, b)
-        obs, seen, d = obs[clear], seen[clear], d[clear]
-    if len(obs) == 0:
-        return votes, totals, congestion, follow
-
-    rows = pos_in[obs]
+    obs = indices[rows]
+    d = np.sqrt(d2)
     roles_seen = pop.role[seen]
     rank_obs = np.where(pop.role[obs] > 0, pop.role[obs], np.iinfo(np.int64).max)
     leader = (roles_seen > 0) & (roles_seen < rank_obs)
     weight = np.where(leader, 1.0 + pop.collaboration[obs], 1.0)
 
-    # bincount adds in array order, as np.add.at does, so the sums are the same
+    # bincount adds in array order, here (observer, seen id)
     totals = np.bincount(rows, weights=weight, minlength=n)
     tgt = pop.target[seen]
     moving = pop.status[seen] == AgentStatus.MOVING
@@ -685,7 +639,8 @@ def inform_neighbors(
     each neighbour with probability equal to the sender's collaboration.
     One hop per tick: receivers do not relay until their own next
     decision round.  Returns receiver ids."""
-    seen = world.query_visible(i)
+    sender = np.array([i])
+    _, seen, _ = world.neighbours(sender, world.pop.vision[sender], float(world.params["vis_r_max"]))
     receivers = seen[rng.random(len(seen)) < float(world.pop.collaboration[i])]
     heard = np.ix_(receivers, exits)
     beliefs.blocked[heard] = True

@@ -11,11 +11,15 @@ import pytest
 from evacsim import SchemaViolation, SemanticViolation
 from evacsim.agents import (
     NO_TARGET,
+    AgentStatus,
     Percepts,
     Population,
+    WorldView,
+    _neighbour_stats,
     choose_exit,
     decide,
     effective_speed,
+    inform_neighbors,
     init_beliefs,
     sight_line_hazard,
     spawn_population,
@@ -23,7 +27,7 @@ from evacsim.agents import (
 )
 from evacsim.config import PARAM_DEFAULTS
 from evacsim.rng import RngStreams
-from evacsim.scenario import DistSpec, PopulationSpec
+from evacsim.scenario import DistSpec, PopulationSpec, los_pairs
 
 from conftest import grid_rows, make_scenario, one_agent, room_doc
 
@@ -543,6 +547,124 @@ def test_one_bulk_round_matches_one_row_rounds_in_id_order():
     lottery = np.random.default_rng(11)
     lottery.random(int(((pop.target != NO_TARGET) & ~thick_target).sum()))
     assert bulk_rng.bit_generator.state == lottery.bit_generator.state
+
+
+# -- neighbours ------------------------------------------------------------------------
+
+
+def _split_room_world(k, rng):
+    """A 20 m x 12 m room cut in two by a wall across its whole height,
+    holding k people on both sides: leaders of both ranks with spread-out
+    collaboration, sight ranges on both sides of the congestion radius, and
+    a mix of moving, waiting and exited people with assorted targets."""
+    rows = grid_rows(40, 24, exits=[(0, 6), (39, 6)], walls=[(20, y) for y in range(1, 23)])
+    geometry = make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
+    pop = Population(**{name: np.repeat(value, k) for name, value in vars(one_agent()).items()})
+    west = rng.random(k) < 0.5
+    pop.pos = np.column_stack(
+        [np.where(west, rng.uniform(0.6, 9.9, k), rng.uniform(10.6, 19.4, k)), rng.uniform(0.6, 11.4, k)]
+    )
+    pop.vision = rng.uniform(2.0, 30.0, k)
+    pop.role = rng.choice([0, 1, 2], size=k, p=[0.8, 0.1, 0.1])
+    pop.collaboration = rng.uniform(0.0, 1.0, k)
+    pop.status = rng.choice(
+        [int(AgentStatus.MOVING), int(AgentStatus.PREMOVEMENT), int(AgentStatus.EXITED)], size=k, p=[0.7, 0.2, 0.1]
+    ).astype(np.uint8)
+    pop.target = rng.integers(-1, EXITS, size=k).astype(np.int32)
+    zeros = np.zeros((geometry.height, geometry.width))
+    world = WorldView(
+        geometry=geometry,
+        params=PARAM_DEFAULTS,
+        t=0.0,
+        pop=pop,
+        local_od=np.zeros(k),
+        od_frame=zeros,
+        temp_frame=zeros,
+        tox_frame=zeros,
+        exit_fields=[],
+        zone_centers=np.zeros((EXITS, 2)),
+        zone_cells=[],
+        has_interior_blockers=True,
+    )
+    return world
+
+
+def _in_sight(world, i, j, radius):
+    """Whether agent i sees agent j within ``radius``, one pair at a time."""
+    pos, cs = world.pop.pos, world.geometry.cell_size
+    dx = float(pos[j, 0]) - float(pos[i, 0])
+    dy = float(pos[j, 1]) - float(pos[i, 1])
+    if dx * dx + dy * dy > radius * radius:
+        return False
+    a = [math.floor(pos[i, 0] / cs), math.floor(pos[i, 1] / cs)]
+    b = [math.floor(pos[j, 0] / cs), math.floor(pos[j, 1] / cs)]
+    return bool(los_pairs(world.geometry.blocked_mask, np.array([a]), np.array([b]))[0])
+
+
+def _present(pop):
+    return [j for j in range(len(pop)) if pop.status[j] in (AgentStatus.PREMOVEMENT, AgentStatus.MOVING)]
+
+
+def _neighbour_stats_one_pair_at_a_time(world, deciders):
+    """Reference: each decider against every person in the building, in
+    (decider, ascending seen id) order, in plain float arithmetic."""
+    pop = world.pop
+    r_cap = float(world.params["congestion_radius"])
+    n = len(deciders)
+    votes, totals = np.zeros((n, EXITS)), np.zeros(n)
+    congestion, follow = np.zeros((n, EXITS), dtype=np.int64), np.full((n, EXITS), np.inf)
+    for r, i in enumerate(deciders.tolist()):
+        rank = pop.role[i] if pop.role[i] > 0 else math.inf
+        for j in _present(pop):
+            if j == i or not _in_sight(world, i, j, min(float(pop.vision[i]), r_cap)):
+                continue
+            weight = 1.0 + float(pop.collaboration[i]) if 0 < pop.role[j] < rank else 1.0
+            totals[r] += weight
+            z = int(pop.target[j])
+            if pop.status[j] == AgentStatus.MOVING and z >= 0:
+                votes[r, z] += weight
+                congestion[r, z] += 1
+                d = pop.pos[j] - pop.pos[i]
+                follow[r, z] = min(follow[r, z], math.sqrt(float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])))
+    return votes, totals, congestion, follow
+
+
+@pytest.mark.parametrize("deciders", ["everyone", "two"])
+def test_neighbour_stats_match_one_pair_at_a_time_exactly(deciders):
+    world = _split_room_world(120, np.random.default_rng(5))
+    everyone = np.array(_present(world.pop))
+    rows = everyone if deciders == "everyone" else everyone[[3, 40]]
+    got = _neighbour_stats(world, rows)
+    want = _neighbour_stats_one_pair_at_a_time(world, rows)
+    for name, g, w in zip(("votes", "totals", "congestion", "follow"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    # the rows reach every filter: leader weights, sight short of the
+    # congestion radius, and the wall between people close enough to count
+    pop = world.pop
+    assert (got[1] != np.floor(got[1])).any()
+    d = np.linalg.norm(pop.pos[rows][:, None] - pop.pos[everyone][None], axis=2)
+    near = d <= PARAM_DEFAULTS["congestion_radius"]
+    assert (near & (d > pop.vision[rows][:, None])).any()
+    assert (near & ((pop.pos[rows, 0][:, None] < 10.0) != (pop.pos[everyone, 0][None] < 10.0))).any()
+
+
+def test_inform_neighbors_reaches_the_people_in_sight():
+    world = _split_room_world(120, np.random.default_rng(6))
+    pop = world.pop
+    everyone = _present(pop)
+    _neighbour_stats(world, np.array(everyone))  # the round's hash is at the congestion radius first
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
+    heard = 0
+    for i in everyone[::7]:
+        got = inform_neighbors(i, np.array([1]), world, beliefs, rng)
+        seen = [j for j in everyone if j != i and _in_sight(world, i, j, float(pop.vision[i]))]
+        want = np.array(seen, dtype=np.int64)[reference.random(len(seen)) < float(pop.collaboration[i])].tolist()
+        assert got == want
+        assert beliefs.blocked[got, 1].all() and beliefs.known[got, 1].all()
+        heard += len(got)
+    assert heard > 0
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # -- sight-line hazard ---------------------------------------------------------------

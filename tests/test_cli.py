@@ -38,3 +38,25 @@ def test_compare_reports_the_backends_that_ran_when_one_fails(tmp_path):
     assert written["sf"]["error"].startswith("could not place 40 bodies")
     assert all(value is None for key, value in written["sf"].items() if key not in ("backend", "error"))
     assert set(written["sf"]) == set(written["ca"]) == set(written["flow"])
+
+
+def test_every_simulating_command_exits_3_on_timeout(tmp_path):
+    minimal = os.path.join(SCENARIOS, "minimal_room.json")
+    with open(minimal, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["config"]["max_sim_time"] = 1.0
+    cut = tmp_path / "minimal_1s.json"
+    cut.write_text(json.dumps(doc))
+    runs = {
+        "run": run_cli("run", minimal, "--max-time", 1, "--out", tmp_path / "run"),
+        "sweep": run_cli(
+            "sweep", cut, "--param", "params.v_panic", "--values", "1.5", "--seeds", "0", "--workers", 1,
+            "--out", tmp_path / "sweep",
+        ),
+        "compare": run_cli("compare", cut),
+    }
+    for command, proc in runs.items():
+        assert proc.returncode == 3, (command, proc.stdout, proc.stderr)
+        assert proc.stderr == "", command
+    assert "with 12 still inside" in runs["run"].stdout
+    assert "(0/1 finished, 1 timeouts)" in runs["sweep"].stdout

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from evacsim.spatialhash import SpatialHash
 
@@ -35,15 +36,16 @@ def test_query_pairs_output_is_sorted_and_oriented():
     assert (order == np.arange(len(pi))).all()
 
 
-def test_query_pairs_radius_larger_than_bucket_still_exact():
-    # radius beyond the bucket size forces an internal rebuild rather
-    # than silently missing far pairs
+def test_queries_reject_a_radius_larger_than_the_bucket():
+    # the stencil covers one bucket each way, so a wider query would miss
+    # points; it raises instead of quietly building another hash
     rng = np.random.default_rng(2)
     pos = rng.uniform(0, 8, size=(60, 2))
     h = SpatialHash(pos, 0.5)
-    pi, pj = h.query_pairs(2.5)
-    got = sorted(zip(pi.tolist(), pj.tolist()))
-    assert got == brute_force_pairs(pos, 2.5)
+    with pytest.raises(ValueError, match="exceeds the bucket size"):
+        h.query_pairs(2.5)
+    with pytest.raises(ValueError, match="exceeds the bucket size"):
+        h.query_points(pos[:3], 2.5)
 
 
 def test_identical_points_pair_up():
@@ -62,26 +64,31 @@ def test_empty_and_singleton_clouds():
     assert len(pi) == 0
 
 
-def test_query_radius_matches_brute_force():
+def test_query_points_matches_brute_force():
     rng = np.random.default_rng(7)
     for trial in range(N_TRIALS):
         n = int(rng.integers(1, 100))
         pos = rng.uniform(0, 10, size=(n, 2))
-        h = SpatialHash(pos, 1.0)
-        centre = rng.uniform(-1, 11, size=2)
         radius = float(rng.uniform(0.1, 2.5))
-        rows = h.query_radius(centre, radius)
-        d = np.linalg.norm(pos - centre, axis=1)
-        want = np.nonzero(d <= radius)[0]
-        assert sorted(rows.tolist()) == sorted(want.tolist()), f"trial {trial}"
+        h = SpatialHash(pos, float(rng.uniform(radius, 2 * radius)))
+        points = rng.uniform(-1, 11, size=(int(rng.integers(1, 8)), 2))
+        k, rows, d2 = h.query_points(points, radius)
+        want = []
+        for q, point in enumerate(points):
+            d = pos - point
+            dist2 = d[:, 0] ** 2 + d[:, 1] ** 2
+            want.extend((q, int(r), float(dist2[r])) for r in np.nonzero(dist2 <= radius * radius)[0])
+        assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == want, f"trial {trial}"
+    k, rows, d2 = SpatialHash(np.zeros((0, 2)), 1.0).query_points(points, 1.0)
+    assert len(k) == len(rows) == len(d2) == 0
 
 
-def test_query_radius_respects_custom_ids():
+def test_query_points_respects_custom_ids():
     pos = np.array([[0.5, 0.5], [1.5, 0.5], [9.0, 9.0]])
     ids = np.array([10, 20, 30])
     h = SpatialHash(pos, 1.0, ids=ids)
-    rows = h.query_radius(np.array([1.0, 0.5]), 1.0)
-    assert sorted(h.ids[rows].tolist()) == [10, 20]
+    k, rows, _ = h.query_points(np.array([[1.0, 0.5], [9.5, 9.0], [5.0, 5.0]]), 1.0)
+    assert list(zip(k.tolist(), h.ids[rows].tolist())) == [(0, 10), (0, 20), (1, 30)]
 
 
 def test_negative_coordinates_hash_correctly():
