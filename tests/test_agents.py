@@ -572,7 +572,7 @@ def _split_room_world(k, rng):
     ).astype(np.uint8)
     pop.target = rng.integers(-1, EXITS, size=k).astype(np.int32)
     zeros = np.zeros((geometry.height, geometry.width))
-    world = WorldView(
+    return WorldView(
         geometry=geometry,
         params=PARAM_DEFAULTS,
         t=0.0,
@@ -586,7 +586,6 @@ def _split_room_world(k, rng):
         zone_cells=[],
         has_interior_blockers=True,
     )
-    return world
 
 
 def _in_sight(world, i, j, radius):
