@@ -4,7 +4,8 @@ Each case runs a shipped scenario (optionally cut at a simulated time
 limit or moved to another backend) and compares the run's 64-bit state
 digest, and the outcome the digest does not see (exits, deaths, end
 time, events by kind and crossings per door), with the values the
-simulator has always produced for it.  Any change to spawning, the
+simulator has always produced for it.  A few runs also pin a fingerprint
+of the per-agent records.  Any change to spawning, the
 decision layer, a movement backend or the hazard coupling moves a
 digest, so a refactor that is meant to keep behaviour must keep all of
 them.
@@ -12,6 +13,7 @@ them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import Counter
@@ -218,6 +220,52 @@ def test_leaders_digest(backend, max_sim_time, smoke, digest, outcome, receivers
     assert result.digest == digest
     assert _outcome(result) == outcome
     assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+
+
+def _per_agent_fingerprint(result):
+    """64-bit hash of every agent's (outcome, end time, path length,
+    replans), in id order, with floats written at full precision."""
+    h = hashlib.blake2b(digest_size=8)
+    for rec in result.per_agent:
+        h.update(f"{rec.outcome},{rec.end_t!r},{rec.path_length!r},{rec.replan_count}\n".encode())
+    return h.hexdigest()
+
+
+# the per-agent records the state digest does not see: who left or died
+# when, how far each walked and how often each replanned
+@pytest.mark.parametrize(
+    "name, max_sim_time, backend, smoke, fingerprint, outcomes",
+    [
+        pytest.param("two_rooms", None, "ca", None, "e84b53c10276d5c2", {"exited": 60}, id="two_rooms-ca"),
+        pytest.param("two_rooms", None, "flow", None, "05fac21dc1877b56", {"exited": 60}, id="two_rooms-flow"),
+        pytest.param(
+            "two_rooms", 40.0, "sf", None, "056c99e2f9056dfb", {"exited": 11, "inside": 49}, id="two_rooms-sf-40.0"
+        ),
+        pytest.param(
+            "herding_two_exit",
+            30.0,
+            "sf",
+            LETHAL_SMOKE,
+            "dedb4147ae8dbcdc",
+            {"exited": 78, "dead": 2},
+            id="lethal-sf-30.0",
+        ),
+        pytest.param(
+            "herding_two_exit",
+            30.0,
+            "flow",
+            LETHAL_SMOKE,
+            "d06ec618bf77e076",
+            {"exited": 56, "dead": 13, "inside": 11},
+            id="lethal-flow-30.0",
+        ),
+    ],
+)
+def test_per_agent_records(name, max_sim_time, backend, smoke, fingerprint, outcomes):
+    result = run(_scenario_text(name, max_sim_time, backend, smoke))
+    assert dict(Counter(rec.outcome for rec in result.per_agent)) == outcomes
+    assert [rec.id for rec in result.per_agent] == list(range(result.population))
+    assert _per_agent_fingerprint(result) == fingerprint
 
 
 def test_cli_run_writes_the_same_digest(tmp_path):
