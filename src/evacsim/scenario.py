@@ -272,7 +272,13 @@ def line_of_sight(geometry: Geometry, a: tuple[int, int], b: tuple[int, int]) ->
 
 
 def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> np.ndarray:
-    """Vectorised line-of-sight over cell pairs; True where sight is clear."""
+    """Vectorised line-of-sight over cell pairs; True where sight is clear.
+
+    Each line is sampled at its own ``2 * cheb + 1`` evenly spaced points
+    (cheb its Chebyshev length in cells), the end point repeated to fill
+    the batch's widest row, so a pair's answer does not depend on the
+    other pairs in the call.
+    """
     a_cells = np.asarray(a_cells, dtype=np.float64)
     b_cells = np.asarray(b_cells, dtype=np.float64)
     n_pairs = len(a_cells)
@@ -286,12 +292,14 @@ def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> 
     out = np.ones(n_pairs, dtype=bool)
     # chunk to bound memory at ~4M samples
     chunk = max(1, int(4_000_000 // max(1, n_samples)))
-    s = np.linspace(0.0, 1.0, n_samples)
+    k = np.arange(n_samples)
     for start in range(0, n_pairs, chunk):
         end = min(n_pairs, start + chunk)
         a = a_cells[start:end] + 0.5
         d = delta[start:end]
-        pts = a[:, None, :] + d[:, None, :] * s[None, :, None]
+        div = 2 * cheb[start:end, None]
+        s = np.where(k >= div, 1.0, k * (1.0 / np.maximum(div, 1)))  # np.linspace(0, 1, div + 1), padded
+        pts = a[:, None, :] + d[:, None, :] * s[:, :, None]
         cx = np.clip(pts[:, :, 0].astype(np.int64), 0, w - 1)
         cy = np.clip(pts[:, :, 1].astype(np.int64), 0, h - 1)
         out[start:end] = ~blocked[cy, cx].any(axis=1)

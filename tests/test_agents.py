@@ -552,18 +552,15 @@ def test_one_bulk_round_matches_one_row_rounds_in_id_order():
 # -- neighbours ------------------------------------------------------------------------
 
 
-def _split_room_world(k, rng):
-    """A 20 m x 12 m room cut in two by a wall across its whole height,
-    holding k people on both sides: leaders of both ranks with spread-out
-    collaboration, sight ranges on both sides of the congestion radius, and
-    a mix of moving, waiting and exited people with assorted targets."""
-    rows = grid_rows(40, 24, exits=[(0, 6), (39, 6)], walls=[(20, y) for y in range(1, 23)])
+def _world(rows, pos, rng):
+    """The people at ``pos`` in the room ``rows``: leaders of both ranks
+    with spread-out collaboration, sight ranges on both sides of the
+    congestion radius, and a mix of moving, waiting and exited people with
+    assorted targets."""
     geometry = make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
+    k = len(pos)
     pop = Population(**{name: np.repeat(value, k) for name, value in vars(one_agent()).items()})
-    west = rng.random(k) < 0.5
-    pop.pos = np.column_stack(
-        [np.where(west, rng.uniform(0.6, 9.9, k), rng.uniform(10.6, 19.4, k)), rng.uniform(0.6, 11.4, k)]
-    )
+    pop.pos = pos
     pop.vision = rng.uniform(2.0, 30.0, k)
     pop.role = rng.choice([0, 1, 2], size=k, p=[0.8, 0.1, 0.1])
     pop.collaboration = rng.uniform(0.0, 1.0, k)
@@ -586,6 +583,28 @@ def _split_room_world(k, rng):
         zone_cells=[],
         has_interior_blockers=True,
     )
+
+
+def _split_room_world(k, rng):
+    """k people in a 20 m x 12 m room cut in two by a wall across its
+    whole height, on both sides of it (see ``_world``)."""
+    rows = grid_rows(40, 24, exits=[(0, 6), (39, 6)], walls=[(20, y) for y in range(1, 23)])
+    west = rng.random(k) < 0.5
+    pos = np.column_stack(
+        [np.where(west, rng.uniform(0.6, 9.9, k), rng.uniform(10.6, 19.4, k)), rng.uniform(0.6, 11.4, k)]
+    )
+    return _world(rows, pos, rng)
+
+
+def _pillared_room_world(k, rng):
+    """k people on the open cells of a 20 m x 12 m room with a lattice of
+    one-cell pillars, so sight lines of every slope graze or hit one."""
+    pillars = [(x, y) for x in range(3, 38, 4) for y in range(3, 22, 4)]
+    rows = grid_rows(40, 24, exits=[(0, 6), (39, 6)], obstacles=pillars)
+    geometry = make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
+    free = np.argwhere(geometry.open_mask & (geometry.zone_grid < 0))[:, ::-1]
+    cells = free[rng.integers(0, len(free), k)]
+    return _world(rows, (cells + rng.uniform(0.05, 0.95, (k, 2))) * geometry.cell_size, rng)
 
 
 def _in_sight(world, i, j, radius):
@@ -628,9 +647,17 @@ def _neighbour_stats_one_pair_at_a_time(world, deciders):
     return votes, totals, congestion, follow
 
 
-@pytest.mark.parametrize("deciders", ["everyone", "two"])
-def test_neighbour_stats_match_one_pair_at_a_time_exactly(deciders):
-    world = _split_room_world(120, np.random.default_rng(5))
+@pytest.mark.parametrize(
+    "deciders, room",
+    [
+        pytest.param("everyone", _split_room_world, id="everyone"),
+        pytest.param("two", _split_room_world, id="two"),
+        pytest.param("everyone", _pillared_room_world, id="everyone-pillars"),
+        pytest.param("two", _pillared_room_world, id="two-pillars"),
+    ],
+)
+def test_neighbour_stats_match_one_pair_at_a_time_exactly(deciders, room):
+    world = room(120, np.random.default_rng(5))
     everyone = np.array(_present(world.pop))
     rows = everyone if deciders == "everyone" else everyone[[3, 40]]
     got = _neighbour_stats(world, rows)
@@ -638,13 +665,13 @@ def test_neighbour_stats_match_one_pair_at_a_time_exactly(deciders):
     for name, g, w in zip(("votes", "totals", "congestion", "follow"), got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
     # the rows reach every filter: leader weights, sight short of the
-    # congestion radius, and the wall between people close enough to count
+    # congestion radius, and a blocked cell between people close enough to count
     pop = world.pop
     assert (got[1] != np.floor(got[1])).any()
     d = np.linalg.norm(pop.pos[rows][:, None] - pop.pos[everyone][None], axis=2)
     near = d <= PARAM_DEFAULTS["congestion_radius"]
     assert (near & (d > pop.vision[rows][:, None])).any()
-    assert (near & ((pop.pos[rows, 0][:, None] < 10.0) != (pop.pos[everyone, 0][None] < 10.0))).any()
+    assert any(not _in_sight(world, int(rows[r]), int(everyone[c]), math.inf) for r, c in zip(*np.nonzero(near)))
 
 
 def test_inform_neighbors_reaches_the_people_in_sight():

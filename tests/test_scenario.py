@@ -381,6 +381,21 @@ def test_los_pairs_blocked_by_wall():
     assert vis[1]  # along the open corridor
 
 
+def test_los_pairs_answers_each_line_as_if_alone():
+    # a line's verdict may not depend on the other lines of the same call:
+    # short lines in a batch with one long line see what they see alone
+    rng = np.random.default_rng(21)
+    blocked = rng.random((40, 40)) < 0.08
+    a = rng.integers(0, 40, size=(2000, 2))
+    b = np.clip(a + rng.integers(-4, 5, size=(2000, 2)), 0, 39)
+    alone = np.array([los_pairs(blocked, a[i : i + 1], b[i : i + 1])[0] for i in range(len(a))])
+    short = los_pairs(blocked, a, b)
+    with_long = los_pairs(blocked, np.vstack([a, [[0, 0]]]), np.vstack([b, [[39, 39]]]))[:-1]
+    assert short.tolist() == alone.tolist()
+    assert with_long.tolist() == alone.tolist()
+    assert 0 < alone.sum() < len(alone)
+
+
 # -- rooms and the derived network --------------------------------------------
 
 
