@@ -20,9 +20,7 @@ from .metrics import (
     RunResult,
     EventRecord,
     PerAgentRecord,
-    ascii_snapshot,
     clog_fraction,
-    door_flow,
     egress_stats,
     export_trajectories,
     metrics_summary,
@@ -55,11 +53,9 @@ __all__ = [
     "SemanticViolation",
     "SimulationError",
     "VALIDATION_ERRORS",
-    "ascii_snapshot",
     "clog_fraction",
     "compare_backends",
     "derive_network",
-    "door_flow",
     "egress_stats",
     "export_trajectories",
     "load_scenario",

@@ -35,12 +35,15 @@ EMPTY_CELL = -1
 
 @dataclass
 class CaState:
-    """Occupancy lattice plus per-agent cell coordinates."""
+    """Occupancy lattice plus per-agent cell coordinates.
+
+    Who is in the building is not recorded here: the caller passes those
+    ids to ``ca_step`` and calls ``vacate`` for each person who leaves.
+    """
 
     occupancy: np.ndarray                    # (H, W) int32, agent id or EMPTY_CELL
     x: np.ndarray                            # (N,) int32 cell coords per agent id
     y: np.ndarray
-    present: np.ndarray                      # (N,) bool, agent physically on the grid
     tick: int = 0
 
     @classmethod
@@ -55,23 +58,23 @@ class CaState:
             occupancy[cy, cx] = agent_id
             xs[agent_id] = cx
             ys[agent_id] = cy
-        return cls(occupancy=occupancy, x=xs, y=ys, present=np.ones(n, dtype=bool))
+        return cls(occupancy=occupancy, x=xs, y=ys)
 
     def vacate(self, agent_id: int) -> None:
-        """Remove one agent from the lattice (exit or death frees the cell)."""
-        if self.present[agent_id]:
-            self.occupancy[self.y[agent_id], self.x[agent_id]] = EMPTY_CELL
-            self.present[agent_id] = False
+        """Free the cell of an agent who left the building (exit or death).
 
-    def check_bijection(self) -> None:
+        Call it once per agent: afterwards the cell may hold someone else."""
+        self.occupancy[self.y[agent_id], self.x[agent_id]] = EMPTY_CELL
+
+    def check_bijection(self, present: np.ndarray) -> None:
+        """The lattice holds exactly the ids ``present``, each on its own cell."""
         ys, xs = np.nonzero(self.occupancy != EMPTY_CELL)
         ids = self.occupancy[ys, xs]
-        if len(ids) != int(self.present.sum()):
+        if len(ids) != len(present):
             raise SimulationError(f"tick {self.tick}: occupancy cell count != present agent count")
         if len(np.unique(ids)) != len(ids):
             raise SimulationError(f"tick {self.tick}: one agent occupies two cells")
-        idx = np.nonzero(self.present)[0]
-        stray = idx[self.occupancy[self.y[idx], self.x[idx]] != idx]
+        stray = present[self.occupancy[self.y[present], self.x[present]] != present]
         if len(stray):
             raise SimulationError(f"tick {self.tick}: agents {stray.tolist()} are not where the lattice holds them")
 
@@ -95,6 +98,7 @@ def ca_step(
     fields: np.ndarray,
     field_index: np.ndarray,
     move_ids: np.ndarray,
+    present: np.ndarray,
     rng: np.random.Generator,
     noise: float,
 ) -> np.ndarray:
@@ -103,13 +107,14 @@ def ca_step(
     ``fields`` is a stack of distance fields (cells); ``field_index[i]``
     picks the stack layer agent i descends.  ``move_ids`` lists, in
     ascending order, the ids attempting a move this tick (already
-    filtered for status, mobility and step skipping).  Returns the ids
-    that actually changed cell.
+    filtered for status, mobility and step skipping); ``present`` lists
+    the ids in the building, whom the lattice must hold afterwards.
+    Returns the ids that actually changed cell.
     """
     n = len(move_ids)
     if n == 0:
         state.tick += 1
-        state.check_bijection()
+        state.check_bijection(present)
         return move_ids
 
     h, w = state.occupancy.shape
@@ -147,7 +152,7 @@ def ca_step(
     movers = np.nonzero(moves)[0]
     if len(movers) == 0:
         state.tick += 1
-        state.check_bijection()
+        state.check_bijection(present)
         return move_ids[:0]
 
     tx = cx[movers, pick[movers]]
@@ -182,5 +187,5 @@ def ca_step(
     state.y[ids] = new_y
 
     state.tick += 1
-    state.check_bijection()
+    state.check_bijection(present)
     return ids

@@ -29,7 +29,6 @@ PARAM_DEFAULTS: dict[str, float | int] = {
     "vis_k": 3.0,             # visibility = vis_k / optical_density
     "vis_eps": 1e-6,          # guards the division at zero optical density
     # health
-    "ambient_temp": 20.0,     # degC
     "temp_crit": 60.0,        # degC, heat below this is harmless
     "temp_scale": 60.0,       # degC, normalises the excess-heat dose term
     "c_temp": 0.01,           # health lost per second at temp_crit + temp_scale
@@ -91,7 +90,7 @@ PARAM_DEFAULTS: dict[str, float | int] = {
 # Backend-specific fallbacks used when decision/trajectory intervals are 0.
 SF_DECISION_INTERVAL = 0.25
 SF_TRAJECTORY_INTERVAL = 0.25
-SF_MAX_DT = 0.05
+SF_MAX_DT = 0.05  # s; contact stiffness makes larger social-force steps unstable
 
 DEFAULT_DT_SF = 0.05
 DEFAULT_MAX_SIM_TIME = 1800.0

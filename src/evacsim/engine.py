@@ -10,12 +10,14 @@ stamped strictly before s.
 
 The first three phases, exits, deaths and result assembly are shared.
 The backend is one mover from ``MOVERS``, picked by ``config.backend``;
-the shared phases call only its ``start(ids)`` (people who just began
-moving), ``steer(ids)`` (after a decision round), ``step(k, t)`` (one
-movement tick with its arrivals, door crossings and clog checks),
-``remove(i)`` (a death) and ``warnings``.  Class constants on each mover
-give its default decision and trajectory cadence, whether it makes
-decision rounds at all, and whether it needs door sites and a network.
+the shared phases call only its ``steer(ids)`` (after a decision round),
+``step(k, t)`` (one movement tick with its arrivals, door crossings and
+clog checks), ``remove(i)`` (agent i left the building by exit or
+death) and ``warnings``.  ``Population.status`` is the one record of
+who is in the building and who may move: each step reads it there, and
+no mover keeps a copy.  Class constants on each mover give its default
+decision and trajectory cadence, whether it makes decision rounds at
+all, and whether it needs door sites and a network.
 
 Determinism is load-bearing throughout: agents are always iterated in
 ascending id order, random substreams are dedicated per concern, and
@@ -55,7 +57,7 @@ from .hazard import (
     load_hazard_series,
     visibility_range_bulk,
 )
-from .metrics import EventRecord, PerAgentRecord, RunResult, build_door_bins
+from .metrics import EventRecord, PerAgentRecord, RunResult
 from .rng import RngStreams
 from .scenario import (
     NEIGHBOURS_8,
@@ -267,8 +269,7 @@ class _Simulation:
         self.desired = np.zeros(n)
         self.path_len = np.zeros(n)
         self.replans = np.zeros(n, dtype=np.int64)
-        self.exit_t = np.full(n, np.nan)
-        self.death_t = np.full(n, np.nan)
+        self.end_t = np.full(n, np.nan)  # exit or death time
 
         # local hazard exposure, refreshed per tick (constant when ambient)
         self.local_temp = np.full(n, AMBIENT_TEMP)
@@ -306,6 +307,10 @@ class _Simulation:
             self.pop.status == int(AgentStatus.MOVING)
         )
 
+    def _inside(self) -> np.ndarray:
+        """Ascending ids of the people in the building."""
+        return np.nonzero(self._inside_mask())[0]
+
     def _all_done(self) -> bool:
         return not bool(self._inside_mask().any())
 
@@ -313,7 +318,7 @@ class _Simulation:
         if self.ambient_only:
             return
         self.temp_frame, self.od_frame, self.tox_frame = self.hazard.frame_at(t)
-        inside = np.nonzero(self._inside_mask())[0]
+        inside = self._inside()
         if len(inside) == 0:
             return
         cs = self.cs
@@ -340,7 +345,7 @@ class _Simulation:
 
     def _kill(self, i: int, t: float) -> None:
         self.pop.status[i] = int(AgentStatus.DEAD)
-        self.death_t[i] = t
+        self.end_t[i] = t
         self.events.append(EventRecord(t, "died", i, {}))
         self.mover.remove(i)
 
@@ -360,7 +365,6 @@ class _Simulation:
         )
         start = np.nonzero(waiting & (due | sensed))[0]
         self.pop.status[start] = int(AgentStatus.MOVING)
-        self.mover.start(start)
         return start
 
     def _decision_phase(self, k: int, t: float, newly_moving: np.ndarray) -> None:
@@ -409,7 +413,7 @@ class _Simulation:
 
     def _exit_agent(self, i: int, t: float, zone_id: int | None, door_id: str | None) -> None:
         self.pop.status[i] = int(AgentStatus.EXITED)
-        self.exit_t[i] = t
+        self.end_t[i] = t
         payload: dict = {}
         if zone_id is not None:
             payload["exit"] = int(zone_id)
@@ -480,31 +484,20 @@ class _Simulation:
         if exited + fatalities + inside != self.n:
             raise SimulationError(f"tick {k}: {exited} exited + {fatalities} dead + {inside} inside != {self.n} people")
 
-        curve = []
-        total = 0
-        for event in self.events:
-            if event.kind == "exited":
-                total += 1
-                curve.append((event.t, total))
-
-        per_agent = []
-        for i in range(self.n):
-            if not math.isnan(self.exit_t[i]):
-                outcome, end_t = "exited", float(self.exit_t[i])
-            elif not math.isnan(self.death_t[i]):
-                outcome, end_t = "dead", float(self.death_t[i])
-            else:
-                outcome, end_t = "inside", None
-            per_agent.append(
-                PerAgentRecord(
-                    id=i,
-                    spawn_t=0.0,
-                    end_t=end_t,
-                    outcome=outcome,
-                    path_length=float(self.path_len[i]),
-                    replan_count=int(self.replans[i]),
-                )
+        outcomes = {int(AgentStatus.EXITED): "exited", int(AgentStatus.DEAD): "dead"}
+        per_agent = [
+            PerAgentRecord(
+                id=i,
+                spawn_t=0.0,
+                end_t=None if math.isnan(end_t) else end_t,
+                outcome=outcomes.get(status, "inside"),
+                path_length=path_length,
+                replan_count=replans,
             )
+            for i, (status, end_t, path_length, replans) in enumerate(
+                zip(pop.status.tolist(), self.end_t.tolist(), self.path_len.tolist(), self.replans.tolist())
+            )
+        ]
 
         config_echo = {
             "backend": self.backend,
@@ -526,11 +519,9 @@ class _Simulation:
             timeout=timeout,
             exited=exited,
             fatalities=fatalities,
-            egress_curve=curve,
             per_agent=per_agent,
             events=self.events,
             crossings=self.crossings,
-            door_flows=build_door_bins(self.crossings, t_end),
             config_echo=config_echo,
             digest=digest,
             trajectory=self.trajectory,
@@ -552,10 +543,10 @@ class _Mover:
         self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
         self.warnings: list[str] = []
 
-    def start(self, ids: np.ndarray) -> None:
+    def steer(self, ids: np.ndarray) -> None:
         pass
 
-    def steer(self, ids: np.ndarray) -> None:
+    def remove(self, i: int) -> None:
         pass
 
 
@@ -578,13 +569,13 @@ class _CaMover(_Mover):
         pop = sim.pop
         state = self.state
         # arrival check first: anyone standing on an exit cell leaves
-        present = np.nonzero(state.present)[0]
-        if len(present):
-            zones_here = sim.zone_grid[state.y[present], state.x[present]]
-            for i in present[zones_here >= 0].tolist():
-                sim._leave(i, t, int(state.x[i]), int(state.y[i]))
+        present = sim._inside()
+        leaving = sim.zone_grid[state.y[present], state.x[present]] >= 0
+        for i in present[leaving].tolist():
+            sim._leave(i, t, int(state.x[i]), int(state.y[i]))
+        present = present[~leaving]
 
-        movable = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0) & state.present
+        movable = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0)
         move_ids = np.nonzero(movable)[0]
         if len(move_ids):
             # walk at the decided speed (nervousness-scaled); agents that
@@ -605,6 +596,7 @@ class _CaMover(_Mover):
             self.fields_stack,
             field_index,
             move_ids,
+            present,
             sim.streams.ca_conflicts,
             float(sim.params["ca_noise"]),
         )
@@ -651,10 +643,6 @@ class _SfMover(_Mover):
         self.routes = [route_to_destination(sim.network, sim.n_rooms + z.id) for z in sim.zones]
         doors = {d.id: d for d in sim.geometry.doors}
         self.arc_push = [self._push_point(arc, doors.get(arc.door_id)) for arc in sim.network.arcs]
-
-    def remove(self, i: int) -> None:
-        self.state.active[i] = False
-        self.state.vel[i] = 0.0
 
     # -- steering ------------------------------------------------------------
 
@@ -758,12 +746,12 @@ class _SfMover(_Mover):
         moving = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0)
         desired = np.where(moving, sim.desired, 0.0)
         old_pos = pop.pos.copy()
-        sf_step(state, sim.geometry, self.wall_cells, desired, self.waypoint, sim.dt, sim.params)
-        active = np.nonzero(state.active)[0]
-        if len(active) == 0:
+        present = sim._inside()
+        sf_step(state, sim.geometry, self.wall_cells, present, desired, self.waypoint, sim.dt, sim.params)
+        if len(present) == 0:
             return
-        delta = pop.pos[active] - old_pos[active]
-        sim.path_len[active] += np.hypot(delta[:, 0], delta[:, 1])
+        delta = pop.pos[present] - old_pos[present]
+        sim.path_len[present] += np.hypot(delta[:, 0], delta[:, 1])
 
         # plane crossings through interior openings; openings lying on
         # exit cells swallow bodies before their centre reaches the
@@ -771,8 +759,8 @@ class _SfMover(_Mover):
         for site_index, site in enumerate(sim.sites):
             if site.covers_exit:
                 continue
-            rel_old = old_pos[active] - site.center
-            rel_new = pop.pos[active] - site.center
+            rel_old = old_pos[present] - site.center
+            rel_new = pop.pos[present] - site.center
             s_old = rel_old @ site.upstream
             s_new = rel_new @ site.upstream
             tangent = np.array([-site.upstream[1], site.upstream[0]])
@@ -784,11 +772,11 @@ class _SfMover(_Mover):
 
         # arrivals: a body whose centre reaches an exit cell is out
         cs = sim.cs
-        cx = np.clip((pop.pos[active, 0] / cs).astype(np.int64), 0, sim.geometry.width - 1)
-        cy = np.clip((pop.pos[active, 1] / cs).astype(np.int64), 0, sim.geometry.height - 1)
+        cx = np.clip((pop.pos[present, 0] / cs).astype(np.int64), 0, sim.geometry.width - 1)
+        cy = np.clip((pop.pos[present, 1] / cs).astype(np.int64), 0, sim.geometry.height - 1)
         leaving = sim.zone_grid[cy, cx] >= 0
         through: dict[int, int] = {}
-        for i, x, y in zip(active[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):
+        for i, x, y in zip(present[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):
             site_index = sim._leave(i, t, x, y)
             if site_index >= 0:
                 through[site_index] = through.get(site_index, 0) + 1
@@ -804,7 +792,7 @@ class _SfMover(_Mover):
     def _clog_phase(self, t: float) -> None:
         sim = self.sim
         window = float(sim.params["clog_window"])
-        positions = sim.pop.pos[self.state.active]
+        positions = sim.pop.pos[sim._inside_mask()]
         for site_index, site in enumerate(sim.sites):
             first = self.first_cross_t[site_index]
             if first is None or t < first + window:
@@ -911,17 +899,13 @@ class _FlowMover(_Mover):
                 return best[1]
         raise SimulationError(f"no room region near cell ({cx}, {cy})")
 
-    def start(self, ids: np.ndarray) -> None:
-        self.state.eligible.update(ids.tolist())
-
     def remove(self, i: int) -> None:
         self.state.remove(i)
-        self.state.eligible.discard(i)
 
     def step(self, k: int, t: float) -> None:
         sim = self.sim
         network = sim.network
-        for cohort in flow_step(self.state):
+        for cohort in flow_step(self.state, sim.pop.status == int(AgentStatus.MOVING)):
             arc = network.arcs[cohort.arc_index]
             if arc.door_id:
                 sim.crossings.append((t, arc.door_id, len(cohort.ids)))

@@ -16,6 +16,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SemanticViolation, SimulationError
 from .scenario import EgressNetwork
 
@@ -116,7 +118,8 @@ class FlowState:
 
     ``queues`` holds waiting ids per node in FIFO order; ``in_transit``
     holds departed cohorts until their arrival tick; ``arrived`` maps
-    each id to (arrival tick, destination node id).
+    each id to (arrival tick, destination node id).  Who may depart is
+    not recorded here: ``flow_step`` takes it per tick.
     """
 
     network: EgressNetwork
@@ -124,17 +127,13 @@ class FlowState:
     queues: dict[int, deque] = field(default_factory=dict)
     in_transit: list[Cohort] = field(default_factory=list)
     arrived: dict[int, tuple[int, int]] = field(default_factory=dict)
-    eligible: set[int] = field(default_factory=set)
     tick: int = 0
     total: int = 0
 
     @classmethod
-    def from_assignment(cls, network: EgressNetwork, assignment: dict[int, int],
-                        routes: dict[int, int | None] | None = None) -> "FlowState":
+    def from_assignment(cls, network: EgressNetwork, assignment: dict[int, int]) -> "FlowState":
         """Build the initial state from an id -> node placement."""
-        if routes is None:
-            routes = flow_route(network)
-        state = cls(network=network, routes=routes)
+        state = cls(network=network, routes=flow_route(network))
         state.queues = {n.id: deque() for n in network.nodes}
         for agent_id in sorted(assignment):
             node_id = assignment[agent_id]
@@ -144,15 +143,9 @@ class FlowState:
         state.total = len(assignment)
         return state
 
-    # -- accounting ------------------------------------------------------
-    def waiting_count(self) -> int:
-        return sum(len(q) for q in self.queues.values())
-
-    def transit_count(self) -> int:
-        return sum(len(c.ids) for c in self.in_transit)
-
     def check_conservation(self) -> None:
-        have = self.waiting_count() + self.transit_count() + len(self.arrived)
+        waiting = sum(len(q) for q in self.queues.values())
+        have = waiting + sum(len(c.ids) for c in self.in_transit) + len(self.arrived)
         if have != self.total:
             raise SimulationError(f"tick {self.tick}: person conservation broken: {have} != {self.total}")
 
@@ -171,15 +164,15 @@ class FlowState:
         return False
 
 
-def flow_step(state: FlowState) -> list[Cohort]:
+def flow_step(state: FlowState, eligible: np.ndarray) -> list[Cohort]:
     """Advance one tick; returns the cohorts that landed this tick, in
     deterministic (depart tick, arc index) order.
 
     Departure phase: every node sends up to its routed arc's capacity
-    of eligible waiting persons (FIFO, ineligible ones are skipped in
-    place).  Arrival phase: cohorts whose time has come either join the
-    destination record or the next node's queue.  A zero-traversal arc
-    delivers within the same tick.  The caller classifies each landed
+    of eligible waiting persons (``eligible[i]``: id i may depart; FIFO,
+    ineligible ones are skipped in place).  Arrival phase: cohorts whose
+    time has come either join the destination record or the next node's
+    queue.  A zero-traversal arc delivers within the same tick.  The caller classifies each landed
     cohort by the kind of its arc's destination node.
     """
     network = state.network
@@ -197,7 +190,7 @@ def flow_step(state: FlowState) -> list[Cohort]:
         kept: list[int] = []
         while queue and len(taken) < arc.capacity:
             agent_id = queue.popleft()
-            if agent_id in state.eligible:
+            if eligible[agent_id]:
                 taken.append(agent_id)
             else:
                 kept.append(agent_id)

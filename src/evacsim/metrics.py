@@ -1,5 +1,5 @@
 """Run results and everything derived from them: egress statistics,
-door-flow series, trajectory export, ASCII snapshots.
+clog fraction, trajectory export and the metrics summary.
 
 All functions here are pure over a completed :class:`RunResult`, so
 they can be applied after the fact, in parallel, or to results loaded
@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .agents import STATUS_TOKENS, AgentStatus
-from .scenario import CellKind, Geometry
 
 
 @dataclass
@@ -52,28 +49,13 @@ class RunResult:
     timeout: bool
     exited: int
     fatalities: int
-    egress_curve: list[tuple[float, int]]
     per_agent: list[PerAgentRecord]
     events: list[EventRecord]
     crossings: list[tuple[float, str, int]]       # (t, door id, persons)
-    door_flows: dict[str, list[tuple[float, int]]]  # door id -> 1 s bins
     config_echo: dict
     digest: str
     trajectory: list[tuple]                        # (t, ids, x, y, health, status) arrays
     warnings: list[str] = field(default_factory=list)
-
-
-def build_door_bins(crossings: list[tuple[float, str, int]], t_end: float) -> dict[str, list[tuple[float, int]]]:
-    """Crossing events folded into per-door 1-second bins."""
-    bins: dict[str, dict[int, int]] = {}
-    for t, door_id, count in crossings:
-        slot = int(t)  # bin [slot, slot+1)
-        bins.setdefault(door_id, {})[slot] = bins.get(door_id, {}).get(slot, 0) + count
-    n_bins = int(math.ceil(t_end)) if t_end > 0 else 0
-    out: dict[str, list[tuple[float, int]]] = {}
-    for door_id, slots in bins.items():
-        out[door_id] = [(float(s), slots.get(s, 0)) for s in range(max(n_bins, max(slots) + 1 if slots else 0))]
-    return out
 
 
 def egress_stats(result: RunResult) -> tuple[float, float, float, int]:
@@ -99,24 +81,6 @@ def egress_stats(result: RunResult) -> tuple[float, float, float, int]:
     t_50 = exit_times[max(0, math.ceil(0.5 * n) - 1)]
     t_95 = exit_times[max(0, math.ceil(0.95 * n) - 1)]
     return (t_total, t_50, t_95, fatalities)
-
-
-def door_flow(result: RunResult, door_id: str, window: float = 5.0) -> list[tuple[float, float]]:
-    """Trailing-window flow through one door, persons per second.
-
-    Sampled every second from t=window to the end of the run; each
-    sample counts crossings in (t - window, t].
-    """
-    if door_id not in result.door_flows and all(c[1] != door_id for c in result.crossings):
-        raise KeyError(f"unknown door {door_id!r}")
-    events = [(t, n) for (t, d, n) in result.crossings if d == door_id]
-    series = []
-    t = window
-    while t <= result.t_end + 1e-9:
-        count = sum(n for (et, n) in events if t - window < et <= t)
-        series.append((t, count / window))
-        t += 1.0
-    return series
 
 
 def clog_fraction(result: RunResult) -> float:
@@ -187,42 +151,3 @@ def metrics_summary(result: RunResult) -> dict:
         "digest": result.digest,
         "config": result.config_echo,
     }
-
-
-_KIND_GLYPH = {
-    int(CellKind.EMPTY): ".",
-    int(CellKind.WALL): "#",
-    int(CellKind.OBSTACLE): "o",
-    int(CellKind.EXIT): "E",
-}
-
-
-def ascii_snapshot(geometry: Geometry, positions: np.ndarray, statuses: np.ndarray) -> str:
-    """Text rendering of one instant: geometry glyphs under agents.
-
-    '@' one live agent, '+' several bodies in one cell, 'x' a dead one;
-    exited agents do not appear.
-    """
-    rows = [[_KIND_GLYPH[int(k)] for k in line] for line in geometry.kinds]
-    alive_count = np.zeros((geometry.height, geometry.width), dtype=np.int64)
-    dead_count = np.zeros_like(alive_count)
-    for i in range(len(positions)):
-        status = int(statuses[i])
-        if status == AgentStatus.EXITED:
-            continue
-        cx, cy = geometry.cell_of((positions[i][0], positions[i][1]))
-        if status == AgentStatus.DEAD:
-            dead_count[cy, cx] += 1
-        else:
-            alive_count[cy, cx] += 1
-    for cy in range(geometry.height):
-        for cx in range(geometry.width):
-            total = alive_count[cy, cx] + dead_count[cy, cx]
-            if total >= 2:
-                rows[cy][cx] = "+"
-            elif dead_count[cy, cx] == 1:
-                rows[cy][cx] = "x"
-            elif alive_count[cy, cx] == 1:
-                rows[cy][cx] = "@"
-    return "\n".join("".join(r) for r in rows)
-

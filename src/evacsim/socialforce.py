@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PARAM_DEFAULTS
+from .config import SF_MAX_DT as MAX_DT
 from .errors import SimulationError
 from .scenario import Geometry
 from .spatialhash import SpatialHash
-
-MAX_DT = 0.05  # s; contact stiffness makes larger steps unstable
 
 # Jacobi sweeps for the sliding-friction impulse pass.  Each sweep damps
 # every touching contact's relative tangential velocity by the implicit
@@ -50,13 +49,16 @@ def _scatter_add(out: np.ndarray, idx: np.ndarray, vec: np.ndarray) -> None:
 
 @dataclass
 class SfState:
-    """Positions, velocities and body parameters, indexed by agent id."""
+    """Positions, velocities and body parameters, indexed by agent id.
+
+    Which bodies are in the building is not recorded here: ``sf_step``
+    takes their ids per step, and the rows of everyone else stay put.
+    """
 
     pos: np.ndarray                        # (N, 2) m
     vel: np.ndarray                        # (N, 2) m/s
     radius: np.ndarray                     # (N,)
     mass: np.ndarray                       # (N,)
-    active: np.ndarray                     # (N,) bool: body physically present
     tick: int = 0
     warnings: list[str] = field(default_factory=list)
 
@@ -78,7 +80,6 @@ class SfState:
             vel=np.zeros((n, 2)),
             radius=np.where(radius > 0, radius, float(p["sf_radius_lo"])),
             mass=np.full(n, float(p["sf_mass"])),
-            active=np.ones(n, dtype=bool),
         )
 
 
@@ -136,10 +137,12 @@ def pair_forces(
     pos: np.ndarray,
     radius: np.ndarray,
     params: dict,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    pairs: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, tuple]:
     """Body-body psychological repulsion plus normal compression.
 
+    ``pairs`` are candidate rows ``(i, j)``, ascending, for example from
+    ``SpatialHash.query_pairs``; those beyond the cutoff are dropped.
     Returns the per-body force array and the touching-contact list
     ``(i, j, tangent, overlap)`` consumed by the sliding-friction pass.
     Accumulation order is fixed (pairs ascending), keeping float sums
@@ -153,26 +156,17 @@ def pair_forces(
     n = len(pos)
     force = np.zeros((n, 2))
     empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
-    if n < 2:
-        return force, empty
-    if pairs is None:
-        grid = SpatialHash(pos, cutoff)
-        i, j = grid.query_pairs(cutoff)
-    else:
-        i, j = pairs
-    if len(i) == 0:
+    i, j = pairs
+    if n < 2 or len(i) == 0:
         return force, empty
 
     diff = pos[i] - pos[j]
     d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    # caller-supplied candidates (e.g. a reusable margin list) may
-    # include pairs beyond the cutoff; drop them here
-    if pairs is not None:
-        near = d2 <= cutoff * cutoff
-        if not near.all():
-            i, j, diff, d2 = i[near], j[near], diff[near], d2[near]
-        if len(i) == 0:
-            return force, empty
+    near = d2 <= cutoff * cutoff
+    if not near.all():
+        i, j, diff, d2 = i[near], j[near], diff[near], d2[near]
+    if len(i) == 0:
+        return force, empty
 
     dist = np.sqrt(d2)
     degenerate = dist < 1e-9
@@ -334,10 +328,10 @@ def apply_contact_friction(
 
 
 def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple:
-    """Candidate pair list over the active rows, reused across steps.
+    """Candidate pair list over the present rows, reused across steps.
 
     Enumerated at cutoff + NEIGHBOR_SKIN and kept until a body drifts
-    half the skin from its reference position (or the active set
+    half the skin from its reference position (or the present set
     changes), which guarantees the list still contains every pair
     truly within the cutoff.
     """
@@ -361,12 +355,14 @@ def sf_step(
     state: SfState,
     geometry: Geometry,
     wall_cells: np.ndarray,
+    present: np.ndarray,
     desired_speed: np.ndarray,
     waypoint: np.ndarray,
     dt: float,
     params: dict | None = None,
 ) -> None:
-    """One semi-implicit Euler step over the active bodies.
+    """One semi-implicit Euler step over the bodies ``present`` (ascending
+    ids of the people in the building).
 
     Velocity updates first and is clamped to slack x the global speed
     cap (contact impulses may briefly exceed walking speeds); the
@@ -378,19 +374,18 @@ def sf_step(
     if not 0 < dt <= MAX_DT:
         raise SimulationError(f"integration step {dt} outside (0, {MAX_DT}]")
 
-    idx = np.nonzero(state.active)[0]
-    if len(idx) == 0:
+    if len(present) == 0:
         state.tick += 1
         return
 
-    pos = state.pos[idx]
-    vel = state.vel[idx]
-    mass = state.mass[idx]
-    pairs = _neighbor_list(state, idx, pos, float(p["sf_cutoff"]))
+    pos = state.pos[present]
+    vel = state.vel[present]
+    mass = state.mass[present]
+    pairs = _neighbor_list(state, present, pos, float(p["sf_cutoff"]))
 
-    total = driving_force(pos, vel, mass, desired_speed[idx], waypoint[idx], p)
-    pair, pair_contacts = pair_forces(pos, state.radius[idx], p, pairs=pairs)
-    wall, wall_contacts = wall_forces(pos, state.radius[idx], wall_cells, geometry.cell_size, p)
+    total = driving_force(pos, vel, mass, desired_speed[present], waypoint[present], p)
+    pair, pair_contacts = pair_forces(pos, state.radius[present], p, pairs=pairs)
+    wall, wall_contacts = wall_forces(pos, state.radius[present], wall_cells, geometry.cell_size, p)
     force = total + pair + wall
 
     vel = vel + force / mass[:, None] * dt
@@ -410,10 +405,10 @@ def sf_step(
     cells_y = np.clip((new_pos[:, 1] / geometry.cell_size).astype(np.int64), 0, geometry.height - 1)
     in_wall = geometry.blocked_mask[cells_y, cells_x]
     if in_wall.any():
-        raise SimulationError(f"tick {state.tick}: agents {idx[in_wall].tolist()} ended the step inside a wall")
+        raise SimulationError(f"tick {state.tick}: agents {present[in_wall].tolist()} ended the step inside a wall")
 
-    state.pos[idx] = new_pos
-    state.vel[idx] = vel
+    state.pos[present] = new_pos
+    state.vel[present] = vel
     state.tick += 1
 
 

@@ -29,7 +29,7 @@ def _step_once(geo, cells, seed=0, noise=0.0, fields=None):
     idx = np.zeros(len(cells), dtype=np.int64)
     ids = np.arange(len(cells), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    moved = ca_step(state, geo, fields, idx, ids, rng, noise)
+    moved = ca_step(state, geo, fields, idx, ids, ids, rng, noise)
     return state, moved
 
 
@@ -124,7 +124,7 @@ def test_conflict_lottery_admits_exactly_one():
     for seed in range(200):
         state, moved = _step_once(geo, [(1, 2), (3, 2)], seed=seed)
         assert len(moved) == 1
-        state.check_bijection()
+        state.check_bijection(np.arange(2))
         winner = int(moved[0])
         wins[int(state.x[winner])] = wins.get(int(state.x[winner]), 0) + 1
         # the loser kept its cell
@@ -155,10 +155,10 @@ def test_conflict_lottery_is_roughly_fair():
 def test_bijection_guard_catches_corruption():
     geo = _geometry(["######", "#...E#", "######"])
     state = CaState.from_cells(geo, [(1, 1), (2, 1)])
-    state.check_bijection()
+    state.check_bijection(np.arange(2))
     state.occupancy[1, 2] = EMPTY_CELL  # agent 1 no longer backed by the grid
     with pytest.raises(SimulationError):
-        state.check_bijection()
+        state.check_bijection(np.arange(2))
 
 
 def test_from_cells_rejects_double_occupancy():

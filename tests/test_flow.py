@@ -23,11 +23,11 @@ def _path_network(n_hops=1, traversal=1, capacity=1, area=50.0):
     return EgressNetwork(nodes=nodes, arcs=arcs, room_labels=np.zeros((1, 1), dtype=np.int32), warnings=[])
 
 
-def _drain(state, max_ticks=100_000):
+def _drain(state, eligible, max_ticks=100_000):
     """Advance until everyone arrived; return the last arrival tick."""
     last = 0
     while len(state.arrived) < state.total:
-        arrivals = flow_step(state)
+        arrivals = flow_step(state, eligible)
         for cohort in arrivals:
             last = max(last, cohort.arrival_tick)
         assert state.tick <= max_ticks, "did not drain"
@@ -41,8 +41,7 @@ def test_single_door_queue_matches_analytic_formula():
             for traversal in range(0, 6):
                 net = _path_network(1, traversal, capacity)
                 state = FlowState.from_assignment(net, {i: 0 for i in range(n_agents)})
-                state.eligible.update(range(n_agents))
-                last = _drain(state)
+                last = _drain(state, np.ones(n_agents, dtype=bool))
                 want = (math.ceil(n_agents / capacity) - 1) + traversal
                 assert last == want, (n_agents, capacity, traversal)
 
@@ -52,25 +51,23 @@ def test_two_hop_pipeline_adds_traversals():
     # the intermediate queue after that tick's departure scan
     net = _path_network(2, traversal=3, capacity=2)
     state = FlowState.from_assignment(net, {0: 0})
-    state.eligible.add(0)
-    assert _drain(state) == 7
+    assert _drain(state, np.ones(1, dtype=bool)) == 7
     # saturated pipeline: last wave leaves the origin at tick 4
     state = FlowState.from_assignment(net, {i: 0 for i in range(10)})
-    state.eligible.update(range(10))
-    assert _drain(state) == 4 + 3 + 1 + 3
+    assert _drain(state, np.ones(10, dtype=bool)) == 4 + 3 + 1 + 3
 
 
 def test_ineligible_agents_hold_their_queue_slot():
     net = _path_network(1, traversal=0, capacity=1)
     state = FlowState.from_assignment(net, {0: 0, 1: 0, 2: 0})
-    state.eligible.update({1, 2})
-    flow_step(state)
+    eligible = np.array([False, True, True])
+    flow_step(state, eligible)
     # id 0 is still premovement, so 1 departed first
     assert 1 in state.arrived
     assert 0 not in state.arrived
-    state.eligible.add(0)
-    flow_step(state)
-    flow_step(state)
+    eligible[0] = True
+    flow_step(state, eligible)
+    flow_step(state, eligible)
     assert set(state.arrived) == {0, 1, 2}
     # id 0 kept its place at the head of the queue while ineligible,
     # so it departs as soon as it wakes: 1, then 0, then 2
@@ -82,10 +79,9 @@ def test_fifo_departure_order_within_a_node():
     net = _path_network(1, traversal=0, capacity=1)
     ids = list(range(7))
     state = FlowState.from_assignment(net, {i: 0 for i in ids})
-    state.eligible.update(ids)
     ticks = {}
     while len(state.arrived) < state.total:
-        for cohort in flow_step(state):
+        for cohort in flow_step(state, np.ones(len(ids), dtype=bool)):
             for agent_id in cohort.ids:
                 ticks[agent_id] = cohort.arrival_tick
     assert [ticks[i] for i in ids] == sorted(ticks[i] for i in ids)
@@ -97,10 +93,9 @@ def test_conservation_every_tick():
         n_agents = int(rng.integers(1, 30))
         net = _path_network(int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 4)))
         state = FlowState.from_assignment(net, {i: 0 for i in range(n_agents)})
-        state.eligible.update(range(n_agents))
         for _ in range(200):
             state.check_conservation()
-            flow_step(state)
+            flow_step(state, np.ones(n_agents, dtype=bool))
             if len(state.arrived) == state.total:
                 break
         state.check_conservation()
@@ -143,8 +138,7 @@ def test_unreachable_room_is_a_connectivity_error():
 def test_zero_traversal_arrives_same_tick():
     net = _path_network(1, traversal=0, capacity=4)
     state = FlowState.from_assignment(net, {i: 0 for i in range(3)})
-    state.eligible.update(range(3))
-    arrivals = flow_step(state)
+    arrivals = flow_step(state, np.ones(3, dtype=bool))
     assert len(arrivals) == 1
     assert arrivals[0].arrival_tick == 0
     assert sorted(arrivals[0].ids) == [0, 1, 2]
@@ -153,10 +147,10 @@ def test_zero_traversal_arrives_same_tick():
 def test_remove_supports_mid_run_deaths():
     net = _path_network(1, traversal=2, capacity=1)
     state = FlowState.from_assignment(net, {i: 0 for i in range(4)})
-    state.eligible.update(range(4))
-    flow_step(state)  # id 0 departs
+    eligible = np.ones(4, dtype=bool)
+    flow_step(state, eligible)  # id 0 departs
     state.remove(1)  # dies while waiting
     assert state.total == 3
-    _drain(state)
+    _drain(state, eligible)
     state.check_conservation()
     assert sorted(state.arrived) == [0, 2, 3]

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+import evacsim
 from evacsim import (
+    PARAM_DEFAULTS,
     ScenarioSyntaxError,
     SchemaViolation,
     SemanticViolation,
@@ -107,9 +110,23 @@ def test_unreachable_pocket_is_a_warning_not_an_error(tmp_path):
 
 
 def test_unknown_override_key_rejected():
-    doc = room_doc(grid_rows(6, 5, exits=[(5, 2)]), overrides={"no_such_knob": 1.0})
-    with pytest.raises(SchemaViolation):
-        make_scenario(doc)
+    for key in ("no_such_knob", "ambient_temp"):
+        doc = room_doc(grid_rows(6, 5, exits=[(5, 2)]), overrides={key: 1.0})
+        with pytest.raises(SchemaViolation):
+            make_scenario(doc)
+
+
+def test_every_parameter_is_read_outside_the_registry():
+    # an override of a parameter nothing reads would silently do nothing
+    package = os.path.dirname(evacsim.__file__)
+    sources = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "config.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                sources.append(fh.read())
+    text = "\n".join(sources)
+    unread = [key for key in PARAM_DEFAULTS if f'"{key}"' not in text and f"'{key}'" not in text]
+    assert unread == []
 
 
 def test_bad_backend_rejected():

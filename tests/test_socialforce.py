@@ -19,10 +19,12 @@ from evacsim.socialforce import (
     sf_step,
     wall_forces,
 )
+from evacsim.spatialhash import SpatialHash
 
 from conftest import grid_rows, make_scenario, room_doc
 
 TAU = PARAM_DEFAULTS["sf_tau"]
+CUTOFF = PARAM_DEFAULTS["sf_cutoff"]
 
 
 def _open_floor(width_m=20.0, height_m=20.0):
@@ -39,8 +41,12 @@ def _free_state(pos, vel=None, radius=0.3):
         vel=np.zeros((n, 2)) if vel is None else np.asarray(vel, dtype=np.float64),
         radius=np.full(n, radius),
         mass=np.full(n, PARAM_DEFAULTS["sf_mass"]),
-        active=np.ones(n, dtype=bool),
     )
+
+
+def _pairs(pos):
+    """Every pair of bodies within the interaction cutoff."""
+    return SpatialHash(pos, CUTOFF).query_pairs(CUTOFF)
 
 
 # -- single-body kinematics ------------------------------------------------------
@@ -56,7 +62,7 @@ def test_speed_relaxes_exponentially_toward_desired():
     waypoint = np.array([[1000.0, 10.0]])
     checkpoints = {round(k * TAU / dt): k * TAU for k in (1, 2, 3)}
     for tick in range(1, max(checkpoints) + 1):
-        sf_step(state, geo, wall_cells, v_des, waypoint, dt, PARAM_DEFAULTS)
+        sf_step(state, geo, wall_cells, np.arange(1), v_des, waypoint, dt, PARAM_DEFAULTS)
         if tick in checkpoints:
             t = checkpoints[tick]
             want = 1.5 * (1.0 - math.exp(-t / TAU))
@@ -69,7 +75,7 @@ def test_relaxation_is_straight_toward_the_waypoint():
     state = _free_state([[10.0, 10.0]])
     waypoint = np.array([[17.0, 3.0]])
     for _ in range(200):
-        sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.array([1.34]), waypoint, 0.02)
+        sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.arange(1), np.array([1.34]), waypoint, 0.02)
     d = state.pos[0] - np.array([10.0, 10.0])
     want_dir = (waypoint[0] - np.array([10.0, 10.0]))
     cos = d @ want_dir / (np.linalg.norm(d) * np.linalg.norm(want_dir))
@@ -81,7 +87,7 @@ def test_speed_clamp_keeps_bodies_subsonic():
     state = _free_state([[10.0, 10.0]])
     state.vel[0] = [50.0, 0.0]
     cap = PARAM_DEFAULTS["sf_speed_slack"] * PARAM_DEFAULTS["speed_cap"]
-    sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.array([1.34]),
+    sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.arange(1), np.array([1.34]),
             np.array([[1000.0, 10.0]]), 0.05)
     assert np.linalg.norm(state.vel[0]) <= cap + 1e-9
 
@@ -104,7 +110,7 @@ def test_pair_forces_obey_newtons_third_law():
         n = int(rng.integers(2, 40))
         pos = rng.uniform(0, 4, size=(n, 2))
         radius = rng.uniform(0.25, 0.35, size=n)
-        force, _ = pair_forces(pos, radius, PARAM_DEFAULTS)
+        force, _ = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
         assert np.allclose(force.sum(axis=0), 0.0, atol=1e-8)
 
 
@@ -113,7 +119,7 @@ def test_pair_force_is_repulsive_and_decays():
 
     def push(gap):
         pos = np.array([[0.0, 0.0], [0.6 + gap, 0.0]])
-        force, _ = pair_forces(pos, radius, PARAM_DEFAULTS)
+        force, _ = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
         return force[0, 0]
 
     near, far = push(0.05), push(0.5)
@@ -128,7 +134,7 @@ def test_pair_contact_adds_body_compression():
     radius = np.array([0.3, 0.3])
     overlap = 0.1
     pos = np.array([[0.0, 0.0], [0.6 - overlap, 0.0]])
-    force, contacts = pair_forces(pos, radius, PARAM_DEFAULTS)
+    force, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     a, b, k = PARAM_DEFAULTS["sf_a"], PARAM_DEFAULTS["sf_b"], PARAM_DEFAULTS["sf_k"]
     want = a * math.exp(overlap / b) + k * overlap
     assert math.isclose(abs(force[0, 0]), want, rel_tol=1e-9)
@@ -139,7 +145,7 @@ def test_pair_contact_adds_body_compression():
 def test_pairs_beyond_cutoff_exert_nothing():
     radius = np.array([0.3, 0.3])
     pos = np.array([[0.0, 0.0], [PARAM_DEFAULTS["sf_cutoff"] + 1.0, 0.0]])
-    force, _ = pair_forces(pos, radius, PARAM_DEFAULTS)
+    force, _ = pair_forces(pos, radius, PARAM_DEFAULTS, (np.array([0]), np.array([1])))
     assert np.allclose(force, 0.0)
 
 
@@ -229,7 +235,7 @@ def test_friction_damps_tangential_slip_between_touching_bodies():
     pos = np.array([[0.0, 0.0], [0.55, 0.0]])  # overlapping by 0.05
     vel = np.array([[0.0, 1.0], [0.0, -1.0]])  # pure tangential shear
     state_vel = vel.copy()
-    _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS)
+    _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     new_vel = apply_contact_friction(
         state_vel, np.full(2, 80.0), contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
     )
@@ -246,7 +252,7 @@ def test_separated_bodies_feel_no_friction():
     radius = np.array([0.3, 0.3])
     pos = np.array([[0.0, 0.0], [1.0, 0.0]])
     vel = np.array([[0.0, 1.0], [0.0, -1.0]])
-    _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS)
+    _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     new_vel = apply_contact_friction(
         vel.copy(), np.full(2, 80.0), contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
     )
@@ -267,7 +273,7 @@ def test_bodies_never_end_a_step_inside_walls():
     waypoint = np.tile([7.5, 1.75], (n, 1))
     open_mask = geo.open_mask
     for _ in range(200):
-        sf_step(state, geo, wall_cells, v_des, waypoint, 0.05)
+        sf_step(state, geo, wall_cells, np.arange(n), v_des, waypoint, 0.05)
         cx = (state.pos[:, 0] / geo.cell_size).astype(int)
         cy = (state.pos[:, 1] / geo.cell_size).astype(int)
         assert open_mask[cy, cx].all()
@@ -282,7 +288,7 @@ def test_cornered_body_settles_instead_of_tunnelling():
     state.vel[0] = [0.0, -8.0]
     waypoint = np.array([[1.0, 1.0]])
     for _ in range(200):
-        sf_step(state, geo, wall_cells, np.array([1.0]), waypoint, 0.05)
+        sf_step(state, geo, wall_cells, np.arange(1), np.array([1.0]), waypoint, 0.05)
     assert np.linalg.norm(state.pos[0] - waypoint[0]) < 0.2
     assert np.linalg.norm(state.vel[0]) < 0.5
     assert not state.warnings
@@ -294,12 +300,11 @@ def test_neighbor_cache_survives_drift_without_missing_pairs():
     n = 60
     state = _free_state(rng.uniform(2.0, 8.0, size=(n, 2)))
     v_des = np.full(n, 1.34)
-    cutoff = PARAM_DEFAULTS["sf_cutoff"]
     for step in range(60):
         waypoint = state.pos + rng.uniform(-2, 2, size=(n, 2))
-        sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), v_des, waypoint, 0.05)
-        force, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS)
-        cached, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, pairs=state._nbr_pairs)
+        sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.arange(n), v_des, waypoint, 0.05)
+        force, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, _pairs(state.pos))
+        cached, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr_pairs)
         assert np.allclose(force, cached, atol=1e-9), step
 
 
