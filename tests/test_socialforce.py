@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from evacsim.agents import NO_TARGET
 from evacsim.config import PARAM_DEFAULTS
+from evacsim.engine import _Simulation
+from evacsim.flow import route_to_destination
+from evacsim.scenario import derive_network, distance_field, load_scenario
 from evacsim.socialforce import (
     MAX_DT,
     SfState,
@@ -21,7 +28,7 @@ from evacsim.socialforce import (
 )
 from evacsim.spatialhash import SpatialHash
 
-from conftest import grid_rows, make_scenario, room_doc
+from conftest import SCENARIOS, grid_rows, make_scenario, room_doc
 
 TAU = PARAM_DEFAULTS["sf_tau"]
 CUTOFF = PARAM_DEFAULTS["sf_cutoff"]
@@ -339,3 +346,127 @@ def test_detect_arch_requires_starved_flow_and_a_crowd():
 
 def test_max_dt_guard_is_the_documented_bound():
     assert MAX_DT == 0.05
+
+
+# -- steering ---------------------------------------------------------------------
+
+READING_ORDER = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def _field_hop(geo, field, cx, cy):
+    """Scalar steepest descent: the centre of the first lowest admissible
+    neighbour below the current cell, or None at a minimum."""
+    here = field[cy, cx]
+    best = None
+    best_val = here if math.isfinite(here) else math.inf
+    for dx, dy in READING_ORDER:
+        nx, ny = cx + dx, cy + dy
+        if not geo.is_open(nx, ny):
+            continue
+        if dx and dy and not (geo.is_open(nx, cy) and geo.is_open(cx, ny)):
+            continue
+        if field[ny, nx] < best_val:
+            best_val = field[ny, nx]
+            best = (nx, ny)
+    return None if best is None else geo.cell_center(*best)
+
+
+def _push_point(geo, labels, n_rooms, arc, door):
+    """Just beyond the door centre on the arc's destination side."""
+    cs = geo.cell_size
+    center = np.array([sum(x + 0.5 for x, _ in door.cells), sum(y + 0.5 for _, y in door.cells)])
+    center = center / len(door.cells) * cs
+    if arc.dst >= n_rooms:
+        labels, label = geo.zone_grid, arc.dst - n_rooms
+    else:
+        label = arc.dst
+    acc = np.zeros(2)
+    count = 0
+    for (x, y) in door.cells:
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nx, ny = x + dx, y + dy
+            if geo.in_bounds(nx, ny) and int(labels[ny, nx]) == label:
+                acc += geo.cell_center(nx, ny)
+                count += 1
+    if count:
+        direction = acc / count - center
+        norm = float(np.linalg.norm(direction))
+        if norm > 1e-9:
+            return center + direction / norm * (0.9 * cs)
+    return center
+
+
+class _ScalarSteering:
+    """One agent at a time: the next route arc's door, the nearest exit
+    cell for a doorless arc, else (and once the aim is within reach) a hop
+    down the target's field; the all-exits field without a target."""
+
+    def __init__(self, geo, params):
+        self.geo = geo
+        self.reach = float(params["waypoint_reach"])
+        network = derive_network(geo, params)
+        self.labels = network.room_labels
+        n_rooms = int(self.labels.max()) + 1
+        self.fields = [distance_field(geo, zone.cells) for zone in geo.exit_zones]
+        self.routes = [route_to_destination(network, n_rooms + zone.id) for zone in geo.exit_zones]
+        doors = {door.id: door for door in geo.doors}
+        self.push = [
+            None if arc.door_id not in doors else _push_point(geo, self.labels, n_rooms, arc, doors[arc.door_id])
+            for arc in network.arcs
+        ]
+
+    def waypoint(self, pos, zone):
+        geo = self.geo
+        cx = min(geo.width - 1, max(0, int(pos[0] / geo.cell_size)))
+        cy = min(geo.height - 1, max(0, int(pos[1] / geo.cell_size)))
+        if zone == NO_TARGET:
+            wp = _field_hop(geo, geo.exit_distance, cx, cy)
+        else:
+            wp = self._route_waypoint(pos, zone, cx, cy)
+        return (math.nan, math.nan) if wp is None else wp
+
+    def _route_waypoint(self, pos, zone, cx, cy):
+        geo = self.geo
+        wp = None
+        room = int(self.labels[cy, cx])
+        if room >= 0 and self.routes[zone].get(room) is not None:
+            wp = self.push[self.routes[zone][room]]
+            if wp is None:
+                centers = (np.asarray(geo.exit_zones[zone].cells) + 0.5) * geo.cell_size
+                wp = centers[int(np.argmin(((centers - pos) ** 2).sum(axis=1)))]
+        if wp is None:
+            wp = _field_hop(geo, self.fields[zone], cx, cy)
+        if wp is not None and math.hypot(float(wp[0]) - pos[0], float(wp[1]) - pos[1]) < self.reach:
+            hop = _field_hop(geo, self.fields[zone], cx, cy)
+            if hop is not None:
+                wp = hop
+        return wp
+
+
+@pytest.mark.parametrize("name", ["two_rooms", "herding_two_exit"])
+def test_bulk_steering_matches_the_scalar_reference(name):
+    # every open cell's centre and one jittered point in it, toward every
+    # exit and toward none: reaches the doorless arcs, the cells outside
+    # any room, the minima and the agents without a target
+    scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    sim = _Simulation(scenario, replace(scenario.config, backend="sf"))
+    geo = sim.geometry
+    reference = _ScalarSteering(geo, sim.params)
+    cells = np.argwhere(geo.open_mask)[:, ::-1].astype(np.float64)
+    jitter = np.random.default_rng(17).uniform(0.0, 1.0, size=cells.shape)
+    points = np.concatenate([cells + 0.5, cells + jitter]) * geo.cell_size
+    targets = [NO_TARGET] + [zone.id for zone in geo.exit_zones]
+    pos = np.repeat(points, len(targets), axis=0)
+    zone = np.tile(targets, len(points))
+    want = np.array([reference.waypoint(p, z) for p, z in zip(pos, zone.tolist())], dtype=np.float64)
+    got = np.empty_like(want)
+    batch = sim.n
+    for start in range(0, len(pos), batch):
+        stop = min(len(pos), start + batch)
+        ids = np.arange(stop - start)
+        sim.pop.pos[ids] = pos[start:stop]
+        sim.pop.target[ids] = zone[start:stop]
+        sim.mover.steer(ids)
+        got[start:stop] = sim.mover.waypoint[ids]
+    assert np.isnan(want[:, 0]).any() and not np.isnan(want[:, 0]).all()
+    np.testing.assert_array_equal(got, want)
