@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_sweep.add_argument("--seeds", required=True, help="comma list and/or a:b ranges, e.g. 0:20")
     p_sweep.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p_sweep.add_argument("--workers", type=int, help="worker processes (default: EVACSIM_THREADS, 0 = auto)")
+    p_sweep.add_argument("--workers", type=int, default=0, help="worker processes (default: 0 = one per CPU)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_compare = sub.add_parser(

@@ -35,20 +35,11 @@ class SweepRow:
     digest: str
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Resolve the worker-process count: an explicit request wins, then
-    the EVACSIM_THREADS environment variable, 0 meaning auto."""
-    if requested is None:
-        raw = os.environ.get("EVACSIM_THREADS", "0")
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise SemanticViolation("EVACSIM_THREADS", f"not an integer: {raw!r}") from None
+def worker_count(requested: int) -> int:
+    """The worker-process count for a request; 0 means one per CPU."""
     if requested < 0:
-        raise SemanticViolation("EVACSIM_THREADS", "must be >= 0")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return requested
+        raise SemanticViolation("sweep.workers", "must be >= 0")
+    return requested or os.cpu_count() or 1
 
 
 def set_swept_value(doc: dict, path: str, value: float) -> None:
@@ -118,7 +109,7 @@ def run_sweep(
     values: list[float],
     seeds: list[int],
     base_dir: str = ".",
-    workers: int | None = None,
+    workers: int = 0,
 ) -> list[SweepRow]:
     """Full factorial of ``values`` x ``seeds``; rows come back in that
     order regardless of how many workers executed them."""

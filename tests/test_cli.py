@@ -60,3 +60,13 @@ def test_every_simulating_command_exits_3_on_timeout(tmp_path):
         assert proc.stderr == "", command
     assert "with 12 still inside" in runs["run"].stdout
     assert "(0/1 finished, 1 timeouts)" in runs["sweep"].stdout
+
+
+def test_sweep_rejects_a_negative_worker_count(tmp_path):
+    proc = run_cli(
+        "sweep", os.path.join(SCENARIOS, "minimal_room.json"), "--param", "params.v_panic", "--values", "1.5",
+        "--seeds", "0", "--workers", -1, "--out", tmp_path / "sweep",
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == "evacsim:error: sweep.workers: must be >= 0\n"
+    assert not (tmp_path / "sweep").exists()
