@@ -371,7 +371,7 @@ class WorldView:
     od_frame: np.ndarray           # (H, W) current optical density
     temp_frame: np.ndarray
     tox_frame: np.ndarray
-    exit_fields: list[np.ndarray]  # per exit zone, distances in cells
+    exit_fields: np.ndarray        # (E + 1, H, W) cells to each exit zone, then to the nearest exit
     zone_centers: np.ndarray       # (E, 2) m
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
@@ -398,9 +398,9 @@ class WorldView:
         keep = (seen != observers[k]) & (d2 <= radius[k] ** 2)
         k, seen, d2 = k[keep], seen[keep], d2[keep]
         if len(k) and self.has_interior_blockers:
-            cs = self.geometry.cell_size
+            cells_of = self.geometry.cells_of
             clear = los_pairs(
-                self.geometry.blocked_mask, np.floor(self.pop.pos[observers[k]] / cs), np.floor(self.pop.pos[seen] / cs)
+                self.geometry.blocked_mask, cells_of(self.pop.pos[observers[k]]), cells_of(self.pop.pos[seen])
             )
             k, seen, d2 = k[clear], seen[clear], d2[clear]
         return k, seen, d2
@@ -512,9 +512,7 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
 
     pos = pop.pos[indices]
     vision = pop.vision[indices]
-    cells = np.floor(pos / cs).astype(np.int64)
-    cells[:, 0] = np.clip(cells[:, 0], 0, geometry.width - 1)
-    cells[:, 1] = np.clip(cells[:, 1], 0, geometry.height - 1)
+    cells = geometry.cells_of(pos)
 
     # each exit zone: walking distance, and whether its nearest cell is in sight
     distance = np.empty((n, n_zones))

@@ -1,11 +1,13 @@
 """Grid-stepping backend: synchronous movement on the occupancy lattice.
 
-Each mover examines its own cell plus the eight neighbours, scores
-every admissible candidate by the chosen exit's distance field plus a
-small uniform noise, and proposes the minimum.  Conflicting proposals
-for one cell are settled by a single uniform lottery draw; losers stay
-put.  All moves apply at a barrier, so the update is synchronous and
-order-free.
+Each mover examines the nine ``scenario.STEPS`` from its cell (stay,
+then the 8-neighbourhood in reading order), keeps those that
+``Geometry.moves`` allows and that lead to a free cell, scores each by
+the chosen exit's distance field plus a small uniform noise, and
+proposes the minimum, ties going to the earliest step.  Conflicting
+proposals for one cell are settled by a single uniform lottery draw;
+losers stay put.  All moves apply at a barrier, so the update is
+synchronous and order-free.
 
 Different walking speeds live on the fixed lattice by step skipping: a
 slow agent simply sits out a fraction of the ticks.
@@ -18,17 +20,6 @@ import numpy as np
 
 from .errors import SimulationError
 from .scenario import Geometry
-
-# Candidate order for one move: stay first, then the 8-neighbourhood in
-# reading order.  Ties on equal score resolve to the earliest candidate,
-# so this order is part of the movement rule, not an implementation
-# accident.
-CANDIDATE_STEPS = (
-    (0, 0),
-    (-1, -1), (0, -1), (1, -1),
-    (-1, 0), (1, 0),
-    (-1, 1), (0, 1), (1, 1),
-)
 
 EMPTY_CELL = -1
 
@@ -117,32 +108,14 @@ def ca_step(
         state.check_bijection(present)
         return move_ids
 
-    h, w = state.occupancy.shape
-    ax = state.x[move_ids].astype(np.int64)
-    ay = state.y[move_ids].astype(np.int64)
-
-    steps = np.array(CANDIDATE_STEPS, dtype=np.int64)
-    cx = ax[:, None] + steps[None, :, 0]     # (n, 9)
-    cy = ay[:, None] + steps[None, :, 1]
-
-    in_bounds = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-    cxc = np.clip(cx, 0, w - 1)
-    cyc = np.clip(cy, 0, h - 1)
-
-    open_mask = geometry.open_mask
-    admissible = in_bounds & open_mask[cyc, cxc]
-    free = state.occupancy[cyc, cxc] == EMPTY_CELL
+    cx, cy, admissible = geometry.neighbourhood(
+        state.x[move_ids].astype(np.int64), state.y[move_ids].astype(np.int64)
+    )                                        # (n, 9) each
+    free = state.occupancy[cy, cx] == EMPTY_CELL
     admissible[:, 1:] &= free[:, 1:]         # staying on one's own cell is always allowed
 
-    # diagonal moves may not cut past a blocked corner
-    for col, (dx, dy) in enumerate(CANDIDATE_STEPS):
-        if dx and dy:
-            ox = np.clip(ax + dx, 0, w - 1)
-            oy = np.clip(ay + dy, 0, h - 1)
-            admissible[:, col] &= open_mask[ay, ox] & open_mask[oy, ax]
-
     layer = field_index[move_ids]
-    cost = fields[layer[:, None], cyc, cxc]
+    cost = fields[layer[:, None], cy, cx]
     cost = cost + noise * rng.random((n, 9))
     cost = np.where(admissible, cost, np.inf)
     cost[:, 0] = np.where(np.isfinite(cost[:, 0]), cost[:, 0], 1e30)  # stay beats nothing at all
@@ -157,7 +130,7 @@ def ca_step(
 
     tx = cx[movers, pick[movers]]
     ty = cy[movers, pick[movers]]
-    flat = ty * w + tx
+    flat = ty * geometry.width + tx
 
     # conflict lottery: one uniform draw per contested cell, contenders
     # ordered by ascending agent id (move_ids is ascending already)

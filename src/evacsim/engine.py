@@ -19,6 +19,17 @@ no mover keeps a copy.  Class constants on each mover give its default
 decision and trajectory cadence, whether it makes decision rounds at
 all, and whether it needs door sites and a network.
 
+The run stacks its distance fields once, a layer per exit zone and then
+the all-exits field, and the lattice mover, the social-force steering
+and the decision layer all read that stack.  Every grid rule comes from
+the geometry: ``Geometry.moves`` says which ``scenario.STEPS`` are
+allowed from a cell, and ``Geometry.cells_of`` maps positions to cells.
+Social-force steering runs over all of a round's deciders at once: a
+(target, room) table gives each its next route arc, an arc table gives
+the point beyond that arc's door, and one steepest-descent hop on the
+target's layer covers agents off the route, within reach of their aim
+or without a target.
+
 Determinism is load-bearing throughout: agents are always iterated in
 ascending id order, random substreams are dedicated per concern, and
 float accumulation happens over sorted index arrays.
@@ -35,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import (
-    NO_TARGET,
     AgentStatus,
     WorldView,
     build_percepts,
@@ -60,10 +70,10 @@ from .hazard import (
 from .metrics import EventRecord, PerAgentRecord, RunResult
 from .rng import RngStreams
 from .scenario import (
-    NEIGHBOURS_8,
     CellKind,
     Geometry,
     Scenario,
+    cells_center,
     derive_network,
     distance_field,
     parse_scenario,
@@ -222,16 +232,14 @@ class _Simulation:
         geometry = self.geometry
         self.zones = geometry.exit_zones
         self.zone_grid = geometry.zone_grid
-        self.exit_fields = [distance_field(geometry, z.cells) for z in self.zones]
+        # distance fields, one layer per exit zone and then the all-exits
+        # field, which agents without a target descend
+        self.exit_fields = np.stack([distance_field(geometry, z.cells) for z in self.zones] + [geometry.exit_distance])
         blocked = geometry.blocked_mask
         self.has_interior_blockers = (
             bool(blocked[1:-1, 1:-1].any()) if min(blocked.shape) > 2 else False
         )
-        self.zone_centers = (
-            np.array([z.center(self.cs) for z in self.zones])
-            if self.zones
-            else np.zeros((0, 2))
-        )
+        self.zone_centers = np.array([cells_center(z.cells, self.cs) for z in self.zones]).reshape(-1, 2)
         self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in self.zones]
 
         # route network: the movers that need it move or steer on it, and
@@ -321,9 +329,7 @@ class _Simulation:
         inside = self._inside()
         if len(inside) == 0:
             return
-        cs = self.cs
-        cx = np.clip((self.pop.pos[inside, 0] / cs).astype(np.int64), 0, self.geometry.width - 1)
-        cy = np.clip((self.pop.pos[inside, 1] / cs).astype(np.int64), 0, self.geometry.height - 1)
+        cx, cy = self.geometry.cells_of(self.pop.pos[inside]).T
         temp = self.temp_frame[cy, cx]
         od = self.od_frame[cy, cx]
         tox = self.tox_frame[cy, cx]
@@ -557,8 +563,7 @@ class _CaMover(_Mover):
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
-        self.state = CaState.from_cells(sim.geometry, [sim.geometry.cell_of((x, y)) for x, y in sim.pop.pos])
-        self.fields_stack = np.stack(sim.exit_fields + [sim.geometry.exit_distance])
+        self.state = CaState.from_cells(sim.geometry, sim.geometry.cells_of(sim.pop.pos).tolist())
         self.v_grid = sim.cs / sim.dt
 
     def remove(self, i: int) -> None:
@@ -593,7 +598,7 @@ class _CaMover(_Mover):
         moved = ca_step(
             state,
             sim.geometry,
-            self.fields_stack,
+            sim.exit_fields,
             field_index,
             move_ids,
             present,
@@ -639,33 +644,64 @@ class _SfMover(_Mover):
         # per site, its first crossing time and the (t, persons) crossings of the clog window
         self.first_cross_t: list[float | None] = [None] * len(sim.sites)
         self.recent: list[list[tuple[float, int]]] = [[] for _ in sim.sites]
-        # per exit zone, each room's next arc toward it; per arc, where to aim
-        self.routes = [route_to_destination(sim.network, sim.n_rooms + z.id) for z in sim.zones]
+        # per target layer (exit zones, then no target) and room (then no
+        # room), the next route arc, -1 for none; per arc (then none), the
+        # point beyond its door to aim at, NaN where the arc has no door
+        network = sim.network
+        self.next_arc = np.full((len(sim.zones) + 1, sim.n_rooms + 1), -1, dtype=np.int64)
+        for z in sim.zones:
+            for node, arc_index in route_to_destination(network, sim.n_rooms + z.id).items():
+                if arc_index is not None:
+                    self.next_arc[z.id, node] = arc_index
         doors = {d.id: d for d in sim.geometry.doors}
-        self.arc_push = [self._push_point(arc, doors.get(arc.door_id)) for arc in sim.network.arcs]
+        self.door_aim = np.full((len(network.arcs) + 1, 2), np.nan)
+        for arc_index, arc in enumerate(network.arcs):
+            if arc.door_id in doors:
+                self.door_aim[arc_index] = self._push_point(arc, doors[arc.door_id])
 
     # -- steering ------------------------------------------------------------
 
     def steer(self, ids: np.ndarray) -> None:
-        """Aim each decider at the next waypoint toward its target exit,
-        or down the all-exits field when it has none."""
-        pop = self.sim.pop
-        for i in ids.tolist():
-            zone_id = int(pop.target[i])
-            cx, cy = self.sim.geometry.cell_of((pop.pos[i][0], pop.pos[i][1]))
-            if zone_id == NO_TARGET:
-                wp = self._field_hop(self.sim.geometry.exit_distance, cx, cy)
-            else:
-                wp = self._waypoint(i, zone_id, cx, cy)
-            self.waypoint[i] = (np.nan, np.nan) if wp is None else wp
-
-    def _push_point(self, arc, door) -> np.ndarray | None:
-        """Where to aim when taking this arc through this door: just beyond
-        the door centre on the destination side (None without a door)."""
-        if door is None:
-            return None
+        """Aim each decider through the door of the next route arc toward
+        its target exit, or at the nearest exit cell when that arc has no
+        door.  Off the route (outside any room), or once the aim is within
+        ``waypoint_reach``, hop down the target's field instead; an agent
+        without a target hops down the all-exits field.  NaN marks a
+        decider with nowhere lower to go."""
         sim = self.sim
-        center = np.array(door.center(sim.cs))
+        pos = sim.pop.pos[ids]
+        cx, cy = sim.geometry.cells_of(pos).T
+        layer = np.where(sim.pop.target[ids] >= 0, sim.pop.target[ids], len(sim.zones))
+        hop = self._hop(layer, cx, cy)
+        arc = self.next_arc[layer, sim.room_labels[cy, cx]]
+        aim = self.door_aim[arc]
+        doorless = (arc >= 0) & np.isnan(aim[:, 0])
+        for z, cells in enumerate(sim.zone_cells):
+            rows = np.nonzero(doorless & (layer == z))[0]
+            centers = (cells + 0.5) * sim.cs
+            d2 = ((centers[None, :, :] - pos[rows, None, :]) ** 2).sum(axis=2)
+            aim[rows] = centers[np.argmin(d2, axis=1)]
+        aim = np.where(np.isnan(aim), hop, aim)
+        reached = np.hypot(aim[:, 0] - pos[:, 0], aim[:, 1] - pos[:, 1]) < float(sim.params["waypoint_reach"])
+        self.waypoint[ids] = np.where((reached & ~np.isnan(hop[:, 0]))[:, None], hop, aim)
+
+    def _hop(self, layer: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """(n, 2) centre of the steepest-descent neighbour of each cell on
+        its field layer, NaN where no allowed step leads lower."""
+        sim = self.sim
+        nx, ny, allowed = sim.geometry.neighbourhood(cx, cy)
+        # step 0 stays put and wins ties, so only a strictly lower step is taken
+        pick = np.argmin(np.where(allowed, sim.exit_fields[layer[:, None], ny, nx], np.inf), axis=1)
+        rows = np.arange(len(pick))
+        out = (np.stack([nx[rows, pick], ny[rows, pick]], axis=1) + 0.5) * sim.cs
+        out[pick == 0] = np.nan
+        return out
+
+    def _push_point(self, arc, door) -> np.ndarray:
+        """Where to aim when taking this arc through this door: just beyond
+        the door centre on the destination side."""
+        sim = self.sim
+        center = np.array(cells_center(door.cells, sim.cs))
         # destination-side cells adjacent to the span
         if arc.dst >= sim.n_rooms:
             labels, label = sim.zone_grid, arc.dst - sim.n_rooms
@@ -685,52 +721,6 @@ class _SfMover(_Mover):
             if norm > 1e-9:
                 return center + direction / norm * (0.9 * sim.cs)
         return center
-
-    def _field_hop(self, field_grid: np.ndarray, cx: int, cy: int) -> tuple[float, float] | None:
-        """Centre of the steepest-descent neighbour cell, or None at a
-        minimum / in an unreachable pocket."""
-        geometry = self.sim.geometry
-        here = field_grid[cy, cx]
-        best = None
-        best_val = here if math.isfinite(here) else math.inf
-        open_mask = geometry.open_mask
-        for dx, dy, _cost in NEIGHBOURS_8:
-            nx, ny = cx + dx, cy + dy
-            if not geometry.in_bounds(nx, ny) or not open_mask[ny, nx]:
-                continue
-            if dx and dy and not (open_mask[cy, nx] and open_mask[ny, cx]):
-                continue
-            val = field_grid[ny, nx]
-            if val < best_val:
-                best_val = val
-                best = (nx, ny)
-        if best is None:
-            return None
-        return geometry.cell_center(*best)
-
-    def _waypoint(self, i: int, zone_id: int, cx: int, cy: int):
-        """Next aim point of agent i, on cell (cx, cy), toward exit zone_id."""
-        sim = self.sim
-        pos = sim.pop.pos[i]
-        wp = None
-        room = int(sim.room_labels[cy, cx])
-        if room >= 0:
-            arc_index = self.routes[zone_id].get(room)
-            if arc_index is not None:
-                wp = self.arc_push[arc_index]
-                if wp is None:
-                    # doorless hop straight for the nearest zone cell
-                    centers = (sim.zone_cells[zone_id] + 0.5) * sim.cs
-                    d2 = ((centers - pos) ** 2).sum(axis=1)
-                    wp = centers[int(np.argmin(d2))]
-        if wp is None:
-            wp = self._field_hop(sim.exit_fields[zone_id], cx, cy)
-        if wp is not None:
-            if math.hypot(float(wp[0]) - pos[0], float(wp[1]) - pos[1]) < float(sim.params["waypoint_reach"]):
-                hop = self._field_hop(sim.exit_fields[zone_id], cx, cy)
-                if hop is not None:
-                    wp = hop
-        return wp
 
     # -- movement ------------------------------------------------------------
 
@@ -771,9 +761,7 @@ class _SfMover(_Mover):
                 self._crossed(t, site_index, count)
 
         # arrivals: a body whose centre reaches an exit cell is out
-        cs = sim.cs
-        cx = np.clip((pop.pos[present, 0] / cs).astype(np.int64), 0, sim.geometry.width - 1)
-        cy = np.clip((pop.pos[present, 1] / cs).astype(np.int64), 0, sim.geometry.height - 1)
+        cx, cy = sim.geometry.cells_of(pop.pos[present]).T
         leaving = sim.zone_grid[cy, cx] >= 0
         through: dict[int, int] = {}
         for i, x, y in zip(present[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):
@@ -842,8 +830,7 @@ class _FlowMover(_Mover):
                     "area-spawned populations need a network with room labels; "
                     "use spawn.node with a hand-written network"
                 )
-            for i in range(sim.n):
-                cx, cy = sim.geometry.cell_of((sim.pop.pos[i][0], sim.pop.pos[i][1]))
+            for i, (cx, cy) in enumerate(sim.geometry.cells_of(sim.pop.pos).tolist()):
                 label = int(sim.room_labels[cy, cx])
                 if label < 0:
                     label = self._nearest_room_label(cx, cy)
@@ -873,7 +860,7 @@ class _FlowMover(_Mover):
         for arc in network.arcs:
             door = doors.get(arc.door_id)
             if door is not None:
-                self.arc_points.append(np.array(door.center(sim.cs)))
+                self.arc_points.append(np.array(cells_center(door.cells, sim.cs)))
             else:
                 self.arc_points.append(
                     0.5 * (self.node_points[arc.src] + self.node_points[arc.dst])

@@ -9,22 +9,13 @@ first/last frame.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PARAM_DEFAULTS
 from .errors import HazardFormatError
 
 AMBIENT_TEMP = 20.0  # degC everywhere unless a frame says otherwise
-
-
-@dataclass(frozen=True)
-class HazardSample:
-    temperature: float      # degC
-    optical_density: float  # 1/m, >= 0
-    toxicity: float         # health dose rate, >= 0
 
 
 @dataclass(eq=False)
@@ -45,10 +36,6 @@ class HazardField:
             raise HazardFormatError("frame stacks disagree in shape")
         if shape[0] != len(self.timestamps):
             raise HazardFormatError("frame count does not match timestamps")
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.temperature.shape[1:]
 
     @classmethod
     def ambient(cls, height: int, width: int) -> "HazardField":
@@ -72,22 +59,6 @@ class HazardField:
         alpha = (t - ts[lo]) / (ts[hi] - ts[lo])
         return lo, hi, float(alpha)
 
-    def sample_cells(self, xs: np.ndarray, ys: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised sampling at cell coordinates for one instant."""
-        lo, hi, alpha = self._bracket(t)
-        if lo == hi:
-            return (
-                self.temperature[lo, ys, xs],
-                self.optical_density[lo, ys, xs],
-                self.toxicity[lo, ys, xs],
-            )
-        w0 = 1.0 - alpha
-        return (
-            w0 * self.temperature[lo, ys, xs] + alpha * self.temperature[hi, ys, xs],
-            w0 * self.optical_density[lo, ys, xs] + alpha * self.optical_density[hi, ys, xs],
-            w0 * self.toxicity[lo, ys, xs] + alpha * self.toxicity[hi, ys, xs],
-        )
-
     def frame_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lo, hi, alpha = self._bracket(t)
         if lo == hi:
@@ -98,16 +69,6 @@ class HazardField:
             w0 * self.optical_density[lo] + alpha * self.optical_density[hi],
             w0 * self.toxicity[lo] + alpha * self.toxicity[hi],
         )
-
-
-def sample_hazard(field: HazardField, cell: tuple[int, int], t: float) -> HazardSample:
-    """Conditions at one cell and instant (linear in time, clamped ends)."""
-    x, y = cell
-    h, w = field.grid_shape
-    if not (0 <= x < w and 0 <= y < h):
-        raise HazardFormatError(f"cell ({x}, {y}) outside the {w}x{h} grid")
-    temp, od, tox = field.sample_cells(np.array([x]), np.array([y]), t)
-    return HazardSample(float(temp[0]), float(od[0]), float(tox[0]))
 
 
 def load_hazard_series(text: str, height: int, width: int) -> HazardField:
@@ -258,21 +219,12 @@ def _shift(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def visibility_range(sample: HazardSample, health: float, params: dict | None = None) -> float:
-    """How far an agent can see, in metres.
+def visibility_range_bulk(od: np.ndarray, health: np.ndarray, params: dict) -> np.ndarray:
+    """How far each agent can see, in metres.
 
     Sight shrinks inversely with optical density and degrades linearly
     with failing health down to half range at zero health.
     """
-    p = params or PARAM_DEFAULTS
-    r_max = float(p["vis_r_max"])
-    k = float(p["vis_k"])
-    eps = float(p["vis_eps"])
-    base = min(r_max, k / max(sample.optical_density, eps))
-    return base * (0.5 + 0.5 * health)
-
-
-def visibility_range_bulk(od: np.ndarray, health: np.ndarray, params: dict) -> np.ndarray:
     r_max = float(params["vis_r_max"])
     k = float(params["vis_k"])
     eps = float(params["vis_eps"])
@@ -290,8 +242,3 @@ def health_decrement(temp, od, tox, dt: float, params: dict):
     c_tox = float(params["c_tox"])
     heat = np.maximum(0.0, np.asarray(temp) - t_crit) / t_scale
     return dt * (c_temp * heat + c_tox * np.asarray(tox))
-
-
-def smoke_mass(field: HazardField, frame_index: int) -> float:
-    """Total optical density in one stored frame (conservation checks)."""
-    return float(field.optical_density[frame_index].sum())

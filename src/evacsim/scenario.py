@@ -23,8 +23,6 @@ from .errors import ScenarioSyntaxError, SchemaViolation, SemanticViolation
 
 DEFAULT_CELL_SIZE = 0.4  # m
 
-SQRT2 = math.sqrt(2.0)
-
 
 class CellKind(IntEnum):
     EMPTY = 0
@@ -35,6 +33,20 @@ class CellKind(IntEnum):
 
 GLYPH_TO_KIND = {".": CellKind.EMPTY, "#": CellKind.WALL, "o": CellKind.OBSTACLE, "E": CellKind.EXIT}
 KIND_TO_GLYPH = {int(v): k for k, v in GLYPH_TO_KIND.items()}
+
+# One move on the grid: stay first, then the 8-neighbourhood in reading
+# order.  Ties on equal score resolve to the earliest step, so this order
+# is part of the movement rule, not an implementation accident.
+STEPS = ((0, 0), (-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+STEP_DX, STEP_DY = np.array(STEPS, dtype=np.int64).T
+STEP_COSTS = tuple(math.hypot(dx, dy) for dx, dy in STEPS)  # 0, 1 or sqrt(2) cells
+
+
+def cells_center(cells: list[tuple[int, int]], cell_size: float) -> tuple[float, float]:
+    """Mean of the cells' centres, in metres."""
+    xs = [c[0] + 0.5 for c in cells]
+    ys = [c[1] + 0.5 for c in cells]
+    return (sum(xs) / len(xs) * cell_size, sum(ys) / len(ys) * cell_size)
 
 
 @dataclass
@@ -48,11 +60,6 @@ class Door:
     def span_length(self, cell_size: float) -> float:
         return len(self.cells) * cell_size
 
-    def center(self, cell_size: float) -> tuple[float, float]:
-        xs = [c[0] + 0.5 for c in self.cells]
-        ys = [c[1] + 0.5 for c in self.cells]
-        return (sum(xs) / len(xs) * cell_size, sum(ys) / len(ys) * cell_size)
-
 
 @dataclass
 class ExitZone:
@@ -61,11 +68,6 @@ class ExitZone:
     id: int
     cells: list[tuple[int, int]]
 
-    def center(self, cell_size: float) -> tuple[float, float]:
-        xs = [c[0] + 0.5 for c in self.cells]
-        ys = [c[1] + 0.5 for c in self.cells]
-        return (sum(xs) / len(xs) * cell_size, sum(ys) / len(ys) * cell_size)
-
 
 @dataclass(eq=False)
 class Geometry:
@@ -73,7 +75,6 @@ class Geometry:
     height: int
     cell_size: float
     kinds: np.ndarray          # int8 [height, width] of CellKind codes
-    exits: list[tuple[int, int]]
     doors: list[Door]
 
     def __post_init__(self):
@@ -90,6 +91,33 @@ class Geometry:
         dist.flags.writeable = False
         return dist
 
+    @cached_property
+    def moves(self) -> np.ndarray:
+        """(H, W, 9) bool: whether step k of ``STEPS`` is allowed from each
+        cell.  A step starts and ends on open cells of the grid, and a
+        diagonal may not cut past a blocked corner (both orthogonal
+        neighbours of the move must be open).  Staying is allowed on
+        every open cell."""
+        h, w = self.open_mask.shape
+        padded = np.zeros((h + 2, w + 2), dtype=bool)
+        padded[1:-1, 1:-1] = self.open_mask
+
+        def open_at(dx: int, dy: int) -> np.ndarray:
+            return padded[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
+
+        moves = np.stack(
+            [self.open_mask & open_at(dx, dy) & open_at(dx, 0) & open_at(0, dy) for dx, dy in STEPS], axis=2
+        )
+        moves.flags.writeable = False
+        return moves
+
+    def neighbourhood(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, 9) x and y of the ``STEPS`` targets from cells (cx, cy),
+        clamped to the grid, and the (n, 9) ``moves`` allowed there."""
+        nx = np.clip(cx[:, None] + STEP_DX, 0, self.width - 1)
+        ny = np.clip(cy[:, None] + STEP_DY, 0, self.height - 1)
+        return nx, ny, self.moves[cy, cx]
+
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
 
@@ -100,10 +128,11 @@ class Geometry:
     def cell_center(self, x: int, y: int) -> tuple[float, float]:
         return ((x + 0.5) * self.cell_size, (y + 0.5) * self.cell_size)
 
-    def cell_of(self, pos: tuple[float, float]) -> tuple[int, int]:
-        x = min(self.width - 1, max(0, int(pos[0] / self.cell_size)))
-        y = min(self.height - 1, max(0, int(pos[1] / self.cell_size)))
-        return (x, y)
+    def cells_of(self, pos: np.ndarray) -> np.ndarray:
+        """(n, 2) int64 cells (x, y) holding the (n, 2) positions ``pos``
+        in metres; positions off the grid map to the nearest edge cell."""
+        cells = (np.asarray(pos, dtype=np.float64) / self.cell_size).astype(np.int64)
+        return np.clip(cells, 0, [self.width - 1, self.height - 1])
 
     # -- exits -----------------------------------------------------------
     @cached_property
@@ -139,16 +168,7 @@ class Geometry:
         if not self.cell_size > 0:
             raise SemanticViolation("geometry.cell_size", "must be > 0")
         if not (self.kinds == CellKind.EXIT).any():
-            raise SemanticViolation("geometry.exits", "grid contains no exit cell")
-        for (x, y) in self.exits:
-            if not self.in_bounds(x, y):
-                raise SemanticViolation("geometry.exits", f"exit ({x}, {y}) outside the grid")
-            on_boundary = x in (0, self.width - 1) or y in (0, self.height - 1)
-            if not on_boundary and self.kinds[y, x] != CellKind.EXIT:
-                raise SemanticViolation(
-                    "geometry.exits",
-                    f"exit ({x}, {y}) is neither on the boundary nor on an exit cell",
-                )
+            raise SemanticViolation("geometry.cells", "grid contains no exit cell")
         seen_door_ids: set[str] = set()
         for door in self.doors:
             if door.id in seen_door_ids:
@@ -160,18 +180,6 @@ class Geometry:
         if unreachable:
             warnings.append(f"{unreachable} open cell(s) cannot reach any exit")
         return warnings
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Geometry):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.cell_size == other.cell_size
-            and np.array_equal(self.kinds, other.kinds)
-            and self.exits == other.exits
-            and self.doors == other.doors
-        )
 
 
 def _flood(mask: np.ndarray, seen: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:
@@ -215,60 +223,34 @@ def _check_door_span(geometry: Geometry, door: Door) -> None:
 # distance fields
 # ---------------------------------------------------------------------------
 
-# 8-neighbourhood offsets in a fixed scan order (dx, dy, step cost).
-NEIGHBOURS_8 = (
-    (-1, -1, SQRT2), (0, -1, 1.0), (1, -1, SQRT2),
-    (-1, 0, 1.0),                  (1, 0, 1.0),
-    (-1, 1, SQRT2),  (0, 1, 1.0),  (1, 1, SQRT2),
-)
-
-
 def distance_field(geometry: Geometry, sources: list[tuple[int, int]] | None = None) -> np.ndarray:
     """Geodesic distance (in cells) from every open cell to the nearest source.
 
-    Sources default to all exit cells.  Straight steps cost 1, diagonal
-    steps sqrt(2); walls and obstacles are impassable and a diagonal step
-    may not cut past a blocked corner (both orthogonal neighbours of the
-    move must be open).
+    Sources default to all exit cells.  The field spreads along the
+    allowed ``Geometry.moves``; straight steps cost 1, diagonal steps
+    sqrt(2).
     """
-    open_mask = geometry.open_mask
-    h, w = open_mask.shape
-    dist = np.full((h, w), np.inf, dtype=np.float64)
+    moves = geometry.moves.tolist()
+    dist = [[math.inf] * geometry.width for _ in range(geometry.height)]
     if sources is None:
         ys, xs = np.nonzero(geometry.kinds == CellKind.EXIT)
         sources = list(zip(xs.tolist(), ys.tolist()))
     heap: list[tuple[float, int, int]] = []
     for (x, y) in sources:
-        if 0 <= x < w and 0 <= y < h and open_mask[y, x]:
-            dist[y, x] = 0.0
+        if geometry.is_open(x, y):
+            dist[y][x] = 0.0
             heap.append((0.0, x, y))
     heapq.heapify(heap)
     while heap:
         d, x, y = heapq.heappop(heap)
-        if d > dist[y, x]:
+        if d > dist[y][x]:
             continue
-        for dx, dy, cost in NEIGHBOURS_8:
-            nx, ny = x + dx, y + dy
-            if not (0 <= nx < w and 0 <= ny < h) or not open_mask[ny, nx]:
-                continue
-            if dx and dy and not (open_mask[y, nx] and open_mask[ny, x]):
-                continue  # no cutting past a blocked corner
+        for (dx, dy), cost, allowed in zip(STEPS, STEP_COSTS, moves[y][x]):
             nd = d + cost
-            if nd < dist[ny, nx]:
-                dist[ny, nx] = nd
-                heapq.heappush(heap, (nd, nx, ny))
-    return dist
-
-
-def line_of_sight(geometry: Geometry, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """True when the straight segment between cell centres stays clear.
-
-    The segment is sampled at half-cell intervals; it is blocked when any
-    sample falls inside a wall or obstacle cell.  Sight may pass
-    diagonally between two blocked corners (movement may not).
-    """
-    blocked = geometry.blocked_mask
-    return bool(los_pairs(blocked, np.array([a]), np.array([b]))[0])
+            if allowed and nd < dist[y + dy][x + dx]:
+                dist[y + dy][x + dx] = nd
+                heapq.heappush(heap, (nd, x + dx, y + dy))
+    return np.array(dist, dtype=np.float64)
 
 
 def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> np.ndarray:
@@ -277,7 +259,9 @@ def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> 
     Each line is sampled at its own ``2 * cheb + 1`` evenly spaced points
     (cheb its Chebyshev length in cells), the end point repeated to fill
     the batch's widest row, so a pair's answer does not depend on the
-    other pairs in the call.
+    other pairs in the call.  A line is blocked when any sample falls in
+    a wall or obstacle cell; sight may pass diagonally between two
+    blocked corners (movement may not).
     """
     a_cells = np.asarray(a_cells, dtype=np.float64)
     b_cells = np.asarray(b_cells, dtype=np.float64)
@@ -379,11 +363,6 @@ class EgressNetwork:
                     reachable.add(arc.src)
                     changed = True
         return {n.id for n in self.nodes} - reachable
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EgressNetwork):
-            return NotImplemented
-        return self.nodes == other.nodes and self.arcs == other.arcs
 
 
 def room_regions(geometry: Geometry) -> np.ndarray:
@@ -713,21 +692,6 @@ class Scenario:
     hazard_source: HazardSource = field(default_factory=lambda: HazardSource(kind="ambient"))
     warnings: list[str] = field(default_factory=list)  # from geometry validation
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.geometry == other.geometry
-            and self.population == other.population
-            and self.config == other.config
-            and self.network == other.network
-            and _hazard_eq(self.hazard_source, other.hazard_source)
-        )
-
-
-def _hazard_eq(a: HazardSource, b: HazardSource) -> bool:
-    return a.kind == b.kind and a.path == b.path and a.builtin == b.builtin
-
 
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
@@ -800,7 +764,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _parse_geometry(doc: dict) -> Geometry:
-    _reject_unknown(doc, {"cell_size", "cells", "doors", "exits"}, "geometry")
+    _reject_unknown(doc, {"cell_size", "cells", "doors"}, "geometry")
     rows = _require(doc, "cells", list, "geometry")
     if not rows or not all(isinstance(r, str) for r in rows):
         raise SchemaViolation("geometry.cells", "must be a non-empty list of strings")
@@ -835,23 +799,7 @@ def _parse_geometry(doc: dict) -> Geometry:
             raise SchemaViolation(f"geometry.doors[{i}].width", "must be a number")
         doors.append(Door(id=door_id, cells=cells, width=float(width_m)))
 
-    exits_doc = doc.get("exits")
-    if exits_doc is None:
-        ys, xs = np.nonzero(kinds == CellKind.EXIT)
-        exits = list(zip(xs.tolist(), ys.tolist()))
-    else:
-        if not isinstance(exits_doc, list):
-            raise SchemaViolation("geometry.exits", "must be a list of [x, y] pairs")
-        exits = [_parse_cell(c, "geometry.exits") for c in exits_doc]
-
-    return Geometry(
-        width=width,
-        height=len(rows),
-        cell_size=float(cell_size),
-        kinds=kinds,
-        exits=exits,
-        doors=doors,
-    )
+    return Geometry(width=width, height=len(rows), cell_size=float(cell_size), kinds=kinds, doors=doors)
 
 
 def _parse_cell(doc, where: str) -> tuple[int, int]:
@@ -1000,7 +948,6 @@ def serialize_scenario(scenario: Scenario) -> str:
             "doors": [
                 {"id": d.id, "cells": [list(c) for c in d.cells], "width": d.width} for d in g.doors
             ],
-            "exits": [list(c) for c in g.exits],
         },
         "population": {
             "count": scenario.population.count,

@@ -401,8 +401,7 @@ def sf_step(
     if n_projected:
         state.warnings.append(f"tick {state.tick}: projected {n_projected} bodies out of walls")
 
-    cells_x = np.clip((new_pos[:, 0] / geometry.cell_size).astype(np.int64), 0, geometry.width - 1)
-    cells_y = np.clip((new_pos[:, 1] / geometry.cell_size).astype(np.int64), 0, geometry.height - 1)
+    cells_x, cells_y = geometry.cells_of(new_pos).T
     in_wall = geometry.blocked_mask[cells_y, cells_x]
     if in_wall.any():
         raise SimulationError(f"tick {state.tick}: agents {present[in_wall].tolist()} ended the step inside a wall")

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from evacsim import run
-from evacsim.ca import CANDIDATE_STEPS, EMPTY_CELL, CaState, ca_step, speed_ticks
+from evacsim.ca import EMPTY_CELL, CaState, ca_step, speed_ticks
 from evacsim.errors import SimulationError
-from evacsim.scenario import distance_field
+from evacsim.scenario import STEPS, distance_field
 
 from conftest import grid_rows, instant_reaction, make_scenario, room_doc
 
@@ -178,7 +178,7 @@ def enumerate_corridor(geo, dt, starts, reaction, max_ticks=500):
     in single-file corridors with one exit; asserted below.
     """
     field = distance_field(geo)
-    exit_cells = set(geo.exits)
+    exit_cells = {cell for zone in geo.exit_zones for cell in zone.cells}
     pos = dict(starts)
     eligible = {i: math.ceil(reaction / dt - 1e-9) for i in pos}
     exit_ticks = {}
@@ -195,7 +195,7 @@ def enumerate_corridor(geo, dt, starts, reaction, max_ticks=500):
                 continue
             x, y = pos[i]
             best_idx, best_cost = 0, None
-            for idx, (dx, dy) in enumerate(CANDIDATE_STEPS):
+            for idx, (dx, dy) in enumerate(STEPS):
                 nx, ny = x + dx, y + dy
                 if not geo.is_open(nx, ny):
                     cost = BIG_STAY_COST if idx == 0 else math.inf
@@ -208,7 +208,7 @@ def enumerate_corridor(geo, dt, starts, reaction, max_ticks=500):
                 if best_cost is None or cost < best_cost:
                     best_cost, best_idx = cost, idx
             if best_idx != 0:
-                dx, dy = CANDIDATE_STEPS[best_idx]
+                dx, dy = STEPS[best_idx]
                 proposals[i] = (x + dx, y + dy)
         targets = list(proposals.values())
         assert len(set(targets)) == len(targets), "corridor rule must be conflict-free"

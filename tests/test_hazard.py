@@ -10,13 +10,9 @@ from evacsim.config import PARAM_DEFAULTS
 from evacsim.hazard import (
     AMBIENT_TEMP,
     HazardField,
-    HazardSample,
     builtin_smoke,
     health_decrement,
     load_hazard_series,
-    sample_hazard,
-    smoke_mass,
-    visibility_range,
     visibility_range_bulk,
 )
 
@@ -88,28 +84,22 @@ def test_csv_rejects_negative_density():
 
 def test_sampling_interpolates_linearly_between_frames():
     field = load_hazard_series(CSV_TWO_FRAMES, height=3, width=4)
-    s = sample_hazard(field, (1, 1), 5.0)
-    assert s.temperature == pytest.approx(30.0)  # halfway 20 -> 40
-    assert s.optical_density == pytest.approx(1.0)  # halfway 0 -> 2
+    temp, od, _ = field.frame_at(5.0)
+    assert temp[1, 1] == pytest.approx(30.0)  # halfway 20 -> 40
+    assert od[1, 1] == pytest.approx(1.0)  # halfway 0 -> 2
     # a quarter of the way
-    s = sample_hazard(field, (2, 1), 2.5)
-    assert s.temperature == pytest.approx(35.0)
-    assert s.toxicity == pytest.approx(0.15)
+    temp, _, tox = field.frame_at(2.5)
+    assert temp[1, 2] == pytest.approx(35.0)
+    assert tox[1, 2] == pytest.approx(0.15)
 
 
 def test_sampling_holds_flat_outside_the_series():
     field = load_hazard_series(CSV_TWO_FRAMES, height=3, width=4)
-    before = sample_hazard(field, (1, 1), -3.0)
-    after = sample_hazard(field, (1, 1), 99.0)
-    assert before.temperature == 20.0
-    assert after.temperature == 40.0
-    assert after.optical_density == 2.0
-
-
-def test_sampling_rejects_out_of_grid_cell():
-    field = load_hazard_series(CSV_TWO_FRAMES, height=3, width=4)
-    with pytest.raises(HazardFormatError):
-        sample_hazard(field, (4, 0), 0.0)
+    before, _, _ = field.frame_at(-3.0)
+    after, after_od, _ = field.frame_at(99.0)
+    assert before[1, 1] == 20.0
+    assert after[1, 1] == 40.0
+    assert after_od[1, 1] == 2.0
 
 
 # -- generated smoke -------------------------------------------------------------
@@ -126,7 +116,7 @@ def test_builtin_smoke_injects_mass_at_fixed_rate():
     field = builtin_smoke(geo, (2, 2), params)
     for k, t in enumerate(field.timestamps):
         expected = 0.4 * t / 0.5
-        assert smoke_mass(field, k) == pytest.approx(expected, rel=1e-9), t
+        assert field.optical_density[k].sum() == pytest.approx(expected, rel=1e-9), t
 
 
 def test_builtin_smoke_stays_nonnegative_and_off_walls():
@@ -162,23 +152,23 @@ def test_builtin_smoke_rejects_blocked_source():
 # -- visibility -------------------------------------------------------------------
 
 
+def _visibility(od, health):
+    return float(visibility_range_bulk(np.array([od]), np.array([health]), PARAM_DEFAULTS)[0])
+
+
 def test_visibility_clamps_to_max_range_in_clear_air():
-    clear = HazardSample(AMBIENT_TEMP, 0.0, 0.0)
-    assert visibility_range(clear, 1.0) == PARAM_DEFAULTS["vis_r_max"]
+    assert _visibility(0.0, 1.0) == PARAM_DEFAULTS["vis_r_max"]
 
 
 def test_visibility_falls_inversely_with_smoke():
-    hazy = HazardSample(AMBIENT_TEMP, 1.0, 0.0)
-    thick = HazardSample(AMBIENT_TEMP, 4.0, 0.0)
-    v1 = visibility_range(hazy, 1.0)
-    v4 = visibility_range(thick, 1.0)
+    v1 = _visibility(1.0, 1.0)
+    v4 = _visibility(4.0, 1.0)
     assert v1 == pytest.approx(PARAM_DEFAULTS["vis_k"])
     assert v4 == pytest.approx(v1 / 4.0)
 
 
 def test_visibility_halves_at_zero_health():
-    hazy = HazardSample(AMBIENT_TEMP, 1.0, 0.0)
-    assert visibility_range(hazy, 0.0) == pytest.approx(visibility_range(hazy, 1.0) / 2.0)
+    assert _visibility(1.0, 0.0) == pytest.approx(_visibility(1.0, 1.0) / 2.0)
 
 
 def test_visibility_bulk_matches_scalar():
@@ -186,8 +176,9 @@ def test_visibility_bulk_matches_scalar():
     od = rng.uniform(0.0, 5.0, size=64)
     health = rng.uniform(0.0, 1.0, size=64)
     bulk = visibility_range_bulk(od, health, PARAM_DEFAULTS)
+    p = PARAM_DEFAULTS
     for i in range(64):
-        one = visibility_range(HazardSample(AMBIENT_TEMP, od[i], 0.0), health[i])
+        one = min(p["vis_r_max"], p["vis_k"] / max(od[i], p["vis_eps"])) * (0.5 + 0.5 * health[i])
         assert bulk[i] == pytest.approx(one)
 
 

@@ -25,7 +25,6 @@ from evacsim.scenario import (
     CellKind,
     distance_field,
     half_up,
-    line_of_sight,
     los_pairs,
     room_regions,
 )
@@ -45,7 +44,7 @@ def test_glyphs_map_to_cell_kinds():
     assert geo.kinds[1, 1] == CellKind.EMPTY
     assert geo.kinds[1, 2] == CellKind.OBSTACLE
     assert geo.kinds[0, 0] == CellKind.WALL
-    assert geo.exits == [(1, 0)]
+    assert [zone.cells for zone in geo.exit_zones] == [[(1, 0)]]
 
 
 def test_bad_json_is_a_syntax_error():
@@ -57,6 +56,14 @@ def test_unknown_top_level_key_rejected():
     doc = room_doc(grid_rows(6, 5, exits=[(5, 2)]))
     doc["extra"] = 1
     with pytest.raises(SchemaViolation):
+        make_scenario(doc)
+
+
+def test_exit_list_is_rejected_as_an_unknown_field():
+    # exits are the grid's E cells; a separate list would be ignored
+    doc = room_doc(grid_rows(6, 5, exits=[(5, 2)]))
+    doc["geometry"]["exits"] = [[5, 2]]
+    with pytest.raises(SchemaViolation, match=r"geometry\.exits: unknown field"):
         make_scenario(doc)
 
 
@@ -195,7 +202,7 @@ def test_shipped_scenarios_parse():
     assert len(paths) >= 4
     for path in paths:
         scn = load_scenario(path)
-        assert scn.geometry.exits, path
+        assert scn.geometry.exit_zones, path
 
 
 # -- rounding ---------------------------------------------------------------
@@ -255,7 +262,7 @@ def test_distance_field_matches_relaxation_reference():
         doc = room_doc(["".join(r) for r in rows], count=1, spawn=[ex, 1, ex, 1])
         geo = make_scenario(doc).geometry
         got = distance_field(geo)
-        want = _bellman_distances(geo, geo.exits)
+        want = _bellman_distances(geo, [cell for zone in geo.exit_zones for cell in zone.cells])
         assert np.allclose(got, want, equal_nan=True), f"trial {trial}"
 
 
@@ -340,6 +347,11 @@ def _touches_lattice_corner(a, b):
     return False
 
 
+def _in_sight(geo, a, b):
+    """Line of sight between two cells: one pair through ``los_pairs``."""
+    return bool(los_pairs(geo.blocked_mask, np.array([a]), np.array([b]))[0])
+
+
 def test_line_of_sight_agrees_with_exact_clipping():
     # one-sided oracle: a ray that never enters a blocked cell must be
     # visible; a ray spending more than the sampling interval inside one
@@ -359,10 +371,10 @@ def test_line_of_sight_agrees_with_exact_clipping():
             continue
         chord = _blocked_chord(geo, a, b)
         if chord == 0.0:
-            assert line_of_sight(geo, a, b), (a, b)
+            assert _in_sight(geo, a, b), (a, b)
             checked_clear += 1
         elif chord >= 0.75:
-            assert not line_of_sight(geo, a, b), (a, b, chord)
+            assert not _in_sight(geo, a, b), (a, b, chord)
             checked_blocked += 1
     assert checked_clear >= 50
     assert checked_blocked >= 50
@@ -378,7 +390,7 @@ def test_line_of_sight_is_symmetric():
         ai, bi = rng.integers(0, len(open_cells), size=2)
         a = (int(open_cells[ai][1]), int(open_cells[ai][0]))
         b = (int(open_cells[bi][1]), int(open_cells[bi][0]))
-        assert line_of_sight(geo, a, b) == line_of_sight(geo, b, a)
+        assert _in_sight(geo, a, b) == _in_sight(geo, b, a)
 
 
 def test_los_pairs_blocked_by_wall():
