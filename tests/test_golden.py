@@ -18,9 +18,11 @@ import json
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from evacsim import EMPTY_STATE_DIGEST, run
+from evacsim import EMPTY_STATE_DIGEST, parse_scenario, run, serialize_scenario
+from evacsim.scenario import room_regions
 
 from conftest import SCENARIOS, run_cli
 
@@ -220,6 +222,57 @@ def test_leaders_digest(backend, max_sim_time, smoke, digest, outcome, receivers
     assert result.digest == digest
     assert _outcome(result) == outcome
     assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+
+
+# everyone spawned in room 0 of the derived network: the goldens that
+# reach spawn-by-node, under every backend
+@pytest.mark.parametrize(
+    "backend, digest, outcome",
+    [
+        pytest.param(
+            "flow",
+            "ceab33d6a94a7797",
+            _outcome_of(44, 60.0, {"exited": 44}, {"exit:0": 44, "mid": 45}),
+            id="flow-ceab33d6a94a7797",
+        ),
+        pytest.param(
+            "ca",
+            "1dde314bbe6bfb56",
+            _outcome_of(39, 60.07462686567164, {"exited": 39}, {"exit:0": 39, "mid": 45}),
+            id="ca-1dde314bbe6bfb56",
+        ),
+        pytest.param(
+            "sf",
+            "e8b294801adcc1bd",
+            _outcome_of(23, 60.0, {"exited": 23}, {"exit:0": 23, "mid": 33}),
+            id="sf-e8b294801adcc1bd",
+        ),
+    ],
+)
+def test_spawn_by_node_digest(backend, digest, outcome):
+    doc = json.loads(_scenario_text("two_rooms", 60.0, backend))
+    doc["population"]["spawn"] = {"node": 0}
+    scenario = parse_scenario(json.dumps(doc))
+    text = serialize_scenario(scenario)
+    assert json.loads(text)["population"]["spawn"] == {"node": 0}
+    assert serialize_scenario(parse_scenario(text)) == text
+    result = run(scenario)
+    assert result.digest == digest
+    assert _outcome(result) == outcome
+    _t, _ids, xs, ys, _health, _status = result.trajectory[0]
+    cx, cy = scenario.geometry.cells_of(np.stack([xs, ys], axis=1)).T
+    assert (room_regions(scenario.geometry)[cy, cx] == 0).all()
+
+
+def test_flow_starts_people_on_door_cells_in_the_nearest_room():
+    # door-span cells belong to no room region, so the flow backend starts
+    # the people standing there in the closest room (the lower label on a
+    # tie): both go through the door and out
+    doc = json.loads(_scenario_text("two_rooms", None, "flow"))
+    doc["population"] = {"count": 2, "spawn": {"rect": [17, 8, 17, 9]}}
+    result = run(json.dumps(doc))
+    assert result.digest == "135030a0f96c2e29"
+    assert _outcome(result) == _outcome_of(2, 100.0, {"exited": 2}, {"mid": 2, "exit:0": 2})
 
 
 def _per_agent_fingerprint(result):

@@ -203,6 +203,17 @@ def test_shipped_scenarios_parse():
     for path in paths:
         scn = load_scenario(path)
         assert scn.geometry.exit_zones, path
+        # the derived network needs no run-time check: unique ids, arcs
+        # between known nodes, capacity >= 1, traversal >= 0, and every
+        # node reaches a destination
+        net = derive_network(scn.geometry, scn.config.params())
+        ids = [n.id for n in net.nodes]
+        assert len(set(ids)) == len(ids), path
+        assert any(n.kind == "destination" for n in net.nodes), path
+        for arc in net.arcs:
+            assert arc.src in ids and arc.dst in ids, path
+            assert arc.capacity >= 1 and arc.traversal_time >= 0, path
+        assert net.unreachable_nodes() == set(), path
 
 
 # -- rounding ---------------------------------------------------------------
