@@ -43,7 +43,7 @@ from enum import IntEnum
 import numpy as np
 
 from .config import PARAM_DEFAULTS
-from .errors import SemanticViolation, SimulationError
+from .errors import SimulationError
 from .hazard import visibility_range_bulk
 from .scenario import FLOAT01, CellKind, DistSpec, Geometry, PopulationSpec, los_pairs
 from .spatialhash import SpatialHash
@@ -222,12 +222,8 @@ def _spawn_cells(spec: PopulationSpec, geometry: Geometry, room_labels: np.ndarr
             if empty[y, x]
         ]
     elif spec.spawn_node is not None:
-        if room_labels is None:
-            raise SimulationError("spawn-by-node requires a derived network")
         ys, xs = np.nonzero(room_labels == spec.spawn_node)
         cells = sorted(zip(xs.tolist(), ys.tolist()), key=lambda c: (c[1], c[0]))
-        if not cells:
-            raise SemanticViolation("population.spawn.node", f"node {spec.spawn_node} has no cells")
     else:
         ys, xs = np.nonzero(empty)
         cells = sorted(zip(xs.tolist(), ys.tolist()), key=lambda c: (c[1], c[0]))

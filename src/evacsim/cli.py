@@ -105,7 +105,7 @@ def cmd_validate(args) -> int:
     text, base_dir = _read_scenario_file(args.scenario)
     scenario = parse_scenario(text, base_dir)
     hazard = load_hazard_field(scenario)
-    network = scenario.network or derive_network(scenario.geometry, scenario.config.params())
+    network = derive_network(scenario.geometry, scenario.config.params())
     geometry = scenario.geometry
     zones = geometry.exit_zones
     print(f"ok: {geometry.width}x{geometry.height} cells at {geometry.cell_size} m")

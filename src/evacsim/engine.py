@@ -17,7 +17,8 @@ death) and ``warnings``.  ``Population.status`` is the one record of
 who is in the building and who may move: each step reads it there, and
 no mover keeps a copy.  Class constants on each mover give its default
 decision and trajectory cadence, whether it makes decision rounds at
-all, and whether it needs door sites and a network.
+all, and whether it needs door sites and the route network, which is
+always derived from the floor plan.
 
 The run stacks its distance fields once, a layer per exit zone and then
 the all-exits field, and the lattice mover, the social-force steering
@@ -155,7 +156,7 @@ class DoorSite:
 def _make_door_site(geometry: Geometry, door_id: str, cells: list[tuple[int, int]]) -> DoorSite:
     cs = geometry.cell_size
     arr = np.asarray(cells, dtype=np.int64)
-    center = (arr.mean(axis=0) + 0.5) * cs
+    center = np.array(cells_center(cells, cs))
     ext = arr.max(axis=0) - arr.min(axis=0)
     if ext[0] > ext[1]:
         normal_axis = 1          # span runs along x, passage along y
@@ -246,18 +247,12 @@ class _Simulation:
         # spawn-by-node needs its room labels
         self.network = None
         self.room_labels = None
-        if mover_cls.given_network and scenario.network is not None:
-            self.network = scenario.network
-        elif mover_cls.needs_network or scenario.population.spawn_node is not None:
+        self.n_rooms = 0
+        if mover_cls.needs_network or scenario.population.spawn_node is not None:
             self.network = derive_network(geometry, self.params)
-        if self.network is not None:
             self.room_labels = self.network.room_labels
+            self.n_rooms = int(self.room_labels.max()) + 1
             self.warnings.extend(self.network.warnings)
-        self.n_rooms = (
-            int(self.room_labels.max()) + 1
-            if self.room_labels is not None and self.room_labels.size
-            else 0
-        )
 
         self.hazard = load_hazard_field(scenario)
         self.ambient_only = bool(
@@ -543,7 +538,6 @@ class _Mover:
     decides = True             # runs decision rounds at all
     needs_sites = False        # counts crossings at instrumented doors
     needs_network = False      # moves or steers on the route network
-    given_network = False      # a scenario's hand-written network replaces the derived one
 
     def __init__(self, sim: _Simulation):
         self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
@@ -814,47 +808,27 @@ class _FlowMover(_Mover):
 
     decides = False
     needs_network = True
-    given_network = True
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
         network = sim.network
         spawn_node = sim.scenario.population.spawn_node
         assignment: dict[int, int] = {}
-        if spawn_node is not None:
-            for i in range(sim.n):
-                assignment[i] = spawn_node
-        else:
-            if sim.room_labels is None:
-                raise SimulationError(
-                    "area-spawned populations need a network with room labels; "
-                    "use spawn.node with a hand-written network"
-                )
-            for i, (cx, cy) in enumerate(sim.geometry.cells_of(sim.pop.pos).tolist()):
-                label = int(sim.room_labels[cy, cx])
-                if label < 0:
-                    label = self._nearest_room_label(cx, cy)
-                assignment[i] = label
+        for i, (cx, cy) in enumerate(sim.geometry.cells_of(sim.pop.pos).tolist()):
+            label = spawn_node if spawn_node is not None else int(sim.room_labels[cy, cx])
+            assignment[i] = label if label >= 0 else self._nearest_room_label(cx, cy)
         self.state = FlowState.from_assignment(network, assignment)
 
-        # display/health positions for the coarse model
+        # display/health positions for the coarse model: a room at its
+        # cells' mean, a destination at its representative cell
         self.node_points: dict[int, np.ndarray] = {}
         for node in network.nodes:
-            point = None
-            if node.kind == "room" and sim.room_labels is not None:
+            if node.kind == "room":
                 ys, xs = np.nonzero(sim.room_labels == node.id)
-                if len(xs):
-                    point = np.array([(xs.mean() + 0.5) * sim.cs, (ys.mean() + 0.5) * sim.cs])
-            if point is None and node.cell is not None:
-                point = np.array(sim.geometry.cell_center(*node.cell))
-            if point is None:
-                members = [i for i, nd in assignment.items() if nd == node.id]
-                if members:
-                    point = sim.pop.pos[members].mean(axis=0)
-                else:
-                    point = np.zeros(2)
-                    self.warnings.append(f"node {node.id} has no geometry; placed at origin")
-            self.node_points[node.id] = point
+                point = cells_center(list(zip(xs.tolist(), ys.tolist())), sim.cs)
+            else:
+                point = sim.geometry.cell_center(*node.cell)
+            self.node_points[node.id] = np.array(point)
         doors = {d.id: d for d in sim.geometry.doors}
         self.arc_points = []
         for arc in network.arcs:

@@ -1,11 +1,11 @@
 """Scenario model: floor-plan geometry, egress network, population.
 
-A scenario document is JSON with four sections -- ``geometry``,
-``population``, optional ``network`` and ``hazard`` -- plus a ``config``
-block.  The grid is encoded as strings, one character per cell:
-``.`` walkable, ``#`` wall, ``o`` obstacle, ``E`` exit.  Cell (x, y) is
-column x of row y; positions in metres put the origin at the top-left
-corner of cell (0, 0).
+A scenario document is JSON with three sections -- ``geometry``,
+``population`` and optional ``hazard`` -- plus a ``config`` block; the
+egress network is always derived from the geometry.  The grid is
+encoded as strings, one character per cell: ``.`` walkable, ``#`` wall,
+``o`` obstacle, ``E`` exit.  Cell (x, y) is column x of row y; positions
+in metres put the origin at the top-left corner of cell (0, 0).
 """
 from __future__ import annotations
 
@@ -298,9 +298,8 @@ def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> 
 @dataclass
 class Node:
     id: int
-    area: float               # m^2 of usable floor
     kind: str                 # "room" | "destination"
-    cell: tuple[int, int] | None = None  # representative cell, if known
+    cell: tuple[int, int]     # representative cell
 
 
 @dataclass
@@ -316,7 +315,7 @@ class Arc:
 class EgressNetwork:
     nodes: list[Node]
     arcs: list[Arc]
-    room_labels: np.ndarray | None = None   # int32 grid, room region id or -1
+    room_labels: np.ndarray   # int32 grid, room region id or -1
     warnings: list[str] = field(default_factory=list)
 
     def node_by_id(self, node_id: int) -> Node:
@@ -330,27 +329,6 @@ class EgressNetwork:
 
     def out_arcs(self, node_id: int) -> list[tuple[int, Arc]]:
         return [(i, a) for i, a in enumerate(self.arcs) if a.src == node_id]
-
-    def validate(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise SemanticViolation("network.nodes", "duplicate node ids")
-        if not any(n.kind == "destination" for n in self.nodes):
-            raise SemanticViolation("network.nodes", "network has no destination node")
-        known = set(ids)
-        for i, arc in enumerate(self.arcs):
-            if arc.src not in known or arc.dst not in known:
-                raise SemanticViolation("network.arcs", f"arc {i} references an unknown node")
-            if arc.traversal_time < 0:
-                raise SemanticViolation("network.arcs", f"arc {i} traversal_time must be >= 0")
-            if arc.capacity < 1:
-                raise SemanticViolation("network.arcs", f"arc {i} capacity must be >= 1")
-        unreachable = self.unreachable_nodes()
-        if unreachable:
-            raise SemanticViolation(
-                "network.reachability",
-                f"nodes {sorted(unreachable)} cannot reach any destination",
-            )
 
     def unreachable_nodes(self) -> set[int]:
         """Node ids with no arc path to any destination."""
@@ -426,18 +404,10 @@ def derive_network(geometry: Geometry, params: dict | None = None) -> EgressNetw
 
     nodes: list[Node] = []
     for r in range(n_rooms):
-        cells = region_cells[r]
-        nodes.append(Node(id=r, area=len(cells) * cs * cs, kind="room", cell=_region_centroid_cell(cells)))
+        nodes.append(Node(id=r, kind="room", cell=_region_centroid_cell(region_cells[r])))
     zone_node_id = {zone.id: n_rooms + zone.id for zone in zones}
     for zone in zones:
-        nodes.append(
-            Node(
-                id=zone_node_id[zone.id],
-                area=len(zone.cells) * cs * cs,
-                kind="destination",
-                cell=_region_centroid_cell(zone.cells),
-            )
-        )
+        nodes.append(Node(id=zone_node_id[zone.id], kind="destination", cell=_region_centroid_cell(zone.cells)))
 
     arcs: list[Arc] = []
 
@@ -500,7 +470,6 @@ def derive_network(geometry: Geometry, params: dict | None = None) -> EgressNetw
         network.warnings.append(f"dropped unreachable room nodes {sorted(unreachable)}")
         network.nodes = [n for n in network.nodes if n.id not in unreachable]
         network.arcs = [a for a in network.arcs if a.src not in unreachable and a.dst not in unreachable]
-    network.validate()
     return network
 
 
@@ -631,6 +600,9 @@ class PopulationSpec:
                 raise SemanticViolation("population.spawn", "rect corners are inverted")
             if not (geometry.in_bounds(x0, y0) and geometry.in_bounds(x1, y1)):
                 raise SemanticViolation("population.spawn", "rect extends outside the grid")
+        # room regions are labelled 0, 1, ... in scan order
+        if self.spawn_node is not None and self.spawn_node not in range(int(room_regions(geometry).max()) + 1):
+            raise SemanticViolation("population.spawn.node", f"node {self.spawn_node} has no cells")
         self.attribute_specs(params)
 
     def attribute_specs(self, params: dict) -> dict[str, DistSpec]:
@@ -688,7 +660,6 @@ class Scenario:
     geometry: Geometry
     population: PopulationSpec
     config: RunConfig
-    network: EgressNetwork | None = None
     hazard_source: HazardSource = field(default_factory=lambda: HazardSource(kind="ambient"))
     warnings: list[str] = field(default_factory=list)  # from geometry validation
 
@@ -724,24 +695,15 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
     if not isinstance(doc, dict):
         raise SchemaViolation("$", "scenario document must be a JSON object")
-    _reject_unknown(doc, {"geometry", "network", "population", "hazard", "config"}, "$")
+    _reject_unknown(doc, {"geometry", "population", "hazard", "config"}, "$")
 
     geometry = _parse_geometry(_require(doc, "geometry", dict, "$"))
     warnings = geometry.validate()
-
-    network = None
-    if doc.get("network") is not None:
-        network = _parse_network(doc["network"])
-        network.validate()
 
     # the population's attribute ranges depend on the run parameters
     config = RunConfig.from_dict(doc.get("config", {}) or {})
     population = _parse_population(_require(doc, "population", dict, "$"))
     population.validate(geometry, config.params())
-    if population.spawn_node is not None and network is None:
-        # spawn-by-node against the derived network is resolved at run time;
-        # make sure derivation will succeed so errors surface at parse time
-        derive_network(geometry)
 
     hazard_source = _parse_hazard_source(doc.get("hazard"), base_dir)
 
@@ -749,7 +711,6 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         geometry=geometry,
         population=population,
         config=config,
-        network=network,
         hazard_source=hazard_source,
         warnings=warnings,
     )
@@ -810,45 +771,6 @@ def _parse_cell(doc, where: str) -> tuple[int, int]:
     ):
         raise SchemaViolation(where, f"expected [x, y] integers, got {doc!r}")
     return (int(doc[0]), int(doc[1]))
-
-
-def _parse_network(doc: dict) -> EgressNetwork:
-    if not isinstance(doc, dict):
-        raise SchemaViolation("network", "must be an object")
-    _reject_unknown(doc, {"nodes", "arcs"}, "network")
-    nodes = []
-    for i, ndoc in enumerate(_require(doc, "nodes", list, "network")):
-        if not isinstance(ndoc, dict):
-            raise SchemaViolation(f"network.nodes[{i}]", "must be an object")
-        _reject_unknown(ndoc, {"id", "area", "kind", "cell"}, f"network.nodes[{i}]")
-        kind = _require(ndoc, "kind", str, f"network.nodes[{i}]")
-        if kind not in ("room", "destination"):
-            raise SchemaViolation(f"network.nodes[{i}].kind", "must be 'room' or 'destination'")
-        cell = None
-        if ndoc.get("cell") is not None:
-            cell = _parse_cell(ndoc["cell"], f"network.nodes[{i}].cell")
-        area = _require(ndoc, "area", (int, float), f"network.nodes[{i}]")
-        if area < 0:
-            raise SemanticViolation(f"network.nodes[{i}].area", "must be >= 0")
-        nodes.append(Node(id=_require(ndoc, "id", int, f"network.nodes[{i}]"), area=float(area), kind=kind, cell=cell))
-    arcs = []
-    for i, adoc in enumerate(doc.get("arcs", []) or []):
-        if not isinstance(adoc, dict):
-            raise SchemaViolation(f"network.arcs[{i}]", "must be an object")
-        _reject_unknown(adoc, {"from", "to", "traversal_time", "capacity", "door"}, f"network.arcs[{i}]")
-        door = adoc.get("door")
-        if door is not None and not isinstance(door, str):
-            raise SchemaViolation(f"network.arcs[{i}].door", "must be a string")
-        arcs.append(
-            Arc(
-                src=_require(adoc, "from", int, f"network.arcs[{i}]"),
-                dst=_require(adoc, "to", int, f"network.arcs[{i}]"),
-                traversal_time=_require(adoc, "traversal_time", int, f"network.arcs[{i}]"),
-                capacity=_require(adoc, "capacity", int, f"network.arcs[{i}]"),
-                door_id=door,
-            )
-        )
-    return EgressNetwork(nodes=nodes, arcs=arcs)
 
 
 def _parse_population(doc: dict) -> PopulationSpec:
@@ -961,23 +883,6 @@ def serialize_scenario(scenario: Scenario) -> str:
         doc["population"]["spawn"] = {"rect": list(scenario.population.spawn_rect)}
     elif scenario.population.spawn_node is not None:
         doc["population"]["spawn"] = {"node": scenario.population.spawn_node}
-    if scenario.network is not None:
-        doc["network"] = {
-            "nodes": [
-                {"id": n.id, "area": n.area, "kind": n.kind, **({"cell": list(n.cell)} if n.cell else {})}
-                for n in scenario.network.nodes
-            ],
-            "arcs": [
-                {
-                    "from": a.src,
-                    "to": a.dst,
-                    "traversal_time": a.traversal_time,
-                    "capacity": a.capacity,
-                    **({"door": a.door_id} if a.door_id else {}),
-                }
-                for a in scenario.network.arcs
-            ],
-        }
     hazard = scenario.hazard_source.to_dict()
     if hazard is not None:
         doc["hazard"] = hazard

@@ -443,15 +443,6 @@ def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):
     eps = 1e-6
     old_cx = np.floor(old_pos[rows, 0] / cs)
     old_cy = np.floor(old_pos[rows, 1] / cs)
-    # a body that started the step inside a wall (bad spawn) anchors to
-    # the nearest open cell instead of its own
-    anchor_bad = blocked_at(old_pos[rows])
-    for row_pos in np.nonzero(anchor_bad)[0]:
-        cx, cy = _nearest_open_cell(
-            geometry, int(np.clip(old_cx[row_pos], 0, w - 1)), int(np.clip(old_cy[row_pos], 0, h - 1))
-        )
-        old_cx[row_pos] = cx
-        old_cy[row_pos] = cy
     lo_x = old_cx * cs + eps
     hi_x = (old_cx + 1) * cs - eps
     lo_y = old_cy * cs + eps
@@ -474,21 +465,6 @@ def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):
     new_pos[rows] = proj
     vel[rows] = v
     return new_pos, vel, n_bad
-
-
-def _nearest_open_cell(geometry: Geometry, cx: int, cy: int) -> tuple[int, int]:
-    """Closest open cell by expanding Chebyshev rings (scan order fixed)."""
-    if geometry.open_mask[cy, cx]:
-        return cx, cy
-    for ring in range(1, max(geometry.width, geometry.height)):
-        for dy in range(-ring, ring + 1):
-            for dx in range(-ring, ring + 1):
-                if max(abs(dx), abs(dy)) != ring:
-                    continue
-                nx, ny = cx + dx, cy + dy
-                if geometry.is_open(nx, ny):
-                    return nx, ny
-    raise SimulationError("geometry has no open cell to project into")
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from evacsim.flow import Cohort, FlowState, flow_route, flow_step, route_to_dest
 from evacsim.scenario import Arc, EgressNetwork, Node
 
 
-def _path_network(n_hops=1, traversal=1, capacity=1, area=50.0):
+def _path_network(n_hops=1, traversal=1, capacity=1):
     """room 0 -> room 1 -> ... -> destination, uniform arcs."""
-    nodes = [Node(id=i, area=area, kind="room", cell=(i, 0)) for i in range(n_hops)]
-    nodes.append(Node(id=n_hops, area=1.0, kind="destination", cell=(n_hops, 0)))
+    nodes = [Node(id=i, kind="room", cell=(i, 0)) for i in range(n_hops)]
+    nodes.append(Node(id=n_hops, kind="destination", cell=(n_hops, 0)))
     arcs = [
         Arc(src=i, dst=i + 1, traversal_time=traversal, capacity=capacity, door_id=f"a{i}")
         for i in range(n_hops)
@@ -105,10 +105,10 @@ def test_conservation_every_tick():
 def test_flow_route_picks_nearest_destination():
     # two destinations; rooms route to whichever is closer in time
     nodes = [
-        Node(id=0, area=10.0, kind="room", cell=(0, 0)),
-        Node(id=1, area=10.0, kind="room", cell=(1, 0)),
-        Node(id=2, area=1.0, kind="destination", cell=(2, 0)),
-        Node(id=3, area=1.0, kind="destination", cell=(3, 0)),
+        Node(id=0, kind="room", cell=(0, 0)),
+        Node(id=1, kind="room", cell=(1, 0)),
+        Node(id=2, kind="destination", cell=(2, 0)),
+        Node(id=3, kind="destination", cell=(3, 0)),
     ]
     arcs = [
         Arc(src=0, dst=2, traversal_time=5, capacity=1, door_id="far"),
@@ -125,9 +125,9 @@ def test_flow_route_picks_nearest_destination():
 
 def test_unreachable_room_is_a_connectivity_error():
     nodes = [
-        Node(id=0, area=10.0, kind="room", cell=(0, 0)),
-        Node(id=1, area=10.0, kind="room", cell=(1, 0)),
-        Node(id=2, area=1.0, kind="destination", cell=(2, 0)),
+        Node(id=0, kind="room", cell=(0, 0)),
+        Node(id=1, kind="room", cell=(1, 0)),
+        Node(id=2, kind="destination", cell=(2, 0)),
     ]
     arcs = [Arc(src=0, dst=2, traversal_time=1, capacity=1, door_id="only")]
     net = EgressNetwork(nodes=nodes, arcs=arcs, room_labels=np.zeros((1, 1), dtype=np.int32), warnings=[])

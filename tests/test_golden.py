@@ -24,7 +24,7 @@ import pytest
 from evacsim import EMPTY_STATE_DIGEST, parse_scenario, run, serialize_scenario
 from evacsim.scenario import room_regions
 
-from conftest import SCENARIOS, run_cli
+from conftest import SCENARIOS, grid_rows, room_doc, run_cli
 
 
 def _scenario_text(name, max_sim_time=None, backend=None, smoke=None):
@@ -273,6 +273,40 @@ def test_flow_starts_people_on_door_cells_in_the_nearest_room():
     result = run(json.dumps(doc))
     assert result.digest == "135030a0f96c2e29"
     assert _outcome(result) == _outcome_of(2, 100.0, {"exited": 2}, {"mid": 2, "exit:0": 2})
+
+
+# an L-shaped exit zone, and a room whose mean cell row lies just below a
+# power of two, so that the last bit of its centre depends on how the mean
+# is rounded: the goldens for an opening and a flow room that are not
+# straight spans.  The flow digest moved in the last bit of in-transit
+# positions when flow room points became ``scenario.cells_center``.
+L_EXIT = [(x, 0) for x in range(16, 22)] + [(21, 1)]
+
+
+@pytest.mark.parametrize(
+    "backend, max_sim_time, digest, outcome",
+    [
+        pytest.param(
+            "flow",
+            30.0,
+            "f8dbe574b98446a6",
+            _outcome_of(15, 30.0, {"exited": 15}, {"exit:0": 15}),
+            id="flow-30.0-f8dbe574b98446a6",
+        ),
+        pytest.param(
+            "sf",
+            20.0,
+            "e37d1235b51ae647",
+            _outcome_of(12, 20.0, {"exited": 12}, {"exit:0": 12}),
+            id="sf-20.0-e37d1235b51ae647",
+        ),
+    ],
+)
+def test_irregular_room_and_exit_digest(backend, max_sim_time, digest, outcome):
+    rows = grid_rows(22, 9, exits=L_EXIT, obstacles=[(7, 7), (14, 7), (17, 7)])
+    result = run(json.dumps(room_doc(rows, count=30, backend=backend, seed=3, max_sim_time=max_sim_time)))
+    assert result.digest == digest
+    assert _outcome(result) == outcome
 
 
 def _per_agent_fingerprint(result):

@@ -4,36 +4,68 @@ from __future__ import annotations
 
 import ast
 import glob
+import importlib
 import os
+from collections import Counter
 
 import evacsim
 
 PACKAGE = os.path.dirname(os.path.abspath(evacsim.__file__))
 
 
+def _trees():
+    """Module name -> parsed source, for every module of the package."""
+    return {
+        os.path.basename(path)[:-3]: ast.parse(open(path, encoding="utf-8").read())
+        for path in glob.glob(os.path.join(PACKAGE, "*.py"))
+    }
+
+
+def _names(node) -> Counter:
+    """How often each identifier is named (as a variable or an attribute)
+    anywhere under ``node``."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
 def test_every_module_level_definition_is_used_in_the_package():
     # a function or class that nothing in the package names (outside its
     # own definition) and that the package does not export is a twin of
     # code that is used, or dead
-    trees = {path: ast.parse(open(path, encoding="utf-8").read()) for path in glob.glob(os.path.join(PACKAGE, "*.py"))}
-    defined = []
-    used: dict[str, int] = {}
-    for path, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((os.path.basename(path), node))
-        for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if name is not None:
-                used[name] = used.get(name, 0) + 1
+    trees = _trees()
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and used[node.name] == _names(node)[node.name]
+        and node.name not in evacsim.__all__
+    ]
+    assert unused == []
+
+
+def test_every_method_is_used_in_the_package():
+    # a method that nothing in the package names outside its own body is
+    # dead, unless it is a dunder or overrides a base class's method (the
+    # base class's callers reach it)
+    trees = _trees()
+    used = sum((_names(tree) for tree in trees.values()), Counter())
     unused = []
-    for module, node in defined:
-        inside = sum(
-            1
-            for sub in ast.walk(node)
-            if (isinstance(sub, ast.Name) and sub.id == node.name)
-            or (isinstance(sub, ast.Attribute) and sub.attr == node.name)
-        )
-        if used.get(node.name, 0) == inside and node.name not in evacsim.__all__:
-            unused.append(f"{module}:{node.name}")
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module(f"evacsim.{module}"), cls.name).__mro__[1:]
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__") or any(hasattr(base, name) for base in bases):
+                    continue
+                if used[name] == _names(node)[name]:
+                    unused.append(f"{module}:{cls.name}.{name}")
     assert unused == []

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evacsim import SimulationError
 from evacsim.agents import NO_TARGET
 from evacsim.config import PARAM_DEFAULTS
 from evacsim.engine import _Simulation
@@ -299,6 +300,17 @@ def test_cornered_body_settles_instead_of_tunnelling():
     assert np.linalg.norm(state.pos[0] - waypoint[0]) < 0.2
     assert np.linalg.norm(state.vel[0]) < 0.5
     assert not state.warnings
+
+
+def test_a_body_that_starts_inside_a_wall_is_an_error():
+    # spawning puts every body on an open cell and each step keeps it on
+    # one, so a body inside a wall is a broken invariant, not a state to
+    # repair by moving it
+    walls = [(x, y) for x in range(6, 13) for y in range(6, 13)]
+    geo = make_scenario(room_doc(grid_rows(20, 20, exits=[(19, 3)], walls=walls), count=1, spawn=[1, 1, 1, 1])).geometry
+    state = _free_state([[4.75, 4.75]])  # centre of the 7 x 7 block of 0.5 m cells
+    with pytest.raises(SimulationError, match="inside a wall"):
+        sf_step(state, geo, exposed_wall_cells(geo), np.arange(1), np.array([1.34]), np.array([[1.0, 1.0]]), 0.05)
 
 
 def test_neighbor_cache_survives_drift_without_missing_pairs():
