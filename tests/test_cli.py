@@ -15,39 +15,38 @@ def _bad_attribute(attr, value):
 
 
 @pytest.mark.parametrize(
-    "name, population",
+    "name, section, update, where",
     [
-        pytest.param("minimal_room", _bad_attribute("mobility", 3), id="mobility-3"),
-        pytest.param("minimal_room", _bad_attribute("health", float("nan")), id="health-nan"),
+        pytest.param(
+            "minimal_room", "population", _bad_attribute("mobility", 3), "population.attributes.mobility", id="mobility-3"
+        ),
+        pytest.param(
+            "minimal_room",
+            "population",
+            _bad_attribute("health", float("nan")),
+            "population.attributes.health",
+            id="health-nan",
+        ),
         # two_rooms has room nodes 0 and 1 and destination 2
-        pytest.param("two_rooms", {"spawn": {"node": 7}}, id="spawn-node-7"),
-        pytest.param("two_rooms", {"spawn": {"node": 2}}, id="spawn-node-2"),
-        pytest.param("two_rooms", {"spawn": {"node": -1}}, id="spawn-node--1"),
+        pytest.param("two_rooms", "population", {"spawn": {"node": 7}}, "population.spawn.node", id="spawn-node-7"),
+        pytest.param("two_rooms", "population", {"spawn": {"node": 2}}, "population.spawn.node", id="spawn-node-2"),
+        pytest.param("two_rooms", "population", {"spawn": {"node": -1}}, "population.spawn.node", id="spawn-node--1"),
+        # the route network is always derived from the floor plan
+        pytest.param(
+            "two_rooms", "network", {"nodes": [], "arcs": []}, "$.network: unknown field", id="network-section"
+        ),
     ],
 )
-def test_validate_rejects_what_run_rejects(tmp_path, name, population):
+def test_validate_rejects_what_run_rejects(tmp_path, name, section, update, where):
     with open(os.path.join(SCENARIOS, f"{name}.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["population"].update(population)
+    doc.setdefault(section, {}).update(update)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     for args in (("validate", path), ("run", path, "--out", tmp_path / "out")):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args[0], proc.stdout)
-        assert proc.stderr.startswith("evacsim:error:"), proc.stderr
-
-
-def test_a_network_section_is_an_unknown_field(tmp_path):
-    # the route network is always derived from the floor plan
-    with open(os.path.join(SCENARIOS, "two_rooms.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["network"] = {"nodes": [{"id": 0, "area": 1.0, "kind": "destination"}], "arcs": []}
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    for args in (("validate", path), ("run", path, "--out", tmp_path / "out")):
-        proc = run_cli(*args)
-        assert proc.returncode == 1, (args[0], proc.stdout)
-        assert "$.network: unknown field" in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"evacsim:error: {where}"), proc.stderr
 
 
 def test_compare_reports_the_backends_that_ran_when_one_fails(tmp_path):

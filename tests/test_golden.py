@@ -278,8 +278,7 @@ def test_flow_starts_people_on_door_cells_in_the_nearest_room():
 # an L-shaped exit zone, and a room whose mean cell row lies just below a
 # power of two, so that the last bit of its centre depends on how the mean
 # is rounded: the goldens for an opening and a flow room that are not
-# straight spans.  The flow digest moved in the last bit of in-transit
-# positions when flow room points became ``scenario.cells_center``.
+# straight spans
 L_EXIT = [(x, 0) for x in range(16, 22)] + [(21, 1)]
 
 
