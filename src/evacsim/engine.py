@@ -79,7 +79,7 @@ from .scenario import (
     distance_field,
     parse_scenario,
 )
-from .socialforce import SfState, detect_arch, exposed_wall_cells, sf_step
+from .socialforce import SfState, detect_arch, exposed_wall_cells, sf_step, wall_table
 
 CA_DECISION_INTERVAL = 1.0   # s between decision rounds on the grid backend
 ARCH_CHECK_INTERVAL = 1.0    # s between clog checks at doors
@@ -632,7 +632,7 @@ class _SfMover(_Mover):
         super().__init__(sim)
         self.state = SfState.from_bodies(sim.pop.pos, sim.pop.radius, sim.params)
         self.warnings = self.state.warnings
-        self.wall_cells = exposed_wall_cells(sim.geometry)
+        self.walls = wall_table(exposed_wall_cells(sim.geometry), sim.geometry, float(sim.params["sf_cutoff"]))
         self.waypoint = np.full((sim.n, 2), np.nan)
         self.arch_every = max(1, half_up(ARCH_CHECK_INTERVAL / sim.dt))
         # per site, its first crossing time and the (t, persons) crossings of the clog window
@@ -731,7 +731,7 @@ class _SfMover(_Mover):
         desired = np.where(moving, sim.desired, 0.0)
         old_pos = pop.pos.copy()
         present = sim._inside()
-        sf_step(state, sim.geometry, self.wall_cells, present, desired, self.waypoint, sim.dt, sim.params)
+        sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, sim.params)
         if len(present) == 0:
             return
         delta = pop.pos[present] - old_pos[present]

@@ -5,9 +5,14 @@ Force terms per body: a driving term relaxing velocity toward the
 desired speed along the waypoint direction, an exponential
 psychological repulsion from nearby bodies, and -- once bodies touch --
 normal compression plus tangential sliding friction.  Walls act through
-the same three terms, computed against the nearest point of each
-exposed wall cell.  This combination is what produces arch formation
-and the faster-is-slower effect at doorways.
+the same three terms, computed against each body's nearest wall point.
+This combination is what produces arch formation and the
+faster-is-slower effect at doorways.
+
+The nearest wall point comes from a per-cell candidate table, built once
+per run: for each grid cell, the exposed wall cells within the cutoff of
+it.  A step clips each body against its own cell's few candidates, not
+against every wall cell.
 
 Integration is semi-implicit Euler with a speed clamp and a positional
 backstop that keeps body centres out of wall cells even when contact
@@ -35,10 +40,6 @@ FRICTION_SWEEPS = 8
 # until some body has moved half this far, so slow, packed crowds reuse
 # one enumeration for many steps without missing a single pair
 NEIGHBOR_SKIN = 0.4
-
-# chunk size bound for the dense agent x wall-cell distance pass
-_WALL_CHUNK = 4_000_000
-
 
 def _scatter_add(out: np.ndarray, idx: np.ndarray, vec: np.ndarray) -> None:
     """out[idx] += vec with repeated indices accumulated (bincount form)."""
@@ -81,6 +82,23 @@ class SfState:
             radius=np.where(radius > 0, radius, float(p["sf_radius_lo"])),
             mass=np.full(n, float(p["sf_mass"])),
         )
+
+
+@dataclass(frozen=True)
+class WallTable:
+    """Per grid cell, the exposed wall cells whose box lies within the
+    cutoff of that cell's box, by ascending wall index.
+
+    On a grid W cells wide, cell (x, y)'s candidates are the first
+    ``count[y * W + x]`` entries of ``rows[y * W + x]``; the rest is
+    padding with the index M of the sentinel column of ``lo``, whose box
+    lies at +inf.
+    """
+
+    lo: np.ndarray           # (2, M + 1) m, x and y of each wall box's low corner
+    rows: np.ndarray         # (H * W, K) int32 wall indices
+    count: np.ndarray        # (H * W,) candidates per cell
+    cutoff: float
 
 
 def exposed_wall_cells(geometry: Geometry) -> np.ndarray:
@@ -187,11 +205,36 @@ def pair_forces(
     return force, (i[touch], j[touch], tangent, overlap[touch])
 
 
+def wall_table(wall_cells: np.ndarray, geometry: Geometry, cutoff: float) -> WallTable:
+    """Candidate table of the (M, 2) ``wall_cells`` on ``geometry``'s grid,
+    built over a wall-cell x offset stencil in O(M x stencil)."""
+    h, w = geometry.height, geometry.width
+    cell_size = geometry.cell_size
+    m = len(wall_cells)
+    span = np.arange(-int(cutoff / cell_size) - 2, int(cutoff / cell_size) + 3)
+    dx, dy = (d.ravel() for d in np.meshgrid(span, span))
+    # box-to-box gap, with slack so rounding can only add candidates
+    gap = np.hypot(np.maximum(np.abs(dx) - 1, 0), np.maximum(np.abs(dy) - 1, 0)) * cell_size
+    near = gap <= cutoff + 1e-6
+    cx = wall_cells[:, :1] + dx[near]                      # (M, stencil)
+    cy = wall_cells[:, 1:] + dy[near]
+    inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+    cell = (cy * w + cx)[inside]
+    wall = np.broadcast_to(np.arange(m)[:, None], cx.shape)[inside]
+    order = np.argsort(cell, kind="stable")                # keeps wall ids ascending per cell
+    cell, wall = cell[order], wall[order]
+    count = np.bincount(cell, minlength=h * w)
+    rows = np.full((h * w, max(int(count.max(initial=0)), 1)), m, dtype=np.int32)
+    rows[cell, np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)] = wall
+    lo = np.hstack([np.asarray(wall_cells, dtype=np.float64).T * cell_size, [[np.inf], [np.inf]]])
+    return WallTable(lo=lo, rows=rows, count=count, cutoff=cutoff)
+
+
 def wall_forces(
     pos: np.ndarray,
     radius: np.ndarray,
-    wall_cells: np.ndarray,
-    cell_size: float,
+    walls: WallTable,
+    geometry: Geometry,
     params: dict,
 ) -> tuple[np.ndarray, tuple]:
     """Repulsion and normal compression against the closest wall point.
@@ -199,76 +242,55 @@ def wall_forces(
     The wall surface is a continuum, so each body interacts with its
     single nearest boundary point; summing a separate force from every
     wall cell would triple-count flat runs of wall and stall slow
-    walkers half a metre short of a doorway.
+    walkers half a metre short of a doorway.  Each body (on the grid)
+    clips against only its own cell's candidates in ``walls``, a table
+    of ``geometry``'s grid.  When the
+    nearest wall point lies within the cutoff, it and every tie with it
+    are among them, in global order, so the argmin picks the wall cell
+    a scan of all wall cells would; otherwise neither applies a force.
 
     Returns the per-body force array and the touching-contact list
     ``(rows, tangent, overlap)`` consumed by the sliding-friction pass.
     """
+    cutoff = float(params["sf_cutoff"])
+    if cutoff > walls.cutoff:
+        raise ValueError(f"cutoff {cutoff} exceeds the wall table's {walls.cutoff}")
     n = len(pos)
     force = np.zeros((n, 2))
-    touch_rows: list[np.ndarray] = []
-    touch_tan: list[np.ndarray] = []
-    touch_gap: list[np.ndarray] = []
-    no_contacts = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
-    if n == 0 or len(wall_cells) == 0:
-        return force, no_contacts
+    cs = geometry.cell_size
+    cells = geometry.cells_of(pos)
+    flat = cells[:, 1] * geometry.width + cells[:, 0]
+    count = walls.count[flat]
+    body = np.nonzero(count)[0]                               # bodies with a candidate
+    if len(body) == 0:
+        return force, (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
     a = float(params["sf_a"])
     b = float(params["sf_b"])
     k = float(params["sf_k"])
-    cutoff = float(params["sf_cutoff"])
 
-    lo = wall_cells.astype(np.float64) * cell_size            # (M, 2)
-    hi = lo + cell_size
+    cand = walls.rows[flat[body], : count.max()]              # (n', K)
+    px = pos[body, :1]
+    py = pos[body, 1:]
+    lo_x = walls.lo[0][cand]
+    lo_y = walls.lo[1][cand]
+    dx = px - np.minimum(np.maximum(px, lo_x), lo_x + cs)    # offset from the nearest box point
+    dy = py - np.minimum(np.maximum(py, lo_y), lo_y + cs)
+    d2 = dx ** 2 + dy ** 2
+    col = np.argmin(d2, axis=1)                               # nearest cell per body
+    sel = np.arange(len(body))
+    best_d2 = d2[sel, col]
+    rel = np.nonzero(best_d2 < cutoff * cutoff)[0]
+    dist = np.maximum(np.sqrt(best_d2[rel]), 1e-9)
+    normal = np.stack([dx[rel, col[rel]], dy[rel, col[rel]]], axis=1) / dist[:, None]
+    rows = body[rel]
+    r = radius[rows]
+    overlap = np.maximum(r - dist, 0.0)
+    magnitude = a * np.exp((r - dist) / b) + k * overlap
+    force[rows] = magnitude[:, None] * normal
 
-    # wall cells beyond the crowd's reach contribute nothing this step
-    bb_lo = pos.min(axis=0) - cutoff
-    bb_hi = pos.max(axis=0) + cutoff
-    near_crowd = ((hi >= bb_lo) & (lo <= bb_hi)).all(axis=1)
-    if not near_crowd.all():
-        lo = lo[near_crowd]
-        hi = hi[near_crowd]
-    m = len(lo)
-    if m == 0:
-        return force, no_contacts
-
-    rows_per_chunk = max(1, _WALL_CHUNK // max(m, 1))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(n, start + rows_per_chunk)
-        p = pos[start:stop]                                   # (c, 2)
-        nearest = np.clip(p[:, None, :], lo[None, :, :], hi[None, :, :])
-        diff = p[:, None, :] - nearest                        # (c, M, 2)
-        d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-        col = np.argmin(d2, axis=1)                           # nearest cell per body
-        c = stop - start
-        sel = np.arange(c)
-        best_d2 = d2[sel, col]
-        rel = np.nonzero(best_d2 < cutoff * cutoff)[0]
-        if len(rel) == 0:
-            continue
-        dist = np.maximum(np.sqrt(best_d2[rel]), 1e-9)
-        normal = diff[rel, col[rel]] / dist[:, None]
-        r = radius[start:stop][rel]
-        overlap = np.maximum(r - dist, 0.0)
-        magnitude = a * np.exp((r - dist) / b) + k * overlap
-        force[start + rel] = magnitude[:, None] * normal
-
-        touch = overlap > 0.0
-        if touch.any():
-            touch_rows.append(rel[touch] + start)
-            touch_tan.append(
-                np.stack([-normal[touch, 1], normal[touch, 0]], axis=1)
-            )
-            touch_gap.append(overlap[touch])
-
-    if touch_rows:
-        contacts = (
-            np.concatenate(touch_rows),
-            np.concatenate(touch_tan),
-            np.concatenate(touch_gap),
-        )
-    else:
-        contacts = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
-    return force, contacts
+    touch = overlap > 0.0
+    tangent = np.stack([-normal[touch, 1], normal[touch, 0]], axis=1)
+    return force, (rows[touch], tangent, overlap[touch])
 
 
 def apply_contact_friction(
@@ -354,7 +376,7 @@ def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: flo
 def sf_step(
     state: SfState,
     geometry: Geometry,
-    wall_cells: np.ndarray,
+    walls: WallTable,
     present: np.ndarray,
     desired_speed: np.ndarray,
     waypoint: np.ndarray,
@@ -385,7 +407,7 @@ def sf_step(
 
     total = driving_force(pos, vel, mass, desired_speed[present], waypoint[present], p)
     pair, pair_contacts = pair_forces(pos, state.radius[present], p, pairs=pairs)
-    wall, wall_contacts = wall_forces(pos, state.radius[present], wall_cells, geometry.cell_size, p)
+    wall, wall_contacts = wall_forces(pos, state.radius[present], walls, geometry, p)
     force = total + pair + wall
 
     vel = vel + force / mass[:, None] * dt

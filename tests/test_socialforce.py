@@ -26,6 +26,7 @@ from evacsim.socialforce import (
     pair_forces,
     sf_step,
     wall_forces,
+    wall_table,
 )
 from evacsim.spatialhash import SpatialHash
 
@@ -33,6 +34,7 @@ from conftest import SCENARIOS, grid_rows, make_scenario, room_doc
 
 TAU = PARAM_DEFAULTS["sf_tau"]
 CUTOFF = PARAM_DEFAULTS["sf_cutoff"]
+NO_WALLS = np.zeros((0, 2), dtype=np.int64)
 
 
 def _open_floor(width_m=20.0, height_m=20.0):
@@ -52,6 +54,12 @@ def _free_state(pos, vel=None, radius=0.3):
     )
 
 
+def _walls(geo, cells=None, cutoff=CUTOFF):
+    """Wall candidate table of ``geo``'s exposed wall cells, or of ``cells``."""
+    cells = exposed_wall_cells(geo) if cells is None else cells
+    return wall_table(cells, geo, cutoff)
+
+
 def _pairs(pos):
     """Every pair of bodies within the interaction cutoff."""
     return SpatialHash(pos, CUTOFF).query_pairs(CUTOFF)
@@ -63,14 +71,14 @@ def _pairs(pos):
 def test_speed_relaxes_exponentially_toward_desired():
     """v(t) = v_des (1 - exp(-t/tau)) within 2% at tau, 2 tau, 3 tau."""
     geo = _open_floor()
-    wall_cells = np.zeros((0, 2), dtype=np.int64)  # far from any wall
+    walls = _walls(geo, NO_WALLS)  # far from any wall
     state = _free_state([[10.0, 10.0]])
     dt = 0.01
     v_des = np.array([1.5])
     waypoint = np.array([[1000.0, 10.0]])
     checkpoints = {round(k * TAU / dt): k * TAU for k in (1, 2, 3)}
     for tick in range(1, max(checkpoints) + 1):
-        sf_step(state, geo, wall_cells, np.arange(1), v_des, waypoint, dt, PARAM_DEFAULTS)
+        sf_step(state, geo, walls, np.arange(1), v_des, waypoint, dt, PARAM_DEFAULTS)
         if tick in checkpoints:
             t = checkpoints[tick]
             want = 1.5 * (1.0 - math.exp(-t / TAU))
@@ -83,7 +91,7 @@ def test_relaxation_is_straight_toward_the_waypoint():
     state = _free_state([[10.0, 10.0]])
     waypoint = np.array([[17.0, 3.0]])
     for _ in range(200):
-        sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.arange(1), np.array([1.34]), waypoint, 0.02)
+        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]), waypoint, 0.02)
     d = state.pos[0] - np.array([10.0, 10.0])
     want_dir = (waypoint[0] - np.array([10.0, 10.0]))
     cos = d @ want_dir / (np.linalg.norm(d) * np.linalg.norm(want_dir))
@@ -95,7 +103,7 @@ def test_speed_clamp_keeps_bodies_subsonic():
     state = _free_state([[10.0, 10.0]])
     state.vel[0] = [50.0, 0.0]
     cap = PARAM_DEFAULTS["sf_speed_slack"] * PARAM_DEFAULTS["speed_cap"]
-    sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.arange(1), np.array([1.34]),
+    sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]),
             np.array([[1000.0, 10.0]]), 0.05)
     assert np.linalg.norm(state.vel[0]) <= cap + 1e-9
 
@@ -192,7 +200,7 @@ def test_wall_force_matches_nearest_point_reference():
     rng = np.random.default_rng(17)
     pos = rng.uniform(0.6, 4.4, size=(60, 2))
     radius = np.full(60, 0.3)
-    force, _ = wall_forces(pos, radius, wall_cells, cs, PARAM_DEFAULTS)
+    force, _ = wall_forces(pos, radius, _walls(geo), geo, PARAM_DEFAULTS)
     for i in range(60):
         want = _nearest_wall_reference(pos[i], radius[i], boxes, PARAM_DEFAULTS)
         assert np.allclose(force[i], want, rtol=1e-9, atol=1e-9), i
@@ -202,10 +210,9 @@ def test_wall_force_counts_a_flat_wall_once():
     # a long flat wall is one surface: the push must equal the single
     # nearest-point force, not a sum over every wall cell
     geo = _open_floor(10.0, 5.0)
-    wall_cells = exposed_wall_cells(geo)
     pos = np.array([[5.0, 0.8]])  # 0.3 m above the bottom wall, mid-run
     radius = np.array([0.3])
-    force, _ = wall_forces(pos, radius, wall_cells, geo.cell_size, PARAM_DEFAULTS)
+    force, _ = wall_forces(pos, radius, _walls(geo), geo, PARAM_DEFAULTS)
     gap = 0.3 - 0.3  # at surface contact distance
     want = PARAM_DEFAULTS["sf_a"] * math.exp(-gap / PARAM_DEFAULTS["sf_b"])
     assert math.isclose(force[0, 1], want, rel_tol=1e-6)
@@ -230,11 +237,115 @@ def test_exposed_wall_cells_face_open_space():
     assert len(cells) <= len(all_blocked)
 
 
+def _dense_wall_forces(pos, radius, wall_cells, cell_size, params):
+    """The all-walls pass the candidate table replaced: every body clips
+    against every exposed wall cell.  Also returns the (n, M) squared
+    distances, for counting ties."""
+    a, b, k, cutoff = (float(params[key]) for key in ("sf_a", "sf_b", "sf_k", "sf_cutoff"))
+    lo = wall_cells.astype(np.float64) * cell_size
+    hi = lo + cell_size
+    diff = pos[:, None, :] - np.clip(pos[:, None, :], lo[None, :, :], hi[None, :, :])
+    d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
+    col = np.argmin(d2, axis=1)
+    best_d2 = d2[np.arange(len(pos)), col]
+    rel = np.nonzero(best_d2 < cutoff * cutoff)[0]
+    dist = np.maximum(np.sqrt(best_d2[rel]), 1e-9)
+    normal = diff[rel, col[rel]] / dist[:, None]
+    r = radius[rel]
+    overlap = np.maximum(r - dist, 0.0)
+    force = np.zeros((len(pos), 2))
+    force[rel] = (a * np.exp((r - dist) / b) + k * overlap)[:, None] * normal
+    touch = overlap > 0.0
+    tangent = np.stack([-normal[touch, 1], normal[touch, 0]], axis=1)
+    return force, (rel[touch], tangent, overlap[touch]), d2
+
+
+def _pillared_room(rng, cell_size, cutoff):
+    """Bordered room with random one-cell pillars, kept clear within
+    ``reach`` cells (Chebyshev) of its centre cell, which lies out of
+    every wall's reach; returns the geometry and the centre cell."""
+    reach = math.ceil(cutoff / cell_size) + 1
+    side = 2 * reach + int(rng.integers(5, 12))
+    centre = side // 2
+    pillars = [
+        (x, y)
+        for y in range(1, side - 1)
+        for x in range(1, side - 1)
+        if max(abs(x - centre), abs(y - centre)) > reach and (x, y) != (1, 1) and rng.random() < 0.15
+    ]
+    doc = room_doc(grid_rows(side, side, exits=[(side - 1, centre)], walls=pillars), count=1, spawn=[1, 1, 1, 1])
+    doc["geometry"]["cell_size"] = cell_size
+    return make_scenario(doc).geometry, centre
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 1.0, 3.0, 5.0])
+@pytest.mark.parametrize("cell_size", [0.4, 0.5, 1.0])
+def test_wall_table_matches_the_dense_pass_exactly(cell_size, cutoff):
+    params = dict(PARAM_DEFAULTS, sf_cutoff=cutoff)
+    rng = np.random.default_rng(round(100 * cell_size + cutoff))
+    for _ in range(3):
+        geo, centre = _pillared_room(rng, cell_size, cutoff)
+        cells = exposed_wall_cells(geo)
+        ys, xs = np.nonzero(geo.open_mask)
+        open_cells = np.stack([xs, ys], axis=1).astype(np.float64)
+        # cell centres, edge midpoints and corners, random points, and the
+        # midpoints between nearby wall cells (exact ties on 0.5 and 1 m grids)
+        pairs = cells[rng.integers(0, len(cells), size=(400, 2))]
+        close = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) <= 3
+        mid = (pairs[close].sum(axis=1) + 1.0) * (cell_size / 2)
+        pos = np.concatenate([
+            (open_cells + 0.5) * cell_size,
+            (open_cells + [0.0, 0.5]) * cell_size,
+            (open_cells + [0.5, 0.0]) * cell_size,
+            open_cells * cell_size,
+            rng.uniform(cell_size, (geo.width - 1) * cell_size, size=(300, 2)),
+            mid,
+        ])
+        radius = rng.uniform(0.25, 0.35, size=len(pos))
+        force, contacts = wall_forces(pos, radius, _walls(geo, cutoff=cutoff), geo, params)
+        want_force, want_contacts, d2 = _dense_wall_forces(pos, radius, cells, cell_size, params)
+        assert np.array_equal(force, want_force)
+        for got, want in zip(contacts, want_contacts):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # coverage: contacts, two-wall ties within the cutoff, and bodies
+        # out of every wall's reach (the room's centre cell among them)
+        best = d2.min(axis=1)
+        assert len(contacts[0]) > 0
+        assert ((d2 == best[:, None]).sum(axis=1)[best < cutoff * cutoff] >= 2).any()
+        far = best >= cutoff * cutoff
+        assert far[: len(open_cells)][(xs == centre) & (ys == centre)].all()
+        assert (force[far] == 0.0).all()
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 1.0, 3.0, 5.0])
+@pytest.mark.parametrize("cell_size", [0.4, 0.5, 1.0])
+def test_wall_table_row_holds_every_wall_within_the_cutoff(cell_size, cutoff):
+    geo, _ = _pillared_room(np.random.default_rng(7), cell_size, cutoff)
+    cells = exposed_wall_cells(geo)
+    table = _walls(geo, cutoff=cutoff)
+    m = len(cells)
+    for flat in range(geo.height * geo.width):
+        x, y = flat % geo.width, flat // geo.width
+        # gap between the cell's box and each wall box, per axis
+        gap_x = np.maximum(0.0, np.maximum(cells[:, 0] * cell_size - (x + 1) * cell_size,
+                                           x * cell_size - (cells[:, 0] + 1) * cell_size))
+        gap_y = np.maximum(0.0, np.maximum(cells[:, 1] * cell_size - (y + 1) * cell_size,
+                                           y * cell_size - (cells[:, 1] + 1) * cell_size))
+        within = np.nonzero(np.hypot(gap_x, gap_y) <= cutoff)[0]
+        row = table.rows[flat]
+        listed = row[: table.count[flat]]
+        assert (np.diff(listed) > 0).all() and (row[table.count[flat]:] == m).all()
+        assert np.isin(within, listed).all(), (x, y)
+        # and nothing much farther, or the table saves nothing
+        assert (np.hypot(gap_x, gap_y)[listed] <= cutoff + 1e-6).all(), (x, y)
+
+
 # -- contact friction ---------------------------------------------------------------
 
 
 def _no_wall_contacts(pos, radius):
-    _, contacts = wall_forces(pos, radius, np.zeros((0, 2), dtype=np.int64), 0.5, PARAM_DEFAULTS)
+    geo = _open_floor()
+    _, contacts = wall_forces(pos, radius, _walls(geo, NO_WALLS), geo, PARAM_DEFAULTS)
     return contacts
 
 
@@ -272,7 +383,7 @@ def test_separated_bodies_feel_no_friction():
 
 def test_bodies_never_end_a_step_inside_walls():
     geo = _open_floor(8.0, 6.0)
-    wall_cells = exposed_wall_cells(geo)
+    walls = _walls(geo)
     rng = np.random.default_rng(5)
     n = 40
     state = _free_state(rng.uniform(1.0, 5.0, size=(n, 2)))
@@ -281,7 +392,7 @@ def test_bodies_never_end_a_step_inside_walls():
     waypoint = np.tile([7.5, 1.75], (n, 1))
     open_mask = geo.open_mask
     for _ in range(200):
-        sf_step(state, geo, wall_cells, np.arange(n), v_des, waypoint, 0.05)
+        sf_step(state, geo, walls, np.arange(n), v_des, waypoint, 0.05)
         cx = (state.pos[:, 0] / geo.cell_size).astype(int)
         cy = (state.pos[:, 1] / geo.cell_size).astype(int)
         assert open_mask[cy, cx].all()
@@ -291,12 +402,12 @@ def test_cornered_body_settles_instead_of_tunnelling():
     # regression: a body shot into a corner must come to rest near its
     # waypoint side, not get wedged or pushed through the boundary
     geo = _open_floor(8.0, 6.0)
-    wall_cells = exposed_wall_cells(geo)
+    walls = _walls(geo)
     state = _free_state([[0.796, 0.796]])
     state.vel[0] = [0.0, -8.0]
     waypoint = np.array([[1.0, 1.0]])
     for _ in range(200):
-        sf_step(state, geo, wall_cells, np.arange(1), np.array([1.0]), waypoint, 0.05)
+        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), waypoint, 0.05)
     assert np.linalg.norm(state.pos[0] - waypoint[0]) < 0.2
     assert np.linalg.norm(state.vel[0]) < 0.5
     assert not state.warnings
@@ -310,7 +421,7 @@ def test_a_body_that_starts_inside_a_wall_is_an_error():
     geo = make_scenario(room_doc(grid_rows(20, 20, exits=[(19, 3)], walls=walls), count=1, spawn=[1, 1, 1, 1])).geometry
     state = _free_state([[4.75, 4.75]])  # centre of the 7 x 7 block of 0.5 m cells
     with pytest.raises(SimulationError, match="inside a wall"):
-        sf_step(state, geo, exposed_wall_cells(geo), np.arange(1), np.array([1.34]), np.array([[1.0, 1.0]]), 0.05)
+        sf_step(state, geo, _walls(geo), np.arange(1), np.array([1.34]), np.array([[1.0, 1.0]]), 0.05)
 
 
 def test_neighbor_cache_survives_drift_without_missing_pairs():
@@ -321,7 +432,7 @@ def test_neighbor_cache_survives_drift_without_missing_pairs():
     v_des = np.full(n, 1.34)
     for step in range(60):
         waypoint = state.pos + rng.uniform(-2, 2, size=(n, 2))
-        sf_step(state, geo, np.zeros((0, 2), dtype=np.int64), np.arange(n), v_des, waypoint, 0.05)
+        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(n), v_des, waypoint, 0.05)
         force, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, _pairs(state.pos))
         cached, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr_pairs)
         assert np.allclose(force, cached, atol=1e-9), step
