@@ -237,64 +237,90 @@ def _continuous_positions(
     radii: np.ndarray,
     geometry: Geometry,
     rng: np.random.Generator,
-) -> list[tuple[float, float]]:
-    """Rejection-sample non-overlapping body centres inside the spawn cells."""
+) -> np.ndarray:
+    """Rejection-sample non-overlapping body centres inside the spawn cells.
+
+    Each body takes the first (x, y) draw over the cells' bounding box
+    that lands in a spawn cell, clear of every blocked cell and of every
+    body placed before it.  Draws are taken and screened for cell and
+    wall clearance in batches, tested against placed bodies in growing
+    blocks through a bucket grid, and the stream is left just past the
+    last draw tested, as if the draws were taken one by one.
+    """
     count = len(radii)
     if count == 0:
-        return []
+        return np.zeros((0, 2))
     cs = geometry.cell_size
-    cell_set = set(cells)
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    x_lo, x_hi = min(xs) * cs, (max(xs) + 1) * cs
-    y_lo, y_hi = min(ys) * cs, (max(ys) + 1) * cs
     blocked = geometry.blocked_mask
-    placed: list[tuple[float, float]] = []
-    placed_r: list[float] = []
-    max_attempts = 2000 * count + 2000
-    attempts = 0
-    for i in range(count):
-        r = float(radii[i])
-        while True:
-            attempts += 1
-            if attempts > max_attempts:
-                raise SimulationError(
-                    f"could not place {count} bodies in the spawn region ({i} placed)"
-                )
-            px = rng.uniform(x_lo, x_hi)
-            py = rng.uniform(y_lo, y_hi)
-            cell = (int(px / cs), int(py / cs))
-            if cell not in cell_set:
-                continue
-            if _touches_blocked(px, py, r, blocked, cs):
-                continue
-            ok = True
-            for (qx, qy), qr in zip(placed, placed_r):
-                if (px - qx) ** 2 + (py - qy) ** 2 < (r + qr) ** 2:
-                    ok = False
-                    break
-            if ok:
-                placed.append((px, py))
-                placed_r.append(r)
-                break
-    return placed
-
-
-def _touches_blocked(px: float, py: float, r: float, blocked: np.ndarray, cs: float) -> bool:
     h, w = blocked.shape
-    x0 = max(0, int((px - r) / cs))
-    x1 = min(w - 1, int((px + r) / cs))
-    y0 = max(0, int((py - r) / cs))
-    y1 = min(h - 1, int((py + r) / cs))
-    for cy in range(y0, y1 + 1):
-        for cx in range(x0, x1 + 1):
-            if not blocked[cy, cx]:
-                continue
-            nx = min(max(px, cx * cs), (cx + 1) * cs)
-            ny = min(max(py, cy * cs), (cy + 1) * cs)
-            if (px - nx) ** 2 + (py - ny) ** 2 < r * r:
-                return True
-    return False
+    xy = np.array(cells, dtype=np.int64)
+    spawn = np.zeros((h + 1, w + 1), dtype=bool)     # a draw on the box's far edge lands one past it
+    spawn[xy[:, 1], xy[:, 0]] = True
+    lo = xy.min(axis=0) * cs
+    hi = (xy.max(axis=0) + 1) * cs
+    r_max = float(radii.max())
+    # placed bodies by bucket, padded with the sentinel row ``count`` at
+    # +inf; buckets are wider than any overlap, so only neighbours overlap
+    side = 2 * r_max + cs
+    nb = ((hi - lo) / side).astype(np.int64) + 3
+    stencil = (np.arange(-1, 2)[:, None] * nb[0] + np.arange(-1, 2)).ravel()
+    members = np.full((nb[0] * nb[1], 4), count)
+    filled = np.zeros(nb[0] * nb[1], dtype=np.int64)
+    placed = np.full((count + 1, 2), np.inf)
+    placed_r = np.zeros(count + 1)
+    limit = 2000 * count + 2000
+    draws = np.zeros((0, 2))
+    used = tested = 0                                # draws tested, of ``draws`` and in all
+    for i, r in enumerate(radii.tolist()):
+        size = 16
+        while True:
+            if used == len(draws):
+                if tested == limit:
+                    raise SimulationError(f"could not place {count} bodies in the spawn region ({i} placed)")
+                state = rng.bit_generator.state
+                draws = rng.uniform(lo, hi, size=(min(4096, max(256, tested), limit - tested), 2))
+                used = 0
+                cell = (draws / cs).astype(np.int64)
+                usable = spawn[cell[:, 1], cell[:, 0]]
+                clearance = _wall_clearance(draws, r_max, blocked, cs)
+                key = ((draws - lo) / side).astype(np.int64) + 1
+                bucket = key[:, 1] * nb[0] + key[:, 0]
+            stop = min(used + size, len(draws))
+            cand = used + np.flatnonzero(usable[used:stop] & (clearance[used:stop] >= r * r))
+            width = max(int(filled.max()), 1)
+            near = members[bucket[cand, None] + stencil, :width].reshape(len(cand), 9 * width)
+            q = placed[near]
+            hit = (draws[cand, :1] - q[..., 0]) ** 2 + (draws[cand, 1:] - q[..., 1]) ** 2 < (r + placed_r[near]) ** 2
+            free = cand[~hit.any(axis=1)]
+            end = int(free[0]) + 1 if len(free) else stop
+            tested += end - used
+            used = end
+            if len(free):
+                b = bucket[end - 1]
+                placed[i], placed_r[i] = draws[end - 1], r
+                if filled[b] == members.shape[1]:
+                    members = np.hstack([members, np.full_like(members, count)])
+                members[b, filled[b]] = i
+                filled[b] += 1
+                break
+            size *= 2
+    rng.bit_generator.state = state
+    rng.uniform(lo, hi, size=(used, 2))
+    return placed[:count]
+
+
+def _wall_clearance(points: np.ndarray, r: float, blocked: np.ndarray, cs: float) -> np.ndarray:
+    """Squared distance from each point to the nearest blocked cell under
+    the bounding square of its disc of radius ``r`` (inf where none)."""
+    h, w = blocked.shape
+    first = np.maximum(((points - r) / cs).astype(np.int64), 0)
+    last = np.minimum(((points + r) / cs).astype(np.int64), [w - 1, h - 1])
+    reach = np.arange(int((last - first).max()) + 1)
+    cell = first[:, None, :] + np.stack(np.meshgrid(reach, reach), axis=-1).reshape(-1, 2)
+    gap = points[:, None, :] - np.minimum(np.maximum(points[:, None, :], cell * cs), (cell + 1) * cs)
+    wall = (cell <= last[:, None, :]).all(axis=2)
+    wall &= blocked[np.minimum(cell[..., 1], h - 1), np.minimum(cell[..., 0], w - 1)]
+    return np.where(wall, gap[..., 0] ** 2 + gap[..., 1] ** 2, np.inf).min(axis=1)
 
 
 

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from evacsim import SchemaViolation, SemanticViolation
+from evacsim import SchemaViolation, SemanticViolation, SimulationError
 from evacsim.agents import (
     NO_TARGET,
     AgentStatus,
     Percepts,
     Population,
     WorldView,
+    _continuous_positions,
     _neighbour_stats,
     choose_exit,
     decide,
@@ -113,6 +115,74 @@ def test_spawn_is_deterministic_per_seed():
     assert np.array_equal(a.pos, b.pos)
     assert np.array_equal(a.reaction_time, b.reaction_time)
     assert not np.array_equal(a.pos, c.pos)
+
+
+def _one_draw_at_a_time(cells, radii, geometry, rng):
+    """The scalar sampler the bucket-grid one replaced: one draw at a
+    time, checked against every blocked cell it may touch and every body
+    placed so far."""
+    count = len(radii)
+    cs = geometry.cell_size
+    cell_set = set(cells)
+    x_lo, x_hi = min(c[0] for c in cells) * cs, (max(c[0] for c in cells) + 1) * cs
+    y_lo, y_hi = min(c[1] for c in cells) * cs, (max(c[1] for c in cells) + 1) * cs
+    blocked = geometry.blocked_mask
+    h, w = blocked.shape
+    placed, placed_r = [], []
+    attempts = 0
+    for i in range(count):
+        r = float(radii[i])
+        while True:
+            attempts += 1
+            if attempts > 2000 * count + 2000:
+                raise SimulationError(f"could not place {count} bodies in the spawn region ({i} placed)")
+            px = rng.uniform(x_lo, x_hi)
+            py = rng.uniform(y_lo, y_hi)
+            if (int(px / cs), int(py / cs)) not in cell_set:
+                continue
+            touches = any(
+                blocked[cy, cx]
+                and (px - min(max(px, cx * cs), (cx + 1) * cs)) ** 2
+                + (py - min(max(py, cy * cs), (cy + 1) * cs)) ** 2 < r * r
+                for cy in range(max(0, int((py - r) / cs)), min(h - 1, int((py + r) / cs)) + 1)
+                for cx in range(max(0, int((px - r) / cs)), min(w - 1, int((px + r) / cs)) + 1)
+            )
+            if touches or any((px - qx) ** 2 + (py - qy) ** 2 < (r + qr) ** 2 for (qx, qy), qr in zip(placed, placed_r)):
+                continue
+            placed.append((px, py))
+            placed_r.append(r)
+            break
+    return placed
+
+
+@pytest.mark.parametrize("cell_size", [0.4, 0.5, 1.0])
+@pytest.mark.parametrize("radii", [(0.25, 0.35), (0.3, 0.9)], ids=["bodies", "wide-bodies"])
+def test_continuous_spawn_matches_one_draw_at_a_time(cell_size, radii):
+    rng = np.random.default_rng(round(10 * cell_size + 100 * radii[1]))
+    outcomes = []
+    for trial in range(5):
+        width, height = (int(v) for v in rng.integers(10, 18, size=2))
+        pillars = [(x, y) for y in range(3, height - 1) for x in range(3, width - 1) if rng.random() < 0.1]
+        doc = room_doc(grid_rows(width, height, exits=[(width - 1, 1)], walls=pillars), count=1, spawn=[1, 1, 1, 1])
+        doc["geometry"]["cell_size"] = cell_size
+        geo = make_scenario(doc).geometry
+        # the last trial asks for more bodies than its 1 x 2 cells hold
+        x1, y1 = (1, 2) if trial == 4 else (width - 2, height - 2)
+        cells = [(x, y) for y in range(1, y1 + 1) for x in range(1, x1 + 1) if geo.open_mask[y, x]]
+        body_radii = rng.uniform(*radii, size=6 if trial == 4 else int(rng.integers(2, 12)))
+        seed = int(rng.integers(1 << 30))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = np.array(_one_draw_at_a_time(cells, body_radii, geo, want_rng))
+        except SimulationError as exc:
+            with pytest.raises(SimulationError, match=re.escape(str(exc))):
+                _continuous_positions(cells, body_radii, geo, got_rng)
+            outcomes.append("full")
+        else:
+            assert np.array_equal(_continuous_positions(cells, body_radii, geo, got_rng), want)
+            assert got_rng.random() == want_rng.random()  # the stream is left where one-by-one draws leave it
+            outcomes.append("placed")
+    assert outcomes[-1] == "full" and "placed" in outcomes
 
 
 def test_ca_spawn_gives_every_agent_its_own_cell():

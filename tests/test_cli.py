@@ -66,6 +66,14 @@ def test_compare_reports_the_backends_that_ran_when_one_fails(tmp_path):
     assert set(written["sf"]) == set(written["ca"]) == set(written["flow"])
 
 
+def test_run_reports_a_spawn_region_too_small_for_its_bodies(tmp_path):
+    # 40 bodies of radius 0.25-0.35 m do not fit the corridor's 6 x 2 m
+    # spawn rectangle; the sampler gives up after its 82 000 draws
+    proc = run_cli("run", os.path.join(SCENARIOS, "corridor.json"), "--backend", "sf", "--out", tmp_path)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == "evacsim:error: could not place 40 bodies in the spawn region (16 placed)\n"
+
+
 def test_every_simulating_command_exits_3_on_timeout(tmp_path):
     minimal = os.path.join(SCENARIOS, "minimal_room.json")
     with open(minimal, encoding="utf-8") as fh:
