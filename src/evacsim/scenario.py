@@ -603,6 +603,9 @@ class PopulationSpec:
         # room regions are labelled 0, 1, ... in scan order
         if self.spawn_node is not None and self.spawn_node not in range(int(room_regions(geometry).max()) + 1):
             raise SemanticViolation("population.spawn.node", f"node {self.spawn_node} has no cells")
+        # derive_network drops the rooms with no way out
+        if self.spawn_node is not None and all(n.id != self.spawn_node for n in derive_network(geometry, params).nodes):
+            raise SemanticViolation("population.spawn.node", f"room {self.spawn_node} cannot reach an exit")
         self.attribute_specs(params)
 
     def attribute_specs(self, params: dict) -> dict[str, DistSpec]:

@@ -7,45 +7,76 @@ import os
 
 import pytest
 
-from conftest import SCENARIOS, run_cli
+from conftest import SCENARIOS, grid_rows, run_cli
 
 
 def _bad_attribute(attr, value):
     return {"attributes": [{"attr": attr, "dist": "constant", "value": value}]}
 
 
+def _sealed_west_room():
+    """A 12 x 7 plan whose west room (node 0), where everyone spawns, has
+    no way out."""
+    rows = grid_rows(12, 7, exits=[(11, 3)], walls=[(5, y) for y in range(1, 6)])
+    return {"geometry": {"cell_size": 0.5, "cells": rows}, "population": {"count": 5, "spawn": {"node": 0}}}
+
+
 @pytest.mark.parametrize(
-    "name, section, update, where",
+    "name, update, where, backends",
     [
         pytest.param(
-            "minimal_room", "population", _bad_attribute("mobility", 3), "population.attributes.mobility", id="mobility-3"
+            "minimal_room",
+            {"population": _bad_attribute("mobility", 3)},
+            "population.attributes.mobility",
+            (None,),
+            id="mobility-3",
         ),
         pytest.param(
             "minimal_room",
-            "population",
-            _bad_attribute("health", float("nan")),
+            {"population": _bad_attribute("health", float("nan"))},
             "population.attributes.health",
+            (None,),
             id="health-nan",
         ),
         # two_rooms has room nodes 0 and 1 and destination 2
-        pytest.param("two_rooms", "population", {"spawn": {"node": 7}}, "population.spawn.node", id="spawn-node-7"),
-        pytest.param("two_rooms", "population", {"spawn": {"node": 2}}, "population.spawn.node", id="spawn-node-2"),
-        pytest.param("two_rooms", "population", {"spawn": {"node": -1}}, "population.spawn.node", id="spawn-node--1"),
+        pytest.param(
+            "two_rooms", {"population": {"spawn": {"node": 7}}}, "population.spawn.node", (None,), id="spawn-node-7"
+        ),
+        pytest.param(
+            "two_rooms", {"population": {"spawn": {"node": 2}}}, "population.spawn.node", (None,), id="spawn-node-2"
+        ),
+        pytest.param(
+            "two_rooms", {"population": {"spawn": {"node": -1}}}, "population.spawn.node", (None,), id="spawn-node--1"
+        ),
         # the route network is always derived from the floor plan
         pytest.param(
-            "two_rooms", "network", {"nodes": [], "arcs": []}, "$.network: unknown field", id="network-section"
+            "two_rooms",
+            {"network": {"nodes": [], "arcs": []}},
+            "$.network: unknown field",
+            (None,),
+            id="network-section",
+        ),
+        # a room that cannot reach an exit is dropped from the network
+        pytest.param(
+            "minimal_room",
+            _sealed_west_room(),
+            "population.spawn.node: room 0 cannot reach an exit",
+            ("ca", "flow", "sf"),
+            id="sealed-spawn-room",
         ),
     ],
 )
-def test_validate_rejects_what_run_rejects(tmp_path, name, section, update, where):
+def test_validate_rejects_what_run_rejects(tmp_path, name, update, where, backends):
     with open(os.path.join(SCENARIOS, f"{name}.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc.setdefault(section, {}).update(update)
+    for section, fields in update.items():
+        doc.setdefault(section, {}).update(fields)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    for args in (("validate", path), ("run", path, "--out", tmp_path / "out")):
+    runs = [("run", path, "--out", tmp_path / "out") + (("--backend", b) if b else ()) for b in backends]
+    for args in [("validate", path), *runs]:
         proc = run_cli(*args)
-        assert proc.returncode == 1, (args[0], proc.stdout)
+        assert proc.returncode == 1, (args, proc.stdout)
         assert proc.stderr.startswith(f"evacsim:error: {where}"), proc.stderr
 
 
