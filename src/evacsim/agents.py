@@ -282,6 +282,7 @@ def _continuous_positions(
                 used = 0
                 cell = (draws / cs).astype(np.int64)
                 usable = spawn[cell[:, 1], cell[:, 0]]
+                # the widest disc covers the cells under every body's own disc
                 clearance = _wall_clearance(draws, r_max, blocked, cs)
                 key = ((draws - lo) / side).astype(np.int64) + 1
                 bucket = key[:, 1] * nb[0] + key[:, 0]

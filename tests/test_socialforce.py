@@ -315,6 +315,9 @@ def test_wall_table_matches_the_dense_pass_exactly(cell_size, cutoff):
         far = best >= cutoff * cutoff
         assert far[: len(open_cells)][(xs == centre) & (ys == centre)].all()
         assert (force[far] == 0.0).all()
+        # a table misses the walls beyond its own cutoff, so it refuses a wider one
+        with pytest.raises(ValueError, match="exceeds the wall table's"):
+            wall_forces(pos, radius, _walls(geo, cutoff=cutoff), geo, dict(params, sf_cutoff=cutoff + 0.5))
 
 
 @pytest.mark.parametrize("cutoff", [0.5, 1.0, 3.0, 5.0])
