@@ -244,10 +244,10 @@ def wall_forces(
     wall cell would triple-count flat runs of wall and stall slow
     walkers half a metre short of a doorway.  Each body (on the grid)
     clips against only its own cell's candidates in ``walls``, a table
-    of ``geometry``'s grid.  When the
-    nearest wall point lies within the cutoff, it and every tie with it
-    are among them, in global order, so the argmin picks the wall cell
-    a scan of all wall cells would; otherwise neither applies a force.
+    of ``geometry``'s grid.  When the nearest wall point lies within the
+    cutoff, it and every tie with it are among them, in global order, so
+    the argmin picks the wall cell a scan of all wall cells would;
+    otherwise neither applies a force.
 
     Returns the per-body force array and the touching-contact list
     ``(rows, tangent, overlap)`` consumed by the sliding-friction pass.
