@@ -13,6 +13,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from evacsim import EMPTY_STATE_DIGEST, parse_scenario, run, serialize_scenario
+from evacsim import EMPTY_STATE_DIGEST, export_trajectories, parse_scenario, run, serialize_scenario
 from evacsim.scenario import room_regions
 
 from conftest import SCENARIOS, grid_rows, room_doc, run_cli
@@ -308,6 +309,13 @@ def test_irregular_room_and_exit_digest(backend, max_sim_time, digest, outcome):
     assert _outcome(result) == outcome
 
 
+@functools.cache
+def _run_once(text):
+    """One run per scenario text for the record and trajectory pins, which
+    only read the result."""
+    return run(text)
+
+
 def _per_agent_fingerprint(result):
     """64-bit hash of every agent's (outcome, end time, path length,
     replans), in id order, with floats written at full precision."""
@@ -348,10 +356,65 @@ def _per_agent_fingerprint(result):
     ],
 )
 def test_per_agent_records(name, max_sim_time, backend, smoke, fingerprint, outcomes):
-    result = run(_scenario_text(name, max_sim_time, backend, smoke))
+    result = _run_once(_scenario_text(name, max_sim_time, backend, smoke))
     assert dict(Counter(rec.outcome for rec in result.per_agent)) == outcomes
     assert [rec.id for rec in result.per_agent] == list(range(result.population))
     assert _per_agent_fingerprint(result) == fingerprint
+
+
+# the bytes of trajectory.csv, written as `evacsim run` writes it: every
+# status token appears, `dead` in the lethal runs
+@pytest.mark.parametrize(
+    "name, max_sim_time, backend, smoke, sha256",
+    [
+        pytest.param(
+            "two_rooms",
+            None,
+            "ca",
+            None,
+            "e747a5231fc8f3f2b36010c38356f5f46f02894500757c14a1c20659b2727e3b",
+            id="two_rooms-ca",
+        ),
+        pytest.param(
+            "two_rooms",
+            None,
+            "flow",
+            None,
+            "1c24385dd9b6cab65b14cc20e37ffebc0933beec17a4def967da25b53bb63e71",
+            id="two_rooms-flow",
+        ),
+        pytest.param(
+            "two_rooms",
+            40.0,
+            "sf",
+            None,
+            "fc073e32df0db3e52d858a1232f9229cc81ed230024c7bed8efa0c8813fb0b4c",
+            id="two_rooms-sf-40.0",
+        ),
+        pytest.param(
+            "herding_two_exit",
+            30.0,
+            "sf",
+            LETHAL_SMOKE,
+            "3630d0e1fb69ca91e7347b59761c94aff04c11f35f757f6397666c8114e768a3",
+            id="lethal-sf-30.0",
+        ),
+        pytest.param(
+            "herding_two_exit",
+            30.0,
+            "flow",
+            LETHAL_SMOKE,
+            "55749cacd410e6282818a654ff055c1e485ce6c76e772825109af645b180446a",
+            id="lethal-flow-30.0",
+        ),
+    ],
+)
+def test_trajectory_csv_bytes(tmp_path, name, max_sim_time, backend, smoke, sha256):
+    result = _run_once(_scenario_text(name, max_sim_time, backend, smoke))
+    path = tmp_path / "trajectory.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        export_trajectories(result, fh)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_cli_run_writes_the_same_digest(tmp_path):
