@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .agents import STATUS_TOKENS, AgentStatus
+from .agents import STATUS_TOKENS
 
 
 @dataclass
@@ -114,18 +115,19 @@ def clog_fraction(result: RunResult) -> float:
 
 
 TRAJECTORY_HEADER = "t,id,x,y,health,status"
+_ROW = "%s,%d,%.4f,%.4f,%.4f,%s\n"
 
 
 def export_trajectories(result: RunResult, sink) -> None:
     """Write the trajectory log: one line per agent per sample, ordered
-    by (t, id), fixed decimal places, '\\n' terminators."""
+    by (t, id), fixed decimal places, '\\n' terminators.  A sample is one
+    %-format per row over its ``tolist()`` columns and one ``sink.write``,
+    so the file is never held whole; the text is that of the numpy scalars."""
+    tokens = {int(status): token for status, token in STATUS_TOKENS.items()}
     sink.write(TRAJECTORY_HEADER + "\n")
-    for (t, ids, xs, ys, health, statuses) in result.trajectory:
-        for row in range(len(ids)):
-            token = STATUS_TOKENS[AgentStatus(int(statuses[row]))]
-            sink.write(
-                f"{t:.6f},{int(ids[row])},{xs[row]:.4f},{ys[row]:.4f},{health[row]:.4f},{token}\n"
-            )
+    for (t, *columns, statuses) in result.trajectory:
+        rows = zip(repeat("%.6f" % t), *(c.tolist() for c in columns), map(tokens.__getitem__, statuses.tolist()))
+        sink.write("".join(map(_ROW.__mod__, rows)))
 
 
 def metrics_summary(result: RunResult) -> dict:
