@@ -541,7 +541,10 @@ class _Mover:
 
     def __init__(self, sim: _Simulation):
         self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
-        self.warnings: list[str] = []
+
+    @property
+    def warnings(self) -> list[str]:
+        return []
 
     def steer(self, ids: np.ndarray) -> None:
         pass
@@ -631,7 +634,6 @@ class _SfMover(_Mover):
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
         self.state = SfState.from_bodies(sim.pop.pos, sim.pop.radius, sim.params)
-        self.warnings = self.state.warnings
         self.walls = wall_table(exposed_wall_cells(sim.geometry), sim.geometry, float(sim.params["sf_cutoff"]))
         self.waypoint = np.full((sim.n, 2), np.nan)
         self.arch_every = max(1, half_up(ARCH_CHECK_INTERVAL / sim.dt))
@@ -652,6 +654,10 @@ class _SfMover(_Mover):
         for arc_index, arc in enumerate(network.arcs):
             if arc.door_id in doors:
                 self.door_aim[arc_index] = self._push_point(arc, doors[arc.door_id])
+
+    @property
+    def warnings(self) -> list[str]:
+        return self.state.warnings
 
     # -- steering ------------------------------------------------------------
 

@@ -600,6 +600,10 @@ class PopulationSpec:
                 raise SemanticViolation("population.spawn", "rect corners are inverted")
             if not (geometry.in_bounds(x0, y0) and geometry.in_bounds(x1, y1)):
                 raise SemanticViolation("population.spawn", "rect extends outside the grid")
+            box = np.s_[y0:y1 + 1, x0:x1 + 1]
+            sealed = int((geometry.open_mask[box] & ~np.isfinite(geometry.exit_distance[box])).sum())
+            if sealed:
+                raise SemanticViolation("population.spawn", f"{sealed} open cell(s) in the rect cannot reach an exit")
         # room regions are labelled 0, 1, ... in scan order
         if self.spawn_node is not None and self.spawn_node not in range(int(room_regions(geometry).max()) + 1):
             raise SemanticViolation("population.spawn.node", f"node {self.spawn_node} has no cells")

@@ -41,6 +41,9 @@ FRICTION_SWEEPS = 8
 # one enumeration for many steps without missing a single pair
 NEIGHBOR_SKIN = 0.4
 
+# ticks of wall projection listed by name in the run's one summary warning
+PROJECTION_EXAMPLES = 3
+
 def _scatter_add(out: np.ndarray, idx: np.ndarray, vec: np.ndarray) -> None:
     """out[idx] += vec with repeated indices accumulated (bincount form)."""
     n = len(out)
@@ -61,7 +64,8 @@ class SfState:
     radius: np.ndarray                     # (N,)
     mass: np.ndarray                       # (N,)
     tick: int = 0
-    warnings: list[str] = field(default_factory=list)
+    projected: int = 0                     # bodies projected out of walls, over all ticks
+    projection_ticks: list[int] = field(default_factory=list)  # the first PROJECTION_EXAMPLES of them
 
     # cached neighbour list: pairs found within cutoff + NEIGHBOR_SKIN of
     # the reference positions stay a superset of the true within-cutoff
@@ -82,6 +86,14 @@ class SfState:
             radius=np.where(radius > 0, radius, float(p["sf_radius_lo"])),
             mass=np.full(n, float(p["sf_mass"])),
         )
+
+    @property
+    def warnings(self) -> list[str]:
+        """One line for every wall projection so far, if there was any."""
+        if not self.projected:
+            return []
+        ticks = ", ".join(map(str, self.projection_ticks))
+        return [f"projected {self.projected} bodies out of walls, first on ticks {ticks}"]
 
 
 @dataclass(frozen=True)
@@ -421,7 +433,9 @@ def sf_step(
     new_pos = pos + vel * dt
     new_pos, vel, n_projected = _resolve_wall_penetration(geometry, pos, new_pos, vel)
     if n_projected:
-        state.warnings.append(f"tick {state.tick}: projected {n_projected} bodies out of walls")
+        state.projected += n_projected
+        if len(state.projection_ticks) < PROJECTION_EXAMPLES:
+            state.projection_ticks.append(state.tick)
 
     cells_x, cells_y = geometry.cells_of(new_pos).T
     in_wall = geometry.blocked_mask[cells_y, cells_x]

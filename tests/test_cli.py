@@ -14,11 +14,11 @@ def _bad_attribute(attr, value):
     return {"attributes": [{"attr": attr, "dist": "constant", "value": value}]}
 
 
-def _sealed_west_room():
-    """A 12 x 7 plan whose west room (node 0), where everyone spawns, has
-    no way out."""
+def _sealed_west_room(spawn=None):
+    """A 12 x 7 plan whose west room (node 0, cells x 1-4), where everyone
+    spawns, has no way out."""
     rows = grid_rows(12, 7, exits=[(11, 3)], walls=[(5, y) for y in range(1, 6)])
-    return {"geometry": {"cell_size": 0.5, "cells": rows}, "population": {"count": 5, "spawn": {"node": 0}}}
+    return {"geometry": {"cell_size": 0.5, "cells": rows}, "population": {"count": 5, "spawn": spawn or {"node": 0}}}
 
 
 @pytest.mark.parametrize(
@@ -63,6 +63,13 @@ def _sealed_west_room():
             "population.spawn.node: room 0 cannot reach an exit",
             ("ca", "flow", "sf"),
             id="sealed-spawn-room",
+        ),
+        pytest.param(
+            "minimal_room",
+            _sealed_west_room({"rect": [1, 1, 4, 5]}),
+            "population.spawn: 20 open cell(s) in the rect cannot reach an exit",
+            ("ca", "flow", "sf"),
+            id="sealed-spawn-rect",
         ),
     ],
 )

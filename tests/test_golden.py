@@ -417,6 +417,13 @@ def test_trajectory_csv_bytes(tmp_path, name, max_sim_time, backend, smoke, sha2
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
+def test_wall_projections_of_a_run_end_in_one_warning():
+    # the lethal sf run projects one body out of a wall on each of 7 ticks
+    result = _run_once(_scenario_text("herding_two_exit", 30.0, "sf", LETHAL_SMOKE))
+    projections = [w for w in result.warnings if "out of walls" in w]
+    assert projections == ["projected 7 bodies out of walls, first on ticks 146, 203, 213"]
+
+
 def test_cli_run_writes_the_same_digest(tmp_path):
     proc = run_cli("run", os.path.join(SCENARIOS, "two_rooms.json"), "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -102,9 +102,12 @@ def test_spawn_rect_outside_grid_rejected():
 def test_unreachable_pocket_is_a_warning_not_an_error(tmp_path):
     # a sealed-off pocket parses fine (partial buildings are inspectable)
     # but validation flags the cells that cannot reach an exit, and so do
-    # `evacsim validate` and the run's warnings
+    # `evacsim validate` and the run's warnings; only spawning people in
+    # the pocket is an error
     rows = grid_rows(8, 5, exits=[(7, 2)], walls=[(3, 1), (3, 2), (3, 3)])
-    doc = room_doc(rows, spawn=[1, 1, 2, 3], max_sim_time=5.0)
+    with pytest.raises(SemanticViolation, match="6 open cell"):
+        make_scenario(room_doc(rows, spawn=[1, 1, 2, 3]))
+    doc = room_doc(rows, spawn=[4, 1, 6, 3], max_sim_time=5.0)
     scn = make_scenario(doc)
     warnings = scn.geometry.validate()
     assert any("reach" in w for w in warnings)

@@ -263,7 +263,8 @@ def _dense_wall_forces(pos, radius, wall_cells, cell_size, params):
 def _pillared_room(rng, cell_size, cutoff):
     """Bordered room with random one-cell pillars, kept clear within
     ``reach`` cells (Chebyshev) of its centre cell, which lies out of
-    every wall's reach; returns the geometry and the centre cell."""
+    every wall's reach, and on the spawn cell in front of the exit;
+    returns the geometry and the centre cell."""
     reach = math.ceil(cutoff / cell_size) + 1
     side = 2 * reach + int(rng.integers(5, 12))
     centre = side // 2
@@ -271,9 +272,10 @@ def _pillared_room(rng, cell_size, cutoff):
         (x, y)
         for y in range(1, side - 1)
         for x in range(1, side - 1)
-        if max(abs(x - centre), abs(y - centre)) > reach and (x, y) != (1, 1) and rng.random() < 0.15
+        if max(abs(x - centre), abs(y - centre)) > reach and (x, y) != (side - 2, centre) and rng.random() < 0.15
     ]
-    doc = room_doc(grid_rows(side, side, exits=[(side - 1, centre)], walls=pillars), count=1, spawn=[1, 1, 1, 1])
+    spawn = [side - 2, centre] * 2
+    doc = room_doc(grid_rows(side, side, exits=[(side - 1, centre)], walls=pillars), count=1, spawn=spawn)
     doc["geometry"]["cell_size"] = cell_size
     return make_scenario(doc).geometry, centre
 
@@ -414,6 +416,20 @@ def test_cornered_body_settles_instead_of_tunnelling():
     assert np.linalg.norm(state.pos[0] - waypoint[0]) < 0.2
     assert np.linalg.norm(state.vel[0]) < 0.5
     assert not state.warnings
+
+
+def test_projections_on_many_ticks_make_one_warning():
+    # a small body thrown at the south wall from the same spot every step
+    # is projected back every step: one line holds the total and names
+    # only the first few ticks
+    geo = _open_floor(8.0, 6.0)
+    walls = _walls(geo)
+    state = _free_state([[2.0, 0.8]], radius=0.05)
+    for _ in range(12):
+        state.pos[0], state.vel[0] = [2.0, 0.8], [0.0, -8.0]
+        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), np.array([[2.0, 0.0]]), 0.05)
+    assert state.projected == 12
+    assert state.warnings == ["projected 12 bodies out of walls, first on ticks 0, 1, 2"]
 
 
 def test_a_body_that_starts_inside_a_wall_is_an_error():
