@@ -89,7 +89,7 @@ class SfState:
 
     @property
     def warnings(self) -> list[str]:
-        """One line for every wall projection so far, if there was any."""
+        """The one summary line of the wall projections so far, if any."""
         if not self.projected:
             return []
         ticks = ", ".join(map(str, self.projection_ticks))

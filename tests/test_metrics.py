@@ -91,8 +91,8 @@ def test_special_and_boundary_values_are_written_like_the_numpy_scalars():
 def test_random_and_rounding_boundary_values_match_the_reference():
     rng = np.random.default_rng(11)
     n = 4000
-    # k/10^4 + 1/(2*10^4): the rounding boundaries of every 4-decimal
-    # output between 0 and 40, and random values over the plan's scale
+    # k/100 + 0.00005: 4000 rounding boundaries of the 4-decimal output
+    # between 0 and 40, and random values over a plan's scale
     boundary = (np.arange(n) * 1e-2 + 5e-5).astype(np.float32)
     spread = rng.uniform(-100.0, 100.0, n).astype(np.float32)
     health = rng.uniform(0.0, 1.0, n).astype(np.float32)
