@@ -28,7 +28,7 @@ def _result(trajectory):
         backend="ca",
         dt=0.1,
         seed=0,
-        population=0 if not trajectory else len(trajectory[0][1]),
+        population=0,
         t_end=0.0,
         timeout=False,
         exited=0,
