@@ -416,10 +416,8 @@ class WorldView:
             status = self.pop.status
             present = np.nonzero((status == AgentStatus.PREMOVEMENT) | (status == AgentStatus.MOVING))[0]
             self.hash = SpatialHash(self.pop.pos[present], reach, ids=present)
-        k, rows, d2 = self.hash.query_points(self.pop.pos[observers], reach)
+        k, rows, d2 = self.hash.query_points(self.pop.pos[observers], radius, exclude=observers)
         seen = self.hash.ids[rows]
-        keep = (seen != observers[k]) & (d2 <= radius[k] ** 2)
-        k, seen, d2 = k[keep], seen[keep], d2[keep]
         if len(k) and self.has_interior_blockers:
             cells_of = self.geometry.cells_of
             clear = los_pairs(
@@ -490,35 +488,31 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
     """Per-agent herd votes, totals, congestion counts and follow distances,
     estimated over neighbours within sight (capped at the congestion
     radius).  Returns dense (len(indices), n_zones) arrays."""
-    p = world.params
     pop = world.pop
     n_zones = len(world.zone_centers)
     n = len(indices)
-    votes = np.zeros((n, n_zones))
-    totals = np.zeros(n)
-    congestion = np.zeros((n, n_zones), dtype=np.int64)
-    follow = np.full((n, n_zones), np.inf)
-    r_cap = float(p["congestion_radius"])
+    r_cap = float(world.params["congestion_radius"])
     rows, seen, d2 = world.neighbours(indices, np.minimum(pop.vision[indices], r_cap), r_cap)
-    if len(rows) == 0:
-        return votes, totals, congestion, follow
-    obs = indices[rows]
-    d = np.sqrt(d2)
+    # observer terms once per row, spread over each row's run of pairs
+    per_row = np.bincount(rows, minlength=n)
+    role = pop.role[indices]
+    rank = np.repeat(np.where(role > 0, role, np.iinfo(np.int64).max), per_row)
     roles_seen = pop.role[seen]
-    rank_obs = np.where(pop.role[obs] > 0, pop.role[obs], np.iinfo(np.int64).max)
-    leader = (roles_seen > 0) & (roles_seen < rank_obs)
-    weight = np.where(leader, 1.0 + pop.collaboration[obs], 1.0)
+    leader = (roles_seen > 0) & (roles_seen < rank)
+    weight = np.where(leader, np.repeat(1.0 + pop.collaboration[indices], per_row), 1.0)
 
-    # bincount adds in array order, here (observer, seen id)
-    totals = np.bincount(rows, weights=weight, minlength=n)
-    tgt = pop.target[seen]
-    moving = pop.status[seen] == AgentStatus.MOVING
-    has_target = (tgt >= 0) & moving
-    flat = rows[has_target] * n_zones + tgt[has_target]
-    votes = np.bincount(flat, weights=weight[has_target], minlength=n * n_zones).astype(np.float64)  # int when empty
+    # bincount adds in array order, here (observer, seen id); it gives ints when empty
+    totals = np.bincount(rows, weights=weight, minlength=n).astype(np.float64)
+    heading = np.where(pop.status == AgentStatus.MOVING, pop.target, -1)[seen]
+    has_target = heading >= 0
+    flat = rows[has_target] * n_zones + heading[has_target]
+    votes = np.bincount(flat, weights=weight[has_target], minlength=n * n_zones).astype(np.float64)
     votes = votes.reshape(n, n_zones)
     congestion = np.bincount(flat, minlength=n * n_zones).reshape(n, n_zones)
-    np.minimum.at(follow, (rows[has_target], tgt[has_target]), d[has_target])
+    # sqrt is monotone and correctly rounded: the root of the least d2 is the least distance
+    near2 = np.full(n * n_zones, np.inf)
+    np.minimum.at(near2, flat, d2[has_target])
+    follow = np.sqrt(near2).reshape(n, n_zones)
     return votes, totals, congestion, follow
 
 

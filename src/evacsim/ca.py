@@ -83,6 +83,22 @@ def speed_ticks(v_eff, v_grid: float) -> np.ndarray:
     return np.where(v > 0, k, 0)
 
 
+def conflict_winners(flat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One winner per target cell among the proposals ``flat``
+    (non-negative cell keys, in ascending agent id), as indices into
+    ``flat`` in cell order.
+
+    A contested cell is settled by one uniform draw, the draws made in
+    cell order and each picking among its contenders in id order.
+    """
+    order = np.argsort(flat, kind="stable")
+    starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    sizes = np.diff(starts, append=len(order))
+    u = np.zeros(len(starts))
+    u[sizes > 1] = rng.random(int((sizes > 1).sum()))
+    return order[starts + np.minimum((u * sizes).astype(np.int64), sizes - 1)]
+
+
 def ca_step(
     state: CaState,
     geometry: Geometry,
@@ -130,22 +146,7 @@ def ca_step(
 
     tx = cx[movers, pick[movers]]
     ty = cy[movers, pick[movers]]
-    flat = ty * geometry.width + tx
-
-    # conflict lottery: one uniform draw per contested cell, contenders
-    # ordered by ascending agent id (move_ids is ascending already)
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
-    boundaries = np.nonzero(np.diff(flat_sorted))[0] + 1
-    groups = np.split(order, boundaries)
-    winners = []
-    for group in groups:
-        if len(group) == 1:
-            winners.append(group[0])
-        else:
-            u = rng.random()
-            winners.append(group[min(int(u * len(group)), len(group) - 1)])
-    winners = np.array(winners, dtype=np.int64)
+    winners = conflict_winners(ty * geometry.width + tx, rng)
 
     win_rows = movers[winners]
     ids = move_ids[win_rows]

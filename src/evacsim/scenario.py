@@ -601,6 +601,8 @@ class PopulationSpec:
             if not (geometry.in_bounds(x0, y0) and geometry.in_bounds(x1, y1)):
                 raise SemanticViolation("population.spawn", "rect extends outside the grid")
             box = np.s_[y0:y1 + 1, x0:x1 + 1]
+            if self.count > 0 and not (geometry.kinds[box] == CellKind.EMPTY).any():
+                raise SemanticViolation("population.spawn", "rect holds no empty cell to spawn on")
             sealed = int((geometry.open_mask[box] & ~np.isfinite(geometry.exit_distance[box])).sum())
             if sealed:
                 raise SemanticViolation("population.spawn", f"{sealed} open cell(s) in the rect cannot reach an exit")

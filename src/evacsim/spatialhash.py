@@ -1,28 +1,30 @@
 """Uniform spatial hash for neighbour queries on point sets.
 
-Positions are binned into square buckets of a fixed size, the cell-list
-method of molecular dynamics.  Every query looks up a stencil of
-buckets around each query point in one set of array operations:
+Positions are binned into square buckets, the cell-list method of
+molecular dynamics, and every query looks up a stencil of buckets
+around each query point in one set of array operations:
 
-* :meth:`SpatialHash.query_pairs` scans each occupied bucket against its
-  forward half-neighbourhood, so every unordered pair among the hashed
-  points is produced exactly once;
-* :meth:`SpatialHash.query_points` scans the full 3x3 neighbourhood of
-  arbitrary query points, so only the pairs of those points are
-  enumerated.
+* :meth:`SpatialHash.query_pairs` buckets the points at ``cell`` and
+  scans each occupied bucket against its forward half-neighbourhood, so
+  every unordered pair among the hashed points is produced exactly once;
+* :meth:`SpatialHash.query_points` buckets the points at half of
+  ``cell`` and scans the 5x5 buckets around arbitrary query points, so
+  only the pairs of those points are enumerated.  In row-major bucket
+  order each of the five stencil rows is one contiguous run of points.
 
-A query radius may not exceed the bucket size: the stencil would miss
-points, so the query raises instead.  All outputs are sorted, which
-keeps downstream float accumulation order deterministic.
+A query radius may not exceed ``cell``: the stencil would miss points,
+so the query raises instead.  All outputs are sorted, which keeps
+downstream float accumulation order deterministic.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-# bucket offsets (dx, dy): the forward half of the 3x3 neighbourhood
-# (the bucket itself handled separately), and the whole of it
+# bucket offsets (dx, dy): the forward half of the 3x3 neighbourhood,
+# the bucket itself handled separately
 _FORWARD = np.array(((1, 0), (-1, 1), (0, 1), (1, 1)))
-_STENCIL = np.array([(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
 
 
 def _ragged_ranges(owners: np.ndarray, starts: np.ndarray, counts: np.ndarray):
@@ -46,34 +48,29 @@ class SpatialHash:
         queries return (defaults to row indices)."""
         self.positions = np.asarray(positions, dtype=np.float64)
         self.cell = float(cell)
-        n = len(self.positions)
-        self.ids = np.arange(n) if ids is None else np.asarray(ids)
-        if n:
-            keys = np.floor(self.positions / self.cell).astype(np.int64)
-            self._min = keys.min(axis=0)
-            span = keys.max(axis=0) - self._min + 1
-            self._nx = int(span[0])
-            flat = (keys[:, 0] - self._min[0]) + self._nx * (keys[:, 1] - self._min[1])
-            self._order = np.argsort(flat, kind="stable")
-            self._sorted_keys = flat[self._order]
-            self._uniq, self._starts = np.unique(self._sorted_keys, return_index=True)
-            self._ends = np.append(self._starts[1:], n)
+        self.ids = np.arange(len(self.positions)) if ids is None else np.asarray(ids)
 
     def _check(self, radius: float) -> None:
         if radius > self.cell:
             raise ValueError(f"query radius {radius} exceeds the bucket size {self.cell}")
 
-    def _stencil(self, kx: np.ndarray, ky: np.ndarray, offsets: np.ndarray):
-        """(owner, slot): slot, a position in bucket order, lies in a bucket
-        at one of ``offsets`` from bucket (kx, ky)[owner]; owners ascend."""
-        bx = kx[:, None] + offsets[:, 0]
-        flat = bx + self._nx * (ky[:, None] + offsets[:, 1])
-        hit = np.minimum(np.searchsorted(self._uniq, flat), len(self._uniq) - 1)
-        ok = (bx >= 0) & (bx < self._nx) & (self._uniq[hit] == flat)
-        starts = np.where(ok, self._starts[hit], 0)
-        counts = np.where(ok, self._ends[hit] - starts, 0)
-        owners = np.repeat(np.arange(len(kx)), len(offsets))
-        return _ragged_ranges(owners, starts.ravel(), counts.ravel())
+    def _bucket(self, size: float):
+        """The points in buckets of ``size``: the lowest bucket (x, y), the
+        buckets per row, the point rows in row-major bucket order and each
+        one's flat bucket key, ascending."""
+        keys = np.floor(self.positions / size).astype(np.int64)
+        low = keys.min(axis=0)
+        nx = int(keys[:, 0].max() - low[0]) + 1
+        flat = (keys[:, 0] - low[0]) + nx * (keys[:, 1] - low[1])
+        order = np.argsort(flat, kind="stable")
+        return low, nx, order, flat[order]
+
+    @cached_property
+    def _points_index(self):
+        """``_bucket`` at half the cell, plus x, y and ids in bucket order."""
+        low, nx, order, keys = self._bucket(self.cell / 2)
+        pos = self.positions[order]
+        return low, nx, order, keys, pos[:, 0].copy(), pos[:, 1].copy(), self.ids[order]
 
     def query_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """All unordered index pairs (i < j by row) within ``radius``."""
@@ -81,39 +78,65 @@ class SpatialHash:
         n = len(self.positions)
         if n < 2:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        keys = self._sorted_keys
+        _, nx, order, keys = self._bucket(self.cell)
+        uniq, starts = np.unique(keys, return_index=True)
+        ends = np.append(starts[1:], n)
         slots = np.arange(n)
         # within-bucket: each point pairs with the later points of its bucket
-        bucket_end = self._ends[np.searchsorted(self._uniq, keys)]
+        bucket_end = ends[np.searchsorted(uniq, keys)]
         same_l, same_r = _ragged_ranges(slots, slots + 1, bucket_end - slots - 1)
         # forward half-neighbourhood: each point against whole buckets
-        near_l, near_r = self._stencil(keys % self._nx, keys // self._nx, _FORWARD)
+        bx = (keys % nx)[:, None] + _FORWARD[:, 0]
+        flat = bx + nx * ((keys // nx)[:, None] + _FORWARD[:, 1])
+        hit = np.minimum(np.searchsorted(uniq, flat), len(uniq) - 1)
+        ok = (bx >= 0) & (bx < nx) & (uniq[hit] == flat)
+        first = np.where(ok, starts[hit], 0)
+        counts = np.where(ok, ends[hit] - first, 0)
+        near_l, near_r = _ragged_ranges(np.repeat(slots, len(_FORWARD)), first.ravel(), counts.ravel())
 
-        i = self._order[np.concatenate([same_l, near_l])]
-        j = self._order[np.concatenate([same_r, near_r])]
+        i = order[np.concatenate([same_l, near_l])]
+        j = order[np.concatenate([same_r, near_r])]
         d = self.positions[i] - self.positions[j]
         keep = (d[:, 0] ** 2 + d[:, 1] ** 2) <= radius * radius
         i, j = i[keep], j[keep]
         swap = i > j
         i2 = np.where(swap, j, i)
         j2 = np.where(swap, i, j)
-        order = np.argsort(i2 * n + j2)  # keys are unique, so any sort gives (i, j) order
-        return i2[order], j2[order]
+        sort = np.argsort(i2 * n + j2)  # keys are unique, so any sort gives (i, j) order
+        return i2[sort], j2[sort]
 
-    def query_points(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def query_points(self, points: np.ndarray, radius, exclude=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (k, row, d2) with hashed row ``row`` within ``radius`` of
-        ``points[k]``, d2 their squared distance, sorted by (k, row)."""
-        self._check(radius)
+        ``points[k]``, d2 their squared distance, sorted by (k, row).
+
+        ``radius`` is one scalar or one value per point.  ``exclude``, one
+        id per point, leaves out the row labelled ``exclude[k]`` (the
+        point's own) however close it is; other rows at the same spot stay.
+        """
+        self._check(float(np.max(radius, initial=0.0)))
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        if len(self.positions) == 0:
+        m, n = len(points), len(self.positions)
+        if m == 0 or n == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros(0)
-        keys = np.floor(points / self.cell).astype(np.int64) - self._min
-        k, slot = self._stencil(keys[:, 0], keys[:, 1], _STENCIL)
-        rows = self._order[slot]
-        d = self.positions[rows] - points[k]
-        d2 = d[:, 0] ** 2 + d[:, 1] ** 2
-        keep = d2 <= radius * radius
-        k, rows, d2 = k[keep], rows[keep], d2[keep]
-        order = np.argsort(k * len(self.positions) + rows)  # unique keys, as above
-        return k[order], rows[order], d2[order]
+        low, nx, order, keys, xs, ys, ids = self._points_index
+        b = np.floor(points / (self.cell / 2)).astype(np.int64) - low
+        lo = np.maximum(b[:, 0] - 2, 0)[:, None]
+        hi = np.minimum(b[:, 0] + 3, nx)[:, None]
+        by = b[:, 1:] + np.arange(-2, 3)  # the five stencil rows
+        # keys by * nx + [lo, hi) stay within bucket row by, empty off the extent
+        first = np.searchsorted(keys, by * nx + lo)
+        counts = np.maximum(np.searchsorted(keys, by * nx + hi) - first, 0)
+        per_point = counts.sum(axis=1)
+        counts = counts.ravel()
+        slot = np.arange(int(per_point.sum())) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
+
+        d2 = (xs[slot] - np.repeat(points[:, 0], per_point)) ** 2 + (ys[slot] - np.repeat(points[:, 1], per_point)) ** 2
+        keep = d2 <= np.repeat(np.broadcast_to(np.asarray(radius, dtype=np.float64) ** 2, m), per_point)
+        if exclude is not None:
+            keep &= ids[slot] != np.repeat(exclude, per_point)
+        k = np.repeat(np.arange(m), per_point)[keep]
+        rows = order[slot[keep]]
+        d2 = d2[keep]
+        sort = np.argsort(k * n + rows)  # unique keys, as above
+        return k[sort], rows[sort], d2[sort]

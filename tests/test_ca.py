@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from evacsim import run
-from evacsim.ca import EMPTY_CELL, CaState, ca_step, speed_ticks
+from evacsim.ca import EMPTY_CELL, CaState, ca_step, conflict_winners, speed_ticks
 from evacsim.errors import SimulationError
 from evacsim.scenario import STEPS, distance_field
 
@@ -150,6 +150,33 @@ def test_conflict_lottery_is_roughly_fair():
         if int(moved[0]) == 0:
             first_wins += 1
     assert 90 <= first_wins <= 210
+
+
+def _conflict_winners_one_cell_at_a_time(flat, rng):
+    """Reference: split the proposals by target cell and settle each
+    contested cell with its own scalar draw."""
+    order = np.argsort(flat, kind="stable")
+    groups = np.split(order, np.nonzero(np.diff(flat[order]))[0] + 1)
+    winners = []
+    for group in groups:
+        if len(group) == 1:
+            winners.append(group[0])
+        else:
+            u = rng.random()
+            winners.append(group[min(int(u * len(group)), len(group) - 1)])
+    return np.array(winners, dtype=np.int64)
+
+
+def test_conflict_winners_match_one_cell_at_a_time():
+    sets = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(sets.integers(1, 60))
+        flat = sets.integers(0, int(sets.integers(1, 2 * n + 1)), size=n)  # few cells: many conflicts
+        rng, reference = np.random.default_rng(trial), np.random.default_rng(trial)
+        got = conflict_winners(flat, rng)
+        want = _conflict_winners_one_cell_at_a_time(flat, reference)
+        assert got.dtype == want.dtype and np.array_equal(got, want), trial
+        assert rng.bit_generator.state == reference.bit_generator.state, trial
 
 
 def test_bijection_guard_catches_corruption():

@@ -71,6 +71,21 @@ def _sealed_west_room(spawn=None):
             ("ca", "flow", "sf"),
             id="sealed-spawn-rect",
         ),
+        # people spawn on empty cells only: not on walls, not on exits
+        pytest.param(
+            "minimal_room",
+            _sealed_west_room({"rect": [5, 1, 5, 5]}),
+            "population.spawn: rect holds no empty cell to spawn on",
+            ("ca", "flow", "sf"),
+            id="wall-spawn-rect",
+        ),
+        pytest.param(
+            "minimal_room",
+            _sealed_west_room({"rect": [11, 3, 11, 3]}),
+            "population.spawn: rect holds no empty cell to spawn on",
+            ("ca", "flow", "sf"),
+            id="exit-spawn-rect",
+        ),
     ],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, name, update, where, backends):

@@ -305,7 +305,9 @@ def test_distance_field_unreachable_cells_are_infinite():
         "#.#E#",
         "#####",
     ]
-    doc = room_doc(rows, count=1, spawn=[3, 1, 3, 1])
+    # nobody can spawn here: the one empty cell is sealed off, and people
+    # do not spawn on exits
+    doc = room_doc(rows, count=0, spawn=[3, 1, 3, 1])
     geo = make_scenario(doc).geometry
     d = distance_field(geo)
     assert np.isinf(d[1, 1])

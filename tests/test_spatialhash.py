@@ -96,3 +96,58 @@ def test_negative_coordinates_hash_correctly():
     h = SpatialHash(pos, 1.0)
     pi, pj = h.query_pairs(0.5)
     assert list(zip(pi.tolist(), pj.tolist())) == [(0, 1)]
+
+
+def _brute_points(pos, ids, points, radii, exclude=None):
+    """Every (k, row, d2) of ``query_points``, one query point at a time."""
+    want = []
+    for q, point in enumerate(points):
+        d = pos - point
+        dist2 = d[:, 0] ** 2 + d[:, 1] ** 2
+        hit = (dist2 <= radii[q] ** 2) & (True if exclude is None else ids != exclude[q])
+        want.extend((q, int(r), float(dist2[r])) for r in np.nonzero(hit)[0])
+    return want
+
+
+def test_query_points_with_per_point_radii_and_exclusion_match_brute_force():
+    rng = np.random.default_rng(17)
+    for trial in range(N_TRIALS):
+        n = int(rng.integers(1, 150))
+        pos = rng.uniform(-6, 6, size=(n, 2))
+        pos[: n // 4] = np.round(pos[: n // 4])  # some points on bucket edges
+        ids = rng.permutation(1000)[:n]
+        cell = float(rng.uniform(0.3, 3.0))
+        h = SpatialHash(pos, cell, ids=ids)
+        m = int(rng.integers(1, 40))
+        # query points over the extent and well off it, hashed points among them
+        points = np.concatenate([pos[rng.integers(0, n, size=m)], rng.uniform(-12, 12, size=(m, 2))])
+        radii = rng.uniform(0, cell, size=2 * m)
+        radii[::5], radii[1::5] = 0.0, cell
+        exclude = np.concatenate([ids[rng.integers(0, n, size=m)], rng.integers(0, 1000, size=m)])
+        for excl in (None, exclude):
+            k, rows, d2 = h.query_points(points, radii, exclude=excl)
+            want = _brute_points(pos, ids, points, radii, excl)
+            assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == want, f"trial {trial}"
+        k, rows, d2 = h.query_points(points, cell)
+        assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == _brute_points(
+            pos, ids, points, np.full(2 * m, cell)
+        ), f"trial {trial}"
+
+
+def test_query_points_excludes_only_the_named_row_at_a_shared_spot():
+    pos = np.array([[2.0, 2.0], [2.0, 2.0], [2.5, 2.0], [-3.0, -3.0]])
+    h = SpatialHash(pos, 1.0, ids=np.array([7, 8, 9, 10]))
+    k, rows, d2 = h.query_points(pos[[0, 1, 3]], np.array([0.0, 1.0, 0.0]), exclude=np.array([7, 8, 10]))
+    assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.25)]
+
+
+def test_query_points_with_a_radius_over_the_bucket_or_nothing_to_query():
+    h = SpatialHash(np.array([[0.5, 0.5], [1.0, 0.5]]), 1.0)
+    with pytest.raises(ValueError, match="exceeds the bucket size"):
+        h.query_points(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 1.5]))
+    for k, rows, d2 in (
+        h.query_points(np.zeros((0, 2)), np.zeros(0)),
+        h.query_points(np.zeros((0, 2)), 1.0, exclude=np.zeros(0, dtype=np.int64)),
+        SpatialHash(np.zeros((0, 2)), 1.0).query_points(np.array([[0.5, 0.5]]), np.array([1.0]), np.array([0])),
+    ):
+        assert len(k) == len(rows) == len(d2) == 0 and k.dtype == rows.dtype == np.int64
