@@ -33,13 +33,8 @@ def _ragged_ranges(owners: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     For each k, emits (owners[k], starts[k] + 0..counts[k]-1).
     """
     counts = np.maximum(counts, 0)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    reps = np.repeat(np.arange(len(counts)), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return owners[reps], starts[reps] + offsets
+    members = np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.repeat(owners, counts), members
 
 
 class SpatialHash:
@@ -105,7 +100,9 @@ class SpatialHash:
         sort = np.argsort(i2 * n + j2)  # keys are unique, so any sort gives (i, j) order
         return i2[sort], j2[sort]
 
-    def query_points(self, points: np.ndarray, radius, exclude=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def query_points(
+        self, points: np.ndarray, radius: float | np.ndarray, exclude: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (k, row, d2) with hashed row ``row`` within ``radius`` of
         ``points[k]``, d2 their squared distance, sorted by (k, row).
 
@@ -128,15 +125,12 @@ class SpatialHash:
         first = np.searchsorted(keys, by * nx + lo)
         counts = np.maximum(np.searchsorted(keys, by * nx + hi) - first, 0)
         per_point = counts.sum(axis=1)
-        counts = counts.ravel()
-        slot = np.arange(int(per_point.sum())) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
+        k, slot = _ragged_ranges(np.repeat(np.arange(m), 5), first.ravel(), counts.ravel())
 
         d2 = (xs[slot] - np.repeat(points[:, 0], per_point)) ** 2 + (ys[slot] - np.repeat(points[:, 1], per_point)) ** 2
         keep = d2 <= np.repeat(np.broadcast_to(np.asarray(radius, dtype=np.float64) ** 2, m), per_point)
         if exclude is not None:
             keep &= ids[slot] != np.repeat(exclude, per_point)
-        k = np.repeat(np.arange(m), per_point)[keep]
-        rows = order[slot[keep]]
-        d2 = d2[keep]
+        k, rows, d2 = k[keep], order[slot[keep]], d2[keep]
         sort = np.argsort(k * n + rows)  # unique keys, as above
         return k[sort], rows[sort], d2[sort]

@@ -104,7 +104,9 @@ def _brute_points(pos, ids, points, radii, exclude=None):
     for q, point in enumerate(points):
         d = pos - point
         dist2 = d[:, 0] ** 2 + d[:, 1] ** 2
-        hit = (dist2 <= radii[q] ** 2) & (True if exclude is None else ids != exclude[q])
+        hit = dist2 <= radii[q] ** 2
+        if exclude is not None:
+            hit &= ids != exclude[q]
         want.extend((q, int(r), float(dist2[r])) for r in np.nonzero(hit)[0])
     return want
 
