@@ -105,6 +105,27 @@ def test_shipped_scenario_digest(name, max_sim_time, backend, digest, outcome):
     assert _outcome(result) == outcome
 
 
+def test_benchmark_room_sf_through_first_contacts(monkeypatch):
+    # the benchmark room until its bodies first touch: a wall at tick
+    # 1173 and a pair at tick 1223, so friction on that room runs here
+    import evacsim.socialforce as sf_mod
+
+    contacts = Counter()
+    for name in ("pair_forces", "wall_forces"):
+        kernel = getattr(sf_mod, name)
+
+        def counted(*args, _kernel=kernel, _name=name, **kwargs):
+            out = _kernel(*args, **kwargs)
+            contacts[_name] += len(out[1][0])
+            return out
+
+        monkeypatch.setattr(sf_mod, name, counted)
+    result = run(_scenario_text("benchmark_room_sf", 25.0))
+    assert result.digest == "ab595d31669a7d2e"
+    assert _outcome(result) == _outcome_of(12, 25.0, {"exited": 12}, {"exit:0": 12})
+    assert contacts == {"pair_forces": 1, "wall_forces": 3}
+
+
 # thick, hot and toxic smoke from the room centre: people die on the
 # backends that move slowly enough to stay exposed
 LETHAL_SMOKE = {"rate": 5.0, "tox_per_od": 0.05, "temp_per_od": 40.0, "duration": 60.0}

@@ -530,3 +530,20 @@ def test_derive_network_declared_door_capacity_scales_with_width():
         return next(a.capacity for a in net.arcs if a.door_id == "mid")
 
     assert with_width(2.0) > with_width(0.5)
+
+
+def test_cells_of_clamps_to_the_grid_like_clip():
+    geo = make_scenario(room_doc(grid_rows(7, 5, exits=[(6, 2)]), count=1)).geometry
+    cs, w, h = geo.cell_size, geo.width, geo.height
+    xs = np.array([-7.3, -cs, -1e-9, 0.0, cs, 2 * cs, (w - 1) * cs, w * cs - 1e-9, w * cs, w * cs + 4.2])
+    ys = np.array([-5.1, -cs, -1e-9, 0.0, cs, 3 * cs, (h - 1) * cs, h * cs - 1e-9, h * cs, h * cs + 2.7])
+    gx, gy = np.meshgrid(xs, ys)
+    # every combination of below, on, inside and beyond both axes, and the top corner
+    pos = np.concatenate([np.stack([gx.ravel(), gy.ravel()], axis=1), [[w * cs, h * cs]]])
+    want = np.clip((pos / cs).astype(np.int64), 0, [w - 1, h - 1])
+    got = geo.cells_of(pos)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got[-1].tolist() == [w - 1, h - 1]
+    # each bound is reached on each axis
+    assert {0, w - 1} <= set(got[:, 0].tolist()) and {0, h - 1} <= set(got[:, 1].tolist())

@@ -383,6 +383,186 @@ def test_separated_bodies_feel_no_friction():
     assert np.allclose(new_vel, vel)
 
 
+# -- reference kernels ----------------------------------------------------------------
+# The force and friction kernels as they stood before they moved to row
+# ``take``s and masked pair sums.  The kernels in use must match them bit
+# for bit, contacts included.
+
+
+def _ref_scatter_add(out, idx, vec):
+    n = len(out)
+    out[:, 0] += np.bincount(idx, weights=vec[:, 0], minlength=n)
+    out[:, 1] += np.bincount(idx, weights=vec[:, 1], minlength=n)
+
+
+def _ref_pair_forces(pos, radius, params, pairs):
+    a, b, k, cutoff = (float(params[key]) for key in ("sf_a", "sf_b", "sf_k", "sf_cutoff"))
+    n = len(pos)
+    force = np.zeros((n, 2))
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
+    i, j = pairs
+    if n < 2 or len(i) == 0:
+        return force, empty
+    diff = pos[i] - pos[j]
+    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    near = d2 <= cutoff * cutoff
+    if not near.all():
+        i, j, diff, d2 = i[near], j[near], diff[near], d2[near]
+    if len(i) == 0:
+        return force, empty
+    dist = np.sqrt(d2)
+    degenerate = dist < 1e-9
+    dist = np.maximum(dist, 1e-9)
+    normal = diff / dist[:, None]
+    normal[degenerate] = (1.0, 0.0)
+    r_sum = radius[i] + radius[j]
+    social = a * np.exp((r_sum - dist) / b)
+    overlap = np.maximum(r_sum - dist, 0.0)
+    f_on_i = (social + k * overlap)[:, None] * normal
+    _ref_scatter_add(force, i, f_on_i)
+    _ref_scatter_add(force, j, -f_on_i)
+    touch = overlap > 0.0
+    tangent = np.stack([-normal[touch, 1], normal[touch, 0]], axis=1)
+    return force, (i[touch], j[touch], tangent, overlap[touch])
+
+
+def _ref_wall_forces(pos, radius, walls, geometry, params):
+    cutoff = float(params["sf_cutoff"])
+    n = len(pos)
+    force = np.zeros((n, 2))
+    cs = geometry.cell_size
+    cells = np.clip((pos / cs).astype(np.int64), 0, [geometry.width - 1, geometry.height - 1])
+    flat = cells[:, 1] * geometry.width + cells[:, 0]
+    count = walls.count[flat]
+    body = np.nonzero(count)[0]
+    if len(body) == 0:
+        return force, (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
+    a, b, k = (float(params[key]) for key in ("sf_a", "sf_b", "sf_k"))
+    cand = walls.rows[flat[body], : count.max()]
+    px = pos[body, :1]
+    py = pos[body, 1:]
+    lo_x = walls.lo[0][cand]
+    lo_y = walls.lo[1][cand]
+    dx = px - np.minimum(np.maximum(px, lo_x), lo_x + cs)
+    dy = py - np.minimum(np.maximum(py, lo_y), lo_y + cs)
+    d2 = dx ** 2 + dy ** 2
+    col = np.argmin(d2, axis=1)
+    best_d2 = d2[np.arange(len(body)), col]
+    rel = np.nonzero(best_d2 < cutoff * cutoff)[0]
+    dist = np.maximum(np.sqrt(best_d2[rel]), 1e-9)
+    normal = np.stack([dx[rel, col[rel]], dy[rel, col[rel]]], axis=1) / dist[:, None]
+    rows = body[rel]
+    r = radius[rows]
+    overlap = np.maximum(r - dist, 0.0)
+    force[rows] = (a * np.exp((r - dist) / b) + k * overlap)[:, None] * normal
+    touch = overlap > 0.0
+    tangent = np.stack([-normal[touch, 1], normal[touch, 0]], axis=1)
+    return force, (rows[touch], tangent, overlap[touch])
+
+
+def _ref_friction(vel, mass, pair_contacts, wall_contacts, dt, params, sweeps=8):
+    kappa = float(params["sf_kappa"])
+    i, j, tan_p, gap_p = pair_contacts
+    rows, tan_w, gap_w = wall_contacts
+    if len(i) == 0 and len(rows) == 0:
+        return vel
+    n = len(vel)
+    counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + np.bincount(rows, minlength=n)
+    if len(i):
+        m_red = 1.0 / (1.0 / mass[i] + 1.0 / mass[j])
+        damp = 1.0 - 1.0 / (1.0 + kappa * gap_p * dt / m_red)
+        gain_p = m_red * damp / np.maximum(np.maximum(counts[i], counts[j]), 1)
+    if len(rows):
+        m_w = mass[rows]
+        damp_w = 1.0 - 1.0 / (1.0 + kappa * gap_w * dt / m_w)
+        gain_w = m_w * damp_w / np.maximum(counts[rows], 1)
+    for _ in range(sweeps):
+        delta = np.zeros_like(vel)
+        if len(i):
+            impulse = gain_p * ((vel[j] - vel[i]) * tan_p).sum(axis=1)
+            _ref_scatter_add(delta, i, (impulse / mass[i])[:, None] * tan_p)
+            _ref_scatter_add(delta, j, -(impulse / mass[j])[:, None] * tan_p)
+        if len(rows):
+            v_t = (vel[rows] * tan_w).sum(axis=1)
+            _ref_scatter_add(delta, rows, -(gain_w * v_t / m_w)[:, None] * tan_w)
+        vel += delta
+    return vel
+
+
+def _assert_same(got, want):
+    """Force arrays, then every array of the contact tuples, bit for bit."""
+    assert np.array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for g, w in zip(got[1], want[1]):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+def _packed_crowd(rng, geo):
+    """Bodies pressed into the south-west corner, a packed clump in the
+    open middle, a loose scatter, one pair at the same point and one a
+    fraction of a nanometre apart (both with the degenerate normal)."""
+    top = geo.width * geo.cell_size
+    corner = rng.uniform(0.55, 2.2, size=(60, 2))
+    middle = top / 2 + rng.uniform(-0.8, 0.8, size=(40, 2))
+    loose = rng.uniform(0.6, top - 0.6, size=(30, 2))
+    pos = np.concatenate([corner, middle, loose, middle[:1], middle[1:2] + 3e-10])
+    return pos, rng.uniform(0.25, 0.35, size=len(pos))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernels_match_the_reference_bit_for_bit(seed):
+    geo = _open_floor(14.0, 14.0)
+    walls = _walls(geo)
+    rng = np.random.default_rng(seed)
+    pos, radius = _packed_crowd(rng, geo)
+    mass = rng.uniform(60.0, 90.0, size=len(pos))
+    vel = rng.uniform(-1.5, 1.5, size=(len(pos), 2))
+    # the candidate list as sf_step enumerates it, wider than the cutoff
+    reach = CUTOFF + 0.4
+    pairs = SpatialHash(pos, reach).query_pairs(reach)
+
+    got_pair = pair_forces(pos, radius, PARAM_DEFAULTS, pairs)
+    want_pair = _ref_pair_forces(pos, radius, PARAM_DEFAULTS, pairs)
+    _assert_same(got_pair, want_pair)
+    got_wall = wall_forces(pos, radius, walls, geo, PARAM_DEFAULTS)
+    want_wall = _ref_wall_forces(pos, radius, walls, geo, PARAM_DEFAULTS)
+    _assert_same(got_wall, want_wall)
+    for dt in (0.02, 0.05):
+        got_vel = apply_contact_friction(vel.copy(), mass, got_pair[1], got_wall[1], dt, PARAM_DEFAULTS)
+        want_vel = _ref_friction(vel.copy(), mass, want_pair[1], want_wall[1], dt, PARAM_DEFAULTS)
+        assert np.array_equal(got_vel, want_vel)
+
+    # coverage: pairs beyond the cutoff, the two degenerate pairs, touching
+    # body-body and body-wall contacts, and bodies in cells without a
+    # wall candidate
+    i, j = pairs
+    d2 = ((pos[i] - pos[j]) ** 2).sum(axis=1)
+    assert (d2 > CUTOFF * CUTOFF).any()
+    assert (d2 == 0.0).sum() == 1 and (d2 < 1e-18).sum() == 2
+    assert len(want_pair[1][0]) > 0 and len(want_wall[1][0]) > 0
+    cells = geo.cells_of(pos)
+    assert (walls.count[cells[:, 1] * geo.width + cells[:, 0]] == 0).any()
+
+
+def test_kernels_match_the_reference_without_pairs():
+    geo = _open_floor(14.0, 14.0)
+    pos, radius = _packed_crowd(np.random.default_rng(9), geo)
+    none = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+    got = pair_forces(pos, radius, PARAM_DEFAULTS, none)
+    _assert_same(got, _ref_pair_forces(pos, radius, PARAM_DEFAULTS, none))
+    # only far pairs: every candidate lies beyond the cutoff
+    far = np.array([[1.0, 1.0], [1.0 + CUTOFF + 0.1, 1.0], [1.0, 1.0 + CUTOFF + 0.2]])
+    far_pairs = (np.array([0, 0, 1]), np.array([1, 2, 2]))
+    got = pair_forces(far, radius[:3], PARAM_DEFAULTS, far_pairs)
+    _assert_same(got, _ref_pair_forces(far, radius[:3], PARAM_DEFAULTS, far_pairs))
+    # and friction with no contact at all leaves the velocities alone
+    vel = np.random.default_rng(9).uniform(-1, 1, size=(len(pos), 2))
+    wall_none = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
+    empty = (*none, np.zeros((0, 2)), np.zeros(0))
+    got_vel = apply_contact_friction(vel.copy(), np.full(len(pos), 80.0), empty, wall_none, 0.02, PARAM_DEFAULTS)
+    assert np.array_equal(got_vel, vel)
+
+
 # -- whole-step properties ------------------------------------------------------------
 
 
