@@ -415,13 +415,14 @@ class WorldView:
         if self.hash is None or self.hash.cell != reach:
             status = self.pop.status
             present = np.nonzero((status == AgentStatus.PREMOVEMENT) | (status == AgentStatus.MOVING))[0]
-            self.hash = SpatialHash(self.pop.pos[present], reach, ids=present)
-        k, rows, d2 = self.hash.query_points(self.pop.pos[observers], radius, exclude=observers)
+            self.hash = SpatialHash(self.pop.pos.take(present, axis=0), reach, ids=present)
+        points = self.pop.pos.take(observers, axis=0)
+        k, rows, d2 = self.hash.query_points(points, radius, exclude=observers)
         seen = self.hash.ids[rows]
         if len(k) and self.has_interior_blockers:
             cells_of = self.geometry.cells_of
             clear = los_pairs(
-                self.geometry.blocked_mask, cells_of(self.pop.pos[observers[k]]), cells_of(self.pop.pos[seen])
+                self.geometry.blocked_mask, cells_of(points).take(k, axis=0), cells_of(self.pop.pos.take(seen, axis=0))
             )
             k, seen, d2 = k[clear], seen[clear], d2[clear]
         return k, seen, d2

@@ -324,7 +324,7 @@ class _Simulation:
         inside = self._inside()
         if len(inside) == 0:
             return
-        cx, cy = self.geometry.cells_of(self.pop.pos[inside]).T
+        cx, cy = self.geometry.cells_of(self.pop.pos.take(inside, axis=0)).T
         temp = self.temp_frame[cy, cx]
         od = self.od_frame[cy, cx]
         tox = self.tox_frame[cy, cx]
@@ -669,7 +669,7 @@ class _SfMover(_Mover):
         without a target hops down the all-exits field.  NaN marks a
         decider with nowhere lower to go."""
         sim = self.sim
-        pos = sim.pop.pos[ids]
+        pos = sim.pop.pos.take(ids, axis=0)
         cx, cy = sim.geometry.cells_of(pos).T
         layer = np.where(sim.pop.target[ids] >= 0, sim.pop.target[ids], len(sim.zones))
         hop = self._hop(layer, cx, cy)
@@ -735,12 +735,13 @@ class _SfMover(_Mover):
         state = self.state
         moving = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0)
         desired = np.where(moving, sim.desired, 0.0)
-        old_pos = pop.pos.copy()
         present = sim._inside()
+        old_pos = pop.pos.take(present, axis=0)
         sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, sim.params)
         if len(present) == 0:
             return
-        delta = pop.pos[present] - old_pos[present]
+        new_pos = pop.pos.take(present, axis=0)
+        delta = new_pos - old_pos
         sim.path_len[present] += np.hypot(delta[:, 0], delta[:, 1])
 
         # plane crossings through interior openings; openings lying on
@@ -749,8 +750,8 @@ class _SfMover(_Mover):
         for site_index, site in enumerate(sim.sites):
             if site.covers_exit:
                 continue
-            rel_old = old_pos[present] - site.center
-            rel_new = pop.pos[present] - site.center
+            rel_old = old_pos - site.center
+            rel_new = new_pos - site.center
             s_old = rel_old @ site.upstream
             s_new = rel_new @ site.upstream
             tangent = np.array([-site.upstream[1], site.upstream[0]])
@@ -761,7 +762,7 @@ class _SfMover(_Mover):
                 self._crossed(t, site_index, count)
 
         # arrivals: a body whose centre reaches an exit cell is out
-        cx, cy = sim.geometry.cells_of(pop.pos[present]).T
+        cx, cy = sim.geometry.cells_of(new_pos).T
         leaving = sim.zone_grid[cy, cx] >= 0
         through: dict[int, int] = {}
         for i, x, y in zip(present[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):

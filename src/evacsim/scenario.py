@@ -132,7 +132,7 @@ class Geometry:
         """(n, 2) int64 cells (x, y) holding the (n, 2) positions ``pos``
         in metres; positions off the grid map to the nearest edge cell."""
         cells = (np.asarray(pos, dtype=np.float64) / self.cell_size).astype(np.int64)
-        return np.clip(cells, 0, [self.width - 1, self.height - 1])
+        return np.minimum(np.maximum(cells, 0), (self.width - 1, self.height - 1))
 
     # -- exits -----------------------------------------------------------
     @cached_property

@@ -138,11 +138,6 @@ def exposed_wall_cells(geometry: Geometry) -> np.ndarray:
     return np.stack([xs, ys], axis=1).astype(np.int64)
 
 
-def _unit(vec: np.ndarray, axis: int = -1) -> np.ndarray:
-    norm = np.linalg.norm(vec, axis=axis, keepdims=True)
-    return vec / np.maximum(norm, 1e-12)
-
-
 def driving_force(
     pos: np.ndarray,
     vel: np.ndarray,
@@ -158,7 +153,9 @@ def driving_force(
     tau = float(params["sf_tau"])
     heading = waypoint - pos
     has_goal = np.isfinite(heading).all(axis=1)
-    e = np.where(has_goal[:, None], _unit(np.nan_to_num(heading)), 0.0)
+    # a NaN heading stays NaN through the unit vector, and the where drops it
+    norm = np.sqrt(heading[:, 0] * heading[:, 0] + heading[:, 1] * heading[:, 1])
+    e = np.where(has_goal[:, None], heading / np.maximum(norm, 1e-12)[:, None], 0.0)
     v_target = desired_speed[:, None] * e
     return mass[:, None] * (v_target - vel) / tau
 
@@ -172,7 +169,7 @@ def pair_forces(
     """Body-body psychological repulsion plus normal compression.
 
     ``pairs`` are candidate rows ``(i, j)``, ascending, for example from
-    ``SpatialHash.query_pairs``; those beyond the cutoff are dropped.
+    ``SpatialHash.query_pairs``; those beyond the cutoff exert nothing.
     Returns the per-body force array and the touching-contact list
     ``(i, j, tangent, overlap)`` consumed by the sliding-friction pass.
     Accumulation order is fixed (pairs ascending), keeping float sums
@@ -184,37 +181,33 @@ def pair_forces(
     cutoff = float(params["sf_cutoff"])
 
     n = len(pos)
-    force = np.zeros((n, 2))
-    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
     i, j = pairs
-    if n < 2 or len(i) == 0:
-        return force, empty
-
-    diff = pos[i] - pos[j]
-    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    # a row take is ~11x faster than pos[i] (5 vs 55 us on 2868 rows,
+    # numpy 2.4), so every (n, 2) row gather of a step is a take
+    dx, dy = (pos.take(i, axis=0) - pos.take(j, axis=0)).T
+    d2 = dx * dx + dy * dy
     near = d2 <= cutoff * cutoff
-    if not near.all():
-        i, j, diff, d2 = i[near], j[near], diff[near], d2[near]
-    if len(i) == 0:
-        return force, empty
-
     dist = np.sqrt(d2)
     degenerate = dist < 1e-9
     dist = np.maximum(dist, 1e-9)
-    normal = diff / dist[:, None]
-    normal[degenerate] = (1.0, 0.0)
-    r_sum = radius[i] + radius[j]
+    nx = np.where(degenerate, 1.0, dx / dist)
+    ny = np.where(degenerate, 0.0, dy / dist)
+    gap = radius.take(i) + radius.take(j) - dist
 
-    social = a * np.exp((r_sum - dist) / b)
-    overlap = np.maximum(r_sum - dist, 0.0)
+    social = a * np.exp(gap / b)
+    overlap = np.maximum(gap, 0.0)
 
-    f_on_i = (social + k * overlap)[:, None] * normal
-    _scatter_add(force, i, f_on_i)
-    _scatter_add(force, j, -f_on_i)
+    # far pairs are masked, not dropped: a bin starts at +0.0, so their
+    # +-0.0 terms leave every partial sum as it was
+    f = np.where(near, social + k * overlap, 0.0)
+    fx, fy = f * nx, f * ny
+    force = np.empty((n, 2))
+    force[:, 0] = np.bincount(i, fx, n) + np.bincount(j, -fx, n)
+    force[:, 1] = np.bincount(i, fy, n) + np.bincount(j, -fy, n)
 
-    touch = overlap > 0.0
-    tangent = np.stack([-normal[touch, 1], normal[touch, 0]], axis=1)
-    return force, (i[touch], j[touch], tangent, overlap[touch])
+    touch = np.nonzero((overlap > 0.0) & near)[0]
+    tangent = np.stack([-ny.take(touch), nx.take(touch)], axis=1)
+    return force, (i.take(touch), j.take(touch), tangent, overlap.take(touch))
 
 
 def wall_table(wall_cells: np.ndarray, geometry: Geometry, cutoff: float) -> WallTable:
@@ -272,7 +265,7 @@ def wall_forces(
     cs = geometry.cell_size
     cells = geometry.cells_of(pos)
     flat = cells[:, 1] * geometry.width + cells[:, 0]
-    count = walls.count[flat]
+    count = walls.count.take(flat)
     body = np.nonzero(count)[0]                               # bodies with a candidate
     if len(body) == 0:
         return force, (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
@@ -280,29 +273,33 @@ def wall_forces(
     b = float(params["sf_b"])
     k = float(params["sf_k"])
 
-    cand = walls.rows[flat[body], : count.max()]              # (n', K)
-    px = pos[body, :1]
-    py = pos[body, 1:]
-    lo_x = walls.lo[0][cand]
-    lo_y = walls.lo[1][cand]
+    cand = walls.rows[:, : count.max()].take(flat.take(body), axis=0)  # (n', K)
+    body_pos = pos.take(body, axis=0)
+    px = body_pos[:, :1]
+    py = body_pos[:, 1:]
+    lo_x = walls.lo[0].take(cand)
+    lo_y = walls.lo[1].take(cand)
     dx = px - np.minimum(np.maximum(px, lo_x), lo_x + cs)    # offset from the nearest box point
     dy = py - np.minimum(np.maximum(py, lo_y), lo_y + cs)
     d2 = dx ** 2 + dy ** 2
     col = np.argmin(d2, axis=1)                               # nearest cell per body
-    sel = np.arange(len(body))
-    best_d2 = d2[sel, col]
+    at = np.arange(len(body)) * d2.shape[1] + col             # its flat index in d2
+    best_d2 = d2.take(at)
     rel = np.nonzero(best_d2 < cutoff * cutoff)[0]
-    dist = np.maximum(np.sqrt(best_d2[rel]), 1e-9)
-    normal = np.stack([dx[rel, col[rel]], dy[rel, col[rel]]], axis=1) / dist[:, None]
-    rows = body[rel]
-    r = radius[rows]
-    overlap = np.maximum(r - dist, 0.0)
-    magnitude = a * np.exp((r - dist) / b) + k * overlap
-    force[rows] = magnitude[:, None] * normal
+    dist = np.maximum(np.sqrt(best_d2.take(rel)), 1e-9)
+    at = at.take(rel)
+    nx = dx.take(at) / dist
+    ny = dy.take(at) / dist
+    rows = body.take(rel)
+    gap = radius.take(rows) - dist
+    overlap = np.maximum(gap, 0.0)
+    magnitude = a * np.exp(gap / b) + k * overlap
+    force[rows, 0] = magnitude * nx
+    force[rows, 1] = magnitude * ny
 
-    touch = overlap > 0.0
-    tangent = np.stack([-normal[touch, 1], normal[touch, 0]], axis=1)
-    return force, (rows[touch], tangent, overlap[touch])
+    touch = np.nonzero(overlap > 0.0)[0]
+    tangent = np.stack([-ny.take(touch), nx.take(touch)], axis=1)
+    return force, (rows.take(touch), tangent, overlap.take(touch))
 
 
 def apply_contact_friction(
@@ -338,24 +335,25 @@ def apply_contact_friction(
     )
 
     if len(i):
-        m_red = 1.0 / (1.0 / mass[i] + 1.0 / mass[j])
+        m_i, m_j = mass.take(i), mass.take(j)
+        m_red = 1.0 / (1.0 / m_i + 1.0 / m_j)
         damp = 1.0 - 1.0 / (1.0 + kappa * gap_p * dt / m_red)
-        share = np.maximum(np.maximum(counts[i], counts[j]), 1)
+        share = np.maximum(np.maximum(counts.take(i), counts.take(j)), 1)
         gain_p = m_red * damp / share
     if len(rows):
-        m_w = mass[rows]
+        m_w = mass.take(rows)
         damp_w = 1.0 - 1.0 / (1.0 + kappa * gap_w * dt / m_w)
         gain_w = m_w * damp_w / np.maximum(counts[rows], 1)
 
     for _ in range(FRICTION_SWEEPS):
         delta = np.zeros_like(vel)
         if len(i):
-            dv_t = ((vel[j] - vel[i]) * tan_p).sum(axis=1)
+            dv_t = ((vel.take(j, axis=0) - vel.take(i, axis=0)) * tan_p).sum(axis=1)
             impulse = gain_p * dv_t
-            _scatter_add(delta, i, (impulse / mass[i])[:, None] * tan_p)
-            _scatter_add(delta, j, -(impulse / mass[j])[:, None] * tan_p)
+            _scatter_add(delta, i, (impulse / m_i)[:, None] * tan_p)
+            _scatter_add(delta, j, -(impulse / m_j)[:, None] * tan_p)
         if len(rows):
-            v_t = (vel[rows] * tan_w).sum(axis=1)
+            v_t = (vel.take(rows, axis=0) * tan_w).sum(axis=1)
             _scatter_add(delta, rows, -(gain_w * v_t / m_w)[:, None] * tan_w)
         vel += delta
     return vel
@@ -412,20 +410,21 @@ def sf_step(
         state.tick += 1
         return
 
-    pos = state.pos[present]
-    vel = state.vel[present]
-    mass = state.mass[present]
+    pos = state.pos.take(present, axis=0)
+    vel = state.vel.take(present, axis=0)
+    mass = state.mass.take(present)
+    radius = state.radius.take(present)
     pairs = _neighbor_list(state, present, pos, float(p["sf_cutoff"]))
 
-    total = driving_force(pos, vel, mass, desired_speed[present], waypoint[present], p)
-    pair, pair_contacts = pair_forces(pos, state.radius[present], p, pairs=pairs)
-    wall, wall_contacts = wall_forces(pos, state.radius[present], walls, geometry, p)
+    total = driving_force(pos, vel, mass, desired_speed.take(present), waypoint.take(present, axis=0), p)
+    pair, pair_contacts = pair_forces(pos, radius, p, pairs=pairs)
+    wall, wall_contacts = wall_forces(pos, radius, walls, geometry, p)
     force = total + pair + wall
 
     vel = vel + force / mass[:, None] * dt
     vel = apply_contact_friction(vel, mass, pair_contacts, wall_contacts, dt, p)
     v_cap = float(p["sf_speed_slack"]) * float(p["speed_cap"])
-    speed = np.linalg.norm(vel, axis=1)
+    speed = np.sqrt(vel[:, 0] * vel[:, 0] + vel[:, 1] * vel[:, 1])
     too_fast = speed > v_cap
     if too_fast.any():
         vel[too_fast] *= (v_cap / speed[too_fast])[:, None]
@@ -457,11 +456,7 @@ def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):
         cx = (points[:, 0] / cs).astype(np.int64)
         cy = (points[:, 1] / cs).astype(np.int64)
         inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        result = ~inside
-        cxc = np.clip(cx, 0, w - 1)
-        cyc = np.clip(cy, 0, h - 1)
-        result |= geometry.blocked_mask[cyc, cxc]
-        return result
+        return ~inside | geometry.blocked_mask.take(np.where(inside, cy * w + cx, 0))
 
     bad = blocked_at(new_pos)
     # catch tunnelling through a thin wall, possible only when some body

@@ -64,7 +64,7 @@ class SpatialHash:
     def _points_index(self):
         """``_bucket`` at half the cell, plus x, y and ids in bucket order."""
         low, nx, order, keys = self._bucket(self.cell / 2)
-        pos = self.positions[order]
+        pos = self.positions.take(order, axis=0)
         return low, nx, order, keys, pos[:, 0].copy(), pos[:, 1].copy(), self.ids[order]
 
     def query_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +91,7 @@ class SpatialHash:
 
         i = order[np.concatenate([same_l, near_l])]
         j = order[np.concatenate([same_r, near_r])]
-        d = self.positions[i] - self.positions[j]
+        d = self.positions.take(i, axis=0) - self.positions.take(j, axis=0)
         keep = (d[:, 0] ** 2 + d[:, 1] ** 2) <= radius * radius
         i, j = i[keep], j[keep]
         swap = i > j
