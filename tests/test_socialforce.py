@@ -460,7 +460,7 @@ def _ref_wall_forces(pos, radius, walls, geometry, params):
     return force, (rows[touch], tangent, overlap[touch])
 
 
-def _ref_friction(vel, mass, pair_contacts, wall_contacts, dt, params, sweeps=8):
+def _ref_friction(vel, mass, pair_contacts, wall_contacts, dt, params):
     kappa = float(params["sf_kappa"])
     i, j, tan_p, gap_p = pair_contacts
     rows, tan_w, gap_w = wall_contacts
@@ -476,7 +476,7 @@ def _ref_friction(vel, mass, pair_contacts, wall_contacts, dt, params, sweeps=8)
         m_w = mass[rows]
         damp_w = 1.0 - 1.0 / (1.0 + kappa * gap_w * dt / m_w)
         gain_w = m_w * damp_w / np.maximum(counts[rows], 1)
-    for _ in range(sweeps):
+    for _ in range(8):
         delta = np.zeros_like(vel)
         if len(i):
             impulse = gain_p * ((vel[j] - vel[i]) * tan_p).sum(axis=1)
@@ -509,8 +509,11 @@ def _packed_crowd(rng, geo):
     return pos, rng.uniform(0.25, 0.35, size=len(pos))
 
 
+# a cutoff shorter than two radii leaves touching pairs beyond it
+@pytest.mark.parametrize("cutoff", [CUTOFF, 0.5])
 @pytest.mark.parametrize("seed", range(4))
-def test_kernels_match_the_reference_bit_for_bit(seed):
+def test_kernels_match_the_reference_bit_for_bit(seed, cutoff):
+    params = dict(PARAM_DEFAULTS, sf_cutoff=cutoff)
     geo = _open_floor(14.0, 14.0)
     walls = _walls(geo)
     rng = np.random.default_rng(seed)
@@ -518,18 +521,18 @@ def test_kernels_match_the_reference_bit_for_bit(seed):
     mass = rng.uniform(60.0, 90.0, size=len(pos))
     vel = rng.uniform(-1.5, 1.5, size=(len(pos), 2))
     # the candidate list as sf_step enumerates it, wider than the cutoff
-    reach = CUTOFF + 0.4
+    reach = cutoff + 0.4
     pairs = SpatialHash(pos, reach).query_pairs(reach)
 
-    got_pair = pair_forces(pos, radius, PARAM_DEFAULTS, pairs)
-    want_pair = _ref_pair_forces(pos, radius, PARAM_DEFAULTS, pairs)
+    got_pair = pair_forces(pos, radius, params, pairs)
+    want_pair = _ref_pair_forces(pos, radius, params, pairs)
     _assert_same(got_pair, want_pair)
-    got_wall = wall_forces(pos, radius, walls, geo, PARAM_DEFAULTS)
-    want_wall = _ref_wall_forces(pos, radius, walls, geo, PARAM_DEFAULTS)
+    got_wall = wall_forces(pos, radius, walls, geo, params)
+    want_wall = _ref_wall_forces(pos, radius, walls, geo, params)
     _assert_same(got_wall, want_wall)
     for dt in (0.02, 0.05):
-        got_vel = apply_contact_friction(vel.copy(), mass, got_pair[1], got_wall[1], dt, PARAM_DEFAULTS)
-        want_vel = _ref_friction(vel.copy(), mass, want_pair[1], want_wall[1], dt, PARAM_DEFAULTS)
+        got_vel = apply_contact_friction(vel.copy(), mass, got_pair[1], got_wall[1], dt, params)
+        want_vel = _ref_friction(vel.copy(), mass, want_pair[1], want_wall[1], dt, params)
         assert np.array_equal(got_vel, want_vel)
 
     # coverage: pairs beyond the cutoff, the two degenerate pairs, touching
@@ -537,9 +540,11 @@ def test_kernels_match_the_reference_bit_for_bit(seed):
     # wall candidate
     i, j = pairs
     d2 = ((pos[i] - pos[j]) ** 2).sum(axis=1)
-    assert (d2 > CUTOFF * CUTOFF).any()
+    assert (d2 > cutoff * cutoff).any()
     assert (d2 == 0.0).sum() == 1 and (d2 < 1e-18).sum() == 2
     assert len(want_pair[1][0]) > 0 and len(want_wall[1][0]) > 0
+    if cutoff < 2 * radius.min():
+        assert ((d2 > cutoff * cutoff) & (d2 < (radius[i] + radius[j]) ** 2)).any()
     cells = geo.cells_of(pos)
     assert (walls.count[cells[:, 1] * geo.width + cells[:, 0]] == 0).any()
 
