@@ -22,6 +22,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import evacsim.socialforce as sf_mod
 from evacsim import EMPTY_STATE_DIGEST, export_trajectories, parse_scenario, run, serialize_scenario
 from evacsim.scenario import room_regions
 
@@ -108,8 +109,6 @@ def test_shipped_scenario_digest(name, max_sim_time, backend, digest, outcome):
 def test_benchmark_room_sf_through_first_contacts(monkeypatch):
     # the benchmark room until its bodies first touch: a wall at tick
     # 1173 and a pair at tick 1223, so friction on that room runs here
-    import evacsim.socialforce as sf_mod
-
     contacts = Counter()
     for name in ("pair_forces", "wall_forces"):
         kernel = getattr(sf_mod, name)
