@@ -406,7 +406,9 @@ class WorldView:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (k, seen, d2): agent ``seen``, in the building and not
         ``observers[k]`` itself, lies within ``radius[k]`` of it (d2 the
-        squared distance) with a clear line of sight, sorted by (k, seen).
+        squared distance) with a clear line of sight.  The triples are
+        grouped by ascending k, in ``SpatialHash.query_points`` order
+        within a group, not by seen id.
 
         ``reach`` bounds every radius.  The hash of the agents in the
         building is bucketed at it and rebuilt only when a caller asks for
@@ -417,8 +419,7 @@ class WorldView:
             present = np.nonzero((status == AgentStatus.PREMOVEMENT) | (status == AgentStatus.MOVING))[0]
             self.hash = SpatialHash(self.pop.pos.take(present, axis=0), reach, ids=present)
         points = self.pop.pos.take(observers, axis=0)
-        k, rows, d2 = self.hash.query_points(points, radius, exclude=observers)
-        seen = self.hash.ids[rows]
+        k, seen, d2 = self.hash.query_points(points, radius, exclude=observers)
         if len(k) and self.has_interior_blockers:
             cells_of = self.geometry.cells_of
             clear = los_pairs(
@@ -500,9 +501,16 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
     rank = np.repeat(np.where(role > 0, role, np.iinfo(np.int64).max), per_row)
     roles_seen = pop.role[seen]
     leader = (roles_seen > 0) & (roles_seen < rank)
+    # unit weights sum exactly in any pair order; a row that sees a leader sums
+    # fractional weights, so its pairs are put in seen id order first
+    sees_leader = np.bincount(rows[leader], minlength=n) > 0
+    if sees_leader.any():
+        mine = np.flatnonzero(sees_leader[rows])
+        by_id = mine[np.lexsort((seen[mine], rows[mine]))]
+        seen[mine], d2[mine], leader[mine] = seen[by_id], d2[by_id], leader[by_id]
     weight = np.where(leader, np.repeat(1.0 + pop.collaboration[indices], per_row), 1.0)
 
-    # bincount adds in array order, here (observer, seen id); it gives ints when empty
+    # bincount adds in array order; it gives ints when empty
     totals = np.bincount(rows, weights=weight, minlength=n).astype(np.float64)
     heading = np.where(pop.status == AgentStatus.MOVING, pop.target, -1)[seen]
     has_target = heading >= 0
@@ -657,6 +665,7 @@ def inform_neighbors(
     decision round.  Returns receiver ids."""
     sender = np.array([i])
     _, seen, _ = world.neighbours(sender, world.pop.vision[sender], float(world.params["vis_r_max"]))
+    seen.sort()  # one draw per neighbour, in id order
     receivers = seen[rng.random(len(seen)) < float(world.pop.collaboration[i])]
     heard = np.ix_(receivers, exits)
     beliefs.blocked[heard] = True

@@ -63,7 +63,7 @@ class CaState:
         ids = self.occupancy[ys, xs]
         if len(ids) != len(present):
             raise SimulationError(f"tick {self.tick}: occupancy cell count != present agent count")
-        if len(np.unique(ids)) != len(ids):
+        if (np.bincount(ids) > 1).any():
             raise SimulationError(f"tick {self.tick}: one agent occupies two cells")
         stray = present[self.occupancy[self.y[present], self.x[present]] != present]
         if len(stray):

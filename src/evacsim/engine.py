@@ -618,9 +618,9 @@ class _CaMover(_Mover):
         site_old = sim.site_of_cell[oy.astype(np.int64), ox.astype(np.int64)]
         entered = (site_new >= 0) & (site_new != site_old)
         if entered.any():
-            for site_index in np.unique(site_new[entered]):
-                count = int((site_new[entered] == site_index).sum())
-                sim._record_crossing(t, int(site_index), count)
+            counts = np.bincount(site_new[entered])
+            for site_index in np.flatnonzero(counts).tolist():
+                sim._record_crossing(t, site_index, int(counts[site_index]))
 
 
 class _SfMover(_Mover):
@@ -737,10 +737,9 @@ class _SfMover(_Mover):
         desired = np.where(moving, sim.desired, 0.0)
         present = sim._inside()
         old_pos = pop.pos.take(present, axis=0)
-        sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, sim.params)
+        new_pos, cells = sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, sim.params)
         if len(present) == 0:
             return
-        new_pos = pop.pos.take(present, axis=0)
         delta = new_pos - old_pos
         sim.path_len[present] += np.hypot(delta[:, 0], delta[:, 1])
 
@@ -762,7 +761,7 @@ class _SfMover(_Mover):
                 self._crossed(t, site_index, count)
 
         # arrivals: a body whose centre reaches an exit cell is out
-        cx, cy = sim.geometry.cells_of(new_pos).T
+        cx, cy = cells.T
         leaving = sim.zone_grid[cy, cx] >= 0
         through: dict[int, int] = {}
         for i, x, y in zip(present[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):

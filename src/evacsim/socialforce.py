@@ -392,9 +392,10 @@ def sf_step(
     waypoint: np.ndarray,
     dt: float,
     params: dict | None = None,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
     """One semi-implicit Euler step over the bodies ``present`` (ascending
-    ids of the people in the building).
+    ids of the people in the building).  Returns their (n, 2) new
+    positions and the (n, 2) cells holding them.
 
     Velocity updates first and is clamped to slack x the global speed
     cap (contact impulses may briefly exceed walking speeds); the
@@ -408,7 +409,7 @@ def sf_step(
 
     if len(present) == 0:
         state.tick += 1
-        return
+        return np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64)
 
     pos = state.pos.take(present, axis=0)
     vel = state.vel.take(present, axis=0)
@@ -436,14 +437,15 @@ def sf_step(
         if len(state.projection_ticks) < PROJECTION_EXAMPLES:
             state.projection_ticks.append(state.tick)
 
-    cells_x, cells_y = geometry.cells_of(new_pos).T
-    in_wall = geometry.blocked_mask[cells_y, cells_x]
+    cells = geometry.cells_of(new_pos)
+    in_wall = geometry.blocked_mask[cells[:, 1], cells[:, 0]]
     if in_wall.any():
         raise SimulationError(f"tick {state.tick}: agents {present[in_wall].tolist()} ended the step inside a wall")
 
     state.pos[present] = new_pos
     state.vel[present] = vel
     state.tick += 1
+    return new_pos, cells
 
 
 def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):

@@ -13,8 +13,11 @@ around each query point in one set of array operations:
   order each of the five stencil rows is one contiguous run of points.
 
 A query radius may not exceed ``cell``: the stencil would miss points,
-so the query raises instead.  All outputs are sorted, which keeps
-downstream float accumulation order deterministic.
+so the query raises instead.  Both queries are deterministic: the same
+points give the same arrays in the same order.  ``query_pairs`` sorts
+its pairs by (i, j); ``query_points`` groups its pairs by query point
+and leaves them in stencil order within a group, so a caller that sums
+floats over a group in a set order sorts that group itself.
 """
 from __future__ import annotations
 
@@ -62,10 +65,11 @@ class SpatialHash:
 
     @cached_property
     def _points_index(self):
-        """``_bucket`` at half the cell, plus x, y and ids in bucket order."""
+        """The lowest bucket, buckets per row and keys of ``_bucket`` at
+        half the cell, plus the points' x, y and ids in bucket order."""
         low, nx, order, keys = self._bucket(self.cell / 2)
         pos = self.positions.take(order, axis=0)
-        return low, nx, order, keys, pos[:, 0].copy(), pos[:, 1].copy(), self.ids[order]
+        return low, nx, keys, pos[:, 0].copy(), pos[:, 1].copy(), self.ids.take(order)
 
     def query_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """All unordered index pairs (i < j by row) within ``radius``."""
@@ -74,7 +78,8 @@ class SpatialHash:
         if n < 2:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         _, nx, order, keys = self._bucket(self.cell)
-        uniq, starts = np.unique(keys, return_index=True)
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are sorted and non-negative
+        uniq = keys[starts]
         ends = np.append(starts[1:], n)
         slots = np.arange(n)
         # within-bucket: each point pairs with the later points of its bucket
@@ -103,12 +108,19 @@ class SpatialHash:
     def query_points(
         self, points: np.ndarray, radius: float | np.ndarray, exclude: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (k, row, d2) with hashed row ``row`` within ``radius`` of
-        ``points[k]``, d2 their squared distance, sorted by (k, row).
+        """Every (k, id, d2) with the hashed point labelled ``id`` within
+        ``radius`` of ``points[k]``, d2 their squared distance.
+
+        The triples come grouped by ascending k.  Within a group they run
+        in stencil order: the five bucket rows from low y to high, each
+        row's buckets from low x to high, and within a bucket the hashed
+        rows ascending.  So the order is fixed by the inputs, but it is
+        not id order.
 
         ``radius`` is one scalar or one value per point.  ``exclude``, one
-        id per point, leaves out the row labelled ``exclude[k]`` (the
-        point's own) however close it is; other rows at the same spot stay.
+        id per point, leaves out the point labelled ``exclude[k]`` (the
+        query point's own) however close it is; other points at the same
+        spot stay.
         """
         self._check(float(np.max(radius, initial=0.0)))
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -116,7 +128,7 @@ class SpatialHash:
         if m == 0 or n == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros(0)
-        low, nx, order, keys, xs, ys, ids = self._points_index
+        low, nx, keys, xs, ys, ids = self._points_index
         b = np.floor(points / (self.cell / 2)).astype(np.int64) - low
         lo = np.maximum(b[:, 0] - 2, 0)[:, None]
         hi = np.minimum(b[:, 0] + 3, nx)[:, None]
@@ -129,8 +141,7 @@ class SpatialHash:
 
         d2 = (xs[slot] - np.repeat(points[:, 0], per_point)) ** 2 + (ys[slot] - np.repeat(points[:, 1], per_point)) ** 2
         keep = d2 <= np.repeat(np.broadcast_to(np.asarray(radius, dtype=np.float64) ** 2, m), per_point)
+        seen = ids.take(slot)
         if exclude is not None:
-            keep &= ids[slot] != np.repeat(exclude, per_point)
-        k, rows, d2 = k[keep], order[slot[keep]], d2[keep]
-        sort = np.argsort(k * n + rows)  # unique keys, as above
-        return k[sort], rows[sort], d2[sort]
+            keep &= seen != np.repeat(exclude, per_point)
+        return k[keep], seen[keep], d2[keep]

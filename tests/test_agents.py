@@ -744,6 +744,28 @@ def test_neighbour_stats_match_one_pair_at_a_time_exactly(deciders, room):
     assert any(not _in_sight(world, int(rows[r]), int(everyone[c]), math.inf) for r, c in zip(*np.nonzero(near)))
 
 
+def test_neighbour_stats_with_few_leaders_match_one_pair_at_a_time_exactly():
+    # a round where only some rows see a leader, so pairs of rows that do
+    # and rows that do not are summed in one pass, and one row sees nobody
+    world = _pillared_room_world(120, np.random.default_rng(12))
+    pop = world.pop
+    everyone = np.array(_present(pop))
+    pop.role[:] = 0
+    pop.role[everyone[[5, 50, 90]]] = [1, 2, 1]
+    pop.vision[everyone[7]] = 0.0
+    got = _neighbour_stats(world, everyone)
+    want = _neighbour_stats_one_pair_at_a_time(world, everyone)
+    for name, g, w in zip(("votes", "totals", "congestion", "follow"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    totals = got[1]
+    whole = totals == np.floor(totals)
+    assert (~whole).any() and (whole & (totals > 0)).any()
+    assert totals[7] == 0 and np.isinf(got[3][7]).all()
+    d = np.linalg.norm(pop.pos[everyone][:, None] - pop.pos[everyone][None], axis=2)
+    near = (d <= PARAM_DEFAULTS["congestion_radius"]) & (d > 0)
+    assert any(not _in_sight(world, int(everyone[r]), int(everyone[c]), math.inf) for r, c in zip(*np.nonzero(near)))
+
+
 def test_inform_neighbors_reaches_the_people_in_sight():
     world = _split_room_world(120, np.random.default_rng(6))
     pop = world.pop

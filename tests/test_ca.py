@@ -188,6 +188,27 @@ def test_bijection_guard_catches_corruption():
         state.check_bijection(np.arange(2))
 
 
+def test_bijection_guard_names_each_fault():
+    geo = _geometry(["######", "#...E#", "######"])
+    everyone = np.arange(3)
+
+    def lattice(*cells):
+        state = CaState.from_cells(geo, [(1, 1), (2, 1), (3, 1)])
+        for (x, y), agent in cells:
+            state.occupancy[y, x] = agent
+        return state
+
+    lattice().check_bijection(everyone)
+    with pytest.raises(SimulationError, match=r"^tick 0: occupancy cell count != present agent count$"):
+        lattice().check_bijection(everyone[:2])
+    # agent 2's cell taken over by agent 1, who is then on two cells
+    with pytest.raises(SimulationError, match=r"^tick 0: one agent occupies two cells$"):
+        lattice(((3, 1), 1)).check_bijection(everyone)
+    # agents 0 and 1 swapped on the grid but not in their coordinates
+    with pytest.raises(SimulationError, match=r"^tick 0: agents \[0, 1\] are not where the lattice holds them$"):
+        lattice(((1, 1), 1), ((2, 1), 0)).check_bijection(everyone)
+
+
 def test_from_cells_rejects_double_occupancy():
     geo = _geometry(["######", "#...E#", "######"])
     with pytest.raises(SimulationError):

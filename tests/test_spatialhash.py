@@ -64,6 +64,18 @@ def test_empty_and_singleton_clouds():
     assert len(pi) == 0
 
 
+def _by_point(h, points, radius, exclude=None):
+    """``query_points`` as (k, id, d2) triples in (k, id) order, after
+    checking its own order: grouped by ascending k, and the same arrays
+    from a repeated query."""
+    k, ids, d2 = h.query_points(points, radius, exclude=exclude)
+    assert (np.diff(k) >= 0).all()
+    for first, again in zip((k, ids, d2), h.query_points(points, radius, exclude=exclude)):
+        assert first.dtype == again.dtype and np.array_equal(first, again)
+    order = np.lexsort((ids, k))
+    return list(zip(k[order].tolist(), ids[order].tolist(), d2[order].tolist()))
+
+
 def test_query_points_matches_brute_force():
     rng = np.random.default_rng(7)
     for trial in range(N_TRIALS):
@@ -72,13 +84,12 @@ def test_query_points_matches_brute_force():
         radius = float(rng.uniform(0.1, 2.5))
         h = SpatialHash(pos, float(rng.uniform(radius, 2 * radius)))
         points = rng.uniform(-1, 11, size=(int(rng.integers(1, 8)), 2))
-        k, rows, d2 = h.query_points(points, radius)
         want = []
         for q, point in enumerate(points):
             d = pos - point
             dist2 = d[:, 0] ** 2 + d[:, 1] ** 2
             want.extend((q, int(r), float(dist2[r])) for r in np.nonzero(dist2 <= radius * radius)[0])
-        assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == want, f"trial {trial}"
+        assert _by_point(h, points, radius) == want, f"trial {trial}"
     k, rows, d2 = SpatialHash(np.zeros((0, 2)), 1.0).query_points(points, 1.0)
     assert len(k) == len(rows) == len(d2) == 0
 
@@ -87,8 +98,8 @@ def test_query_points_respects_custom_ids():
     pos = np.array([[0.5, 0.5], [1.5, 0.5], [9.0, 9.0]])
     ids = np.array([10, 20, 30])
     h = SpatialHash(pos, 1.0, ids=ids)
-    k, rows, _ = h.query_points(np.array([[1.0, 0.5], [9.5, 9.0], [5.0, 5.0]]), 1.0)
-    assert list(zip(k.tolist(), h.ids[rows].tolist())) == [(0, 10), (0, 20), (1, 30)]
+    k, seen, _ = h.query_points(np.array([[1.0, 0.5], [9.5, 9.0], [5.0, 5.0]]), 1.0)
+    assert list(zip(k.tolist(), seen.tolist())) == [(0, 10), (0, 20), (1, 30)]
 
 
 def test_negative_coordinates_hash_correctly():
@@ -99,7 +110,8 @@ def test_negative_coordinates_hash_correctly():
 
 
 def _brute_points(pos, ids, points, radii, exclude=None):
-    """Every (k, row, d2) of ``query_points``, one query point at a time."""
+    """Every (k, id, d2) of ``query_points``, one query point at a time,
+    in (k, id) order."""
     want = []
     for q, point in enumerate(points):
         d = pos - point
@@ -107,7 +119,7 @@ def _brute_points(pos, ids, points, radii, exclude=None):
         hit = dist2 <= radii[q] ** 2
         if exclude is not None:
             hit &= ids != exclude[q]
-        want.extend((q, int(r), float(dist2[r])) for r in np.nonzero(hit)[0])
+        want.extend(sorted((q, int(ids[r]), float(dist2[r])) for r in np.nonzero(hit)[0]))
     return want
 
 
@@ -127,20 +139,16 @@ def test_query_points_with_per_point_radii_and_exclusion_match_brute_force():
         radii[::5], radii[1::5] = 0.0, cell
         exclude = np.concatenate([ids[rng.integers(0, n, size=m)], rng.integers(0, 1000, size=m)])
         for excl in (None, exclude):
-            k, rows, d2 = h.query_points(points, radii, exclude=excl)
             want = _brute_points(pos, ids, points, radii, excl)
-            assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == want, f"trial {trial}"
-        k, rows, d2 = h.query_points(points, cell)
-        assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == _brute_points(
-            pos, ids, points, np.full(2 * m, cell)
-        ), f"trial {trial}"
+            assert _by_point(h, points, radii, excl) == want, f"trial {trial}"
+        assert _by_point(h, points, cell) == _brute_points(pos, ids, points, np.full(2 * m, cell)), f"trial {trial}"
 
 
 def test_query_points_excludes_only_the_named_row_at_a_shared_spot():
     pos = np.array([[2.0, 2.0], [2.0, 2.0], [2.5, 2.0], [-3.0, -3.0]])
     h = SpatialHash(pos, 1.0, ids=np.array([7, 8, 9, 10]))
-    k, rows, d2 = h.query_points(pos[[0, 1, 3]], np.array([0.0, 1.0, 0.0]), exclude=np.array([7, 8, 10]))
-    assert list(zip(k.tolist(), rows.tolist(), d2.tolist())) == [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.25)]
+    k, seen, d2 = h.query_points(pos[[0, 1, 3]], np.array([0.0, 1.0, 0.0]), exclude=np.array([7, 8, 10]))
+    assert list(zip(k.tolist(), seen.tolist(), d2.tolist())) == [(0, 8, 0.0), (1, 7, 0.0), (1, 9, 0.25)]
 
 
 def test_query_points_with_a_radius_over_the_bucket_or_nothing_to_query():
