@@ -151,6 +151,14 @@ def test_query_points_excludes_only_the_named_row_at_a_shared_spot():
     assert list(zip(k.tolist(), seen.tolist(), d2.tolist())) == [(0, 8, 0.0), (1, 7, 0.0), (1, 9, 0.25)]
 
 
+def test_query_points_lists_a_points_pairs_in_stencil_order():
+    # bucket rows from low y to high, then buckets from low x to high: not id order
+    pos = np.array([[1.2, 1.9], [1.2, 1.1], [0.6, 1.1], [1.3, 1.15]])
+    h = SpatialHash(pos, 1.0)
+    k, seen, _ = h.query_points(np.array([[1.0, 1.5], [9.0, 9.0], [1.0, 1.5]]), np.array([1.0, 1.0, 0.5]))
+    assert list(zip(k.tolist(), seen.tolist())) == [(0, 2), (0, 1), (0, 3), (0, 0), (2, 1), (2, 3), (2, 0)]
+
+
 def test_query_points_with_a_radius_over_the_bucket_or_nothing_to_query():
     h = SpatialHash(np.array([[0.5, 0.5], [1.0, 0.5]]), 1.0)
     with pytest.raises(ValueError, match="exceeds the bucket size"):
