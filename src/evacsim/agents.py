@@ -86,6 +86,9 @@ class Population:
     age: np.ndarray
     role: np.ndarray           # 0 none, 1 top leader, 2 second level, ...
     status: np.ndarray         # AgentStatus codes
+    end_t: np.ndarray          # s, exit or death time; NaN while inside
+    path_len: np.ndarray       # m walked
+    replans: np.ndarray        # times the agent changed an existing target
     target: np.ndarray         # current goal exit zone id, or NO_TARGET
 
     def __len__(self) -> int:
@@ -138,11 +141,11 @@ def spawn_population(
     streams,
     params: dict | None = None,
     backend: str = "ca",
-    room_labels: np.ndarray | None = None,
 ) -> Population:
     """Create the initial population: attributes from the per-attribute
     distributions, positions packed without overlap inside the spawn
-    region.  Fully reproducible from the seed streams.
+    region (a cell rectangle, a room of ``Geometry.room_labels``, or every
+    empty cell).  Fully reproducible from the seed streams.
 
     Sampled values of the fractional attributes (health, collaboration,
     insistence, knowledge, experience, nervousness) are clamped to
@@ -175,7 +178,7 @@ def spawn_population(
         rt = draws * (1.0 - 0.5 * np.asarray(sampled["experience"])) * factor
         reaction = np.clip(rt, float(p["rt_min"]), float(p["rt_max"]))
 
-    cells = _spawn_cells(spec, geometry, room_labels)
+    cells = _spawn_cells(spec, geometry)
     if backend == "sf":
         radii = streams.bodies.uniform(float(p["sf_radius_lo"]), float(p["sf_radius_hi"]), size=count)
         positions = _continuous_positions(cells, radii, geometry, streams.spawn_pos)
@@ -207,11 +210,14 @@ def spawn_population(
         age=np.asarray(sampled["age"], dtype=np.int64),
         role=np.asarray(sampled["role"], dtype=np.int64),
         status=np.full(count, int(AgentStatus.PREMOVEMENT), dtype=np.uint8),
+        end_t=np.full(count, np.nan),
+        path_len=np.zeros(count),
+        replans=np.zeros(count, dtype=np.int64),
         target=np.full(count, NO_TARGET, dtype=np.int32),
     )
 
 
-def _spawn_cells(spec: PopulationSpec, geometry: Geometry, room_labels: np.ndarray | None) -> list[tuple[int, int]]:
+def _spawn_cells(spec: PopulationSpec, geometry: Geometry) -> list[tuple[int, int]]:
     empty = geometry.kinds == CellKind.EMPTY
     if spec.spawn_rect is not None:
         x0, y0, x1, y1 = spec.spawn_rect
@@ -222,7 +228,7 @@ def _spawn_cells(spec: PopulationSpec, geometry: Geometry, room_labels: np.ndarr
             if empty[y, x]
         ]
     elif spec.spawn_node is not None:
-        ys, xs = np.nonzero(room_labels == spec.spawn_node)
+        ys, xs = np.nonzero(geometry.room_labels == spec.spawn_node)
         cells = sorted(zip(xs.tolist(), ys.tolist()), key=lambda c: (c[1], c[0]))
     else:
         ys, xs = np.nonzero(empty)

@@ -13,12 +13,13 @@ The backend is one mover from ``MOVERS``, picked by ``config.backend``;
 the shared phases call only its ``steer(ids)`` (after a decision round),
 ``step(k, t)`` (one movement tick with its arrivals, door crossings and
 clog checks), ``remove(i)`` (agent i left the building by exit or
-death) and ``warnings``.  ``Population.status`` is the one record of
-who is in the building and who may move: each step reads it there, and
-no mover keeps a copy.  Class constants on each mover give its default
-decision and trajectory cadence, whether it makes decision rounds at
-all, and whether it needs door sites and the route network, which is
-always derived from the floor plan.
+death) and ``warnings``.  ``Population`` is the one record of each
+agent's state, status, exit or death time, path length and replan count
+included: each step reads and writes it there, and no mover keeps a
+copy.  Class constants on each mover give its default decision and
+trajectory cadence, whether it makes decision rounds at all, and whether
+it needs door sites and the route network; only a mover that needs the
+network derives it.  Room labels are read from ``Geometry.room_labels``.
 
 The run stacks its distance fields once, a layer per exit zone and then
 the all-exits field, and the lattice mover, the social-force steering
@@ -165,13 +166,11 @@ def _make_door_site(geometry: Geometry, door_id: str, cells: list[tuple[int, int
     else:
         # single cell (or square cluster): passage direction is the axis
         # with more open neighbours
-        open_mask = geometry.open_mask
         counts = [0, 0]
         for (x, y) in cells:
-            for axis, (dx, dy) in ((0, (1, 0)), (0, (-1, 0)), (1, (0, 1)), (1, (0, -1))):
-                nx, ny = x + dx, y + dy
-                if geometry.in_bounds(nx, ny) and open_mask[ny, nx]:
-                    counts[axis] += 1
+            for nx, ny in geometry.orthogonal(x, y):
+                if geometry.open_mask[ny, nx]:
+                    counts[0 if nx != x else 1] += 1
         normal_axis = 0 if counts[0] >= counts[1] else 1
     step = np.zeros(2, dtype=np.int64)
     step[normal_axis] = 1
@@ -243,15 +242,12 @@ class _Simulation:
         self.zone_centers = np.array([cells_center(z.cells, self.cs) for z in self.zones]).reshape(-1, 2)
         self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in self.zones]
 
-        # route network: the movers that need it move or steer on it, and
-        # spawn-by-node needs its room labels
+        # route network, for the movers that move or steer on it
         self.network = None
-        self.room_labels = None
         self.n_rooms = 0
-        if mover_cls.needs_network or scenario.population.spawn_node is not None:
+        if mover_cls.needs_network:
             self.network = derive_network(geometry, self.params)
-            self.room_labels = self.network.room_labels
-            self.n_rooms = int(self.room_labels.max()) + 1
+            self.n_rooms = geometry.topology.n_rooms
             self.warnings.extend(self.network.warnings)
 
         self.hazard = load_hazard_field(scenario)
@@ -262,17 +258,12 @@ class _Simulation:
         )
 
         # population: the one copy of every agent's state
-        self.pop = spawn_population(
-            scenario.population, geometry, self.streams, self.params, self.backend, self.room_labels
-        )
+        self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, self.backend)
         n = len(self.pop)
         self.n = n
 
         self.ids = np.arange(n, dtype=np.int64)
         self.desired = np.zeros(n)
-        self.path_len = np.zeros(n)
-        self.replans = np.zeros(n, dtype=np.int64)
-        self.end_t = np.full(n, np.nan)  # exit or death time
 
         # local hazard exposure, refreshed per tick (constant when ambient)
         self.local_temp = np.full(n, AMBIENT_TEMP)
@@ -346,7 +337,7 @@ class _Simulation:
 
     def _kill(self, i: int, t: float) -> None:
         self.pop.status[i] = int(AgentStatus.DEAD)
-        self.end_t[i] = t
+        self.pop.end_t[i] = t
         self.events.append(EventRecord(t, "died", i, {}))
         self.mover.remove(i)
 
@@ -399,7 +390,7 @@ class _Simulation:
         desired, replanned, announce = decide(self.pop, deciders, percepts, self.beliefs, rng, self.params)
         self.desired[deciders] = desired
         replanners = deciders[replanned]
-        self.replans[replanners] += 1
+        self.pop.replans[replanners] += 1
         for i in replanners.tolist():
             self.events.append(EventRecord(t, "replanned", i, {"to": int(self.pop.target[i])}))
         self.mover.steer(deciders)
@@ -412,12 +403,10 @@ class _Simulation:
                     EventRecord(t, "informed", i, {"receivers": receivers, "kinds": ["exit_blocked"]})
                 )
 
-    def _exit_agent(self, i: int, t: float, zone_id: int | None, door_id: str | None) -> None:
+    def _exit_agent(self, i: int, t: float, zone_id: int, door_id: str | None) -> None:
         self.pop.status[i] = int(AgentStatus.EXITED)
-        self.end_t[i] = t
-        payload: dict = {}
-        if zone_id is not None:
-            payload["exit"] = int(zone_id)
+        self.pop.end_t[i] = t
+        payload: dict = {"exit": int(zone_id)}
         if door_id is not None:
             payload["door"] = door_id
         self.events.append(EventRecord(t, "exited", i, payload))
@@ -496,7 +485,7 @@ class _Simulation:
                 replan_count=replans,
             )
             for i, (status, end_t, path_length, replans) in enumerate(
-                zip(pop.status.tolist(), self.end_t.tolist(), self.path_len.tolist(), self.replans.tolist())
+                zip(pop.status.tolist(), pop.end_t.tolist(), pop.path_len.tolist(), pop.replans.tolist())
             )
         ]
 
@@ -612,7 +601,7 @@ class _CaMover(_Mover):
         ny = state.y[moved].astype(np.float64)
         pop.pos[moved, 0] = (nx + 0.5) * cs
         pop.pos[moved, 1] = (ny + 0.5) * cs
-        sim.path_len[moved] += np.hypot((nx - ox) * cs, (ny - oy) * cs)
+        pop.path_len[moved] += np.hypot((nx - ox) * cs, (ny - oy) * cs)
         # crossings: stepping onto an instrumented span from outside it
         site_new = sim.site_of_cell[ny.astype(np.int64), nx.astype(np.int64)]
         site_old = sim.site_of_cell[oy.astype(np.int64), ox.astype(np.int64)]
@@ -673,7 +662,7 @@ class _SfMover(_Mover):
         cx, cy = sim.geometry.cells_of(pos).T
         layer = np.where(sim.pop.target[ids] >= 0, sim.pop.target[ids], len(sim.zones))
         hop = self._hop(layer, cx, cy)
-        arc = self.next_arc[layer, sim.room_labels[cy, cx]]
+        arc = self.next_arc[layer, sim.geometry.room_labels[cy, cx]]
         aim = self.door_aim[arc]
         doorless = (arc >= 0) & np.isnan(aim[:, 0])
         for z, cells in enumerate(sim.zone_cells):
@@ -701,19 +690,19 @@ class _SfMover(_Mover):
         """Where to aim when taking this arc through this door: just beyond
         the door centre on the destination side."""
         sim = self.sim
+        geometry = sim.geometry
         center = np.array(cells_center(door.cells, sim.cs))
         # destination-side cells adjacent to the span
         if arc.dst >= sim.n_rooms:
             labels, label = sim.zone_grid, arc.dst - sim.n_rooms
         else:
-            labels, label = sim.room_labels, arc.dst
+            labels, label = geometry.room_labels, arc.dst
         acc = np.zeros(2)
         count = 0
         for (x, y) in door.cells:
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nx, ny = x + dx, y + dy
-                if sim.geometry.in_bounds(nx, ny) and int(labels[ny, nx]) == label:
-                    acc += sim.geometry.cell_center(nx, ny)
+            for nx, ny in geometry.orthogonal(x, y):
+                if int(labels[ny, nx]) == label:
+                    acc += geometry.cell_center(nx, ny)
                     count += 1
         if count:
             direction = acc / count - center
@@ -741,7 +730,7 @@ class _SfMover(_Mover):
         if len(present) == 0:
             return
         delta = new_pos - old_pos
-        sim.path_len[present] += np.hypot(delta[:, 0], delta[:, 1])
+        pop.path_len[present] += np.hypot(delta[:, 0], delta[:, 1])
 
         # plane crossings through interior openings; openings lying on
         # exit cells swallow bodies before their centre reaches the
@@ -818,10 +807,11 @@ class _FlowMover(_Mover):
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
         network = sim.network
+        room_labels = sim.geometry.room_labels
         spawn_node = sim.scenario.population.spawn_node
         assignment: dict[int, int] = {}
         for i, (cx, cy) in enumerate(sim.geometry.cells_of(sim.pop.pos).tolist()):
-            label = spawn_node if spawn_node is not None else int(sim.room_labels[cy, cx])
+            label = spawn_node if spawn_node is not None else int(room_labels[cy, cx])
             assignment[i] = label if label >= 0 else self._nearest_room_label(cx, cy)
         self.state = FlowState.from_assignment(network, assignment)
 
@@ -830,7 +820,7 @@ class _FlowMover(_Mover):
         self.node_points: dict[int, np.ndarray] = {}
         for node in network.nodes:
             if node.kind == "room":
-                ys, xs = np.nonzero(sim.room_labels == node.id)
+                ys, xs = np.nonzero(room_labels == node.id)
                 point = cells_center(list(zip(xs.tolist(), ys.tolist())), sim.cs)
             else:
                 point = sim.geometry.cell_center(*node.cell)
@@ -847,24 +837,15 @@ class _FlowMover(_Mover):
                 )
 
     def _nearest_room_label(self, cx: int, cy: int) -> int:
-        """Closest labelled cell (Chebyshev rings); for agents spawned on
+        """Room of the closest labelled cell (nearest Chebyshev ring, then
+        squared distance, then the lower label); for agents spawned on
         door-span cells that belong to no room region."""
-        labels = self.sim.room_labels
-        h, w = labels.shape
-        for r in range(1, max(h, w)):
-            best = None
-            for y in range(max(0, cy - r), min(h, cy + r + 1)):
-                for x in range(max(0, cx - r), min(w, cx + r + 1)):
-                    if max(abs(x - cx), abs(y - cy)) != r:
-                        continue
-                    if labels[y, x] >= 0:
-                        d = (x - cx) ** 2 + (y - cy) ** 2
-                        key = (d, int(labels[y, x]))
-                        if best is None or key < best:
-                            best = key
-            if best is not None:
-                return best[1]
-        raise SimulationError(f"no room region near cell ({cx}, {cy})")
+        labels = self.sim.geometry.room_labels
+        ys, xs = np.nonzero(labels >= 0)
+        if len(xs) == 0:
+            raise SimulationError(f"no room region near cell ({cx}, {cy})")
+        dx, dy, rooms = xs - cx, ys - cy, labels[ys, xs]
+        return int(rooms[np.lexsort((rooms, dx * dx + dy * dy, np.maximum(abs(dx), abs(dy))))[0]])
 
     def remove(self, i: int) -> None:
         self.state.remove(i)
@@ -881,11 +862,10 @@ class _FlowMover(_Mover):
             hop = float(np.linalg.norm(dst_pt - src_pt))
             dst_node = network.node_by_id(arc.dst)
             for agent_id in cohort.ids:
-                sim.path_len[agent_id] += hop
+                sim.pop.path_len[agent_id] += hop
                 sim.pop.pos[agent_id] = dst_pt
                 if dst_node.kind == "destination":
-                    zone_id = arc.dst - sim.n_rooms if arc.dst >= sim.n_rooms else None
-                    sim._exit_agent(agent_id, t, zone_id, arc.door_id)
+                    sim._exit_agent(agent_id, t, arc.dst - sim.n_rooms, arc.door_id)
         for cohort in self.state.in_transit:
             point = self.arc_points[cohort.arc_index]
             for agent_id in cohort.ids:

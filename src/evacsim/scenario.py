@@ -6,15 +6,23 @@ egress network is always derived from the geometry.  The grid is
 encoded as strings, one character per cell: ``.`` walkable, ``#`` wall,
 ``o`` obstacle, ``E`` exit.  Cell (x, y) is column x of row y; positions
 in metres put the origin at the top-left corner of cell (0, 0).
+
+``Geometry`` owns what the floor plan implies, each part built once on
+first use and kept read-only: the step rules, the exit zones and their
+distance field, the room labels, and the parameter-free ``topology`` of
+room and destination nodes and the links between them.
+``derive_network`` only prices those links under the run parameters.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +64,6 @@ class Door:
     id: str
     cells: list[tuple[int, int]]
     width: float  # m, clear width used for capacity derivation
-
-    def span_length(self, cell_size: float) -> float:
-        return len(self.cells) * cell_size
 
 
 @dataclass
@@ -121,6 +126,36 @@ class Geometry:
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
 
+    def orthogonal(self, x: int, y: int) -> list[tuple[int, int]]:
+        """The in-bounds 4-neighbours of (x, y), in the order +x, -x, +y, -y."""
+        return [
+            (x + dx, y + dy)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            if 0 <= x + dx < self.width and 0 <= y + dy < self.height
+        ]
+
+    def _components(self, mask: np.ndarray) -> list[list[tuple[int, int]]]:
+        """The 4-connected components of ``mask``, in scan order of their
+        first cell."""
+        inside = mask.tolist()
+        seen = [[False] * self.width for _ in range(self.height)]
+        components = []
+        for y, x in np.argwhere(mask).tolist():
+            if seen[y][x]:
+                continue
+            seen[y][x] = True
+            stack = [(x, y)]
+            cells = []
+            while stack:
+                cx, cy = stack.pop()
+                cells.append((cx, cy))
+                for nx, ny in self.orthogonal(cx, cy):
+                    if inside[ny][nx] and not seen[ny][nx]:
+                        seen[ny][nx] = True
+                        stack.append((nx, ny))
+            components.append(cells)
+        return components
+
     def is_open(self, x: int, y: int) -> bool:
         return self.in_bounds(x, y) and bool(self.open_mask[y, x])
 
@@ -138,15 +173,10 @@ class Geometry:
     @cached_property
     def exit_zones(self) -> list[ExitZone]:
         """Exit cells grouped into 4-connected clusters, in scan order."""
-        exit_mask = self.kinds == CellKind.EXIT
-        seen = np.zeros_like(exit_mask, dtype=bool)
-        zones: list[ExitZone] = []
-        for y in range(self.height):
-            for x in range(self.width):
-                if exit_mask[y, x] and not seen[y, x]:
-                    cells = _flood(exit_mask, seen, x, y)
-                    zones.append(ExitZone(id=len(zones), cells=sorted(cells, key=lambda c: (c[1], c[0]))))
-        return zones
+        return [
+            ExitZone(id=i, cells=sorted(cells, key=lambda c: (c[1], c[0])))
+            for i, cells in enumerate(self._components(self.kinds == CellKind.EXIT))
+        ]
 
     @cached_property
     def zone_grid(self) -> np.ndarray:
@@ -157,6 +187,72 @@ class Geometry:
                 out[y, x] = zone.id
         out.flags.writeable = False
         return out
+
+    # -- rooms and links -------------------------------------------------
+    @cached_property
+    def room_labels(self) -> np.ndarray:
+        """int32 grid of room ids: the 4-connected regions of empty cells
+        that door spans separate, numbered in scan order; -1 on walls,
+        obstacles, exit cells and door cells."""
+        fillable = self.kinds == CellKind.EMPTY
+        for door in self.doors:
+            for (x, y) in door.cells:
+                fillable[y, x] = False
+        labels = np.full((self.height, self.width), -1, dtype=np.int32)
+        for room, cells in enumerate(self._components(fillable)):
+            xs, ys = zip(*cells)
+            labels[ys, xs] = room
+        labels.flags.writeable = False
+        return labels
+
+    @cached_property
+    def topology(self) -> Topology:
+        """The route network before pricing.  Every room is a node, and so
+        is every exit zone (a destination, id ``n_rooms`` + zone id).  A
+        door links each pair of rooms it touches both ways, and each of
+        them one way into each exit zone it touches; a room that touches
+        an exit zone without a door gets a one-way link one cell deep,
+        as wide as the room cells along the contact.  Rooms with no path
+        to a destination are dropped, with a warning."""
+        labels = self.room_labels
+        zone_grid = self.zone_grid
+        cs = self.cell_size
+        n_rooms = int(labels.max()) + 1
+        nodes = []
+        for room in range(n_rooms):
+            ys, xs = np.nonzero(labels == room)
+            nodes.append(Node(room, "room", _region_centroid_cell(list(zip(xs.tolist(), ys.tolist())))))
+        nodes += [Node(n_rooms + z.id, "destination", _region_centroid_cell(z.cells)) for z in self.exit_zones]
+
+        links: list[Link] = []
+        for door in self.doors:
+            cells = door.cells + [n for (x, y) in door.cells for n in self.orthogonal(x, y)]
+            rooms = sorted({int(labels[y, x]) for (x, y) in cells} - {-1})
+            zones = sorted({int(zone_grid[y, x]) for (x, y) in cells} - {-1})
+            span, width = len(door.cells) * cs, door.width
+            for i, r1 in enumerate(rooms):
+                for r2 in rooms[i + 1:]:
+                    links += [Link(r1, r2, door.id, span, width), Link(r2, r1, door.id, span, width)]
+            links += [Link(r, n_rooms + z, door.id, span, width) for r in rooms for z in zones]
+        doored = {(link.src, link.dst) for link in links}
+        contact = Counter(
+            (int(labels[ny, nx]), zone.id)
+            for zone in self.exit_zones
+            for (x, y) in zone.cells
+            for nx, ny in self.orthogonal(x, y)
+            if labels[ny, nx] >= 0
+        )
+        for (r, z), n_cells in sorted(contact.items()):
+            if (r, n_rooms + z) not in doored:
+                links.append(Link(r, n_rooms + z, f"exit:{z}", cs, n_cells * cs))
+
+        unreachable = unreachable_nodes(nodes, links)
+        return Topology(
+            n_rooms,
+            tuple(n for n in nodes if n.id not in unreachable),
+            tuple(link for link in links if link.src not in unreachable and link.dst not in unreachable),
+            (f"dropped unreachable room nodes {sorted(unreachable)}",) if unreachable else (),
+        )
 
     # -- validation ------------------------------------------------------
     def validate(self) -> list[str]:
@@ -180,22 +276,6 @@ class Geometry:
         if unreachable:
             warnings.append(f"{unreachable} open cell(s) cannot reach any exit")
         return warnings
-
-
-def _flood(mask: np.ndarray, seen: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:
-    """4-connected component of ``mask`` containing (x, y); marks ``seen``."""
-    h, w = mask.shape
-    stack = [(x, y)]
-    seen[y, x] = True
-    cells = []
-    while stack:
-        cx, cy = stack.pop()
-        cells.append((cx, cy))
-        for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-            if 0 <= nx < w and 0 <= ny < h and mask[ny, nx] and not seen[ny, nx]:
-                seen[ny, nx] = True
-                stack.append((nx, ny))
-    return cells
 
 
 def _check_door_span(geometry: Geometry, door: Door) -> None:
@@ -295,11 +375,31 @@ def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     id: int
     kind: str                 # "room" | "destination"
     cell: tuple[int, int]     # representative cell
+
+
+class Link(NamedTuple):
+    """A way from node ``src`` to node ``dst``: through a declared door,
+    or across a room's doorless contact with an exit zone (door id
+    ``exit:<zone>``)."""
+
+    src: int
+    dst: int
+    door_id: str
+    span: float               # m walked through the opening
+    width: float              # m of clear width
+
+
+@dataclass(frozen=True)
+class Topology:
+    n_rooms: int              # room labels before pruning; destination ids follow them
+    nodes: tuple[Node, ...]
+    links: tuple[Link, ...]
+    warnings: tuple[str, ...]
 
 
 @dataclass
@@ -315,7 +415,6 @@ class Arc:
 class EgressNetwork:
     nodes: list[Node]
     arcs: list[Arc]
-    room_labels: np.ndarray   # int32 grid, room region id or -1
     warnings: list[str] = field(default_factory=list)
 
     def node_by_id(self, node_id: int) -> Node:
@@ -330,40 +429,19 @@ class EgressNetwork:
     def out_arcs(self, node_id: int) -> list[tuple[int, Arc]]:
         return [(i, a) for i, a in enumerate(self.arcs) if a.src == node_id]
 
-    def unreachable_nodes(self) -> set[int]:
-        """Node ids with no arc path to any destination."""
-        reachable = {n.id for n in self.nodes if n.kind == "destination"}
-        changed = True
-        while changed:
-            changed = False
-            for arc in self.arcs:
-                if arc.dst in reachable and arc.src not in reachable:
-                    reachable.add(arc.src)
-                    changed = True
-        return {n.id for n in self.nodes} - reachable
 
-
-def room_regions(geometry: Geometry) -> np.ndarray:
-    """Label 4-connected walkable regions, excluding door spans and exits.
-
-    Returns an int32 grid: region id in scan order, or -1 for walls,
-    obstacles, exit cells and door cells (door cells act as separators).
-    """
-    door_cells = {cell for door in geometry.doors for cell in door.cells}
-    fillable = (geometry.kinds == CellKind.EMPTY).copy()
-    for (x, y) in door_cells:
-        if geometry.in_bounds(x, y):
-            fillable[y, x] = False
-    labels = np.full((geometry.height, geometry.width), -1, dtype=np.int32)
-    seen = np.zeros_like(fillable, dtype=bool)
-    next_label = 0
-    for y in range(geometry.height):
-        for x in range(geometry.width):
-            if fillable[y, x] and not seen[y, x]:
-                for (cx, cy) in _flood(fillable, seen, x, y):
-                    labels[cy, cx] = next_label
-                next_label += 1
-    return labels
+def unreachable_nodes(nodes, edges) -> set[int]:
+    """Ids of the ``nodes`` with no path along ``edges`` (links or arcs)
+    to a destination."""
+    reachable = {n.id for n in nodes if n.kind == "destination"}
+    changed = True
+    while changed:
+        changed = False
+        for edge in edges:
+            if edge.dst in reachable and edge.src not in reachable:
+                reachable.add(edge.src)
+                changed = True
+    return {n.id for n in nodes} - reachable
 
 
 def _region_centroid_cell(cells: list[tuple[int, int]]) -> tuple[int, int]:
@@ -373,104 +451,20 @@ def _region_centroid_cell(cells: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def derive_network(geometry: Geometry, params: dict | None = None) -> EgressNetwork:
-    """Build the coarse egress network from the floor plan.
-
-    Walkable regions separated by door spans become room nodes; each
-    exit-cell cluster becomes a destination.  Every door yields an arc
-    pair between the rooms it joins (one-way when it leads into an
-    exit); rooms directly adjacent to exit cells get a one-way arc as
-    well.  Arc traversal time comes from the span length at the
-    reference walking speed; capacity from the clear width.
-    """
+    """The egress network of ``geometry.topology`` under ``params``: each
+    link becomes an arc taking ``ceil(span / (v_ref * flow_tick))`` ticks
+    and passing ``max(1, half_up(width * c_door))`` persons per tick."""
     p = dict(PARAM_DEFAULTS)
     if params:
         p.update(params)
-    cs = geometry.cell_size
-    v_ref = float(p["v_ref"])
-    flow_tick = float(p["flow_tick"])
+    metres_per_tick = float(p["v_ref"]) * float(p["flow_tick"])
     c_door = float(p["c_door"])
-
-    labels = room_regions(geometry)
-    n_rooms = int(labels.max()) + 1 if labels.size else 0
-    region_cells: dict[int, list[tuple[int, int]]] = {r: [] for r in range(n_rooms)}
-    for y in range(geometry.height):
-        for x in range(geometry.width):
-            r = int(labels[y, x])
-            if r >= 0:
-                region_cells[r].append((x, y))
-
-    zones = geometry.exit_zones
-    zone_grid = geometry.zone_grid
-
-    nodes: list[Node] = []
-    for r in range(n_rooms):
-        nodes.append(Node(id=r, kind="room", cell=_region_centroid_cell(region_cells[r])))
-    zone_node_id = {zone.id: n_rooms + zone.id for zone in zones}
-    for zone in zones:
-        nodes.append(Node(id=zone_node_id[zone.id], kind="destination", cell=_region_centroid_cell(zone.cells)))
-
-    arcs: list[Arc] = []
-
-    def door_params(door: Door) -> tuple[int, int]:
-        traversal = math.ceil(door.span_length(cs) / (v_ref * flow_tick))
-        capacity = max(1, half_up(door.width * c_door))
-        return traversal, capacity
-
-    doored_pairs: set[tuple[int, int]] = set()
-    for door in geometry.doors:
-        adj_rooms: set[int] = set()
-        adj_zones: set[int] = set()
-        for (x, y) in door.cells:
-            if zone_grid[y, x] >= 0:
-                adj_zones.add(int(zone_grid[y, x]))
-            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if not geometry.in_bounds(nx, ny):
-                    continue
-                if labels[ny, nx] >= 0:
-                    adj_rooms.add(int(labels[ny, nx]))
-                if zone_grid[ny, nx] >= 0:
-                    adj_zones.add(int(zone_grid[ny, nx]))
-        traversal, capacity = door_params(door)
-        rooms = sorted(adj_rooms)
-        for i, r1 in enumerate(rooms):
-            for r2 in rooms[i + 1:]:
-                arcs.append(Arc(r1, r2, traversal, capacity, door.id))
-                arcs.append(Arc(r2, r1, traversal, capacity, door.id))
-                doored_pairs.add((r1, r2))
-                doored_pairs.add((r2, r1))
-        for r in rooms:
-            for z in sorted(adj_zones):
-                arcs.append(Arc(r, zone_node_id[z], traversal, capacity, door.id))
-                doored_pairs.add((r, zone_node_id[z]))
-
-    # direct room/exit contact without a door record
-    contact: dict[tuple[int, int], int] = {}
-    for y in range(geometry.height):
-        for x in range(geometry.width):
-            r = int(labels[y, x])
-            if r < 0:
-                continue
-            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if geometry.in_bounds(nx, ny) and zone_grid[ny, nx] >= 0:
-                    key = (r, int(zone_grid[ny, nx]))
-                    contact[key] = contact.get(key, 0) + 1
-    for (r, z), n_cells in sorted(contact.items()):
-        if (r, zone_node_id[z]) in doored_pairs:
-            continue
-        width = n_cells * cs
-        traversal = math.ceil(cs / (v_ref * flow_tick))
-        capacity = max(1, half_up(width * c_door))
-        arcs.append(Arc(r, zone_node_id[z], traversal, capacity, f"exit:{z}"))
-
-    network = EgressNetwork(nodes=nodes, arcs=arcs, room_labels=labels)
-
-    # prune rooms that cannot reach any destination (e.g. sealed rooms)
-    unreachable = network.unreachable_nodes()
-    if unreachable:
-        network.warnings.append(f"dropped unreachable room nodes {sorted(unreachable)}")
-        network.nodes = [n for n in network.nodes if n.id not in unreachable]
-        network.arcs = [a for a in network.arcs if a.src not in unreachable and a.dst not in unreachable]
-    return network
+    topology = geometry.topology
+    arcs = [
+        Arc(src, dst, math.ceil(span / metres_per_tick), max(1, half_up(width * c_door)), door_id)
+        for src, dst, door_id, span, width in topology.links
+    ]
+    return EgressNetwork(nodes=list(topology.nodes), arcs=arcs, warnings=list(topology.warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +600,13 @@ class PopulationSpec:
             sealed = int((geometry.open_mask[box] & ~np.isfinite(geometry.exit_distance[box])).sum())
             if sealed:
                 raise SemanticViolation("population.spawn", f"{sealed} open cell(s) in the rect cannot reach an exit")
-        # room regions are labelled 0, 1, ... in scan order
-        if self.spawn_node is not None and self.spawn_node not in range(int(room_regions(geometry).max()) + 1):
-            raise SemanticViolation("population.spawn.node", f"node {self.spawn_node} has no cells")
-        # derive_network drops the rooms with no way out
-        if self.spawn_node is not None and all(n.id != self.spawn_node for n in derive_network(geometry, params).nodes):
-            raise SemanticViolation("population.spawn.node", f"room {self.spawn_node} cannot reach an exit")
+        if self.spawn_node is not None:
+            topology = geometry.topology
+            if self.spawn_node not in range(topology.n_rooms):
+                raise SemanticViolation("population.spawn.node", f"node {self.spawn_node} has no cells")
+            # the topology drops the rooms with no way out
+            if all(n.id != self.spawn_node for n in topology.nodes):
+                raise SemanticViolation("population.spawn.node", f"room {self.spawn_node} cannot reach an exit")
         self.attribute_specs(params)
 
     def attribute_specs(self, params: dict) -> dict[str, DistSpec]:

@@ -142,6 +142,9 @@ def one_agent(**attrs):
         age=35,
         role=0,
         status=int(AgentStatus.MOVING),
+        end_t=np.nan,
+        path_len=0.0,
+        replans=0,
         target=NO_TARGET,
     )
     row.update(attrs)

@@ -20,7 +20,7 @@ def _path_network(n_hops=1, traversal=1, capacity=1):
         Arc(src=i, dst=i + 1, traversal_time=traversal, capacity=capacity, door_id=f"a{i}")
         for i in range(n_hops)
     ]
-    return EgressNetwork(nodes=nodes, arcs=arcs, room_labels=np.zeros((1, 1), dtype=np.int32), warnings=[])
+    return EgressNetwork(nodes=nodes, arcs=arcs, warnings=[])
 
 
 def _drain(state, eligible, max_ticks=100_000):
@@ -115,7 +115,7 @@ def test_flow_route_picks_nearest_destination():
         Arc(src=0, dst=3, traversal_time=1, capacity=1, door_id="near"),
         Arc(src=1, dst=2, traversal_time=1, capacity=1, door_id="n2"),
     ]
-    net = EgressNetwork(nodes=nodes, arcs=arcs, room_labels=np.zeros((1, 1), dtype=np.int32), warnings=[])
+    net = EgressNetwork(nodes=nodes, arcs=arcs, warnings=[])
     routes = flow_route(net)
     assert routes[0] == 1  # arc index of "near"
     assert routes[1] == 2
@@ -130,7 +130,7 @@ def test_unreachable_room_is_a_connectivity_error():
         Node(id=2, kind="destination", cell=(2, 0)),
     ]
     arcs = [Arc(src=0, dst=2, traversal_time=1, capacity=1, door_id="only")]
-    net = EgressNetwork(nodes=nodes, arcs=arcs, room_labels=np.zeros((1, 1), dtype=np.int32), warnings=[])
+    net = EgressNetwork(nodes=nodes, arcs=arcs, warnings=[])
     with pytest.raises(SemanticViolation):
         flow_route(net)
 

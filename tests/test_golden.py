@@ -24,7 +24,6 @@ import pytest
 
 import evacsim.socialforce as sf_mod
 from evacsim import EMPTY_STATE_DIGEST, export_trajectories, parse_scenario, run, serialize_scenario
-from evacsim.scenario import room_regions
 
 from conftest import SCENARIOS, grid_rows, room_doc, run_cli
 
@@ -282,7 +281,7 @@ def test_spawn_by_node_digest(backend, digest, outcome):
     assert _outcome(result) == outcome
     _t, _ids, xs, ys, _health, _status = result.trajectory[0]
     cx, cy = scenario.geometry.cells_of(np.stack([xs, ys], axis=1)).T
-    assert (room_regions(scenario.geometry)[cy, cx] == 0).all()
+    assert (scenario.geometry.room_labels[cy, cx] == 0).all()
 
 
 def test_flow_starts_people_on_door_cells_in_the_nearest_room():

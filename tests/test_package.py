@@ -69,3 +69,40 @@ def test_every_method_is_used_in_the_package():
                 if used[name] == _names(node)[name]:
                     unused.append(f"{module}:{cls.name}.{name}")
     assert unused == []
+
+
+def _unit_step(node):
+    """(dx, dy) when ``node`` is a pair literal of unit steps -- each item
+    an integer, or a name plus or minus 1 (a bare name steps 0) -- else None."""
+    if not isinstance(node, (ast.Tuple, ast.List)) or len(node.elts) != 2:
+        return None
+    step = []
+    for item in node.elts:
+        if isinstance(item, ast.Name):
+            step.append(0)
+        elif isinstance(item, ast.BinOp) and isinstance(item.op, (ast.Add, ast.Sub)):
+            if not (isinstance(item.right, ast.Constant) and item.right.value == 1):
+                return None
+            step.append(1 if isinstance(item.op, ast.Add) else -1)
+        else:
+            try:
+                step.append(ast.literal_eval(item))
+            except ValueError:
+                return None
+    return tuple(step) if all(s in (-1, 0, 1) for s in step) else None
+
+
+def test_the_four_neighbour_offsets_are_written_once():
+    # the orthogonal neighbourhood is one rule (Geometry.orthogonal): a
+    # literal listing the four unit steps, directly or one level down as
+    # in ((axis, (dx, dy)), ...), appears in exactly one place
+    four = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    places = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Tuple, ast.List)):
+                continue
+            items = list(node.elts) + [sub for item in node.elts if isinstance(item, ast.Tuple) for sub in item.elts]
+            if {_unit_step(item) for item in items} - {None} == four:
+                places.append(f"{module}:{node.lineno}")
+    assert len(places) == 1, places

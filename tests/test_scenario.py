@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import evacsim
+import evacsim.cli
 from evacsim import (
     PARAM_DEFAULTS,
     ScenarioSyntaxError,
@@ -26,10 +27,10 @@ from evacsim.scenario import (
     distance_field,
     half_up,
     los_pairs,
-    room_regions,
+    unreachable_nodes,
 )
 
-from conftest import doc_text, grid_rows, make_scenario, room_doc, run_cli
+from conftest import SCENARIOS, doc_text, grid_rows, make_scenario, room_doc, run_cli
 
 SQRT2 = math.sqrt(2.0)
 
@@ -216,7 +217,7 @@ def test_shipped_scenarios_parse():
         for arc in net.arcs:
             assert arc.src in ids and arc.dst in ids, path
             assert arc.capacity >= 1 and arc.traversal_time >= 0, path
-        assert net.unreachable_nodes() == set(), path
+        assert unreachable_nodes(net.nodes, net.arcs) == set(), path
 
 
 # -- rounding ---------------------------------------------------------------
@@ -454,10 +455,11 @@ def test_room_regions_separates_rooms():
     ]
     doc = room_doc(rows, count=1, spawn=[5, 2, 5, 2])
     geo = make_scenario(doc).geometry
-    labels = room_regions(geo)
+    labels = geo.room_labels
     assert labels[1, 1] != labels[1, 4]
     assert labels[1, 4] == labels[3, 5]
     assert labels[0, 0] < 0  # walls carry no room label
+    assert not labels.flags.writeable and geo.room_labels is labels
 
 
 def test_derive_network_two_rooms_one_door():
@@ -488,6 +490,7 @@ def test_derive_network_two_rooms_one_door():
     for arc in net.arcs:
         assert arc.capacity >= 1
         assert arc.traversal_time >= 0
+    assert not geo.room_labels.flags.writeable and geo.room_labels is geo.room_labels
 
 
 def test_undeclared_gap_joins_rooms_into_one():
@@ -526,10 +529,39 @@ def test_derive_network_declared_door_capacity_scales_with_width():
         doc = json.loads(json.dumps(base))
         doc["geometry"]["cells"] = [r.replace("d", ".") for r in doc["geometry"]["cells"]]
         doc["geometry"]["doors"] = [{"id": "mid", "cells": [[3, 2]], "width": width}]
-        net = derive_network(make_scenario(doc).geometry)
+        geo = make_scenario(doc).geometry
+        net = derive_network(geo)
+        assert not geo.room_labels.flags.writeable and geo.room_labels is geo.room_labels
         return next(a.capacity for a in net.arcs if a.door_id == "mid")
 
     assert with_width(2.0) > with_width(0.5)
+
+
+def test_spawn_node_derives_the_network_at_most_once(monkeypatch, tmp_path):
+    # validation reads the cached topology; a run derives the network only
+    # for a mover that moves or steers on it, and `validate` once to print it
+    calls = []
+    for module in (evacsim.scenario, evacsim.engine, evacsim.cli):
+
+        def counted(*args, _derive=module.derive_network, **kwargs):
+            calls.append(1)
+            return _derive(*args, **kwargs)
+
+        monkeypatch.setattr(module, "derive_network", counted)
+    with open(os.path.join(SCENARIOS, "two_rooms.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["population"]["spawn"] = {"node": 0}
+    doc["config"]["max_sim_time"] = 5.0
+    for backend, want in (("flow", 1), ("ca", 0)):
+        doc["config"]["backend"] = backend
+        calls.clear()
+        run(parse_scenario(json.dumps(doc)))
+        assert len(calls) == want, backend
+    path = tmp_path / "two_rooms_node.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls.clear()
+    assert evacsim.cli.main(["validate", str(path)]) == 0
+    assert len(calls) == 1
 
 
 def test_cells_of_clamps_to_the_grid_like_clip():

@@ -732,7 +732,7 @@ class _ScalarSteering:
         self.geo = geo
         self.reach = float(params["waypoint_reach"])
         network = derive_network(geo, params)
-        self.labels = network.room_labels
+        self.labels = geo.room_labels
         n_rooms = int(self.labels.max()) + 1
         self.fields = [distance_field(geo, zone.cells) for zone in geo.exit_zones]
         self.routes = [route_to_destination(network, n_rooms + zone.id) for zone in geo.exit_zones]
