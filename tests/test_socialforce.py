@@ -568,6 +568,110 @@ def test_kernels_match_the_reference_without_pairs():
     assert np.array_equal(got_vel, vel)
 
 
+def _ref_driving(pos, vel, mass, desired_speed, waypoint, params):
+    heading = waypoint - pos
+    has_goal = np.isfinite(heading).all(axis=1)
+    norm = np.sqrt(heading[:, 0] * heading[:, 0] + heading[:, 1] * heading[:, 1])
+    e = np.where(has_goal[:, None], heading / np.maximum(norm, 1e-12)[:, None], 0.0)
+    return mass[:, None] * (desired_speed[:, None] * e - vel) / float(params["sf_tau"])
+
+
+def _ref_penetration(geo, old_pos, new_pos, vel):
+    """Bodies that stepped (or tunnelled) into a blocked cell go back into
+    their previous cell, less the into-wall velocity."""
+    cs = geo.cell_size
+    h, w = geo.blocked_mask.shape
+
+    def blocked_at(points):
+        cx = (points[:, 0] / cs).astype(np.int64)
+        cy = (points[:, 1] / cs).astype(np.int64)
+        inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        return ~inside | geo.blocked_mask[np.where(inside, cy, 0), np.where(inside, cx, 0)]
+
+    bad = blocked_at(new_pos)
+    step = new_pos - old_pos
+    if (step[:, 0] ** 2 + step[:, 1] ** 2).max(initial=0.0) >= (cs / 2) ** 2:
+        bad |= blocked_at(0.5 * (old_pos + new_pos))
+    rows = np.nonzero(bad)[0]
+    if len(rows) == 0:
+        return new_pos, vel, 0
+    old_cell = np.floor(old_pos[rows] / cs)
+    proj = np.clip(new_pos[rows], old_cell * cs + 1e-6, (old_cell + 1) * cs - 1e-6)
+    push = proj - new_pos[rows]
+    push_len = np.linalg.norm(push, axis=1)
+    normal = np.zeros_like(push)
+    normal[push_len > 1e-12] = push[push_len > 1e-12] / push_len[push_len > 1e-12][:, None]
+    v = vel[rows]
+    v += normal * np.maximum((v * -normal).sum(axis=1), 0.0)[:, None]
+    new_pos, vel = new_pos.copy(), vel.copy()
+    new_pos[rows], vel[rows] = proj, v
+    return new_pos, vel, len(rows)
+
+
+def _ref_sf_step(state, geo, wall_cells, present, desired_speed, waypoint, dt, params):
+    """One step from the reference kernels: every pair and every exposed
+    wall cell, with no neighbour list, wall table or cached constant."""
+    pos, vel = state.pos[present], state.vel[present]
+    mass, radius = state.mass[present], state.radius[present]
+    drive = _ref_driving(pos, vel, mass, desired_speed[present], waypoint[present], params)
+    pair, pair_contacts = _ref_pair_forces(pos, radius, params, np.triu_indices(len(present), 1))
+    wall, wall_contacts, _ = _dense_wall_forces(pos, radius, wall_cells, geo.cell_size, params)
+    vel = vel + (drive + pair + wall) / mass[:, None] * dt
+    vel = _ref_friction(vel, mass, pair_contacts, wall_contacts, dt, params)
+    cap = float(params["sf_speed_slack"]) * float(params["speed_cap"])
+    speed = np.sqrt(vel[:, 0] * vel[:, 0] + vel[:, 1] * vel[:, 1])
+    vel[speed > cap] *= (cap / speed[speed > cap])[:, None]
+    new_pos, vel, projected = _ref_penetration(geo, pos, pos + vel * dt, vel)
+    cells = geo.cells_of(new_pos)
+    assert geo.open_mask[cells[:, 1], cells[:, 0]].all()
+    state.pos[present], state.vel[present] = new_pos, vel
+    state.projected += projected
+    return new_pos, cells, (len(pair_contacts[0]), len(wall_contacts[0]))
+
+
+def test_sf_step_matches_the_reference_step_bit_for_bit():
+    # a crowd closing on a corner of a room with pillars, some bodies
+    # without a goal or standing still, one pair starting at the same
+    # point, a small body thrown into the south wall every 25 steps and
+    # the present set thinning out: positions, velocities, cells and
+    # projections agree after every step
+    pillars = [(5, 5), (6, 5), (10, 8), (11, 3)]
+    geo = make_scenario(room_doc(grid_rows(18, 14, exits=[(17, 3)], walls=pillars), count=1, spawn=[1, 1, 1, 1])).geometry
+    walls = _walls(geo)
+    rng = np.random.default_rng(1)
+    xs, ys = np.meshgrid(np.arange(0.85, 8.0, 0.75), np.arange(0.85, 6.0, 0.75))
+    pos = np.stack([xs.ravel(), ys.ravel()], axis=1) + rng.uniform(-0.05, 0.05, size=(xs.size, 2))
+    pos = pos[geo.open_mask[(pos[:, 1] / 0.5).astype(int), (pos[:, 0] / 0.5).astype(int)]]
+    pos = np.concatenate([pos, pos[:1]])
+    n = len(pos)
+    radius = np.where(np.arange(n) == 1, 0.05, rng.uniform(0.25, 0.35, size=n))
+    state = SfState(pos=pos, vel=np.zeros((n, 2)), radius=radius, mass=rng.uniform(60.0, 90.0, size=n))
+    ref = replace(state, pos=state.pos.copy(), vel=state.vel.copy())
+    desired = rng.uniform(0.5, 2.0, size=n)
+    desired[::9] = 0.0
+    waypoint = np.where(rng.random(n)[:, None] < 0.6, [1.0, 1.0], rng.uniform(1.0, 8.0, size=(n, 2)))
+    waypoint[::11] = np.nan
+    present = np.arange(n)
+    wall_cells = exposed_wall_cells(geo)
+    pair_contacts = wall_contacts = 0
+    for step in range(300):
+        if step % 25 == 10:
+            state.pos[1, 1] = ref.pos[1, 1] = 0.56
+            state.vel[1] = ref.vel[1] = [0.0, -9.0]
+        if step % 60 == 59:
+            present = np.delete(present, int(rng.integers(2, len(present))))
+        got_pos, got_cells = sf_step(state, geo, walls, present, desired, waypoint, 0.02, PARAM_DEFAULTS)
+        want_pos, want_cells, contacts = _ref_sf_step(ref, geo, wall_cells, present, desired, waypoint, 0.02,
+                                                      PARAM_DEFAULTS)
+        assert np.array_equal(got_pos, want_pos), step
+        assert got_cells.dtype == want_cells.dtype and np.array_equal(got_cells, want_cells), step
+        assert np.array_equal(state.pos, ref.pos) and np.array_equal(state.vel, ref.vel), step
+        assert state.projected == ref.projected, step
+        pair_contacts += contacts[0]
+        wall_contacts += contacts[1]
+    assert pair_contacts > 0 and wall_contacts > 0 and ref.projected > 0
+
+
 # -- whole-step properties ------------------------------------------------------------
 
 
