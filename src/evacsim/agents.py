@@ -140,12 +140,15 @@ def spawn_population(
     geometry: Geometry,
     streams,
     params: dict | None = None,
-    backend: str = "ca",
+    bodies: bool = False,
 ) -> Population:
     """Create the initial population: attributes from the per-attribute
     distributions, positions packed without overlap inside the spawn
     region (a cell rectangle, a room of ``Geometry.room_labels``, or every
     empty cell).  Fully reproducible from the seed streams.
+
+    With ``bodies``, each agent is a disc with a sampled radius at a
+    continuous position; otherwise each takes its own cell's centre.
 
     Sampled values of the fractional attributes (health, collaboration,
     insistence, knowledge, experience, nervousness) are clamped to
@@ -179,7 +182,7 @@ def spawn_population(
         reaction = np.clip(rt, float(p["rt_min"]), float(p["rt_max"]))
 
     cells = _spawn_cells(spec, geometry)
-    if backend == "sf":
+    if bodies:
         radii = streams.bodies.uniform(float(p["sf_radius_lo"]), float(p["sf_radius_hi"]), size=count)
         positions = _continuous_positions(cells, radii, geometry, streams.spawn_pos)
     else:

@@ -17,9 +17,10 @@ death) and ``warnings``.  ``Population`` is the one record of each
 agent's state, status, exit or death time, path length and replan count
 included: each step reads and writes it there, and no mover keeps a
 copy.  Class constants on each mover give its default decision and
-trajectory cadence, whether it makes decision rounds at all, and whether
-it needs door sites and the route network; only a mover that needs the
-network derives it.  Room labels are read from ``Geometry.room_labels``.
+trajectory cadence, whether it makes decision rounds at all, whether it
+needs door sites and the route network, and whether its agents spawn as
+bodies; only a mover that needs the network derives it.  Room labels are
+read from ``Geometry.room_labels``.
 
 The run stacks its distance fields once, a layer per exit zone and then
 the all-exits field, and the lattice mover, the social-force steering
@@ -258,7 +259,7 @@ class _Simulation:
         )
 
         # population: the one copy of every agent's state
-        self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, self.backend)
+        self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, mover_cls.bodies)
         n = len(self.pop)
         self.n = n
 
@@ -527,6 +528,7 @@ class _Mover:
     decides = True             # runs decision rounds at all
     needs_sites = False        # counts crossings at instrumented doors
     needs_network = False      # moves or steers on the route network
+    bodies = False             # spawns discs at continuous positions, not one per cell
 
     def __init__(self, sim: _Simulation):
         self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
@@ -619,6 +621,7 @@ class _SfMover(_Mover):
     trajectory_interval = SF_TRAJECTORY_INTERVAL
     needs_sites = True
     needs_network = True
+    bodies = True
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)

@@ -10,9 +10,16 @@ This combination is what produces arch formation and the
 faster-is-slower effect at doorways.
 
 The nearest wall point comes from a per-cell candidate table, built once
-per run: for each grid cell, the exposed wall cells within the cutoff of
-it.  A step clips each body against its own cell's few candidates, not
-against every wall cell.
+per run.  A cell's row holds the exposed wall cells within the cutoff
+that can be the nearest wall to some point of the cell.  A wall's gap is
+the distance between its box and the cell's, its reach the distance from
+the cell's farthest point; a wall stays only if its gap is at most the
+smallest reach over the cell's walls.  That reach bounds the distance
+from every point of the cell to its nearest wall, and gap and reach are
+whole numbers of cells once squared, so a wall dropped is farther than
+the nearest by at least cs / (2U + 1), U that reach in cells: never the
+nearest, nor tied with it.  A step clips each body against its own
+cell's few candidates, not against every wall cell.
 
 Integration is semi-implicit Euler with a speed clamp and a positional
 backstop that keeps body centres out of wall cells even when contact
@@ -21,6 +28,7 @@ forces spike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +52,21 @@ NEIGHBOR_SKIN = 0.4
 # ticks of wall projection listed by name in the run's one summary warning
 PROJECTION_EXAMPLES = 3
 
-def _scatter_add(out: np.ndarray, idx: np.ndarray, vec: np.ndarray) -> None:
-    """out[idx] += vec with repeated indices accumulated (bincount form)."""
-    n = len(out)
-    out[:, 0] += np.bincount(idx, weights=vec[:, 0], minlength=n)
-    out[:, 1] += np.bincount(idx, weights=vec[:, 1], minlength=n)
+def _xy_slots(rows: np.ndarray) -> np.ndarray:
+    """Flat indices of the x, y entries of ``rows`` in an (N, 2) array."""
+    return (2 * rows[:, None] + (0, 1)).ravel()
+
+
+class _Neighbors(NamedTuple):
+    """A candidate pair list and what stays fixed until its rebuild."""
+
+    rows: np.ndarray       # (n,) present ids it was built over
+    ref: np.ndarray        # (n, 2) their positions at the build
+    pairs: tuple           # candidate rows (i, j), ascending
+    radius: np.ndarray     # (n,) radius of each present row
+    mass: np.ndarray       # (n,) mass of each present row
+    r_sum: np.ndarray      # radius[i] + radius[j] per candidate pair
+    slots: np.ndarray      # _xy_slots(rows)
 
 
 @dataclass
@@ -57,6 +75,9 @@ class SfState:
 
     Which bodies are in the building is not recorded here: ``sf_step``
     takes their ids per step, and the rows of everyone else stay put.
+    The neighbour list caches the present rows' radius and mass and each
+    candidate pair's radius sum; they are read again only on a rebuild,
+    so ``radius`` and ``mass`` must not change while it is kept.
     """
 
     pos: np.ndarray                        # (N, 2) m
@@ -70,9 +91,7 @@ class SfState:
     # cached neighbour list: pairs found within cutoff + NEIGHBOR_SKIN of
     # the reference positions stay a superset of the true within-cutoff
     # pairs until some body drifts NEIGHBOR_SKIN/2 from its reference
-    _nbr_rows: np.ndarray | None = field(default=None, repr=False)
-    _nbr_ref: np.ndarray | None = field(default=None, repr=False)
-    _nbr_pairs: tuple | None = field(default=None, repr=False)
+    _nbr: _Neighbors | None = field(default=None, repr=False)
 
     @classmethod
     def from_bodies(cls, pos: np.ndarray, radius: np.ndarray, params: dict | None = None) -> "SfState":
@@ -98,8 +117,9 @@ class SfState:
 
 @dataclass(frozen=True)
 class WallTable:
-    """Per grid cell, the exposed wall cells whose box lies within the
-    cutoff of that cell's box, by ascending wall index.
+    """Per grid cell, by ascending wall index, the exposed wall cells
+    whose box lies within the cutoff of that cell's box and can be the
+    nearest wall to some point of it (module docstring).
 
     On a grid W cells wide, cell (x, y)'s candidates are the first
     ``count[y * W + x]`` entries of ``rows[y * W + x]``; the rest is
@@ -119,22 +139,13 @@ def exposed_wall_cells(geometry: Geometry) -> np.ndarray:
     Interior wall cells buried behind the surface never face an agent,
     so only the exposed shell enters the force computation.
     """
-    blocked = geometry.blocked_mask
-    open_m = geometry.open_mask
-    near_open = np.zeros_like(open_m)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            src = open_m[
-                max(0, dy): open_m.shape[0] + min(0, dy),
-                max(0, dx): open_m.shape[1] + min(0, dx),
-            ]
-            near_open[
-                max(0, -dy): open_m.shape[0] + min(0, -dy),
-                max(0, -dx): open_m.shape[1] + min(0, -dx),
-            ] |= src
-    ys, xs = np.nonzero(blocked & near_open)
+    h, w = geometry.open_mask.shape
+    padded = np.pad(geometry.open_mask, 1)
+    near_open = np.zeros((h, w), dtype=bool)                 # open in the 3x3 block
+    for dy in range(3):
+        for dx in range(3):
+            near_open |= padded[dy: dy + h, dx: dx + w]
+    ys, xs = np.nonzero(geometry.blocked_mask & near_open)
     return np.stack([xs, ys], axis=1).astype(np.int64)
 
 
@@ -150,14 +161,14 @@ def driving_force(
 
     Rows with a NaN waypoint (nothing to head for) relax to rest.
     """
-    tau = float(params["sf_tau"])
     heading = waypoint - pos
-    has_goal = np.isfinite(heading).all(axis=1)
-    # a NaN heading stays NaN through the unit vector, and the where drops it
     norm = np.sqrt(heading[:, 0] * heading[:, 0] + heading[:, 1] * heading[:, 1])
-    e = np.where(has_goal[:, None], heading / np.maximum(norm, 1e-12)[:, None], 0.0)
-    v_target = desired_speed[:, None] * e
-    return mass[:, None] * (v_target - vel) / tau
+    e = heading / np.maximum(norm, 1e-12)[:, None]
+    # a NaN heading stays NaN through the unit vector, and the where drops
+    # it; a finite sum of norms means every row has a goal
+    if not np.isfinite(norm.sum()):
+        e = np.where((np.isfinite(heading[:, 0]) & np.isfinite(heading[:, 1]))[:, None], e, 0.0)
+    return mass[:, None] * (desired_speed[:, None] * e - vel) / float(params["sf_tau"])
 
 
 def pair_forces(
@@ -165,67 +176,74 @@ def pair_forces(
     radius: np.ndarray,
     params: dict,
     pairs: tuple[np.ndarray, np.ndarray],
+    r_sum: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple]:
     """Body-body psychological repulsion plus normal compression.
 
     ``pairs`` are candidate rows ``(i, j)``, ascending, for example from
     ``SpatialHash.query_pairs``; those beyond the cutoff exert nothing.
+    ``r_sum``, if given, is ``radius[i] + radius[j]`` per pair.
     Returns the per-body force array and the touching-contact list
     ``(i, j, tangent, overlap)`` consumed by the sliding-friction pass.
     Accumulation order is fixed (pairs ascending), keeping float sums
     bit-stable for any worker count.
     """
-    a = float(params["sf_a"])
-    b = float(params["sf_b"])
-    k = float(params["sf_k"])
-    cutoff = float(params["sf_cutoff"])
-
+    a, b, k, cutoff = (float(params[key]) for key in ("sf_a", "sf_b", "sf_k", "sf_cutoff"))
     n = len(pos)
     i, j = pairs
     # a row take is ~11x faster than pos[i] (5 vs 55 us on 2868 rows,
     # numpy 2.4), so every (n, 2) row gather of a step is a take
     dx, dy = (pos.take(i, axis=0) - pos.take(j, axis=0)).T
     d2 = dx * dx + dy * dy
-    near = d2 <= cutoff * cutoff
-    dist = np.sqrt(d2)
-    degenerate = dist < 1e-9
-    dist = np.maximum(dist, 1e-9)
-    nx = np.where(degenerate, 1.0, dx / dist)
-    ny = np.where(degenerate, 0.0, dy / dist)
-    gap = radius.take(i) + radius.take(j) - dist
-
-    social = a * np.exp(gap / b)
+    # far pairs are masked, not dropped: set infinitely far, they exert
+    # +0.0 along a +-0.0 normal, and as a bin starts at +0.0 their terms
+    # leave every partial sum as it was
+    dist = np.sqrt(np.where(d2 <= cutoff * cutoff, d2, np.inf))
+    if dist.min(initial=np.inf) < 1e-9:
+        degenerate = dist < 1e-9
+        dist = np.maximum(dist, 1e-9)
+        nx = np.where(degenerate, 1.0, dx / dist)
+        ny = np.where(degenerate, 0.0, dy / dist)
+    else:
+        nx, ny = dx / dist, dy / dist
+    gap = (radius.take(i) + radius.take(j) if r_sum is None else r_sum) - dist
     overlap = np.maximum(gap, 0.0)
-
-    # far pairs are masked, not dropped: a bin starts at +0.0, so their
-    # +-0.0 terms leave every partial sum as it was
-    f = np.where(near, social + k * overlap, 0.0)
+    f = a * np.exp(gap / b) + k * overlap
     fx, fy = f * nx, f * ny
     force = np.empty((n, 2))
-    force[:, 0] = np.bincount(i, fx, n) + np.bincount(j, -fx, n)
-    force[:, 1] = np.bincount(i, fy, n) + np.bincount(j, -fy, n)
+    # x + bincount(j, -fx) and x - bincount(j, fx) are the same bits:
+    # rounding is sign-symmetric, and an exact zero sum is +0.0 either way
+    force[:, 0] = np.bincount(i, fx, n) - np.bincount(j, fx, n)
+    force[:, 1] = np.bincount(i, fy, n) - np.bincount(j, fy, n)
 
-    touch = np.nonzero((overlap > 0.0) & near)[0]
-    tangent = np.stack([-ny.take(touch), nx.take(touch)], axis=1)
+    touch = np.nonzero(overlap > 0.0)[0]
+    tangent = np.concatenate([-ny.take(touch)[:, None], nx.take(touch)[:, None]], axis=1)
     return force, (i.take(touch), j.take(touch), tangent, overlap.take(touch))
 
 
 def wall_table(wall_cells: np.ndarray, geometry: Geometry, cutoff: float) -> WallTable:
     """Candidate table of the (M, 2) ``wall_cells`` on ``geometry``'s grid,
     built over a wall-cell x offset stencil in O(M x stencil)."""
-    h, w = geometry.height, geometry.width
-    cell_size = geometry.cell_size
+    h, w, cell_size = geometry.height, geometry.width, geometry.cell_size
     m = len(wall_cells)
     span = np.arange(-int(cutoff / cell_size) - 2, int(cutoff / cell_size) + 3)
     dx, dy = (d.ravel() for d in np.meshgrid(span, span))
-    # box-to-box gap, with slack so rounding can only add candidates
-    gap = np.hypot(np.maximum(np.abs(dx) - 1, 0), np.maximum(np.abs(dy) - 1, 0)) * cell_size
-    near = gap <= cutoff + 1e-6
+    # box-to-box gaps in cells; the cutoff test has slack so rounding only adds candidates
+    gap_x, gap_y = np.maximum(np.abs(dx) - 1, 0), np.maximum(np.abs(dy) - 1, 0)
+    near = np.hypot(gap_x, gap_y) * cell_size <= cutoff + 1e-6
     cx = wall_cells[:, :1] + dx[near]                      # (M, stencil)
     cy = wall_cells[:, 1:] + dy[near]
     inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
     cell = (cy * w + cx)[inside]
     wall = np.broadcast_to(np.arange(m)[:, None], cx.shape)[inside]
+    # keep the walls whose squared gap is at most the cell's smallest
+    # squared reach (module docstring), both exact in cells squared
+    gap2 = np.broadcast_to((gap_x * gap_x + gap_y * gap_y)[near], cx.shape)[inside]
+    reach2 = np.broadcast_to((dx * dx + dy * dy)[near], cx.shape)[inside]
+    closest = np.full(h * w, np.iinfo(np.int64).max)
+    np.minimum.at(closest, cell, reach2)
+    keep = gap2 <= closest.take(cell)
+    cell, wall = cell[keep], wall[keep]
     order = np.argsort(cell, kind="stable")                # keeps wall ids ascending per cell
     cell, wall = cell[order], wall[order]
     count = np.bincount(cell, minlength=h * w)
@@ -263,22 +281,18 @@ def wall_forces(
     n = len(pos)
     force = np.zeros((n, 2))
     cs = geometry.cell_size
-    cells = geometry.cells_of(pos)
-    flat = cells[:, 1] * geometry.width + cells[:, 0]
+    # the flat index of geometry.cells_of(pos), in one call
+    cells = (pos / cs).astype(np.int64)
+    flat = np.ravel_multi_index((cells[:, 1], cells[:, 0]), (geometry.height, geometry.width), mode="clip")
     count = walls.count.take(flat)
     body = np.nonzero(count)[0]                               # bodies with a candidate
     if len(body) == 0:
         return force, (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
-    a = float(params["sf_a"])
-    b = float(params["sf_b"])
-    k = float(params["sf_k"])
-
+    a, b, k = (float(params[key]) for key in ("sf_a", "sf_b", "sf_k"))
     cand = walls.rows[:, : count.max()].take(flat.take(body), axis=0)  # (n', K)
     body_pos = pos.take(body, axis=0)
-    px = body_pos[:, :1]
-    py = body_pos[:, 1:]
-    lo_x = walls.lo[0].take(cand)
-    lo_y = walls.lo[1].take(cand)
+    px, py = body_pos[:, :1], body_pos[:, 1:]
+    lo_x, lo_y = walls.lo[0].take(cand), walls.lo[1].take(cand)
     dx = px - np.minimum(np.maximum(px, lo_x), lo_x + cs)    # offset from the nearest box point
     dy = py - np.minimum(np.maximum(py, lo_y), lo_y + cs)
     d2 = dx ** 2 + dy ** 2
@@ -288,8 +302,7 @@ def wall_forces(
     rel = np.nonzero(best_d2 < cutoff * cutoff)[0]
     dist = np.maximum(np.sqrt(best_d2.take(rel)), 1e-9)
     at = at.take(rel)
-    nx = dx.take(at) / dist
-    ny = dy.take(at) / dist
+    nx, ny = dx.take(at) / dist, dy.take(at) / dist
     rows = body.take(rel)
     gap = radius.take(rows) - dist
     overlap = np.maximum(gap, 0.0)
@@ -298,7 +311,7 @@ def wall_forces(
     force[rows, 1] = magnitude * ny
 
     touch = np.nonzero(overlap > 0.0)[0]
-    tangent = np.stack([-ny.take(touch), nx.take(touch)], axis=1)
+    tangent = np.concatenate([-ny.take(touch)[:, None], nx.take(touch)[:, None]], axis=1)
     return force, (rows.take(touch), tangent, overlap.take(touch))
 
 
@@ -319,7 +332,8 @@ def apply_contact_friction(
     velocity by the implicit factor for its rate, split 1/n over the
     bodies' touching contacts, and the pass is swept a fixed number of
     times so heavily-wedged bodies still reach near-full damping.
-    Impulses are equal and opposite, so momentum is conserved.
+    Impulses are equal and opposite, so momentum is conserved.  A sweep
+    sums each kind of impulse with one bincount over the x, y slots.
     """
     kappa = float(params["sf_kappa"])
     i, j, tan_p, gap_p = pair_contacts
@@ -328,11 +342,7 @@ def apply_contact_friction(
         return vel
 
     n = len(vel)
-    counts = (
-        np.bincount(i, minlength=n)
-        + np.bincount(j, minlength=n)
-        + np.bincount(rows, minlength=n)
-    )
+    counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + np.bincount(rows, minlength=n)
 
     if len(i):
         m_i, m_j = mass.take(i), mass.take(j)
@@ -340,26 +350,30 @@ def apply_contact_friction(
         damp = 1.0 - 1.0 / (1.0 + kappa * gap_p * dt / m_red)
         share = np.maximum(np.maximum(counts.take(i), counts.take(j)), 1)
         gain_p = m_red * damp / share
+        slot_i, slot_j = _xy_slots(i), _xy_slots(j)
     if len(rows):
         m_w = mass.take(rows)
         damp_w = 1.0 - 1.0 / (1.0 + kappa * gap_w * dt / m_w)
         gain_w = m_w * damp_w / np.maximum(counts[rows], 1)
+        slot_w = _xy_slots(rows)
 
     for _ in range(FRICTION_SWEEPS):
-        delta = np.zeros_like(vel)
+        # the sum of per-kind bincounts, in the order i, j, walls, keeps
+        # each slot's additions in the order of a scatter per kind
+        delta = 0.0
         if len(i):
             dv_t = ((vel.take(j, axis=0) - vel.take(i, axis=0)) * tan_p).sum(axis=1)
             impulse = gain_p * dv_t
-            _scatter_add(delta, i, (impulse / m_i)[:, None] * tan_p)
-            _scatter_add(delta, j, -(impulse / m_j)[:, None] * tan_p)
+            delta = np.bincount(slot_i, ((impulse / m_i)[:, None] * tan_p).ravel(), 2 * n)
+            delta = delta + np.bincount(slot_j, (-(impulse / m_j)[:, None] * tan_p).ravel(), 2 * n)
         if len(rows):
             v_t = (vel.take(rows, axis=0) * tan_w).sum(axis=1)
-            _scatter_add(delta, rows, -(gain_w * v_t / m_w)[:, None] * tan_w)
-        vel += delta
+            delta = delta + np.bincount(slot_w, (-(gain_w * v_t / m_w)[:, None] * tan_w).ravel(), 2 * n)
+        vel += delta.reshape(n, 2)
     return vel
 
 
-def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: float) -> tuple:
+def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: float) -> _Neighbors:
     """Candidate pair list over the present rows, reused across steps.
 
     Enumerated at cutoff + NEIGHBOR_SKIN and kept until a body drifts
@@ -367,20 +381,21 @@ def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: flo
     changes), which guarantees the list still contains every pair
     truly within the cutoff.
     """
-    fresh = (
-        state._nbr_rows is not None
-        and len(state._nbr_rows) == len(idx)
-        and np.array_equal(state._nbr_rows, idx)
-    )
+    nbr = state._nbr
+    fresh = nbr is not None and len(nbr.rows) == len(idx) and bool((nbr.rows == idx).all())
     if fresh:
-        drift = pos - state._nbr_ref
-        fresh = (drift[:, 0] ** 2 + drift[:, 1] ** 2).max() < (NEIGHBOR_SKIN / 2) ** 2
+        # a drift is below 1.5 x its largest component: the first test only saves the second
+        drift = pos - nbr.ref
+        fresh = np.abs(drift).max() * 1.5 < NEIGHBOR_SKIN / 2
+        fresh = fresh or (drift[:, 0] ** 2 + drift[:, 1] ** 2).max() < (NEIGHBOR_SKIN / 2) ** 2
     if not fresh:
         reach = cutoff + NEIGHBOR_SKIN
-        state._nbr_pairs = SpatialHash(pos, reach).query_pairs(reach)
-        state._nbr_rows = idx.copy()
-        state._nbr_ref = pos.copy()
-    return state._nbr_pairs
+        i, j = SpatialHash(pos, reach).query_pairs(reach)
+        radius = state.radius.take(idx)
+        r_sum = radius.take(i) + radius.take(j)
+        nbr = _Neighbors(idx.copy(), pos.copy(), (i, j), radius, state.mass.take(idx), r_sum, _xy_slots(idx))
+        state._nbr = nbr
+    return nbr
 
 
 def sf_step(
@@ -413,91 +428,77 @@ def sf_step(
 
     pos = state.pos.take(present, axis=0)
     vel = state.vel.take(present, axis=0)
-    mass = state.mass.take(present)
-    radius = state.radius.take(present)
-    pairs = _neighbor_list(state, present, pos, float(p["sf_cutoff"]))
+    nbr = _neighbor_list(state, present, pos, float(p["sf_cutoff"]))
+    mass = nbr.mass                                          # fixed until the next rebuild
 
     total = driving_force(pos, vel, mass, desired_speed.take(present), waypoint.take(present, axis=0), p)
-    pair, pair_contacts = pair_forces(pos, radius, p, pairs=pairs)
-    wall, wall_contacts = wall_forces(pos, radius, walls, geometry, p)
+    pair, pair_contacts = pair_forces(pos, nbr.radius, p, pairs=nbr.pairs, r_sum=nbr.r_sum)
+    wall, wall_contacts = wall_forces(pos, nbr.radius, walls, geometry, p)
     force = total + pair + wall
 
     vel = vel + force / mass[:, None] * dt
     vel = apply_contact_friction(vel, mass, pair_contacts, wall_contacts, dt, p)
     v_cap = float(p["sf_speed_slack"]) * float(p["speed_cap"])
-    speed = np.sqrt(vel[:, 0] * vel[:, 0] + vel[:, 1] * vel[:, 1])
-    too_fast = speed > v_cap
-    if too_fast.any():
+    # a speed is below 1.5 x its largest component, so none is clamped below
+    if np.abs(vel).max() * 1.5 > v_cap:
+        speed = np.sqrt(vel[:, 0] * vel[:, 0] + vel[:, 1] * vel[:, 1])
+        too_fast = speed > v_cap
         vel[too_fast] *= (v_cap / speed[too_fast])[:, None]
 
-    new_pos = pos + vel * dt
-    new_pos, vel, n_projected = _resolve_wall_penetration(geometry, pos, new_pos, vel)
+    new_pos, vel, n_projected, cells = _resolve_wall_penetration(geometry, pos, pos + vel * dt, vel)
     if n_projected:
         state.projected += n_projected
         if len(state.projection_ticks) < PROJECTION_EXAMPLES:
             state.projection_ticks.append(state.tick)
+        # unprojected, every body lands in an open cell on the grid
+        cells = geometry.cells_of(new_pos)
+        in_wall = geometry.blocked_mask[cells[:, 1], cells[:, 0]]
+        if in_wall.any():
+            raise SimulationError(f"tick {state.tick}: agents {present[in_wall].tolist()} ended the step inside a wall")
 
-    cells = geometry.cells_of(new_pos)
-    in_wall = geometry.blocked_mask[cells[:, 1], cells[:, 0]]
-    if in_wall.any():
-        raise SimulationError(f"tick {state.tick}: agents {present[in_wall].tolist()} ended the step inside a wall")
-
-    state.pos[present] = new_pos
-    state.vel[present] = vel
+    state.pos.put(nbr.slots, new_pos)
+    state.vel.put(nbr.slots, vel)
     state.tick += 1
     return new_pos, cells
 
 
 def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):
-    """Project bodies that stepped into blocked cells (or tunnelled
-    through one) back into their previous cell."""
+    """Project bodies that stepped into blocked cells (or tunnelled through
+    one) back into their previous cell.  Returns the positions, velocities,
+    number projected and, if that is 0, the (n, 2) cells of the positions."""
     cs = geometry.cell_size
     h, w = geometry.blocked_mask.shape
 
-    def blocked_at(points):
-        cx = (points[:, 0] / cs).astype(np.int64)
-        cy = (points[:, 1] / cs).astype(np.int64)
-        inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        return ~inside | geometry.blocked_mask.take(np.where(inside, cy * w + cx, 0))
+    def blocked_at(cells):
+        try:
+            return geometry.blocked_mask.take(np.ravel_multi_index((cells[:, 1], cells[:, 0]), (h, w)))
+        except ValueError:                                    # some cell off the grid
+            inside = ((cells >= 0) & (cells < (w, h))).all(axis=1)
+            return ~inside | geometry.blocked_mask.take(np.where(inside, cells[:, 1] * w + cells[:, 0], 0))
 
-    bad = blocked_at(new_pos)
-    # catch tunnelling through a thin wall, possible only when some body
-    # covers at least a cell's width in a single step
+    cells = (new_pos / cs).astype(np.int64)
+    bad = blocked_at(cells)
+    # catch tunnelling through a thin wall, possible only when some body covers at least
+    # a cell's width in a step; a step is below 1.5 x its largest component
     step = new_pos - old_pos
-    if (step[:, 0] ** 2 + step[:, 1] ** 2).max(initial=0.0) >= (cs / 2) ** 2:
-        midpoint = 0.5 * (old_pos + new_pos)
-        bad |= blocked_at(midpoint)
+    if np.abs(step).max(initial=0.0) * 1.5 >= cs / 2 and (step[:, 0] ** 2 + step[:, 1] ** 2).max() >= (cs / 2) ** 2:
+        bad |= blocked_at((0.5 * (old_pos + new_pos) / cs).astype(np.int64))
 
     n_bad = int(bad.sum())
     if n_bad == 0:
-        return new_pos, vel, 0
+        return new_pos, vel, 0, cells
 
     rows = np.nonzero(bad)[0]
-    eps = 1e-6
-    old_cx = np.floor(old_pos[rows, 0] / cs)
-    old_cy = np.floor(old_pos[rows, 1] / cs)
-    lo_x = old_cx * cs + eps
-    hi_x = (old_cx + 1) * cs - eps
-    lo_y = old_cy * cs + eps
-    hi_y = (old_cy + 1) * cs - eps
-    proj = new_pos[rows].copy()
-    proj[:, 0] = np.clip(proj[:, 0], lo_x, hi_x)
-    proj[:, 1] = np.clip(proj[:, 1], lo_y, hi_y)
-
+    old_cell = np.floor(old_pos[rows] / cs)
+    proj = np.clip(new_pos[rows], old_cell * cs + 1e-6, (old_cell + 1) * cs - 1e-6)
     push = proj - new_pos[rows]
-    push_len = np.linalg.norm(push, axis=1)
-    nonzero = push_len > 1e-12
-    normal = np.zeros_like(push)
-    normal[nonzero] = push[nonzero] / push_len[nonzero][:, None]
+    push_len = np.linalg.norm(push, axis=1)[:, None]
+    normal = np.divide(push, push_len, out=np.zeros_like(push), where=push_len > 1e-12)
     v = vel[rows]
-    into_wall = (v * -normal).sum(axis=1)
-    v += normal * np.maximum(into_wall, 0.0)[:, None]
-
-    new_pos = new_pos.copy()
-    vel = vel.copy()
-    new_pos[rows] = proj
-    vel[rows] = v
-    return new_pos, vel, n_bad
+    v += normal * np.maximum((v * -normal).sum(axis=1), 0.0)[:, None]
+    new_pos, vel = new_pos.copy(), vel.copy()
+    new_pos[rows], vel[rows] = proj, v
+    return new_pos, vel, n_bad, None
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +513,7 @@ def arch_band_count(
     params: dict,
 ) -> int:
     """Bodies inside the semicircular band upstream of a door."""
-    inner = float(params["clog_band_inner"])
-    outer = float(params["clog_band_outer"])
+    inner, outer = float(params["clog_band_inner"]), float(params["clog_band_outer"])
     if len(positions) == 0:
         return 0
     diff = positions - np.asarray(door_center)

@@ -188,7 +188,7 @@ def test_continuous_spawn_matches_one_draw_at_a_time(cell_size, radii):
 def test_ca_spawn_gives_every_agent_its_own_cell():
     geo = _geometry(14, 10)
     spec = PopulationSpec(count=30, spawn_rect=(1, 1, 12, 8), spawn_node=None, attributes={})
-    pop = spawn_population(spec, geo, RngStreams(3), backend="ca")
+    pop = spawn_population(spec, geo, RngStreams(3), bodies=False)
     cells = {(int(x / 0.5), int(y / 0.5)) for x, y in pop.pos}
     assert len(cells) == 30
 

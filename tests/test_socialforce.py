@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacsim import SimulationError
 from evacsim.agents import NO_TARGET
@@ -325,24 +327,68 @@ def test_wall_table_matches_the_dense_pass_exactly(cell_size, cutoff):
 @pytest.mark.parametrize("cutoff", [0.5, 1.0, 3.0, 5.0])
 @pytest.mark.parametrize("cell_size", [0.4, 0.5, 1.0])
 def test_wall_table_row_holds_every_wall_within_the_cutoff(cell_size, cutoff):
+    # every wall within the cutoff that can be the nearest to some point
+    # of the cell: no farther from the cell's box than the smallest
+    # farthest-point distance (the reach) of those walls
     geo, _ = _pillared_room(np.random.default_rng(7), cell_size, cutoff)
     cells = exposed_wall_cells(geo)
     table = _walls(geo, cutoff=cutoff)
     m = len(cells)
+    pruned = 0
     for flat in range(geo.height * geo.width):
         x, y = flat % geo.width, flat // geo.width
-        # gap between the cell's box and each wall box, per axis
-        gap_x = np.maximum(0.0, np.maximum(cells[:, 0] * cell_size - (x + 1) * cell_size,
-                                           x * cell_size - (cells[:, 0] + 1) * cell_size))
-        gap_y = np.maximum(0.0, np.maximum(cells[:, 1] * cell_size - (y + 1) * cell_size,
-                                           y * cell_size - (cells[:, 1] + 1) * cell_size))
-        within = np.nonzero(np.hypot(gap_x, gap_y) <= cutoff)[0]
+        # per axis, in cells: the gap between the boxes and the reach
+        reach_x, reach_y = np.abs(x - cells[:, 0]), np.abs(y - cells[:, 1])
+        gap_x, gap_y = np.maximum(reach_x - 1, 0), np.maximum(reach_y - 1, 0)
+        within = np.hypot(gap_x, gap_y) * cell_size <= cutoff
+        reach2 = (reach_x ** 2 + reach_y ** 2)[within]
+        can_be_nearest = within & (gap_x ** 2 + gap_y ** 2 <= reach2.min(initial=np.iinfo(np.int64).max))
         row = table.rows[flat]
         listed = row[: table.count[flat]]
         assert (np.diff(listed) > 0).all() and (row[table.count[flat]:] == m).all()
-        assert np.isin(within, listed).all(), (x, y)
-        # and nothing much farther, or the table saves nothing
-        assert (np.hypot(gap_x, gap_y)[listed] <= cutoff + 1e-6).all(), (x, y)
+        assert np.array_equal(listed, np.nonzero(can_be_nearest)[0]), (x, y)
+        # and nothing beyond the cutoff
+        assert (np.hypot(gap_x, gap_y)[listed] * cell_size <= cutoff + 1e-6).all(), (x, y)
+        pruned += int(within.sum()) - len(listed)
+    # a cutoff under a cell reaches only the walls touching the cell
+    assert pruned > 0 or cutoff < cell_size
+
+
+@st.composite
+def _pillar_rooms(draw):
+    """A bordered room of random size with random one-cell pillars, its
+    exit and spawn cell in the north-east corner; a cell size, a cutoff
+    and a seed for points."""
+    width, height = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    interior = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1) if (x, y) != (width - 2, 1)]
+    pillars = draw(st.lists(st.sampled_from(interior), unique=True, max_size=len(interior) // 3))
+    doc = room_doc(grid_rows(width, height, exits=[(width - 1, 1)], walls=pillars), count=1,
+                   spawn=[width - 2, 1, width - 2, 1])
+    doc["geometry"]["cell_size"] = draw(st.sampled_from([0.4, 0.5, 1.0]))
+    return make_scenario(doc).geometry, draw(st.floats(0.5, 5.0)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(_pillar_rooms())
+def test_wall_table_row_holds_the_nearest_walls_within_the_cutoff(room):
+    # at the corners, the centre and random points of each open cell's
+    # closed box: when the dense pass's nearest wall lies within the
+    # cutoff, it and every wall tied with it are in that cell's row
+    geo, cutoff, seed = room
+    cells = exposed_wall_cells(geo)
+    table = _walls(geo, cells, cutoff)
+    ys, xs = np.nonzero(geo.open_mask)
+    frac = np.concatenate([[[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]],
+                           np.random.default_rng(seed).uniform(size=(4, 2))])
+    owner = np.repeat(np.arange(len(xs)), len(frac))
+    pos = (np.stack([xs, ys], axis=1)[owner] + np.tile(frac, (len(xs), 1))) * geo.cell_size
+    params = dict(PARAM_DEFAULTS, sf_cutoff=cutoff)
+    *_, d2 = _dense_wall_forces(pos, np.full(len(pos), 0.3), cells, geo.cell_size, params)
+    best = d2.min(axis=1)
+    nearest = (d2 == best[:, None]) & (best < cutoff * cutoff)[:, None]
+    listed = np.zeros((geo.height * geo.width, len(cells) + 1), dtype=bool)
+    listed[np.arange(len(listed))[:, None], table.rows] = True
+    assert not (nearest & ~listed[ys * geo.width + xs][owner, : len(cells)]).any()
 
 
 # -- contact friction ---------------------------------------------------------------
@@ -745,7 +791,7 @@ def test_neighbor_cache_survives_drift_without_missing_pairs():
         waypoint = state.pos + rng.uniform(-2, 2, size=(n, 2))
         sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(n), v_des, waypoint, 0.05)
         force, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, _pairs(state.pos))
-        cached, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr_pairs)
+        cached, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr.pairs)
         assert np.allclose(force, cached, atol=1e-9), step
 
 
