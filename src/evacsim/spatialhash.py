@@ -99,11 +99,8 @@ class SpatialHash:
         d = self.positions.take(i, axis=0) - self.positions.take(j, axis=0)
         keep = (d[:, 0] ** 2 + d[:, 1] ** 2) <= radius * radius
         i, j = i[keep], j[keep]
-        swap = i > j
-        i2 = np.where(swap, j, i)
-        j2 = np.where(swap, i, j)
-        sort = np.argsort(i2 * n + j2)  # keys are unique, so any sort gives (i, j) order
-        return i2[sort], j2[sort]
+        # one key per unordered pair, sorted, gives the pairs in (i, j) order
+        return np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
 
     def query_points(
         self, points: np.ndarray, radius: float | np.ndarray, exclude: np.ndarray | None = None
