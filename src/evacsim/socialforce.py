@@ -117,9 +117,9 @@ class SfState:
 
 @dataclass(frozen=True)
 class WallTable:
-    """Per grid cell, by ascending wall index, the exposed wall cells
-    whose box lies within the cutoff of that cell's box and can be the
-    nearest wall to some point of it (module docstring).
+    """Per grid cell, by ascending wall index, the exposed walls within the
+    cutoff of its box whose gap is at most the smallest farthest-point
+    reach of those walls, a bound on every point's nearest-wall distance.
 
     On a grid W cells wide, cell (x, y)'s candidates are the first
     ``count[y * W + x]`` entries of ``rows[y * W + x]``; the rest is
