@@ -5,12 +5,15 @@ indexed by agent id, holding each agent's physical state (position,
 body radius, health, mobility, sight range), its behavioural profile
 (speed preference, reaction time, collaboration, insistence,
 knowledge, experience, nervousness, gender, age, role) and its current
-status and target exit.  What the agents believe lives in one
-:class:`Beliefs` record beside it: (N, E) flags for the exits each agent
-knows, knew before the alarm and holds to be blocked, whether it is
-lost, and a ring of its recent positions for the progress check.  The
-simulation loop, the movement backends and the state digest read and
-write these arrays; nothing keeps a second copy.
+status and target exit.  The two status rules every phase of a tick
+asks are its methods: :meth:`Population.inside` (waiting or moving, so
+still in the building) and :meth:`Population.walking` (moving on its own
+feet).  What the agents believe lives in one :class:`Beliefs` record
+beside it: (N, E) flags for the exits each agent knows, knew before the
+alarm and holds to be blocked, whether it is lost, and a ring of its
+recent positions for the progress check.  The simulation loop, the
+movement backends and the state digest read and write these arrays;
+nothing keeps a second copy.
 
 A decision round works on the round's decider rows at once.
 :func:`build_percepts` senses for all of them together and returns one
@@ -65,6 +68,10 @@ STATUS_TOKENS = {
 
 NO_TARGET = -1
 
+# plain-int codes: numpy compares a status array against an int in under
+# half the time it takes against an IntEnum member
+_MOVING = int(AgentStatus.MOVING)
+
 
 @dataclass
 class Population:
@@ -93,6 +100,15 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.pos)
+
+    def inside(self) -> np.ndarray:
+        """Ascending ids of the people in the building, waiting or moving
+        (the two lowest status codes)."""
+        return np.flatnonzero(self.status <= _MOVING)
+
+    def walking(self) -> np.ndarray:
+        """(N,) mask of the people moving on their own feet."""
+        return (self.status == _MOVING) & (self.mobility > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +420,6 @@ class WorldView:
     temp_frame: np.ndarray
     tox_frame: np.ndarray
     exit_fields: np.ndarray        # (E + 1, H, W) cells to each exit zone, then to the nearest exit
-    zone_centers: np.ndarray       # (E, 2) m
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
     ambient_air: bool = False      # hazard frames are all-clear this round
@@ -424,8 +439,7 @@ class WorldView:
         another reach, so a round pays one build per reach it uses.
         """
         if self.hash is None or self.hash.cell != reach:
-            status = self.pop.status
-            present = np.nonzero((status == AgentStatus.PREMOVEMENT) | (status == AgentStatus.MOVING))[0]
+            present = self.pop.inside()
             self.hash = SpatialHash(self.pop.pos.take(present, axis=0), reach, ids=present)
         points = self.pop.pos.take(observers, axis=0)
         k, seen, d2 = self.hash.query_points(points, radius, exclude=observers)
@@ -500,7 +514,7 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
     estimated over neighbours within sight (capped at the congestion
     radius).  Returns dense (len(indices), n_zones) arrays."""
     pop = world.pop
-    n_zones = len(world.zone_centers)
+    n_zones = len(world.zone_cells)
     n = len(indices)
     r_cap = float(world.params["congestion_radius"])
     rows, seen, d2 = world.neighbours(indices, np.minimum(pop.vision[indices], r_cap), r_cap)
@@ -521,7 +535,7 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
 
     # bincount adds in array order; it gives ints when empty
     totals = np.bincount(rows, weights=weight, minlength=n).astype(np.float64)
-    heading = np.where(pop.status == AgentStatus.MOVING, pop.target, -1)[seen]
+    heading = np.where(pop.status == _MOVING, pop.target, -1)[seen]
     has_target = heading >= 0
     flat = rows[has_target] * n_zones + heading[has_target]
     votes = np.bincount(flat, weights=weight[has_target], minlength=n * n_zones).astype(np.float64)
@@ -542,7 +556,7 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
     geometry = world.geometry
     cs = geometry.cell_size
     n = len(indices)
-    n_zones = len(world.zone_centers)
+    n_zones = len(world.zone_cells)
     votes, totals, congestion, follow = _neighbour_stats(world, indices)
 
     pos = pop.pos[indices]

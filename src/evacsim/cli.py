@@ -13,8 +13,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .config import RunConfig
+from .config import BACKENDS, RunConfig
 from .engine import load_hazard_field, run
 from .errors import SimulationError, VALIDATION_ERRORS, SchemaViolation
 from .metrics import egress_stats, export_trajectories, metrics_summary
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p_run.add_argument("--backend", choices=("flow", "ca", "sf"), help="override the scenario's backend")
+    p_run.add_argument("--backend", choices=BACKENDS, help="override the scenario's backend")
     p_run.add_argument("--seed", type=int, help="override the scenario's seed")
     p_run.add_argument("--max-time", type=float, metavar="S", help="override the simulated time limit")
     p_run.set_defaults(func=cmd_run)
@@ -121,13 +122,11 @@ def cmd_validate(args) -> int:
 
 
 def _apply_run_overrides(config: RunConfig, args) -> RunConfig:
-    updated = RunConfig(
-        backend=args.backend if args.backend else config.backend,
-        dt=config.dt,
-        max_sim_time=args.max_time if args.max_time is not None else config.max_sim_time,
-        seed=args.seed if args.seed is not None else config.seed,
-        alarm_time=config.alarm_time,
-        overrides=dict(config.overrides),
+    updated = replace(
+        config,
+        backend=args.backend or config.backend,
+        max_sim_time=config.max_sim_time if args.max_time is None else args.max_time,
+        seed=config.seed if args.seed is None else args.seed,
     )
     updated.validate()
     return updated

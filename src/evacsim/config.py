@@ -136,6 +136,13 @@ class RunConfig:
                 raise SchemaViolation(f"config.overrides.{key}", "unknown parameter")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaViolation(f"config.overrides.{key}", "must be a number")
+        # divisors of the tick and network derivations, and the smallest body
+        params = self.params()
+        for key in ("v_ref", "flow_tick", "sf_radius_lo"):
+            if not params[key] > 0:
+                raise SemanticViolation(f"config.overrides.{key}", "must be > 0")
+        if not params["sf_radius_lo"] <= params["sf_radius_hi"]:
+            raise SemanticViolation("config.overrides.sf_radius_hi", "must be >= sf_radius_lo")
 
     def params(self) -> dict[str, float]:
         """Resolved parameter table: defaults plus overrides."""

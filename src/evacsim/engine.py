@@ -16,7 +16,11 @@ clog checks), ``remove(i)`` (agent i left the building by exit or
 death) and ``warnings``.  ``Population`` is the one record of each
 agent's state, status, exit or death time, path length and replan count
 included: each step reads and writes it there, and no mover keeps a
-copy.  Class constants on each mover give its default decision and
+copy.  Who is in the building and who walks are its methods
+``Population.inside`` and ``Population.walking``.  The hazard phase
+records in ``sensed`` whether the air at each inside agent's cell
+differs from ambient; that starts a waiting agent before its delay is
+up.  Class constants on each mover give its default decision and
 trajectory cadence, whether it makes decision rounds at all, whether it
 needs door sites and the route network, and whether its agents spawn as
 bodies; only a mover that needs the network derives it.  Room labels are
@@ -240,7 +244,6 @@ class _Simulation:
         self.has_interior_blockers = (
             bool(blocked[1:-1, 1:-1].any()) if min(blocked.shape) > 2 else False
         )
-        self.zone_centers = np.array([cells_center(z.cells, self.cs) for z in self.zones]).reshape(-1, 2)
         self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in self.zones]
 
         # route network, for the movers that move or steer on it
@@ -266,10 +269,10 @@ class _Simulation:
         self.ids = np.arange(n, dtype=np.int64)
         self.desired = np.zeros(n)
 
-        # local hazard exposure, refreshed per tick (constant when ambient)
-        self.local_temp = np.full(n, AMBIENT_TEMP)
+        # optical density at each agent's cell and whether any hazard is
+        # sensed there, refreshed per tick for those inside (constant when ambient)
         self.local_od = np.zeros(n)
-        self.local_tox = np.zeros(n)
+        self.sensed = np.zeros(n, dtype=bool)
         self.temp_frame, self.od_frame, self.tox_frame = self.hazard.frame_at(0.0)
 
         # cadences, in ticks; an interval parameter <= 0 takes the mover's default
@@ -297,32 +300,19 @@ class _Simulation:
 
     # -- per-tick phases -----------------------------------------------------
 
-    def _inside_mask(self) -> np.ndarray:
-        return (self.pop.status == int(AgentStatus.PREMOVEMENT)) | (
-            self.pop.status == int(AgentStatus.MOVING)
-        )
-
-    def _inside(self) -> np.ndarray:
-        """Ascending ids of the people in the building."""
-        return np.nonzero(self._inside_mask())[0]
-
-    def _all_done(self) -> bool:
-        return not bool(self._inside_mask().any())
-
     def _hazard_phase(self, t: float) -> None:
         if self.ambient_only:
             return
         self.temp_frame, self.od_frame, self.tox_frame = self.hazard.frame_at(t)
-        inside = self._inside()
+        inside = self.pop.inside()
         if len(inside) == 0:
             return
         cx, cy = self.geometry.cells_of(self.pop.pos.take(inside, axis=0)).T
         temp = self.temp_frame[cy, cx]
         od = self.od_frame[cy, cx]
         tox = self.tox_frame[cy, cx]
-        self.local_temp[inside] = temp
         self.local_od[inside] = od
-        self.local_tox[inside] = tox
+        self.sensed[inside] = (od > SENSE_EPS) | (temp > AMBIENT_TEMP + SENSE_EPS) | (tox > SENSE_EPS)
 
         dec = health_decrement(temp, od, tox, self.dt, self.params)
         hurt = dec > 0
@@ -332,9 +322,7 @@ class _Simulation:
             dead = rows[self.pop.health[rows] <= 0.0]
             for i in dead:
                 self._kill(int(i), t)
-        self.pop.vision[inside] = visibility_range_bulk(
-            self.local_od[inside], self.pop.health[inside], self.params
-        )
+        self.pop.vision[inside] = visibility_range_bulk(od, self.pop.health[inside], self.params)
 
     def _kill(self, i: int, t: float) -> None:
         self.pop.status[i] = int(AgentStatus.DEAD)
@@ -348,15 +336,10 @@ class _Simulation:
         waiting = self.pop.status == int(AgentStatus.PREMOVEMENT)
         if not waiting.any():
             return np.zeros(0, dtype=np.int64)
-        due = np.zeros(self.n, dtype=bool)
+        go = self.sensed
         if t + SENSE_EPS >= self.config.alarm_time:
-            due = t + SENSE_EPS >= self.config.alarm_time + self.pop.reaction_time
-        sensed = (
-            (self.local_od > SENSE_EPS)
-            | (self.local_temp > AMBIENT_TEMP + SENSE_EPS)
-            | (self.local_tox > SENSE_EPS)
-        )
-        start = np.nonzero(waiting & (due | sensed))[0]
+            go = go | (t + SENSE_EPS >= self.config.alarm_time + self.pop.reaction_time)
+        start = np.flatnonzero(waiting & go)
         self.pop.status[start] = int(AgentStatus.MOVING)
         return start
 
@@ -364,9 +347,7 @@ class _Simulation:
         if not self.mover.decides:
             return
         if k % self.decide_every == 0:
-            deciders = np.nonzero(
-                (self.pop.status == int(AgentStatus.MOVING)) & (self.pop.mobility > 0)
-            )[0]
+            deciders = np.flatnonzero(self.pop.walking())
         else:
             deciders = newly_moving[self.pop.mobility[newly_moving] > 0]
         if len(deciders) == 0:
@@ -381,7 +362,6 @@ class _Simulation:
             temp_frame=self.temp_frame,
             tox_frame=self.tox_frame,
             exit_fields=self.exit_fields,
-            zone_centers=self.zone_centers,
             zone_cells=self.zone_cells,
             has_interior_blockers=self.has_interior_blockers,
             ambient_air=self.ambient_only,
@@ -445,7 +425,7 @@ class _Simulation:
             t = k * self.dt
             if k % self.sample_every == 0:
                 self._sample(t)
-            if self._all_done():
+            if len(self.pop.inside()) == 0:
                 break
             self._hazard_phase(t)
             newly_moving = self._premovement_phase(t)
@@ -453,7 +433,8 @@ class _Simulation:
             self.mover.step(k, t)
             k += 1
         t_end = k * self.dt
-        timeout = not self._all_done()
+        inside = len(self.pop.inside())
+        timeout = inside > 0
         # close out open clog episodes so durations are well defined
         for site in self.sites:
             if site.clogged:
@@ -471,7 +452,6 @@ class _Simulation:
 
         exited = int((self.pop.status == int(AgentStatus.EXITED)).sum())
         fatalities = int((self.pop.status == int(AgentStatus.DEAD)).sum())
-        inside = int(self._inside_mask().sum())
         if exited + fatalities + inside != self.n:
             raise SimulationError(f"tick {k}: {exited} exited + {fatalities} dead + {inside} inside != {self.n} people")
 
@@ -562,14 +542,13 @@ class _CaMover(_Mover):
         pop = sim.pop
         state = self.state
         # arrival check first: anyone standing on an exit cell leaves
-        present = sim._inside()
+        present = pop.inside()
         leaving = sim.zone_grid[state.y[present], state.x[present]] >= 0
         for i in present[leaving].tolist():
             sim._leave(i, t, int(state.x[i]), int(state.y[i]))
         present = present[~leaving]
 
-        movable = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0)
-        move_ids = np.nonzero(movable)[0]
+        move_ids = np.flatnonzero(pop.walking())
         if len(move_ids):
             # walk at the decided speed (nervousness-scaled); agents that
             # have not decided yet fall back to their bodily speed
@@ -725,9 +704,8 @@ class _SfMover(_Mover):
         sim = self.sim
         pop = sim.pop
         state = self.state
-        moving = (pop.status == int(AgentStatus.MOVING)) & (pop.mobility > 0)
-        desired = np.where(moving, sim.desired, 0.0)
-        present = sim._inside()
+        desired = np.where(pop.walking(), sim.desired, 0.0)
+        present = pop.inside()
         old_pos = pop.pos.take(present, axis=0)
         new_pos, cells = sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, sim.params)
         if len(present) == 0:
@@ -772,7 +750,7 @@ class _SfMover(_Mover):
     def _clog_phase(self, t: float) -> None:
         sim = self.sim
         window = float(sim.params["clog_window"])
-        positions = sim.pop.pos[sim._inside_mask()]
+        positions = sim.pop.pos.take(sim.pop.inside(), axis=0)
         for site_index, site in enumerate(sim.sites):
             first = self.first_cross_t[site_index]
             if first is None or t < first + window:

@@ -174,12 +174,9 @@ def builtin_smoke(geometry, source: tuple[int, int], params: dict | None = None)
 
     od = np.zeros(open_mask.shape)
     open_f = open_mask.astype(np.float64)
+    pad = np.zeros((open_mask.shape[0] + 2, open_mask.shape[1] + 2))
     # per-cell count of open neighbours, for the conservative exchange term
-    n_open = (
-        _shift(open_f, 0, -1) + _shift(open_f, 0, 1)
-    ) + (
-        _shift(open_f, -1, 0) + _shift(open_f, 1, 0)
-    )
+    n_open = _neighbour_sum(pad, open_f)
 
     n_steps = int(round(duration / step))
     every = max(1, int(round(frame_interval / step)))
@@ -187,9 +184,7 @@ def builtin_smoke(geometry, source: tuple[int, int], params: dict | None = None)
     timestamps = [0.0]
     od_frames = [od.copy()]
     for k in range(1, n_steps + 1):
-        # sum of open-neighbour densities; pairs grouped so mirror
-        # geometries produce bitwise-mirrored fields
-        nbr_sum = (_shift(od, 0, -1) + _shift(od, 0, 1)) + (_shift(od, -1, 0) + _shift(od, 1, 0))
+        nbr_sum = _neighbour_sum(pad, od)
         od = od + diffusion * (nbr_sum - n_open * od)
         od[sy, sx] += rate
         od *= open_f
@@ -207,16 +202,16 @@ def builtin_smoke(geometry, source: tuple[int, int], params: dict | None = None)
     )
 
 
-def _shift(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Array shifted by (dy, dx) with zero fill outside."""
-    out = np.zeros_like(a)
-    h, w = a.shape
-    ys = slice(max(0, dy), min(h, h + dy))
-    xs = slice(max(0, dx), min(w, w + dx))
-    ys_src = slice(max(0, -dy), min(h, h - dy))
-    xs_src = slice(max(0, -dx), min(w, w - dx))
-    out[ys, xs] = a[ys_src, xs_src]
-    return out
+def _neighbour_sum(pad: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Sum of each cell's four neighbours in ``a``, zero beyond the grid.
+
+    ``a`` is written into the interior of ``pad``, an (H + 2, W + 2)
+    buffer whose one-cell border stays zero.  The pairs are grouped as
+    (right + left) + (down + up), so mirrored rooms give bitwise-mirrored
+    sums.
+    """
+    pad[1:-1, 1:-1] = a
+    return (pad[1:-1, 2:] + pad[1:-1, :-2]) + (pad[2:, 1:-1] + pad[:-2, 1:-1])
 
 
 def visibility_range_bulk(od: np.ndarray, health: np.ndarray, params: dict) -> np.ndarray:

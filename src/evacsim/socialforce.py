@@ -75,9 +75,11 @@ class SfState:
 
     Which bodies are in the building is not recorded here: ``sf_step``
     takes their ids per step, and the rows of everyone else stay put.
-    The neighbour list caches the present rows' radius and mass and each
-    candidate pair's radius sum; they are read again only on a rebuild,
-    so ``radius`` and ``mass`` must not change while it is kept.
+    Built by ``from_bodies``, ``pos`` and ``radius`` are the population's
+    own arrays, not copies.  The neighbour list caches the present rows'
+    radius and mass and each candidate pair's radius sum; they are read
+    again only on a rebuild, so ``radius`` and ``mass`` must not change
+    while it is kept.
     """
 
     pos: np.ndarray                        # (N, 2) m
@@ -95,14 +97,14 @@ class SfState:
 
     @classmethod
     def from_bodies(cls, pos: np.ndarray, radius: np.ndarray, params: dict | None = None) -> "SfState":
-        """State over the population's own ``pos`` array, which sf_step
-        then moves in place; a zero radius takes the smallest body size."""
+        """State over the population's own ``pos`` and ``radius`` arrays;
+        sf_step moves ``pos`` in place."""
         p = params or PARAM_DEFAULTS
         n = len(pos)
         return cls(
             pos=pos,
             vel=np.zeros((n, 2)),
-            radius=np.where(radius > 0, radius, float(p["sf_radius_lo"])),
+            radius=radius,
             mass=np.full(n, float(p["sf_mass"])),
         )
 

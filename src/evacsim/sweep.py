@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .config import BACKENDS
 from .engine import run
 from .errors import SchemaViolation, SemanticViolation, SimulationError
-from .metrics import clog_fraction, egress_stats
+from .metrics import clog_fraction, egress_stats, metrics_summary
 from .scenario import parse_scenario
 
 SWEEP_HEADER = "param,value,seed,t_total,fatalities,clog_fraction"
@@ -153,7 +155,7 @@ def sweep_summary(rows: list[SweepRow]) -> list[dict]:
     out = []
     for value in sorted(by_value):
         group = by_value[value]
-        finished = sorted(r.t_total for r in group if r.t_total is not None)
+        finished = [r.t_total for r in group if r.t_total is not None]
         out.append(
             {
                 "value": value,
@@ -161,24 +163,17 @@ def sweep_summary(rows: list[SweepRow]) -> list[dict]:
                 "finished": len(finished),
                 "timeouts": sum(1 for r in group if r.timeout),
                 "median_t_total": _median(finished),
-                "median_fatalities": _median(sorted(r.fatalities for r in group)),
-                "median_clog_fraction": _median(sorted(r.clog_fraction for r in group)),
+                "median_fatalities": _median([r.fatalities for r in group]),
+                "median_clog_fraction": _median([r.clog_fraction for r in group]),
             }
         )
     return out
 
 
-def _median(sorted_values: list) -> float | None:
-    n = len(sorted_values)
-    if n == 0:
-        return None
-    mid = n // 2
-    if n % 2:
-        return float(sorted_values[mid])
-    return (float(sorted_values[mid - 1]) + float(sorted_values[mid])) / 2.0
+def _median(values: list) -> float | None:
+    return float(statistics.median(values)) if values else None
 
 
-BACKENDS_COMPARED = ("flow", "ca", "sf")
 COMPARE_FIELDS = ("backend", "error", "dt", "seed", "population", "exited", "fatalities", "timeout",
                   "t_total", "t_50", "t_95", "clog_fraction", "digest")
 
@@ -187,7 +182,7 @@ def compare_backends(
     text: str,
     base_dir: str = ".",
     seed: int | None = None,
-    backends: tuple[str, ...] = BACKENDS_COMPARED,
+    backends: tuple[str, ...] = BACKENDS,
 ) -> list[dict]:
     """Run the same scenario under each backend with one shared seed, so
     the populations (attributes, placement order) match draw for draw.
@@ -206,22 +201,7 @@ def compare_backends(
         except SimulationError as exc:
             out.append({**dict.fromkeys(COMPARE_FIELDS), "backend": backend, "error": str(exc)})
             continue
-        t_total, t_50, t_95, fatalities = egress_stats(result)
-        out.append(
-            {
-                "backend": backend,
-                "error": None,
-                "dt": result.dt,
-                "seed": result.seed,
-                "population": result.population,
-                "exited": result.exited,
-                "fatalities": fatalities,
-                "timeout": result.timeout,
-                "t_total": None if math.isinf(t_total) else t_total,
-                "t_50": None if math.isinf(t_50) else t_50,
-                "t_95": None if math.isinf(t_95) else t_95,
-                "clog_fraction": clog_fraction(result),
-                "digest": result.digest,
-            }
-        )
+        summary = metrics_summary(result)
+        # a summary has no ``error`` field, so a run that finished reads None there
+        out.append({key: summary.get(key) for key in COMPARE_FIELDS})
     return out

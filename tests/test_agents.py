@@ -649,8 +649,7 @@ def _world(rows, pos, rng):
         temp_frame=zeros,
         tox_frame=zeros,
         exit_fields=[],
-        zone_centers=np.zeros((EXITS, 2)),
-        zone_cells=[],
+        zone_cells=[np.zeros((1, 2), dtype=np.int64)] * EXITS,
         has_interior_blockers=True,
     )
 

@@ -86,6 +86,35 @@ def _sealed_west_room(spawn=None):
             ("ca", "flow", "sf"),
             id="exit-spawn-rect",
         ),
+        # tick lengths and arc times divide by these; bodies need a size
+        pytest.param(
+            "minimal_room",
+            {"config": {"overrides": {"v_ref": 0}}},
+            "config.overrides.v_ref: must be > 0",
+            ("ca", "flow", "sf"),
+            id="v_ref-0",
+        ),
+        pytest.param(
+            "minimal_room",
+            {"config": {"overrides": {"flow_tick": 0}}},
+            "config.overrides.flow_tick: must be > 0",
+            ("flow", "sf"),
+            id="flow_tick-0",
+        ),
+        pytest.param(
+            "minimal_room",
+            {"config": {"overrides": {"sf_radius_lo": -0.3, "sf_radius_hi": -0.2}}},
+            "config.overrides.sf_radius_lo: must be > 0",
+            ("sf",),
+            id="negative-radii",
+        ),
+        pytest.param(
+            "minimal_room",
+            {"config": {"overrides": {"sf_radius_lo": 0.4, "sf_radius_hi": 0.3}}},
+            "config.overrides.sf_radius_hi: must be >= sf_radius_lo",
+            ("sf",),
+            id="radii-swapped",
+        ),
     ],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, name, update, where, backends):
@@ -157,3 +186,13 @@ def test_sweep_rejects_a_negative_worker_count(tmp_path):
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr == "evacsim:error: sweep.workers: must be >= 0\n"
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_refuses_a_zero_divisor_before_any_run(tmp_path):
+    proc = run_cli(
+        "sweep", os.path.join(SCENARIOS, "minimal_room.json"), "--param", "params.v_ref", "--values", "1.34,0",
+        "--seeds", "0", "--workers", 1, "--out", tmp_path / "sweep",
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == "evacsim:error: config.overrides.v_ref: must be > 0\n"
+    assert proc.stdout == "" and not (tmp_path / "sweep").exists()

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from evacsim import SemanticViolation
+from evacsim import SemanticViolation, run
 from evacsim.flow import Cohort, FlowState, flow_route, flow_step, route_to_destination
-from evacsim.scenario import Arc, EgressNetwork, Node
+from evacsim.metrics import egress_stats
+from evacsim.scenario import Arc, EgressNetwork, Node, derive_network
+
+from conftest import SCENARIOS, make_scenario
 
 
 def _path_network(n_hops=1, traversal=1, capacity=1):
@@ -154,3 +159,24 @@ def test_remove_supports_mid_run_deaths():
     _drain(state, eligible)
     state.check_conservation()
     assert sorted(state.arrived) == [0, 2, 3]
+
+
+@pytest.mark.parametrize("count", [1, 7, 40])
+@pytest.mark.parametrize("c_door, capacity", [(1.25, 1), (2.5, 3), (4.0, 4)])
+def test_corridor_run_drains_in_closed_form(count, c_door, capacity):
+    """A whole ``flow`` run of the shipped corridor, everyone reacting at
+    once: its 1 m exit passes ``capacity`` persons a tick and its one arc
+    takes T = 1 tick, so the last exit is stamped at (ceil(N / cap) - 1 + T)
+    ticks of 1 s and the run ends on the tick after it."""
+    with open(os.path.join(SCENARIOS, "corridor.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["population"]["count"] = count
+    doc["population"]["attributes"] = [{"attr": "reaction_time", "dist": "constant", "value": 0.0}]
+    doc["config"]["overrides"] = {"c_door": c_door}
+    scenario = make_scenario(doc)
+    assert [arc.capacity for arc in derive_network(scenario.geometry, scenario.config.params()).arcs] == [capacity]
+    result = run(scenario)
+    t_total, _, _, fatalities = egress_stats(result)
+    assert (result.exited, fatalities, result.timeout) == (count, 0, False)
+    assert t_total == math.ceil(count / capacity)
+    assert result.t_end == t_total + 1

@@ -143,6 +143,43 @@ def test_builtin_smoke_spreads_towards_the_far_corner():
     assert far[-1] > 0.0
 
 
+def _shift(a, dy, dx):
+    """``a`` shifted by (dy, dx) with zero fill outside."""
+    out = np.zeros_like(a)
+    h, w = a.shape
+    out[max(0, dy) : min(h, h + dy), max(0, dx) : min(w, w + dx)] = a[
+        max(0, -dy) : min(h, h - dy), max(0, -dx) : min(w, w - dx)
+    ]
+    return out
+
+
+def _reference_smoke_frames(geo, source, rate, diffusion, steps):
+    """The diffusion loop over four shifted copies per step, every step
+    kept: the reference the generator's one-buffer neighbour sum matches."""
+    open_f = geo.open_mask.astype(np.float64)
+    n_open = (_shift(open_f, 0, -1) + _shift(open_f, 0, 1)) + (_shift(open_f, -1, 0) + _shift(open_f, 1, 0))
+    od = np.zeros(open_f.shape)
+    frames = [od.copy()]
+    for _ in range(steps):
+        nbr_sum = (_shift(od, 0, -1) + _shift(od, 0, 1)) + (_shift(od, -1, 0) + _shift(od, 1, 0))
+        od = od + diffusion * (nbr_sum - n_open * od)
+        od[source[1], source[0]] += rate
+        od *= open_f
+        np.maximum(od, 0.0, out=od)
+        frames.append(od.copy())
+    return np.stack(frames)
+
+
+def test_builtin_smoke_matches_the_shifted_copy_reference_exactly():
+    obstacles = [(3, 2), (4, 2), (7, 5), (7, 6), (10, 3), (2, 8), (11, 8)]
+    rows = grid_rows(14, 11, exits=[(13, 5), (0, 2)], obstacles=obstacles)
+    geo = make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
+    params = {"rate": 0.7, "diffusion": 0.2, "step": 0.5, "frame_interval": 0.5, "duration": 60.0}
+    field = builtin_smoke(geo, (3, 7), params)
+    expected = _reference_smoke_frames(geo, (3, 7), 0.7, 0.2, 120)
+    assert np.array_equal(field.optical_density, expected)
+
+
 def test_builtin_smoke_rejects_blocked_source():
     geo = _smoke_geometry()
     with pytest.raises(HazardFormatError):

@@ -1,0 +1,60 @@
+"""Whole-run properties over generated rooms, under every backend."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evacsim import run
+from evacsim.config import BACKENDS
+
+from conftest import grid_rows, make_scenario, room_doc
+
+
+@st.composite
+def drills(draw):
+    """A bordered room of 6-14 x 5-10 one-metre cells with one or two exit
+    cells on its border and sparse one-cell obstacles, 1-12 people who
+    react within 2 s, and now and then a lethal smoke source.
+
+    No two obstacles touch, not even at a corner, and none touches the
+    ring of cells inside the border, so every open cell reaches an exit
+    and the scenario parses."""
+    width = draw(st.integers(6, 14))
+    height = draw(st.integers(5, 10))
+    border = [(x, y) for x in range(1, width - 1) for y in (0, height - 1)]
+    border += [(x, y) for y in range(1, height - 1) for x in (0, width - 1)]
+    exits = draw(st.lists(st.sampled_from(border), min_size=1, max_size=2, unique=True))
+    inner = [(x, y) for x in range(2, width - 2) for y in range(2, height - 2)]
+    obstacles: list[tuple[int, int]] = []
+    for x, y in draw(st.lists(st.sampled_from(inner), max_size=len(inner) // 4)) if inner else []:
+        if all(max(abs(x - ox), abs(y - oy)) > 1 for ox, oy in obstacles):
+            obstacles.append((x, y))
+    empty = (width - 2) * (height - 2) - len(obstacles)
+    doc = room_doc(
+        grid_rows(width, height, exits=exits, obstacles=obstacles),
+        count=draw(st.integers(1, min(12, empty))),
+        seed=draw(st.integers(0, 2**32)),
+        cell_size=1.0,
+        max_sim_time=10.0,
+        attributes=[{"attr": "reaction_time", "dist": "uniform", "lo": 0.0, "hi": 2.0}],
+    )
+    if draw(st.booleans()):
+        source = draw(st.sampled_from([(x, 1) for x in range(1, width - 1)]))
+        doc["hazard"] = {"builtin": {"source": list(source), "rate": 5.0, "tox_per_od": 0.5}}
+    return doc
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(drills())
+def test_every_person_is_accounted_for_and_runs_repeat(doc):
+    for backend in BACKENDS:
+        doc["config"]["backend"] = backend
+        result = run(make_scenario(doc))
+        outcomes = Counter(record.outcome for record in result.per_agent)
+        assert outcomes["exited"] + outcomes["dead"] + outcomes["inside"] == result.population, backend
+        assert (outcomes["exited"], outcomes["dead"]) == (result.exited, result.fatalities), backend
+        assert result.timeout == (outcomes["inside"] > 0), backend
+        assert run(make_scenario(doc)).digest == result.digest, backend
