@@ -31,11 +31,11 @@ the all-exits field, and the lattice mover, the social-force steering
 and the decision layer all read that stack.  Every grid rule comes from
 the geometry: ``Geometry.moves`` says which ``scenario.STEPS`` are
 allowed from a cell, and ``Geometry.cells_of`` maps positions to cells.
-Social-force steering runs over all of a round's deciders at once: a
-(target, room) table gives each its next route arc, an arc table gives
-the point beyond that arc's door, and one steepest-descent hop on the
-target's layer covers agents off the route, within reach of their aim
-or without a target.
+Social-force steering runs over all of a round's deciders at once: the
+room columns of ``EgressNetwork.routes``, the table ``flow`` routes by,
+give each its next route arc, an arc table gives the point beyond that
+arc's door, and one steepest-descent hop on the target's layer covers
+agents off the route, within reach of their aim or without a target.
 
 Determinism is load-bearing throughout: agents are always iterated in
 ascending id order, random substreams are dedicated per concern, and
@@ -65,7 +65,7 @@ from .agents import (
 from .ca import CaState, ca_step, speed_ticks
 from .config import RunConfig, SF_DECISION_INTERVAL, SF_TRAJECTORY_INTERVAL, half_up
 from .errors import SimulationError
-from .flow import FlowState, flow_step, route_to_destination
+from .flow import FlowState, flow_step
 from .hazard import (
     AMBIENT_TEMP,
     HazardField,
@@ -611,15 +611,11 @@ class _SfMover(_Mover):
         # per site, its first crossing time and the (t, persons) crossings of the clog window
         self.first_cross_t: list[float | None] = [None] * len(sim.sites)
         self.recent: list[list[tuple[float, int]]] = [[] for _ in sim.sites]
-        # per target layer (exit zones, then no target) and room (then no
-        # room), the next route arc, -1 for none; per arc (then none), the
-        # point beyond its door to aim at, NaN where the arc has no door
+        # per target layer (exit zones, as the route table's rows, then no
+        # target) and room (then no room), the next route arc, -1 for none;
+        # per arc (then none), the point beyond its door, NaN without a door
         network = sim.network
-        self.next_arc = np.full((len(sim.zones) + 1, sim.n_rooms + 1), -1, dtype=np.int64)
-        for z in sim.zones:
-            for node, arc_index in route_to_destination(network, sim.n_rooms + z.id).items():
-                if arc_index is not None:
-                    self.next_arc[z.id, node] = arc_index
+        self.next_arc = np.pad(network.routes[2][:, : sim.n_rooms], ((0, 1), (0, 1)), constant_values=-1)
         doors = {d.id: d for d in sim.geometry.doors}
         self.door_aim = np.full((len(network.arcs) + 1, 2), np.nan)
         for arc_index, arc in enumerate(network.arcs):
@@ -834,7 +830,7 @@ class _FlowMover(_Mover):
     def step(self, k: int, t: float) -> None:
         sim = self.sim
         network = sim.network
-        for cohort in flow_step(self.state, sim.pop.status == int(AgentStatus.MOVING)):
+        for cohort in flow_step(self.state, sim.pop.walking()):
             arc = network.arcs[cohort.arc_index]
             if arc.door_id:
                 sim.crossings.append((t, arc.door_id, len(cohort.ids)))

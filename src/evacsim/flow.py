@@ -3,7 +3,8 @@
 People are held in per-node FIFO queues and move along arcs in whole
 cohorts, at most ``capacity`` persons per tick per arc, arriving after
 the arc's traversal time.  Routing is static: every node forwards
-toward its nearest destination (by total traversal time), so the model
+toward its nearest destination (by total traversal time), read off the
+network's one shortest-path table ``EgressNetwork.routes``, so the model
 stays transparent enough to check against closed-form queueing results.
 
 Individual ids are carried through the queues so per-person exit times
@@ -12,7 +13,6 @@ act on counts.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -22,85 +22,22 @@ from .errors import SemanticViolation, SimulationError
 from .scenario import EgressNetwork
 
 
-def _reverse_adjacency(network: EgressNetwork) -> dict[int, list[tuple[int, int]]]:
-    """dst node id -> list of (arc index, src node id)."""
-    rev: dict[int, list[tuple[int, int]]] = {n.id: [] for n in network.nodes}
-    for i, arc in enumerate(network.arcs):
-        rev[arc.dst].append((i, arc.src))
-    return rev
-
-
-def _distances_to(network: EgressNetwork, dest_id: int) -> dict[int, int]:
-    """Total traversal time from every node to one destination."""
-    rev = _reverse_adjacency(network)
-    dist = {dest_id: 0}
-    heap = [(0, dest_id)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist[node]:
-            continue
-        for arc_index, src in rev[node]:
-            nd = d + network.arcs[arc_index].traversal_time
-            if src not in dist or nd < dist[src]:
-                dist[src] = nd
-                heapq.heappush(heap, (nd, src))
-    return dist
-
-
-def route_to_destination(network: EgressNetwork, dest_id: int) -> dict[int, int | None]:
-    """Next-arc table toward one specific destination.
-
-    Maps node id to the index of the outgoing arc that starts a
-    shortest path to ``dest_id`` (ties broken by smallest arc index),
-    or None when the node is the destination itself or cannot reach it.
-    """
-    dist = _distances_to(network, dest_id)
-    table: dict[int, int | None] = {}
-    for node in network.nodes:
-        if node.id == dest_id or node.id not in dist:
-            table[node.id] = None
-            continue
-        best_arc = None
-        best_time = None
-        for arc_index, arc in network.out_arcs(node.id):
-            if arc.dst not in dist:
-                continue
-            t = arc.traversal_time + dist[arc.dst]
-            if best_time is None or t < best_time:
-                best_time = t
-                best_arc = arc_index
-        table[node.id] = best_arc
-    return table
-
-
 def flow_route(network: EgressNetwork) -> dict[int, int | None]:
-    """Static next-arc table: every node forwards toward its nearest
-    destination, ties broken by smallest destination id, then smallest
-    arc index.  Destinations map to None (absorbing).
-
-    Raises when some node cannot reach any destination.
+    """Static next-arc table read off ``network.routes``: every node
+    forwards toward its nearest destination, ties broken by smallest
+    destination id, then smallest arc index.  Destinations map to None
+    (absorbing).  Raises when some node cannot reach any destination.
     """
-    dests = sorted(n.id for n in network.destinations())
-    per_dest = {d: _distances_to(network, d) for d in dests}
-    per_route = {d: route_to_destination(network, d) for d in dests}
+    _, ticks, first = network.routes
     table: dict[int, int | None] = {}
-    dest_set = set(dests)
     for node in network.nodes:
-        if node.id in dest_set:
+        if node.kind == "destination":
             table[node.id] = None
             continue
-        best: tuple[int, int] | None = None  # (time, dest id)
-        for d in dests:
-            if node.id in per_dest[d]:
-                cand = (per_dest[d][node.id], d)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            raise SemanticViolation(
-                "network.connectivity", f"node {node.id} cannot reach any destination"
-            )
-        _, dest = best
-        table[node.id] = per_route[dest][node.id]
+        column = ticks[:, node.id]
+        if not np.isfinite(column).any():
+            raise SemanticViolation("network.connectivity", f"node {node.id} cannot reach any destination")
+        table[node.id] = int(first[np.argmin(column), node.id])
     return table
 
 

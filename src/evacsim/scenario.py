@@ -423,11 +423,32 @@ class EgressNetwork:
                 return node
         raise KeyError(node_id)
 
-    def destinations(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == "destination"]
-
-    def out_arcs(self, node_id: int) -> list[tuple[int, Arc]]:
-        return [(i, a) for i, a in enumerate(self.arcs) if a.src == node_id]
+    @cached_property
+    def routes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shortest routes, found once and kept read-only: the destination
+        ids in ascending order; a (destinations, node ids) table of the
+        fewest traversal ticks to each, inf where there is no path; and the
+        index of the arc that starts such a path, the smallest on a tie, -1
+        at the destination itself and where there is no path.  One
+        Bellman-Ford relaxation serves all destinations."""
+        dests = np.array(sorted(n.id for n in self.nodes if n.kind == "destination"), dtype=np.int64)
+        src, dst, ticks = np.array([(a.src, a.dst, a.traversal_time) for a in self.arcs], dtype=int).reshape(-1, 3).T
+        rows = np.arange(len(dests))
+        dist = np.full((len(dests), max((n.id for n in self.nodes), default=-1) + 1), np.inf)
+        dist[rows, dests] = 0.0
+        for _ in self.nodes:  # no shortest path has more arcs than there are nodes
+            before = dist.copy()
+            np.minimum.at(dist.T, src, dist.T[dst] + ticks[:, None])
+            if np.array_equal(dist, before):
+                break
+        on_path = np.isfinite(dist[:, src]) & (dist[:, dst] + ticks == dist[:, src])
+        first = np.full(dist.shape, -1, dtype=np.int64)
+        for i in reversed(range(len(self.arcs))):  # so the smallest index on a tie is written last
+            first[on_path[:, i], src[i]] = i
+        first[rows, dests] = -1
+        for table in (dests, dist, first):
+            table.flags.writeable = False
+        return dests, dist, first
 
 
 def unreachable_nodes(nodes, edges) -> set[int]:

@@ -6,6 +6,7 @@ Scenario documents are assembled as plain dicts and serialised with
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import subprocess
@@ -149,3 +150,48 @@ def one_agent(**attrs):
     )
     row.update(attrs)
     return Population(**{name: np.array([value]) for name, value in row.items()})
+
+
+def distances_to(network, dest_id):
+    """Reference router, part one: node id -> fewest traversal ticks to
+    ``dest_id``, by Dijkstra over the reversed arcs; nodes that cannot
+    reach it are left out."""
+    rev = {n.id: [] for n in network.nodes}
+    for i, arc in enumerate(network.arcs):
+        rev[arc.dst].append((i, arc.src))
+    dist = {dest_id: 0}
+    heap = [(0, dest_id)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for arc_index, src in rev[node]:
+            nd = d + network.arcs[arc_index].traversal_time
+            if src not in dist or nd < dist[src]:
+                dist[src] = nd
+                heapq.heappush(heap, (nd, src))
+    return dist
+
+
+def route_to_destination(network, dest_id):
+    """Reference router, part two: node id -> index of the outgoing arc
+    that starts a shortest path to ``dest_id`` (ties broken by smallest
+    arc index), or None when the node is the destination itself or
+    cannot reach it."""
+    dist = distances_to(network, dest_id)
+    table = {}
+    for node in network.nodes:
+        if node.id == dest_id or node.id not in dist:
+            table[node.id] = None
+            continue
+        best_arc = None
+        best_time = None
+        for arc_index, arc in enumerate(network.arcs):
+            if arc.src != node.id or arc.dst not in dist:
+                continue
+            t = arc.traversal_time + dist[arc.dst]
+            if best_time is None or t < best_time:
+                best_time = t
+                best_arc = arc_index
+        table[node.id] = best_arc
+    return table

@@ -8,13 +8,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacsim import SemanticViolation, run
-from evacsim.flow import Cohort, FlowState, flow_route, flow_step, route_to_destination
+from evacsim.config import BACKENDS
+from evacsim.flow import Cohort, FlowState, flow_route, flow_step
 from evacsim.metrics import egress_stats
 from evacsim.scenario import Arc, EgressNetwork, Node, derive_network
 
-from conftest import SCENARIOS, make_scenario
+from conftest import SCENARIOS, distances_to, make_scenario, route_to_destination
 
 
 def _path_network(n_hops=1, traversal=1, capacity=1):
@@ -124,8 +127,11 @@ def test_flow_route_picks_nearest_destination():
     routes = flow_route(net)
     assert routes[0] == 1  # arc index of "near"
     assert routes[1] == 2
-    to_far = route_to_destination(net, 2)
-    assert to_far[0] == 0
+    dests, ticks, first = net.routes
+    assert dests.tolist() == [2, 3]
+    assert ticks[:, 0].tolist() == [5, 1]
+    assert first[0, 0] == 0  # toward the far destination, arc "far"
+    assert first[:, 1].tolist() == [2, -1]  # room 1 cannot reach destination 3
 
 
 def test_unreachable_room_is_a_connectivity_error():
@@ -138,6 +144,69 @@ def test_unreachable_room_is_a_connectivity_error():
     net = EgressNetwork(nodes=nodes, arcs=arcs, warnings=[])
     with pytest.raises(SemanticViolation):
         flow_route(net)
+
+
+@st.composite
+def networks(draw):
+    """Up to 7 nodes on ids drawn from 0-9 (so some ids are unused, as
+    after pruning), each a room or a destination, joined by up to 14 arcs
+    of 0-3 ticks between any two nodes, loops and destinations' own arcs
+    included; some rooms reach no destination, and some networks have
+    none at all."""
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=7, unique=True))
+    nodes = [Node(id=i, kind=draw(st.sampled_from(["room", "destination"])), cell=(i, 0)) for i in ids]
+    arc = st.builds(
+        lambda src, dst, ticks: Arc(src=src, dst=dst, traversal_time=ticks, capacity=1),
+        st.sampled_from(ids),
+        st.sampled_from(ids),
+        st.integers(0, 3),
+    )
+    return EgressNetwork(nodes=nodes, arcs=draw(st.lists(arc, max_size=14)), warnings=[])
+
+
+def _reference_flow_route(network):
+    """Every room toward its nearest destination by the reference router,
+    ties broken by smallest destination id; None at destinations."""
+    dests = sorted(n.id for n in network.nodes if n.kind == "destination")
+    dist = {d: distances_to(network, d) for d in dests}
+    table = {}
+    for node in network.nodes:
+        if node.kind == "destination":
+            table[node.id] = None
+            continue
+        reach = [(dist[d][node.id], d) for d in dests if node.id in dist[d]]
+        if not reach:
+            raise SemanticViolation("network.connectivity", f"node {node.id} cannot reach any destination")
+        table[node.id] = route_to_destination(network, min(reach)[1])[node.id]
+    return table
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(networks())
+def test_the_route_table_and_flow_route_match_the_reference_router(network):
+    dests, ticks, first = network.routes
+    assert dests.tolist() == sorted(n.id for n in network.nodes if n.kind == "destination")
+    for row, dest in enumerate(dests.tolist()):
+        dist = distances_to(network, dest)
+        route = route_to_destination(network, dest)
+        for node in network.nodes:
+            assert ticks[row, node.id] == dist.get(node.id, math.inf), (dest, node.id)
+            assert first[row, node.id] == (-1 if route[node.id] is None else route[node.id]), (dest, node.id)
+    try:
+        want = _reference_flow_route(network)
+    except SemanticViolation:
+        with pytest.raises(SemanticViolation):
+            flow_route(network)
+        return
+    assert flow_route(network) == want
+
+
+def test_the_route_table_is_found_once_per_network_and_kept_read_only():
+    net = _path_network(3)
+    assert net.routes is net.routes
+    assert not any(table.flags.writeable for table in net.routes)
+    assert net.routes[1].tolist() == [[3, 2, 1, 0]]
+    assert net.routes[2].tolist() == [[0, 1, 2, -1]]
 
 
 def test_zero_traversal_arrives_same_tick():
@@ -180,3 +249,18 @@ def test_corridor_run_drains_in_closed_form(count, c_door, capacity):
     assert (result.exited, fatalities, result.timeout) == (count, 0, False)
     assert t_total == math.ceil(count / capacity)
     assert result.t_end == t_total + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_people_who_cannot_walk_stay_inside_under_every_backend(backend):
+    """Mobility 0 holds a person where they stand: nobody of the shipped
+    two_rooms leaves in 60 s, however soon they react."""
+    with open(os.path.join(SCENARIOS, "two_rooms.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["population"]["attributes"] = [
+        {"attr": "mobility", "dist": "constant", "value": 0},
+        {"attr": "reaction_time", "dist": "constant", "value": 0.0},
+    ]
+    doc["config"].update(backend=backend, max_sim_time=60.0)
+    result = run(make_scenario(doc))
+    assert (result.exited, result.fatalities, result.timeout) == (0, 0, True)

@@ -1,16 +1,18 @@
-"""Trajectory export: the bulk formatter writes exactly the text of the
-per-row formatter it replaced, on values chosen to break a formatter."""
+"""Run metrics: the bulk trajectory formatter writes exactly the text of
+the per-row formatter it replaced, on values chosen to break a
+formatter; clog time merges the episodes of every door."""
 
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from evacsim import export_trajectories
 from evacsim.agents import STATUS_TOKENS, AgentStatus
-from evacsim.metrics import TRAJECTORY_HEADER, RunResult
+from evacsim.metrics import TRAJECTORY_HEADER, EventRecord, RunResult, clog_fraction
 
 
 def _reference_export(result, sink):
@@ -123,3 +125,18 @@ def test_a_run_without_rows_writes_the_header_only(trajectory):
     result = _result(trajectory)
     assert _text(export_trajectories, result) == TRAJECTORY_HEADER + "\n"
     assert _text(_reference_export, result) == TRAJECTORY_HEADER + "\n"
+
+
+def test_clog_fraction_merges_overlapping_episodes_of_two_doors():
+    # a clogged 2-6 s and again from 12 s to the end of the run at 20 s,
+    # b clogged 4-9 s: some door is clogged over 2-9 s and 12-20 s
+    events = [
+        EventRecord(2.0, "clog_start", "a", {}),
+        EventRecord(4.0, "clog_start", "b", {}),
+        EventRecord(6.0, "clog_end", "a", {}),
+        EventRecord(9.0, "clog_end", "b", {}),
+        EventRecord(12.0, "clog_start", "a", {}),
+    ]
+    result = replace(_result([]), t_end=20.0, events=events)
+    assert clog_fraction(result) == pytest.approx(15.0 / 20.0)
+    assert clog_fraction(replace(result, events=events[:1] + events[2:3])) == pytest.approx(4.0 / 20.0)

@@ -106,3 +106,25 @@ def test_the_four_neighbour_offsets_are_written_once():
             if {_unit_step(item) for item in items} - {None} == four:
                 places.append(f"{module}:{node.lineno}")
     assert len(places) == 1, places
+
+
+def test_the_route_search_is_written_once():
+    # shortest routes over the egress network are one table
+    # (EgressNetwork.routes); the one priority-queue search left is the
+    # cell distance field, so one module imports heapq and only
+    # distance_field uses it
+    trees = _trees()
+    importers = sorted(
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "heapq" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "heapq"
+    )
+    assert importers == ["scenario"]
+    users = [
+        node.name
+        for node in ast.walk(trees["scenario"])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _names(node)["heapq"]
+    ]
+    assert users == ["distance_field"]

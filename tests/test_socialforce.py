@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evacsim import SimulationError
+from evacsim import SimulationError, run
 from evacsim.agents import NO_TARGET
 from evacsim.config import PARAM_DEFAULTS
 from evacsim.engine import _Simulation
-from evacsim.flow import route_to_destination
+from evacsim.metrics import clog_fraction
 from evacsim.scenario import derive_network, distance_field, load_scenario
 from evacsim.socialforce import (
     MAX_DT,
@@ -32,7 +32,7 @@ from evacsim.socialforce import (
 )
 from evacsim.spatialhash import SpatialHash
 
-from conftest import SCENARIOS, grid_rows, make_scenario, room_doc
+from conftest import SCENARIOS, grid_rows, make_scenario, room_doc, route_to_destination
 
 TAU = PARAM_DEFAULTS["sf_tau"]
 CUTOFF = PARAM_DEFAULTS["sf_cutoff"]
@@ -824,6 +824,36 @@ def test_detect_arch_requires_starved_flow_and_a_crowd():
     assert not starved_but_empty
 
 
+def test_a_clogging_exit_opens_and_closes_episodes_to_the_end_of_the_run():
+    """24 walkers at a one-cell exit 0.6 m wide, about one body across:
+    arches form and break, and the last one still stands when the run
+    stops at 60 s.  The detector asks for 4 bodies in its band here, as
+    bodies of 0.25-0.35 m radius seldom fit 6 in it against a wall."""
+    doc = room_doc(
+        grid_rows(14, 11, exits=[(13, 5)]),
+        count=24,
+        backend="sf",
+        spawn=[4, 1, 12, 9],
+        attributes=[{"attr": "reaction_time", "dist": "uniform", "lo": 0.0, "hi": 1.0}],
+        cell_size=0.6,
+        max_sim_time=60.0,
+        overrides={"clog_min_bodies": 4},
+    )
+    result = run(make_scenario(doc))
+    clogs = [e for e in result.events if e.kind in ("clog_start", "clog_end")]
+    assert len(clogs) >= 4 and {e.subject for e in clogs} == {"exit:0"}
+    assert [e.kind for e in clogs] == ["clog_start", "clog_end"] * (len(clogs) // 2)
+    *during, last = clogs
+    for event in during:
+        assert set(event.payload) == {"band", "flow"}
+        if event.kind == "clog_start":
+            assert event.payload["flow"] < PARAM_DEFAULTS["clog_flow"] and event.payload["band"] >= 4
+    assert result.timeout and (last.t, last.payload) == (result.t_end, {"end_of_run": True})
+    clogged = sum(end.t - start.t for start, end in zip(clogs[::2], clogs[1::2]))
+    assert 0 < clog_fraction(result) <= 1
+    assert clog_fraction(result) == pytest.approx(clogged / result.t_end)
+
+
 def test_max_dt_guard_is_the_documented_bound():
     assert MAX_DT == 0.05
 
@@ -923,12 +953,23 @@ class _ScalarSteering:
         return wp
 
 
-@pytest.mark.parametrize("name", ["two_rooms", "herding_two_exit"])
+def _exit_door_room():
+    """A room whose east exit opening is a declared door, so one route arc
+    passes a door into an exit zone; the west exit has no door."""
+    rows = grid_rows(12, 8, exits=[(11, 3), (11, 4), (0, 3)])
+    return make_scenario(room_doc(rows, backend="sf", doors=[{"id": "east", "cells": [[11, 3], [11, 4]]}]))
+
+
+@pytest.mark.parametrize("name", ["two_rooms", "herding_two_exit", "exit_door"])
 def test_bulk_steering_matches_the_scalar_reference(name):
     # every open cell's centre and one jittered point in it, toward every
-    # exit and toward none: reaches the doorless arcs, the cells outside
-    # any room, the minima and the agents without a target
-    scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    # exit and toward none: reaches the doorless arcs, the doors into an
+    # exit zone, the cells outside any room, the minima and the agents
+    # without a target
+    if name == "exit_door":
+        scenario = _exit_door_room()
+    else:
+        scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
     sim = _Simulation(scenario, replace(scenario.config, backend="sf"))
     geo = sim.geometry
     reference = _ScalarSteering(geo, sim.params)
