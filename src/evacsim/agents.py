@@ -48,7 +48,7 @@ import numpy as np
 from .config import PARAM_DEFAULTS
 from .errors import SimulationError
 from .hazard import visibility_range_bulk
-from .scenario import FLOAT01, CellKind, DistSpec, Geometry, PopulationSpec, los_pairs
+from .scenario import FLOAT01, DistSpec, Geometry, PopulationSpec, los_pairs
 from .spatialhash import SpatialHash
 
 
@@ -197,7 +197,9 @@ def spawn_population(
         rt = draws * (1.0 - 0.5 * np.asarray(sampled["experience"])) * factor
         reaction = np.clip(rt, float(p["rt_min"]), float(p["rt_max"]))
 
-    cells = _spawn_cells(spec, geometry)
+    cells = spec.spawn_cells(geometry)
+    if not cells and count > 0:
+        raise SimulationError("spawn region contains no free cells")
     if bodies:
         radii = streams.bodies.uniform(float(p["sf_radius_lo"]), float(p["sf_radius_hi"]), size=count)
         positions = _continuous_positions(cells, radii, geometry, streams.spawn_pos)
@@ -234,27 +236,6 @@ def spawn_population(
         replans=np.zeros(count, dtype=np.int64),
         target=np.full(count, NO_TARGET, dtype=np.int32),
     )
-
-
-def _spawn_cells(spec: PopulationSpec, geometry: Geometry) -> list[tuple[int, int]]:
-    empty = geometry.kinds == CellKind.EMPTY
-    if spec.spawn_rect is not None:
-        x0, y0, x1, y1 = spec.spawn_rect
-        cells = [
-            (x, y)
-            for y in range(y0, y1 + 1)
-            for x in range(x0, x1 + 1)
-            if empty[y, x]
-        ]
-    elif spec.spawn_node is not None:
-        ys, xs = np.nonzero(geometry.room_labels == spec.spawn_node)
-        cells = sorted(zip(xs.tolist(), ys.tolist()), key=lambda c: (c[1], c[0]))
-    else:
-        ys, xs = np.nonzero(empty)
-        cells = sorted(zip(xs.tolist(), ys.tolist()), key=lambda c: (c[1], c[0]))
-    if not cells and spec.count > 0:
-        raise SimulationError("spawn region contains no free cells")
-    return cells
 
 
 def _continuous_positions(

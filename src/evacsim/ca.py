@@ -11,6 +11,10 @@ synchronous and order-free.
 
 Different walking speeds live on the fixed lattice by step skipping: a
 slow agent simply sits out a fraction of the ticks.
+
+The lattice keeps no coordinates of its own.  Each agent stands at the
+centre of its cell in the population's ``pos`` array, which is where its
+cell is read and where a move writes the new centre.
 """
 from __future__ import annotations
 
@@ -26,48 +30,53 @@ EMPTY_CELL = -1
 
 @dataclass
 class CaState:
-    """Occupancy lattice plus per-agent cell coordinates.
+    """Occupancy lattice over the population's own ``pos`` array.
 
-    Who is in the building is not recorded here: the caller passes those
-    ids to ``ca_step`` and calls ``vacate`` for each person who leaves.
+    Every agent on the lattice stands at its cell's centre, so its cell is
+    read off ``pos``; ``ca_step`` moves ``pos`` in place.  Who is in the
+    building is not recorded here: the caller passes those ids to
+    ``ca_step`` and ``check_bijection`` and calls ``vacate`` for each
+    person who leaves.
     """
 
     occupancy: np.ndarray                    # (H, W) int32, agent id or EMPTY_CELL
-    x: np.ndarray                            # (N,) int32 cell coords per agent id
-    y: np.ndarray
-    tick: int = 0
+    pos: np.ndarray                          # (N, 2) float64 cell centres in metres, by agent id
+    cell_size: float
 
     @classmethod
-    def from_cells(cls, geometry: Geometry, cells: list[tuple[int, int]]) -> "CaState":
+    def from_positions(cls, geometry: Geometry, pos: np.ndarray) -> "CaState":
         occupancy = np.full((geometry.height, geometry.width), EMPTY_CELL, dtype=np.int32)
-        n = len(cells)
-        xs = np.zeros(n, dtype=np.int32)
-        ys = np.zeros(n, dtype=np.int32)
-        for agent_id, (cx, cy) in enumerate(cells):
+        state = cls(occupancy=occupancy, pos=pos, cell_size=geometry.cell_size)
+        for agent_id, (cx, cy) in enumerate(state.cells(np.arange(len(pos))).tolist()):
             if occupancy[cy, cx] != EMPTY_CELL:
                 raise SimulationError(f"agents {int(occupancy[cy, cx])} and {agent_id} spawned into cell {(cx, cy)}")
             occupancy[cy, cx] = agent_id
-            xs[agent_id] = cx
-            ys[agent_id] = cy
-        return cls(occupancy=occupancy, x=xs, y=ys)
+        return state
+
+    def cells(self, ids: np.ndarray) -> np.ndarray:
+        """(n, 2) int64 cells (x, y) of the agents ``ids``."""
+        return (self.pos.take(ids, axis=0) / self.cell_size).astype(np.int64)
 
     def vacate(self, agent_id: int) -> None:
         """Free the cell of an agent who left the building (exit or death).
 
         Call it once per agent: afterwards the cell may hold someone else."""
-        self.occupancy[self.y[agent_id], self.x[agent_id]] = EMPTY_CELL
+        cx, cy = self.cells(np.array([agent_id]))[0]
+        self.occupancy[cy, cx] = EMPTY_CELL
 
-    def check_bijection(self, present: np.ndarray) -> None:
-        """The lattice holds exactly the ids ``present``, each on its own cell."""
+    def check_bijection(self, present: np.ndarray, tick: int) -> None:
+        """The lattice holds exactly the ids ``present``, each on the cell
+        its position lies in; a fault is reported at ``tick``."""
         ys, xs = np.nonzero(self.occupancy != EMPTY_CELL)
         ids = self.occupancy[ys, xs]
         if len(ids) != len(present):
-            raise SimulationError(f"tick {self.tick}: occupancy cell count != present agent count")
+            raise SimulationError(f"tick {tick}: occupancy cell count != present agent count")
         if (np.bincount(ids) > 1).any():
-            raise SimulationError(f"tick {self.tick}: one agent occupies two cells")
-        stray = present[self.occupancy[self.y[present], self.x[present]] != present]
+            raise SimulationError(f"tick {tick}: one agent occupies two cells")
+        cx, cy = self.cells(present).T
+        stray = present[self.occupancy[cy, cx] != present]
         if len(stray):
-            raise SimulationError(f"tick {self.tick}: agents {stray.tolist()} are not where the lattice holds them")
+            raise SimulationError(f"tick {tick}: agents {stray.tolist()} are not where the lattice holds them")
 
 
 def speed_ticks(v_eff, v_grid: float) -> np.ndarray:
@@ -105,7 +114,6 @@ def ca_step(
     fields: np.ndarray,
     field_index: np.ndarray,
     move_ids: np.ndarray,
-    present: np.ndarray,
     rng: np.random.Generator,
     noise: float,
 ) -> np.ndarray:
@@ -114,19 +122,15 @@ def ca_step(
     ``fields`` is a stack of distance fields (cells); ``field_index[i]``
     picks the stack layer agent i descends.  ``move_ids`` lists, in
     ascending order, the ids attempting a move this tick (already
-    filtered for status, mobility and step skipping); ``present`` lists
-    the ids in the building, whom the lattice must hold afterwards.
-    Returns the ids that actually changed cell.
+    filtered for status, mobility and step skipping).  A winner frees its
+    old cell, takes the new one and stands at its centre in
+    ``state.pos``.  Returns the ids that actually changed cell.
     """
     n = len(move_ids)
     if n == 0:
-        state.tick += 1
-        state.check_bijection(present)
         return move_ids
 
-    cx, cy, admissible = geometry.neighbourhood(
-        state.x[move_ids].astype(np.int64), state.y[move_ids].astype(np.int64)
-    )                                        # (n, 9) each
+    cx, cy, admissible = geometry.neighbourhood(*state.cells(move_ids).T)  # (n, 9) each
     free = state.occupancy[cy, cx] == EMPTY_CELL
     admissible[:, 1:] &= free[:, 1:]         # staying on one's own cell is always allowed
 
@@ -137,11 +141,8 @@ def ca_step(
     cost[:, 0] = np.where(np.isfinite(cost[:, 0]), cost[:, 0], 1e30)  # stay beats nothing at all
 
     pick = np.argmin(cost, axis=1)
-    moves = pick != 0
-    movers = np.nonzero(moves)[0]
+    movers = np.nonzero(pick)[0]
     if len(movers) == 0:
-        state.tick += 1
-        state.check_bijection(present)
         return move_ids[:0]
 
     tx = cx[movers, pick[movers]]
@@ -150,16 +151,10 @@ def ca_step(
 
     win_rows = movers[winners]
     ids = move_ids[win_rows]
-    old_x = state.x[ids].copy()
-    old_y = state.y[ids].copy()
-    new_x = cx[win_rows, pick[win_rows]].astype(np.int32)
-    new_y = cy[win_rows, pick[win_rows]].astype(np.int32)
-
-    state.occupancy[old_y, old_x] = EMPTY_CELL
+    new_x = tx[winners]
+    new_y = ty[winners]
+    state.occupancy[cy[win_rows, 0], cx[win_rows, 0]] = EMPTY_CELL  # step 0 is one's own cell
     state.occupancy[new_y, new_x] = ids
-    state.x[ids] = new_x
-    state.y[ids] = new_y
-
-    state.tick += 1
-    state.check_bijection(present)
+    state.pos[ids, 0] = (new_x + 0.5) * state.cell_size
+    state.pos[ids, 1] = (new_y + 0.5) * state.cell_size
     return ids

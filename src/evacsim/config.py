@@ -144,6 +144,12 @@ class RunConfig:
         if not params["sf_radius_lo"] <= params["sf_radius_hi"]:
             raise SemanticViolation("config.overrides.sf_radius_hi", "must be >= sf_radius_lo")
 
+    @property
+    def bodies(self) -> bool:
+        """Whether people spawn as discs at continuous positions (sf) rather
+        than one to a cell (ca and flow)."""
+        return self.backend == "sf"
+
     def params(self) -> dict[str, float]:
         """Resolved parameter table: defaults plus overrides."""
         merged = dict(PARAM_DEFAULTS)

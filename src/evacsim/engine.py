@@ -14,17 +14,21 @@ the shared phases call only its ``steer(ids)`` (after a decision round),
 ``step(k, t)`` (one movement tick with its arrivals, door crossings and
 clog checks), ``remove(i)`` (agent i left the building by exit or
 death) and ``warnings``.  ``Population`` is the one record of each
-agent's state, status, exit or death time, path length and replan count
-included: each step reads and writes it there, and no mover keeps a
-copy.  Who is in the building and who walks are its methods
+agent's state, position, status, exit or death time, path length and
+replan count included: each step reads and writes it there, and no
+mover keeps a copy.  The lattice and the social-force state hold the
+population's own ``pos`` array, and the lattice mover checks once a
+tick, naming the tick ``k``, that its occupancy grid agrees with it.
+Who is in the building and who walks are its methods
 ``Population.inside`` and ``Population.walking``.  The hazard phase
 records in ``sensed`` whether the air at each inside agent's cell
 differs from ambient; that starts a waiting agent before its delay is
 up.  Class constants on each mover give its default decision and
-trajectory cadence, whether it makes decision rounds at all, whether it
-needs door sites and the route network, and whether its agents spawn as
-bodies; only a mover that needs the network derives it.  Room labels are
-read from ``Geometry.room_labels``.
+trajectory cadence, whether it makes decision rounds at all, and whether
+it needs door sites and the route network; only a mover that needs the
+network derives it.  Whether agents spawn as bodies is
+``RunConfig.bodies``.  Room labels are read from
+``Geometry.room_labels``.
 
 The run stacks its distance fields once, a layer per exit zone and then
 the all-exits field, and the lattice mover, the social-force steering
@@ -262,7 +266,7 @@ class _Simulation:
         )
 
         # population: the one copy of every agent's state
-        self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, mover_cls.bodies)
+        self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, self.config.bodies)
         n = len(self.pop)
         self.n = n
 
@@ -508,7 +512,6 @@ class _Mover:
     decides = True             # runs decision rounds at all
     needs_sites = False        # counts crossings at instrumented doors
     needs_network = False      # moves or steers on the route network
-    bodies = False             # spawns discs at continuous positions, not one per cell
 
     def __init__(self, sim: _Simulation):
         self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
@@ -531,7 +534,7 @@ class _CaMover(_Mover):
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
-        self.state = CaState.from_cells(sim.geometry, sim.geometry.cells_of(sim.pop.pos).tolist())
+        self.state = CaState.from_positions(sim.geometry, sim.pop.pos)
         self.v_grid = sim.cs / sim.dt
 
     def remove(self, i: int) -> None:
@@ -543,10 +546,10 @@ class _CaMover(_Mover):
         state = self.state
         # arrival check first: anyone standing on an exit cell leaves
         present = pop.inside()
-        leaving = sim.zone_grid[state.y[present], state.x[present]] >= 0
-        for i in present[leaving].tolist():
-            sim._leave(i, t, int(state.x[i]), int(state.y[i]))
-        present = present[~leaving]
+        cells = state.cells(present)
+        leaving = sim.zone_grid[cells[:, 1], cells[:, 0]] >= 0
+        for row in np.flatnonzero(leaving).tolist():
+            sim._leave(int(present[row]), t, *cells[row].tolist())
 
         move_ids = np.flatnonzero(pop.walking())
         if len(move_ids):
@@ -556,36 +559,27 @@ class _CaMover(_Mover):
             v_des = sim.desired[move_ids]
             ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
             move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
-        if len(move_ids) == 0:
-            state.tick += 1
-            return
         field_index = np.where(pop.target >= 0, pop.target, len(sim.zones)).astype(np.int64)
-        old_x = state.x[move_ids].copy()
-        old_y = state.y[move_ids].copy()
         moved = ca_step(
             state,
             sim.geometry,
             sim.exit_fields,
             field_index,
             move_ids,
-            present,
             sim.streams.ca_conflicts,
             float(sim.params["ca_noise"]),
         )
+        state.check_bijection(present[~leaving], k)
         if len(moved) == 0:
             return
         cs = sim.cs
-        sel = np.searchsorted(move_ids, moved)
-        ox = old_x[sel].astype(np.float64)
-        oy = old_y[sel].astype(np.float64)
-        nx = state.x[moved].astype(np.float64)
-        ny = state.y[moved].astype(np.float64)
-        pop.pos[moved, 0] = (nx + 0.5) * cs
-        pop.pos[moved, 1] = (ny + 0.5) * cs
+        # everyone who moves was present, so their old cells were read above
+        ox, oy = cells[np.searchsorted(present, moved)].T
+        nx, ny = state.cells(moved).T
         pop.path_len[moved] += np.hypot((nx - ox) * cs, (ny - oy) * cs)
         # crossings: stepping onto an instrumented span from outside it
-        site_new = sim.site_of_cell[ny.astype(np.int64), nx.astype(np.int64)]
-        site_old = sim.site_of_cell[oy.astype(np.int64), ox.astype(np.int64)]
+        site_new = sim.site_of_cell[ny, nx]
+        site_old = sim.site_of_cell[oy, ox]
         entered = (site_new >= 0) & (site_new != site_old)
         if entered.any():
             counts = np.bincount(site_new[entered])
@@ -600,7 +594,6 @@ class _SfMover(_Mover):
     trajectory_interval = SF_TRAJECTORY_INTERVAL
     needs_sites = True
     needs_network = True
-    bodies = True
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)

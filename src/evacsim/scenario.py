@@ -604,7 +604,7 @@ class PopulationSpec:
     spawn_node: int | None = None
     attributes: dict[str, DistSpec] = field(default_factory=dict)
 
-    def validate(self, geometry: Geometry, params: dict) -> None:
+    def validate(self, geometry: Geometry, config: RunConfig) -> None:
         if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 0:
             raise SchemaViolation("population.count", "must be a non-negative integer")
         if self.spawn_rect is not None and self.spawn_node is not None:
@@ -616,8 +616,6 @@ class PopulationSpec:
             if not (geometry.in_bounds(x0, y0) and geometry.in_bounds(x1, y1)):
                 raise SemanticViolation("population.spawn", "rect extends outside the grid")
             box = np.s_[y0:y1 + 1, x0:x1 + 1]
-            if self.count > 0 and not (geometry.kinds[box] == CellKind.EMPTY).any():
-                raise SemanticViolation("population.spawn", "rect holds no empty cell to spawn on")
             sealed = int((geometry.open_mask[box] & ~np.isfinite(geometry.exit_distance[box])).sum())
             if sealed:
                 raise SemanticViolation("population.spawn", f"{sealed} open cell(s) in the rect cannot reach an exit")
@@ -628,7 +626,27 @@ class PopulationSpec:
             # the topology drops the rooms with no way out
             if all(n.id != self.spawn_node for n in topology.nodes):
                 raise SemanticViolation("population.spawn.node", f"room {self.spawn_node} cannot reach an exit")
-        self.attribute_specs(params)
+        cells = self.spawn_cells(geometry)
+        if self.spawn_rect is not None and self.count > 0 and not cells:
+            raise SemanticViolation("population.spawn", "rect holds no empty cell to spawn on")
+        # bodies are placed by a sampler that reports its own failure
+        if not config.bodies and self.count > len(cells):
+            raise SemanticViolation("population.spawn", f"region has {len(cells)} free cells for {self.count} agents")
+        self.attribute_specs(config.params())
+
+    def spawn_cells(self, geometry: Geometry) -> list[tuple[int, int]]:
+        """The cells (x, y) people spawn on, in reading order: the empty
+        cells of the rect, the cells of the room, or every empty cell."""
+        x0 = y0 = 0
+        if self.spawn_node is not None:
+            mask = geometry.room_labels == self.spawn_node
+        elif self.spawn_rect is not None:
+            x0, y0, x1, y1 = self.spawn_rect
+            mask = geometry.kinds[y0:y1 + 1, x0:x1 + 1] == CellKind.EMPTY
+        else:
+            mask = geometry.kinds == CellKind.EMPTY
+        ys, xs = np.nonzero(mask)
+        return list(zip((xs + x0).tolist(), (ys + y0).tolist()))
 
     def attribute_specs(self, params: dict) -> dict[str, DistSpec]:
         """Every agent attribute's distribution, defaults filled in, each
@@ -728,7 +746,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     # the population's attribute ranges depend on the run parameters
     config = RunConfig.from_dict(doc.get("config", {}) or {})
     population = _parse_population(_require(doc, "population", dict, "$"))
-    population.validate(geometry, config.params())
+    population.validate(geometry, config)
 
     hazard_source = _parse_hazard_source(doc.get("hazard"), base_dir)
 

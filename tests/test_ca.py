@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from evacsim import run
+from evacsim.agents import AgentStatus
 from evacsim.ca import EMPTY_CELL, CaState, ca_step, conflict_winners, speed_ticks
+from evacsim.engine import _Simulation
 from evacsim.errors import SimulationError
 from evacsim.scenario import STEPS, distance_field
 
@@ -22,14 +24,24 @@ def _geometry(rows):
     return make_scenario(doc).geometry
 
 
+def _lattice(geo, cells):
+    """A lattice with agent i at the centre of ``cells[i]``."""
+    return CaState.from_positions(geo, np.array([geo.cell_center(*cell) for cell in cells]))
+
+
+def _cell(geo, state, i):
+    """The cell agent i's position lies in."""
+    return tuple(geo.cells_of(state.pos[i:i + 1])[0].tolist())
+
+
 def _step_once(geo, cells, seed=0, noise=0.0, fields=None):
-    state = CaState.from_cells(geo, cells)
+    state = _lattice(geo, cells)
     if fields is None:
         fields = distance_field(geo)[None]
     idx = np.zeros(len(cells), dtype=np.int64)
     ids = np.arange(len(cells), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    moved = ca_step(state, geo, fields, idx, ids, ids, rng, noise)
+    moved = ca_step(state, geo, fields, idx, ids, rng, noise)
     return state, moved
 
 
@@ -77,7 +89,10 @@ def test_agent_descends_the_distance_field():
     geo = _geometry(["######", "#...E#", "######"])
     state, moved = _step_once(geo, [(1, 1)])
     assert moved.tolist() == [0]
-    assert (state.x[0], state.y[0]) == (2, 1)
+    assert _cell(geo, state, 0) == (2, 1)
+    # the winner stands at its new cell's centre, its old cell is free
+    assert state.pos[0].tolist() == list(geo.cell_center(2, 1))
+    assert state.occupancy[1, 1] == EMPTY_CELL and state.occupancy[1, 2] == 0
 
 
 def test_agent_on_flat_field_stays_put():
@@ -85,15 +100,15 @@ def test_agent_on_flat_field_stays_put():
     flat = np.zeros((3, 6))[None]
     state, moved = _step_once(geo, [(2, 1)], fields=flat)
     assert len(moved) == 0
-    assert (state.x[0], state.y[0]) == (2, 1)
+    assert _cell(geo, state, 0) == (2, 1)
 
 
 def test_blocked_agent_waits_in_line():
     geo = _geometry(["######", "#...E#", "######"])
     state, moved = _step_once(geo, [(1, 1), (2, 1)])
     # the leader advances, the follower may not enter its old cell yet
-    assert (state.x[1], state.y[1]) == (3, 1)
-    assert (state.x[0], state.y[0]) == (1, 1)
+    assert _cell(geo, state, 1) == (3, 1)
+    assert _cell(geo, state, 0) == (1, 1)
     assert moved.tolist() == [1]
 
 
@@ -108,7 +123,7 @@ def test_diagonal_may_not_cut_a_blocked_corner():
     geo = _geometry(rows)
     # from (1, 2) the diagonal to (2, 1) squeezes past the wall at (2, 2)
     state, moved = _step_once(geo, [(1, 2)])
-    assert (state.x[0], state.y[0]) == (1, 1)
+    assert _cell(geo, state, 0) == (1, 1)
 
 
 def test_conflict_lottery_admits_exactly_one():
@@ -124,12 +139,13 @@ def test_conflict_lottery_admits_exactly_one():
     for seed in range(200):
         state, moved = _step_once(geo, [(1, 2), (3, 2)], seed=seed)
         assert len(moved) == 1
-        state.check_bijection(np.arange(2))
+        state.check_bijection(np.arange(2), 0)
         winner = int(moved[0])
-        wins[int(state.x[winner])] = wins.get(int(state.x[winner]), 0) + 1
+        winner_x = _cell(geo, state, winner)[0]
+        wins[winner_x] = wins.get(winner_x, 0) + 1
         # the loser kept its cell
         loser = 1 - winner
-        assert (state.x[loser], state.y[loser]) in [(1, 2), (3, 2)]
+        assert _cell(geo, state, loser) in [(1, 2), (3, 2)]
     # both contenders win a fair share across seeds
     assert wins[2] == 200
     assert min(w for x, w in wins.items() if x == 2) >= 0
@@ -181,11 +197,11 @@ def test_conflict_winners_match_one_cell_at_a_time():
 
 def test_bijection_guard_catches_corruption():
     geo = _geometry(["######", "#...E#", "######"])
-    state = CaState.from_cells(geo, [(1, 1), (2, 1)])
-    state.check_bijection(np.arange(2))
+    state = _lattice(geo, [(1, 1), (2, 1)])
+    state.check_bijection(np.arange(2), 0)
     state.occupancy[1, 2] = EMPTY_CELL  # agent 1 no longer backed by the grid
     with pytest.raises(SimulationError):
-        state.check_bijection(np.arange(2))
+        state.check_bijection(np.arange(2), 0)
 
 
 def test_bijection_guard_names_each_fault():
@@ -193,26 +209,66 @@ def test_bijection_guard_names_each_fault():
     everyone = np.arange(3)
 
     def lattice(*cells):
-        state = CaState.from_cells(geo, [(1, 1), (2, 1), (3, 1)])
+        state = _lattice(geo, [(1, 1), (2, 1), (3, 1)])
         for (x, y), agent in cells:
             state.occupancy[y, x] = agent
         return state
 
-    lattice().check_bijection(everyone)
+    lattice().check_bijection(everyone, 0)
     with pytest.raises(SimulationError, match=r"^tick 0: occupancy cell count != present agent count$"):
-        lattice().check_bijection(everyone[:2])
+        lattice().check_bijection(everyone[:2], 0)
     # agent 2's cell taken over by agent 1, who is then on two cells
     with pytest.raises(SimulationError, match=r"^tick 0: one agent occupies two cells$"):
-        lattice(((3, 1), 1)).check_bijection(everyone)
-    # agents 0 and 1 swapped on the grid but not in their coordinates
+        lattice(((3, 1), 1)).check_bijection(everyone, 0)
+    # agents 0 and 1 swapped on the grid but not in their positions
     with pytest.raises(SimulationError, match=r"^tick 0: agents \[0, 1\] are not where the lattice holds them$"):
-        lattice(((1, 1), 1), ((2, 1), 0)).check_bijection(everyone)
+        lattice(((1, 1), 1), ((2, 1), 0)).check_bijection(everyone, 0)
 
 
-def test_from_cells_rejects_double_occupancy():
+def test_bijection_guard_reads_positions():
+    geo = _geometry(["#######", "#....E#", "#######"])
+    state = _lattice(geo, [(1, 1), (2, 1)])
+    state.check_bijection(np.arange(2), 5)
+    # agent 1 walks to the open cell (3, 1) behind the lattice's back
+    state.pos[1] = geo.cell_center(3, 1)
+    with pytest.raises(SimulationError, match=r"^tick 5: agents \[1\] are not where the lattice holds them$"):
+        state.check_bijection(np.arange(2), 5)
+
+
+def test_from_positions_rejects_double_occupancy():
     geo = _geometry(["######", "#...E#", "######"])
     with pytest.raises(SimulationError):
-        CaState.from_cells(geo, [(1, 1), (1, 1)])
+        _lattice(geo, [(1, 1), (1, 1)])
+
+
+# -- the lattice inside a run -----------------------------------------------------
+
+
+def _simulation(backend):
+    doc = room_doc(grid_rows(10, 6, exits=[(9, 3)]), count=8, backend=backend, spawn=[1, 1, 4, 4])
+    scenario = make_scenario(doc)
+    return _Simulation(scenario, scenario.config)
+
+
+@pytest.mark.parametrize("backend", ["ca", "sf"])
+def test_the_mover_state_moves_the_population_positions(backend):
+    sim = _simulation(backend)
+    assert sim.mover.state.pos is sim.pop.pos
+
+
+def test_a_lattice_fault_names_the_tick_being_stepped():
+    message = r"occupancy cell count != present agent count$"
+    # agent 0 also holds (8, 1), a cell nobody may then step onto
+    sim = _simulation("ca")
+    sim.mover.state.occupancy[1, 8] = 0
+    # at the first tick nobody walks yet: the check still runs
+    with pytest.raises(SimulationError, match=rf"^tick 0: {message}"):
+        sim.run()
+    sim = _simulation("ca")
+    sim.mover.state.occupancy[1, 8] = 0
+    sim.pop.status[:] = int(AgentStatus.MOVING)
+    with pytest.raises(SimulationError, match=rf"^tick 7: {message}"):
+        sim.mover.step(7, 7 * sim.dt)
 
 
 # -- scalar reference over whole runs -------------------------------------------

@@ -86,6 +86,21 @@ def _sealed_west_room(spawn=None):
             ("ca", "flow", "sf"),
             id="exit-spawn-rect",
         ),
+        # ca and flow stand each person on a cell of their own
+        pytest.param(
+            "minimal_room",
+            {"population": {"count": 50, "spawn": {"rect": [1, 1, 3, 3]}}},
+            "population.spawn: region has 9 free cells for 50 agents",
+            ("ca", "flow"),
+            id="crowded-spawn-rect",
+        ),
+        pytest.param(
+            "minimal_room",
+            {"population": {"count": 200, "spawn": {"node": 0}}, "config": {"backend": "flow"}},
+            "population.spawn: region has 192 free cells for 200 agents",
+            ("ca", "flow"),
+            id="crowded-spawn-room",
+        ),
         # tick lengths and arc times divide by these; bodies need a size
         pytest.param(
             "minimal_room",
@@ -154,6 +169,21 @@ def test_run_reports_a_spawn_region_too_small_for_its_bodies(tmp_path):
     proc = run_cli("run", os.path.join(SCENARIOS, "corridor.json"), "--backend", "sf", "--out", tmp_path)
     assert proc.returncode == 2, proc.stdout
     assert proc.stderr == "evacsim:error: could not place 40 bodies in the spawn region (16 placed)\n"
+
+
+def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
+    # sf bodies are not one per cell, so an sf scenario passes validation;
+    # run on the lattice, it is refused when the people are spawned
+    with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["population"].update(count=50, spawn={"rect": [1, 1, 3, 3]})
+    doc["config"]["backend"] = "sf"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("validate", path).returncode == 0
+    proc = run_cli("run", path, "--backend", "ca", "--out", tmp_path / "out")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == "evacsim:error: spawn region has 9 free cells for 50 agents\n"
 
 
 def test_every_simulating_command_exits_3_on_timeout(tmp_path):

@@ -6,9 +6,13 @@ import ast
 import glob
 import importlib
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import evacsim
+
+from conftest import ROOT
 
 PACKAGE = os.path.dirname(os.path.abspath(evacsim.__file__))
 
@@ -128,3 +132,17 @@ def test_the_route_search_is_written_once():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _names(node)["heapq"]
     ]
     assert users == ["distance_field"]
+
+
+def test_a_mistyped_marker_fails_collection(tmp_path):
+    test = tmp_path / "test_typo.py"
+    test.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_x():\n    pass\n")
+    config = os.path.join(ROOT, "pyproject.toml")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", config, "--rootdir", tmp_path, test],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert "'slwo' not found in `markers` configuration option" in proc.stdout
