@@ -18,17 +18,18 @@ nothing keeps a second copy.
 A decision round works on the round's decider rows at once.
 :func:`build_percepts` senses for all of them together and returns one
 :class:`Percepts` record of (n,) and (n, E) arrays: walking speed, local
-smoke, which exits are in sight, walking distances, congestion, the
-hazard along every sight line, and the herd votes, totals and follow
-distances of visible neighbours.  :func:`decide` then updates beliefs,
-insistence, nervousness and targets for every row, drawing the replan
-lottery in ascending id order, and calls :func:`choose_exit` once for the
-rows that need an exit.  After the round each agent that saw an exit
-blocked tells its visible neighbours (:func:`inform_neighbors`).  The
-herd statistics and the messages find neighbours the same way
-(:meth:`WorldView.neighbours`): each query point looks up its 3x3 block
-of buckets in a spatial hash of everyone in the building, so only the
-pairs of the round's observers are ever enumerated.
+smoke, which exits are in sight, walking distances and the hazard along
+every sight line.  :func:`decide` then updates beliefs, insistence,
+nervousness and targets for every row, drawing the replan lottery in
+ascending id order, and calls :func:`choose_exit` once for the rows that
+need an exit; only those rows sense the herd (the votes, totals,
+congestion and follow distances of visible neighbours).  After the round
+each agent that saw an exit blocked tells its visible neighbours
+(:func:`inform_neighbors`).  The herd and the messages find neighbours
+the same way (:meth:`WorldView.neighbours`): each query point looks up
+the 5x5 block of half-width buckets around it in a spatial hash of
+everyone in the building, so only the pairs of the round's observers
+are enumerated.
 
 How the body gets to the target exit (a social-force waypoint, a lattice
 step down the exit's distance field, a queue on the route network) is
@@ -40,7 +41,7 @@ own beliefs, so decisions stay local by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -471,7 +472,8 @@ def sight_line_hazard(
 class Percepts:
     """Everything the deciders of one round sense: row r describes the
     agent in row r of the round, and (n, E) arrays have one column per
-    exit zone."""
+    exit zone.  The herd statistics after ``world`` stay None until
+    :func:`decide` senses them through it for the rows that re-choose."""
 
     t: float
     speed: np.ndarray       # (n,) m/s, own walking speed after health and mobility
@@ -480,20 +482,22 @@ class Percepts:
     distance: np.ndarray    # (n, E) m, walking distance to each exit; inf where unreachable
     hazard: np.ndarray      # (n, E) smoke/heat score along the sight line; 0 where not visible
     exit_od: np.ndarray     # (n, E) optical density at each visible exit; 0 elsewhere
-    congestion: np.ndarray  # (n, E) persons seen heading to each exit
-    votes: np.ndarray       # (n, E) leader-weighted count of neighbours heading to each exit
-    totals: np.ndarray      # (n,) weighted count of all visible neighbours
-    follow: np.ndarray      # (n, E) m, to the nearest neighbour heading to each exit; inf if none
+    world: WorldView | None = None       # the round's view, where the herd is sensed
+    congestion: np.ndarray | None = None  # (n, E) persons seen heading to each exit
+    votes: np.ndarray | None = None       # (n, E) leader-weighted count of neighbours heading to each exit
+    totals: np.ndarray | None = None      # (n,) weighted count of all visible neighbours
+    follow: np.ndarray | None = None      # (n, E) m, to the nearest neighbour heading to each exit; inf if none
 
     def take(self, sel: np.ndarray) -> "Percepts":
         """The percepts of rows ``sel`` of this round."""
-        return replace(self, **{f.name: getattr(self, f.name)[sel] for f in fields(self) if f.name != "t"})
+        return replace(self, **{k: v[sel] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
 
 def _neighbour_stats(world: WorldView, indices: np.ndarray):
     """Per-agent herd votes, totals, congestion counts and follow distances,
     estimated over neighbours within sight (capped at the congestion
-    radius).  Returns dense (len(indices), n_zones) arrays."""
+    radius).  Returns dense (len(indices), n_zones) arrays, each row the
+    same whichever other rows are asked for."""
     pop = world.pop
     n_zones = len(world.zone_cells)
     n = len(indices)
@@ -531,14 +535,13 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
 
 def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
     """Percepts for the given agent indices, from one round of vectorised
-    visibility, sight-line hazard, neighbour statistics and walking speeds."""
+    visibility, sight-line hazard and walking speeds; :func:`decide` senses the herd."""
     p = world.params
     pop = world.pop
     geometry = world.geometry
     cs = geometry.cell_size
     n = len(indices)
     n_zones = len(world.zone_cells)
-    votes, totals, congestion, follow = _neighbour_stats(world, indices)
 
     pos = pop.pos[indices]
     vision = pop.vision[indices]
@@ -581,10 +584,7 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
         distance=distance,
         hazard=hazard,
         exit_od=exit_od,
-        congestion=congestion,
-        votes=votes,
-        totals=totals,
-        follow=follow,
+        world=world,
     )
 
 
@@ -691,7 +691,8 @@ def decide(
     Marks freshly seen blocked exits, learns the exits in sight, decays
     insistence when progress stalls, rolls the replan lottery (one draw
     per row that has no reason to choose anyway, in row order), and
-    picks an exit for every row that needs one.  Nervousness grows with
+    picks an exit for every row that needs one, sensing the herd through
+    ``percepts.world`` for those rows only.  Nervousness grows with
     replans and dense smoke, damped by experience; desired speed is
     effective speed scaled by (1 + nervousness), capped globally.  The
     rows' nervousness, insistence and target are updated in ``pop``.
@@ -723,7 +724,9 @@ def decide(
     new_target = target.copy()
     chosen = np.nonzero(need)[0]
     if len(chosen):
-        new_target[chosen] = choose_exit(pop, rows[chosen], percepts.take(chosen), beliefs, p)
+        votes, totals, congestion, follow = _neighbour_stats(percepts.world, rows[chosen])
+        herd = replace(percepts.take(chosen), congestion=congestion, votes=votes, totals=totals, follow=follow)
+        new_target[chosen] = choose_exit(pop, rows[chosen], herd, beliefs, p)
         beliefs.lost[rows[chosen]] = new_target[chosen] == NO_TARGET
     replanned = has_target & (new_target != target)
 

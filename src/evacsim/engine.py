@@ -685,18 +685,18 @@ class _SfMover(_Mover):
     # -- movement ------------------------------------------------------------
 
     def step(self, k: int, t: float) -> None:
-        self._move(t)
+        self._move(k, t)
         if k % self.arch_every == 0:
             self._clog_phase(t)
 
-    def _move(self, t: float) -> None:
+    def _move(self, k: int, t: float) -> None:
         sim = self.sim
         pop = sim.pop
         state = self.state
         desired = np.where(pop.walking(), sim.desired, 0.0)
         present = pop.inside()
         old_pos = pop.pos.take(present, axis=0)
-        new_pos, cells = sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, sim.params)
+        new_pos, cells = sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, k, sim.params)
         if len(present) == 0:
             return
         delta = new_pos - old_pos
@@ -823,7 +823,7 @@ class _FlowMover(_Mover):
     def step(self, k: int, t: float) -> None:
         sim = self.sim
         network = sim.network
-        for cohort in flow_step(self.state, sim.pop.walking()):
+        for cohort in flow_step(self.state, sim.pop.walking(), k):
             arc = network.arcs[cohort.arc_index]
             if arc.door_id:
                 sim.crossings.append((t, arc.door_id, len(cohort.ids)))

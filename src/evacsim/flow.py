@@ -55,8 +55,8 @@ class FlowState:
 
     ``queues`` holds waiting ids per node in FIFO order; ``in_transit``
     holds departed cohorts until their arrival tick; ``arrived`` maps
-    each id to (arrival tick, destination node id).  Who may depart is
-    not recorded here: ``flow_step`` takes it per tick.
+    each id to (arrival tick, destination node id).  Who may depart and
+    which tick it is are not recorded here: ``flow_step`` takes both.
     """
 
     network: EgressNetwork
@@ -64,7 +64,6 @@ class FlowState:
     queues: dict[int, deque] = field(default_factory=dict)
     in_transit: list[Cohort] = field(default_factory=list)
     arrived: dict[int, tuple[int, int]] = field(default_factory=dict)
-    tick: int = 0
     total: int = 0
 
     @classmethod
@@ -80,11 +79,11 @@ class FlowState:
         state.total = len(assignment)
         return state
 
-    def check_conservation(self) -> None:
+    def check_conservation(self, tick: int) -> None:
         waiting = sum(len(q) for q in self.queues.values())
         have = waiting + sum(len(c.ids) for c in self.in_transit) + len(self.arrived)
         if have != self.total:
-            raise SimulationError(f"tick {self.tick}: person conservation broken: {have} != {self.total}")
+            raise SimulationError(f"tick {tick}: person conservation broken: {have} != {self.total}")
 
     def remove(self, agent_id: int) -> bool:
         """Take one person out of the system (death); ignores arrived ids."""
@@ -101,9 +100,9 @@ class FlowState:
         return False
 
 
-def flow_step(state: FlowState, eligible: np.ndarray) -> list[Cohort]:
-    """Advance one tick; returns the cohorts that landed this tick, in
-    deterministic (depart tick, arc index) order.
+def flow_step(state: FlowState, eligible: np.ndarray, tick: int) -> list[Cohort]:
+    """Advance through tick ``tick``; returns the cohorts that landed in
+    it, in deterministic (depart tick, arc index) order.
 
     Departure phase: every node sends up to its routed arc's capacity
     of eligible waiting persons (``eligible[i]``: id i may depart; FIFO,
@@ -113,7 +112,6 @@ def flow_step(state: FlowState, eligible: np.ndarray) -> list[Cohort]:
     cohort by the kind of its arc's destination node.
     """
     network = state.network
-    tick = state.tick
 
     for node_id in sorted(state.queues):
         arc_index = state.routes.get(node_id)
@@ -159,6 +157,5 @@ def flow_step(state: FlowState, eligible: np.ndarray) -> list[Cohort]:
             state.queues[dst.id].extend(cohort.ids)
     state.in_transit = still
 
-    state.check_conservation()
-    state.tick = tick + 1
+    state.check_conservation(tick)
     return due

@@ -73,8 +73,8 @@ class _Neighbors(NamedTuple):
 class SfState:
     """Positions, velocities and body parameters, indexed by agent id.
 
-    Which bodies are in the building is not recorded here: ``sf_step``
-    takes their ids per step, and the rows of everyone else stay put.
+    Which bodies are in the building and which tick it is are not
+    recorded here: ``sf_step`` takes both per step, and the rows of everyone else stay put.
     Built by ``from_bodies``, ``pos`` and ``radius`` are the population's
     own arrays, not copies.  The neighbour list caches the present rows'
     radius and mass and each candidate pair's radius sum; they are read
@@ -86,7 +86,6 @@ class SfState:
     vel: np.ndarray                        # (N, 2) m/s
     radius: np.ndarray                     # (N,)
     mass: np.ndarray                       # (N,)
-    tick: int = 0
     projected: int = 0                     # bodies projected out of walls, over all ticks
     projection_ticks: list[int] = field(default_factory=list)  # the first PROJECTION_EXAMPLES of them
 
@@ -408,11 +407,12 @@ def sf_step(
     desired_speed: np.ndarray,
     waypoint: np.ndarray,
     dt: float,
+    tick: int,
     params: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One semi-implicit Euler step over the bodies ``present`` (ascending
-    ids of the people in the building).  Returns their (n, 2) new
-    positions and the (n, 2) cells holding them.
+    """One semi-implicit Euler step, the step of tick ``tick``, over the
+    bodies ``present`` (ascending ids of the people in the building).
+    Returns their (n, 2) new positions and the (n, 2) cells holding them.
 
     Velocity updates first and is clamped to slack x the global speed
     cap (contact impulses may briefly exceed walking speeds); the
@@ -425,7 +425,6 @@ def sf_step(
         raise SimulationError(f"integration step {dt} outside (0, {MAX_DT}]")
 
     if len(present) == 0:
-        state.tick += 1
         return np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64)
 
     pos = state.pos.take(present, axis=0)
@@ -451,16 +450,15 @@ def sf_step(
     if n_projected:
         state.projected += n_projected
         if len(state.projection_ticks) < PROJECTION_EXAMPLES:
-            state.projection_ticks.append(state.tick)
+            state.projection_ticks.append(tick)
         # unprojected, every body lands in an open cell on the grid
         cells = geometry.cells_of(new_pos)
         in_wall = geometry.blocked_mask[cells[:, 1], cells[:, 0]]
         if in_wall.any():
-            raise SimulationError(f"tick {state.tick}: agents {present[in_wall].tolist()} ended the step inside a wall")
+            raise SimulationError(f"tick {tick}: agents {present[in_wall].tolist()} ended the step inside a wall")
 
     state.pos.put(nbr.slots, new_pos)
     state.vel.put(nbr.slots, vel)
-    state.tick += 1
     return new_pos, cells
 
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacsim import SchemaViolation, SemanticViolation, SimulationError
 from evacsim.agents import (
@@ -18,6 +21,7 @@ from evacsim.agents import (
     WorldView,
     _continuous_positions,
     _neighbour_stats,
+    build_percepts,
     choose_exit,
     decide,
     effective_speed,
@@ -32,6 +36,7 @@ from evacsim.rng import RngStreams
 from evacsim.scenario import DistSpec, PopulationSpec, los_pairs
 
 from conftest import grid_rows, make_scenario, one_agent, room_doc
+from test_properties import drills
 
 EXITS = 3                # exit zones in the hand-built percepts and beliefs
 ROW = np.array([0])      # the one row of a one_agent() population
@@ -52,8 +57,9 @@ def _speed(agent):
     return float(effective_speed(agent.health, agent.mobility, agent.speed_pref, PARAM_DEFAULTS)[0])
 
 
-def _percept(visible=(), votes=None, total=0.0, congestion=None, follow=None, od=0.0, t=0.0, speed=1.34):
-    """One-row percepts, handed the default one_agent's walking speed unless told otherwise."""
+def _percept(visible=(), votes=None, total=0.0, congestion=None, follow=None, od=0.0, t=0.0, speed=1.34, world=None):
+    """One-row percepts, handed the default one_agent's walking speed unless
+    told otherwise; ``decide`` senses the herd through ``world`` instead."""
     row = {name: np.zeros((1, EXITS)) for name in ("hazard", "exit_od", "congestion", "votes")}
     distance = np.full((1, EXITS), np.inf)
     seen = np.zeros((1, EXITS), dtype=bool)
@@ -79,6 +85,7 @@ def _percept(visible=(), votes=None, total=0.0, congestion=None, follow=None, od
         distance=distance,
         totals=np.array([total]),
         follow=follow_d,
+        world=world,
         **row,
     )
 
@@ -91,6 +98,26 @@ def _beliefs(rows=1):
 def _geometry(width=10, height=8):
     rows = grid_rows(width, height, exits=[(width - 1, height // 2)])
     return make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
+
+
+def _view(pop, geometry=None, has_interior_blockers=False):
+    """The round's view of ``pop`` in clear air, in ``geometry`` (by default
+    an open 10 x 8 room), with EXITS exit zones that nobody can reach."""
+    geometry = geometry or _geometry()
+    zeros = np.zeros((geometry.height, geometry.width))
+    return WorldView(
+        geometry=geometry,
+        params=PARAM_DEFAULTS,
+        t=0.0,
+        pop=pop,
+        local_od=np.zeros(len(pop)),
+        od_frame=zeros,
+        temp_frame=zeros,
+        tox_frame=zeros,
+        exit_fields=np.full((EXITS + 1, geometry.height, geometry.width), np.inf),
+        zone_cells=[np.zeros((1, 2), dtype=np.int64)] * EXITS,
+        has_interior_blockers=has_interior_blockers,
+    )
 
 
 # -- population sampling ---------------------------------------------------------
@@ -439,7 +466,7 @@ def test_agent_with_nothing_to_go_on_is_lost():
     agent = one_agent(target=NO_TARGET)
     beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    decide(agent, ROW, _percept(), beliefs, rng)
+    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng)
     assert agent.target[0] == NO_TARGET
     assert beliefs.lost[0]
 
@@ -448,8 +475,8 @@ def test_lost_agent_recovers_when_an_exit_appears():
     agent = one_agent(target=NO_TARGET)
     beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    decide(agent, ROW, _percept(), beliefs, rng)
-    decide(agent, ROW, _percept(visible=[Sight(0, 5.0, 0.0, 0.0)]), beliefs, rng)
+    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng)
+    decide(agent, ROW, _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(agent)), beliefs, rng)
     assert agent.target[0] == 0
     assert not beliefs.lost[0]
 
@@ -464,7 +491,8 @@ def test_smoke_at_an_exit_marks_it_blocked_and_announces():
         visible=[
             Sight(1, 5.0, 0.0, 0.0, od_at_exit=thick),
             Sight(0, 9.0, 0.0, 0.0),
-        ]
+        ],
+        world=_view(agent),
     )
     _, replanned, announce = decide(agent, ROW, percept, beliefs, rng)
     assert beliefs.blocked[0, 1]
@@ -484,6 +512,7 @@ def test_replanning_and_smoke_raise_nervousness():
             Sight(0, 9.0, 0.0, 0.0),
         ],
         od=PARAM_DEFAULTS["od_nervous"] + 0.1,
+        world=_view(agent),
     )
     decide(agent, ROW, percept, beliefs, rng)
     want = PARAM_DEFAULTS["dn_replan"] + PARAM_DEFAULTS["dn_smoke"]
@@ -504,13 +533,15 @@ def test_experience_damps_nervousness_growth():
 
 def test_desired_speed_rises_with_nervousness_up_to_the_cap():
     rng = np.random.default_rng(0)
-    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)])
-    calm, _, _ = decide(one_agent(insistence=1.0), ROW, percept, _beliefs(), rng)
-    nervous, _, _ = decide(one_agent(insistence=1.0, nervousness=1.0), ROW, percept, _beliefs(), rng)
+    calm_agent, nervous_agent = one_agent(insistence=1.0), one_agent(insistence=1.0, nervousness=1.0)
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(calm_agent))
+    calm, _, _ = decide(calm_agent, ROW, percept, _beliefs(), rng)
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(nervous_agent))
+    nervous, _, _ = decide(nervous_agent, ROW, percept, _beliefs(), rng)
     assert math.isclose(calm[0], 1.34)
     assert math.isclose(nervous[0], 2.68)
     runner = one_agent(insistence=1.0, nervousness=1.0, speed_pref=6.0)
-    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], speed=_speed(runner))
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], speed=_speed(runner), world=_view(runner))
     fast, _, _ = decide(runner, ROW, percept, _beliefs(), rng)
     assert fast[0] == PARAM_DEFAULTS["speed_cap"]
 
@@ -531,7 +562,7 @@ def test_low_insistence_triggers_the_replan_lottery():
     agent = one_agent(target=0, insistence=0.1)
     beliefs = _beliefs()
     rng = np.random.default_rng(42)
-    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)], world=_view(agent))
     switched = 0
     for _ in range(100):
         agent.target[0] = 0
@@ -570,19 +601,17 @@ def test_one_bulk_round_matches_one_row_rounds_in_id_order():
         smoky = setup.random(EXITS) < 0.2
         rows_percepts.append(
             _percept(
-                visible=[
-                    Sight(z, distances[z], float(setup.integers(0, 5)), 0.0, thick if smoky[z] else 0.0)
-                    for z in range(EXITS)
-                ],
-                votes={z: float(setup.integers(0, 4)) for z in range(EXITS)},
-                total=6.0,
+                visible=[Sight(z, distances[z], 0.0, 0.0, thick if smoky[z] else 0.0) for z in range(EXITS)],
                 od=float(setup.uniform(0.0, 2.0 * PARAM_DEFAULTS["od_nervous"])),
                 t=10.0,
                 speed=float(setup.uniform(0.5, 1.5)),
             )
         )
-    arrays = [name for name in vars(rows_percepts[0]) if name != "t"]
-    percepts = Percepts(t=10.0, **{name: np.concatenate([vars(p)[name] for p in rows_percepts]) for name in arrays})
+    sensed = ("speed", "local_od", "visible", "distance", "hazard", "exit_od")
+    # bulk and one-row rounds alike sense the herd of the crowd as it stood before the round
+    percepts = Percepts(
+        t=10.0, world=_view(pop), **{name: np.concatenate([vars(p)[name] for p in rows_percepts]) for name in sensed}
+    )
     rows = np.arange(k)
 
     def start():
@@ -638,20 +667,7 @@ def _world(rows, pos, rng):
         [int(AgentStatus.MOVING), int(AgentStatus.PREMOVEMENT), int(AgentStatus.EXITED)], size=k, p=[0.7, 0.2, 0.1]
     ).astype(np.uint8)
     pop.target = rng.integers(-1, EXITS, size=k).astype(np.int32)
-    zeros = np.zeros((geometry.height, geometry.width))
-    return WorldView(
-        geometry=geometry,
-        params=PARAM_DEFAULTS,
-        t=0.0,
-        pop=pop,
-        local_od=np.zeros(k),
-        od_frame=zeros,
-        temp_frame=zeros,
-        tox_frame=zeros,
-        exit_fields=[],
-        zone_cells=[np.zeros((1, 2), dtype=np.int64)] * EXITS,
-        has_interior_blockers=True,
-    )
+    return _view(pop, geometry, has_interior_blockers=True)
 
 
 def _split_room_world(k, rng):
@@ -669,7 +685,11 @@ def _pillared_room_world(k, rng):
     """k people on the open cells of a 20 m x 12 m room with a lattice of
     one-cell pillars, so sight lines of every slope graze or hit one."""
     pillars = [(x, y) for x in range(3, 38, 4) for y in range(3, 22, 4)]
-    rows = grid_rows(40, 24, exits=[(0, 6), (39, 6)], obstacles=pillars)
+    return _scattered_world(grid_rows(40, 24, exits=[(0, 6), (39, 6)], obstacles=pillars), k, rng)
+
+
+def _scattered_world(rows, k, rng):
+    """k people on the open cells of the room ``rows`` (see ``_world``)."""
     geometry = make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
     free = np.argwhere(geometry.open_mask & (geometry.zone_grid < 0))[:, ::-1]
     cells = free[rng.integers(0, len(free), k)]
@@ -782,6 +802,63 @@ def test_inform_neighbors_reaches_the_people_in_sight():
         heard += len(got)
     assert heard > 0
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(doc=drills(), data=st.data())
+def test_neighbour_stats_of_any_rows_are_those_rows_of_everyones(doc, data):
+    # what decide relies on to sense the herd only for the rows that re-choose
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    world = _scattered_world(doc["geometry"]["cells"], data.draw(st.integers(2, 40), label="people"), np.random.default_rng(seed))
+    everyone = np.array(_present(world.pop), dtype=np.int64)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(everyone), max_size=len(everyone)), label="rows")
+    full = _neighbour_stats(world, everyone)
+    for pick in (np.flatnonzero(mask), np.zeros(0, dtype=np.int64)):
+        got = _neighbour_stats(world, everyone[pick])
+        want = _neighbour_stats_one_pair_at_a_time(world, everyone[pick])
+        for name, g, f, w in zip(("votes", "totals", "congestion", "follow"), got, full, want):
+            assert g.dtype == f.dtype and np.array_equal(g, f[pick]), name
+            assert np.array_equal(g, w), name
+
+
+def test_a_round_where_nobody_rechooses_senses_no_neighbour():
+    world = _split_room_world(120, np.random.default_rng(7))
+    pop = world.pop
+    rows = np.flatnonzero(pop.status == AgentStatus.MOVING)
+    pop.target[rows] = rows % EXITS
+    pop.insistence[:] = 1.0
+    beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
+    _, replanned, _ = decide(pop, rows, build_percepts(world, rows), beliefs, np.random.default_rng(1))
+    assert world.hash is None
+    assert not replanned.any() and np.array_equal(pop.target[rows], rows % EXITS)
+
+
+def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
+    world = _split_room_world(120, np.random.default_rng(8))
+    pop = world.pop
+    rows = np.flatnonzero(pop.status == AgentStatus.MOVING)
+    # keeps its plan, has none, is lost, believes its target blocked, loses the lottery
+    kind = np.arange(len(rows)) % 5
+    pop.target[rows] = np.where(kind == 1, NO_TARGET, rows % EXITS)
+    pop.insistence[rows] = np.where(kind == 4, 0.0, 1.0)
+    beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
+    beliefs.lost[rows[kind == 2]] = True
+    beliefs.blocked[rows[kind == 3], pop.target[rows[kind == 3]]] = True
+    percepts = build_percepts(world, rows)
+    chosen = np.flatnonzero(kind > 0)
+    # with no exit in sight or known, each choice follows the herd: from one
+    # query of every row, on a view of its own
+    votes, totals, congestion, follow = (s[chosen] for s in _neighbour_stats(replace(world), rows))
+    herd = replace(percepts.take(chosen), votes=votes, totals=totals, congestion=congestion, follow=follow)
+    want = choose_exit(pop, rows[chosen], herd, beliefs, PARAM_DEFAULTS)
+    assert (want != NO_TARGET).any() and (want != pop.target[rows[chosen]]).any()
+
+    asked = []
+    query = world.neighbours
+    world.neighbours = lambda observers, radius, reach: asked.append(observers.copy()) or query(observers, radius, reach)
+    decide(pop, rows, percepts, beliefs, np.random.default_rng(1))
+    assert len(asked) == 1 and np.array_equal(asked[0], rows[chosen])
+    assert np.array_equal(pop.target[rows[chosen]], want)
 
 
 # -- sight-line hazard ---------------------------------------------------------------

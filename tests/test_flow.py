@@ -31,14 +31,14 @@ def _path_network(n_hops=1, traversal=1, capacity=1):
     return EgressNetwork(nodes=nodes, arcs=arcs, warnings=[])
 
 
-def _drain(state, eligible, max_ticks=100_000):
-    """Advance until everyone arrived; return the last arrival tick."""
+def _drain(state, eligible, tick=0, max_ticks=100_000):
+    """Advance from tick ``tick`` until everyone arrived; return the last arrival tick."""
     last = 0
     while len(state.arrived) < state.total:
-        arrivals = flow_step(state, eligible)
-        for cohort in arrivals:
+        for cohort in flow_step(state, eligible, tick):
             last = max(last, cohort.arrival_tick)
-        assert state.tick <= max_ticks, "did not drain"
+        tick += 1
+        assert tick <= max_ticks, "did not drain"
     return last
 
 
@@ -69,13 +69,13 @@ def test_ineligible_agents_hold_their_queue_slot():
     net = _path_network(1, traversal=0, capacity=1)
     state = FlowState.from_assignment(net, {0: 0, 1: 0, 2: 0})
     eligible = np.array([False, True, True])
-    flow_step(state, eligible)
+    flow_step(state, eligible, 0)
     # id 0 is still premovement, so 1 departed first
     assert 1 in state.arrived
     assert 0 not in state.arrived
     eligible[0] = True
-    flow_step(state, eligible)
-    flow_step(state, eligible)
+    flow_step(state, eligible, 1)
+    flow_step(state, eligible, 2)
     assert set(state.arrived) == {0, 1, 2}
     # id 0 kept its place at the head of the queue while ineligible,
     # so it departs as soon as it wakes: 1, then 0, then 2
@@ -88,10 +88,12 @@ def test_fifo_departure_order_within_a_node():
     ids = list(range(7))
     state = FlowState.from_assignment(net, {i: 0 for i in ids})
     ticks = {}
+    tick = 0
     while len(state.arrived) < state.total:
-        for cohort in flow_step(state, np.ones(len(ids), dtype=bool)):
+        for cohort in flow_step(state, np.ones(len(ids), dtype=bool), tick):
             for agent_id in cohort.ids:
                 ticks[agent_id] = cohort.arrival_tick
+        tick += 1
     assert [ticks[i] for i in ids] == sorted(ticks[i] for i in ids)
 
 
@@ -101,12 +103,12 @@ def test_conservation_every_tick():
         n_agents = int(rng.integers(1, 30))
         net = _path_network(int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 4)))
         state = FlowState.from_assignment(net, {i: 0 for i in range(n_agents)})
-        for _ in range(200):
-            state.check_conservation()
-            flow_step(state, np.ones(n_agents, dtype=bool))
+        for tick in range(200):
+            state.check_conservation(tick)
+            flow_step(state, np.ones(n_agents, dtype=bool), tick)
             if len(state.arrived) == state.total:
                 break
-        state.check_conservation()
+        state.check_conservation(tick + 1)
         assert len(state.arrived) == state.total
 
 
@@ -212,7 +214,7 @@ def test_the_route_table_is_found_once_per_network_and_kept_read_only():
 def test_zero_traversal_arrives_same_tick():
     net = _path_network(1, traversal=0, capacity=4)
     state = FlowState.from_assignment(net, {i: 0 for i in range(3)})
-    arrivals = flow_step(state, np.ones(3, dtype=bool))
+    arrivals = flow_step(state, np.ones(3, dtype=bool), 0)
     assert len(arrivals) == 1
     assert arrivals[0].arrival_tick == 0
     assert sorted(arrivals[0].ids) == [0, 1, 2]
@@ -222,11 +224,11 @@ def test_remove_supports_mid_run_deaths():
     net = _path_network(1, traversal=2, capacity=1)
     state = FlowState.from_assignment(net, {i: 0 for i in range(4)})
     eligible = np.ones(4, dtype=bool)
-    flow_step(state, eligible)  # id 0 departs
+    flow_step(state, eligible, 0)  # id 0 departs
     state.remove(1)  # dies while waiting
     assert state.total == 3
-    _drain(state, eligible)
-    state.check_conservation()
+    last = _drain(state, eligible, tick=1)
+    state.check_conservation(last)
     assert sorted(state.arrived) == [0, 2, 3]
 
 

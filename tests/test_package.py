@@ -146,3 +146,26 @@ def test_a_mistyped_marker_fails_collection(tmp_path):
     )
     assert proc.returncode == 2, proc.stdout
     assert "'slwo' not found in `markers` configuration option" in proc.stdout
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/tracing.py wraps the engine's calls by module attribute
+    # name, so a rename in the package would break a traced benchmark run
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    tracing = importlib.import_module("tracing")
+    with open(os.path.join(ROOT, "scenarios", "minimal_room.json"), encoding="utf-8") as fh:
+        scenario = evacsim.parse_scenario(fh.read())
+    names = set()
+    for backend in ("ca", "sf"):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for owner, attr, name, _ in tracing.WRAPPED:
+                assert getattr(owner.__dict__[attr], "__wrapped__", None) is not None, (attr, name)
+            evacsim.run(scenario, evacsim.RunConfig(backend=backend, max_sim_time=10.0, seed=1))
+        finally:
+            tracer.uninstall()
+        names |= set(tracer.names)
+    for owner, attr, _, _ in tracing.WRAPPED:
+        assert not hasattr(owner.__dict__[attr], "__wrapped__"), attr
+    assert {"agents.percepts", "agents.decide", "agents.choose_exit", "sf.step"} <= names

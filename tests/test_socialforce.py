@@ -80,7 +80,7 @@ def test_speed_relaxes_exponentially_toward_desired():
     waypoint = np.array([[1000.0, 10.0]])
     checkpoints = {round(k * TAU / dt): k * TAU for k in (1, 2, 3)}
     for tick in range(1, max(checkpoints) + 1):
-        sf_step(state, geo, walls, np.arange(1), v_des, waypoint, dt, PARAM_DEFAULTS)
+        sf_step(state, geo, walls, np.arange(1), v_des, waypoint, dt, tick - 1, PARAM_DEFAULTS)
         if tick in checkpoints:
             t = checkpoints[tick]
             want = 1.5 * (1.0 - math.exp(-t / TAU))
@@ -92,8 +92,8 @@ def test_relaxation_is_straight_toward_the_waypoint():
     geo = _open_floor()
     state = _free_state([[10.0, 10.0]])
     waypoint = np.array([[17.0, 3.0]])
-    for _ in range(200):
-        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]), waypoint, 0.02)
+    for tick in range(200):
+        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]), waypoint, 0.02, tick)
     d = state.pos[0] - np.array([10.0, 10.0])
     want_dir = (waypoint[0] - np.array([10.0, 10.0]))
     cos = d @ want_dir / (np.linalg.norm(d) * np.linalg.norm(want_dir))
@@ -106,7 +106,7 @@ def test_speed_clamp_keeps_bodies_subsonic():
     state.vel[0] = [50.0, 0.0]
     cap = PARAM_DEFAULTS["sf_speed_slack"] * PARAM_DEFAULTS["speed_cap"]
     sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]),
-            np.array([[1000.0, 10.0]]), 0.05)
+            np.array([[1000.0, 10.0]]), 0.05, 0)
     assert np.linalg.norm(state.vel[0]) <= cap + 1e-9
 
 
@@ -709,7 +709,7 @@ def test_sf_step_matches_the_reference_step_bit_for_bit(dt):
             state.vel[1] = ref.vel[1] = [0.0, -9.0]
         if step % 60 == 59:
             present = np.delete(present, int(rng.integers(2, len(present))))
-        got_pos, got_cells = sf_step(state, geo, walls, present, desired, waypoint, dt, PARAM_DEFAULTS)
+        got_pos, got_cells = sf_step(state, geo, walls, present, desired, waypoint, dt, step, PARAM_DEFAULTS)
         want_pos, want_cells, contacts = _ref_sf_step(ref, geo, wall_cells, present, desired, waypoint, dt,
                                                       PARAM_DEFAULTS)
         assert np.array_equal(got_pos, want_pos), step
@@ -734,8 +734,8 @@ def test_bodies_never_end_a_step_inside_walls():
     v_des = np.full(n, 1.34)
     waypoint = np.tile([7.5, 1.75], (n, 1))
     open_mask = geo.open_mask
-    for _ in range(200):
-        sf_step(state, geo, walls, np.arange(n), v_des, waypoint, 0.05)
+    for tick in range(200):
+        sf_step(state, geo, walls, np.arange(n), v_des, waypoint, 0.05, tick)
         cx = (state.pos[:, 0] / geo.cell_size).astype(int)
         cy = (state.pos[:, 1] / geo.cell_size).astype(int)
         assert open_mask[cy, cx].all()
@@ -749,8 +749,8 @@ def test_cornered_body_settles_instead_of_tunnelling():
     state = _free_state([[0.796, 0.796]])
     state.vel[0] = [0.0, -8.0]
     waypoint = np.array([[1.0, 1.0]])
-    for _ in range(200):
-        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), waypoint, 0.05)
+    for tick in range(200):
+        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), waypoint, 0.05, tick)
     assert np.linalg.norm(state.pos[0] - waypoint[0]) < 0.2
     assert np.linalg.norm(state.vel[0]) < 0.5
     assert not state.warnings
@@ -763,9 +763,9 @@ def test_projections_on_many_ticks_make_one_warning():
     geo = _open_floor(8.0, 6.0)
     walls = _walls(geo)
     state = _free_state([[2.0, 0.8]], radius=0.05)
-    for _ in range(12):
+    for tick in range(12):
         state.pos[0], state.vel[0] = [2.0, 0.8], [0.0, -8.0]
-        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), np.array([[2.0, 0.0]]), 0.05)
+        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), np.array([[2.0, 0.0]]), 0.05, tick)
     assert state.projected == 12
     assert state.warnings == ["projected 12 bodies out of walls, first on ticks 0, 1, 2"]
 
@@ -777,8 +777,8 @@ def test_a_body_that_starts_inside_a_wall_is_an_error():
     walls = [(x, y) for x in range(6, 13) for y in range(6, 13)]
     geo = make_scenario(room_doc(grid_rows(20, 20, exits=[(19, 3)], walls=walls), count=1, spawn=[1, 1, 1, 1])).geometry
     state = _free_state([[4.75, 4.75]])  # centre of the 7 x 7 block of 0.5 m cells
-    with pytest.raises(SimulationError, match="inside a wall"):
-        sf_step(state, geo, _walls(geo), np.arange(1), np.array([1.34]), np.array([[1.0, 1.0]]), 0.05)
+    with pytest.raises(SimulationError, match=r"^tick 5: agents \[0\] ended the step inside a wall$"):
+        sf_step(state, geo, _walls(geo), np.arange(1), np.array([1.34]), np.array([[1.0, 1.0]]), 0.05, 5)
 
 
 def test_neighbor_cache_survives_drift_without_missing_pairs():
@@ -789,7 +789,7 @@ def test_neighbor_cache_survives_drift_without_missing_pairs():
     v_des = np.full(n, 1.34)
     for step in range(60):
         waypoint = state.pos + rng.uniform(-2, 2, size=(n, 2))
-        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(n), v_des, waypoint, 0.05)
+        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(n), v_des, waypoint, 0.05, step)
         force, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, _pairs(state.pos))
         cached, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr.pairs)
         assert np.allclose(force, cached, atol=1e-9), step
