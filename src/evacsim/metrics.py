@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+
+import numpy as np
 
 from .agents import STATUS_TOKENS
 
@@ -115,19 +116,69 @@ def clog_fraction(result: RunResult) -> float:
 
 
 TRAJECTORY_HEADER = "t,id,x,y,health,status"
-_ROW = "%s,%d,%.4f,%.4f,%.4f,%s\n"
+#: Rows formatted and written together.  A batch's texts are held until
+#: its write: about 0.6 MB at 2048 rows where few values repeat (the
+#: social-force positions of room_sf), twice that at 4096 rows, which
+#: made a 2000-agent lattice export only about 15% faster.
+EXPORT_BATCH_ROWS = 2048
+
+
+def _batches(trajectory, size: int):
+    """The trajectory's rows in runs of at most ``size``: lists of
+    (t, ids, x, y, health, status) slices of consecutive samples.  A
+    sample longer than ``size`` is split over several batches."""
+    pieces, room = [], size
+    for (t, *columns) in trajectory:
+        n, start = len(columns[0]), 0
+        while start < n:
+            take = min(room, n - start)
+            pieces.append((t, *(c[start:start + take] for c in columns)))
+            start, room = start + take, room - take
+            if room == 0:
+                yield pieces
+                pieces, room = [], size
+    if pieces:
+        yield pieces
+
+
+def _texts(column: np.ndarray, fmt: str, memo: dict | None = None) -> np.ndarray:
+    """``fmt % value`` for every value of ``column`` as an object array,
+    formatted once per distinct bit pattern, so -0.0 and 0.0 (and NaN
+    payloads) are told apart.  ``memo`` keeps the texts across calls."""
+    distinct, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    values = distinct.view(column.dtype).tolist()
+    if memo is None:
+        table = [fmt % v for v in values]
+    else:
+        table = [memo[v] if v in memo else memo.setdefault(v, fmt % v) for v in values]
+    return np.array(table, dtype=object)[inverse]
 
 
 def export_trajectories(result: RunResult, sink) -> None:
     """Write the trajectory log: one line per agent per sample, ordered
-    by (t, id), fixed decimal places, '\\n' terminators.  A sample is one
-    %-format per row over its ``tolist()`` columns and one ``sink.write``,
-    so the file is never held whole; the text is that of the numpy scalars."""
-    tokens = {int(status): token for status, token in STATUS_TOKENS.items()}
+    by (t, id), fixed decimal places, '\\n' terminators; the text is that
+    of the numpy scalars.
+
+    Rows go out in batches of ``EXPORT_BATCH_ROWS``, one ``sink.write``
+    each, so the memory held is bounded by the batch size, not the run.
+    Within a batch each distinct value of a column is formatted once and
+    its text gathered to every row that holds it: on the lattice x and y
+    take one value per grid column or row, and health stays 1.0 in clean
+    air.  Id texts are kept for the whole export (one per agent)."""
+    tokens = np.array([f",{token}\n" for _, token in sorted(STATUS_TOKENS.items())], dtype=object)
+    id_texts: dict[int, str] = {}
     sink.write(TRAJECTORY_HEADER + "\n")
-    for (t, *columns, statuses) in result.trajectory:
-        rows = zip(repeat("%.6f" % t), *(c.tolist() for c in columns), map(tokens.__getitem__, statuses.tolist()))
-        sink.write("".join(map(_ROW.__mod__, rows)))
+    for pieces in _batches(result.trajectory, EXPORT_BATCH_ROWS):
+        t, ids, xs, ys, health, statuses = zip(*pieces)
+        lengths = list(map(len, ids))
+        rows = np.empty((sum(lengths), 6), dtype=object)
+        rows[:, 0] = np.repeat(np.array(["%.6f" % v for v in t], dtype=object), lengths)
+        rows[:, 1] = _texts(np.concatenate(ids), ",%d,", id_texts)
+        rows[:, 2] = _texts(np.concatenate(xs), "%.4f,")
+        rows[:, 3] = _texts(np.concatenate(ys), "%.4f,")
+        rows[:, 4] = _texts(np.concatenate(health), "%.4f")
+        rows[:, 5] = tokens[np.concatenate(statuses)]
+        sink.write("".join(rows.ravel().tolist()))
 
 
 def metrics_summary(result: RunResult) -> dict:

@@ -308,29 +308,40 @@ def distance_field(geometry: Geometry, sources: list[tuple[int, int]] | None = N
 
     Sources default to all exit cells.  The field spreads along the
     allowed ``Geometry.moves``; straight steps cost 1, diagonal steps
-    sqrt(2).
+    sqrt(2).  Each cell's value is the least float sum over the paths
+    that reach it, taken step by step from the source.  Adding a
+    non-negative cost never makes a float smaller, so that least sum does
+    not depend on the order in which the heap pops tied entries.
     """
-    moves = geometry.moves.tolist()
-    dist = [[math.inf] * geometry.width for _ in range(geometry.height)]
+    w = geometry.width
+    # flat cells u = y * w + x.  Cells with the same allowed steps (the
+    # stay step left out) share one list of (offset to the target, cost).
+    steps = [(dy * w + dx, cost) for (dx, dy), cost in zip(STEPS[1:], STEP_COSTS[1:])]
+    masks = np.packbits(geometry.moves[:, :, 1:], axis=2, bitorder="little").ravel().tolist()
+    allowed = {m: [step for k, step in enumerate(steps) if m >> k & 1] for m in set(masks)}
+    moves = list(map(allowed.__getitem__, masks))
+    dist = [math.inf] * (w * geometry.height)
     if sources is None:
         ys, xs = np.nonzero(geometry.kinds == CellKind.EXIT)
         sources = list(zip(xs.tolist(), ys.tolist()))
-    heap: list[tuple[float, int, int]] = []
+    heap: list[tuple[float, int]] = []
     for (x, y) in sources:
         if geometry.is_open(x, y):
-            dist[y][x] = 0.0
-            heap.append((0.0, x, y))
+            dist[y * w + x] = 0.0
+            heap.append((0.0, y * w + x))
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, x, y = heapq.heappop(heap)
-        if d > dist[y][x]:
+        d, u = pop(heap)
+        if d > dist[u]:
             continue
-        for (dx, dy), cost, allowed in zip(STEPS, STEP_COSTS, moves[y][x]):
+        for off, cost in moves[u]:
+            v = u + off
             nd = d + cost
-            if allowed and nd < dist[y + dy][x + dx]:
-                dist[y + dy][x + dx] = nd
-                heapq.heappush(heap, (nd, x + dx, y + dy))
-    return np.array(dist, dtype=np.float64)
+            if nd < dist[v]:
+                dist[v] = nd
+                push(heap, (nd, v))
+    return np.array(dist, dtype=np.float64).reshape(geometry.height, w)
 
 
 def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> np.ndarray:

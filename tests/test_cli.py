@@ -171,6 +171,21 @@ def test_run_reports_a_spawn_region_too_small_for_its_bodies(tmp_path):
     assert proc.stderr == "evacsim:error: could not place 40 bodies in the spawn region (16 placed)\n"
 
 
+def test_a_missing_hazard_file_is_a_runtime_error_without_a_traceback(tmp_path):
+    with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["hazard"] = {"file": "no_such_series.csv"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    missing = str(tmp_path / "no_such_series.csv")
+    for args in [("validate", path), ("run", path, "--out", tmp_path / "out")]:
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.stdout)
+        assert proc.stderr == (
+            f"evacsim:error: cannot read hazard series {missing!r}: [Errno 2] No such file or directory: {missing!r}\n"
+        ), args
+
+
 def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
     # sf bodies are not one per cell, so an sf scenario passes validation;
     # run on the lattice, it is refused when the people are spawned

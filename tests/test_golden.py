@@ -192,6 +192,49 @@ def test_smoke_beside_an_exit_digest(backend, max_sim_time, digest, outcome, rec
     assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
 
 
+# a measured-hazard series read from a CSV file: smoke by the west exit
+# and a haze over the middle of the room (tests/hazard_west_exit.csv);
+# the goldens that run the file branch of the hazard source
+HAZARD_FILE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+@pytest.mark.parametrize(
+    "backend, max_sim_time, digest, outcome, receivers",
+    [
+        pytest.param(
+            "ca",
+            None,
+            "e70d43646611e64b",
+            _outcome_of(
+                80, 14.259259259259258, {"exited": 80, "replanned": 29, "informed": 50}, {"exit:0": 14, "exit:1": 66}
+            ),
+            1158,
+            id="ca-e70d43646611e64b",
+        ),
+        pytest.param(
+            "sf",
+            10.0,
+            "d8ba0129f3a87174",
+            _outcome_of(16, 10.0, {"exited": 16, "replanned": 50, "informed": 75}, {"exit:0": 4, "exit:1": 12}),
+            2478,
+            id="sf-10.0-d8ba0129f3a87174",
+        ),
+        pytest.param(
+            "flow", None, "074afdea452e0f09", _outcome_of(80, 41.0, {"exited": 80}, {"exit:0": 80}), 0, id="flow-074afdea452e0f09"
+        ),
+    ],
+)
+def test_hazard_file_digest(backend, max_sim_time, digest, outcome, receivers):
+    doc = json.loads(_scenario_text("herding_two_exit", max_sim_time, backend))
+    doc["hazard"] = {"file": "hazard_west_exit.csv"}
+    scenario = parse_scenario(json.dumps(doc), HAZARD_FILE_DIR)
+    assert scenario.hazard_source.kind == "file"
+    result = run(scenario)
+    assert result.digest == digest
+    assert _outcome(result) == outcome
+    assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+
+
 # one person in ten a top leader and one in ten a second-level leader, with
 # spread-out collaboration: the goldens whose herd weights are not all 1.0,
 # so the float sums of votes and totals depend on their summation order

@@ -1,6 +1,7 @@
-"""Run metrics: the bulk trajectory formatter writes exactly the text of
-the per-row formatter it replaced, on values chosen to break a
-formatter; clog time merges the episodes of every door."""
+"""Run metrics: the batched trajectory formatter writes exactly the text
+of the per-row formatter it replaced, on values chosen to break a
+formatter and over batch boundaries; clog time merges the episodes of
+every door."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pytest
 
 from evacsim import export_trajectories
 from evacsim.agents import STATUS_TOKENS, AgentStatus
-from evacsim.metrics import TRAJECTORY_HEADER, EventRecord, RunResult, clog_fraction
+from evacsim.metrics import EXPORT_BATCH_ROWS, TRAJECTORY_HEADER, EventRecord, RunResult, clog_fraction
 
 
 def _reference_export(result, sink):
@@ -115,6 +116,67 @@ def test_strided_column_views_are_written_like_copies():
     result = _result([(2.5, ids, pos[:, 0], pos[:, 1], health, statuses)])
     assert not ids.flags.c_contiguous and not pos[:, 0].flags.c_contiguous
     assert _text(export_trajectories, result) == _text(_reference_export, result)
+
+
+class _Writes(list):
+    """A sink that keeps each write apart."""
+
+    write = list.append
+
+
+def _lattice_sample(rng, t, n, first_id=0):
+    """n rows over a few grid columns and rows, mostly full health, every
+    status: the repeats that the batched formatter formats once."""
+    cells = (rng.integers(0, 9, (2, n)) + 0.5) * np.float32(0.4)
+    health = np.where(rng.random(n) < 0.8, 1.0, rng.random(n))
+    return _sample(t, np.arange(first_id, first_id + n), cells[0], cells[1], health, rng.integers(0, 4, n))
+
+
+def test_batches_over_samples_of_unequal_length_write_the_reference_text():
+    rng = np.random.default_rng(5)
+    lengths = [3, EXPORT_BATCH_ROWS - 3, 1, 700, 0, EXPORT_BATCH_ROWS, 1500, 2, EXPORT_BATCH_ROWS + 1, 64]
+    trajectory = [_lattice_sample(rng, 0.25 * k, n, first_id=k) for k, n in enumerate(lengths)]
+    result = _result(trajectory)
+    writes = _Writes()
+    export_trajectories(result, writes)
+    # the header, then one write per batch of at most EXPORT_BATCH_ROWS rows,
+    # every one full but the last
+    rows = [chunk.count("\n") for chunk in writes[1:]]
+    assert writes[0] == TRAJECTORY_HEADER + "\n"
+    assert sum(rows) == sum(lengths) and len(rows) == -(-sum(lengths) // EXPORT_BATCH_ROWS)
+    assert set(rows[:-1]) == {EXPORT_BATCH_ROWS}
+    assert "".join(writes) == _text(_reference_export, result)
+
+
+def test_a_sample_longer_than_a_batch_is_split_over_batches():
+    rng = np.random.default_rng(6)
+    n = 2 * EXPORT_BATCH_ROWS + 17
+    spread = rng.uniform(-50.0, 50.0, n)
+    result = _result([_sample(3.5, rng.permutation(n), spread, spread[::-1], rng.random(n), rng.integers(0, 4, n))])
+    writes = _Writes()
+    export_trajectories(result, writes)
+    assert [chunk.count("\n") for chunk in writes] == [1, EXPORT_BATCH_ROWS, EXPORT_BATCH_ROWS, 17]
+    assert "".join(writes) == _text(_reference_export, result)
+
+
+def test_signed_zeros_and_nan_payloads_in_one_batch_keep_their_own_text():
+    # formatting is per bit pattern: -0.0 and 0.0 compare equal and must
+    # still print apart; NaNs never compare equal, and every payload,
+    # the sign bit included, prints as "nan"
+    nans = np.array([0x7FC00000, 0x7FC00001, 0xFFC00000, 0x7F800001], dtype=np.uint32).view(np.float32)
+    assert len({bits for bits in nans.view(np.uint32).tolist()}) == 4 and np.isnan(nans).all()
+    values = np.concatenate([np.float32([-0.0, 0.0, 1.0, -0.0]), nans, np.float32([0.0, -0.0])])
+    n = len(values)
+    trajectory = [
+        _sample(0.0, range(n), values, values[::-1], values, [1] * n),
+        _sample(0.5, range(n), values[::-1], values, np.roll(values, 3), [2] * n),
+    ]
+    result = _result(trajectory)
+    text = _text(export_trajectories, result)
+    assert text == _text(_reference_export, result)
+    first = text.splitlines()[1:n + 1]
+    assert [line.split(",")[2] for line in first[:4]] == ["-0.0000", "0.0000", "1.0000", "-0.0000"]
+    assert [line.split(",")[2] for line in first[4:8]] == ["nan"] * 4
 
 
 @pytest.mark.parametrize(

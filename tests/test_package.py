@@ -1,4 +1,5 @@
-"""Package hygiene: no code that only the tests reach."""
+"""Package hygiene: no code that only the tests reach, and no dependency
+beyond numpy and the standard library."""
 
 from __future__ import annotations
 
@@ -73,6 +74,22 @@ def test_every_method_is_used_in_the_package():
                 if used[name] == _names(node)[name]:
                     unused.append(f"{module}:{cls.name}.{name}")
     assert unused == []
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # evacsim depends on numpy alone (pyproject.toml); scipy and hypothesis
+    # are installed for the tests, so a stray import of either would
+    # still run here
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imported = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(module, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((module, node.module.split(".")[0]))
+    assert {name for _, name in imported} >= {"numpy", "heapq"}
+    assert sorted(f"{module}:{name}" for module, name in imported if name not in allowed) == []
 
 
 def _unit_step(node):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evacsim
 import evacsim.cli
@@ -23,7 +26,10 @@ from evacsim import (
     serialize_scenario,
 )
 from evacsim.scenario import (
+    STEP_COSTS,
+    STEPS,
     CellKind,
+    Geometry,
     distance_field,
     half_up,
     los_pairs,
@@ -313,6 +319,77 @@ def test_distance_field_unreachable_cells_are_infinite():
     d = distance_field(geo)
     assert np.isinf(d[1, 1])
     assert d[1, 3] == 0.0
+
+
+def _heap_distances(geometry, sources=None):
+    """The reference: the distance field as it was first written, over
+    (d, x, y) heap entries and a 2-D distance table, relaxing all nine
+    steps of ``Geometry.moves`` (the stay step never improves)."""
+    moves = geometry.moves.tolist()
+    dist = [[math.inf] * geometry.width for _ in range(geometry.height)]
+    if sources is None:
+        ys, xs = np.nonzero(geometry.kinds == CellKind.EXIT)
+        sources = list(zip(xs.tolist(), ys.tolist()))
+    heap = []
+    for (x, y) in sources:
+        if geometry.is_open(x, y):
+            dist[y][x] = 0.0
+            heap.append((0.0, x, y))
+    heapq.heapify(heap)
+    while heap:
+        d, x, y = heapq.heappop(heap)
+        if d > dist[y][x]:
+            continue
+        for (dx, dy), cost, allowed in zip(STEPS, STEP_COSTS, moves[y][x]):
+            nd = d + cost
+            if allowed and nd < dist[y + dy][x + dx]:
+                dist[y + dy][x + dx] = nd
+                heapq.heappush(heap, (nd, x + dx, y + dy))
+    return np.array(dist, dtype=np.float64)
+
+
+# mostly open cells; walls and obstacles leave diagonal corners to squeeze
+# past and pockets cut off from every exit
+CELL_DRAWS = [CellKind.EMPTY] * 6 + [CellKind.WALL, CellKind.WALL, CellKind.OBSTACLE, CellKind.EXIT]
+
+
+@st.composite
+def plans(draw):
+    """A 1-12 x 1-10 grid of random cells, built without the parser, so
+    a plan with no exit at all is drawn too, and sometimes a walled ring
+    that seals a pocket.  Returns the geometry and either None (the exit
+    cells) or a few source cells, open or not."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    cells = draw(st.lists(st.sampled_from(CELL_DRAWS), min_size=width * height, max_size=width * height))
+    kinds = np.array(cells, dtype=np.int8).reshape(height, width)
+    if draw(st.booleans()):
+        x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        x1, y1 = draw(st.integers(x0, width - 1)), draw(st.integers(y0, height - 1))
+        kinds[y0:y1 + 1, [x0, x1]] = kinds[[y0, y1], x0:x1 + 1] = CellKind.WALL
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    sources = draw(st.none() | st.lists(cell, max_size=4))
+    return Geometry(width=width, height=height, cell_size=0.5, kinds=kinds, doors=[]), sources
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(plans())
+def test_distance_field_matches_the_two_dimensional_heap_bit_for_bit(plan):
+    geo, sources = plan
+    got = distance_field(geo, sources)
+    want = _heap_distances(geo, sources)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(plans())
+def test_the_all_exits_field_is_the_least_of_the_zone_fields_bit_for_bit(plan):
+    # each field is the least float sum over a set of paths, and the
+    # exits' paths are the union of the zones' paths
+    geo, _ = plan
+    zone_fields = [distance_field(geo, zone.cells) for zone in geo.exit_zones]
+    want = np.minimum.reduce(zone_fields) if zone_fields else np.full(geo.kinds.shape, np.inf)
+    assert geo.exit_distance.tobytes() == want.tobytes()
 
 
 # -- line of sight ------------------------------------------------------------
