@@ -115,18 +115,21 @@ class RunConfig:
     def validate(self) -> None:
         if self.backend not in BACKENDS:
             raise SchemaViolation("config.backend", f"must be one of {BACKENDS}, got {self.backend!r}")
-        if not isinstance(self.dt, (int, float)) or isinstance(self.dt, bool) or not self.dt > 0:
+        _require_number("config.dt", self.dt)
+        if not self.dt > 0:
             raise SemanticViolation("config.dt", "time step must be > 0")
         if self.backend == "sf" and self.dt > SF_MAX_DT:
             raise SemanticViolation(
                 "config.dt", f"continuous backend is unstable above {SF_MAX_DT} s"
             )
+        _require_number("config.max_sim_time", self.max_sim_time)
         if not self.max_sim_time > 0:
             raise SemanticViolation("config.max_sim_time", "must be > 0")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SchemaViolation("config.seed", "must be an integer")
         if not 0 <= self.seed <= MAX_SEED:
             raise SemanticViolation("config.seed", "must fit in an unsigned 64-bit integer")
+        _require_number("config.alarm_time", self.alarm_time)
         if self.alarm_time < 0:
             raise SemanticViolation("config.alarm_time", "must be >= 0")
         if not isinstance(self.overrides, dict):
@@ -134,8 +137,7 @@ class RunConfig:
         for key, value in self.overrides.items():
             if key not in PARAM_DEFAULTS:
                 raise SchemaViolation(f"config.overrides.{key}", "unknown parameter")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise SchemaViolation(f"config.overrides.{key}", "must be a number")
+            _require_number(f"config.overrides.{key}", value)
         # divisors of the tick and network derivations, and the smallest body
         params = self.params()
         for key in ("v_ref", "flow_tick", "sf_radius_lo"):
@@ -190,6 +192,12 @@ class RunConfig:
         )
         cfg.validate()
         return cfg
+
+
+def _require_number(field: str, value) -> None:
+    """Reject bools and anything that is not an int or a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaViolation(field, "must be a number")
 
 
 def half_up(x: float) -> int:

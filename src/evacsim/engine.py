@@ -318,7 +318,7 @@ class _Simulation:
         self.local_od[inside] = od
         self.sensed[inside] = (od > SENSE_EPS) | (temp > AMBIENT_TEMP + SENSE_EPS) | (tox > SENSE_EPS)
 
-        dec = health_decrement(temp, od, tox, self.dt, self.params)
+        dec = health_decrement(temp, tox, self.dt, self.params)
         hurt = dec > 0
         if hurt.any():
             rows = inside[hurt]
@@ -821,25 +821,20 @@ class _FlowMover(_Mover):
         self.state.remove(i)
 
     def step(self, k: int, t: float) -> None:
-        sim = self.sim
-        network = sim.network
-        for cohort in flow_step(self.state, sim.pop.walking(), k):
-            arc = network.arcs[cohort.arc_index]
+        sim, pop = self.sim, self.sim.pop
+        for cohort in flow_step(self.state, pop.walking(), k):
+            arc = sim.network.arcs[cohort.arc_index]
             if arc.door_id:
                 sim.crossings.append((t, arc.door_id, len(cohort.ids)))
-            src_pt = self.node_points[arc.src]
             dst_pt = self.node_points[arc.dst]
-            hop = float(np.linalg.norm(dst_pt - src_pt))
-            dst_node = network.node_by_id(arc.dst)
-            for agent_id in cohort.ids:
-                sim.pop.path_len[agent_id] += hop
-                sim.pop.pos[agent_id] = dst_pt
-                if dst_node.kind == "destination":
+            pop.path_len[cohort.ids] += float(np.linalg.norm(dst_pt - self.node_points[arc.src]))
+            pop.pos[cohort.ids] = dst_pt
+            if arc.dst >= sim.n_rooms:
+                for agent_id in cohort.ids:
                     sim._exit_agent(agent_id, t, arc.dst - sim.n_rooms, arc.door_id)
         for cohort in self.state.in_transit:
-            point = self.arc_points[cohort.arc_index]
-            for agent_id in cohort.ids:
-                sim.pop.pos[agent_id] = point
+            pop.pos[cohort.ids] = self.arc_points[cohort.arc_index]
+        self.state.check_conservation(k, pop.inside())
 
 
 MOVERS = {"ca": _CaMover, "sf": _SfMover, "flow": _FlowMover}

@@ -9,7 +9,9 @@ stays transparent enough to check against closed-form queueing results.
 
 Individual ids are carried through the queues so per-person exit times
 and positions remain well defined, even though the dynamics only ever
-act on counts.
+act on counts.  The state holds only the people still on the network:
+a cohort that lands at a destination leaves it, and its exit time is
+recorded in ``Population`` by the engine, not here.
 """
 from __future__ import annotations
 
@@ -51,75 +53,69 @@ class Cohort:
 
 @dataclass
 class FlowState:
-    """Mutable queue state of the flow backend.
+    """Mutable queue state of the flow backend: who is where on the network.
 
-    ``queues`` holds waiting ids per node in FIFO order; ``in_transit``
-    holds departed cohorts until their arrival tick; ``arrived`` maps
-    each id to (arrival tick, destination node id).  Who may depart and
-    which tick it is are not recorded here: ``flow_step`` takes both.
+    ``queues`` holds waiting ids in FIFO order, one queue per node that
+    routes onward; ``in_transit`` holds departed cohorts until their
+    arrival tick.  A cohort that lands at a destination leaves the state:
+    exit times live in ``Population``.  Who may depart and which tick it
+    is are not recorded here: ``flow_step`` takes both.
     """
 
     network: EgressNetwork
     routes: dict[int, int | None]
     queues: dict[int, deque] = field(default_factory=dict)
     in_transit: list[Cohort] = field(default_factory=list)
-    arrived: dict[int, tuple[int, int]] = field(default_factory=dict)
-    total: int = 0
 
     @classmethod
     def from_assignment(cls, network: EgressNetwork, assignment: dict[int, int]) -> "FlowState":
         """Build the initial state from an id -> node placement."""
         state = cls(network=network, routes=flow_route(network))
-        state.queues = {n.id: deque() for n in network.nodes}
+        state.queues = {node: deque() for node, arc in state.routes.items() if arc is not None}
         for agent_id in sorted(assignment):
             node_id = assignment[agent_id]
             if node_id not in state.queues:
                 raise SimulationError(f"agent {agent_id} assigned to unknown node {node_id}")
             state.queues[node_id].append(agent_id)
-        state.total = len(assignment)
         return state
 
-    def check_conservation(self, tick: int) -> None:
-        waiting = sum(len(q) for q in self.queues.values())
-        have = waiting + sum(len(c.ids) for c in self.in_transit) + len(self.arrived)
-        if have != self.total:
-            raise SimulationError(f"tick {tick}: person conservation broken: {have} != {self.total}")
+    def check_conservation(self, tick: int, inside: np.ndarray) -> None:
+        """Raise unless the ids held in queues and in transit are exactly
+        ``inside``, the ascending ids of the people in the building."""
+        held = [i for q in self.queues.values() for i in q] + [i for c in self.in_transit for i in c.ids]
+        held = np.sort(np.array(held, dtype=np.int64))
+        if not np.array_equal(held, inside):
+            lost = np.setdiff1d(inside, held).tolist()
+            extra = np.union1d(np.setdiff1d(held, inside), held[1:][np.diff(held) == 0]).tolist()
+            raise SimulationError(f"tick {tick}: person conservation broken: lost {lost}, extra {extra}")
 
-    def remove(self, agent_id: int) -> bool:
-        """Take one person out of the system (death); ignores arrived ids."""
-        for q in self.queues.values():
-            if agent_id in q:
-                q.remove(agent_id)
-                self.total -= 1
-                return True
-        for cohort in self.in_transit:
-            if agent_id in cohort.ids:
-                cohort.ids.remove(agent_id)
-                self.total -= 1
-                return True
-        return False
+    def remove(self, agent_id: int) -> None:
+        """Take one person out of the system (death); ignores ids no longer held."""
+        for ids in [*self.queues.values(), *(c.ids for c in self.in_transit)]:
+            if agent_id in ids:
+                ids.remove(agent_id)
+                return
 
 
 def flow_step(state: FlowState, eligible: np.ndarray, tick: int) -> list[Cohort]:
     """Advance through tick ``tick``; returns the cohorts that landed in
     it, in deterministic (depart tick, arc index) order.
 
-    Departure phase: every node sends up to its routed arc's capacity
+    Departure phase: every queue sends up to its routed arc's capacity
     of eligible waiting persons (``eligible[i]``: id i may depart; FIFO,
-    ineligible ones are skipped in place).  Arrival phase: cohorts whose
-    time has come either join the destination record or the next node's
-    queue.  A zero-traversal arc delivers within the same tick.  The caller classifies each landed
-    cohort by the kind of its arc's destination node.
+    ineligible ones are skipped in place).  Arrival phase: a cohort whose
+    time has come joins the queue of its arc's destination node if that
+    node routes onward; otherwise it leaves the state.  A zero-traversal
+    arc delivers within the same tick.  The caller decides which landed
+    cohorts exit the building.
     """
     network = state.network
 
     for node_id in sorted(state.queues):
-        arc_index = state.routes.get(node_id)
-        if arc_index is None:
-            continue
         queue = state.queues[node_id]
         if not queue:
             continue
+        arc_index = state.routes[node_id]
         arc = network.arcs[arc_index]
         taken: list[int] = []
         kept: list[int] = []
@@ -148,14 +144,8 @@ def flow_step(state: FlowState, eligible: np.ndarray, tick: int) -> list[Cohort]
             still.append(cohort)
     due.sort(key=lambda c: (c.depart_tick, c.arc_index))
     for cohort in due:
-        arc = network.arcs[cohort.arc_index]
-        dst = network.node_by_id(arc.dst)
-        if dst.kind == "destination":
-            for agent_id in cohort.ids:
-                state.arrived[agent_id] = (tick, dst.id)
-        else:
-            state.queues[dst.id].extend(cohort.ids)
+        queue = state.queues.get(network.arcs[cohort.arc_index].dst)
+        if queue is not None:
+            queue.extend(cohort.ids)
     state.in_transit = still
-
-    state.check_conservation(tick)
     return due

@@ -227,10 +227,10 @@ def visibility_range_bulk(od: np.ndarray, health: np.ndarray, params: dict) -> n
     return base * (0.5 + 0.5 * health)
 
 
-def health_decrement(temp, od, tox, dt: float, params: dict):
+def health_decrement(temp, tox, dt: float, params: dict):
     """Health lost over ``dt`` from heat above the harm threshold plus
-    toxicity.  Smoke density harms only via visibility, not health."""
-    del od  # optical density does not injure directly
+    toxicity.  Smoke density harms only via visibility, not health, so
+    it is not an argument."""
     t_crit = float(params["temp_crit"])
     t_scale = float(params["temp_scale"])
     c_temp = float(params["c_temp"])

@@ -428,12 +428,6 @@ class EgressNetwork:
     arcs: list[Arc]
     warnings: list[str] = field(default_factory=list)
 
-    def node_by_id(self, node_id: int) -> Node:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
-
     @cached_property
     def routes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shortest routes, found once and kept read-only: the destination

@@ -64,28 +64,28 @@ class _Neighbors(NamedTuple):
     ref: np.ndarray        # (n, 2) their positions at the build
     pairs: tuple           # candidate rows (i, j), ascending
     radius: np.ndarray     # (n,) radius of each present row
-    mass: np.ndarray       # (n,) mass of each present row
     r_sum: np.ndarray      # radius[i] + radius[j] per candidate pair
     slots: np.ndarray      # _xy_slots(rows)
 
 
 @dataclass
 class SfState:
-    """Positions, velocities and body parameters, indexed by agent id.
+    """Positions, velocities and body radii, indexed by agent id, and
+    the run's one body mass.
 
     Which bodies are in the building and which tick it is are not
     recorded here: ``sf_step`` takes both per step, and the rows of everyone else stay put.
     Built by ``from_bodies``, ``pos`` and ``radius`` are the population's
-    own arrays, not copies.  The neighbour list caches the present rows'
-    radius and mass and each candidate pair's radius sum; they are read
-    again only on a rebuild, so ``radius`` and ``mass`` must not change
-    while it is kept.
+    own arrays, not copies, and every body has the mass ``sf_mass``.  The
+    neighbour list caches the present rows' radius and each candidate
+    pair's radius sum; they are read again only on a rebuild, so
+    ``radius`` must not change while it is kept.
     """
 
     pos: np.ndarray                        # (N, 2) m
     vel: np.ndarray                        # (N, 2) m/s
     radius: np.ndarray                     # (N,)
-    mass: np.ndarray                       # (N,)
+    mass: float                            # kg, of every body
     projected: int = 0                     # bodies projected out of walls, over all ticks
     projection_ticks: list[int] = field(default_factory=list)  # the first PROJECTION_EXAMPLES of them
 
@@ -99,13 +99,7 @@ class SfState:
         """State over the population's own ``pos`` and ``radius`` arrays;
         sf_step moves ``pos`` in place."""
         p = params or PARAM_DEFAULTS
-        n = len(pos)
-        return cls(
-            pos=pos,
-            vel=np.zeros((n, 2)),
-            radius=radius,
-            mass=np.full(n, float(p["sf_mass"])),
-        )
+        return cls(pos=pos, vel=np.zeros((len(pos), 2)), radius=radius, mass=float(p["sf_mass"]))
 
     @property
     def warnings(self) -> list[str]:
@@ -153,12 +147,13 @@ def exposed_wall_cells(geometry: Geometry) -> np.ndarray:
 def driving_force(
     pos: np.ndarray,
     vel: np.ndarray,
-    mass: np.ndarray,
+    mass: float,
     desired_speed: np.ndarray,
     waypoint: np.ndarray,
     params: dict,
 ) -> np.ndarray:
-    """m (v_des e - v) / tau toward each body's waypoint.
+    """m (v_des e - v) / tau toward each body's waypoint, every body of
+    mass ``mass``.
 
     Rows with a NaN waypoint (nothing to head for) relax to rest.
     """
@@ -169,7 +164,7 @@ def driving_force(
     # it; a finite sum of norms means every row has a goal
     if not np.isfinite(norm.sum()):
         e = np.where((np.isfinite(heading[:, 0]) & np.isfinite(heading[:, 1]))[:, None], e, 0.0)
-    return mass[:, None] * (desired_speed[:, None] * e - vel) / float(params["sf_tau"])
+    return mass * (desired_speed[:, None] * e - vel) / float(params["sf_tau"])
 
 
 def pair_forces(
@@ -318,13 +313,14 @@ def wall_forces(
 
 def apply_contact_friction(
     vel: np.ndarray,
-    mass: np.ndarray,
+    mass: float,
     pair_contacts: tuple,
     wall_contacts: tuple,
     dt: float,
     params: dict,
 ) -> np.ndarray:
-    """Damp tangential sliding at touching contacts, in place.
+    """Damp tangential sliding at touching contacts between bodies of
+    mass ``mass``, in place.
 
     Viscous sliding friction (rate = kappa x overlap) is far stiffer
     than the step size whenever bodies are pressed together, so adding
@@ -346,30 +342,28 @@ def apply_contact_friction(
     counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + np.bincount(rows, minlength=n)
 
     if len(i):
-        m_i, m_j = mass.take(i), mass.take(j)
-        m_red = 1.0 / (1.0 / m_i + 1.0 / m_j)
+        m_red = 1.0 / (1.0 / mass + 1.0 / mass)
         damp = 1.0 - 1.0 / (1.0 + kappa * gap_p * dt / m_red)
         share = np.maximum(np.maximum(counts.take(i), counts.take(j)), 1)
         gain_p = m_red * damp / share
         slot_i, slot_j = _xy_slots(i), _xy_slots(j)
     if len(rows):
-        m_w = mass.take(rows)
-        damp_w = 1.0 - 1.0 / (1.0 + kappa * gap_w * dt / m_w)
-        gain_w = m_w * damp_w / np.maximum(counts[rows], 1)
+        damp_w = 1.0 - 1.0 / (1.0 + kappa * gap_w * dt / mass)
+        gain_w = mass * damp_w / np.maximum(counts[rows], 1)
         slot_w = _xy_slots(rows)
 
     for _ in range(FRICTION_SWEEPS):
         # the sum of per-kind bincounts, in the order i, j, walls, keeps
-        # each slot's additions in the order of a scatter per kind
+        # each slot's additions in the order of a scatter per kind; j's
+        # kick is i's negated, and negation is exact
         delta = 0.0
         if len(i):
             dv_t = ((vel.take(j, axis=0) - vel.take(i, axis=0)) * tan_p).sum(axis=1)
-            impulse = gain_p * dv_t
-            delta = np.bincount(slot_i, ((impulse / m_i)[:, None] * tan_p).ravel(), 2 * n)
-            delta = delta + np.bincount(slot_j, (-(impulse / m_j)[:, None] * tan_p).ravel(), 2 * n)
+            kick = ((gain_p * dv_t / mass)[:, None] * tan_p).ravel()
+            delta = np.bincount(slot_i, kick, 2 * n) + np.bincount(slot_j, -kick, 2 * n)
         if len(rows):
             v_t = (vel.take(rows, axis=0) * tan_w).sum(axis=1)
-            delta = delta + np.bincount(slot_w, (-(gain_w * v_t / m_w)[:, None] * tan_w).ravel(), 2 * n)
+            delta = delta + np.bincount(slot_w, (-(gain_w * v_t / mass)[:, None] * tan_w).ravel(), 2 * n)
         vel += delta.reshape(n, 2)
     return vel
 
@@ -394,7 +388,7 @@ def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: flo
         i, j = SpatialHash(pos, reach).query_pairs(reach)
         radius = state.radius.take(idx)
         r_sum = radius.take(i) + radius.take(j)
-        nbr = _Neighbors(idx.copy(), pos.copy(), (i, j), radius, state.mass.take(idx), r_sum, _xy_slots(idx))
+        nbr = _Neighbors(idx.copy(), pos.copy(), (i, j), radius, r_sum, _xy_slots(idx))
         state._nbr = nbr
     return nbr
 
@@ -422,7 +416,7 @@ def sf_step(
     """
     p = params or PARAM_DEFAULTS
     if not 0 < dt <= MAX_DT:
-        raise SimulationError(f"integration step {dt} outside (0, {MAX_DT}]")
+        raise SimulationError(f"tick {tick}: integration step {dt} outside (0, {MAX_DT}]")
 
     if len(present) == 0:
         return np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64)
@@ -430,14 +424,14 @@ def sf_step(
     pos = state.pos.take(present, axis=0)
     vel = state.vel.take(present, axis=0)
     nbr = _neighbor_list(state, present, pos, float(p["sf_cutoff"]))
-    mass = nbr.mass                                          # fixed until the next rebuild
+    mass = state.mass
 
     total = driving_force(pos, vel, mass, desired_speed.take(present), waypoint.take(present, axis=0), p)
     pair, pair_contacts = pair_forces(pos, nbr.radius, p, pairs=nbr.pairs, r_sum=nbr.r_sum)
     wall, wall_contacts = wall_forces(pos, nbr.radius, walls, geometry, p)
     force = total + pair + wall
 
-    vel = vel + force / mass[:, None] * dt
+    vel = vel + force / mass * dt
     vel = apply_contact_friction(vel, mass, pair_contacts, wall_contacts, dt, p)
     v_cap = float(p["sf_speed_slack"]) * float(p["speed_cap"])
     # a speed is below 1.5 x its largest component, so none is clamped below

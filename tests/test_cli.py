@@ -186,6 +186,18 @@ def test_a_missing_hazard_file_is_a_runtime_error_without_a_traceback(tmp_path):
         ), args
 
 
+@pytest.mark.parametrize("key, value", [("max_sim_time", "10"), ("alarm_time", None)])
+def test_a_mistyped_run_config_field_is_one_error_line_without_a_traceback(tmp_path, key, value):
+    with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["config"][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == f"evacsim:error: config.{key}: must be a number\n"
+
+
 def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
     # sf bodies are not one per cell, so an sf scenario passes validation;
     # run on the lattice, it is refused when the people are spawned

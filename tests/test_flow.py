@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evacsim import SemanticViolation, run
+from evacsim import SemanticViolation, SimulationError, run
 from evacsim.config import BACKENDS
 from evacsim.flow import Cohort, FlowState, flow_route, flow_step
 from evacsim.metrics import egress_stats
@@ -31,11 +31,29 @@ def _path_network(n_hops=1, traversal=1, capacity=1):
     return EgressNetwork(nodes=nodes, arcs=arcs, warnings=[])
 
 
-def _drain(state, eligible, tick=0, max_ticks=100_000):
-    """Advance from tick ``tick`` until everyone arrived; return the last arrival tick."""
+def _held(state):
+    """Ascending ids still on the network, waiting or in transit."""
+    ids = [i for q in state.queues.values() for i in q] + [i for c in state.in_transit for i in c.ids]
+    return np.array(sorted(ids), dtype=np.int64)
+
+
+def _step(state, eligible, tick, landed):
+    """One ``flow_step``; records in ``landed`` the tick each id reached a
+    destination (a node without a queue) and returns the landed cohorts."""
+    cohorts = flow_step(state, eligible, tick)
+    for cohort in cohorts:
+        if state.network.arcs[cohort.arc_index].dst not in state.queues:
+            landed.update(dict.fromkeys(cohort.ids, tick))
+    return cohorts
+
+
+def _drain(state, eligible, tick=0, max_ticks=100_000, landed=None):
+    """Advance from tick ``tick`` until the network is empty; return the
+    last arrival tick.  ``landed``, if given, gathers each id's landing tick."""
+    landed = {} if landed is None else landed
     last = 0
-    while len(state.arrived) < state.total:
-        for cohort in flow_step(state, eligible, tick):
+    while len(_held(state)):
+        for cohort in _step(state, eligible, tick, landed):
             last = max(last, cohort.arrival_tick)
         tick += 1
         assert tick <= max_ticks, "did not drain"
@@ -69,17 +87,18 @@ def test_ineligible_agents_hold_their_queue_slot():
     net = _path_network(1, traversal=0, capacity=1)
     state = FlowState.from_assignment(net, {0: 0, 1: 0, 2: 0})
     eligible = np.array([False, True, True])
-    flow_step(state, eligible, 0)
+    landed = {}
+    _step(state, eligible, 0, landed)
     # id 0 is still premovement, so 1 departed first
-    assert 1 in state.arrived
-    assert 0 not in state.arrived
+    assert 1 in landed
+    assert 0 not in landed
     eligible[0] = True
-    flow_step(state, eligible, 1)
-    flow_step(state, eligible, 2)
-    assert set(state.arrived) == {0, 1, 2}
+    _step(state, eligible, 1, landed)
+    _step(state, eligible, 2, landed)
+    assert set(landed) == {0, 1, 2}
     # id 0 kept its place at the head of the queue while ineligible,
     # so it departs as soon as it wakes: 1, then 0, then 2
-    order = sorted(state.arrived, key=lambda i: state.arrived[i][0])
+    order = sorted(landed, key=landed.get)
     assert order == [1, 0, 2]
 
 
@@ -88,12 +107,8 @@ def test_fifo_departure_order_within_a_node():
     ids = list(range(7))
     state = FlowState.from_assignment(net, {i: 0 for i in ids})
     ticks = {}
-    tick = 0
-    while len(state.arrived) < state.total:
-        for cohort in flow_step(state, np.ones(len(ids), dtype=bool), tick):
-            for agent_id in cohort.ids:
-                ticks[agent_id] = cohort.arrival_tick
-        tick += 1
+    _drain(state, np.ones(len(ids), dtype=bool), landed=ticks)
+    assert sorted(ticks) == ids
     assert [ticks[i] for i in ids] == sorted(ticks[i] for i in ids)
 
 
@@ -103,13 +118,32 @@ def test_conservation_every_tick():
         n_agents = int(rng.integers(1, 30))
         net = _path_network(int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 4)))
         state = FlowState.from_assignment(net, {i: 0 for i in range(n_agents)})
+        inside = np.arange(n_agents)
+        landed = {}
         for tick in range(200):
-            state.check_conservation(tick)
-            flow_step(state, np.ones(n_agents, dtype=bool), tick)
-            if len(state.arrived) == state.total:
+            state.check_conservation(tick, inside)
+            _step(state, np.ones(n_agents, dtype=bool), tick, landed)
+            inside = np.setdiff1d(inside, list(landed))
+            if len(inside) == 0:
                 break
-        state.check_conservation(tick + 1)
-        assert len(state.arrived) == state.total
+        state.check_conservation(tick + 1, inside)
+        assert sorted(landed) == list(range(n_agents))
+
+
+def test_a_person_missing_from_the_network_is_named_with_the_tick():
+    net = _path_network(2, traversal=2, capacity=1)
+    state = FlowState.from_assignment(net, {i: 0 for i in range(4)})
+    flow_step(state, np.ones(4, dtype=bool), 0)  # id 0 departs
+    state.check_conservation(0, np.arange(4))
+    state.remove(2)  # gone from the queue while still inside
+    with pytest.raises(SimulationError, match=r"^tick 0: person conservation broken: lost \[2\], extra \[\]$"):
+        state.check_conservation(0, np.arange(4))
+    # and one the building no longer holds, or one held twice, is extra
+    with pytest.raises(SimulationError, match=r"^tick 1: person conservation broken: lost \[\], extra \[1\]$"):
+        state.check_conservation(1, np.array([0, 3]))
+    state.queues[0].append(3)
+    with pytest.raises(SimulationError, match=r"^tick 2: person conservation broken: lost \[\], extra \[3\]$"):
+        state.check_conservation(2, np.array([0, 1, 3]))
 
 
 def test_flow_route_picks_nearest_destination():
@@ -224,12 +258,13 @@ def test_remove_supports_mid_run_deaths():
     net = _path_network(1, traversal=2, capacity=1)
     state = FlowState.from_assignment(net, {i: 0 for i in range(4)})
     eligible = np.ones(4, dtype=bool)
-    flow_step(state, eligible, 0)  # id 0 departs
+    landed = {}
+    _step(state, eligible, 0, landed)  # id 0 departs
     state.remove(1)  # dies while waiting
-    assert state.total == 3
-    last = _drain(state, eligible, tick=1)
-    state.check_conservation(last)
-    assert sorted(state.arrived) == [0, 2, 3]
+    assert _held(state).tolist() == [0, 2, 3]
+    last = _drain(state, eligible, tick=1, landed=landed)
+    state.check_conservation(last, np.zeros(0, dtype=np.int64))
+    assert sorted(landed) == [0, 2, 3]
 
 
 @pytest.mark.parametrize("count", [1, 7, 40])

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evacsim import HazardFormatError
+from evacsim import HazardFormatError, run
 from evacsim.config import PARAM_DEFAULTS
+from evacsim.engine import load_hazard_field
 from evacsim.hazard import (
     AMBIENT_TEMP,
     HazardField,
@@ -223,21 +224,31 @@ def test_visibility_bulk_matches_scalar():
 
 
 def test_health_unharmed_below_critical_temperature():
-    d = health_decrement(PARAM_DEFAULTS["temp_crit"] - 1.0, 5.0, 0.0, 1.0, PARAM_DEFAULTS)
+    d = health_decrement(PARAM_DEFAULTS["temp_crit"] - 1.0, 0.0, 1.0, PARAM_DEFAULTS)
     assert float(d) == 0.0
 
 
 def test_health_decrement_scales_linearly():
     p = PARAM_DEFAULTS
     hot = p["temp_crit"] + p["temp_scale"]  # one scale unit above critical
-    d1 = float(health_decrement(hot, 0.0, 0.0, 1.0, p))
-    d2 = float(health_decrement(hot, 0.0, 0.0, 2.0, p))
+    d1 = float(health_decrement(hot, 0.0, 1.0, p))
+    d2 = float(health_decrement(hot, 0.0, 2.0, p))
     assert d1 == pytest.approx(p["c_temp"])
     assert d2 == pytest.approx(2 * d1)
-    dt_tox = float(health_decrement(20.0, 0.0, 0.5, 1.0, p))
+    dt_tox = float(health_decrement(20.0, 0.5, 1.0, p))
     assert dt_tox == pytest.approx(0.5 * p["c_tox"])
 
 
 def test_smoke_density_alone_does_not_injure():
-    d = float(health_decrement(20.0, 10.0, 0.0, 60.0, PARAM_DEFAULTS))
-    assert d == 0.0
+    """``health_decrement`` takes no density, and a whole run in dense
+    smoke without heat or toxicity leaves every health at 1.0."""
+    assert float(health_decrement(20.0, 0.0, 60.0, PARAM_DEFAULTS)) == 0.0
+    smoke = {"source": [3, 3], "rate": 2.0, "temp_per_od": 0.0, "tox_per_od": 0.0}
+    stay = [{"attr": "mobility", "dist": "constant", "value": 0}]
+    doc = room_doc(grid_rows(8, 8, exits=[(7, 3)]), count=6, max_sim_time=30.0, attributes=stay,
+                   hazard={"builtin": smoke})
+    scenario = make_scenario(doc)
+    assert load_hazard_field(scenario).frame_at(30.0)[1].min(where=scenario.geometry.open_mask, initial=9.0) > 1.0
+    result = run(scenario)
+    assert (result.fatalities, result.timeout) == (0, True)
+    assert all((sample[4] == 1.0).all() for sample in result.trajectory)

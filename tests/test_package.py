@@ -186,3 +186,37 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     for owner, attr, _, _ in tracing.WRAPPED:
         assert not hasattr(owner.__dict__[attr], "__wrapped__"), attr
     assert {"agents.percepts", "agents.decide", "agents.choose_exit", "sf.step"} <= names
+
+
+def _starts_with_the_tick(message) -> bool:
+    """Whether ``message`` is an f-string that begins ``tick {tick}:``."""
+    parts = message.values if isinstance(message, ast.JoinedStr) else []
+    return (
+        len(parts) >= 3
+        and isinstance(parts[0], ast.Constant) and parts[0].value == "tick "
+        and isinstance(parts[1], ast.FormattedValue)
+        and isinstance(parts[1].value, ast.Name) and parts[1].value.id == "tick"
+        and isinstance(parts[2], ast.Constant) and parts[2].value.startswith(":")
+    )
+
+
+def test_a_stepping_error_names_its_tick():
+    # a function that takes the tick it steps through says which tick
+    # failed: every SimulationError it raises starts "tick {tick}:"
+    checked, unnamed = 0, []
+    for module, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if "tick" not in {arg.arg for arg in func.args.args + func.args.kwonlyargs}:
+                continue
+            for node in ast.walk(func):
+                call = node.exc if isinstance(node, ast.Raise) else None
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "SimulationError"):
+                    continue
+                checked += 1
+                if not (call.args and _starts_with_the_tick(call.args[0])):
+                    unnamed.append(f"{module}:{node.lineno}")
+    assert unnamed == []
+    assert checked >= 5

@@ -7,7 +7,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evacsim import run
+from evacsim import parse_scenario, run, serialize_scenario
 from evacsim.config import BACKENDS
 
 from conftest import grid_rows, make_scenario, room_doc
@@ -58,3 +58,14 @@ def test_every_person_is_accounted_for_and_runs_repeat(doc):
         assert (outcomes["exited"], outcomes["dead"]) == (result.exited, result.fatalities), backend
         assert result.timeout == (outcomes["inside"] > 0), backend
         assert run(make_scenario(doc)).digest == result.digest, backend
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(drills())
+def test_a_serialized_drill_parses_back_to_the_same_text_and_run(doc):
+    scenario = make_scenario(doc)
+    text = serialize_scenario(scenario)
+    again = parse_scenario(text)
+    assert serialize_scenario(again) == text
+    assert again.config.backend == "ca"
+    assert run(again).digest == run(scenario).digest

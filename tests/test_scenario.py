@@ -152,6 +152,18 @@ def test_bad_backend_rejected():
         make_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_sim_time", "10"), ("max_sim_time", True), ("alarm_time", "5"), ("alarm_time", None),
+     ("alarm_time", False), ("dt", "0.05"), ("dt", True)],
+)
+def test_run_config_times_must_be_numbers(key, value):
+    doc = room_doc(grid_rows(6, 5, exits=[(5, 2)]))
+    doc["config"][key] = value
+    with pytest.raises(SchemaViolation, match=rf"^config\.{key}: must be a number$"):
+        make_scenario(doc)
+
+
 def test_declared_door_on_wall_cell_rejected():
     doc = room_doc(
         grid_rows(8, 6, exits=[(7, 2)]),

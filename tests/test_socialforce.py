@@ -52,7 +52,7 @@ def _free_state(pos, vel=None, radius=0.3):
         pos=np.asarray(pos, dtype=np.float64),
         vel=np.zeros((n, 2)) if vel is None else np.asarray(vel, dtype=np.float64),
         radius=np.full(n, radius),
-        mass=np.full(n, PARAM_DEFAULTS["sf_mass"]),
+        mass=PARAM_DEFAULTS["sf_mass"],
     )
 
 
@@ -113,8 +113,7 @@ def test_speed_clamp_keeps_bodies_subsonic():
 def test_driving_force_closed_form():
     pos = np.array([[0.0, 0.0]])
     vel = np.array([[0.5, 0.0]])
-    mass = np.array([80.0])
-    f = driving_force(pos, vel, mass, np.array([1.5]), np.array([[10.0, 0.0]]), PARAM_DEFAULTS)
+    f = driving_force(pos, vel, 80.0, np.array([1.5]), np.array([[10.0, 0.0]]), PARAM_DEFAULTS)
     want = 80.0 * (1.5 - 0.5) / TAU
     assert np.allclose(f, [[want, 0.0]])
 
@@ -407,7 +406,7 @@ def test_friction_damps_tangential_slip_between_touching_bodies():
     state_vel = vel.copy()
     _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     new_vel = apply_contact_friction(
-        state_vel, np.full(2, 80.0), contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
+        state_vel, 80.0, contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
     )
     slip_before = abs(vel[0, 1] - vel[1, 1])
     slip_after = abs(new_vel[0, 1] - new_vel[1, 1])
@@ -424,15 +423,16 @@ def test_separated_bodies_feel_no_friction():
     vel = np.array([[0.0, 1.0], [0.0, -1.0]])
     _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     new_vel = apply_contact_friction(
-        vel.copy(), np.full(2, 80.0), contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
+        vel.copy(), 80.0, contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
     )
     assert np.allclose(new_vel, vel)
 
 
 # -- reference kernels ----------------------------------------------------------------
 # The force and friction kernels as they stood before they moved to row
-# ``take``s and masked pair sums.  The kernels in use must match them bit
-# for bit, contacts included.
+# ``take``s, masked pair sums and one scalar mass.  The references keep a
+# per-body mass array, so matching them bit for bit, contacts included,
+# proves the scalar path too.
 
 
 def _ref_scatter_add(out, idx, vec):
@@ -564,7 +564,7 @@ def test_kernels_match_the_reference_bit_for_bit(seed, cutoff):
     walls = _walls(geo)
     rng = np.random.default_rng(seed)
     pos, radius = _packed_crowd(rng, geo)
-    mass = rng.uniform(60.0, 90.0, size=len(pos))
+    mass = rng.uniform(60.0, 90.0)
     vel = rng.uniform(-1.5, 1.5, size=(len(pos), 2))
     # the candidate list as sf_step enumerates it, wider than the cutoff
     reach = cutoff + 0.4
@@ -578,7 +578,7 @@ def test_kernels_match_the_reference_bit_for_bit(seed, cutoff):
     _assert_same(got_wall, want_wall)
     for dt in (0.02, 0.05):
         got_vel = apply_contact_friction(vel.copy(), mass, got_pair[1], got_wall[1], dt, params)
-        want_vel = _ref_friction(vel.copy(), mass, want_pair[1], want_wall[1], dt, params)
+        want_vel = _ref_friction(vel.copy(), np.full(len(pos), mass), want_pair[1], want_wall[1], dt, params)
         assert np.array_equal(got_vel, want_vel)
 
     # coverage: pairs beyond the cutoff, the two degenerate pairs, touching
@@ -610,7 +610,7 @@ def test_kernels_match_the_reference_without_pairs():
     vel = np.random.default_rng(9).uniform(-1, 1, size=(len(pos), 2))
     wall_none = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
     empty = (*none, np.zeros((0, 2)), np.zeros(0))
-    got_vel = apply_contact_friction(vel.copy(), np.full(len(pos), 80.0), empty, wall_none, 0.02, PARAM_DEFAULTS)
+    got_vel = apply_contact_friction(vel.copy(), 80.0, empty, wall_none, 0.02, PARAM_DEFAULTS)
     assert np.array_equal(got_vel, vel)
 
 
@@ -658,7 +658,7 @@ def _ref_sf_step(state, geo, wall_cells, present, desired_speed, waypoint, dt, p
     """One step from the reference kernels: every pair and every exposed
     wall cell, with no neighbour list, wall table or cached constant."""
     pos, vel = state.pos[present], state.vel[present]
-    mass, radius = state.mass[present], state.radius[present]
+    mass, radius = np.full(len(present), state.mass), state.radius[present]
     drive = _ref_driving(pos, vel, mass, desired_speed[present], waypoint[present], params)
     pair, pair_contacts = _ref_pair_forces(pos, radius, params, np.triu_indices(len(present), 1))
     wall, wall_contacts, _ = _dense_wall_forces(pos, radius, wall_cells, geo.cell_size, params)
@@ -694,7 +694,7 @@ def test_sf_step_matches_the_reference_step_bit_for_bit(dt):
     pos = np.concatenate([pos, pos[:1]])
     n = len(pos)
     radius = np.where(np.arange(n) == 1, 0.05, rng.uniform(0.25, 0.35, size=n))
-    state = SfState(pos=pos, vel=np.zeros((n, 2)), radius=radius, mass=rng.uniform(60.0, 90.0, size=n))
+    state = SfState(pos=pos, vel=np.zeros((n, 2)), radius=radius, mass=rng.uniform(60.0, 90.0))
     ref = replace(state, pos=state.pos.copy(), vel=state.vel.copy())
     desired = rng.uniform(0.5, 2.0, size=n)
     desired[::9] = 0.0
