@@ -87,9 +87,6 @@ PARAM_DEFAULTS: dict[str, float | int] = {
     "trajectory_interval": 0.0, # s between trajectory samples; 0 = backend default
 }
 
-# Backend-specific fallbacks used when decision/trajectory intervals are 0.
-SF_DECISION_INTERVAL = 0.25
-SF_TRAJECTORY_INTERVAL = 0.25
 SF_MAX_DT = 0.05  # s; contact stiffness makes larger social-force steps unstable
 
 DEFAULT_DT_SF = 0.05

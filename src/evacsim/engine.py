@@ -24,9 +24,9 @@ Who is in the building and who walks are its methods
 records in ``sensed`` whether the air at each inside agent's cell
 differs from ambient; that starts a waiting agent before its delay is
 up.  Class constants on each mover give its default decision and
-trajectory cadence, whether it makes decision rounds at all, and whether
-it needs door sites and the route network; only a mover that needs the
-network derives it.  Whether agents spawn as bodies is
+trajectory cadence and whether it makes decision rounds at all; a mover
+that moves or steers on the route network derives the network itself
+and reports its warnings.  Whether agents spawn as bodies is
 ``RunConfig.bodies``.  Room labels are read from
 ``Geometry.room_labels``.
 
@@ -67,7 +67,7 @@ from .agents import (
     spawn_population,
 )
 from .ca import CaState, ca_step, speed_ticks
-from .config import RunConfig, SF_DECISION_INTERVAL, SF_TRAJECTORY_INTERVAL, half_up
+from .config import RunConfig, half_up
 from .errors import SimulationError
 from .flow import FlowState, flow_step
 from .hazard import (
@@ -92,6 +92,8 @@ from .scenario import (
 from .socialforce import SfState, detect_arch, exposed_wall_cells, sf_step, wall_table
 
 CA_DECISION_INTERVAL = 1.0   # s between decision rounds on the grid backend
+SF_DECISION_INTERVAL = 0.25  # s between decision rounds on the social-force backend
+SF_TRAJECTORY_INTERVAL = 0.25  # s between social-force trajectory samples
 ARCH_CHECK_INTERVAL = 1.0    # s between clog checks at doors
 SENSE_EPS = 1e-9             # anything above ambient by this much is noticed
 CROSS_SLACK = 0.4            # m of tangential tolerance for plane crossings
@@ -227,36 +229,23 @@ class _Simulation:
         self.geometry = scenario.geometry
         self.config = config if config is not None else scenario.config
         self.config.validate()
-        self.backend = self.config.backend
-        mover_cls = MOVERS[self.backend]
+        mover_cls = MOVERS[self.config.backend]
         self.params = self.config.params()
         self.cs = self.geometry.cell_size
         self.dt = self.config.resolved_dt(self.cs)
         self.streams = RngStreams(self.config.seed)
-        self.warnings: list[str] = list(scenario.warnings)
         self.events: list[EventRecord] = []
         self.trajectory: list[tuple] = []
         self.crossings: list[tuple[float, str, int]] = []
 
         geometry = self.geometry
         self.zones = geometry.exit_zones
-        self.zone_grid = geometry.zone_grid
         # distance fields, one layer per exit zone and then the all-exits
         # field, which agents without a target descend
         self.exit_fields = np.stack([distance_field(geometry, z.cells) for z in self.zones] + [geometry.exit_distance])
         blocked = geometry.blocked_mask
-        self.has_interior_blockers = (
-            bool(blocked[1:-1, 1:-1].any()) if min(blocked.shape) > 2 else False
-        )
+        self.has_interior_blockers = bool(blocked[1:-1, 1:-1].any())
         self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in self.zones]
-
-        # route network, for the movers that move or steer on it
-        self.network = None
-        self.n_rooms = 0
-        if mover_cls.needs_network:
-            self.network = derive_network(geometry, self.params)
-            self.n_rooms = geometry.topology.n_rooms
-            self.warnings.extend(self.network.warnings)
 
         self.hazard = load_hazard_field(scenario)
         self.ambient_only = bool(
@@ -268,8 +257,6 @@ class _Simulation:
         # population: the one copy of every agent's state
         self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, self.config.bodies)
         n = len(self.pop)
-        self.n = n
-
         self.ids = np.arange(n, dtype=np.int64)
         self.desired = np.zeros(n)
 
@@ -294,7 +281,7 @@ class _Simulation:
             self.decide_every * self.dt,
         )
 
-        self.sites = door_sites(geometry) if mover_cls.needs_sites else []
+        self.sites = door_sites(geometry)
         self.site_of_cell = np.full((geometry.height, geometry.width), -1, dtype=np.int32)
         for si, site in enumerate(self.sites):
             for (x, y) in site.cells:
@@ -401,12 +388,9 @@ class _Simulation:
         returns the index of the door site covering that cell, or -1."""
         site_index = int(self.site_of_cell[cy, cx])
         door_id = self.sites[site_index].door_id if site_index >= 0 else None
-        self._exit_agent(i, t, int(self.zone_grid[cy, cx]), door_id)
+        self._exit_agent(i, t, int(self.geometry.zone_grid[cy, cx]), door_id)
         self.mover.remove(i)
         return site_index
-
-    def _record_crossing(self, t: float, site_index: int, count: int) -> None:
-        self.crossings.append((t, self.sites[site_index].door_id, count))
 
     # -- sampling and assembly ---------------------------------------------
 
@@ -454,10 +438,10 @@ class _Simulation:
             t_end, pop.pos[:, 0], pop.pos[:, 1], pop.status, pop.health, pop.nervousness, pop.insistence, pop.target
         )
 
-        exited = int((self.pop.status == int(AgentStatus.EXITED)).sum())
-        fatalities = int((self.pop.status == int(AgentStatus.DEAD)).sum())
-        if exited + fatalities + inside != self.n:
-            raise SimulationError(f"tick {k}: {exited} exited + {fatalities} dead + {inside} inside != {self.n} people")
+        exited = int((pop.status == int(AgentStatus.EXITED)).sum())
+        fatalities = int((pop.status == int(AgentStatus.DEAD)).sum())
+        if exited + fatalities + inside != len(pop):
+            raise SimulationError(f"tick {k}: {exited} exited + {fatalities} dead + {inside} inside != {len(pop)} people")
 
         outcomes = {int(AgentStatus.EXITED): "exited", int(AgentStatus.DEAD): "dead"}
         per_agent = [
@@ -475,21 +459,21 @@ class _Simulation:
         ]
 
         config_echo = {
-            "backend": self.backend,
+            "backend": self.config.backend,
             "dt": self.dt,
             "seed": self.config.seed,
             "alarm_time": self.config.alarm_time,
             "max_sim_time": self.config.max_sim_time,
-            "population": self.n,
+            "population": len(pop),
             "cell_size": self.cs,
             "params": {key: self.params[key] for key in sorted(self.params)},
         }
 
         return RunResult(
-            backend=self.backend,
+            backend=self.config.backend,
             dt=self.dt,
             seed=self.config.seed,
-            population=self.n,
+            population=len(pop),
             t_end=t_end,
             timeout=timeout,
             exited=exited,
@@ -500,18 +484,19 @@ class _Simulation:
             config_echo=config_echo,
             digest=digest,
             trajectory=self.trajectory,
-            warnings=self.warnings + self.mover.warnings,
+            warnings=self.scenario.warnings + self.mover.warnings,
         )
 
 
 class _Mover:
-    """A movement backend as the shared phases see it (module docstring)."""
+    """A movement backend as the shared phases see it (module docstring).
+
+    The class constants give its cadence and whether it decides; a mover
+    that uses the route network derives it itself."""
 
     decision_interval = CA_DECISION_INTERVAL  # s between decision rounds by default
     trajectory_interval = 0.0  # s between samples by default; 0 = every tick
     decides = True             # runs decision rounds at all
-    needs_sites = False        # counts crossings at instrumented doors
-    needs_network = False      # moves or steers on the route network
 
     def __init__(self, sim: _Simulation):
         self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
@@ -530,8 +515,6 @@ class _Mover:
 class _CaMover(_Mover):
     """Synchronous steps on the occupancy lattice down the target's field."""
 
-    needs_sites = True
-
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
         self.state = CaState.from_positions(sim.geometry, sim.pop.pos)
@@ -547,7 +530,7 @@ class _CaMover(_Mover):
         # arrival check first: anyone standing on an exit cell leaves
         present = pop.inside()
         cells = state.cells(present)
-        leaving = sim.zone_grid[cells[:, 1], cells[:, 0]] >= 0
+        leaving = sim.geometry.zone_grid[cells[:, 1], cells[:, 0]] >= 0
         for row in np.flatnonzero(leaving).tolist():
             sim._leave(int(present[row]), t, *cells[row].tolist())
 
@@ -584,7 +567,7 @@ class _CaMover(_Mover):
         if entered.any():
             counts = np.bincount(site_new[entered])
             for site_index in np.flatnonzero(counts).tolist():
-                sim._record_crossing(t, site_index, int(counts[site_index]))
+                sim.crossings.append((t, sim.sites[site_index].door_id, int(counts[site_index])))
 
 
 class _SfMover(_Mover):
@@ -592,14 +575,12 @@ class _SfMover(_Mover):
 
     decision_interval = SF_DECISION_INTERVAL
     trajectory_interval = SF_TRAJECTORY_INTERVAL
-    needs_sites = True
-    needs_network = True
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
         self.state = SfState.from_bodies(sim.pop.pos, sim.pop.radius, sim.params)
         self.walls = wall_table(exposed_wall_cells(sim.geometry), sim.geometry, float(sim.params["sf_cutoff"]))
-        self.waypoint = np.full((sim.n, 2), np.nan)
+        self.waypoint = np.full((len(sim.pop), 2), np.nan)
         self.arch_every = max(1, half_up(ARCH_CHECK_INTERVAL / sim.dt))
         # per site, its first crossing time and the (t, persons) crossings of the clog window
         self.first_cross_t: list[float | None] = [None] * len(sim.sites)
@@ -607,8 +588,9 @@ class _SfMover(_Mover):
         # per target layer (exit zones, as the route table's rows, then no
         # target) and room (then no room), the next route arc, -1 for none;
         # per arc (then none), the point beyond its door, NaN without a door
-        network = sim.network
-        self.next_arc = np.pad(network.routes[2][:, : sim.n_rooms], ((0, 1), (0, 1)), constant_values=-1)
+        self.network = network = derive_network(sim.geometry, sim.params)
+        self.n_rooms = sim.geometry.topology.n_rooms
+        self.next_arc = np.pad(network.routes[2][:, : self.n_rooms], ((0, 1), (0, 1)), constant_values=-1)
         doors = {d.id: d for d in sim.geometry.doors}
         self.door_aim = np.full((len(network.arcs) + 1, 2), np.nan)
         for arc_index, arc in enumerate(network.arcs):
@@ -617,7 +599,7 @@ class _SfMover(_Mover):
 
     @property
     def warnings(self) -> list[str]:
-        return self.state.warnings
+        return self.network.warnings + self.state.warnings
 
     # -- steering ------------------------------------------------------------
 
@@ -664,8 +646,8 @@ class _SfMover(_Mover):
         geometry = sim.geometry
         center = np.array(cells_center(door.cells, sim.cs))
         # destination-side cells adjacent to the span
-        if arc.dst >= sim.n_rooms:
-            labels, label = sim.zone_grid, arc.dst - sim.n_rooms
+        if arc.dst >= self.n_rooms:
+            labels, label = geometry.zone_grid, arc.dst - self.n_rooms
         else:
             labels, label = geometry.room_labels, arc.dst
         acc = np.zeros(2)
@@ -721,7 +703,7 @@ class _SfMover(_Mover):
 
         # arrivals: a body whose centre reaches an exit cell is out
         cx, cy = cells.T
-        leaving = sim.zone_grid[cy, cx] >= 0
+        leaving = sim.geometry.zone_grid[cy, cx] >= 0
         through: dict[int, int] = {}
         for i, x, y in zip(present[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):
             site_index = sim._leave(i, t, x, y)
@@ -731,7 +713,8 @@ class _SfMover(_Mover):
             self._crossed(t, site_index, count)
 
     def _crossed(self, t: float, site_index: int, count: int) -> None:
-        self.sim._record_crossing(t, site_index, count)
+        sim = self.sim
+        sim.crossings.append((t, sim.sites[site_index].door_id, count))
         self.recent[site_index].append((t, count))
         if self.first_cross_t[site_index] is None:
             self.first_cross_t[site_index] = t
@@ -772,11 +755,11 @@ class _FlowMover(_Mover):
     so there are no decision rounds."""
 
     decides = False
-    needs_network = True
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
-        network = sim.network
+        network = derive_network(sim.geometry, sim.params)
+        self.n_rooms = sim.geometry.topology.n_rooms
         room_labels = sim.geometry.room_labels
         spawn_node = sim.scenario.population.spawn_node
         assignment: dict[int, int] = {}
@@ -817,21 +800,25 @@ class _FlowMover(_Mover):
         dx, dy, rooms = xs - cx, ys - cy, labels[ys, xs]
         return int(rooms[np.lexsort((rooms, dx * dx + dy * dy, np.maximum(abs(dx), abs(dy))))[0]])
 
+    @property
+    def warnings(self) -> list[str]:
+        return self.state.network.warnings
+
     def remove(self, i: int) -> None:
         self.state.remove(i)
 
     def step(self, k: int, t: float) -> None:
         sim, pop = self.sim, self.sim.pop
         for cohort in flow_step(self.state, pop.walking(), k):
-            arc = sim.network.arcs[cohort.arc_index]
+            arc = self.state.network.arcs[cohort.arc_index]
             if arc.door_id:
                 sim.crossings.append((t, arc.door_id, len(cohort.ids)))
             dst_pt = self.node_points[arc.dst]
             pop.path_len[cohort.ids] += float(np.linalg.norm(dst_pt - self.node_points[arc.src]))
             pop.pos[cohort.ids] = dst_pt
-            if arc.dst >= sim.n_rooms:
+            if arc.dst >= self.n_rooms:
                 for agent_id in cohort.ids:
-                    sim._exit_agent(agent_id, t, arc.dst - sim.n_rooms, arc.door_id)
+                    sim._exit_agent(agent_id, t, arc.dst - self.n_rooms, arc.door_id)
         for cohort in self.state.in_transit:
             pop.pos[cohort.ids] = self.arc_points[cohort.arc_index]
         self.state.check_conservation(k, pop.inside())

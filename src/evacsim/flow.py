@@ -129,8 +129,6 @@ def flow_step(state: FlowState, eligible: np.ndarray, tick: int) -> list[Cohort]
             queue.appendleft(agent_id)
         if not taken:
             continue
-        if len(taken) > arc.capacity:
-            raise SimulationError(f"tick {tick}: {len(taken)} people on arc {arc_index} of capacity {arc.capacity}")
         state.in_transit.append(
             Cohort(arc_index=arc_index, ids=taken, depart_tick=tick, arrival_tick=tick + arc.traversal_time)
         )

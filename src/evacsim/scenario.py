@@ -632,8 +632,9 @@ class PopulationSpec:
             if all(n.id != self.spawn_node for n in topology.nodes):
                 raise SemanticViolation("population.spawn.node", f"room {self.spawn_node} cannot reach an exit")
         cells = self.spawn_cells(geometry)
-        if self.spawn_rect is not None and self.count > 0 and not cells:
-            raise SemanticViolation("population.spawn", "rect holds no empty cell to spawn on")
+        if self.count > 0 and not cells:
+            region = "rect" if self.spawn_rect is not None else "grid"
+            raise SemanticViolation("population.spawn", f"{region} holds no empty cell to spawn on")
         # bodies are placed by a sampler that reports its own failure
         if not config.bodies and self.count > len(cells):
             raise SemanticViolation("population.spawn", f"region has {len(cells)} free cells for {self.count} agents")

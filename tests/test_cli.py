@@ -86,6 +86,18 @@ def _sealed_west_room(spawn=None):
             ("ca", "flow", "sf"),
             id="exit-spawn-rect",
         ),
+        # with no spawn region people stand on any empty cell of the grid
+        pytest.param(
+            "minimal_room",
+            {
+                "geometry": {"cell_size": 0.5, "cells": ["#####", "#EEE#", "#####"]},
+                "population": {"count": 2, "spawn": None},
+                "config": {"backend": "sf"},
+            },
+            "population.spawn: grid holds no empty cell to spawn on",
+            ("ca", "flow", "sf"),
+            id="no-empty-cell",
+        ),
         # ca and flow stand each person on a cell of their own
         pytest.param(
             "minimal_room",

@@ -126,6 +126,25 @@ def test_unreachable_pocket_is_a_warning_not_an_error(tmp_path):
     assert "warning: 6 open cell(s) cannot reach any exit" in proc.stdout.splitlines()
 
 
+@pytest.mark.parametrize("backend", ["ca", "sf", "flow"])
+def test_a_run_reports_the_scenario_warnings_before_the_network_ones(backend):
+    # the west room (x 1-4) is sealed; everyone spawns in the east room.
+    # The movers that route on the network also report the room it drops.
+    rows = grid_rows(12, 7, exits=[(11, 3)], walls=[(5, y) for y in range(1, 6)])
+    scn = make_scenario(room_doc(rows, backend=backend, spawn=[6, 1, 10, 5], max_sim_time=5.0))
+    want = ["20 open cell(s) cannot reach any exit"]
+    if backend != "ca":
+        want.append("dropped unreachable room nodes [0]")
+    assert run(scn).warnings == want
+
+
+def test_every_shipped_scenario_is_named_in_the_readme():
+    with open(os.path.join(SCENARIOS, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    shipped = sorted(name for name in os.listdir(SCENARIOS) if name.endswith(".json"))
+    assert shipped and [name for name in shipped if f"`{name}`" not in readme] == []
+
+
 def test_unknown_override_key_rejected():
     for key in ("no_such_knob", "ambient_temp"):
         doc = room_doc(grid_rows(6, 5, exits=[(5, 2)]), overrides={key: 1.0})

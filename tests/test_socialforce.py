@@ -981,7 +981,7 @@ def test_bulk_steering_matches_the_scalar_reference(name):
     zone = np.tile(targets, len(points))
     want = np.array([reference.waypoint(p, z) for p, z in zip(pos, zone.tolist())], dtype=np.float64)
     got = np.empty_like(want)
-    batch = sim.n
+    batch = len(sim.pop)
     for start in range(0, len(pos), batch):
         stop = min(len(pos), start + batch)
         ids = np.arange(stop - start)
