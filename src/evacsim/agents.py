@@ -46,7 +46,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .config import PARAM_DEFAULTS
 from .errors import SimulationError
 from .hazard import visibility_range_bulk
 from .scenario import FLOAT01, DistSpec, Geometry, PopulationSpec, los_pairs
@@ -156,8 +155,8 @@ def spawn_population(
     spec: PopulationSpec,
     geometry: Geometry,
     streams,
-    params: dict | None = None,
-    bodies: bool = False,
+    params: dict,
+    bodies: bool,
 ) -> Population:
     """Create the initial population: attributes from the per-attribute
     distributions, positions packed without overlap inside the spawn
@@ -166,6 +165,8 @@ def spawn_population(
 
     With ``bodies``, each agent is a disc with a sampled radius at a
     continuous position; otherwise each takes its own cell's centre.
+    ``PopulationSpec.validate`` has checked the region against the run's
+    config: it is not empty, and on the grid it holds everyone.
 
     Sampled values of the fractional attributes (health, collaboration,
     insistence, knowledge, experience, nervousness) are clamped to
@@ -173,9 +174,8 @@ def spawn_population(
     other attribute is still rejected when its support is out of range,
     and unknown attributes are a schema violation.
     """
-    p = params or PARAM_DEFAULTS
     count = spec.count
-    merged = spec.attribute_specs(p)
+    merged = spec.attribute_specs(params)
 
     rng_attrs = streams.spawn_attrs
     sampled: dict[str, object] = {}
@@ -187,33 +187,27 @@ def spawn_population(
 
     speed_pref = np.asarray(sampled["speed_pref"], dtype=np.float64).copy()
     ages = np.asarray(sampled["age"])
-    speed_pref[ages >= int(p["age_slow_at"])] *= float(p["age_slow_factor"])
+    speed_pref[ages >= int(params["age_slow_at"])] *= float(params["age_slow_factor"])
 
     rng_rt = streams.reaction
     if "reaction_time" in spec.attributes:
         reaction = np.asarray(_sample_attr("reaction_time", merged["reaction_time"], count, rng_rt), dtype=np.float64)
     else:
-        draws = rng_rt.lognormal(mean=math.log(float(p["rt_median"])), sigma=float(p["rt_sigma"]), size=count)
-        factor = np.where(np.asarray(sampled["role"]) == 1, float(p["rt_leader_factor"]), 1.0)
+        draws = rng_rt.lognormal(mean=math.log(float(params["rt_median"])), sigma=float(params["rt_sigma"]), size=count)
+        factor = np.where(np.asarray(sampled["role"]) == 1, float(params["rt_leader_factor"]), 1.0)
         rt = draws * (1.0 - 0.5 * np.asarray(sampled["experience"])) * factor
-        reaction = np.clip(rt, float(p["rt_min"]), float(p["rt_max"]))
+        reaction = np.clip(rt, float(params["rt_min"]), float(params["rt_max"]))
 
     cells = spec.spawn_cells(geometry)
-    if not cells and count > 0:
-        raise SimulationError("spawn region contains no free cells")
     if bodies:
-        radii = streams.bodies.uniform(float(p["sf_radius_lo"]), float(p["sf_radius_hi"]), size=count)
+        radii = streams.bodies.uniform(float(params["sf_radius_lo"]), float(params["sf_radius_hi"]), size=count)
         positions = _continuous_positions(cells, radii, geometry, streams.spawn_pos)
     else:
         radii = np.zeros(count)
-        if count > len(cells):
-            raise SimulationError(
-                f"spawn region has {len(cells)} free cells for {count} agents"
-            )
         picks = streams.spawn_pos.choice(len(cells), size=count, replace=False) if count else []
         positions = [geometry.cell_center(*cells[int(k)]) for k in picks]
 
-    vision0 = visibility_range_bulk(np.zeros(count), sampled["health"], p)
+    vision0 = visibility_range_bulk(np.zeros(count), sampled["health"], params)
 
     return Population(
         pos=np.array(positions, dtype=np.float64).reshape(count, 2),
@@ -594,7 +588,7 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
 
 
 def choose_exit(
-    pop: Population, rows: np.ndarray, percepts: Percepts, beliefs: Beliefs, params: dict | None = None
+    pop: Population, rows: np.ndarray, percepts: Percepts, beliefs: Beliefs, params: dict
 ) -> np.ndarray:
     """Pick each row's best exit by expected cost, blended with the crowd.
 
@@ -607,23 +601,22 @@ def choose_exit(
     nervousness.  Ties on score break on utility, then on the smallest
     id.  Rows with no candidate exit get NO_TARGET.
     """
-    p = params or PARAM_DEFAULTS
     visible = percepts.visible
     known = beliefs.known[rows] & ~visible & np.isfinite(percepts.distance)
     follow = ~visible & ~known & np.isfinite(percepts.follow)
     candidate = (visible | known | follow) & ~beliefs.blocked[rows]
 
-    distance = np.where(follow, percepts.follow + float(p["follow_penalty"]), percepts.distance)
+    distance = np.where(follow, percepts.follow + float(params["follow_penalty"]), percepts.distance)
     distance = np.where(candidate, distance, 0.0)  # finite off the candidates, which are masked below
     congestion = np.where(known, 0, percepts.congestion)
     hazard = np.where(visible, percepts.hazard, 0.0)
     v = np.maximum(percepts.speed, 0.1)[:, None]
     n = pop.nervousness[rows][:, None]
     utility = (
-        -float(p["w_distance"]) * distance / v
-        - float(p["w_congestion"]) * congestion
-        - float(p["w_hazard"]) * hazard
-        + float(p["w_familiar"]) * beliefs.familiar[rows]
+        -float(params["w_distance"]) * distance / v
+        - float(params["w_congestion"]) * congestion
+        - float(params["w_hazard"]) * hazard
+        + float(params["w_familiar"]) * beliefs.familiar[rows]
     )
     totals = percepts.totals[:, None]
     herd = np.divide(percepts.votes, totals, out=np.zeros_like(percepts.votes), where=totals > 0)
@@ -637,12 +630,11 @@ def choose_exit(
 
 
 def update_insistence(
-    pop: Population, rows: np.ndarray, speed: np.ndarray, beliefs: Beliefs, dt_window: float, params: dict | None = None
+    pop: Population, rows: np.ndarray, speed: np.ndarray, beliefs: Beliefs, dt_window: float, params: dict
 ) -> None:
     """Decay each row's insistence when its displacement over the progress
     window (oldest to newest sample within it) falls short of a fraction
     of what it could have walked at ``speed``."""
-    p = params or PARAM_DEFAULTS
     ring = beliefs.progress[rows]
     ts = np.where(np.isnan(ring[:, :, 0]), -np.inf, ring[:, :, 0])
     k = np.arange(len(rows))
@@ -654,9 +646,9 @@ def update_insistence(
     dx = ring[k, last, 1] - ring[k, first, 1]
     dy = ring[k, last, 2] - ring[k, first, 2]
     displacement = np.sqrt(dx * dx + dy * dy)
-    stalled = rows[(span >= dt_window * 0.5) & (displacement < float(p["progress_eta"]) * speed * span)]
+    stalled = rows[(span >= dt_window * 0.5) & (displacement < float(params["progress_eta"]) * speed * span)]
     pop.insistence[stalled] = np.maximum(
-        float(p["insistence_floor"]), pop.insistence[stalled] * float(p["insistence_decay"])
+        float(params["insistence_floor"]), pop.insistence[stalled] * float(params["insistence_decay"])
     )
 
 
@@ -683,7 +675,7 @@ def decide(
     percepts: Percepts,
     beliefs: Beliefs,
     rng: np.random.Generator,
-    params: dict | None = None,
+    params: dict,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One decision round for the agents ``rows`` (ascending ids), all
     past their pre-movement delay.
@@ -700,19 +692,18 @@ def decide(
     Returns each row's desired speed, whether it replanned, and the
     (k, E) exits it newly saw blocked, which it is to announce.
     """
-    p = params or PARAM_DEFAULTS
     t = percepts.t
     target = pop.target[rows]
 
-    announce = percepts.visible & (percepts.exit_od > float(p["od_blocked"])) & ~beliefs.blocked[rows]
+    announce = percepts.visible & (percepts.exit_od > float(params["od_blocked"])) & ~beliefs.blocked[rows]
     beliefs.blocked[rows] |= announce
     beliefs.known[rows] |= percepts.visible
 
-    window = float(p["progress_window"])
+    window = float(params["progress_window"])
     beliefs.record_position(rows, t, pop.pos[rows])
     check = beliefs.next_check[rows]
     due = t >= check
-    update_insistence(pop, rows[due], percepts.speed[due], beliefs, window, p)
+    update_insistence(pop, rows[due], percepts.speed[due], beliefs, window, params)
     beliefs.next_check[rows[due | np.isnan(check)]] = t + window
 
     has_target = target != NO_TARGET
@@ -726,17 +717,17 @@ def decide(
     if len(chosen):
         votes, totals, congestion, follow = _neighbour_stats(percepts.world, rows[chosen])
         herd = replace(percepts.take(chosen), congestion=congestion, votes=votes, totals=totals, follow=follow)
-        new_target[chosen] = choose_exit(pop, rows[chosen], herd, beliefs, p)
+        new_target[chosen] = choose_exit(pop, rows[chosen], herd, beliefs, params)
         beliefs.lost[rows[chosen]] = new_target[chosen] == NO_TARGET
     replanned = has_target & (new_target != target)
 
-    grew = np.where(replanned, float(p["dn_replan"]), 0.0) + np.where(
-        percepts.local_od > float(p["od_nervous"]), float(p["dn_smoke"]), 0.0
+    grew = np.where(replanned, float(params["dn_replan"]), 0.0) + np.where(
+        percepts.local_od > float(params["od_nervous"]), float(params["dn_smoke"]), 0.0
     )
     nervousness = pop.nervousness[rows]
-    scale = float(p["nervousness_growth"]) * (1.0 - 0.5 * pop.experience[rows])
+    scale = float(params["nervousness_growth"]) * (1.0 - 0.5 * pop.experience[rows])
     nervousness = np.where(grew != 0.0, np.minimum(1.0, np.maximum(0.0, nervousness + grew * scale)), nervousness)
     pop.nervousness[rows] = nervousness
     pop.target[rows] = new_target
-    desired = np.minimum(percepts.speed * (1.0 + nervousness), float(p["speed_cap"]))
+    desired = np.minimum(percepts.speed * (1.0 + nervousness), float(params["speed_cap"]))
     return desired, replanned, announce

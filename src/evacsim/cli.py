@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -159,10 +160,14 @@ def cmd_run(args) -> int:
 
 
 def _parse_values(raw: str) -> list[float]:
+    """Comma-separated finite numbers; nan and inf are not sweep values."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
-        raise SchemaViolation("sweep.values", f"not numbers: {raw!r}") from None
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        raise SchemaViolation("sweep.values", f"not numbers: {raw!r}")
+    return values
 
 
 def _parse_seeds(raw: str) -> list[int]:

@@ -4,10 +4,15 @@ Every named constant that shapes simulation behaviour lives in
 ``PARAM_DEFAULTS`` and can be overridden per run through
 ``RunConfig.overrides``.  Unknown override keys are rejected so typos
 fail loudly instead of silently running with defaults.
+``RunConfig.params()`` is the one merge of defaults and overrides:
+every layer that reads a model parameter takes the table it returns
+and has no fallback of its own.  The dataclass defaults of
+``RunConfig`` are likewise the only copy of the run-config defaults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .errors import SchemaViolation, SemanticViolation
 
@@ -89,9 +94,6 @@ PARAM_DEFAULTS: dict[str, float | int] = {
 
 SF_MAX_DT = 0.05  # s; contact stiffness makes larger social-force steps unstable
 
-DEFAULT_DT_SF = 0.05
-DEFAULT_MAX_SIM_TIME = 1800.0
-
 
 @dataclass
 class RunConfig:
@@ -103,8 +105,8 @@ class RunConfig:
     """
 
     backend: str = "ca"
-    dt: float = DEFAULT_DT_SF        # s, integration step of the continuous backend
-    max_sim_time: float = DEFAULT_MAX_SIM_TIME
+    dt: float = 0.05                 # s, integration step of the continuous backend
+    max_sim_time: float = 1800.0     # s
     seed: int = 0
     alarm_time: float = 0.0
     overrides: dict = field(default_factory=dict)
@@ -112,21 +114,21 @@ class RunConfig:
     def validate(self) -> None:
         if self.backend not in BACKENDS:
             raise SchemaViolation("config.backend", f"must be one of {BACKENDS}, got {self.backend!r}")
-        _require_number("config.dt", self.dt)
+        require_number("config.dt", self.dt)
         if not self.dt > 0:
             raise SemanticViolation("config.dt", "time step must be > 0")
         if self.backend == "sf" and self.dt > SF_MAX_DT:
             raise SemanticViolation(
                 "config.dt", f"continuous backend is unstable above {SF_MAX_DT} s"
             )
-        _require_number("config.max_sim_time", self.max_sim_time)
+        require_number("config.max_sim_time", self.max_sim_time)
         if not self.max_sim_time > 0:
             raise SemanticViolation("config.max_sim_time", "must be > 0")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SchemaViolation("config.seed", "must be an integer")
         if not 0 <= self.seed <= MAX_SEED:
             raise SemanticViolation("config.seed", "must fit in an unsigned 64-bit integer")
-        _require_number("config.alarm_time", self.alarm_time)
+        require_number("config.alarm_time", self.alarm_time)
         if self.alarm_time < 0:
             raise SemanticViolation("config.alarm_time", "must be >= 0")
         if not isinstance(self.overrides, dict):
@@ -134,7 +136,7 @@ class RunConfig:
         for key, value in self.overrides.items():
             if key not in PARAM_DEFAULTS:
                 raise SchemaViolation(f"config.overrides.{key}", "unknown parameter")
-            _require_number(f"config.overrides.{key}", value)
+            require_number(f"config.overrides.{key}", value)
         # divisors of the tick and network derivations, and the smallest body
         params = self.params()
         for key in ("v_ref", "flow_tick", "sf_radius_lo"):
@@ -175,30 +177,29 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {"backend", "dt", "max_sim_time", "seed", "alarm_time", "overrides"}
+        """The config a document gives, every absent field at its default."""
+        if not isinstance(doc, dict):
+            raise SchemaViolation("config", "must be an object")
+        known = {f.name for f in fields(cls)}
         for key in doc:
             if key not in known:
                 raise SchemaViolation(f"config.{key}", "unknown field")
-        cfg = cls(
-            backend=doc.get("backend", "ca"),
-            dt=doc.get("dt", DEFAULT_DT_SF),
-            max_sim_time=doc.get("max_sim_time", DEFAULT_MAX_SIM_TIME),
-            seed=doc.get("seed", 0),
-            alarm_time=doc.get("alarm_time", 0.0),
-            overrides=dict(doc.get("overrides", {})),
-        )
+        cfg = cls(**doc)
         cfg.validate()
         return cfg
 
 
-def _require_number(field: str, value) -> None:
-    """Reject bools and anything that is not an int or a float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+def is_number(value) -> bool:
+    """A finite int or float; booleans, NaN and infinities are not quantities."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def require_number(field: str, value) -> None:
+    """Reject anything ``is_number`` refuses, naming the field."""
+    if not is_number(value):
         raise SchemaViolation(field, "must be a number")
 
 
 def half_up(x: float) -> int:
     """Round half away from zero (3.5 -> 4), unlike banker's rounding."""
-    import math
-
     return int(math.floor(x + 0.5))

@@ -146,7 +146,7 @@ def load_hazard_field(scenario: Scenario) -> HazardField:
             raise SimulationError(f"cannot read hazard series {path!r}: {exc}") from exc
         return load_hazard_series(text, geometry.height, geometry.width)
     if source.kind == "builtin":
-        spec = dict(source.builtin or {})
+        spec = dict(source.builtin)
         origin = spec.pop("source")
         return builtin_smoke(geometry, (int(origin[0]), int(origin[1])), spec)
     raise SimulationError(f"unknown hazard source kind {source.kind!r}")
@@ -229,23 +229,24 @@ class _Simulation:
         self.geometry = scenario.geometry
         self.config = config if config is not None else scenario.config
         self.config.validate()
+        # the run's config may spawn differently from the scenario's own
+        scenario.population.validate(self.geometry, self.config)
         mover_cls = MOVERS[self.config.backend]
         self.params = self.config.params()
-        self.cs = self.geometry.cell_size
-        self.dt = self.config.resolved_dt(self.cs)
+        self.dt = self.config.resolved_dt(self.geometry.cell_size)
         self.streams = RngStreams(self.config.seed)
         self.events: list[EventRecord] = []
         self.trajectory: list[tuple] = []
         self.crossings: list[tuple[float, str, int]] = []
 
         geometry = self.geometry
-        self.zones = geometry.exit_zones
+        zones = geometry.exit_zones
         # distance fields, one layer per exit zone and then the all-exits
         # field, which agents without a target descend
-        self.exit_fields = np.stack([distance_field(geometry, z.cells) for z in self.zones] + [geometry.exit_distance])
+        self.exit_fields = np.stack([distance_field(geometry, z.cells) for z in zones] + [geometry.exit_distance])
         blocked = geometry.blocked_mask
         self.has_interior_blockers = bool(blocked[1:-1, 1:-1].any())
-        self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in self.zones]
+        self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in zones]
 
         self.hazard = load_hazard_field(scenario)
         self.ambient_only = bool(
@@ -275,7 +276,7 @@ class _Simulation:
         self.sample_every = every("trajectory_interval", mover_cls.trajectory_interval or self.dt)
         self.beliefs = init_beliefs(
             self.pop.knowledge,
-            len(self.zones),
+            len(zones),
             self.streams.spawn_attrs,
             float(self.params["progress_window"]),
             self.decide_every * self.dt,
@@ -465,7 +466,7 @@ class _Simulation:
             "alarm_time": self.config.alarm_time,
             "max_sim_time": self.config.max_sim_time,
             "population": len(pop),
-            "cell_size": self.cs,
+            "cell_size": self.geometry.cell_size,
             "params": {key: self.params[key] for key in sorted(self.params)},
         }
 
@@ -518,7 +519,7 @@ class _CaMover(_Mover):
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
         self.state = CaState.from_positions(sim.geometry, sim.pop.pos)
-        self.v_grid = sim.cs / sim.dt
+        self.v_grid = sim.geometry.cell_size / sim.dt
 
     def remove(self, i: int) -> None:
         self.state.vacate(i)
@@ -542,7 +543,7 @@ class _CaMover(_Mover):
             v_des = sim.desired[move_ids]
             ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
             move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
-        field_index = np.where(pop.target >= 0, pop.target, len(sim.zones)).astype(np.int64)
+        field_index = np.where(pop.target >= 0, pop.target, len(sim.geometry.exit_zones)).astype(np.int64)
         moved = ca_step(
             state,
             sim.geometry,
@@ -555,7 +556,7 @@ class _CaMover(_Mover):
         state.check_bijection(present[~leaving], k)
         if len(moved) == 0:
             return
-        cs = sim.cs
+        cs = sim.geometry.cell_size
         # everyone who moves was present, so their old cells were read above
         ox, oy = cells[np.searchsorted(present, moved)].T
         nx, ny = state.cells(moved).T
@@ -613,14 +614,14 @@ class _SfMover(_Mover):
         sim = self.sim
         pos = sim.pop.pos.take(ids, axis=0)
         cx, cy = sim.geometry.cells_of(pos).T
-        layer = np.where(sim.pop.target[ids] >= 0, sim.pop.target[ids], len(sim.zones))
+        layer = np.where(sim.pop.target[ids] >= 0, sim.pop.target[ids], len(sim.geometry.exit_zones))
         hop = self._hop(layer, cx, cy)
         arc = self.next_arc[layer, sim.geometry.room_labels[cy, cx]]
         aim = self.door_aim[arc]
         doorless = (arc >= 0) & np.isnan(aim[:, 0])
         for z, cells in enumerate(sim.zone_cells):
             rows = np.nonzero(doorless & (layer == z))[0]
-            centers = (cells + 0.5) * sim.cs
+            centers = (cells + 0.5) * sim.geometry.cell_size
             d2 = ((centers[None, :, :] - pos[rows, None, :]) ** 2).sum(axis=2)
             aim[rows] = centers[np.argmin(d2, axis=1)]
         aim = np.where(np.isnan(aim), hop, aim)
@@ -635,16 +636,15 @@ class _SfMover(_Mover):
         # step 0 stays put and wins ties, so only a strictly lower step is taken
         pick = np.argmin(np.where(allowed, sim.exit_fields[layer[:, None], ny, nx], np.inf), axis=1)
         rows = np.arange(len(pick))
-        out = (np.stack([nx[rows, pick], ny[rows, pick]], axis=1) + 0.5) * sim.cs
+        out = (np.stack([nx[rows, pick], ny[rows, pick]], axis=1) + 0.5) * sim.geometry.cell_size
         out[pick == 0] = np.nan
         return out
 
     def _push_point(self, arc, door) -> np.ndarray:
         """Where to aim when taking this arc through this door: just beyond
         the door centre on the destination side."""
-        sim = self.sim
-        geometry = sim.geometry
-        center = np.array(cells_center(door.cells, sim.cs))
+        geometry = self.sim.geometry
+        center = np.array(cells_center(door.cells, geometry.cell_size))
         # destination-side cells adjacent to the span
         if arc.dst >= self.n_rooms:
             labels, label = geometry.zone_grid, arc.dst - self.n_rooms
@@ -661,7 +661,7 @@ class _SfMover(_Mover):
             direction = acc / count - center
             norm = float(np.linalg.norm(direction))
             if norm > 1e-9:
-                return center + direction / norm * (0.9 * sim.cs)
+                return center + direction / norm * (0.9 * geometry.cell_size)
         return center
 
     # -- movement ------------------------------------------------------------
@@ -774,7 +774,7 @@ class _FlowMover(_Mover):
         for node in network.nodes:
             if node.kind == "room":
                 ys, xs = np.nonzero(room_labels == node.id)
-                point = cells_center(list(zip(xs.tolist(), ys.tolist())), sim.cs)
+                point = cells_center(list(zip(xs.tolist(), ys.tolist())), sim.geometry.cell_size)
             else:
                 point = sim.geometry.cell_center(*node.cell)
             self.node_points[node.id] = np.array(point)
@@ -783,7 +783,7 @@ class _FlowMover(_Mover):
         for arc in network.arcs:
             door = doors.get(arc.door_id)
             if door is not None:
-                self.arc_points.append(np.array(cells_center(door.cells, sim.cs)))
+                self.arc_points.append(np.array(cells_center(door.cells, sim.geometry.cell_size)))
             else:
                 self.arc_points.append(
                     0.5 * (self.node_points[arc.src] + self.node_points[arc.dst])

@@ -9,6 +9,7 @@ first/last frame.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,8 @@ def load_hazard_series(text: str, height: int, width: int) -> HazardField:
             tox = float(parts[5])
         except ValueError as exc:
             raise HazardFormatError(str(exc), row=row_no) from None
+        if not all(map(math.isfinite, (t, temp, od, tox))):
+            raise HazardFormatError("t, temp, od and tox must be finite", row=row_no)
         if not (0 <= x < width and 0 <= y < height):
             raise HazardFormatError(f"cell ({x}, {y}) outside the {width}x{height} grid", row=row_no)
         if od < 0:
@@ -144,9 +147,11 @@ def load_hazard_series(text: str, height: int, width: int) -> HazardField:
     )
 
 
-def builtin_smoke(geometry, source: tuple[int, int], params: dict | None = None) -> HazardField:
+def builtin_smoke(geometry, source: tuple[int, int], params: dict) -> HazardField:
     """Generate a toy smoke field by discrete diffusion on open cells.
 
+    ``params`` is the whole generator table that the scenario parser's
+    ``_parse_hazard_source`` resolved, every default filled in.
     Each step adds ``rate`` at the source and exchanges a ``diffusion``
     fraction of the density difference with each open 4-neighbour, then
     clamps at zero.  Temperature and toxicity are affine in the local
@@ -154,18 +159,13 @@ def builtin_smoke(geometry, source: tuple[int, int], params: dict | None = None)
     source injection, so the grid sum after time t equals
     ``rate * t / step``.
     """
-    from .scenario import BUILTIN_SMOKE_DEFAULTS  # shared defaults with the file format
-
-    p = dict(BUILTIN_SMOKE_DEFAULTS)
-    if params:
-        p.update(params)
-    rate = float(p["rate"])
-    diffusion = float(p["diffusion"])
-    step = float(p["step"])
-    frame_interval = float(p["frame_interval"])
-    duration = float(p["duration"])
-    temp_per_od = float(p["temp_per_od"])
-    tox_per_od = float(p["tox_per_od"])
+    rate = float(params["rate"])
+    diffusion = float(params["diffusion"])
+    step = float(params["step"])
+    frame_interval = float(params["frame_interval"])
+    duration = float(params["duration"])
+    temp_per_od = float(params["temp_per_od"])
+    tox_per_od = float(params["tox_per_od"])
 
     open_mask = geometry.open_mask
     sx, sy = source

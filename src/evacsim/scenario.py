@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import PARAM_DEFAULTS, RunConfig, half_up
+from .config import RunConfig, half_up, is_number, require_number
 from .errors import ScenarioSyntaxError, SchemaViolation, SemanticViolation
 
 DEFAULT_CELL_SIZE = 0.4  # m
@@ -92,7 +92,7 @@ class Geometry:
     @cached_property
     def exit_distance(self) -> np.ndarray:
         """Distance field (cells) to the nearest exit cell of any zone."""
-        dist = distance_field(self)
+        dist = distance_field(self, [c for zone in self.exit_zones for c in zone.cells])
         dist.flags.writeable = False
         return dist
 
@@ -303,15 +303,15 @@ def _check_door_span(geometry: Geometry, door: Door) -> None:
 # distance fields
 # ---------------------------------------------------------------------------
 
-def distance_field(geometry: Geometry, sources: list[tuple[int, int]] | None = None) -> np.ndarray:
+def distance_field(geometry: Geometry, sources: list[tuple[int, int]]) -> np.ndarray:
     """Geodesic distance (in cells) from every open cell to the nearest source.
 
-    Sources default to all exit cells.  The field spreads along the
-    allowed ``Geometry.moves``; straight steps cost 1, diagonal steps
-    sqrt(2).  Each cell's value is the least float sum over the paths
-    that reach it, taken step by step from the source.  Adding a
-    non-negative cost never makes a float smaller, so that least sum does
-    not depend on the order in which the heap pops tied entries.
+    The field spreads along the allowed ``Geometry.moves``; straight
+    steps cost 1, diagonal steps sqrt(2).  Each cell's value is the least
+    float sum over the paths that reach it, taken step by step from the
+    source.  Adding a non-negative cost never makes a float smaller, so
+    that least sum does not depend on the order in which the heap pops
+    tied entries, nor on the order of ``sources``.
     """
     w = geometry.width
     # flat cells u = y * w + x.  Cells with the same allowed steps (the
@@ -321,9 +321,6 @@ def distance_field(geometry: Geometry, sources: list[tuple[int, int]] | None = N
     allowed = {m: [step for k, step in enumerate(steps) if m >> k & 1] for m in set(masks)}
     moves = list(map(allowed.__getitem__, masks))
     dist = [math.inf] * (w * geometry.height)
-    if sources is None:
-        ys, xs = np.nonzero(geometry.kinds == CellKind.EXIT)
-        sources = list(zip(xs.tolist(), ys.tolist()))
     heap: list[tuple[float, int]] = []
     for (x, y) in sources:
         if geometry.is_open(x, y):
@@ -476,15 +473,12 @@ def _region_centroid_cell(cells: list[tuple[int, int]]) -> tuple[int, int]:
     return min(cells, key=lambda c: ((c[0] - cx) ** 2 + (c[1] - cy) ** 2, c[1], c[0]))
 
 
-def derive_network(geometry: Geometry, params: dict | None = None) -> EgressNetwork:
+def derive_network(geometry: Geometry, params: dict) -> EgressNetwork:
     """The egress network of ``geometry.topology`` under ``params``: each
     link becomes an arc taking ``ceil(span / (v_ref * flow_tick))`` ticks
     and passing ``max(1, half_up(width * c_door))`` persons per tick."""
-    p = dict(PARAM_DEFAULTS)
-    if params:
-        p.update(params)
-    metres_per_tick = float(p["v_ref"]) * float(p["flow_tick"])
-    c_door = float(p["c_door"])
+    metres_per_tick = float(params["v_ref"]) * float(params["flow_tick"])
+    c_door = float(params["c_door"])
     topology = geometry.topology
     arcs = [
         Arc(src, dst, math.ceil(span / metres_per_tick), max(1, half_up(width * c_door)), door_id)
@@ -520,14 +514,18 @@ class DistSpec:
         if self.kind == "uniform":
             if self.lo is None or self.hi is None:
                 raise SchemaViolation(where, "uniform distribution needs lo and hi")
+            require_number(f"{where}.lo", self.lo)
+            require_number(f"{where}.hi", self.hi)
             if self.lo > self.hi:
                 raise SemanticViolation(where, "uniform lo must be <= hi")
         if self.kind == "categorical":
-            if not self.values:
-                raise SchemaViolation(where, "categorical distribution needs values")
+            if not isinstance(self.values, list) or not self.values:
+                raise SchemaViolation(where, "categorical distribution needs a list of values")
             if self.weights is not None:
-                if len(self.weights) != len(self.values):
-                    raise SchemaViolation(where, "weights length must match values")
+                if not isinstance(self.weights, list) or len(self.weights) != len(self.values):
+                    raise SchemaViolation(where, "weights must be a list as long as values")
+                for k, w in enumerate(self.weights):
+                    require_number(f"{where}.weights[{k}]", w)
                 if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
                     raise SemanticViolation(where, "weights must be non-negative and sum > 0")
 
@@ -569,24 +567,19 @@ DEFAULT_ATTRIBUTES: dict[str, DistSpec] = {
 }
 
 
-def _is_real(v) -> bool:
-    """A finite int or float; booleans and NaN are not quantities."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _check_support(attr: str, spec: DistSpec, params: dict) -> None:
     where = f"population.attributes.{attr}"
     support = spec.support()
     if attr in FLOAT01:
         # out-of-range values are clamped at spawn; only non-numbers are errors
-        if not all(_is_real(v) for v in support):
+        if not all(is_number(v) for v in support):
             raise SemanticViolation(where, "values must be finite numbers (clamped to [0, 1])")
     elif attr == "mobility":
         if any(v not in (0, 1, 2) for v in support):
             raise SemanticViolation(where, "mobility must be 0, 1 or 2")
     elif attr == "speed_pref":
         cap = float(params["speed_cap"])
-        if any(not _is_real(v) or not 0 < v <= cap for v in support):
+        if any(not is_number(v) or not 0 < v <= cap for v in support):
             raise SemanticViolation(where, f"speed_pref must lie in (0, {cap}]")
     elif attr == "gender":
         if any(v not in ("F", "M") for v in support):
@@ -596,7 +589,7 @@ def _check_support(attr: str, spec: DistSpec, params: dict) -> None:
             raise SemanticViolation(where, "must be a non-negative integer")
     elif attr == "reaction_time":
         rt_max = float(params["rt_max"])
-        if any(not _is_real(v) or not 0 <= v <= rt_max for v in support):
+        if any(not is_number(v) or not 0 <= v <= rt_max for v in support):
             raise SemanticViolation(where, f"reaction_time must lie in [0, {rt_max}]")
     else:
         raise SchemaViolation(where, "unknown agent attribute")
@@ -750,7 +743,8 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     warnings = geometry.validate()
 
     # the population's attribute ranges depend on the run parameters
-    config = RunConfig.from_dict(doc.get("config", {}) or {})
+    config_doc = doc.get("config")
+    config = RunConfig.from_dict({} if config_doc is None else config_doc)
     population = _parse_population(_require(doc, "population", dict, "$"))
     population.validate(geometry, config)
 
@@ -791,8 +785,7 @@ def _parse_geometry(doc: dict) -> Geometry:
             kinds[y, x] = GLYPH_TO_KIND[glyph]
 
     cell_size = doc.get("cell_size", DEFAULT_CELL_SIZE)
-    if not isinstance(cell_size, (int, float)) or isinstance(cell_size, bool):
-        raise SchemaViolation("geometry.cell_size", "must be a number")
+    require_number("geometry.cell_size", cell_size)
 
     doors = []
     for i, ddoc in enumerate(doc.get("doors", []) or []):
@@ -805,8 +798,7 @@ def _parse_geometry(doc: dict) -> Geometry:
         if not isinstance(door_id, str):
             raise SchemaViolation(f"geometry.doors[{i}].id", "must be a string")
         width_m = ddoc.get("width", len(cells) * float(cell_size))
-        if not isinstance(width_m, (int, float)) or isinstance(width_m, bool):
-            raise SchemaViolation(f"geometry.doors[{i}].width", "must be a number")
+        require_number(f"geometry.doors[{i}].width", width_m)
         doors.append(Door(id=door_id, cells=cells, width=float(width_m)))
 
     return Geometry(width=width, height=len(rows), cell_size=float(cell_size), kinds=kinds, doors=doors)
@@ -892,8 +884,7 @@ def _parse_hazard_source(doc, base_dir: str) -> HazardSource:
     for key, value in bdoc.items():
         if key == "source":
             continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaViolation(f"hazard.builtin.{key}", "must be a number")
+        require_number(f"hazard.builtin.{key}", value)
         builtin[key] = float(value)
     builtin["source"] = list(source)
     if builtin["rate"] < 0:

@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import PARAM_DEFAULTS
 from .config import SF_MAX_DT as MAX_DT
 from .errors import SimulationError
 from .scenario import Geometry
@@ -95,11 +94,10 @@ class SfState:
     _nbr: _Neighbors | None = field(default=None, repr=False)
 
     @classmethod
-    def from_bodies(cls, pos: np.ndarray, radius: np.ndarray, params: dict | None = None) -> "SfState":
+    def from_bodies(cls, pos: np.ndarray, radius: np.ndarray, params: dict) -> "SfState":
         """State over the population's own ``pos`` and ``radius`` arrays;
         sf_step moves ``pos`` in place."""
-        p = params or PARAM_DEFAULTS
-        return cls(pos=pos, vel=np.zeros((len(pos), 2)), radius=radius, mass=float(p["sf_mass"]))
+        return cls(pos=pos, vel=np.zeros((len(pos), 2)), radius=radius, mass=float(params["sf_mass"]))
 
     @property
     def warnings(self) -> list[str]:
@@ -169,16 +167,15 @@ def driving_force(
 
 def pair_forces(
     pos: np.ndarray,
-    radius: np.ndarray,
     params: dict,
     pairs: tuple[np.ndarray, np.ndarray],
-    r_sum: np.ndarray | None = None,
+    r_sum: np.ndarray,
 ) -> tuple[np.ndarray, tuple]:
     """Body-body psychological repulsion plus normal compression.
 
     ``pairs`` are candidate rows ``(i, j)``, ascending, for example from
     ``SpatialHash.query_pairs``; those beyond the cutoff exert nothing.
-    ``r_sum``, if given, is ``radius[i] + radius[j]`` per pair.
+    ``r_sum`` is ``radius[i] + radius[j]`` per pair.
     Returns the per-body force array and the touching-contact list
     ``(i, j, tangent, overlap)`` consumed by the sliding-friction pass.
     Accumulation order is fixed (pairs ascending), keeping float sums
@@ -202,7 +199,7 @@ def pair_forces(
         ny = np.where(degenerate, 0.0, dy / dist)
     else:
         nx, ny = dx / dist, dy / dist
-    gap = (radius.take(i) + radius.take(j) if r_sum is None else r_sum) - dist
+    gap = r_sum - dist
     overlap = np.maximum(gap, 0.0)
     f = a * np.exp(gap / b) + k * overlap
     fx, fy = f * nx, f * ny
@@ -402,7 +399,7 @@ def sf_step(
     waypoint: np.ndarray,
     dt: float,
     tick: int,
-    params: dict | None = None,
+    params: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One semi-implicit Euler step, the step of tick ``tick``, over the
     bodies ``present`` (ascending ids of the people in the building).
@@ -414,7 +411,6 @@ def sf_step(
     cell (or off the grid) are projected back into the cell they came
     from, with the into-wall velocity component removed.
     """
-    p = params or PARAM_DEFAULTS
     if not 0 < dt <= MAX_DT:
         raise SimulationError(f"tick {tick}: integration step {dt} outside (0, {MAX_DT}]")
 
@@ -423,17 +419,17 @@ def sf_step(
 
     pos = state.pos.take(present, axis=0)
     vel = state.vel.take(present, axis=0)
-    nbr = _neighbor_list(state, present, pos, float(p["sf_cutoff"]))
+    nbr = _neighbor_list(state, present, pos, float(params["sf_cutoff"]))
     mass = state.mass
 
-    total = driving_force(pos, vel, mass, desired_speed.take(present), waypoint.take(present, axis=0), p)
-    pair, pair_contacts = pair_forces(pos, nbr.radius, p, pairs=nbr.pairs, r_sum=nbr.r_sum)
-    wall, wall_contacts = wall_forces(pos, nbr.radius, walls, geometry, p)
+    total = driving_force(pos, vel, mass, desired_speed.take(present), waypoint.take(present, axis=0), params)
+    pair, pair_contacts = pair_forces(pos, params, nbr.pairs, nbr.r_sum)
+    wall, wall_contacts = wall_forces(pos, nbr.radius, walls, geometry, params)
     force = total + pair + wall
 
     vel = vel + force / mass * dt
-    vel = apply_contact_friction(vel, mass, pair_contacts, wall_contacts, dt, p)
-    v_cap = float(p["sf_speed_slack"]) * float(p["speed_cap"])
+    vel = apply_contact_friction(vel, mass, pair_contacts, wall_contacts, dt, params)
+    v_cap = float(params["sf_speed_slack"]) * float(params["speed_cap"])
     # a speed is below 1.5 x its largest component, so none is clamped below
     if np.abs(vel).max() * 1.5 > v_cap:
         speed = np.sqrt(vel[:, 0] * vel[:, 0] + vel[:, 1] * vel[:, 1])
@@ -521,14 +517,13 @@ def detect_arch(
     door_center: tuple[float, float],
     upstream_normal: tuple[float, float],
     flow_rate: float,
-    params: dict | None = None,
+    params: dict,
 ) -> tuple[bool, int]:
     """Clog test for one door: stalled flow plus a packed upstream band.
 
     ``flow_rate`` is the door's measured crossings per second over the
     trailing window; returns (clogged?, band occupancy).
     """
-    p = params or PARAM_DEFAULTS
-    count = arch_band_count(positions, door_center, upstream_normal, p)
-    clogged = flow_rate < float(p["clog_flow"]) and count >= int(p["clog_min_bodies"])
+    count = arch_band_count(positions, door_center, upstream_normal, params)
+    clogged = flow_rate < float(params["clog_flow"]) and count >= int(params["clog_min_bodies"])
     return clogged, count

@@ -178,18 +178,13 @@ COMPARE_FIELDS = ("backend", "error", "dt", "seed", "population", "exited", "fat
                   "t_total", "t_50", "t_95", "clog_fraction", "digest")
 
 
-def compare_backends(
-    text: str,
-    base_dir: str = ".",
-    seed: int | None = None,
-    backends: tuple[str, ...] = BACKENDS,
-) -> list[dict]:
+def compare_backends(text: str, base_dir: str = ".", seed: int | None = None) -> list[dict]:
     """Run the same scenario under each backend with one shared seed, so
     the populations (attributes, placement order) match draw for draw.
     A backend whose run fails gets its ``error`` and None in every field.
     """
     out = []
-    for backend in backends:
+    for backend in BACKENDS:
         doc = json.loads(text)
         cfg = doc.setdefault("config", {})
         cfg["backend"] = backend

@@ -126,7 +126,7 @@ def _view(pop, geometry=None, has_interior_blockers=False):
 def test_spawn_positions_fall_inside_the_rect():
     geo = _geometry(14, 10)
     spec = PopulationSpec(count=20, spawn_rect=(2, 2, 6, 5), spawn_node=None, attributes={})
-    pop = spawn_population(spec, geo, RngStreams(1))
+    pop = spawn_population(spec, geo, RngStreams(1), PARAM_DEFAULTS, False)
     assert len(pop) == 20
     x, y = pop.pos[:, 0], pop.pos[:, 1]
     assert ((2 * 0.5 <= x) & (x <= 7 * 0.5)).all()
@@ -136,9 +136,9 @@ def test_spawn_positions_fall_inside_the_rect():
 def test_spawn_is_deterministic_per_seed():
     geo = _geometry()
     spec = PopulationSpec(count=8, spawn_rect=(1, 1, 8, 6), spawn_node=None, attributes={})
-    a = spawn_population(spec, geo, RngStreams(7))
-    b = spawn_population(spec, geo, RngStreams(7))
-    c = spawn_population(spec, geo, RngStreams(8))
+    a = spawn_population(spec, geo, RngStreams(7), PARAM_DEFAULTS, False)
+    b = spawn_population(spec, geo, RngStreams(7), PARAM_DEFAULTS, False)
+    c = spawn_population(spec, geo, RngStreams(8), PARAM_DEFAULTS, False)
     assert np.array_equal(a.pos, b.pos)
     assert np.array_equal(a.reaction_time, b.reaction_time)
     assert not np.array_equal(a.pos, c.pos)
@@ -215,7 +215,7 @@ def test_continuous_spawn_matches_one_draw_at_a_time(cell_size, radii):
 def test_ca_spawn_gives_every_agent_its_own_cell():
     geo = _geometry(14, 10)
     spec = PopulationSpec(count=30, spawn_rect=(1, 1, 12, 8), spawn_node=None, attributes={})
-    pop = spawn_population(spec, geo, RngStreams(3), bodies=False)
+    pop = spawn_population(spec, geo, RngStreams(3), PARAM_DEFAULTS, False)
     cells = {(int(x / 0.5), int(y / 0.5)) for x, y in pop.pos}
     assert len(cells) == 30
 
@@ -223,7 +223,7 @@ def test_ca_spawn_gives_every_agent_its_own_cell():
 def test_reaction_times_are_clamped_to_the_valid_band():
     geo = _geometry(42, 22)
     spec = PopulationSpec(count=400, spawn_rect=(1, 1, 40, 20), spawn_node=None, attributes={})
-    times = spawn_population(spec, geo, RngStreams(11)).reaction_time
+    times = spawn_population(spec, geo, RngStreams(11), PARAM_DEFAULTS, False).reaction_time
     assert (times >= PARAM_DEFAULTS["rt_min"]).all()
     assert (times <= PARAM_DEFAULTS["rt_max"]).all()
     # lognormal around the configured median, within a loose factor
@@ -238,7 +238,7 @@ def test_constant_attribute_pins_every_agent():
         spawn_node=None,
         attributes={"nervousness": DistSpec(kind="constant", value=0.5, lo=None, hi=None, values=None, weights=None)},
     )
-    assert (spawn_population(spec, geo, RngStreams(0)).nervousness == 0.5).all()
+    assert (spawn_population(spec, geo, RngStreams(0), PARAM_DEFAULTS, False).nervousness == 0.5).all()
 
 
 def test_uniform_attribute_respects_bounds():
@@ -249,7 +249,7 @@ def test_uniform_attribute_respects_bounds():
         spawn_node=None,
         attributes={"age": DistSpec(kind="uniform", value=None, lo=20, hi=60, values=None, weights=None)},
     )
-    ages = spawn_population(spec, geo, RngStreams(5)).age
+    ages = spawn_population(spec, geo, RngStreams(5), PARAM_DEFAULTS, False).age
     assert (ages >= 20).all() and (ages <= 60).all()
     assert ages.std() > 5  # actually varies
 
@@ -262,7 +262,7 @@ def test_categorical_attribute_uses_the_given_values():
         spawn_node=None,
         attributes={"mobility": DistSpec(kind="categorical", value=None, lo=None, hi=None, values=[0, 1, 2], weights=[0.2, 0.5, 0.3])},
     )
-    mob = set(spawn_population(spec, geo, RngStreams(2)).mobility.tolist())
+    mob = set(spawn_population(spec, geo, RngStreams(2), PARAM_DEFAULTS, False).mobility.tolist())
     assert mob <= {0, 1, 2}
     assert len(mob) >= 2
 
@@ -276,7 +276,7 @@ def test_unknown_attribute_is_rejected():
         attributes={"charisma": DistSpec(kind="constant", value=1.0, lo=None, hi=None, values=None, weights=None)},
     )
     with pytest.raises(SchemaViolation):
-        spawn_population(spec, geo, RngStreams(0))
+        spawn_population(spec, geo, RngStreams(0), PARAM_DEFAULTS, False)
 
 
 def test_fractional_attributes_are_clamped_to_unit_range():
@@ -287,7 +287,7 @@ def test_fractional_attributes_are_clamped_to_unit_range():
         spawn_node=None,
         attributes={"health": DistSpec(kind="constant", value=2.5, lo=None, hi=None, values=None, weights=None)},
     )
-    assert (spawn_population(spec, geo, RngStreams(0)).health == 1.0).all()
+    assert (spawn_population(spec, geo, RngStreams(0), PARAM_DEFAULTS, False).health == 1.0).all()
 
 
 def test_sampled_fractional_attributes_are_clamped_too():
@@ -298,7 +298,7 @@ def test_sampled_fractional_attributes_are_clamped_too():
         spawn_node=None,
         attributes={"nervousness": DistSpec(kind="uniform", value=None, lo=-0.5, hi=1.5, values=None, weights=None)},
     )
-    nervousness = spawn_population(spec, geo, RngStreams(4)).nervousness
+    nervousness = spawn_population(spec, geo, RngStreams(4), PARAM_DEFAULTS, False).nervousness
     assert nervousness.min() == 0.0 and nervousness.max() == 1.0
     assert ((nervousness > 0.0) & (nervousness < 1.0)).any()
 
@@ -329,7 +329,7 @@ def test_unusable_attribute_values_are_rejected(attr, bad):
         attributes={attr: DistSpec(kind="constant", value=bad, lo=None, hi=None, values=None, weights=None)},
     )
     with pytest.raises(SemanticViolation):
-        spawn_population(spec, geo, RngStreams(0))
+        spawn_population(spec, geo, RngStreams(0), PARAM_DEFAULTS, False)
     # parsing applies the same check, so a scenario that would fail at spawn never validates
     doc = room_doc(grid_rows(10, 8, exits=[(9, 4)]), count=3, attributes=[{"attr": attr, "dist": "constant", "value": bad}])
     with pytest.raises(SemanticViolation):
@@ -369,7 +369,7 @@ def test_calm_agent_takes_the_nearest_exit():
     agent = one_agent()
     beliefs = _beliefs()
     percept = _percept(visible=[Sight(0, 20.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
 
 
 def test_congestion_pushes_agents_to_the_farther_door():
@@ -379,7 +379,7 @@ def test_congestion_pushes_agents_to_the_farther_door():
     percept = _percept(
         visible=[Sight(0, 5.0, heavy, 0.0), Sight(1, 15.0, 0.0, 0.0)]
     )
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
 
 
 def test_blocked_exits_are_never_chosen():
@@ -387,16 +387,16 @@ def test_blocked_exits_are_never_chosen():
     beliefs = _beliefs()
     beliefs.blocked[0, 1] = True
     percept = _percept(visible=[Sight(0, 20.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 0
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 0
     beliefs.blocked[0, 0] = True
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == NO_TARGET
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == NO_TARGET
 
 
 def test_ties_break_on_the_smallest_exit_id():
     agent = one_agent()
     beliefs = _beliefs()
     percept = _percept(visible=[Sight(2, 5.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
 
 
 def test_fully_nervous_agent_follows_the_crowd():
@@ -407,9 +407,9 @@ def test_fully_nervous_agent_follows_the_crowd():
         votes={1: 9.0, 0: 1.0},
         total=10.0,
     )
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
     # the same crowd has no pull on a calm agent
-    assert choose_exit(one_agent(nervousness=0.0), ROW, percept, beliefs)[0] == 0
+    assert choose_exit(one_agent(nervousness=0.0), ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 0
 
 
 def test_fully_nervous_agent_without_a_crowd_signal_uses_its_own_judgement():
@@ -417,14 +417,14 @@ def test_fully_nervous_agent_without_a_crowd_signal_uses_its_own_judgement():
     beliefs = _beliefs()
     # nobody to follow: every herd term is 0, so utility decides
     percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
     # the crowd splits evenly between the two exits: utility decides again
     percept = _percept(
         visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)],
         votes={0: 3.0, 1: 3.0},
         total=6.0,
     )
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
 
 
 def test_followed_neighbours_add_a_catch_up_penalty():
@@ -436,11 +436,11 @@ def test_followed_neighbours_add_a_catch_up_penalty():
     percept = _percept(
         visible=[Sight(0, 8.0 + pen + 1.0, 0.0, 0.0)], follow={1: 8.0}
     )
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
     percept = _percept(
         visible=[Sight(0, 8.0 + pen - 1.0, 0.0, 0.0)], follow={1: 8.0}
     )
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 0
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 0
 
 
 def test_familiar_exits_get_a_bonus_over_equal_strangers():
@@ -448,7 +448,7 @@ def test_familiar_exits_get_a_bonus_over_equal_strangers():
     beliefs = _beliefs()
     beliefs.familiar[0, 1] = beliefs.known[0, 1] = True  # familiar from the start
     percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 5.0, 0.0, 0.0)])
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
 
 
 def test_hazardous_route_is_penalised():
@@ -456,7 +456,7 @@ def test_hazardous_route_is_penalised():
     beliefs = _beliefs()
     bad = 2 * PARAM_DEFAULTS["w_distance"] * 10.0 / 1.34 / PARAM_DEFAULTS["w_hazard"]
     percept = _percept(visible=[Sight(0, 5.0, 0.0, bad), Sight(1, 15.0, 0.0, 0.0)])
-    assert choose_exit(agent, ROW, percept, beliefs)[0] == 1
+    assert choose_exit(agent, ROW, percept, beliefs, PARAM_DEFAULTS)[0] == 1
 
 
 # -- the decision round -----------------------------------------------------------
@@ -466,7 +466,7 @@ def test_agent_with_nothing_to_go_on_is_lost():
     agent = one_agent(target=NO_TARGET)
     beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng)
+    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng, PARAM_DEFAULTS)
     assert agent.target[0] == NO_TARGET
     assert beliefs.lost[0]
 
@@ -475,8 +475,8 @@ def test_lost_agent_recovers_when_an_exit_appears():
     agent = one_agent(target=NO_TARGET)
     beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng)
-    decide(agent, ROW, _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(agent)), beliefs, rng)
+    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng, PARAM_DEFAULTS)
+    decide(agent, ROW, _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(agent)), beliefs, rng, PARAM_DEFAULTS)
     assert agent.target[0] == 0
     assert not beliefs.lost[0]
 
@@ -494,7 +494,7 @@ def test_smoke_at_an_exit_marks_it_blocked_and_announces():
         ],
         world=_view(agent),
     )
-    _, replanned, announce = decide(agent, ROW, percept, beliefs, rng)
+    _, replanned, announce = decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
     assert beliefs.blocked[0, 1]
     assert announce[0].tolist() == [False, True, False]
     assert agent.target[0] == 0
@@ -514,7 +514,7 @@ def test_replanning_and_smoke_raise_nervousness():
         od=PARAM_DEFAULTS["od_nervous"] + 0.1,
         world=_view(agent),
     )
-    decide(agent, ROW, percept, beliefs, rng)
+    decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
     want = PARAM_DEFAULTS["dn_replan"] + PARAM_DEFAULTS["dn_smoke"]
     assert math.isclose(agent.nervousness[0], want)
 
@@ -526,8 +526,8 @@ def test_experience_damps_nervousness_growth():
     percept = _percept(
         visible=[Sight(0, 5.0, 0.0, 0.0)], od=PARAM_DEFAULTS["od_nervous"] + 0.1
     )
-    decide(rookie, ROW, percept, _beliefs(), rng)
-    decide(veteran, ROW, percept, _beliefs(), rng)
+    decide(rookie, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
+    decide(veteran, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
     assert math.isclose(veteran.nervousness[0], rookie.nervousness[0] / 2)
 
 
@@ -535,14 +535,14 @@ def test_desired_speed_rises_with_nervousness_up_to_the_cap():
     rng = np.random.default_rng(0)
     calm_agent, nervous_agent = one_agent(insistence=1.0), one_agent(insistence=1.0, nervousness=1.0)
     percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(calm_agent))
-    calm, _, _ = decide(calm_agent, ROW, percept, _beliefs(), rng)
+    calm, _, _ = decide(calm_agent, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
     percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(nervous_agent))
-    nervous, _, _ = decide(nervous_agent, ROW, percept, _beliefs(), rng)
+    nervous, _, _ = decide(nervous_agent, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
     assert math.isclose(calm[0], 1.34)
     assert math.isclose(nervous[0], 2.68)
     runner = one_agent(insistence=1.0, nervousness=1.0, speed_pref=6.0)
     percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], speed=_speed(runner), world=_view(runner))
-    fast, _, _ = decide(runner, ROW, percept, _beliefs(), rng)
+    fast, _, _ = decide(runner, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
     assert fast[0] == PARAM_DEFAULTS["speed_cap"]
 
 
@@ -553,7 +553,7 @@ def test_full_insistence_never_replans_without_cause():
     rng = np.random.default_rng(42)
     percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
     for _ in range(500):
-        _, replanned, _ = decide(agent, ROW, percept, beliefs, rng)
+        _, replanned, _ = decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
         assert agent.target[0] == 0
         assert not replanned[0]
 
@@ -566,7 +566,7 @@ def test_low_insistence_triggers_the_replan_lottery():
     switched = 0
     for _ in range(100):
         agent.target[0] = 0
-        decide(agent, ROW, percept, beliefs, rng)
+        decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
         if agent.target[0] == 1:
             switched += 1
     assert switched > 50  # the lottery fires ~90% of rounds here
@@ -623,13 +623,13 @@ def test_one_bulk_round_matches_one_row_rounds_in_id_order():
 
     bulk_pop, bulk_beliefs = start()
     bulk_rng = np.random.default_rng(11)
-    desired, replanned, _ = decide(bulk_pop, rows, percepts, bulk_beliefs, bulk_rng)
+    desired, replanned, _ = decide(bulk_pop, rows, percepts, bulk_beliefs, bulk_rng, PARAM_DEFAULTS)
 
     one_pop, one_beliefs = start()
     one_rng = np.random.default_rng(11)
     one_desired, one_replanned = [], []
     for r in range(k):
-        d, rep, _ = decide(one_pop, rows[r : r + 1], percepts.take([r]), one_beliefs, one_rng)
+        d, rep, _ = decide(one_pop, rows[r : r + 1], percepts.take([r]), one_beliefs, one_rng, PARAM_DEFAULTS)
         one_desired.append(d[0])
         one_replanned.append(rep[0])
 
@@ -828,7 +828,7 @@ def test_a_round_where_nobody_rechooses_senses_no_neighbour():
     pop.target[rows] = rows % EXITS
     pop.insistence[:] = 1.0
     beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
-    _, replanned, _ = decide(pop, rows, build_percepts(world, rows), beliefs, np.random.default_rng(1))
+    _, replanned, _ = decide(pop, rows, build_percepts(world, rows), beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
     assert world.hash is None
     assert not replanned.any() and np.array_equal(pop.target[rows], rows % EXITS)
 
@@ -856,7 +856,7 @@ def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
     asked = []
     query = world.neighbours
     world.neighbours = lambda observers, radius, reach: asked.append(observers.copy()) or query(observers, radius, reach)
-    decide(pop, rows, percepts, beliefs, np.random.default_rng(1))
+    decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
     assert len(asked) == 1 and np.array_equal(asked[0], rows[chosen])
     assert np.array_equal(pop.target[rows[chosen]], want)
 
@@ -912,14 +912,14 @@ def test_insistence_decays_only_when_progress_stalls():
     beliefs = _beliefs()
     beliefs.record_position(ROW, 0.0, np.array([[1.0, 1.0]]))
     beliefs.record_position(ROW, window, np.array([[1.05, 1.0]]))
-    update_insistence(stuck, ROW, np.array([1.34]), beliefs, window)
+    update_insistence(stuck, ROW, np.array([1.34]), beliefs, window, PARAM_DEFAULTS)
     assert math.isclose(stuck.insistence[0], 0.8 * PARAM_DEFAULTS["insistence_decay"])
 
     walker = one_agent()
     beliefs = _beliefs()
     beliefs.record_position(ROW, 0.0, np.array([[1.0, 1.0]]))
     beliefs.record_position(ROW, window, np.array([[1.0 + 1.34 * window, 1.0]]))
-    update_insistence(walker, ROW, np.array([1.34]), beliefs, window)
+    update_insistence(walker, ROW, np.array([1.34]), beliefs, window, PARAM_DEFAULTS)
     assert walker.insistence[0] == 0.8
 
 
@@ -929,5 +929,5 @@ def test_insistence_never_falls_below_the_floor():
     window = PARAM_DEFAULTS["progress_window"]
     for k in range(20):
         beliefs.record_position(ROW, k * window, np.array([[1.0, 1.0]]))
-        update_insistence(agent, ROW, np.array([1.34]), beliefs, window)
+        update_insistence(agent, ROW, np.array([1.34]), beliefs, window, PARAM_DEFAULTS)
     assert agent.insistence[0] == PARAM_DEFAULTS["insistence_floor"]

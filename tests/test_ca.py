@@ -12,7 +12,7 @@ from evacsim.agents import AgentStatus
 from evacsim.ca import EMPTY_CELL, CaState, ca_step, conflict_winners, speed_ticks
 from evacsim.engine import _Simulation
 from evacsim.errors import SimulationError
-from evacsim.scenario import STEPS, distance_field
+from evacsim.scenario import STEPS
 
 from conftest import grid_rows, instant_reaction, make_scenario, room_doc
 
@@ -37,7 +37,7 @@ def _cell(geo, state, i):
 def _step_once(geo, cells, seed=0, noise=0.0, fields=None):
     state = _lattice(geo, cells)
     if fields is None:
-        fields = distance_field(geo)[None]
+        fields = geo.exit_distance[None]
     idx = np.zeros(len(cells), dtype=np.int64)
     ids = np.arange(len(cells), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -281,7 +281,7 @@ def enumerate_corridor(geo, dt, starts, reaction, max_ticks=500):
     tick).  Only valid while proposals never contest a cell, which holds
     in single-file corridors with one exit; asserted below.
     """
-    field = distance_field(geo)
+    field = geo.exit_distance
     exit_cells = {cell for zone in geo.exit_zones for cell in zone.cells}
     pos = dict(starts)
     eligible = {i: math.ceil(reaction / dt - 1e-9) for i in pos}

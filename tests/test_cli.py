@@ -198,6 +198,111 @@ def test_a_missing_hazard_file_is_a_runtime_error_without_a_traceback(tmp_path):
         ), args
 
 
+NAN, INF = float("nan"), float("inf")
+SMOKE = {"source": [5, 5]}
+CSV_HEADER = "t,x,y,temp,od,tox\n0,1,1,20,0,0\n"
+CSV_ROW = {"t": "1", "x": "1", "y": "1", "temp": "20", "od": "0", "tox": "0"}
+SWEEP = ("sweep", "--param", "params.v_ref", "--seeds", "0", "--values")
+
+
+def _number_case(case_id, update, message, command=("validate",), csv=None):
+    """``update`` merges into the sections of minimal_room (a section
+    given as a non-object replaces it); ``csv`` is written beside the
+    scenario as ``series.csv``."""
+    return pytest.param(update, command, csv, message, id=case_id)
+
+
+def _attribute(**spec):
+    return {"population": {"attributes": [spec]}}
+
+
+@pytest.mark.parametrize(
+    "update, command, csv, message",
+    [
+        _number_case("cell_size-inf", {"geometry": {"cell_size": INF}}, "geometry.cell_size: must be a number"),
+        _number_case(
+            "door-width-nan",
+            {"geometry": {"doors": [{"cells": [[17, 6], [17, 7]], "width": NAN}]}},
+            "geometry.doors[0].width: must be a number",
+        ),
+        _number_case("max_sim_time-inf", {"config": {"max_sim_time": INF}}, "config.max_sim_time: must be a number"),
+        _number_case("alarm_time-nan", {"config": {"alarm_time": NAN}}, "config.alarm_time: must be a number"),
+        _number_case(
+            "c_door-nan", {"config": {"overrides": {"c_door": NAN}}}, "config.overrides.c_door: must be a number"
+        ),
+        _number_case(
+            "v_ref-inf", {"config": {"overrides": {"v_ref": INF}}}, "config.overrides.v_ref: must be a number"
+        ),
+        _number_case("overrides-null", {"config": {"overrides": None}}, "config.overrides: must be a mapping"),
+        _number_case("config-list", {"config": [1]}, "config: must be an object"),
+        _number_case(
+            "smoke-duration-inf",
+            {"hazard": {"builtin": {**SMOKE, "duration": INF}}},
+            "hazard.builtin.duration: must be a number",
+        ),
+        _number_case(
+            "smoke-rate-nan", {"hazard": {"builtin": {**SMOKE, "rate": NAN}}}, "hazard.builtin.rate: must be a number"
+        ),
+        _number_case(
+            "uniform-lo-string",
+            _attribute(attr="age", dist="uniform", lo="a", hi=60),
+            "population.attributes.age.lo: must be a number",
+        ),
+        _number_case(
+            "weights-string",
+            _attribute(attr="gender", dist="categorical", values=["F", "M"], weights=["x", 1]),
+            "population.attributes.gender.weights[0]: must be a number",
+        ),
+        _number_case(
+            "weights-nan",
+            _attribute(attr="gender", dist="categorical", values=["F", "M"], weights=[NAN, 1]),
+            "population.attributes.gender.weights[0]: must be a number",
+        ),
+        _number_case(
+            "weights-number",
+            _attribute(attr="gender", dist="categorical", values=["F", "M"], weights=3),
+            "population.attributes.gender: weights must be a list as long as values",
+        ),
+        _number_case(
+            "values-number",
+            _attribute(attr="gender", dist="categorical", values=5),
+            "population.attributes.gender: categorical distribution needs a list of values",
+        ),
+        *[
+            _number_case(
+                f"csv-{column}-{value}",
+                {"hazard": {"file": "series.csv"}},
+                "row 3: t, temp, od and tox must be finite",
+                csv=CSV_HEADER + ",".join({**CSV_ROW, column: value}.values()) + "\n",
+            )
+            for column, value in (("t", "nan"), ("temp", "inf"), ("od", "nan"), ("tox", "-inf"))
+        ],
+        _number_case(
+            "run-max-time-inf", {}, "config.max_sim_time: must be a number", command=("run", "--max-time", "inf")
+        ),
+        _number_case("sweep-values-nan", {}, "sweep.values: not numbers: '1.3,nan'", command=(*SWEEP, "1.3,nan")),
+        _number_case("sweep-values-inf", {}, "sweep.values: not numbers: 'inf'", command=(*SWEEP, "inf")),
+    ],
+)
+def test_a_non_finite_or_mistyped_number_is_one_error_line(tmp_path, update, command, csv, message):
+    with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for section, fields in update.items():
+        if isinstance(fields, dict):
+            doc.setdefault(section, {}).update(fields)
+        else:
+            doc[section] = fields
+    if csv is not None:
+        (tmp_path / "series.csv").write_text(csv)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = ("--out", tmp_path / "out") if command[0] != "validate" else ()
+    proc = run_cli(command[0], path, *command[1:], *out)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.count("evacsim:error:") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"evacsim:error: {message}"), proc.stderr
+
+
 @pytest.mark.parametrize("key, value", [("max_sim_time", "10"), ("alarm_time", None)])
 def test_a_mistyped_run_config_field_is_one_error_line_without_a_traceback(tmp_path, key, value):
     with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
@@ -212,7 +317,7 @@ def test_a_mistyped_run_config_field_is_one_error_line_without_a_traceback(tmp_p
 
 def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
     # sf bodies are not one per cell, so an sf scenario passes validation;
-    # run on the lattice, it is refused when the people are spawned
+    # run on the lattice, the run's config is checked again and refused
     with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["population"].update(count=50, spawn={"rect": [1, 1, 3, 3]})
@@ -221,8 +326,8 @@ def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
     path.write_text(json.dumps(doc))
     assert run_cli("validate", path).returncode == 0
     proc = run_cli("run", path, "--backend", "ca", "--out", tmp_path / "out")
-    assert proc.returncode == 2, proc.stdout
-    assert proc.stderr == "evacsim:error: spawn region has 9 free cells for 50 agents\n"
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == "evacsim:error: population.spawn: region has 9 free cells for 50 agents\n"
 
 
 def test_every_simulating_command_exits_3_on_timeout(tmp_path):

@@ -16,6 +16,7 @@ from evacsim.hazard import (
     load_hazard_series,
     visibility_range_bulk,
 )
+from evacsim.scenario import BUILTIN_SMOKE_DEFAULTS
 
 from conftest import grid_rows, make_scenario, room_doc
 
@@ -113,7 +114,7 @@ def _smoke_geometry():
 
 def test_builtin_smoke_injects_mass_at_fixed_rate():
     geo = _smoke_geometry()
-    params = {"rate": 0.4, "step": 0.5, "frame_interval": 2.0, "duration": 20.0}
+    params = {**BUILTIN_SMOKE_DEFAULTS, "rate": 0.4, "step": 0.5, "frame_interval": 2.0, "duration": 20.0}
     field = builtin_smoke(geo, (2, 2), params)
     for k, t in enumerate(field.timestamps):
         expected = 0.4 * t / 0.5
@@ -122,7 +123,7 @@ def test_builtin_smoke_injects_mass_at_fixed_rate():
 
 def test_builtin_smoke_stays_nonnegative_and_off_walls():
     geo = _smoke_geometry()
-    field = builtin_smoke(geo, (2, 2), {"duration": 30.0})
+    field = builtin_smoke(geo, (2, 2), {**BUILTIN_SMOKE_DEFAULTS, "duration": 30.0})
     assert (field.optical_density >= 0).all()
     blocked = geo.blocked_mask
     assert (field.optical_density[:, blocked] == 0).all()
@@ -130,7 +131,7 @@ def test_builtin_smoke_stays_nonnegative_and_off_walls():
 
 def test_builtin_smoke_temperature_and_toxicity_track_density():
     geo = _smoke_geometry()
-    field = builtin_smoke(geo, (2, 2), {"temp_per_od": 50.0, "tox_per_od": 0.01})
+    field = builtin_smoke(geo, (2, 2), {**BUILTIN_SMOKE_DEFAULTS, "temp_per_od": 50.0, "tox_per_od": 0.01})
     od = field.optical_density
     assert np.allclose(field.temperature, AMBIENT_TEMP + 50.0 * od)
     assert np.allclose(field.toxicity, 0.01 * od)
@@ -138,7 +139,7 @@ def test_builtin_smoke_temperature_and_toxicity_track_density():
 
 def test_builtin_smoke_spreads_towards_the_far_corner():
     geo = _smoke_geometry()
-    field = builtin_smoke(geo, (2, 2), {"duration": 60.0, "rate": 1.0})
+    field = builtin_smoke(geo, (2, 2), {**BUILTIN_SMOKE_DEFAULTS, "duration": 60.0, "rate": 1.0})
     far = field.optical_density[:, 5, 7]
     assert far[0] == 0.0
     assert far[-1] > 0.0
@@ -175,7 +176,8 @@ def test_builtin_smoke_matches_the_shifted_copy_reference_exactly():
     obstacles = [(3, 2), (4, 2), (7, 5), (7, 6), (10, 3), (2, 8), (11, 8)]
     rows = grid_rows(14, 11, exits=[(13, 5), (0, 2)], obstacles=obstacles)
     geo = make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
-    params = {"rate": 0.7, "diffusion": 0.2, "step": 0.5, "frame_interval": 0.5, "duration": 60.0}
+    params = {**BUILTIN_SMOKE_DEFAULTS, "rate": 0.7, "diffusion": 0.2, "step": 0.5, "frame_interval": 0.5,
+              "duration": 60.0}
     field = builtin_smoke(geo, (3, 7), params)
     expected = _reference_smoke_frames(geo, (3, 7), 0.7, 0.2, 120)
     assert np.array_equal(field.optical_density, expected)
@@ -184,7 +186,7 @@ def test_builtin_smoke_matches_the_shifted_copy_reference_exactly():
 def test_builtin_smoke_rejects_blocked_source():
     geo = _smoke_geometry()
     with pytest.raises(HazardFormatError):
-        builtin_smoke(geo, (0, 0), None)
+        builtin_smoke(geo, (0, 0), BUILTIN_SMOKE_DEFAULTS)
 
 
 # -- visibility -------------------------------------------------------------------

@@ -151,6 +151,33 @@ def test_the_route_search_is_written_once():
     assert users == ["distance_field"]
 
 
+def test_each_kind_of_default_is_resolved_in_one_module():
+    # RunConfig.params() is the one merge of the model parameters, and the
+    # scenario parser the one merge of the smoke generator's; every other
+    # layer takes the resolved table, so no parameter called params has
+    # a default to fall back on
+    trees = _trees()
+    imported = {
+        module: {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for module, tree in trees.items()
+    }
+    naming = {
+        table: sorted(module for module, tree in trees.items() if _names(tree)[table] or table in imported[module])
+        for table in ("PARAM_DEFAULTS", "BUILTIN_SMOKE_DEFAULTS")
+    }
+    assert naming == {"PARAM_DEFAULTS": ["__init__", "config"], "BUILTIN_SMOKE_DEFAULTS": ["scenario"]}
+    defaulted = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                optional = positional[len(positional) - len(args.defaults):]
+                optional += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                defaulted += [f"{module}:{node.name}" for arg in optional if arg.arg == "params"]
+    assert defaulted == []
+
+
 def test_a_mistyped_marker_fails_collection(tmp_path):
     test = tmp_path / "test_typo.py"
     test.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_x():\n    pass\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,12 +53,18 @@ def drills(draw):
 def test_every_person_is_accounted_for_and_runs_repeat(doc):
     for backend in BACKENDS:
         doc["config"]["backend"] = backend
-        result = run(make_scenario(doc))
+        scenario = make_scenario(doc)
+        result = run(scenario)
         outcomes = Counter(record.outcome for record in result.per_agent)
         assert outcomes["exited"] + outcomes["dead"] + outcomes["inside"] == result.population, backend
         assert (outcomes["exited"], outcomes["dead"]) == (result.exited, result.fatalities), backend
         assert result.timeout == (outcomes["inside"] > 0), backend
         assert run(make_scenario(doc)).digest == result.digest, backend
+        if backend != "flow":  # flow shows people at room means, not where bodies stand
+            geometry = scenario.geometry
+            for _t, _ids, x, y, _health, _status in result.trajectory:
+                cells = geometry.cells_of(np.stack([x, y], axis=1))
+                assert geometry.open_mask[cells[:, 1], cells[:, 0]].all(), backend
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

@@ -313,7 +313,7 @@ def test_distance_field_matches_relaxation_reference():
         rows[1][ex] = "."  # keep the exit approachable
         doc = room_doc(["".join(r) for r in rows], count=1, spawn=[ex, 1, ex, 1])
         geo = make_scenario(doc).geometry
-        got = distance_field(geo)
+        got = geo.exit_distance
         want = _bellman_distances(geo, [cell for zone in geo.exit_zones for cell in zone.cells])
         assert np.allclose(got, want, equal_nan=True), f"trial {trial}"
 
@@ -330,7 +330,7 @@ def test_distance_field_blocks_diagonal_corner_cuts():
     ]
     doc = room_doc(rows, count=1, spawn=[1, 1, 1, 1])
     geo = make_scenario(doc).geometry
-    d = distance_field(geo)
+    d = geo.exit_distance
     # every diagonal here squeezes past the blocked (2, 2) corner, so the
     # legal path is all straight steps: (1,3) -> (1,2) -> (1,1) -> (2,1) -> exit
     assert np.isclose(d[3, 1], 4.0)
@@ -347,7 +347,7 @@ def test_distance_field_unreachable_cells_are_infinite():
     # do not spawn on exits
     doc = room_doc(rows, count=0, spawn=[3, 1, 3, 1])
     geo = make_scenario(doc).geometry
-    d = distance_field(geo)
+    d = geo.exit_distance
     assert np.isinf(d[1, 1])
     assert d[1, 3] == 0.0
 
@@ -406,7 +406,7 @@ def plans(draw):
 @given(plans())
 def test_distance_field_matches_the_two_dimensional_heap_bit_for_bit(plan):
     geo, sources = plan
-    got = distance_field(geo, sources)
+    got = geo.exit_distance if sources is None else distance_field(geo, sources)
     want = _heap_distances(geo, sources)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -585,7 +585,7 @@ def test_derive_network_two_rooms_one_door():
         doors=[{"id": "mid", "cells": [[3, 2]], "width": 0.5}],
     )
     geo = make_scenario(doc).geometry
-    net = derive_network(geo)
+    net = derive_network(geo, PARAM_DEFAULTS)
     kinds = sorted(n.kind for n in net.nodes)
     assert kinds.count("destination") == 1
     assert kinds.count("room") == 2
@@ -613,7 +613,7 @@ def test_undeclared_gap_joins_rooms_into_one():
     ]
     doc = room_doc(rows, count=1, spawn=[1, 1, 2, 3])
     geo = make_scenario(doc).geometry
-    net = derive_network(geo)
+    net = derive_network(geo, PARAM_DEFAULTS)
     assert sorted(n.kind for n in net.nodes).count("room") == 1
 
 
@@ -638,7 +638,7 @@ def test_derive_network_declared_door_capacity_scales_with_width():
         doc["geometry"]["cells"] = [r.replace("d", ".") for r in doc["geometry"]["cells"]]
         doc["geometry"]["doors"] = [{"id": "mid", "cells": [[3, 2]], "width": width}]
         geo = make_scenario(doc).geometry
-        net = derive_network(geo)
+        net = derive_network(geo, PARAM_DEFAULTS)
         assert not geo.room_labels.flags.writeable and geo.room_labels is geo.room_labels
         return next(a.capacity for a in net.arcs if a.door_id == "mid")
 

@@ -67,6 +67,12 @@ def _pairs(pos):
     return SpatialHash(pos, CUTOFF).query_pairs(CUTOFF)
 
 
+def _pair_forces(pos, radius, params, pairs):
+    """``pair_forces`` with each pair's radius sum taken from ``radius``."""
+    i, j = pairs
+    return pair_forces(pos, params, pairs, radius.take(i) + radius.take(j))
+
+
 # -- single-body kinematics ------------------------------------------------------
 
 
@@ -93,7 +99,7 @@ def test_relaxation_is_straight_toward_the_waypoint():
     state = _free_state([[10.0, 10.0]])
     waypoint = np.array([[17.0, 3.0]])
     for tick in range(200):
-        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]), waypoint, 0.02, tick)
+        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]), waypoint, 0.02, tick, PARAM_DEFAULTS)
     d = state.pos[0] - np.array([10.0, 10.0])
     want_dir = (waypoint[0] - np.array([10.0, 10.0]))
     cos = d @ want_dir / (np.linalg.norm(d) * np.linalg.norm(want_dir))
@@ -106,7 +112,7 @@ def test_speed_clamp_keeps_bodies_subsonic():
     state.vel[0] = [50.0, 0.0]
     cap = PARAM_DEFAULTS["sf_speed_slack"] * PARAM_DEFAULTS["speed_cap"]
     sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(1), np.array([1.34]),
-            np.array([[1000.0, 10.0]]), 0.05, 0)
+            np.array([[1000.0, 10.0]]), 0.05, 0, PARAM_DEFAULTS)
     assert np.linalg.norm(state.vel[0]) <= cap + 1e-9
 
 
@@ -127,7 +133,7 @@ def test_pair_forces_obey_newtons_third_law():
         n = int(rng.integers(2, 40))
         pos = rng.uniform(0, 4, size=(n, 2))
         radius = rng.uniform(0.25, 0.35, size=n)
-        force, _ = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
+        force, _ = _pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
         assert np.allclose(force.sum(axis=0), 0.0, atol=1e-8)
 
 
@@ -136,7 +142,7 @@ def test_pair_force_is_repulsive_and_decays():
 
     def push(gap):
         pos = np.array([[0.0, 0.0], [0.6 + gap, 0.0]])
-        force, _ = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
+        force, _ = _pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
         return force[0, 0]
 
     near, far = push(0.05), push(0.5)
@@ -151,7 +157,7 @@ def test_pair_contact_adds_body_compression():
     radius = np.array([0.3, 0.3])
     overlap = 0.1
     pos = np.array([[0.0, 0.0], [0.6 - overlap, 0.0]])
-    force, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
+    force, contacts = _pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     a, b, k = PARAM_DEFAULTS["sf_a"], PARAM_DEFAULTS["sf_b"], PARAM_DEFAULTS["sf_k"]
     want = a * math.exp(overlap / b) + k * overlap
     assert math.isclose(abs(force[0, 0]), want, rel_tol=1e-9)
@@ -162,7 +168,7 @@ def test_pair_contact_adds_body_compression():
 def test_pairs_beyond_cutoff_exert_nothing():
     radius = np.array([0.3, 0.3])
     pos = np.array([[0.0, 0.0], [PARAM_DEFAULTS["sf_cutoff"] + 1.0, 0.0]])
-    force, _ = pair_forces(pos, radius, PARAM_DEFAULTS, (np.array([0]), np.array([1])))
+    force, _ = _pair_forces(pos, radius, PARAM_DEFAULTS, (np.array([0]), np.array([1])))
     assert np.allclose(force, 0.0)
 
 
@@ -404,7 +410,7 @@ def test_friction_damps_tangential_slip_between_touching_bodies():
     pos = np.array([[0.0, 0.0], [0.55, 0.0]])  # overlapping by 0.05
     vel = np.array([[0.0, 1.0], [0.0, -1.0]])  # pure tangential shear
     state_vel = vel.copy()
-    _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
+    _, contacts = _pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     new_vel = apply_contact_friction(
         state_vel, 80.0, contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
     )
@@ -421,7 +427,7 @@ def test_separated_bodies_feel_no_friction():
     radius = np.array([0.3, 0.3])
     pos = np.array([[0.0, 0.0], [1.0, 0.0]])
     vel = np.array([[0.0, 1.0], [0.0, -1.0]])
-    _, contacts = pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
+    _, contacts = _pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
     new_vel = apply_contact_friction(
         vel.copy(), 80.0, contacts, _no_wall_contacts(pos, radius), 0.05, PARAM_DEFAULTS
     )
@@ -570,7 +576,7 @@ def test_kernels_match_the_reference_bit_for_bit(seed, cutoff):
     reach = cutoff + 0.4
     pairs = SpatialHash(pos, reach).query_pairs(reach)
 
-    got_pair = pair_forces(pos, radius, params, pairs)
+    got_pair = _pair_forces(pos, radius, params, pairs)
     want_pair = _ref_pair_forces(pos, radius, params, pairs)
     _assert_same(got_pair, want_pair)
     got_wall = wall_forces(pos, radius, walls, geo, params)
@@ -599,12 +605,12 @@ def test_kernels_match_the_reference_without_pairs():
     geo = _open_floor(14.0, 14.0)
     pos, radius = _packed_crowd(np.random.default_rng(9), geo)
     none = (np.zeros(0, np.int64), np.zeros(0, np.int64))
-    got = pair_forces(pos, radius, PARAM_DEFAULTS, none)
+    got = _pair_forces(pos, radius, PARAM_DEFAULTS, none)
     _assert_same(got, _ref_pair_forces(pos, radius, PARAM_DEFAULTS, none))
     # only far pairs: every candidate lies beyond the cutoff
     far = np.array([[1.0, 1.0], [1.0 + CUTOFF + 0.1, 1.0], [1.0, 1.0 + CUTOFF + 0.2]])
     far_pairs = (np.array([0, 0, 1]), np.array([1, 2, 2]))
-    got = pair_forces(far, radius[:3], PARAM_DEFAULTS, far_pairs)
+    got = _pair_forces(far, radius[:3], PARAM_DEFAULTS, far_pairs)
     _assert_same(got, _ref_pair_forces(far, radius[:3], PARAM_DEFAULTS, far_pairs))
     # and friction with no contact at all leaves the velocities alone
     vel = np.random.default_rng(9).uniform(-1, 1, size=(len(pos), 2))
@@ -735,7 +741,7 @@ def test_bodies_never_end_a_step_inside_walls():
     waypoint = np.tile([7.5, 1.75], (n, 1))
     open_mask = geo.open_mask
     for tick in range(200):
-        sf_step(state, geo, walls, np.arange(n), v_des, waypoint, 0.05, tick)
+        sf_step(state, geo, walls, np.arange(n), v_des, waypoint, 0.05, tick, PARAM_DEFAULTS)
         cx = (state.pos[:, 0] / geo.cell_size).astype(int)
         cy = (state.pos[:, 1] / geo.cell_size).astype(int)
         assert open_mask[cy, cx].all()
@@ -750,7 +756,7 @@ def test_cornered_body_settles_instead_of_tunnelling():
     state.vel[0] = [0.0, -8.0]
     waypoint = np.array([[1.0, 1.0]])
     for tick in range(200):
-        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), waypoint, 0.05, tick)
+        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), waypoint, 0.05, tick, PARAM_DEFAULTS)
     assert np.linalg.norm(state.pos[0] - waypoint[0]) < 0.2
     assert np.linalg.norm(state.vel[0]) < 0.5
     assert not state.warnings
@@ -765,7 +771,7 @@ def test_projections_on_many_ticks_make_one_warning():
     state = _free_state([[2.0, 0.8]], radius=0.05)
     for tick in range(12):
         state.pos[0], state.vel[0] = [2.0, 0.8], [0.0, -8.0]
-        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), np.array([[2.0, 0.0]]), 0.05, tick)
+        sf_step(state, geo, walls, np.arange(1), np.array([1.0]), np.array([[2.0, 0.0]]), 0.05, tick, PARAM_DEFAULTS)
     assert state.projected == 12
     assert state.warnings == ["projected 12 bodies out of walls, first on ticks 0, 1, 2"]
 
@@ -778,7 +784,7 @@ def test_a_body_that_starts_inside_a_wall_is_an_error():
     geo = make_scenario(room_doc(grid_rows(20, 20, exits=[(19, 3)], walls=walls), count=1, spawn=[1, 1, 1, 1])).geometry
     state = _free_state([[4.75, 4.75]])  # centre of the 7 x 7 block of 0.5 m cells
     with pytest.raises(SimulationError, match=r"^tick 5: agents \[0\] ended the step inside a wall$"):
-        sf_step(state, geo, _walls(geo), np.arange(1), np.array([1.34]), np.array([[1.0, 1.0]]), 0.05, 5)
+        sf_step(state, geo, _walls(geo), np.arange(1), np.array([1.34]), np.array([[1.0, 1.0]]), 0.05, 5, PARAM_DEFAULTS)
 
 
 def test_neighbor_cache_survives_drift_without_missing_pairs():
@@ -789,9 +795,9 @@ def test_neighbor_cache_survives_drift_without_missing_pairs():
     v_des = np.full(n, 1.34)
     for step in range(60):
         waypoint = state.pos + rng.uniform(-2, 2, size=(n, 2))
-        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(n), v_des, waypoint, 0.05, step)
-        force, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, _pairs(state.pos))
-        cached, _ = pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr.pairs)
+        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(n), v_des, waypoint, 0.05, step, PARAM_DEFAULTS)
+        force, _ = _pair_forces(state.pos, state.radius, PARAM_DEFAULTS, _pairs(state.pos))
+        cached, _ = _pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr.pairs)
         assert np.allclose(force, cached, atol=1e-9), step
 
 
@@ -815,12 +821,12 @@ def test_detect_arch_requires_starved_flow_and_a_crowd():
     door = (10.0, 5.0)
     upstream = (-1.0, 0.0)
     crowd = np.array([[9.0, 4.6 + 0.2 * i] for i in range(8)])
-    jammed, count = detect_arch(crowd, door, upstream, flow_rate=0.0)
+    jammed, count = detect_arch(crowd, door, upstream, flow_rate=0.0, params=PARAM_DEFAULTS)
     assert jammed and count == 8
-    flowing, _ = detect_arch(crowd, door, upstream, flow_rate=2.0)
+    flowing, _ = detect_arch(crowd, door, upstream, flow_rate=2.0, params=PARAM_DEFAULTS)
     assert not flowing
     sparse = crowd[:2]
-    starved_but_empty, _ = detect_arch(sparse, door, upstream, flow_rate=0.0)
+    starved_but_empty, _ = detect_arch(sparse, door, upstream, flow_rate=0.0, params=PARAM_DEFAULTS)
     assert not starved_but_empty
 
 
