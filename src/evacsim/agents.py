@@ -24,12 +24,14 @@ nervousness and targets for every row, drawing the replan lottery in
 ascending id order, and calls :func:`choose_exit` once for the rows that
 need an exit; only those rows sense the herd (the votes, totals,
 congestion and follow distances of visible neighbours).  After the round
-each agent that saw an exit blocked tells its visible neighbours
-(:func:`inform_neighbors`).  The herd and the messages find neighbours
-the same way (:meth:`WorldView.neighbours`): each query point looks up
-the 5x5 block of half-width buckets around it in a spatial hash of
-everyone in the building, so only the pairs of the round's observers
-are enumerated.
+every agent that saw an exit blocked tells its visible neighbours, all
+the round's senders in one call (:func:`inform_neighbors`).  The herd
+finds neighbours through :meth:`WorldView.neighbours`: each query point
+looks up the 5x5 block of half-width buckets around it in a spatial
+hash of everyone in the building, bucketed at the congestion radius, so
+only the pairs of the round's observers are enumerated.  Messages reach
+as far as sight, which spans a room, so each block of senders is tested
+against everyone in the building directly.
 
 How the body gets to the target exit (a social-force waypoint, a lattice
 step down the exit's distance field, a queue on the route network) is
@@ -205,7 +207,7 @@ def spawn_population(
     else:
         radii = np.zeros(count)
         picks = streams.spawn_pos.choice(len(cells), size=count, replace=False) if count else []
-        positions = [geometry.cell_center(*cells[int(k)]) for k in picks]
+        positions = (cells[picks] + 0.5) * geometry.cell_size
 
     vision0 = visibility_range_bulk(np.zeros(count), sampled["health"], params)
 
@@ -234,7 +236,7 @@ def spawn_population(
 
 
 def _continuous_positions(
-    cells: list[tuple[int, int]],
+    cells: np.ndarray,
     radii: np.ndarray,
     geometry: Geometry,
     rng: np.random.Generator,
@@ -254,7 +256,7 @@ def _continuous_positions(
     cs = geometry.cell_size
     blocked = geometry.blocked_mask
     h, w = blocked.shape
-    xy = np.array(cells, dtype=np.int64)
+    xy = np.asarray(cells, dtype=np.int64)
     spawn = np.zeros((h + 1, w + 1), dtype=bool)     # a draw on the box's far edge lands one past it
     spawn[xy[:, 1], xy[:, 0]] = True
     lo = xy.min(axis=0) * cs
@@ -384,8 +386,8 @@ def init_beliefs(
 class WorldView:
     """What the perception/decision layer reads in one round: the
     population plus this tick's hazard exposure and the exit geometry.
-    Herd statistics and messaging both find who sees whom through
-    :meth:`neighbours`, one cell-list query of the round's observers."""
+    The herd statistics find who sees whom through :meth:`neighbours`,
+    one cell-list query of the round's observers."""
 
     geometry: Geometry
     params: dict
@@ -399,24 +401,24 @@ class WorldView:
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
     ambient_air: bool = False      # hazard frames are all-clear this round
-    hash: SpatialHash | None = None  # agents in the building, bucketed at the last reach asked for
+    hash: SpatialHash | None = None  # agents in the building, built by the round's first query
 
-    def neighbours(
-        self, observers: np.ndarray, radius: np.ndarray, reach: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def neighbours(self, observers: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (k, seen, d2): agent ``seen``, in the building and not
         ``observers[k]`` itself, lies within ``radius[k]`` of it (d2 the
         squared distance) with a clear line of sight.  The triples are
         grouped by ascending k, in ``SpatialHash.query_points`` order
         within a group, not by seen id.
 
-        ``reach`` bounds every radius.  The hash of the agents in the
-        building is bucketed at it and rebuilt only when a caller asks for
-        another reach, so a round pays one build per reach it uses.
+        Every radius is at most the congestion radius, the bucket size of
+        the hash of the agents in the building, which the round's first
+        query builds.
         """
-        if self.hash is None or self.hash.cell != reach:
+        if self.hash is None:
             present = self.pop.inside()
-            self.hash = SpatialHash(self.pop.pos.take(present, axis=0), reach, ids=present)
+            self.hash = SpatialHash(
+                self.pop.pos.take(present, axis=0), float(self.params["congestion_radius"]), ids=present
+            )
         points = self.pop.pos.take(observers, axis=0)
         k, seen, d2 = self.hash.query_points(points, radius, exclude=observers)
         if len(k) and self.has_interior_blockers:
@@ -496,7 +498,7 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
     n_zones = len(world.zone_cells)
     n = len(indices)
     r_cap = float(world.params["congestion_radius"])
-    rows, seen, d2 = world.neighbours(indices, np.minimum(pop.vision[indices], r_cap), r_cap)
+    rows, seen, d2 = world.neighbours(indices, np.minimum(pop.vision[indices], r_cap))
     # observer terms once per row, spread over each row's run of pairs
     per_row = np.bincount(rows, minlength=n)
     role = pop.role[indices]
@@ -652,21 +654,59 @@ def update_insistence(
     )
 
 
+INFORM_BLOCK = 1 << 15  # sender x person pairs in one block of the messaging distance test
+
+
 def inform_neighbors(
-    i: int, exits: np.ndarray, world: WorldView, beliefs: Beliefs, rng: np.random.Generator
-) -> list[int]:
-    """Tell agent ``i``'s visible neighbours that ``exits`` are blocked,
-    each neighbour with probability equal to the sender's collaboration.
-    One hop per tick: receivers do not relay until their own next
-    decision round.  Returns receiver ids."""
-    sender = np.array([i])
-    _, seen, _ = world.neighbours(sender, world.pop.vision[sender], float(world.params["vis_r_max"]))
-    seen.sort()  # one draw per neighbour, in id order
-    receivers = seen[rng.random(len(seen)) < float(world.pop.collaboration[i])]
-    heard = np.ix_(receivers, exits)
-    beliefs.blocked[heard] = True
-    beliefs.known[heard] = True
-    return receivers.tolist()
+    senders: np.ndarray, exits: np.ndarray, world: WorldView, beliefs: Beliefs, rng: np.random.Generator
+) -> np.ndarray:
+    """Tell each sender's visible neighbours that the exits flagged in its
+    row of the (S, E) mask ``exits`` are blocked, each neighbour with
+    probability equal to the sender's collaboration.  One hop per tick:
+    receivers do not relay until their own next decision round.
+
+    ``senders`` are ascending ids.  Each is tested against everyone in
+    the building, blocks of senders at a time, with the squared-distance
+    test of ``SpatialHash.query_points``.  The round draws one number per
+    (sender, neighbour) pair, senders in turn and each one's neighbours
+    in id order, so the stream moves as if the senders spoke one by one.
+    Returns the (R, 2) (sender, receiver) id rows of the deliveries in
+    that order."""
+    pop, geometry = world.pop, world.geometry
+    people = pop.inside()
+    px, py = pop.pos[people, 0], pop.pos[people, 1]
+    if world.has_interior_blockers:
+        cells = geometry.cells_of(pop.pos.take(people, axis=0))
+    step = max(1, INFORM_BLOCK // max(len(people), 1))
+    told = np.zeros((exits.shape[1], len(people)), dtype=bool)  # who heard of each exit
+    blocks = []  # (senders, (senders, people) mask of whom each one told)
+    for lo in range(0, len(senders), step):
+        block = senders[lo:lo + step]
+        x, y = pop.pos[block, 0][:, None], pop.pos[block, 1][:, None]
+        near = ((x - px) ** 2 + (y - py) ** 2 <= pop.vision[block][:, None] ** 2) & (people != block[:, None])
+        if world.has_interior_blockers:
+            k, j = np.nonzero(near)
+            origin = geometry.cells_of(pop.pos.take(block, axis=0))
+            blind = ~los_pairs(geometry.blocked_mask, origin.take(k, axis=0), cells.take(j, axis=0))
+            near[k[blind], j[blind]] = False
+        drawn = np.ones(near.shape)
+        drawn[near] = rng.random(np.count_nonzero(near))  # row-major: senders in turn, people by id
+        heard = near & (drawn < pop.collaboration[block][:, None])
+        for e, flags in enumerate(exits[lo:lo + step].T):
+            told[e] |= heard[flags].any(axis=0)
+        blocks.append((block, heard))
+    for e, heard in enumerate(told):
+        beliefs.blocked[people[heard], e] = True
+        beliefs.known[people[heard], e] = True
+
+    delivered = np.empty((sum(np.count_nonzero(heard) for _, heard in blocks), 2), dtype=np.int64)
+    end = 0
+    for block, heard in blocks:
+        k, j = np.divmod(np.flatnonzero(heard), len(people))
+        delivered[end:end + len(k), 0] = block.take(k)
+        delivered[end:end + len(k), 1] = people.take(j)
+        end += len(k)
+    return delivered
 
 
 def decide(

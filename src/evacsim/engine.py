@@ -23,7 +23,8 @@ Who is in the building and who walks are its methods
 ``Population.inside`` and ``Population.walking``.  The hazard phase
 records in ``sensed`` whether the air at each inside agent's cell
 differs from ambient; that starts a waiting agent before its delay is
-up.  Class constants on each mover give its default decision and
+up.  The pre-movement phase sleeps until the earliest pending delay is
+up unless someone inside senses the hazard.  Class constants on each mover give its default decision and
 trajectory cadence and whether it makes decision rounds at all; a mover
 that moves or steers on the route network derives the network itself
 and reports its warnings.  Whether agents spawn as bodies is
@@ -265,6 +266,12 @@ class _Simulation:
         # sensed there, refreshed per tick for those inside (constant when ambient)
         self.local_od = np.zeros(n)
         self.sensed = np.zeros(n, dtype=bool)
+        self.sensing = False  # someone in the building sensed it this tick
+        # when each pre-movement delay is up (never before the alarm), and
+        # the earliest such time among the people still waiting
+        alarm = self.config.alarm_time
+        self.due_t = np.maximum(alarm, alarm + self.pop.reaction_time)
+        self.wake_t = float(self.due_t.min(initial=math.inf))
         self.temp_frame, self.od_frame, self.tox_frame = self.hazard.frame_at(0.0)
 
         # cadences, in ticks; an interval parameter <= 0 takes the mover's default
@@ -304,7 +311,9 @@ class _Simulation:
         od = self.od_frame[cy, cx]
         tox = self.tox_frame[cy, cx]
         self.local_od[inside] = od
-        self.sensed[inside] = (od > SENSE_EPS) | (temp > AMBIENT_TEMP + SENSE_EPS) | (tox > SENSE_EPS)
+        sensed = (od > SENSE_EPS) | (temp > AMBIENT_TEMP + SENSE_EPS) | (tox > SENSE_EPS)
+        self.sensed[inside] = sensed
+        self.sensing = bool(sensed.any())
 
         dec = health_decrement(temp, tox, self.dt, self.params)
         hurt = dec > 0
@@ -324,15 +333,16 @@ class _Simulation:
 
     def _premovement_phase(self, t: float) -> np.ndarray:
         """Start everyone whose delay has elapsed or who senses the
-        hazard directly; returns the newly moving indices."""
-        waiting = self.pop.status == int(AgentStatus.PREMOVEMENT)
-        if not waiting.any():
+        hazard directly; returns the newly moving indices.  The phase
+        sleeps until the earliest pending delay is up, unless someone in
+        the building senses the hazard."""
+        if t + SENSE_EPS < self.wake_t and not self.sensing:
             return np.zeros(0, dtype=np.int64)
-        go = self.sensed
-        if t + SENSE_EPS >= self.config.alarm_time:
-            go = go | (t + SENSE_EPS >= self.config.alarm_time + self.pop.reaction_time)
-        start = np.flatnonzero(waiting & go)
+        waiting = self.pop.status == int(AgentStatus.PREMOVEMENT)
+        start = np.flatnonzero(waiting & (self.sensed | (t + SENSE_EPS >= self.due_t)))
         self.pop.status[start] = int(AgentStatus.MOVING)
+        waiting[start] = False
+        self.wake_t = float(self.due_t[waiting].min(initial=math.inf))
         return start
 
     def _decision_phase(self, k: int, t: float, newly_moving: np.ndarray) -> None:
@@ -368,12 +378,17 @@ class _Simulation:
             self.events.append(EventRecord(t, "replanned", i, {"to": int(self.pop.target[i])}))
         self.mover.steer(deciders)
         # message barrier: deliveries land after every decision this round
-        for row in np.nonzero(announce.any(axis=1))[0].tolist():
-            i = int(deciders[row])
-            receivers = inform_neighbors(i, np.nonzero(announce[row])[0], world, self.beliefs, rng)
-            if receivers:
+        speaks = announce.any(axis=1)
+        if not speaks.any():
+            return
+        delivered = inform_neighbors(deciders[speaks], announce[speaks], world, self.beliefs, rng)
+        # the rows run sender by sender: one event per sender with a receiver
+        for rows in np.split(delivered, np.flatnonzero(delivered[1:, 0] != delivered[:-1, 0]) + 1):
+            if len(rows):
                 self.events.append(
-                    EventRecord(t, "informed", i, {"receivers": receivers, "kinds": ["exit_blocked"]})
+                    EventRecord(
+                        t, "informed", int(rows[0, 0]), {"receivers": rows[:, 1].tolist(), "kinds": ["exit_blocked"]}
+                    )
                 )
 
     def _exit_agent(self, i: int, t: float, zone_id: int, door_id: str | None) -> None:

@@ -624,28 +624,31 @@ class PopulationSpec:
             # the topology drops the rooms with no way out
             if all(n.id != self.spawn_node for n in topology.nodes):
                 raise SemanticViolation("population.spawn.node", f"room {self.spawn_node} cannot reach an exit")
-        cells = self.spawn_cells(geometry)
-        if self.count > 0 and not cells:
+        free = np.count_nonzero(self._spawn_mask(geometry)[0])
+        if self.count > 0 and not free:
             region = "rect" if self.spawn_rect is not None else "grid"
             raise SemanticViolation("population.spawn", f"{region} holds no empty cell to spawn on")
         # bodies are placed by a sampler that reports its own failure
-        if not config.bodies and self.count > len(cells):
-            raise SemanticViolation("population.spawn", f"region has {len(cells)} free cells for {self.count} agents")
+        if not config.bodies and self.count > free:
+            raise SemanticViolation("population.spawn", f"region has {free} free cells for {self.count} agents")
         self.attribute_specs(config.params())
 
-    def spawn_cells(self, geometry: Geometry) -> list[tuple[int, int]]:
-        """The cells (x, y) people spawn on, in reading order: the empty
-        cells of the rect, the cells of the room, or every empty cell."""
-        x0 = y0 = 0
+    def _spawn_mask(self, geometry: Geometry) -> tuple[np.ndarray, int, int]:
+        """The spawn cells as a mask over the part of the grid whose
+        corner cell is the (x0, y0) returned with it."""
         if self.spawn_node is not None:
-            mask = geometry.room_labels == self.spawn_node
-        elif self.spawn_rect is not None:
+            return geometry.room_labels == self.spawn_node, 0, 0
+        if self.spawn_rect is not None:
             x0, y0, x1, y1 = self.spawn_rect
-            mask = geometry.kinds[y0:y1 + 1, x0:x1 + 1] == CellKind.EMPTY
-        else:
-            mask = geometry.kinds == CellKind.EMPTY
+            return geometry.kinds[y0:y1 + 1, x0:x1 + 1] == CellKind.EMPTY, x0, y0
+        return geometry.kinds == CellKind.EMPTY, 0, 0
+
+    def spawn_cells(self, geometry: Geometry) -> np.ndarray:
+        """The (K, 2) cells (x, y) people spawn on, in reading order: the
+        empty cells of the rect, the cells of the room, or every empty cell."""
+        mask, x0, y0 = self._spawn_mask(geometry)
         ys, xs = np.nonzero(mask)
-        return list(zip((xs + x0).tolist(), (ys + y0).tolist()))
+        return np.column_stack([xs + x0, ys + y0])
 
     def attribute_specs(self, params: dict) -> dict[str, DistSpec]:
         """Every agent attribute's distribution, defaults filled in, each

@@ -9,10 +9,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evacsim import SchemaViolation, SemanticViolation, SimulationError
+from evacsim import agents as agents_module
 from evacsim.agents import (
     NO_TARGET,
     AgentStatus,
@@ -789,12 +791,13 @@ def test_inform_neighbors_reaches_the_people_in_sight():
     world = _split_room_world(120, np.random.default_rng(6))
     pop = world.pop
     everyone = _present(pop)
-    _neighbour_stats(world, np.array(everyone))  # the round's hash is at the congestion radius first
     rng, reference = np.random.default_rng(9), np.random.default_rng(9)
     beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
     heard = 0
     for i in everyone[::7]:
-        got = inform_neighbors(i, np.array([1]), world, beliefs, rng)
+        delivered = inform_neighbors(np.array([i]), np.array([[False, True, False]]), world, beliefs, rng)
+        assert (delivered[:, 0] == i).all()
+        got = delivered[:, 1].tolist()
         seen = [j for j in everyone if j != i and _in_sight(world, i, j, float(pop.vision[i]))]
         want = np.array(seen, dtype=np.int64)[reference.random(len(seen)) < float(pop.collaboration[i])].tolist()
         assert got == want
@@ -802,6 +805,83 @@ def test_inform_neighbors_reaches_the_people_in_sight():
         heard += len(got)
     assert heard > 0
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _inform_one_sender_at_a_time(senders, exits, world, beliefs, rng):
+    """Reference: each sender in turn tells the people in the building it
+    sees (distance in plain float arithmetic, then the sender's own sight
+    lines), one draw per neighbour in ascending id order.  Returns the
+    (sender, receiver) rows."""
+    pop = world.pop
+    cells = world.geometry.cells_of(pop.pos)
+    xs, ys, present = pop.pos[:, 0].tolist(), pop.pos[:, 1].tolist(), _present(pop)
+    delivered = []
+    for i, flags in zip(senders.tolist(), exits):
+        r2 = float(pop.vision[i]) * float(pop.vision[i])
+        seen = [
+            j for j in present if j != i and (xs[j] - xs[i]) * (xs[j] - xs[i]) + (ys[j] - ys[i]) * (ys[j] - ys[i]) <= r2
+        ]
+        if seen and world.has_interior_blockers:
+            clear = los_pairs(world.geometry.blocked_mask, cells[[i] * len(seen)], cells[seen])
+            seen = [j for j, c in zip(seen, clear.tolist()) if c]
+        receivers = np.array(seen, dtype=np.int64)[rng.random(len(seen)) < float(pop.collaboration[i])]
+        heard = np.ix_(receivers, np.flatnonzero(flags))
+        beliefs.blocked[heard] = True
+        beliefs.known[heard] = True
+        delivered += [[i, j] for j in receivers.tolist()]
+    return delivered
+
+
+def _assert_same_delivery(world, senders, exits, seed):
+    """The batched call and the one-sender reference, from the same beliefs
+    and stream, deliver the same rows, set the same bits and leave the
+    stream in the same place; returns the rows."""
+    sides = []
+    for call in (inform_neighbors, _inform_one_sender_at_a_time):
+        rng = np.random.default_rng(seed)
+        beliefs = init_beliefs(np.full(len(world.pop), 0.3), EXITS, np.random.default_rng(seed), 10.0, 1.0)
+        beliefs.blocked[::5] = beliefs.known[::5]
+        sides.append((np.asarray(call(senders, exits, world, beliefs, rng)).tolist(), beliefs, rng))
+    (got, beliefs, rng), (want, ref_beliefs, reference) = sides
+    assert got == want
+    assert np.array_equal(beliefs.blocked, ref_beliefs.blocked)
+    assert np.array_equal(beliefs.known, ref_beliefs.known)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    return got
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(doc=drills(), data=st.data())
+def test_batched_messages_match_one_sender_at_a_time_exactly(doc, data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    world = _scattered_world(doc["geometry"]["cells"], data.draw(st.integers(2, 40), label="people"), rng)
+    everyone = np.array(_present(world.pop), dtype=np.int64)
+    speaks = data.draw(st.lists(st.booleans(), min_size=len(everyone), max_size=len(everyone)), label="senders")
+    senders = everyone[np.array(speaks, dtype=bool)]
+    exits = rng.random((len(senders), EXITS)) < 0.5
+    exits[np.arange(len(senders)), rng.integers(0, EXITS, len(senders))] = True
+    block = data.draw(st.sampled_from([1, 3 * len(everyone), agents_module.INFORM_BLOCK]), label="block")
+    with mock.patch.object(agents_module, "INFORM_BLOCK", block):
+        _assert_same_delivery(world, senders, exits, seed)
+
+
+def test_a_round_of_many_senders_matches_one_sender_at_a_time_exactly():
+    # more senders than one block holds, and a receiver told of the same
+    # exit by more than 255 of them
+    rows = grid_rows(40, 24, exits=[(0, 6), (39, 6)], obstacles=[(x, y) for x in (34, 36) for y in (18, 20)])
+    world = _scattered_world(rows, 320, np.random.default_rng(14))
+    pop = world.pop
+    pop.status[:] = int(AgentStatus.MOVING)
+    pop.vision[:] = 30.0
+    pop.collaboration = np.random.default_rng(15).uniform(0.9, 1.0, len(pop))
+    senders = np.arange(len(pop))
+    exits = np.zeros((len(senders), EXITS), dtype=bool)
+    exits[:, 1] = True
+    exits[::4, 2] = True
+    assert len(senders) > agents_module.INFORM_BLOCK // len(pop.inside())
+    rows = np.array(_assert_same_delivery(world, senders, exits, 16))
+    assert np.bincount(rows[:, 1]).max() > 255
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -855,7 +935,7 @@ def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
 
     asked = []
     query = world.neighbours
-    world.neighbours = lambda observers, radius, reach: asked.append(observers.copy()) or query(observers, radius, reach)
+    world.neighbours = lambda observers, radius: asked.append(observers.copy()) or query(observers, radius)
     decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
     assert len(asked) == 1 and np.array_equal(asked[0], rows[chosen])
     assert np.array_equal(pop.target[rows[chosen]], want)

@@ -24,6 +24,8 @@ import pytest
 
 import evacsim.socialforce as sf_mod
 from evacsim import EMPTY_STATE_DIGEST, export_trajectories, parse_scenario, run, serialize_scenario
+from evacsim.agents import AgentStatus
+from evacsim.engine import SENSE_EPS, _Simulation
 
 from conftest import SCENARIOS, grid_rows, room_doc, run_cli
 
@@ -495,3 +497,42 @@ def test_cli_run_writes_the_same_digest(tmp_path):
 
 def test_empty_state_digest_is_pinned():
     assert EMPTY_STATE_DIGEST == "5250a507f994740e"
+
+
+class _EveryTickPremovement(_Simulation):
+    """Reference: the pre-movement rule tested on every tick, with no
+    sleep until the earliest pending delay."""
+
+    def _premovement_phase(self, t):
+        waiting = self.pop.status == int(AgentStatus.PREMOVEMENT)
+        go = self.sensed
+        if t + SENSE_EPS >= self.config.alarm_time:
+            go = go | (t + SENSE_EPS >= self.config.alarm_time + self.pop.reaction_time)
+        start = np.flatnonzero(waiting & go)
+        self.pop.status[start] = int(AgentStatus.MOVING)
+        return start
+
+
+@pytest.mark.parametrize(
+    "name, max_sim_time, backend, smoke, alarm_time",
+    [
+        pytest.param("herding_two_exit", 10.0, "ca", SMOKE_BESIDE_EXIT, 0.0, id="smoke-ca"),
+        pytest.param("herding_two_exit", 30.0, "flow", LETHAL_SMOKE, 2.5, id="lethal-flow-alarm"),
+        pytest.param("two_rooms", 20.0, "sf", None, 3.0, id="two_rooms-sf-alarm"),
+    ],
+)
+def test_premovement_starts_everyone_on_the_tick_an_every_tick_check_does(
+    name, max_sim_time, backend, smoke, alarm_time
+):
+    doc = json.loads(_scenario_text(name, max_sim_time, backend, smoke))
+    doc["config"]["alarm_time"] = alarm_time
+    doc["config"].setdefault("overrides", {})["trajectory_interval"] = 1e-6  # a sample every tick
+    scenario = parse_scenario(json.dumps(doc))
+    got = _Simulation(scenario, scenario.config).run()
+    want = _EveryTickPremovement(scenario, scenario.config).run()
+    started = [np.flatnonzero(sample[5] != int(AgentStatus.PREMOVEMENT)) for sample in want.trajectory]
+    assert len(started[0]) < len(started[-1])  # people start during the run, not all at once
+    assert len(got.trajectory) == len(want.trajectory)
+    for g, w in zip(got.trajectory, want.trajectory):
+        assert g[0] == w[0] and np.array_equal(g[5], w[5])
+    assert got.digest == want.digest

@@ -6,10 +6,12 @@ from __future__ import annotations
 import ast
 import glob
 import importlib
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import evacsim
 
@@ -213,6 +215,29 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     for owner, attr, _, _ in tracing.WRAPPED:
         assert not hasattr(owner.__dict__[attr], "__wrapped__"), attr
     assert {"agents.percepts", "agents.decide", "agents.choose_exit", "sf.step"} <= names
+
+
+def test_the_traced_receiver_count_is_the_informed_events_receivers(monkeypatch):
+    # perfbench/tracing.py counts agents.receivers as the length of what
+    # each inform_neighbors call returns: one row per delivery
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    tracing = importlib.import_module("tracing")
+    with open(os.path.join(ROOT, "scenarios", "herding_two_exit.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["hazard"]["builtin"].update(source=[4, 21], rate=3.0)
+    scenario = evacsim.parse_scenario(json.dumps(doc))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = evacsim.run(scenario, replace(scenario.config, max_sim_time=10.0))
+    finally:
+        tracer.uninstall()
+    informed = [e for e in result.events if e.kind == "informed"]
+    receivers = sum(len(e.payload["receivers"]) for e in informed)
+    assert receivers > 0
+    assert tracer.counts["agents.receivers"] == receivers
+    # one call per decision round with a sender, not one per sender
+    assert 0 < tracer.names.count("agents.inform") < len(informed)
 
 
 def _starts_with_the_tick(message) -> bool:
