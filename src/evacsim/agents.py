@@ -25,13 +25,11 @@ ascending id order, and calls :func:`choose_exit` once for the rows that
 need an exit; only those rows sense the herd (the votes, totals,
 congestion and follow distances of visible neighbours).  After the round
 every agent that saw an exit blocked tells its visible neighbours, all
-the round's senders in one call (:func:`inform_neighbors`).  The herd
-finds neighbours through :meth:`WorldView.neighbours`: each query point
-looks up the 5x5 block of half-width buckets around it in a spatial
-hash of everyone in the building, bucketed at the congestion radius, so
-only the pairs of the round's observers are enumerated.  Messages reach
-as far as sight, which spans a room, so each block of senders is tested
-against everyone in the building directly.
+the round's senders in one call (:func:`inform_neighbors`).  Both ask
+who sees whom through one test, :meth:`WorldView.in_sight`.  Sight
+spans a room, so a cell hash would skip few people: each block of
+observers is tested against everyone in the building, by squared
+distance and then by sight line.
 
 How the body gets to the target exit (a social-force waypoint, a lattice
 step down the exit's distance field, a queue on the route network) is
@@ -51,7 +49,6 @@ import numpy as np
 from .errors import SimulationError
 from .hazard import visibility_range_bulk
 from .scenario import FLOAT01, DistSpec, Geometry, PopulationSpec, los_pairs
-from .spatialhash import SpatialHash
 
 
 class AgentStatus(IntEnum):
@@ -382,12 +379,15 @@ def init_beliefs(
 # ---------------------------------------------------------------------------
 
 
+PAIR_BLOCK = 1 << 15  # observer x person elements in one block of the sight test
+
+
 @dataclass
 class WorldView:
     """What the perception/decision layer reads in one round: the
     population plus this tick's hazard exposure and the exit geometry.
-    The herd statistics find who sees whom through :meth:`neighbours`,
-    one cell-list query of the round's observers."""
+    The herd statistics and the exit-blocked messages find who sees whom
+    through :meth:`in_sight`."""
 
     geometry: Geometry
     params: dict
@@ -401,33 +401,42 @@ class WorldView:
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
     ambient_air: bool = False      # hazard frames are all-clear this round
-    hash: SpatialHash | None = None  # agents in the building, built by the round's first query
 
-    def neighbours(self, observers: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (k, seen, d2): agent ``seen``, in the building and not
-        ``observers[k]`` itself, lies within ``radius[k]`` of it (d2 the
-        squared distance) with a clear line of sight.  The triples are
-        grouped by ascending k, in ``SpatialHash.query_points`` order
-        within a group, not by seen id.
-
-        Every radius is at most the congestion radius, the bucket size of
-        the hash of the agents in the building, which the round's first
-        query builds.
+    def in_sight(self, observers: np.ndarray, radius: np.ndarray):
+        """Whom each observer sees, in blocks of at most ``PAIR_BLOCK``
+        observer x person elements.  Yields ``(rows, near, d2)`` per block:
+        ``rows`` slices ``observers`` (and ``radius``, one per observer),
+        and ``near[k, j]`` holds when the j-th person in the building
+        (``pop.inside()``, ascending) is not observer k itself, lies within
+        its radius (``d2`` the squared distances) and, where interior
+        blockers stand, is on a clear sight line from it.
         """
-        if self.hash is None:
-            present = self.pop.inside()
-            self.hash = SpatialHash(
-                self.pop.pos.take(present, axis=0), float(self.params["congestion_radius"]), ids=present
-            )
-        points = self.pop.pos.take(observers, axis=0)
-        k, seen, d2 = self.hash.query_points(points, radius, exclude=observers)
-        if len(k) and self.has_interior_blockers:
-            cells_of = self.geometry.cells_of
-            clear = los_pairs(
-                self.geometry.blocked_mask, cells_of(points).take(k, axis=0), cells_of(self.pop.pos.take(seen, axis=0))
-            )
-            k, seen, d2 = k[clear], seen[clear], d2[clear]
-        return k, seen, d2
+        pop, geometry = self.pop, self.geometry
+        people = pop.inside()
+        px, py = pop.pos[people, 0], pop.pos[people, 1]
+        if self.has_interior_blockers:
+            cells = geometry.cells_of(pop.pos.take(people, axis=0))
+        step = max(1, PAIR_BLOCK // max(len(people), 1))
+        for lo in range(0, len(observers), step):
+            rows = slice(lo, lo + step)
+            block = observers[rows]
+            # (x - px) ** 2 + (y - py) ** 2, in place
+            d2 = pop.pos[block, 0][:, None] - px
+            d2 *= d2
+            dy = pop.pos[block, 1][:, None] - py
+            dy *= dy
+            d2 += dy
+            near = d2 <= radius[rows][:, None] ** 2
+            col = np.searchsorted(people, block)  # each observer's own column, if it is inside
+            own = np.flatnonzero(col < len(people))
+            own = own[people[col[own]] == block[own]]
+            near[own, col[own]] = False
+            if self.has_interior_blockers:
+                k, j = np.nonzero(near)
+                origin = geometry.cells_of(pop.pos.take(block, axis=0))
+                blind = ~los_pairs(geometry.blocked_mask, origin.take(k, axis=0), cells.take(j, axis=0))
+                near[k[blind], j[blind]] = False
+            yield rows, near, d2
 
 
 SIGHT_SAMPLES = 8  # points sampled along each sight line
@@ -498,20 +507,28 @@ def _neighbour_stats(world: WorldView, indices: np.ndarray):
     n_zones = len(world.zone_cells)
     n = len(indices)
     r_cap = float(world.params["congestion_radius"])
-    rows, seen, d2 = world.neighbours(indices, np.minimum(pop.vision[indices], r_cap))
+    people = pop.inside()
+    width = len(people)
+    # each pair as its flat index into the (n, people) sight mask, and its d2
+    at, d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for block_rows, near, block_d2 in world.in_sight(indices, np.minimum(pop.vision[indices], r_cap)):
+        kept = np.flatnonzero(near)  # faster than a 2-D nonzero
+        at.append(kept + block_rows.start * width)
+        d2.append(block_d2.ravel().take(kept))
+    # the pairs are a decision round's largest arrays: each list of pieces
+    # goes as it is joined, and the flat indices once read
+    at = np.concatenate(at)
+    d2 = np.concatenate(d2)
+    # each row's pairs in ascending seen id, the order fractional weights are summed in
+    rows = at // width
+    seen = people.take(at - rows * width)
+    del at
     # observer terms once per row, spread over each row's run of pairs
     per_row = np.bincount(rows, minlength=n)
     role = pop.role[indices]
     rank = np.repeat(np.where(role > 0, role, np.iinfo(np.int64).max), per_row)
     roles_seen = pop.role[seen]
     leader = (roles_seen > 0) & (roles_seen < rank)
-    # unit weights sum exactly in any pair order; a row that sees a leader sums
-    # fractional weights, so its pairs are put in seen id order first
-    sees_leader = np.bincount(rows[leader], minlength=n) > 0
-    if sees_leader.any():
-        mine = np.flatnonzero(sees_leader[rows])
-        by_id = mine[np.lexsort((seen[mine], rows[mine]))]
-        seen[mine], d2[mine], leader[mine] = seen[by_id], d2[by_id], leader[by_id]
     weight = np.where(leader, np.repeat(1.0 + pop.collaboration[indices], per_row), 1.0)
 
     # bincount adds in array order; it gives ints when empty
@@ -654,9 +671,6 @@ def update_insistence(
     )
 
 
-INFORM_BLOCK = 1 << 15  # sender x person pairs in one block of the messaging distance test
-
-
 def inform_neighbors(
     senders: np.ndarray, exits: np.ndarray, world: WorldView, beliefs: Beliefs, rng: np.random.Generator
 ) -> np.ndarray:
@@ -665,34 +679,22 @@ def inform_neighbors(
     probability equal to the sender's collaboration.  One hop per tick:
     receivers do not relay until their own next decision round.
 
-    ``senders`` are ascending ids.  Each is tested against everyone in
-    the building, blocks of senders at a time, with the squared-distance
-    test of ``SpatialHash.query_points``.  The round draws one number per
+    ``senders`` are ascending ids, and each sees as far as its sight
+    range (:meth:`WorldView.in_sight`).  The round draws one number per
     (sender, neighbour) pair, senders in turn and each one's neighbours
     in id order, so the stream moves as if the senders spoke one by one.
     Returns the (R, 2) (sender, receiver) id rows of the deliveries in
     that order."""
-    pop, geometry = world.pop, world.geometry
+    pop = world.pop
     people = pop.inside()
-    px, py = pop.pos[people, 0], pop.pos[people, 1]
-    if world.has_interior_blockers:
-        cells = geometry.cells_of(pop.pos.take(people, axis=0))
-    step = max(1, INFORM_BLOCK // max(len(people), 1))
     told = np.zeros((exits.shape[1], len(people)), dtype=bool)  # who heard of each exit
     blocks = []  # (senders, (senders, people) mask of whom each one told)
-    for lo in range(0, len(senders), step):
-        block = senders[lo:lo + step]
-        x, y = pop.pos[block, 0][:, None], pop.pos[block, 1][:, None]
-        near = ((x - px) ** 2 + (y - py) ** 2 <= pop.vision[block][:, None] ** 2) & (people != block[:, None])
-        if world.has_interior_blockers:
-            k, j = np.nonzero(near)
-            origin = geometry.cells_of(pop.pos.take(block, axis=0))
-            blind = ~los_pairs(geometry.blocked_mask, origin.take(k, axis=0), cells.take(j, axis=0))
-            near[k[blind], j[blind]] = False
+    for rows, near, _ in world.in_sight(senders, pop.vision[senders]):
+        block = senders[rows]
         drawn = np.ones(near.shape)
         drawn[near] = rng.random(np.count_nonzero(near))  # row-major: senders in turn, people by id
         heard = near & (drawn < pop.collaboration[block][:, None])
-        for e, flags in enumerate(exits[lo:lo + step].T):
+        for e, flags in enumerate(exits[rows].T):
             told[e] |= heard[flags].any(axis=0)
         blocks.append((block, heard))
     for e, heard in enumerate(told):

@@ -613,10 +613,6 @@ class PopulationSpec:
                 raise SemanticViolation("population.spawn", "rect corners are inverted")
             if not (geometry.in_bounds(x0, y0) and geometry.in_bounds(x1, y1)):
                 raise SemanticViolation("population.spawn", "rect extends outside the grid")
-            box = np.s_[y0:y1 + 1, x0:x1 + 1]
-            sealed = int((geometry.open_mask[box] & ~np.isfinite(geometry.exit_distance[box])).sum())
-            if sealed:
-                raise SemanticViolation("population.spawn", f"{sealed} open cell(s) in the rect cannot reach an exit")
         if self.spawn_node is not None:
             topology = geometry.topology
             if self.spawn_node not in range(topology.n_rooms):
@@ -624,9 +620,14 @@ class PopulationSpec:
             # the topology drops the rooms with no way out
             if all(n.id != self.spawn_node for n in topology.nodes):
                 raise SemanticViolation("population.spawn.node", f"room {self.spawn_node} cannot reach an exit")
-        free = np.count_nonzero(self._spawn_mask(geometry)[0])
+        mask, x0, y0 = self._spawn_mask(geometry)
+        region = "rect" if self.spawn_rect is not None else "grid"  # a room with no way out is refused above
+        height, width = mask.shape
+        sealed = np.count_nonzero(mask & ~np.isfinite(geometry.exit_distance[y0:y0 + height, x0:x0 + width]))
+        if sealed:
+            raise SemanticViolation("population.spawn", f"{sealed} open cell(s) in the {region} cannot reach an exit")
+        free = np.count_nonzero(mask)
         if self.count > 0 and not free:
-            region = "rect" if self.spawn_rect is not None else "grid"
             raise SemanticViolation("population.spawn", f"{region} holds no empty cell to spawn on")
         # bodies are placed by a sampler that reports its own failure
         if not config.bodies and self.count > free:

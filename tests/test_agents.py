@@ -738,6 +738,19 @@ def _neighbour_stats_one_pair_at_a_time(world, deciders):
     return votes, totals, congestion, follow
 
 
+def _assert_same_stats(world, rows):
+    """``_neighbour_stats`` of ``rows`` equals the one-pair reference with
+    ``PAIR_BLOCK`` holding one observer, three, or as shipped; returns the
+    stats."""
+    want = _neighbour_stats_one_pair_at_a_time(world, rows)
+    for block in (1, 3 * len(world.pop.inside()), agents_module.PAIR_BLOCK):
+        with mock.patch.object(agents_module, "PAIR_BLOCK", block):
+            got = _neighbour_stats(world, rows)
+        for name, g, w in zip(("votes", "totals", "congestion", "follow"), got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (name, block)
+    return got
+
+
 @pytest.mark.parametrize(
     "deciders, room",
     [
@@ -751,10 +764,7 @@ def test_neighbour_stats_match_one_pair_at_a_time_exactly(deciders, room):
     world = room(120, np.random.default_rng(5))
     everyone = np.array(_present(world.pop))
     rows = everyone if deciders == "everyone" else everyone[[3, 40]]
-    got = _neighbour_stats(world, rows)
-    want = _neighbour_stats_one_pair_at_a_time(world, rows)
-    for name, g, w in zip(("votes", "totals", "congestion", "follow"), got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    got = _assert_same_stats(world, rows)
     # the rows reach every filter: leader weights, sight short of the
     # congestion radius, and a blocked cell between people close enough to count
     pop = world.pop
@@ -774,10 +784,7 @@ def test_neighbour_stats_with_few_leaders_match_one_pair_at_a_time_exactly():
     pop.role[:] = 0
     pop.role[everyone[[5, 50, 90]]] = [1, 2, 1]
     pop.vision[everyone[7]] = 0.0
-    got = _neighbour_stats(world, everyone)
-    want = _neighbour_stats_one_pair_at_a_time(world, everyone)
-    for name, g, w in zip(("votes", "totals", "congestion", "follow"), got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    got = _assert_same_stats(world, everyone)
     totals = got[1]
     whole = totals == np.floor(totals)
     assert (~whole).any() and (whole & (totals > 0)).any()
@@ -785,6 +792,22 @@ def test_neighbour_stats_with_few_leaders_match_one_pair_at_a_time_exactly():
     d = np.linalg.norm(pop.pos[everyone][:, None] - pop.pos[everyone][None], axis=2)
     near = (d <= PARAM_DEFAULTS["congestion_radius"]) & (d > 0)
     assert any(not _in_sight(world, int(everyone[r]), int(everyone[c]), math.inf) for r, c in zip(*np.nonzero(near)))
+
+
+def test_neighbour_stats_of_observers_outside_the_building_match_one_pair_at_a_time_exactly():
+    # an observer who has left leaves out only itself: each stands on the
+    # spot of the person in the building whose id follows its own, and the
+    # one with the highest id sorts past everyone in the building
+    world = _split_room_world(120, np.random.default_rng(13))
+    pop = world.pop
+    outside = np.array([40, len(pop) - 1])
+    pop.status[outside] = int(AgentStatus.EXITED)
+    everyone = np.array(_present(pop))
+    follower = everyone[np.minimum(np.searchsorted(everyone, outside), len(everyone) - 1)]
+    pop.pos[outside] = pop.pos[follower]
+    pop.vision[outside] = 5.0
+    got = _assert_same_stats(world, np.concatenate([everyone[:20], outside]))
+    assert (got[1][-2:] >= 1).all()
 
 
 def test_inform_neighbors_reaches_the_people_in_sight():
@@ -861,8 +884,8 @@ def test_batched_messages_match_one_sender_at_a_time_exactly(doc, data):
     senders = everyone[np.array(speaks, dtype=bool)]
     exits = rng.random((len(senders), EXITS)) < 0.5
     exits[np.arange(len(senders)), rng.integers(0, EXITS, len(senders))] = True
-    block = data.draw(st.sampled_from([1, 3 * len(everyone), agents_module.INFORM_BLOCK]), label="block")
-    with mock.patch.object(agents_module, "INFORM_BLOCK", block):
+    block = data.draw(st.sampled_from([1, 3 * len(everyone), agents_module.PAIR_BLOCK]), label="block")
+    with mock.patch.object(agents_module, "PAIR_BLOCK", block):
         _assert_same_delivery(world, senders, exits, seed)
 
 
@@ -879,7 +902,7 @@ def test_a_round_of_many_senders_matches_one_sender_at_a_time_exactly():
     exits = np.zeros((len(senders), EXITS), dtype=bool)
     exits[:, 1] = True
     exits[::4, 2] = True
-    assert len(senders) > agents_module.INFORM_BLOCK // len(pop.inside())
+    assert len(senders) > agents_module.PAIR_BLOCK // len(pop.inside())
     rows = np.array(_assert_same_delivery(world, senders, exits, 16))
     assert np.bincount(rows[:, 1]).max() > 255
 
@@ -908,8 +931,12 @@ def test_a_round_where_nobody_rechooses_senses_no_neighbour():
     pop.target[rows] = rows % EXITS
     pop.insistence[:] = 1.0
     beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
-    _, replanned, _ = decide(pop, rows, build_percepts(world, rows), beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
-    assert world.hash is None
+    percepts = build_percepts(world, rows)
+    asked = []
+    sight = world.in_sight
+    world.in_sight = lambda observers, radius: asked.append(observers.copy()) or sight(observers, radius)
+    _, replanned, _ = decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
+    assert not asked
     assert not replanned.any() and np.array_equal(pop.target[rows], rows % EXITS)
 
 
@@ -927,15 +954,15 @@ def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
     percepts = build_percepts(world, rows)
     chosen = np.flatnonzero(kind > 0)
     # with no exit in sight or known, each choice follows the herd: from one
-    # query of every row, on a view of its own
-    votes, totals, congestion, follow = (s[chosen] for s in _neighbour_stats(replace(world), rows))
+    # query of every row
+    votes, totals, congestion, follow = (s[chosen] for s in _neighbour_stats(world, rows))
     herd = replace(percepts.take(chosen), votes=votes, totals=totals, congestion=congestion, follow=follow)
     want = choose_exit(pop, rows[chosen], herd, beliefs, PARAM_DEFAULTS)
     assert (want != NO_TARGET).any() and (want != pop.target[rows[chosen]]).any()
 
     asked = []
-    query = world.neighbours
-    world.neighbours = lambda observers, radius: asked.append(observers.copy()) or query(observers, radius)
+    sight = world.in_sight
+    world.in_sight = lambda observers, radius: asked.append(observers.copy()) or sight(observers, radius)
     decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
     assert len(asked) == 1 and np.array_equal(asked[0], rows[chosen])
     assert np.array_equal(pop.target[rows[chosen]], want)

@@ -71,6 +71,16 @@ def _sealed_west_room(spawn=None):
             ("ca", "flow", "sf"),
             id="sealed-spawn-rect",
         ),
+        pytest.param(
+            "minimal_room",
+            {
+                "geometry": {"cell_size": 0.5, "cells": grid_rows(10, 5, exits=[(9, 2)], walls=[(4, 1), (4, 2), (4, 3)])},
+                "population": {"count": 6, "spawn": None},
+            },
+            "population.spawn: 9 open cell(s) in the grid cannot reach an exit",
+            ("ca", "flow", "sf"),
+            id="sealed-spawn-grid",
+        ),
         # people spawn on empty cells only: not on walls, not on exits
         pytest.param(
             "minimal_room",
@@ -301,6 +311,43 @@ def test_a_non_finite_or_mistyped_number_is_one_error_line(tmp_path, update, com
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.count("evacsim:error:") == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr.startswith(f"evacsim:error: {message}"), proc.stderr
+
+
+def _sweep(param="params.v_ref", values="1.3", seeds="0"):
+    """A sweep of minimal_room: the command, the scenario file, its flags."""
+    return ("sweep", "minimal_room.json", "--param", param, "--values", values, "--seeds", seeds)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param(("validate", "no_such_scenario.json"), "scenario: cannot read", id="unreadable-file"),
+        pytest.param(_sweep(seeds="0,x"), "sweep.seeds: bad seed token 'x'", id="seeds-bad-token"),
+        pytest.param(_sweep(seeds="5:5"), "sweep.seeds: need at least one seed", id="seeds-empty-range"),
+        pytest.param(_sweep(values=","), "sweep.values: need at least one value", id="values-empty"),
+        pytest.param(
+            _sweep(param="config.seed"), "sweep.param: config field 'seed' cannot be swept", id="param-config-seed"
+        ),
+        pytest.param(
+            _sweep(param="geometry.cell_size"),
+            "sweep.param: unknown parameter path 'geometry.cell_size'",
+            id="param-unknown",
+        ),
+        pytest.param(
+            _sweep(param="population.count", values="2.5"),
+            "sweep.param: population.count needs a non-negative integer",
+            id="count-2.5",
+        ),
+    ],
+)
+def test_a_refused_command_line_is_one_error_line(tmp_path, command, message):
+    name, scenario, *flags = command
+    out = ("--out", tmp_path / "out") if name != "validate" else ()
+    proc = run_cli(name, os.path.join(SCENARIOS, scenario), *flags, *out)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.count("evacsim:error:") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"evacsim:error: {message}"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [("max_sim_time", "10"), ("alarm_time", None)])

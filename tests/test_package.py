@@ -153,6 +153,28 @@ def test_the_route_search_is_written_once():
     assert users == ["distance_field"]
 
 
+def test_the_sight_test_is_written_once():
+    # who sees whom within a radius is one test (WorldView.in_sight), read
+    # by the herd statistics and the exit-blocked messages alike; the cell
+    # hash serves only the social-force neighbour list, and the one other
+    # sight line in agents runs from a person to an exit
+    trees = _trees()
+    importers = sorted(
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and ((node.module or "").endswith("spatialhash") or any(alias.name == "SpatialHash" for alias in node.names))
+    )
+    assert importers == ["socialforce"]
+    users = sorted(
+        node.name
+        for node in ast.walk(trees["agents"])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _names(node)["los_pairs"]
+    )
+    assert users == ["build_percepts", "in_sight"]
+
+
 def test_each_kind_of_default_is_resolved_in_one_module():
     # RunConfig.params() is the one merge of the model parameters, and the
     # scenario parser the one merge of the smoke generator's; every other
