@@ -12,13 +12,12 @@ synchronous and order-free.
 Different walking speeds live on the fixed lattice by step skipping: a
 slow agent simply sits out a fraction of the ticks.
 
-The lattice keeps no coordinates of its own.  Each agent stands at the
+The lattice keeps no record of its own.  Each agent stands at the
 centre of its cell in the population's ``pos`` array, which is where its
-cell is read and where a move writes the new centre.
+cell is read and where a move writes the new centre; the occupancy grid
+is built from those cells at the start of every step by ``lattice``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,55 +27,19 @@ from .scenario import Geometry
 EMPTY_CELL = -1
 
 
-@dataclass
-class CaState:
-    """Occupancy lattice over the population's own ``pos`` array.
-
-    Every agent on the lattice stands at its cell's centre, so its cell is
-    read off ``pos``; ``ca_step`` moves ``pos`` in place.  Who is in the
-    building is not recorded here: the caller passes those ids to
-    ``ca_step`` and ``check_bijection`` and calls ``vacate`` for each
-    person who leaves.
-    """
-
-    occupancy: np.ndarray                    # (H, W) int32, agent id or EMPTY_CELL
-    pos: np.ndarray                          # (N, 2) float64 cell centres in metres, by agent id
-    cell_size: float
-
-    @classmethod
-    def from_positions(cls, geometry: Geometry, pos: np.ndarray) -> "CaState":
-        occupancy = np.full((geometry.height, geometry.width), EMPTY_CELL, dtype=np.int32)
-        state = cls(occupancy=occupancy, pos=pos, cell_size=geometry.cell_size)
-        for agent_id, (cx, cy) in enumerate(state.cells(np.arange(len(pos))).tolist()):
-            if occupancy[cy, cx] != EMPTY_CELL:
-                raise SimulationError(f"agents {int(occupancy[cy, cx])} and {agent_id} spawned into cell {(cx, cy)}")
-            occupancy[cy, cx] = agent_id
-        return state
-
-    def cells(self, ids: np.ndarray) -> np.ndarray:
-        """(n, 2) int64 cells (x, y) of the agents ``ids``."""
-        return (self.pos.take(ids, axis=0) / self.cell_size).astype(np.int64)
-
-    def vacate(self, agent_id: int) -> None:
-        """Free the cell of an agent who left the building (exit or death).
-
-        Call it once per agent: afterwards the cell may hold someone else."""
-        cx, cy = self.cells(np.array([agent_id]))[0]
-        self.occupancy[cy, cx] = EMPTY_CELL
-
-    def check_bijection(self, present: np.ndarray, tick: int) -> None:
-        """The lattice holds exactly the ids ``present``, each on the cell
-        its position lies in; a fault is reported at ``tick``."""
-        ys, xs = np.nonzero(self.occupancy != EMPTY_CELL)
-        ids = self.occupancy[ys, xs]
-        if len(ids) != len(present):
-            raise SimulationError(f"tick {tick}: occupancy cell count != present agent count")
-        if (np.bincount(ids) > 1).any():
-            raise SimulationError(f"tick {tick}: one agent occupies two cells")
-        cx, cy = self.cells(present).T
-        stray = present[self.occupancy[cy, cx] != present]
-        if len(stray):
-            raise SimulationError(f"tick {tick}: agents {stray.tolist()} are not where the lattice holds them")
+def lattice(cells: np.ndarray, ids: np.ndarray, geometry: Geometry, tick: int) -> np.ndarray:
+    """(H, W) int32 occupancy grid holding each of ``ids`` on its cell in
+    the (n, 2) ``cells``, EMPTY_CELL elsewhere.  Two people on one cell
+    are a fault, reported at ``tick``."""
+    occupancy = np.full((geometry.height, geometry.width), EMPTY_CELL, dtype=np.int32)
+    cx, cy = cells.T
+    occupancy[cy, cx] = ids
+    shared = np.flatnonzero(occupancy[cy, cx] != ids)
+    if len(shared):
+        x, y = cells[shared[0]].tolist()
+        agents = ids[(cx == x) & (cy == y)].tolist()
+        raise SimulationError(f"tick {tick}: agents {agents} stand on one cell {(x, y)}")
+    return occupancy
 
 
 def speed_ticks(v_eff, v_grid: float) -> np.ndarray:
@@ -109,29 +72,33 @@ def conflict_winners(flat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def ca_step(
-    state: CaState,
+    pos: np.ndarray,
     geometry: Geometry,
     fields: np.ndarray,
     field_index: np.ndarray,
     move_ids: np.ndarray,
+    occupancy: np.ndarray,
     rng: np.random.Generator,
     noise: float,
 ) -> np.ndarray:
     """Advance the lattice one synchronous step.
 
-    ``fields`` is a stack of distance fields (cells); ``field_index[i]``
-    picks the stack layer agent i descends.  ``move_ids`` lists, in
-    ascending order, the ids attempting a move this tick (already
-    filtered for status, mobility and step skipping).  A winner frees its
-    old cell, takes the new one and stands at its centre in
-    ``state.pos``.  Returns the ids that actually changed cell.
+    ``pos`` holds every agent at its cell's centre; ``occupancy`` is the
+    ``lattice`` of the people in the building.  ``fields`` is a stack of
+    distance fields (cells); ``field_index[i]`` picks the stack layer
+    agent i descends.  ``move_ids`` lists, in ascending order, the ids
+    attempting a move this tick (already filtered for status, mobility
+    and step skipping).  A winner stands at its new cell's centre in
+    ``pos``, the only array written.  Returns the ids that actually
+    changed cell.
     """
     n = len(move_ids)
     if n == 0:
         return move_ids
 
-    cx, cy, admissible = geometry.neighbourhood(*state.cells(move_ids).T)  # (n, 9) each
-    free = state.occupancy[cy, cx] == EMPTY_CELL
+    cells = geometry.cells_of(pos.take(move_ids, axis=0))
+    cx, cy, admissible = geometry.neighbourhood(*cells.T)  # (n, 9) each
+    free = occupancy[cy, cx] == EMPTY_CELL
     admissible[:, 1:] &= free[:, 1:]         # staying on one's own cell is always allowed
 
     layer = field_index[move_ids]
@@ -149,12 +116,7 @@ def ca_step(
     ty = cy[movers, pick[movers]]
     winners = conflict_winners(ty * geometry.width + tx, rng)
 
-    win_rows = movers[winners]
-    ids = move_ids[win_rows]
-    new_x = tx[winners]
-    new_y = ty[winners]
-    state.occupancy[cy[win_rows, 0], cx[win_rows, 0]] = EMPTY_CELL  # step 0 is one's own cell
-    state.occupancy[new_y, new_x] = ids
-    state.pos[ids, 0] = (new_x + 0.5) * state.cell_size
-    state.pos[ids, 1] = (new_y + 0.5) * state.cell_size
+    ids = move_ids[movers[winners]]
+    pos[ids, 0] = (tx[winners] + 0.5) * geometry.cell_size
+    pos[ids, 1] = (ty[winners] + 0.5) * geometry.cell_size
     return ids

@@ -12,14 +12,14 @@ The first three phases, exits, deaths and result assembly are shared.
 The backend is one mover from ``MOVERS``, picked by ``config.backend``;
 the shared phases call only its ``steer(ids)`` (after a decision round),
 ``step(k, t)`` (one movement tick with its arrivals, door crossings and
-clog checks), ``remove(i)`` (agent i left the building by exit or
-death) and ``warnings``.  ``Population`` is the one record of each
-agent's state, position, status, exit or death time, path length and
-replan count included: each step reads and writes it there, and no
-mover keeps a copy.  The lattice and the social-force state hold the
-population's own ``pos`` array, and the lattice mover checks once a
-tick, naming the tick ``k``, that its occupancy grid agrees with it.
-Who is in the building and who walks are its methods
+clog checks), ``remove(i)`` (agent i died) and ``warnings``.
+``Population`` is the one record of each agent's state, position,
+status, exit or death time, path length and replan count included: each
+step reads and writes it there, and no mover keeps a copy.  The
+social-force state holds the population's own ``pos`` array, and the
+lattice mover builds its occupancy grid from ``pos`` at the start of
+each step, refusing two people on one cell with an error naming the
+tick ``k``.  Who is in the building and who walks are its methods
 ``Population.inside`` and ``Population.walking``.  The hazard phase
 records in ``sensed`` whether the air at each inside agent's cell
 differs from ambient; that starts a waiting agent before its delay is
@@ -67,7 +67,7 @@ from .agents import (
     init_beliefs,
     spawn_population,
 )
-from .ca import CaState, ca_step, speed_ticks
+from .ca import ca_step, lattice, speed_ticks
 from .config import RunConfig, half_up
 from .errors import SimulationError
 from .flow import FlowState, flow_step
@@ -401,11 +401,12 @@ class _Simulation:
 
     def _leave(self, i: int, t: float, cx: int, cy: int) -> int:
         """Agent i, standing on exit cell (cx, cy), leaves the building;
-        returns the index of the door site covering that cell, or -1."""
+        returns the index of the door site covering that cell, or -1.  Only
+        the movers that walk people onto exit cells call it, and they keep
+        no one to remove."""
         site_index = int(self.site_of_cell[cy, cx])
         door_id = self.sites[site_index].door_id if site_index >= 0 else None
         self._exit_agent(i, t, int(self.geometry.zone_grid[cy, cx]), door_id)
-        self.mover.remove(i)
         return site_index
 
     # -- sampling and assembly ---------------------------------------------
@@ -508,7 +509,10 @@ class _Mover:
     """A movement backend as the shared phases see it (module docstring).
 
     The class constants give its cadence and whether it decides; a mover
-    that uses the route network derives it itself."""
+    that uses the route network derives it itself.  ``remove`` is called
+    only for a death; exits leave through ``_Simulation._leave`` or the
+    mover's own bookkeeping, so only ``flow``, whose queues hold the dead,
+    overrides it."""
 
     decision_interval = CA_DECISION_INTERVAL  # s between decision rounds by default
     trajectory_interval = 0.0  # s between samples by default; 0 = every tick
@@ -529,26 +533,26 @@ class _Mover:
 
 
 class _CaMover(_Mover):
-    """Synchronous steps on the occupancy lattice down the target's field."""
+    """Synchronous steps on the occupancy lattice down the target's field.
+
+    The mover keeps no state: each step reads the cells off ``pop.pos``
+    and builds the lattice of those still inside after arrivals."""
 
     def __init__(self, sim: _Simulation):
         super().__init__(sim)
-        self.state = CaState.from_positions(sim.geometry, sim.pop.pos)
         self.v_grid = sim.geometry.cell_size / sim.dt
-
-    def remove(self, i: int) -> None:
-        self.state.vacate(i)
 
     def step(self, k: int, t: float) -> None:
         sim = self.sim
         pop = sim.pop
-        state = self.state
+        geometry = sim.geometry
         # arrival check first: anyone standing on an exit cell leaves
         present = pop.inside()
-        cells = state.cells(present)
-        leaving = sim.geometry.zone_grid[cells[:, 1], cells[:, 0]] >= 0
+        cells = geometry.cells_of(pop.pos.take(present, axis=0))
+        leaving = geometry.zone_grid[cells[:, 1], cells[:, 0]] >= 0
         for row in np.flatnonzero(leaving).tolist():
             sim._leave(int(present[row]), t, *cells[row].tolist())
+        occupancy = lattice(cells[~leaving], present[~leaving], geometry, k)
 
         move_ids = np.flatnonzero(pop.walking())
         if len(move_ids):
@@ -558,23 +562,23 @@ class _CaMover(_Mover):
             v_des = sim.desired[move_ids]
             ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
             move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
-        field_index = np.where(pop.target >= 0, pop.target, len(sim.geometry.exit_zones)).astype(np.int64)
+        field_index = np.where(pop.target >= 0, pop.target, len(geometry.exit_zones)).astype(np.int64)
         moved = ca_step(
-            state,
-            sim.geometry,
+            pop.pos,
+            geometry,
             sim.exit_fields,
             field_index,
             move_ids,
+            occupancy,
             sim.streams.ca_conflicts,
             float(sim.params["ca_noise"]),
         )
-        state.check_bijection(present[~leaving], k)
         if len(moved) == 0:
             return
-        cs = sim.geometry.cell_size
+        cs = geometry.cell_size
         # everyone who moves was present, so their old cells were read above
         ox, oy = cells[np.searchsorted(present, moved)].T
-        nx, ny = state.cells(moved).T
+        nx, ny = geometry.cells_of(pop.pos.take(moved, axis=0)).T
         pop.path_len[moved] += np.hypot((nx - ox) * cs, (ny - oy) * cs)
         # crossings: stepping onto an instrumented span from outside it
         site_new = sim.site_of_cell[ny, nx]

@@ -28,37 +28,15 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 
 class RngStreams:
-    """Lazy bundle of the named substreams for one master seed."""
+    """The named substreams of one master seed, one attribute each.
+
+    Each stream seeds from its own spawn key, so building all six draws
+    nothing from any of them."""
 
     def __init__(self, seed: int):
-        self.seed = seed
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def get(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            self._streams[name] = substream(self.seed, name)
-        return self._streams[name]
-
-    @property
-    def spawn_attrs(self) -> np.random.Generator:
-        return self.get("spawn_attrs")
-
-    @property
-    def spawn_pos(self) -> np.random.Generator:
-        return self.get("spawn_pos")
-
-    @property
-    def reaction(self) -> np.random.Generator:
-        return self.get("reaction")
-
-    @property
-    def decisions(self) -> np.random.Generator:
-        return self.get("decisions")
-
-    @property
-    def ca_conflicts(self) -> np.random.Generator:
-        return self.get("ca_conflicts")
-
-    @property
-    def bodies(self) -> np.random.Generator:
-        return self.get("bodies")
+        self.spawn_attrs = substream(seed, "spawn_attrs")
+        self.spawn_pos = substream(seed, "spawn_pos")
+        self.reaction = substream(seed, "reaction")
+        self.decisions = substream(seed, "decisions")
+        self.ca_conflicts = substream(seed, "ca_conflicts")
+        self.bodies = substream(seed, "bodies")

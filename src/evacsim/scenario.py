@@ -269,6 +269,9 @@ class Geometry:
         for door in self.doors:
             if door.id in seen_door_ids:
                 raise SemanticViolation("geometry.doors", f"duplicate door id {door.id!r}")
+            if door.id.startswith("exit:"):
+                # the door sites name each exit no door covers exit:<zone>
+                raise SemanticViolation("geometry.doors", f"door id {door.id!r} takes the prefix 'exit:' of doorless exits")
             seen_door_ids.add(door.id)
             _check_door_span(self, door)
         warnings = []

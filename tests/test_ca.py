@@ -9,7 +9,7 @@ import pytest
 
 from evacsim import run
 from evacsim.agents import AgentStatus
-from evacsim.ca import EMPTY_CELL, CaState, ca_step, conflict_winners, speed_ticks
+from evacsim.ca import EMPTY_CELL, ca_step, conflict_winners, lattice, speed_ticks
 from evacsim.engine import _Simulation
 from evacsim.errors import SimulationError
 from evacsim.scenario import STEPS
@@ -24,25 +24,33 @@ def _geometry(rows):
     return make_scenario(doc).geometry
 
 
-def _lattice(geo, cells):
-    """A lattice with agent i at the centre of ``cells[i]``."""
-    return CaState.from_positions(geo, np.array([geo.cell_center(*cell) for cell in cells]))
+def _positions(geo, cells):
+    """Agent i at the centre of ``cells[i]``."""
+    return np.array([geo.cell_center(*cell) for cell in cells])
 
 
-def _cell(geo, state, i):
+def _lattice(geo, pos):
+    """The occupancy grid of everyone at ``pos``, built at tick 0."""
+    return lattice(geo.cells_of(pos), np.arange(len(pos)), geo, 0)
+
+
+def _cell(geo, pos, i):
     """The cell agent i's position lies in."""
-    return tuple(geo.cells_of(state.pos[i:i + 1])[0].tolist())
+    return tuple(geo.cells_of(pos[i:i + 1])[0].tolist())
 
 
 def _step_once(geo, cells, seed=0, noise=0.0, fields=None):
-    state = _lattice(geo, cells)
+    pos = _positions(geo, cells)
+    occupancy = _lattice(geo, pos)
+    before = occupancy.copy()
     if fields is None:
         fields = geo.exit_distance[None]
     idx = np.zeros(len(cells), dtype=np.int64)
     ids = np.arange(len(cells), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    moved = ca_step(state, geo, fields, idx, ids, rng, noise)
-    return state, moved
+    moved = ca_step(pos, geo, fields, idx, ids, occupancy, rng, noise)
+    assert np.array_equal(occupancy, before)  # a step writes positions only
+    return pos, moved
 
 
 # -- speed quantisation -------------------------------------------------------
@@ -87,28 +95,29 @@ def test_zero_speed_agent_never_steps():
 
 def test_agent_descends_the_distance_field():
     geo = _geometry(["######", "#...E#", "######"])
-    state, moved = _step_once(geo, [(1, 1)])
+    pos, moved = _step_once(geo, [(1, 1)])
     assert moved.tolist() == [0]
-    assert _cell(geo, state, 0) == (2, 1)
+    assert _cell(geo, pos, 0) == (2, 1)
     # the winner stands at its new cell's centre, its old cell is free
-    assert state.pos[0].tolist() == list(geo.cell_center(2, 1))
-    assert state.occupancy[1, 1] == EMPTY_CELL and state.occupancy[1, 2] == 0
+    assert pos[0].tolist() == list(geo.cell_center(2, 1))
+    occupancy = _lattice(geo, pos)
+    assert occupancy[1, 1] == EMPTY_CELL and occupancy[1, 2] == 0
 
 
 def test_agent_on_flat_field_stays_put():
     geo = _geometry(["######", "#...E#", "######"])
     flat = np.zeros((3, 6))[None]
-    state, moved = _step_once(geo, [(2, 1)], fields=flat)
+    pos, moved = _step_once(geo, [(2, 1)], fields=flat)
     assert len(moved) == 0
-    assert _cell(geo, state, 0) == (2, 1)
+    assert _cell(geo, pos, 0) == (2, 1)
 
 
 def test_blocked_agent_waits_in_line():
     geo = _geometry(["######", "#...E#", "######"])
-    state, moved = _step_once(geo, [(1, 1), (2, 1)])
+    pos, moved = _step_once(geo, [(1, 1), (2, 1)])
     # the leader advances, the follower may not enter its old cell yet
-    assert _cell(geo, state, 1) == (3, 1)
-    assert _cell(geo, state, 0) == (1, 1)
+    assert _cell(geo, pos, 1) == (3, 1)
+    assert _cell(geo, pos, 0) == (1, 1)
     assert moved.tolist() == [1]
 
 
@@ -122,8 +131,8 @@ def test_diagonal_may_not_cut_a_blocked_corner():
     ]
     geo = _geometry(rows)
     # from (1, 2) the diagonal to (2, 1) squeezes past the wall at (2, 2)
-    state, moved = _step_once(geo, [(1, 2)])
-    assert _cell(geo, state, 0) == (1, 1)
+    pos, moved = _step_once(geo, [(1, 2)])
+    assert _cell(geo, pos, 0) == (1, 1)
 
 
 def test_conflict_lottery_admits_exactly_one():
@@ -137,15 +146,15 @@ def test_conflict_lottery_admits_exactly_one():
     geo = _geometry(rows)
     wins = {1: 0, 3: 0}
     for seed in range(200):
-        state, moved = _step_once(geo, [(1, 2), (3, 2)], seed=seed)
+        pos, moved = _step_once(geo, [(1, 2), (3, 2)], seed=seed)
         assert len(moved) == 1
-        state.check_bijection(np.arange(2), 0)
+        _lattice(geo, pos)  # still one person per cell
         winner = int(moved[0])
-        winner_x = _cell(geo, state, winner)[0]
+        winner_x = _cell(geo, pos, winner)[0]
         wins[winner_x] = wins.get(winner_x, 0) + 1
         # the loser kept its cell
         loser = 1 - winner
-        assert _cell(geo, state, loser) in [(1, 2), (3, 2)]
+        assert _cell(geo, pos, loser) in [(1, 2), (3, 2)]
     # both contenders win a fair share across seeds
     assert wins[2] == 200
     assert min(w for x, w in wins.items() if x == 2) >= 0
@@ -162,7 +171,7 @@ def test_conflict_lottery_is_roughly_fair():
     geo = _geometry(rows)
     first_wins = 0
     for seed in range(300):
-        state, moved = _step_once(geo, [(1, 2), (3, 2)], seed=seed)
+        pos, moved = _step_once(geo, [(1, 2), (3, 2)], seed=seed)
         if int(moved[0]) == 0:
             first_wins += 1
     assert 90 <= first_wins <= 210
@@ -195,50 +204,16 @@ def test_conflict_winners_match_one_cell_at_a_time():
         assert rng.bit_generator.state == reference.bit_generator.state, trial
 
 
-def test_bijection_guard_catches_corruption():
+def test_the_lattice_holds_each_person_on_their_cell_and_refuses_two_on_one():
     geo = _geometry(["######", "#...E#", "######"])
-    state = _lattice(geo, [(1, 1), (2, 1)])
-    state.check_bijection(np.arange(2), 0)
-    state.occupancy[1, 2] = EMPTY_CELL  # agent 1 no longer backed by the grid
-    with pytest.raises(SimulationError):
-        state.check_bijection(np.arange(2), 0)
-
-
-def test_bijection_guard_names_each_fault():
-    geo = _geometry(["######", "#...E#", "######"])
-    everyone = np.arange(3)
-
-    def lattice(*cells):
-        state = _lattice(geo, [(1, 1), (2, 1), (3, 1)])
-        for (x, y), agent in cells:
-            state.occupancy[y, x] = agent
-        return state
-
-    lattice().check_bijection(everyone, 0)
-    with pytest.raises(SimulationError, match=r"^tick 0: occupancy cell count != present agent count$"):
-        lattice().check_bijection(everyone[:2], 0)
-    # agent 2's cell taken over by agent 1, who is then on two cells
-    with pytest.raises(SimulationError, match=r"^tick 0: one agent occupies two cells$"):
-        lattice(((3, 1), 1)).check_bijection(everyone, 0)
-    # agents 0 and 1 swapped on the grid but not in their positions
-    with pytest.raises(SimulationError, match=r"^tick 0: agents \[0, 1\] are not where the lattice holds them$"):
-        lattice(((1, 1), 1), ((2, 1), 0)).check_bijection(everyone, 0)
-
-
-def test_bijection_guard_reads_positions():
-    geo = _geometry(["#######", "#....E#", "#######"])
-    state = _lattice(geo, [(1, 1), (2, 1)])
-    state.check_bijection(np.arange(2), 5)
-    # agent 1 walks to the open cell (3, 1) behind the lattice's back
-    state.pos[1] = geo.cell_center(3, 1)
-    with pytest.raises(SimulationError, match=r"^tick 5: agents \[1\] are not where the lattice holds them$"):
-        state.check_bijection(np.arange(2), 5)
-
-
-def test_from_positions_rejects_double_occupancy():
-    geo = _geometry(["######", "#...E#", "######"])
-    with pytest.raises(SimulationError):
-        _lattice(geo, [(1, 1), (1, 1)])
+    occupancy = _lattice(geo, _positions(geo, [(3, 1), (1, 1)]))
+    assert occupancy.dtype == np.int32 and occupancy.shape == (3, 6)
+    assert occupancy[1, 3] == 0 and occupancy[1, 1] == 1
+    assert (occupancy == EMPTY_CELL).sum() == occupancy.size - 2
+    # agent 2 on agent 0's cell
+    pos = _positions(geo, [(2, 1), (1, 1), (2, 1)])
+    with pytest.raises(SimulationError, match=r"^tick 0: agents \[0, 2\] stand on one cell \(2, 1\)$"):
+        _lattice(geo, pos)
 
 
 # -- the lattice inside a run -----------------------------------------------------
@@ -250,22 +225,25 @@ def _simulation(backend):
     return _Simulation(scenario, scenario.config)
 
 
-@pytest.mark.parametrize("backend", ["ca", "sf"])
+@pytest.mark.parametrize("backend", ["sf"])
 def test_the_mover_state_moves_the_population_positions(backend):
     sim = _simulation(backend)
     assert sim.mover.state.pos is sim.pop.pos
 
 
 def test_a_lattice_fault_names_the_tick_being_stepped():
-    message = r"occupancy cell count != present agent count$"
-    # agent 0 also holds (8, 1), a cell nobody may then step onto
-    sim = _simulation("ca")
-    sim.mover.state.occupancy[1, 8] = 0
+    def corrupted():
+        # agent 1 put on agent 0's cell
+        sim = _simulation("ca")
+        sim.pop.pos[1] = sim.pop.pos[0]
+        x, y = sim.geometry.cells_of(sim.pop.pos[:1])[0].tolist()
+        return sim, rf"agents \[0, 1\] stand on one cell \({x}, {y}\)$"
+
     # at the first tick nobody walks yet: the check still runs
+    sim, message = corrupted()
     with pytest.raises(SimulationError, match=rf"^tick 0: {message}"):
         sim.run()
-    sim = _simulation("ca")
-    sim.mover.state.occupancy[1, 8] = 0
+    sim, message = corrupted()
     sim.pop.status[:] = int(AgentStatus.MOVING)
     with pytest.raises(SimulationError, match=rf"^tick 7: {message}"):
         sim.mover.step(7, 7 * sim.dt)

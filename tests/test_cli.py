@@ -123,6 +123,21 @@ def _sealed_west_room(spawn=None):
             ("ca", "flow"),
             id="crowded-spawn-room",
         ),
+        # a door named like the site of a doorless exit would share its crossings
+        pytest.param(
+            "minimal_room",
+            {
+                "geometry": {
+                    "cell_size": 0.5,
+                    "cells": grid_rows(10, 6, exits=[(9, 3)]),
+                    "doors": [{"id": "exit:0", "cells": [[4, 3]]}],
+                },
+                "population": {"count": 6, "spawn": {"rect": [1, 1, 3, 4]}},
+            },
+            "geometry.doors: door id 'exit:0' takes the prefix 'exit:' of doorless exits",
+            ("ca", "flow", "sf"),
+            id="door-named-exit",
+        ),
         # tick lengths and arc times divide by these; bodies need a size
         pytest.param(
             "minimal_room",

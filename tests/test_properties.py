@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evacsim import parse_scenario, run, serialize_scenario
+from evacsim.agents import AgentStatus
 from evacsim.config import BACKENDS
 
 from conftest import grid_rows, make_scenario, room_doc
@@ -62,9 +63,12 @@ def test_every_person_is_accounted_for_and_runs_repeat(doc):
         assert run(make_scenario(doc)).digest == result.digest, backend
         if backend != "flow":  # flow shows people at room means, not where bodies stand
             geometry = scenario.geometry
-            for _t, _ids, x, y, _health, _status in result.trajectory:
+            for _t, _ids, x, y, _health, status in result.trajectory:
                 cells = geometry.cells_of(np.stack([x, y], axis=1))
                 assert geometry.open_mask[cells[:, 1], cells[:, 0]].all(), backend
+                if backend == "ca":  # the lattice holds one person per cell
+                    inside = cells[status <= int(AgentStatus.MOVING)]
+                    assert len(np.unique(inside, axis=0)) == len(inside)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

@@ -192,6 +192,31 @@ def test_declared_door_on_wall_cell_rejected():
         make_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "doors, message",
+    [
+        pytest.param(
+            [{"id": "d", "cells": [[3, 2]]}, {"id": "d", "cells": [[3, 3]]}], "duplicate door id 'd'", id="duplicate-id"
+        ),
+        pytest.param([{"id": "d", "cells": []}], "door 'd' has an empty span", id="empty-span"),
+        pytest.param([{"id": "d", "cells": [[20, 2]]}], "door 'd' cell (20, 2) outside the grid", id="outside-grid"),
+        pytest.param([{"id": "d", "cells": [[2, 2], [3, 3]]}], "door 'd' span is not a straight run", id="not-straight"),
+        pytest.param([{"id": "d", "cells": [[2, 2], [4, 2]]}], "door 'd' span is not contiguous", id="not-contiguous"),
+        pytest.param([{"id": "d", "cells": [[3, 2]], "width": 0}], "door 'd' width must be > 0", id="width-0"),
+        pytest.param(
+            [{"id": "exit:1", "cells": [[3, 2]]}],
+            "door id 'exit:1' takes the prefix 'exit:' of doorless exits",
+            id="exit-prefix",
+        ),
+    ],
+)
+def test_a_bad_door_span_is_refused_with_its_reason(doors, message):
+    doc = room_doc(grid_rows(8, 6, exits=[(7, 2)]), doors=doors)
+    with pytest.raises(SemanticViolation) as refused:
+        make_scenario(doc)
+    assert str(refused.value) == f"geometry.doors: {message}"
+
+
 def test_hazard_requires_exactly_one_source():
     rows = grid_rows(6, 5, exits=[(5, 2)])
     doc = room_doc(rows, hazard={"file": "x.csv", "builtin": {"source": [1, 1]}})
