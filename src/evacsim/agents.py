@@ -22,14 +22,14 @@ smoke, which exits are in sight, walking distances and the hazard along
 every sight line.  :func:`decide` then updates beliefs, insistence,
 nervousness and targets for every row, drawing the replan lottery in
 ascending id order, and calls :func:`choose_exit` once for the rows that
-need an exit; only those rows sense the herd (the votes, totals,
-congestion and follow distances of visible neighbours).  After the round
-every agent that saw an exit blocked tells its visible neighbours, all
-the round's senders in one call (:func:`inform_neighbors`).  Both ask
-who sees whom through one test, :meth:`WorldView.in_sight`.  Sight
-spans a room, so a cell hash would skip few people: each block of
-observers is tested against everyone in the building, by squared
-distance and then by sight line.
+need an exit; only those rows count the herd off the sight test's
+blocks, and only rows that may follow a neighbour to an exit they do
+not know find follow distances.  After the round every agent that saw
+an exit blocked tells its visible neighbours, all the round's senders
+in one call (:func:`inform_neighbors`).  Both ask who sees whom through
+one test, :meth:`WorldView.in_sight`.  Sight spans a room, so a cell
+hash would skip few people: each block of observers is tested against
+everyone in the building, by squared distance and then by sight line.
 
 How the body gets to the target exit (a social-force waypoint, a lattice
 step down the exit's distance field, a queue on the route network) is
@@ -491,59 +491,56 @@ class Percepts:
     congestion: np.ndarray | None = None  # (n, E) persons seen heading to each exit
     votes: np.ndarray | None = None       # (n, E) leader-weighted count of neighbours heading to each exit
     totals: np.ndarray | None = None      # (n,) weighted count of all visible neighbours
-    follow: np.ndarray | None = None      # (n, E) m, to the nearest neighbour heading to each exit; inf if none
+    follow: np.ndarray | None = None      # (n, E) m, to the nearest neighbour heading to each exit; inf if none or where not asked for
 
     def take(self, sel: np.ndarray) -> "Percepts":
         """The percepts of rows ``sel`` of this round."""
         return replace(self, **{k: v[sel] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
 
-def _neighbour_stats(world: WorldView, indices: np.ndarray):
-    """Per-agent herd votes, totals, congestion counts and follow distances,
-    estimated over neighbours within sight (capped at the congestion
-    radius).  Returns dense (len(indices), n_zones) arrays, each row the
-    same whichever other rows are asked for."""
+def _neighbour_stats(world: WorldView, indices: np.ndarray, follow_rows: np.ndarray):
+    """Per-agent herd votes, totals, congestion counts and follow distances
+    over the neighbours each row sees within its sight capped at the
+    congestion radius, read off each block of :meth:`WorldView.in_sight`:
+    its sight mask times a one-hot of each person's exit, plus a column of
+    ones, counts congestion and neighbours exactly (the votes and totals
+    where every weight is 1).  A row that sees a leader sums its weights
+    along the row in ascending seen id.  Follow distances are found only
+    for the rows flagged in ``follow_rows``, inf in the others.  Each row
+    is the same whichever other rows are asked for."""
     pop = world.pop
     n_zones = len(world.zone_cells)
-    n = len(indices)
-    r_cap = float(world.params["congestion_radius"])
     people = pop.inside()
-    width = len(people)
-    # each pair as its flat index into the (n, people) sight mask, and its d2
-    at, d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for block_rows, near, block_d2 in world.in_sight(indices, np.minimum(pop.vision[indices], r_cap)):
-        kept = np.flatnonzero(near)  # faster than a 2-D nonzero
-        at.append(kept + block_rows.start * width)
-        d2.append(block_d2.ravel().take(kept))
-    # the pairs are a decision round's largest arrays: each list of pieces
-    # goes as it is joined, and the flat indices once read
-    at = np.concatenate(at)
-    d2 = np.concatenate(d2)
-    # each row's pairs in ascending seen id, the order fractional weights are summed in
-    rows = at // width
-    seen = people.take(at - rows * width)
-    del at
-    # observer terms once per row, spread over each row's run of pairs
-    per_row = np.bincount(rows, minlength=n)
-    role = pop.role[indices]
-    rank = np.repeat(np.where(role > 0, role, np.iinfo(np.int64).max), per_row)
-    roles_seen = pop.role[seen]
-    leader = (roles_seen > 0) & (roles_seen < rank)
-    weight = np.where(leader, np.repeat(1.0 + pop.collaboration[indices], per_row), 1.0)
-
-    # bincount adds in array order; it gives ints when empty
-    totals = np.bincount(rows, weights=weight, minlength=n).astype(np.float64)
-    heading = np.where(pop.status == _MOVING, pop.target, -1)[seen]
-    has_target = heading >= 0
-    flat = rows[has_target] * n_zones + heading[has_target]
-    votes = np.bincount(flat, weights=weight[has_target], minlength=n * n_zones).astype(np.float64)
-    votes = votes.reshape(n, n_zones)
-    congestion = np.bincount(flat, minlength=n * n_zones).reshape(n, n_zones)
+    heading = np.where(pop.status[people] == _MOVING, pop.target[people], -1)
+    columns = [np.flatnonzero(heading == e) for e in range(n_zones)]  # who heads to each exit
+    onehot = np.column_stack([heading[:, None] == np.arange(n_zones), np.ones(len(people))]).astype(np.float32)
+    role = pop.role[people]
+    leaders = np.flatnonzero(role > 0)
+    rank = np.where(pop.role[indices] > 0, pop.role[indices], np.iinfo(np.int64).max)
+    stats = np.zeros((len(indices), n_zones + 1))  # votes, then totals
+    congestion = np.zeros((len(indices), n_zones), dtype=np.int64)
+    near2 = np.full((len(indices), n_zones), np.inf)
+    radius = np.minimum(pop.vision[indices], float(world.params["congestion_radius"]))
+    for rows, near, d2 in world.in_sight(indices, radius):
+        counts = near.astype(np.float32) @ onehot
+        congestion[rows] = counts[:, :n_zones]
+        stats[rows] = counts
+        if len(leaders):
+            led = near[:, leaders] & (role[leaders] < rank[rows, None])
+            weighed = np.flatnonzero(led.any(axis=1))
+            weight = near[weighed].astype(np.float64)
+            weight[:, leaders] += led[weighed] * pop.collaboration[indices[rows][weighed], None]
+            # cumsum adds along a row in order, and adding 0.0 for the unseen is exact
+            for e, cols in enumerate(columns):
+                stats[rows.start + weighed, e] = np.cumsum(weight[:, cols], axis=1)[:, -1] if len(cols) else 0.0
+            stats[rows.start + weighed, n_zones] = np.cumsum(weight, axis=1)[:, -1]
+        asked = np.flatnonzero(follow_rows[rows])
+        if len(asked):
+            gap = np.where(near[asked], d2[asked], np.inf)
+            for e, cols in enumerate(columns):
+                near2[rows.start + asked, e] = gap[:, cols].min(axis=1, initial=np.inf)
     # sqrt is monotone and correctly rounded: the root of the least d2 is the least distance
-    near2 = np.full(n * n_zones, np.inf)
-    np.minimum.at(near2, flat, d2[has_target])
-    follow = np.sqrt(near2).reshape(n, n_zones)
-    return votes, totals, congestion, follow
+    return stats[:, :n_zones], stats[:, n_zones], congestion, np.sqrt(near2)
 
 
 def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
@@ -757,8 +754,11 @@ def decide(
     new_target = target.copy()
     chosen = np.nonzero(need)[0]
     if len(chosen):
-        votes, totals, congestion, follow = _neighbour_stats(percepts.world, rows[chosen])
-        herd = replace(percepts.take(chosen), congestion=congestion, votes=votes, totals=totals, follow=follow)
+        herd = percepts.take(chosen)
+        # choose_exit reads follow only off the exits neither in sight nor known and walkable
+        unsure = (~herd.visible & ~(beliefs.known[rows[chosen]] & np.isfinite(herd.distance))).any(axis=1)
+        votes, totals, congestion, follow = _neighbour_stats(percepts.world, rows[chosen], unsure)
+        herd = replace(herd, congestion=congestion, votes=votes, totals=totals, follow=follow)
         new_target[chosen] = choose_exit(pop, rows[chosen], herd, beliefs, params)
         beliefs.lost[rows[chosen]] = new_target[chosen] == NO_TARGET
     replanned = has_target & (new_target != target)

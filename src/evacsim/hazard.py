@@ -75,11 +75,11 @@ class HazardField:
 def load_hazard_series(text: str, height: int, width: int) -> HazardField:
     """Parse the CSV hazard format: ``t,x,y,temp,od,tox`` per row.
 
-    Rows are grouped by timestamp in ascending order; ``#`` starts a
-    comment line.  Cells absent from a frame stay at ambient (20 degC,
-    no smoke, no toxicity).  A trailing ``pressure`` column is accepted
-    and ignored.  An empty document yields a single ambient frame at
-    t = 0.
+    Rows are grouped by timestamp in ascending order, each cell listed
+    at most once per timestamp; ``#`` starts a comment line.  Cells
+    absent from a frame stay at ambient (20 degC, no smoke, no
+    toxicity).  A trailing ``pressure`` column is accepted and ignored.
+    An empty document yields a single ambient frame at t = 0.
     """
     frames: list[tuple[float, dict[tuple[int, int], tuple[float, float, float]]]] = []
     current_t: float | None = None
@@ -123,6 +123,8 @@ def load_hazard_series(text: str, height: int, width: int) -> HazardField:
             frames.append((current_t, current))
             current_t = t
             current = {}
+        if (x, y) in current:
+            raise HazardFormatError(f"cell ({x}, {y}) listed twice at t = {t:g}", row=row_no)
         current[(x, y)] = (temp, od, tox)
     if current_t is not None:
         frames.append((current_t, current))

@@ -745,7 +745,7 @@ def _assert_same_stats(world, rows):
     want = _neighbour_stats_one_pair_at_a_time(world, rows)
     for block in (1, 3 * len(world.pop.inside()), agents_module.PAIR_BLOCK):
         with mock.patch.object(agents_module, "PAIR_BLOCK", block):
-            got = _neighbour_stats(world, rows)
+            got = _neighbour_stats(world, rows, np.ones(len(rows), dtype=bool))
         for name, g, w in zip(("votes", "totals", "congestion", "follow"), got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w), (name, block)
     return got
@@ -910,18 +910,25 @@ def test_a_round_of_many_senders_matches_one_sender_at_a_time_exactly():
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(doc=drills(), data=st.data())
 def test_neighbour_stats_of_any_rows_are_those_rows_of_everyones(doc, data):
-    # what decide relies on to sense the herd only for the rows that re-choose
+    # what decide relies on to sense the herd only for the rows that
+    # re-choose, and follow distances only for the rows that read them
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     world = _scattered_world(doc["geometry"]["cells"], data.draw(st.integers(2, 40), label="people"), np.random.default_rng(seed))
     everyone = np.array(_present(world.pop), dtype=np.int64)
     mask = data.draw(st.lists(st.booleans(), min_size=len(everyone), max_size=len(everyone)), label="rows")
-    full = _neighbour_stats(world, everyone)
+    follows = np.array(data.draw(st.lists(st.booleans(), min_size=len(everyone), max_size=len(everyone)), label="follow"), dtype=bool)
+    full = _neighbour_stats(world, everyone, np.ones(len(everyone), dtype=bool))
     for pick in (np.flatnonzero(mask), np.zeros(0, dtype=np.int64)):
-        got = _neighbour_stats(world, everyone[pick])
+        got = _neighbour_stats(world, everyone[pick], follows[pick])
         want = _neighbour_stats_one_pair_at_a_time(world, everyone[pick])
-        for name, g, f, w in zip(("votes", "totals", "congestion", "follow"), got, full, want):
+        for name, g, f, w in zip(("votes", "totals", "congestion"), got, full, want):
             assert g.dtype == f.dtype and np.array_equal(g, f[pick]), name
             assert np.array_equal(g, w), name
+        follow = got[3]
+        assert follow.dtype == full[3].dtype
+        assert np.array_equal(follow[follows[pick]], full[3][pick][follows[pick]])
+        assert np.array_equal(follow[follows[pick]], want[3][follows[pick]])
+        assert np.isinf(follow[~follows[pick]]).all()
 
 
 def test_a_round_where_nobody_rechooses_senses_no_neighbour():
@@ -955,7 +962,7 @@ def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
     chosen = np.flatnonzero(kind > 0)
     # with no exit in sight or known, each choice follows the herd: from one
     # query of every row
-    votes, totals, congestion, follow = (s[chosen] for s in _neighbour_stats(world, rows))
+    votes, totals, congestion, follow = (s[chosen] for s in _neighbour_stats(world, rows, np.ones(len(rows), dtype=bool)))
     herd = replace(percepts.take(chosen), votes=votes, totals=totals, congestion=congestion, follow=follow)
     want = choose_exit(pop, rows[chosen], herd, beliefs, PARAM_DEFAULTS)
     assert (want != NO_TARGET).any() and (want != pop.target[rows[chosen]]).any()
@@ -966,6 +973,32 @@ def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
     decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
     assert len(asked) == 1 and np.array_equal(asked[0], rows[chosen])
     assert np.array_equal(pop.target[rows[chosen]], want)
+
+
+def test_decide_reads_follow_distances_only_where_choose_exit_does():
+    world = _split_room_world(120, np.random.default_rng(17))
+    pop = world.pop
+    rows = np.flatnonzero(pop.status == AgentStatus.MOVING)
+    # every row re-chooses, with no exit in sight and every exit walkable;
+    # a row knows all of them, only exit 0, or none
+    kind = np.arange(len(rows)) % 3
+    beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
+    beliefs.lost[rows] = True
+    beliefs.known[rows[kind == 0]] = True
+    beliefs.known[rows[kind == 1], 0] = True
+    distance = np.random.default_rng(18).uniform(5.0, 30.0, (len(rows), EXITS))
+    percepts = replace(build_percepts(world, rows), visible=np.zeros((len(rows), EXITS), dtype=bool), distance=distance)
+    stats = _neighbour_stats(world, rows, np.ones(len(rows), dtype=bool))
+    herd = replace(percepts, **dict(zip(("votes", "totals", "congestion", "follow"), stats)))
+    want = choose_exit(pop, rows, herd, beliefs, PARAM_DEFAULTS)
+    # the follow distances sway rows that know only exit 0 and rows that
+    # know none; rows that know every exit have some too, but never read them
+    blind = choose_exit(pop, rows, replace(herd, follow=np.full_like(herd.follow, np.inf)), beliefs, PARAM_DEFAULTS)
+    assert (blind != want)[kind == 1].any() and (blind != want)[kind == 2].any()
+    assert np.isfinite(stats[3][kind == 0]).any()
+
+    decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
+    assert np.array_equal(pop.target[rows], want)
 
 
 # -- sight-line hazard ---------------------------------------------------------------

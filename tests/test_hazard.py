@@ -81,6 +81,23 @@ def test_csv_rejects_negative_density():
         load_hazard_series("0,1,1,20,-0.1,0\n", height=3, width=3)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("0,1,1,20,0.1,0\nbogus,row\n", "row 2: expected 6 fields 't,x,y,temp,od,tox', got 2", id="fields"),
+        pytest.param("t,x,y,temp,od,tox\n0,1,1,nan,0.1,0\n", "row 2: t, temp, od and tox must be finite", id="non-finite"),
+        pytest.param("0,1,1,20,0.1,-0.5\n", "row 1: toxicity must be >= 0", id="toxicity"),
+        pytest.param(
+            "t,x,y,temp,od,tox\n0,1,1,20,0.5,0\n0,1,1,20,3.0,0\n", "row 3: cell (1, 1) listed twice at t = 0", id="twice"
+        ),
+    ],
+)
+def test_csv_refusals_name_their_row_and_reason(text, message):
+    with pytest.raises(HazardFormatError) as err:
+        load_hazard_series(text, height=3, width=3)
+    assert str(err.value) == message
+
+
 # -- time interpolation ---------------------------------------------------------
 
 
