@@ -5,22 +5,23 @@ indexed by agent id, holding each agent's physical state (position,
 body radius, health, mobility, sight range), its behavioural profile
 (speed preference, reaction time, collaboration, insistence,
 knowledge, experience, nervousness, gender, age, role) and its current
-status and target exit.  The two status rules every phase of a tick
+status, target exit (``NO_TARGET`` when it found none) and desired speed
+(``Population.desired``).  The two status rules every phase of a tick
 asks are its methods: :meth:`Population.inside` (waiting or moving, so
 still in the building) and :meth:`Population.walking` (moving on its own
 feet).  What the agents believe lives in one :class:`Beliefs` record
 beside it: (N, E) flags for the exits each agent knows, knew before the
-alarm and holds to be blocked, whether it is lost, and a ring of its
-recent positions for the progress check.  The simulation loop, the
-movement backends and the state digest read and write these arrays;
-nothing keeps a second copy.
+alarm and holds to be blocked, and a ring of its recent positions for
+the progress check.  The run's one :class:`WorldView` holds the time,
+the hazard frames and the exit fields.  Nothing keeps a second copy.
 
 A decision round works on the round's decider rows at once.
 :func:`build_percepts` senses for all of them together and returns one
 :class:`Percepts` record of (n,) and (n, E) arrays: walking speed, local
-smoke, which exits are in sight, walking distances and the hazard along
-every sight line.  :func:`decide` then updates beliefs, insistence,
-nervousness and targets for every row, drawing the replan lottery in
+smoke (read off the view's smoke frame), which exits are in sight,
+walking distances and the hazard along every sight line.
+:func:`decide` then updates beliefs, insistence, nervousness, targets
+and desired speeds for every row, drawing the replan lottery in
 ascending id order, and calls :func:`choose_exit` once for the rows that
 need an exit; only those rows count the herd off the sight test's
 blocks, and only rows that may follow a neighbour to an exit they do
@@ -96,6 +97,7 @@ class Population:
     path_len: np.ndarray       # m walked
     replans: np.ndarray        # times the agent changed an existing target
     target: np.ndarray         # current goal exit zone id, or NO_TARGET
+    desired: np.ndarray        # m/s chosen in the last decision round; 0 before the first
 
     def __len__(self) -> int:
         return len(self.pos)
@@ -204,7 +206,7 @@ def spawn_population(
     else:
         radii = np.zeros(count)
         picks = streams.spawn_pos.choice(len(cells), size=count, replace=False) if count else []
-        positions = (cells[picks] + 0.5) * geometry.cell_size
+        positions = geometry.centres(cells[picks])
 
     vision0 = visibility_range_bulk(np.zeros(count), sampled["health"], params)
 
@@ -229,6 +231,7 @@ def spawn_population(
         path_len=np.zeros(count),
         replans=np.zeros(count, dtype=np.int64),
         target=np.full(count, NO_TARGET, dtype=np.int32),
+        desired=np.zeros(count),
     )
 
 
@@ -338,7 +341,6 @@ class Beliefs:
     known: np.ndarray       # (N, E) bool: familiar, seen or heard of
     familiar: np.ndarray    # (N, E) bool: known before the alarm
     blocked: np.ndarray     # (N, E) bool: seen or heard to be blocked
-    lost: np.ndarray        # (N,) bool: found no exit to head for last round
     next_check: np.ndarray  # (N,) s, time of the next progress check; NaN before the first round
     progress: np.ndarray    # (N, R, 3) ring of (t, x, y) samples, one per round; NaN where unused
     head: np.ndarray        # (N,) ring slot the next sample goes to
@@ -367,7 +369,6 @@ def init_beliefs(
         known=familiar.copy(),
         familiar=familiar,
         blocked=np.zeros_like(familiar),
-        lost=np.zeros(n, dtype=bool),
         next_check=np.full(n, np.nan),
         progress=np.full((n, samples, 3), np.nan),
         head=np.zeros(n, dtype=np.int64),
@@ -384,8 +385,9 @@ PAIR_BLOCK = 1 << 15  # observer x person elements in one block of the sight tes
 
 @dataclass
 class WorldView:
-    """What the perception/decision layer reads in one round: the
-    population plus this tick's hazard exposure and the exit geometry.
+    """What the perception/decision layer reads: the population, the
+    current time and hazard frames, and the exit geometry.  A run keeps
+    one, brought up to date by the engine's hazard and decision phases.
     The herd statistics and the exit-blocked messages find who sees whom
     through :meth:`in_sight`."""
 
@@ -393,14 +395,22 @@ class WorldView:
     params: dict
     t: float
     pop: Population
-    local_od: np.ndarray           # (N,) optical density where each agent stands
     od_frame: np.ndarray           # (H, W) current optical density
     temp_frame: np.ndarray
     tox_frame: np.ndarray
     exit_fields: np.ndarray        # (E + 1, H, W) cells to each exit zone, then to the nearest exit
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
-    ambient_air: bool = False      # hazard frames are all-clear this round
+    ambient_air: bool = False      # every hazard frame of the run is clear air
+
+    def nearest_exit_cell(self, zone: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each of the (n, 2) positions ``pos``, the row of
+        ``zone_cells[zone]`` whose centre is nearest (the first on a tie)
+        and the squared distance to that centre."""
+        centres = self.geometry.centres(self.zone_cells[zone])
+        d2 = ((pos[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
+        nearest = np.argmin(d2, axis=1)
+        return nearest, d2[np.arange(len(pos)), nearest]
 
     def in_sight(self, observers: np.ndarray, radius: np.ndarray):
         """Whom each observer sees, in blocks of at most ``PAIR_BLOCK``
@@ -477,17 +487,15 @@ def sight_line_hazard(
 class Percepts:
     """Everything the deciders of one round sense: row r describes the
     agent in row r of the round, and (n, E) arrays have one column per
-    exit zone.  The herd statistics after ``world`` stay None until
-    :func:`decide` senses them through it for the rows that re-choose."""
+    exit zone.  The herd statistics stay None until :func:`decide` senses
+    them for the rows that re-choose."""
 
-    t: float
     speed: np.ndarray       # (n,) m/s, own walking speed after health and mobility
     local_od: np.ndarray    # (n,) optical density where the agent stands
     visible: np.ndarray     # (n, E) bool: exit in sight and walkable from here
     distance: np.ndarray    # (n, E) m, walking distance to each exit; inf where unreachable
     hazard: np.ndarray      # (n, E) smoke/heat score along the sight line; 0 where not visible
     exit_od: np.ndarray     # (n, E) optical density at each visible exit; 0 elsewhere
-    world: WorldView | None = None       # the round's view, where the herd is sensed
     congestion: np.ndarray | None = None  # (n, E) persons seen heading to each exit
     votes: np.ndarray | None = None       # (n, E) leader-weighted count of neighbours heading to each exit
     totals: np.ndarray | None = None      # (n,) weighted count of all visible neighbours
@@ -561,12 +569,9 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
     distance = np.empty((n, n_zones))
     visible = np.zeros((n, n_zones), dtype=bool)
     nearest = np.zeros((n, n_zones), dtype=np.int64)
-    for z in range(n_zones):
-        zc = world.zone_cells[z]
-        centers = (zc + 0.5) * cs
-        d2 = ((pos[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        nearest[:, z] = np.argmin(d2, axis=1)
-        vis = np.sqrt(d2[np.arange(n), nearest[:, z]]) <= vision
+    for z, zc in enumerate(world.zone_cells):
+        nearest[:, z], d2 = world.nearest_exit_cell(z, pos)
+        vis = np.sqrt(d2) <= vision
         if vis.any() and world.has_interior_blockers:
             rows = np.nonzero(vis)[0]
             vis[rows] = los_pairs(geometry.blocked_mask, cells[rows], zc[nearest[rows, z]])
@@ -587,14 +592,12 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
         exit_od[rows, zones] = world.od_frame[middle[zones, 1], middle[zones, 0]]
 
     return Percepts(
-        t=world.t,
         speed=effective_speed(pop.health[indices], pop.mobility[indices], pop.speed_pref[indices], p),
-        local_od=world.local_od[indices],
+        local_od=world.od_frame[cells[:, 1], cells[:, 0]],
         visible=visible,
         distance=distance,
         hazard=hazard,
         exit_od=exit_od,
-        world=world,
     )
 
 
@@ -709,29 +712,29 @@ def inform_neighbors(
 
 
 def decide(
-    pop: Population,
+    world: WorldView,
     rows: np.ndarray,
     percepts: Percepts,
     beliefs: Beliefs,
     rng: np.random.Generator,
-    params: dict,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One decision round for the agents ``rows`` (ascending ids), all
-    past their pre-movement delay.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One decision round at ``world.t`` for the agents ``rows``
+    (ascending ids), all past their pre-movement delay.
 
     Marks freshly seen blocked exits, learns the exits in sight, decays
     insistence when progress stalls, rolls the replan lottery (one draw
     per row that has no reason to choose anyway, in row order), and
     picks an exit for every row that needs one, sensing the herd through
-    ``percepts.world`` for those rows only.  Nervousness grows with
-    replans and dense smoke, damped by experience; desired speed is
-    effective speed scaled by (1 + nervousness), capped globally.  The
-    rows' nervousness, insistence and target are updated in ``pop``.
+    ``world`` for those rows only.  Nervousness grows with replans and
+    dense smoke, damped by experience; desired speed is effective speed
+    scaled by (1 + nervousness), capped globally.  The rows'
+    nervousness, insistence, target and desired speed are updated in
+    ``world.pop``.
 
-    Returns each row's desired speed, whether it replanned, and the
-    (k, E) exits it newly saw blocked, which it is to announce.
+    Returns whether each row replanned, and the (k, E) exits it newly
+    saw blocked, which it is to announce.
     """
-    t = percepts.t
+    pop, params, t = world.pop, world.params, world.t
     target = pop.target[rows]
 
     announce = percepts.visible & (percepts.exit_od > float(params["od_blocked"])) & ~beliefs.blocked[rows]
@@ -746,7 +749,7 @@ def decide(
     beliefs.next_check[rows[due | np.isnan(check)]] = t + window
 
     has_target = target != NO_TARGET
-    need = ~has_target | beliefs.lost[rows]
+    need = ~has_target
     need[has_target] |= beliefs.blocked[rows[has_target], target[has_target]]
     free = np.nonzero(~need)[0]
     need[free] = rng.random(len(free)) < 1.0 - pop.insistence[rows[free]]
@@ -757,10 +760,9 @@ def decide(
         herd = percepts.take(chosen)
         # choose_exit reads follow only off the exits neither in sight nor known and walkable
         unsure = (~herd.visible & ~(beliefs.known[rows[chosen]] & np.isfinite(herd.distance))).any(axis=1)
-        votes, totals, congestion, follow = _neighbour_stats(percepts.world, rows[chosen], unsure)
+        votes, totals, congestion, follow = _neighbour_stats(world, rows[chosen], unsure)
         herd = replace(herd, congestion=congestion, votes=votes, totals=totals, follow=follow)
         new_target[chosen] = choose_exit(pop, rows[chosen], herd, beliefs, params)
-        beliefs.lost[rows[chosen]] = new_target[chosen] == NO_TARGET
     replanned = has_target & (new_target != target)
 
     grew = np.where(replanned, float(params["dn_replan"]), 0.0) + np.where(
@@ -771,5 +773,5 @@ def decide(
     nervousness = np.where(grew != 0.0, np.minimum(1.0, np.maximum(0.0, nervousness + grew * scale)), nervousness)
     pop.nervousness[rows] = nervousness
     pop.target[rows] = new_target
-    desired = np.minimum(percepts.speed * (1.0 + nervousness), float(params["speed_cap"]))
-    return desired, replanned, announce
+    pop.desired[rows] = np.minimum(percepts.speed * (1.0 + nervousness), float(params["speed_cap"]))
+    return replanned, announce

@@ -117,6 +117,5 @@ def ca_step(
     winners = conflict_winners(ty * geometry.width + tx, rng)
 
     ids = move_ids[movers[winners]]
-    pos[ids, 0] = (tx[winners] + 0.5) * geometry.cell_size
-    pos[ids, 1] = (ty[winners] + 0.5) * geometry.cell_size
+    pos[ids] = geometry.centres(np.column_stack([tx[winners], ty[winners]]))
     return ids

@@ -32,11 +32,12 @@ EXIT_TIMEOUT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reports bad usage via exit code 1 and the error prefix."""
+    """argparse reports bad usage via exit code 1 and the error prefix,
+    the error line first like every other refusal, then the usage."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         print(f"{ERROR_PREFIX} {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
 

@@ -12,30 +12,25 @@ The first three phases, exits, deaths and result assembly are shared.
 The backend is one mover from ``MOVERS``, picked by ``config.backend``;
 the shared phases call only its ``steer(ids)`` (after a decision round),
 ``step(k, t)`` (one movement tick with its arrivals, door crossings and
-clog checks), ``remove(i)`` (agent i died) and ``warnings``.
-``Population`` is the one record of each agent's state, position,
-status, exit or death time, path length and replan count included: each
-step reads and writes it there, and no mover keeps a copy.  The
-social-force state holds the population's own ``pos`` array, and the
-lattice mover builds its occupancy grid from ``pos`` at the start of
-each step, refusing two people on one cell with an error naming the
-tick ``k``.  Who is in the building and who walks are its methods
-``Population.inside`` and ``Population.walking``.  The hazard phase
-records in ``sensed`` whether the air at each inside agent's cell
-differs from ambient; that starts a waiting agent before its delay is
-up.  The pre-movement phase sleeps until the earliest pending delay is
-up unless someone inside senses the hazard.  Class constants on each mover give its default decision and
-trajectory cadence and whether it makes decision rounds at all; a mover
-that moves or steers on the route network derives the network itself
-and reports its warnings.  Whether agents spawn as bodies is
-``RunConfig.bodies``.  Room labels are read from
-``Geometry.room_labels``.
+clog checks), ``remove(i)`` (agent i died) and ``warnings``.  Class
+constants on each mover give its default decision and trajectory
+cadence and whether it makes decision rounds at all; a mover that moves
+or steers on the route network derives the network itself.
 
-The run stacks its distance fields once, a layer per exit zone and then
-the all-exits field, and the lattice mover, the social-force steering
-and the decision layer all read that stack.  Every grid rule comes from
-the geometry: ``Geometry.moves`` says which ``scenario.STEPS`` are
-allowed from a cell, and ``Geometry.cells_of`` maps positions to cells.
+Each fact has one owner.  ``Population`` holds every agent's state,
+desired speed (``Population.desired``) included, and no mover keeps a
+copy: the social-force state holds its ``pos`` array, and the lattice
+mover builds its occupancy grid from ``pos`` at each step, refusing two
+people on one cell with an error naming the tick ``k``.  The run's one
+``WorldView`` (``_Simulation.world``) holds the air, whose frames the
+hazard phase brings to each tick, and the distance fields, stacked once
+(a layer per exit zone, then the all-exits field) for the lattice, the
+social-force steering and the decisions.  The hazard phase returns who
+senses the hazard.  Sensing starts a waiting agent before its delay is
+up; otherwise the pre-movement phase sleeps until the earliest delay is
+up.  ``Geometry.moves`` says which ``scenario.STEPS`` are allowed from a
+cell, ``Geometry.cells_of`` maps positions to cells and
+``Geometry.centres`` cells to their centres.
 Social-force steering runs over all of a round's deciders at once: the
 room columns of ``EgressNetwork.routes``, the table ``flow`` routes by,
 give each its next route arc, an arc table gives the point beyond that
@@ -244,35 +239,38 @@ class _Simulation:
         zones = geometry.exit_zones
         # distance fields, one layer per exit zone and then the all-exits
         # field, which agents without a target descend
-        self.exit_fields = np.stack([distance_field(geometry, z.cells) for z in zones] + [geometry.exit_distance])
-        blocked = geometry.blocked_mask
-        self.has_interior_blockers = bool(blocked[1:-1, 1:-1].any())
-        self.zone_cells = [np.asarray(z.cells, dtype=np.int64) for z in zones]
-
-        self.hazard = load_hazard_field(scenario)
-        self.ambient_only = bool(
-            self.hazard.optical_density.max() <= 0.0
-            and self.hazard.toxicity.max() <= 0.0
-            and self.hazard.temperature.max() <= AMBIENT_TEMP + SENSE_EPS
-        )
+        exit_fields = np.stack([distance_field(geometry, z.cells) for z in zones] + [geometry.exit_distance])
+        self.hazard = hazard = load_hazard_field(scenario)
 
         # population: the one copy of every agent's state
         self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, self.config.bodies)
-        n = len(self.pop)
-        self.ids = np.arange(n, dtype=np.int64)
-        self.desired = np.zeros(n)
-
-        # optical density at each agent's cell and whether any hazard is
-        # sensed there, refreshed per tick for those inside (constant when ambient)
-        self.local_od = np.zeros(n)
-        self.sensed = np.zeros(n, dtype=bool)
-        self.sensing = False  # someone in the building sensed it this tick
+        self.ids = np.arange(len(self.pop), dtype=np.int64)
         # when each pre-movement delay is up (never before the alarm), and
         # the earliest such time among the people still waiting
         alarm = self.config.alarm_time
         self.due_t = np.maximum(alarm, alarm + self.pop.reaction_time)
         self.wake_t = float(self.due_t.min(initial=math.inf))
-        self.temp_frame, self.od_frame, self.tox_frame = self.hazard.frame_at(0.0)
+
+        # the run's one view of the air and the exits; the hazard phase
+        # keeps its frames current and the decision phase its time
+        temp_frame, od_frame, tox_frame = hazard.frame_at(0.0)
+        self.world = WorldView(
+            geometry=geometry,
+            params=self.params,
+            t=0.0,
+            pop=self.pop,
+            od_frame=od_frame,
+            temp_frame=temp_frame,
+            tox_frame=tox_frame,
+            exit_fields=exit_fields,
+            zone_cells=[np.asarray(z.cells, dtype=np.int64) for z in zones],
+            has_interior_blockers=bool(geometry.blocked_mask[1:-1, 1:-1].any()),
+            ambient_air=bool(
+                hazard.optical_density.max() <= 0.0
+                and hazard.toxicity.max() <= 0.0
+                and hazard.temperature.max() <= AMBIENT_TEMP + SENSE_EPS
+            ),
+        )
 
         # cadences, in ticks; an interval parameter <= 0 takes the mover's default
         def every(key: str, default: float) -> int:
@@ -299,21 +297,20 @@ class _Simulation:
 
     # -- per-tick phases -----------------------------------------------------
 
-    def _hazard_phase(self, t: float) -> None:
-        if self.ambient_only:
-            return
-        self.temp_frame, self.od_frame, self.tox_frame = self.hazard.frame_at(t)
+    def _hazard_phase(self, t: float) -> np.ndarray:
+        """Bring the view's frames to time t, hurt and kill the people
+        inside and refresh their sight; returns the ascending ids of those
+        whose air differs from ambient (none in clean air)."""
+        world = self.world
+        if world.ambient_air:
+            return np.zeros(0, dtype=np.int64)
+        world.temp_frame, world.od_frame, world.tox_frame = self.hazard.frame_at(t)
         inside = self.pop.inside()
-        if len(inside) == 0:
-            return
         cx, cy = self.geometry.cells_of(self.pop.pos.take(inside, axis=0)).T
-        temp = self.temp_frame[cy, cx]
-        od = self.od_frame[cy, cx]
-        tox = self.tox_frame[cy, cx]
-        self.local_od[inside] = od
-        sensed = (od > SENSE_EPS) | (temp > AMBIENT_TEMP + SENSE_EPS) | (tox > SENSE_EPS)
-        self.sensed[inside] = sensed
-        self.sensing = bool(sensed.any())
+        temp = world.temp_frame[cy, cx]
+        od = world.od_frame[cy, cx]
+        tox = world.tox_frame[cy, cx]
+        sensed = inside[(od > SENSE_EPS) | (temp > AMBIENT_TEMP + SENSE_EPS) | (tox > SENSE_EPS)]
 
         dec = health_decrement(temp, tox, self.dt, self.params)
         hurt = dec > 0
@@ -324,6 +321,7 @@ class _Simulation:
             for i in dead:
                 self._kill(int(i), t)
         self.pop.vision[inside] = visibility_range_bulk(od, self.pop.health[inside], self.params)
+        return sensed
 
     def _kill(self, i: int, t: float) -> None:
         self.pop.status[i] = int(AgentStatus.DEAD)
@@ -331,15 +329,17 @@ class _Simulation:
         self.events.append(EventRecord(t, "died", i, {}))
         self.mover.remove(i)
 
-    def _premovement_phase(self, t: float) -> np.ndarray:
-        """Start everyone whose delay has elapsed or who senses the
-        hazard directly; returns the newly moving indices.  The phase
-        sleeps until the earliest pending delay is up, unless someone in
-        the building senses the hazard."""
-        if t + SENSE_EPS < self.wake_t and not self.sensing:
+    def _premovement_phase(self, t: float, sensed: np.ndarray) -> np.ndarray:
+        """Start everyone whose delay has elapsed or who is among the ids
+        ``sensed``, those who sense the hazard directly; returns the newly
+        moving indices.  The phase sleeps until the earliest pending delay
+        is up, unless someone in the building senses the hazard."""
+        if t + SENSE_EPS < self.wake_t and len(sensed) == 0:
             return np.zeros(0, dtype=np.int64)
         waiting = self.pop.status == int(AgentStatus.PREMOVEMENT)
-        start = np.flatnonzero(waiting & (self.sensed | (t + SENSE_EPS >= self.due_t)))
+        go = t + SENSE_EPS >= self.due_t
+        go[sensed] = True
+        start = np.flatnonzero(waiting & go)
         self.pop.status[start] = int(AgentStatus.MOVING)
         waiting[start] = False
         self.wake_t = float(self.due_t[waiting].min(initial=math.inf))
@@ -354,24 +354,11 @@ class _Simulation:
             deciders = newly_moving[self.pop.mobility[newly_moving] > 0]
         if len(deciders) == 0:
             return
-        world = WorldView(
-            geometry=self.geometry,
-            params=self.params,
-            t=t,
-            pop=self.pop,
-            local_od=self.local_od,
-            od_frame=self.od_frame,
-            temp_frame=self.temp_frame,
-            tox_frame=self.tox_frame,
-            exit_fields=self.exit_fields,
-            zone_cells=self.zone_cells,
-            has_interior_blockers=self.has_interior_blockers,
-            ambient_air=self.ambient_only,
-        )
+        world = self.world
+        world.t = t
         percepts = build_percepts(world, deciders)
         rng = self.streams.decisions
-        desired, replanned, announce = decide(self.pop, deciders, percepts, self.beliefs, rng, self.params)
-        self.desired[deciders] = desired
+        replanned, announce = decide(world, deciders, percepts, self.beliefs, rng)
         replanners = deciders[replanned]
         self.pop.replans[replanners] += 1
         for i in replanners.tolist():
@@ -409,6 +396,12 @@ class _Simulation:
         self._exit_agent(i, t, int(self.geometry.zone_grid[cy, cx]), door_id)
         return site_index
 
+    def field_layer(self, target: np.ndarray) -> np.ndarray:
+        """The layer of ``world.exit_fields`` that people heading for the
+        exit zones ``target`` walk down: each zone's own, or the all-exits
+        layer after them for NO_TARGET."""
+        return np.where(target >= 0, target, len(self.world.zone_cells)).astype(np.int64)
+
     # -- sampling and assembly ---------------------------------------------
 
     def _sample(self, t: float) -> None:
@@ -432,8 +425,8 @@ class _Simulation:
                 self._sample(t)
             if len(self.pop.inside()) == 0:
                 break
-            self._hazard_phase(t)
-            newly_moving = self._premovement_phase(t)
+            sensed = self._hazard_phase(t)
+            newly_moving = self._premovement_phase(t, sensed)
             self._decision_phase(k, t, newly_moving)
             self.mover.step(k, t)
             k += 1
@@ -559,15 +552,14 @@ class _CaMover(_Mover):
             # walk at the decided speed (nervousness-scaled); agents that
             # have not decided yet fall back to their bodily speed
             v_eff = effective_speed(pop.health[move_ids], pop.mobility[move_ids], pop.speed_pref[move_ids], sim.params)
-            v_des = sim.desired[move_ids]
+            v_des = pop.desired[move_ids]
             ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
             move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
-        field_index = np.where(pop.target >= 0, pop.target, len(geometry.exit_zones)).astype(np.int64)
         moved = ca_step(
             pop.pos,
             geometry,
-            sim.exit_fields,
-            field_index,
+            sim.world.exit_fields,
+            sim.field_layer(pop.target),
             move_ids,
             occupancy,
             sim.streams.ca_conflicts,
@@ -633,16 +625,15 @@ class _SfMover(_Mover):
         sim = self.sim
         pos = sim.pop.pos.take(ids, axis=0)
         cx, cy = sim.geometry.cells_of(pos).T
-        layer = np.where(sim.pop.target[ids] >= 0, sim.pop.target[ids], len(sim.geometry.exit_zones))
+        layer = sim.field_layer(sim.pop.target[ids])
         hop = self._hop(layer, cx, cy)
         arc = self.next_arc[layer, sim.geometry.room_labels[cy, cx]]
         aim = self.door_aim[arc]
         doorless = (arc >= 0) & np.isnan(aim[:, 0])
-        for z, cells in enumerate(sim.zone_cells):
+        for z, cells in enumerate(sim.world.zone_cells):
             rows = np.nonzero(doorless & (layer == z))[0]
-            centers = (cells + 0.5) * sim.geometry.cell_size
-            d2 = ((centers[None, :, :] - pos[rows, None, :]) ** 2).sum(axis=2)
-            aim[rows] = centers[np.argmin(d2, axis=1)]
+            nearest, _ = sim.world.nearest_exit_cell(z, pos[rows])
+            aim[rows] = sim.geometry.centres(cells[nearest])
         aim = np.where(np.isnan(aim), hop, aim)
         reached = np.hypot(aim[:, 0] - pos[:, 0], aim[:, 1] - pos[:, 1]) < float(sim.params["waypoint_reach"])
         self.waypoint[ids] = np.where((reached & ~np.isnan(hop[:, 0]))[:, None], hop, aim)
@@ -653,9 +644,9 @@ class _SfMover(_Mover):
         sim = self.sim
         nx, ny, allowed = sim.geometry.neighbourhood(cx, cy)
         # step 0 stays put and wins ties, so only a strictly lower step is taken
-        pick = np.argmin(np.where(allowed, sim.exit_fields[layer[:, None], ny, nx], np.inf), axis=1)
+        pick = np.argmin(np.where(allowed, sim.world.exit_fields[layer[:, None], ny, nx], np.inf), axis=1)
         rows = np.arange(len(pick))
-        out = (np.stack([nx[rows, pick], ny[rows, pick]], axis=1) + 0.5) * sim.geometry.cell_size
+        out = sim.geometry.centres(np.stack([nx[rows, pick], ny[rows, pick]], axis=1))
         out[pick == 0] = np.nan
         return out
 
@@ -674,7 +665,7 @@ class _SfMover(_Mover):
         for (x, y) in door.cells:
             for nx, ny in geometry.orthogonal(x, y):
                 if int(labels[ny, nx]) == label:
-                    acc += geometry.cell_center(nx, ny)
+                    acc += geometry.centres((nx, ny))
                     count += 1
         if count:
             direction = acc / count - center
@@ -694,7 +685,7 @@ class _SfMover(_Mover):
         sim = self.sim
         pop = sim.pop
         state = self.state
-        desired = np.where(pop.walking(), sim.desired, 0.0)
+        desired = np.where(pop.walking(), pop.desired, 0.0)
         present = pop.inside()
         old_pos = pop.pos.take(present, axis=0)
         new_pos, cells = sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, k, sim.params)
@@ -795,7 +786,7 @@ class _FlowMover(_Mover):
                 ys, xs = np.nonzero(room_labels == node.id)
                 point = cells_center(list(zip(xs.tolist(), ys.tolist())), sim.geometry.cell_size)
             else:
-                point = sim.geometry.cell_center(*node.cell)
+                point = sim.geometry.centres(node.cell)
             self.node_points[node.id] = np.array(point)
         doors = {d.id: d for d in sim.geometry.doors}
         self.arc_points = []

@@ -160,8 +160,10 @@ class Geometry:
         return self.in_bounds(x, y) and bool(self.open_mask[y, x])
 
     # -- coordinate helpers --------------------------------------------
-    def cell_center(self, x: int, y: int) -> tuple[float, float]:
-        return ((x + 0.5) * self.cell_size, (y + 0.5) * self.cell_size)
+    def centres(self, cells) -> np.ndarray:
+        """Centres in metres of the cells (x, y) along the last axis of
+        ``cells``; the inverse of :meth:`cells_of`."""
+        return (np.asarray(cells) + 0.5) * self.cell_size
 
     def cells_of(self, pos: np.ndarray) -> np.ndarray:
         """(n, 2) int64 cells (x, y) holding the (n, 2) positions ``pos``

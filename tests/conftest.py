@@ -147,6 +147,7 @@ def one_agent(**attrs):
         path_len=0.0,
         replans=0,
         target=NO_TARGET,
+        desired=0.0,
     )
     row.update(attrs)
     return Population(**{name: np.array([value]) for name, value in row.items()})

@@ -59,9 +59,9 @@ def _speed(agent):
     return float(effective_speed(agent.health, agent.mobility, agent.speed_pref, PARAM_DEFAULTS)[0])
 
 
-def _percept(visible=(), votes=None, total=0.0, congestion=None, follow=None, od=0.0, t=0.0, speed=1.34, world=None):
+def _percept(visible=(), votes=None, total=0.0, congestion=None, follow=None, od=0.0, speed=1.34):
     """One-row percepts, handed the default one_agent's walking speed unless
-    told otherwise; ``decide`` senses the herd through ``world`` instead."""
+    told otherwise; ``decide`` senses the herd through its view instead."""
     row = {name: np.zeros((1, EXITS)) for name in ("hazard", "exit_od", "congestion", "votes")}
     distance = np.full((1, EXITS), np.inf)
     seen = np.zeros((1, EXITS), dtype=bool)
@@ -80,14 +80,12 @@ def _percept(visible=(), votes=None, total=0.0, congestion=None, follow=None, od
     for z, d in (follow or {}).items():
         follow_d[0, z] = d
     return Percepts(
-        t=t,
         speed=np.array([speed]),
         local_od=np.array([od]),
         visible=seen,
         distance=distance,
         totals=np.array([total]),
         follow=follow_d,
-        world=world,
         **row,
     )
 
@@ -102,17 +100,16 @@ def _geometry(width=10, height=8):
     return make_scenario(room_doc(rows, count=1, spawn=[1, 1, 1, 1])).geometry
 
 
-def _view(pop, geometry=None, has_interior_blockers=False):
-    """The round's view of ``pop`` in clear air, in ``geometry`` (by default
-    an open 10 x 8 room), with EXITS exit zones that nobody can reach."""
+def _view(pop, geometry=None, has_interior_blockers=False, t=0.0):
+    """The view of ``pop`` at time ``t`` in clear air, in ``geometry`` (by
+    default an open 10 x 8 room), with EXITS exit zones that nobody can reach."""
     geometry = geometry or _geometry()
     zeros = np.zeros((geometry.height, geometry.width))
     return WorldView(
         geometry=geometry,
         params=PARAM_DEFAULTS,
-        t=0.0,
+        t=t,
         pop=pop,
-        local_od=np.zeros(len(pop)),
         od_frame=zeros,
         temp_frame=zeros,
         tox_frame=zeros,
@@ -468,19 +465,19 @@ def test_agent_with_nothing_to_go_on_is_lost():
     agent = one_agent(target=NO_TARGET)
     beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng, PARAM_DEFAULTS)
+    decide(_view(agent), ROW, _percept(), beliefs, rng)
     assert agent.target[0] == NO_TARGET
-    assert beliefs.lost[0]
 
 
 def test_lost_agent_recovers_when_an_exit_appears():
     agent = one_agent(target=NO_TARGET)
     beliefs = _beliefs()
     rng = np.random.default_rng(0)
-    decide(agent, ROW, _percept(world=_view(agent)), beliefs, rng, PARAM_DEFAULTS)
-    decide(agent, ROW, _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(agent)), beliefs, rng, PARAM_DEFAULTS)
+    world = _view(agent)
+    decide(world, ROW, _percept(), beliefs, rng)
+    assert agent.target[0] == NO_TARGET
+    decide(world, ROW, _percept(visible=[Sight(0, 5.0, 0.0, 0.0)]), beliefs, rng)
     assert agent.target[0] == 0
-    assert not beliefs.lost[0]
 
 
 def test_smoke_at_an_exit_marks_it_blocked_and_announces():
@@ -494,9 +491,8 @@ def test_smoke_at_an_exit_marks_it_blocked_and_announces():
             Sight(1, 5.0, 0.0, 0.0, od_at_exit=thick),
             Sight(0, 9.0, 0.0, 0.0),
         ],
-        world=_view(agent),
     )
-    _, replanned, announce = decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
+    replanned, announce = decide(_view(agent), ROW, percept, beliefs, rng)
     assert beliefs.blocked[0, 1]
     assert announce[0].tolist() == [False, True, False]
     assert agent.target[0] == 0
@@ -514,9 +510,8 @@ def test_replanning_and_smoke_raise_nervousness():
             Sight(0, 9.0, 0.0, 0.0),
         ],
         od=PARAM_DEFAULTS["od_nervous"] + 0.1,
-        world=_view(agent),
     )
-    decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
+    decide(_view(agent), ROW, percept, beliefs, rng)
     want = PARAM_DEFAULTS["dn_replan"] + PARAM_DEFAULTS["dn_smoke"]
     assert math.isclose(agent.nervousness[0], want)
 
@@ -528,24 +523,23 @@ def test_experience_damps_nervousness_growth():
     percept = _percept(
         visible=[Sight(0, 5.0, 0.0, 0.0)], od=PARAM_DEFAULTS["od_nervous"] + 0.1
     )
-    decide(rookie, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
-    decide(veteran, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
+    decide(_view(rookie), ROW, percept, _beliefs(), rng)
+    decide(_view(veteran), ROW, percept, _beliefs(), rng)
     assert math.isclose(veteran.nervousness[0], rookie.nervousness[0] / 2)
 
 
 def test_desired_speed_rises_with_nervousness_up_to_the_cap():
     rng = np.random.default_rng(0)
-    calm_agent, nervous_agent = one_agent(insistence=1.0), one_agent(insistence=1.0, nervousness=1.0)
-    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(calm_agent))
-    calm, _, _ = decide(calm_agent, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
-    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], world=_view(nervous_agent))
-    nervous, _, _ = decide(nervous_agent, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
-    assert math.isclose(calm[0], 1.34)
-    assert math.isclose(nervous[0], 2.68)
+    calm, nervous = one_agent(insistence=1.0), one_agent(insistence=1.0, nervousness=1.0)
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)])
+    decide(_view(calm), ROW, percept, _beliefs(), rng)
+    decide(_view(nervous), ROW, percept, _beliefs(), rng)
+    assert math.isclose(calm.desired[0], 1.34)
+    assert math.isclose(nervous.desired[0], 2.68)
     runner = one_agent(insistence=1.0, nervousness=1.0, speed_pref=6.0)
-    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], speed=_speed(runner), world=_view(runner))
-    fast, _, _ = decide(runner, ROW, percept, _beliefs(), rng, PARAM_DEFAULTS)
-    assert fast[0] == PARAM_DEFAULTS["speed_cap"]
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0)], speed=_speed(runner))
+    decide(_view(runner), ROW, percept, _beliefs(), rng)
+    assert runner.desired[0] == PARAM_DEFAULTS["speed_cap"]
 
 
 def test_full_insistence_never_replans_without_cause():
@@ -554,8 +548,9 @@ def test_full_insistence_never_replans_without_cause():
     beliefs.known[0, 0] = True
     rng = np.random.default_rng(42)
     percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
+    world = _view(agent)
     for _ in range(500):
-        _, replanned, _ = decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
+        replanned, _ = decide(world, ROW, percept, beliefs, rng)
         assert agent.target[0] == 0
         assert not replanned[0]
 
@@ -564,11 +559,12 @@ def test_low_insistence_triggers_the_replan_lottery():
     agent = one_agent(target=0, insistence=0.1)
     beliefs = _beliefs()
     rng = np.random.default_rng(42)
-    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)], world=_view(agent))
+    percept = _percept(visible=[Sight(0, 5.0, 0.0, 0.0), Sight(1, 4.0, 0.0, 0.0)])
+    world = _view(agent)
     switched = 0
     for _ in range(100):
         agent.target[0] = 0
-        decide(agent, ROW, percept, beliefs, rng, PARAM_DEFAULTS)
+        decide(world, ROW, percept, beliefs, rng)
         if agent.target[0] == 1:
             switched += 1
     assert switched > 50  # the lottery fires ~90% of rounds here
@@ -605,34 +601,39 @@ def test_one_bulk_round_matches_one_row_rounds_in_id_order():
             _percept(
                 visible=[Sight(z, distances[z], 0.0, 0.0, thick if smoky[z] else 0.0) for z in range(EXITS)],
                 od=float(setup.uniform(0.0, 2.0 * PARAM_DEFAULTS["od_nervous"])),
-                t=10.0,
                 speed=float(setup.uniform(0.5, 1.5)),
             )
         )
     sensed = ("speed", "local_od", "visible", "distance", "hazard", "exit_od")
-    # bulk and one-row rounds alike sense the herd of the crowd as it stood before the round
-    percepts = Percepts(
-        t=10.0, world=_view(pop), **{name: np.concatenate([vars(p)[name] for p in rows_percepts]) for name in sensed}
-    )
+    percepts = Percepts(**{name: np.concatenate([vars(p)[name] for p in rows_percepts]) for name in sensed})
     rows = np.arange(k)
+    geometry = _geometry()
+
+    def copy(crowd):
+        return Population(**{n: v.copy() for n, v in vars(crowd).items()})
 
     def start():
         """A copy of the crowd, and beliefs with a progress check due for every other row."""
         beliefs = _beliefs(k)
         beliefs.record_position(rows, 6.0, pop.pos)
         beliefs.next_check[::2] = 9.0
-        return Population(**{n: v.copy() for n, v in vars(pop).items()}), beliefs
+        return copy(pop), beliefs
 
     bulk_pop, bulk_beliefs = start()
     bulk_rng = np.random.default_rng(11)
-    desired, replanned, _ = decide(bulk_pop, rows, percepts, bulk_beliefs, bulk_rng, PARAM_DEFAULTS)
+    replanned, _ = decide(_view(bulk_pop, geometry, t=10.0), rows, percepts, bulk_beliefs, bulk_rng)
 
     one_pop, one_beliefs = start()
     one_rng = np.random.default_rng(11)
-    one_desired, one_replanned = [], []
+    one_replanned = []
     for r in range(k):
-        d, rep, _ = decide(one_pop, rows[r : r + 1], percepts.take([r]), one_beliefs, one_rng, PARAM_DEFAULTS)
-        one_desired.append(d[0])
+        # bulk and one-row rounds alike sense the herd of the crowd as it
+        # stood before the round: each row decides in a copy of it and
+        # keeps its own row
+        before = copy(pop)
+        rep, _ = decide(_view(before, geometry, t=10.0), rows[r : r + 1], percepts.take([r]), one_beliefs, one_rng)
+        for name, column in vars(one_pop).items():
+            column[r] = getattr(before, name)[r]
         one_replanned.append(rep[0])
 
     assert 0 < replanned.sum() < k  # the round mixes kept and changed plans
@@ -640,7 +641,7 @@ def test_one_bulk_round_matches_one_row_rounds_in_id_order():
     assert np.array_equal(bulk_pop.target, one_pop.target)
     assert np.array_equal(bulk_pop.insistence, one_pop.insistence)
     assert np.array_equal(bulk_pop.nervousness, one_pop.nervousness)
-    assert np.array_equal(desired, np.array(one_desired))
+    assert np.array_equal(bulk_pop.desired, one_pop.desired)
     assert np.array_equal(replanned, np.array(one_replanned))
     assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
     # one draw per row that had no reason to choose: a target, not seen blocked
@@ -942,7 +943,7 @@ def test_a_round_where_nobody_rechooses_senses_no_neighbour():
     asked = []
     sight = world.in_sight
     world.in_sight = lambda observers, radius: asked.append(observers.copy()) or sight(observers, radius)
-    _, replanned, _ = decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
+    replanned, _ = decide(world, rows, percepts, beliefs, np.random.default_rng(1))
     assert not asked
     assert not replanned.any() and np.array_equal(pop.target[rows], rows % EXITS)
 
@@ -951,13 +952,12 @@ def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
     world = _split_room_world(120, np.random.default_rng(8))
     pop = world.pop
     rows = np.flatnonzero(pop.status == AgentStatus.MOVING)
-    # keeps its plan, has none, is lost, believes its target blocked, loses the lottery
-    kind = np.arange(len(rows)) % 5
+    # keeps its plan, has none, believes its target blocked, loses the lottery
+    kind = np.arange(len(rows)) % 4
     pop.target[rows] = np.where(kind == 1, NO_TARGET, rows % EXITS)
-    pop.insistence[rows] = np.where(kind == 4, 0.0, 1.0)
+    pop.insistence[rows] = np.where(kind == 3, 0.0, 1.0)
     beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
-    beliefs.lost[rows[kind == 2]] = True
-    beliefs.blocked[rows[kind == 3], pop.target[rows[kind == 3]]] = True
+    beliefs.blocked[rows[kind == 2], pop.target[rows[kind == 2]]] = True
     percepts = build_percepts(world, rows)
     chosen = np.flatnonzero(kind > 0)
     # with no exit in sight or known, each choice follows the herd: from one
@@ -970,7 +970,7 @@ def test_decide_senses_the_herd_of_exactly_the_rows_that_rechoose():
     asked = []
     sight = world.in_sight
     world.in_sight = lambda observers, radius: asked.append(observers.copy()) or sight(observers, radius)
-    decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
+    decide(world, rows, percepts, beliefs, np.random.default_rng(1))
     assert len(asked) == 1 and np.array_equal(asked[0], rows[chosen])
     assert np.array_equal(pop.target[rows[chosen]], want)
 
@@ -982,8 +982,8 @@ def test_decide_reads_follow_distances_only_where_choose_exit_does():
     # every row re-chooses, with no exit in sight and every exit walkable;
     # a row knows all of them, only exit 0, or none
     kind = np.arange(len(rows)) % 3
+    pop.insistence[rows] = 0.0  # a row with a target loses the replan lottery
     beliefs = init_beliefs(np.zeros(len(pop)), EXITS, np.random.default_rng(0), 10.0, 1.0)
-    beliefs.lost[rows] = True
     beliefs.known[rows[kind == 0]] = True
     beliefs.known[rows[kind == 1], 0] = True
     distance = np.random.default_rng(18).uniform(5.0, 30.0, (len(rows), EXITS))
@@ -997,7 +997,7 @@ def test_decide_reads_follow_distances_only_where_choose_exit_does():
     assert (blind != want)[kind == 1].any() and (blind != want)[kind == 2].any()
     assert np.isfinite(stats[3][kind == 0]).any()
 
-    decide(pop, rows, percepts, beliefs, np.random.default_rng(1), PARAM_DEFAULTS)
+    decide(world, rows, percepts, beliefs, np.random.default_rng(1))
     assert np.array_equal(pop.target[rows], want)
 
 

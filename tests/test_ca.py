@@ -26,7 +26,7 @@ def _geometry(rows):
 
 def _positions(geo, cells):
     """Agent i at the centre of ``cells[i]``."""
-    return np.array([geo.cell_center(*cell) for cell in cells])
+    return np.array([((x + 0.5) * geo.cell_size, (y + 0.5) * geo.cell_size) for x, y in cells])
 
 
 def _lattice(geo, pos):
@@ -99,7 +99,7 @@ def test_agent_descends_the_distance_field():
     assert moved.tolist() == [0]
     assert _cell(geo, pos, 0) == (2, 1)
     # the winner stands at its new cell's centre, its old cell is free
-    assert pos[0].tolist() == list(geo.cell_center(2, 1))
+    assert pos[0].tolist() == [2.5 * geo.cell_size, 1.5 * geo.cell_size]
     occupancy = _lattice(geo, pos)
     assert occupancy[1, 1] == EMPTY_CELL and occupancy[1, 2] == 0
 

@@ -232,8 +232,9 @@ SWEEP = ("sweep", "--param", "params.v_ref", "--seeds", "0", "--values")
 
 def _number_case(case_id, update, message, command=("validate",), csv=None):
     """``update`` merges into the sections of minimal_room (a section
-    given as a non-object replaces it); ``csv`` is written beside the
-    scenario as ``series.csv``."""
+    given as a non-object replaces it, and a non-object ``update`` the
+    whole document); ``csv`` is written beside the scenario as
+    ``series.csv``."""
     return pytest.param(update, command, csv, message, id=case_id)
 
 
@@ -307,11 +308,131 @@ def _attribute(**spec):
         ),
         _number_case("sweep-values-nan", {}, "sweep.values: not numbers: '1.3,nan'", command=(*SWEEP, "1.3,nan")),
         _number_case("sweep-values-inf", {}, "sweep.values: not numbers: 'inf'", command=(*SWEEP, "inf")),
+        _number_case("sweep-values-word", {}, "sweep.values: not numbers: '1.3,fast'", command=(*SWEEP, "1.3,fast")),
+        # the refusals of a document, one row per check
+        _number_case("document-list", [1], "$: scenario document must be a JSON object"),
+        _number_case("config-dt-0", {"config": {"dt": 0}}, "config.dt: time step must be > 0"),
+        _number_case(
+            "config-sf-dt", {"config": {"backend": "sf", "dt": 0.1}}, "config.dt: continuous backend is unstable above"
+        ),
+        _number_case("max_sim_time-0", {"config": {"max_sim_time": 0}}, "config.max_sim_time: must be > 0"),
+        _number_case("seed-float", {"config": {"seed": 1.5}}, "config.seed: must be an integer"),
+        _number_case("seed-negative", {"config": {"seed": -1}}, "config.seed: must fit in an unsigned 64-bit integer"),
+        _number_case("alarm_time-negative", {"config": {"alarm_time": -1}}, "config.alarm_time: must be >= 0"),
+        _number_case("config-unknown-field", {"config": {"speed": 1}}, "config.speed: unknown field"),
+        _number_case("cell_size-0", {"geometry": {"cell_size": 0}}, "geometry.cell_size: must be > 0"),
+        _number_case("cells-numbers", {"geometry": {"cells": [1, 2]}}, "geometry.cells: must be a non-empty list of strings"),
+        _number_case("cells-empty-row", {"geometry": {"cells": [""]}}, "geometry.cells: rows must not be empty"),
+        _number_case("door-number", {"geometry": {"doors": [5]}}, "geometry.doors[0]: must be an object"),
+        _number_case(
+            "door-id-number",
+            {"geometry": {"doors": [{"id": 3, "cells": [[17, 6]]}]}},
+            "geometry.doors[0].id: must be a string",
+        ),
+        _number_case(
+            "door-cell-short",
+            {"geometry": {"doors": [{"cells": [[17]]}]}},
+            "geometry.doors[0].cells: expected [x, y] integers, got [17]",
+        ),
+        _number_case("count-negative", {"population": {"count": -1}}, "population.count: must be a non-negative integer"),
+        _number_case("count-true", {"population": {"count": True}}, "population.count: expected an integer"),
+        _number_case("count-string", {"population": {"count": "5"}}, "population.count: expected int"),
+        _number_case("spawn-list", {"population": {"spawn": [1]}}, "population.spawn: must be an object"),
+        _number_case(
+            "spawn-rect-and-node",
+            {"population": {"spawn": {"rect": [1, 1, 2, 2], "node": 0}}},
+            "population.spawn: give either a rect or a node, not both",
+        ),
+        _number_case(
+            "spawn-rect-inverted",
+            {"population": {"spawn": {"rect": [5, 5, 1, 1]}}},
+            "population.spawn: rect corners are inverted",
+        ),
+        _number_case(
+            "spawn-rect-short",
+            {"population": {"spawn": {"rect": [1, 1, 2]}}},
+            "population.spawn.rect: expected [x0, y0, x1, y1] integers",
+        ),
+        _number_case(
+            "spawn-node-string",
+            {"population": {"spawn": {"node": "a"}}},
+            "population.spawn.node: must be an integer node id",
+        ),
+        _number_case(
+            "attributes-object",
+            {"population": {"attributes": {"age": 30}}},
+            "population.attributes: must be a list of {attr, dist, ...} objects",
+        ),
+        _number_case(
+            "attribute-number", {"population": {"attributes": [5]}}, "population.attributes[0]: must be an object"
+        ),
+        _number_case(
+            "attribute-twice",
+            {"population": {"attributes": [{"attr": "age", "dist": "constant", "value": 30}] * 2}},
+            "population.attributes[1]: duplicate spec for 'age'",
+        ),
+        _number_case(
+            "dist-unknown",
+            _attribute(attr="age", dist="gauss"),
+            "population.attributes.age: unknown distribution 'gauss'",
+        ),
+        _number_case(
+            "constant-no-value",
+            _attribute(attr="age", dist="constant"),
+            "population.attributes.age: constant distribution needs a value",
+        ),
+        _number_case(
+            "uniform-no-hi",
+            _attribute(attr="age", dist="uniform", lo=20),
+            "population.attributes.age: uniform distribution needs lo and hi",
+        ),
+        _number_case(
+            "uniform-lo-above-hi",
+            _attribute(attr="age", dist="uniform", lo=60, hi=20),
+            "population.attributes.age: uniform lo must be <= hi",
+        ),
+        _number_case(
+            "weights-negative",
+            _attribute(attr="gender", dist="categorical", values=["F", "M"], weights=[-1, 2]),
+            "population.attributes.gender: weights must be non-negative and sum > 0",
+        ),
+        _number_case(
+            "gender-x",
+            _attribute(attr="gender", dist="constant", value="X"),
+            "population.attributes.gender: gender must be 'F' or 'M'",
+        ),
+        _number_case(
+            "age-negative",
+            _attribute(attr="age", dist="constant", value=-1),
+            "population.attributes.age: must be a non-negative integer",
+        ),
+        _number_case("hazard-list", {"hazard": [1]}, "hazard: must be an object"),
+        _number_case("hazard-file-number", {"hazard": {"file": 5}}, "hazard.file: must be a path string"),
+        _number_case("builtin-number", {"hazard": {"builtin": 5}}, "hazard.builtin: must be an object"),
+        _number_case(
+            "builtin-no-source", {"hazard": {"builtin": {"rate": 1}}}, "hazard.builtin.source: missing required field"
+        ),
+        _number_case(
+            "builtin-rate-negative", {"hazard": {"builtin": {**SMOKE, "rate": -1}}}, "hazard.builtin.rate: must be >= 0"
+        ),
+        _number_case(
+            "builtin-step-0",
+            {"hazard": {"builtin": {**SMOKE, "step": 0}}},
+            "hazard.builtin: step, frame_interval and duration must be > 0",
+        ),
+        _number_case(
+            "csv-x-1.5",
+            {"hazard": {"file": "series.csv"}},
+            "row 3: invalid literal for int() with base 10: '1.5'",
+            csv=CSV_HEADER + ",".join({**CSV_ROW, "x": "1.5"}.values()) + "\n",
+        ),
     ],
 )
 def test_a_non_finite_or_mistyped_number_is_one_error_line(tmp_path, update, command, csv, message):
     with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(update, dict):
+        doc, update = update, {}
     for section, fields in update.items():
         if isinstance(fields, dict):
             doc.setdefault(section, {}).update(fields)
@@ -353,6 +474,18 @@ def _sweep(param="params.v_ref", values="1.3", seeds="0"):
             "sweep.param: population.count needs a non-negative integer",
             id="count-2.5",
         ),
+        pytest.param(
+            ("run", "minimal_room.json", "--backend", "warp"),
+            "argument --backend: invalid choice: 'warp'",
+            id="backend-unknown",
+        ),
+        pytest.param(("run", "minimal_room.json", "--seed", "x"), "argument --seed: invalid int value: 'x'", id="seed-x"),
+        pytest.param(
+            ("run", "minimal_room.json", "--seed", "-1"),
+            "config.seed: must fit in an unsigned 64-bit integer",
+            id="seed-negative",
+        ),
+        pytest.param(("run", "minimal_room.json", "--max-time", "0"), "config.max_sim_time: must be > 0", id="max-time-0"),
     ],
 )
 def test_a_refused_command_line_is_one_error_line(tmp_path, command, message):

@@ -503,9 +503,10 @@ class _EveryTickPremovement(_Simulation):
     """Reference: the pre-movement rule tested on every tick, with no
     sleep until the earliest pending delay."""
 
-    def _premovement_phase(self, t):
+    def _premovement_phase(self, t, sensed):
         waiting = self.pop.status == int(AgentStatus.PREMOVEMENT)
-        go = self.sensed
+        go = np.zeros(len(self.pop), dtype=bool)
+        go[sensed] = True
         if t + SENSE_EPS >= self.config.alarm_time:
             go = go | (t + SENSE_EPS >= self.config.alarm_time + self.pop.reaction_time)
         start = np.flatnonzero(waiting & go)

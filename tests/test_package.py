@@ -13,7 +13,11 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
+
 import evacsim
+from evacsim.agents import Beliefs, Percepts, WorldView
+from evacsim.engine import _Simulation
 
 from conftest import ROOT
 
@@ -183,6 +187,30 @@ def test_the_lattice_is_read_off_the_positions():
     classes = {node.name: node for node in ast.walk(trees["engine"]) if isinstance(node, ast.ClassDef)}
     methods = [node.name for node in classes["_CaMover"].body if isinstance(node, ast.FunctionDef)]
     assert methods == ["__init__", "step"]
+
+
+def test_each_agent_fact_has_one_record():
+    # Population holds every fact about an agent, desired speed included,
+    # and the run's one WorldView the air and the exit fields: the engine
+    # keeps only the ids it samples and when each pre-movement delay is up
+    with open(os.path.join(ROOT, "scenarios", "two_rooms.json"), encoding="utf-8") as fh:
+        scenario = evacsim.parse_scenario(fh.read())
+    for backend in ("ca", "sf", "flow"):
+        sim = _Simulation(scenario, replace(scenario.config, backend=backend))
+        n = len(sim.pop)
+        per_agent = sorted(k for k, v in vars(sim).items() if isinstance(v, np.ndarray) and v.shape == (n,))
+        assert per_agent == ["due_t", "ids"], backend
+        assert sim.pop.desired.shape == (n,)
+    fields = {cls: set(cls.__dataclass_fields__) for cls in (Beliefs, Percepts, WorldView)}
+    assert "lost" not in fields[Beliefs] and "world" not in fields[Percepts] and "local_od" not in fields[WorldView]
+    builders = [
+        f"{cls.name}.{func.name}"
+        for cls in ast.walk(_trees()["engine"])
+        if isinstance(cls, ast.ClassDef)
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef) and _names(func)["WorldView"]
+    ]
+    assert builders == ["_Simulation.__init__"]
 
 
 def test_each_kind_of_default_is_resolved_in_one_module():

@@ -884,7 +884,7 @@ def _field_hop(geo, field, cx, cy):
         if field[ny, nx] < best_val:
             best_val = field[ny, nx]
             best = (nx, ny)
-    return None if best is None else geo.cell_center(*best)
+    return None if best is None else ((best[0] + 0.5) * geo.cell_size, (best[1] + 0.5) * geo.cell_size)
 
 
 def _push_point(geo, labels, n_rooms, arc, door):
@@ -902,7 +902,7 @@ def _push_point(geo, labels, n_rooms, arc, door):
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nx, ny = x + dx, y + dy
             if geo.in_bounds(nx, ny) and int(labels[ny, nx]) == label:
-                acc += geo.cell_center(nx, ny)
+                acc += ((nx + 0.5) * geo.cell_size, (ny + 0.5) * geo.cell_size)
                 count += 1
     if count:
         direction = acc / count - center
