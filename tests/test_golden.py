@@ -99,6 +99,27 @@ def _shipped(name, max_sim_time, digest, outcome, backend=None):
         _shipped(
             "two_rooms", 40.0, "ee083f0c37d5130a", _outcome_of(11, 40.0, {"exited": 11}, {"exit:0": 11, "mid": 19}), "sf"
         ),
+        # every other shipped scenario under every backend it runs on
+        _shipped("minimal_room", 10.0, "dba7aa1fe30ce229", _outcome_of(1, 10.0, {"exited": 1}, {"exit:0": 1}), "sf"),
+        _shipped("minimal_room", None, "53d48ecfddcb4813", _outcome_of(10, 120.0, {"exited": 10}, {"exit:0": 10}), "flow"),
+        _shipped(
+            "corridor", None, "cc106ed0655a26b4", _outcome_of(40, 204.4776119402985, {"exited": 40}, {"exit:0": 40}), "ca"
+        ),
+        _shipped(
+            "herding_two_exit",
+            10.0,
+            "ecc1c880ad2bc063",
+            _outcome_of(27, 10.0, {"replanned": 82, "exited": 27}, {"exit:0": 15, "exit:1": 12}),
+            "sf",
+        ),
+        _shipped("herding_two_exit", None, "00ee2df3cbb3b948", _outcome_of(80, 42.0, {"exited": 80}, {"exit:0": 80}), "flow"),
+        _shipped("big_hall_ca", 5.0, "50ff8f7fe08b0ff3", _outcome_of(1, 5.0, {"exited": 1}, {"exit:0": 1}), "sf"),
+        _shipped("big_hall_ca", 10.0, "f28e889fea5d7094", _outcome_of(7, 10.0, {"exited": 7}, {"exit:0": 7}), "flow"),
+        # one person on the exit span when the clock stops: two crossings, one exit
+        _shipped(
+            "benchmark_room_sf", 10.0, "1f7a1d8e0ba236dd", _outcome_of(1, 10.074626865671641, {"exited": 1}, {"exit:0": 2}), "ca"
+        ),
+        _shipped("benchmark_room_sf", 10.0, "9f43eef10cef1e57", _outcome_of(3, 10.0, {"exited": 3}, {"exit:0": 3}), "flow"),
     ],
 )
 def test_shipped_scenario_digest(name, max_sim_time, backend, digest, outcome):
