@@ -48,7 +48,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import SimulationError
-from .hazard import visibility_range_bulk
+from .hazard import heat, visibility_range_bulk
 from .scenario import FLOAT01, DistSpec, Geometry, PopulationSpec, los_pairs
 
 
@@ -116,18 +116,17 @@ class Population:
 # attribute sampling
 # ---------------------------------------------------------------------------
 
-INT_ATTRS = ("mobility", "age", "role")
+#: each attribute's array type; every attribute not named here is float64
+ATTR_DTYPES = {"mobility": np.int64, "age": np.int64, "role": np.int64, "gender": str}
 
 
-def _sample_attr(attr: str, spec: DistSpec, count: int, rng: np.random.Generator):
+def _sample_attr(attr: str, spec: DistSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of one attribute, in its type from ``ATTR_DTYPES``."""
+    dtype = ATTR_DTYPES.get(attr, np.float64)
     if spec.kind == "constant":
-        if attr == "gender":
-            return [spec.value] * count
-        if attr in INT_ATTRS:
-            return np.full(count, int(spec.value), dtype=np.int64)
-        return np.full(count, float(spec.value))
+        return np.full(count, spec.value, dtype)
     if spec.kind == "uniform":
-        if attr in INT_ATTRS:
+        if dtype is np.int64:
             return rng.integers(int(spec.lo), int(spec.hi) + 1, size=count)
         return rng.uniform(float(spec.lo), float(spec.hi), size=count)
     weights = spec.weights
@@ -137,12 +136,7 @@ def _sample_attr(attr: str, spec: DistSpec, count: int, rng: np.random.Generator
         total = float(sum(weights))
         p = np.asarray(weights, dtype=np.float64) / total
     idx = rng.choice(len(spec.values), size=count, p=p)
-    values = [spec.values[i] for i in idx]
-    if attr == "gender":
-        return values
-    if attr in INT_ATTRS:
-        return np.array([int(v) for v in values], dtype=np.int64)
-    return np.array([float(v) for v in values])
+    return np.asarray(spec.values, dtype)[idx]
 
 
 def effective_speed(health: np.ndarray, mobility: np.ndarray, speed_pref: np.ndarray, params: dict) -> np.ndarray:
@@ -179,24 +173,23 @@ def spawn_population(
     merged = spec.attribute_specs(params)
 
     rng_attrs = streams.spawn_attrs
-    sampled: dict[str, object] = {}
+    sampled: dict[str, np.ndarray] = {}
     for attr in sorted(merged):
         if attr == "reaction_time":
             continue  # handled after experience/role are known
         values = _sample_attr(attr, merged[attr], count, rng_attrs)
         sampled[attr] = np.clip(values, 0.0, 1.0) if attr in FLOAT01 else values
 
-    speed_pref = np.asarray(sampled["speed_pref"], dtype=np.float64).copy()
-    ages = np.asarray(sampled["age"])
-    speed_pref[ages >= int(params["age_slow_at"])] *= float(params["age_slow_factor"])
+    speed_pref = sampled["speed_pref"]
+    speed_pref[sampled["age"] >= int(params["age_slow_at"])] *= float(params["age_slow_factor"])
 
     rng_rt = streams.reaction
     if "reaction_time" in spec.attributes:
-        reaction = np.asarray(_sample_attr("reaction_time", merged["reaction_time"], count, rng_rt), dtype=np.float64)
+        reaction = _sample_attr("reaction_time", merged["reaction_time"], count, rng_rt)
     else:
         draws = rng_rt.lognormal(mean=math.log(float(params["rt_median"])), sigma=float(params["rt_sigma"]), size=count)
-        factor = np.where(np.asarray(sampled["role"]) == 1, float(params["rt_leader_factor"]), 1.0)
-        rt = draws * (1.0 - 0.5 * np.asarray(sampled["experience"])) * factor
+        factor = np.where(sampled["role"] == 1, float(params["rt_leader_factor"]), 1.0)
+        rt = draws * (1.0 - 0.5 * sampled["experience"]) * factor
         reaction = np.clip(rt, float(params["rt_min"]), float(params["rt_max"]))
 
     cells = spec.spawn_cells(geometry)
@@ -214,7 +207,7 @@ def spawn_population(
         pos=np.array(positions, dtype=np.float64).reshape(count, 2),
         radius=radii,
         health=sampled["health"],
-        mobility=np.asarray(sampled["mobility"], dtype=np.int64),
+        mobility=sampled["mobility"],
         speed_pref=speed_pref,
         vision=vision0,
         reaction_time=reaction,
@@ -223,9 +216,9 @@ def spawn_population(
         knowledge=sampled["knowledge"],
         experience=sampled["experience"],
         nervousness=sampled["nervousness"],
-        gender=np.asarray(sampled["gender"], dtype=str),
-        age=np.asarray(sampled["age"], dtype=np.int64),
-        role=np.asarray(sampled["role"], dtype=np.int64),
+        gender=sampled["gender"],
+        age=sampled["age"],
+        role=sampled["role"],
         status=np.full(count, int(AgentStatus.PREMOVEMENT), dtype=np.uint8),
         end_t=np.full(count, np.nan),
         path_len=np.zeros(count),
@@ -461,7 +454,7 @@ def sight_line_hazard(
     max_cells: np.ndarray,
     params: dict,
 ) -> np.ndarray:
-    """Mean hazard (optical density + heat above ``temp_crit`` + toxicity)
+    """Mean hazard (optical density + heat dose + toxicity)
     over evenly spaced points from each (P, 2) start cell toward its stop
     cell, the line clipped at ``max_cells``, the perceiver's sight range."""
     start = np.asarray(start, dtype=np.float64)
@@ -479,8 +472,7 @@ def sight_line_hazard(
     height, width = od_frame.shape
     xs = np.clip(points[:, :, 0].astype(np.int64), 0, width - 1)
     ys = np.clip(points[:, :, 1].astype(np.int64), 0, height - 1)
-    heat = np.maximum(0.0, temp_frame[ys, xs] - float(params["temp_crit"])) / float(params["temp_scale"])
-    return (od_frame[ys, xs] + heat + tox_frame[ys, xs]).mean(axis=1)
+    return (od_frame[ys, xs] + heat(temp_frame[ys, xs], params) + tox_frame[ys, xs]).mean(axis=1)
 
 
 @dataclass

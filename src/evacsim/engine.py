@@ -11,11 +11,13 @@ stamped strictly before s.
 The first three phases, exits, deaths and result assembly are shared.
 The backend is one mover from ``MOVERS``, picked by ``config.backend``;
 the shared phases call only its ``steer(ids)`` (after a decision round),
-``step(k, t)`` (one movement tick with its arrivals, door crossings and
-clog checks), ``remove(i)`` (agent i died) and ``warnings``.  Class
-constants on each mover give its default decision and trajectory
-cadence and whether it makes decision rounds at all; a mover that moves
-or steers on the route network derives the network itself.
+``step(k, t)`` (one movement tick with its arrivals and door crossings),
+``remove(i)`` (agent i died), ``finish(t_end)`` (the run is over) and
+``warnings``.  Class constants on each mover give its default decision
+and trajectory cadence and whether it decides at all; a mover that moves
+or steers on the route network derives the network itself.  Whoever
+stands on an exit cell leaves by one rule, ``_Simulation._leave``; the
+clog episodes at the doors are the social-force mover's own.
 
 Each fact has one owner.  ``Population`` holds every agent's state,
 desired speed (``Population.desired``) included, and no mover keeps a
@@ -158,7 +160,6 @@ class DoorSite:
     upstream: np.ndarray      # (2,) unit normal toward the side farther from every exit
     half_span: float          # m along the opening
     covers_exit: bool = False  # opening lies on exit cells (bodies vanish here)
-    clogged: bool = False      # inside a clog episode (social-force runs)
 
 
 def _make_door_site(geometry: Geometry, door_id: str, cells: list[tuple[int, int]]) -> DoorSite:
@@ -272,10 +273,10 @@ class _Simulation:
             ),
         )
 
-        # cadences, in ticks; an interval parameter <= 0 takes the mover's default
+        # cadences; an interval parameter <= 0 takes the mover's default
         def every(key: str, default: float) -> int:
             seconds = float(self.params[key])
-            return max(1, half_up((seconds if seconds > 0 else default) / self.dt))
+            return self.ticks(seconds if seconds > 0 else default)
 
         self.decide_every = every("decision_interval", mover_cls.decision_interval)
         self.sample_every = every("trajectory_interval", mover_cls.trajectory_interval or self.dt)
@@ -289,11 +290,17 @@ class _Simulation:
 
         self.sites = door_sites(geometry)
         self.site_of_cell = np.full((geometry.height, geometry.width), -1, dtype=np.int32)
-        for si, site in enumerate(self.sites):
-            for (x, y) in site.cells:
+        # the exit:<z> sites first, so that declared doors keep their own cells
+        n_doors = len(geometry.doors)
+        for si in [*range(n_doors, len(self.sites)), *range(n_doors)]:
+            for (x, y) in self.sites[si].cells:
                 self.site_of_cell[y, x] = si
 
         self.mover = mover_cls(self)
+
+    def ticks(self, seconds: float) -> int:
+        """``seconds`` in whole ticks, rounded half up, at least one."""
+        return max(1, half_up(seconds / self.dt))
 
     # -- per-tick phases -----------------------------------------------------
 
@@ -386,15 +393,19 @@ class _Simulation:
             payload["door"] = door_id
         self.events.append(EventRecord(t, "exited", i, payload))
 
-    def _leave(self, i: int, t: float, cx: int, cy: int) -> int:
-        """Agent i, standing on exit cell (cx, cy), leaves the building;
-        returns the index of the door site covering that cell, or -1.  Only
-        the movers that walk people onto exit cells call it, and they keep
-        no one to remove."""
-        site_index = int(self.site_of_cell[cy, cx])
-        door_id = self.sites[site_index].door_id if site_index >= 0 else None
-        self._exit_agent(i, t, int(self.geometry.zone_grid[cy, cx]), door_id)
-        return site_index
+    def _leave(self, t: float, ids: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Everyone of the ascending ``ids`` whose cell in the (n, 2)
+        ``cells`` is an exit cell leaves the building, in id order; returns
+        the (n,) mask of who left and the door-site index of each leaver
+        (-1 where no site covers the cell).  Only the movers that walk
+        people onto exit cells call it, and they keep no one to remove."""
+        cx, cy = cells.T
+        zone = self.geometry.zone_grid[cy, cx]
+        left = zone >= 0
+        site_index = self.site_of_cell[cy[left], cx[left]]
+        for i, z, si in zip(ids[left].tolist(), zone[left].tolist(), site_index.tolist()):
+            self._exit_agent(i, t, z, self.sites[si].door_id if si >= 0 else None)
+        return left, site_index
 
     def field_layer(self, target: np.ndarray) -> np.ndarray:
         """The layer of ``world.exit_fields`` that people heading for the
@@ -433,13 +444,7 @@ class _Simulation:
         t_end = k * self.dt
         inside = len(self.pop.inside())
         timeout = inside > 0
-        # close out open clog episodes so durations are well defined
-        for site in self.sites:
-            if site.clogged:
-                site.clogged = False
-                self.events.append(
-                    EventRecord(t_end, "clog_end", site.door_id, {"end_of_run": True})
-                )
+        self.mover.finish(t_end)
         if not self.trajectory or self.trajectory[-1][0] != t_end:
             self._sample(t_end)
 
@@ -499,13 +504,14 @@ class _Simulation:
 
 
 class _Mover:
-    """A movement backend as the shared phases see it (module docstring).
+    """A movement backend as the shared phases see it (module docstring);
+    each hook does nothing by default.
 
     The class constants give its cadence and whether it decides; a mover
     that uses the route network derives it itself.  ``remove`` is called
     only for a death; exits leave through ``_Simulation._leave`` or the
     mover's own bookkeeping, so only ``flow``, whose queues hold the dead,
-    overrides it."""
+    overrides it.  ``finish(t_end)`` is called once, when the run stops."""
 
     decision_interval = CA_DECISION_INTERVAL  # s between decision rounds by default
     trajectory_interval = 0.0  # s between samples by default; 0 = every tick
@@ -522,6 +528,9 @@ class _Mover:
         pass
 
     def remove(self, i: int) -> None:
+        pass
+
+    def finish(self, t_end: float) -> None:
         pass
 
 
@@ -542,10 +551,8 @@ class _CaMover(_Mover):
         # arrival check first: anyone standing on an exit cell leaves
         present = pop.inside()
         cells = geometry.cells_of(pop.pos.take(present, axis=0))
-        leaving = geometry.zone_grid[cells[:, 1], cells[:, 0]] >= 0
-        for row in np.flatnonzero(leaving).tolist():
-            sim._leave(int(present[row]), t, *cells[row].tolist())
-        occupancy = lattice(cells[~leaving], present[~leaving], geometry, k)
+        left, _ = sim._leave(t, present, cells)
+        occupancy = lattice(cells[~left], present[~left], geometry, k)
 
         move_ids = np.flatnonzero(pop.walking())
         if len(move_ids):
@@ -583,7 +590,8 @@ class _CaMover(_Mover):
 
 
 class _SfMover(_Mover):
-    """Social-force bodies heading for waypoints along the route network."""
+    """Social-force bodies heading for waypoints along the route network,
+    and the clog episodes at the doors they pass."""
 
     decision_interval = SF_DECISION_INTERVAL
     trajectory_interval = SF_TRAJECTORY_INTERVAL
@@ -593,17 +601,18 @@ class _SfMover(_Mover):
         self.state = SfState.from_bodies(sim.pop.pos, sim.pop.radius, sim.params)
         self.walls = wall_table(exposed_wall_cells(sim.geometry), sim.geometry, float(sim.params["sf_cutoff"]))
         self.waypoint = np.full((len(sim.pop), 2), np.nan)
-        self.arch_every = max(1, half_up(ARCH_CHECK_INTERVAL / sim.dt))
-        # per site, its first crossing time and the (t, persons) crossings of the clog window
+        self.arch_every = sim.ticks(ARCH_CHECK_INTERVAL)
+        # per site, its first crossing time and whether a clog episode is open
         self.first_cross_t: list[float | None] = [None] * len(sim.sites)
-        self.recent: list[list[tuple[float, int]]] = [[] for _ in sim.sites]
+        self.clogged = [False] * len(sim.sites)
         # per target layer (exit zones, as the route table's rows, then no
         # target) and room (then no room), the next route arc, -1 for none;
         # per arc (then none), the point beyond its door, NaN without a door
         self.network = network = derive_network(sim.geometry, sim.params)
         self.n_rooms = sim.geometry.topology.n_rooms
         self.next_arc = np.pad(network.routes[2][:, : self.n_rooms], ((0, 1), (0, 1)), constant_values=-1)
-        doors = {d.id: d for d in sim.geometry.doors}
+        # the declared doors' sites come first; the exit:<z> arcs get no aim
+        doors = {site.door_id: site for site in sim.sites[: len(sim.geometry.doors)]}
         self.door_aim = np.full((len(network.arcs) + 1, 2), np.nan)
         for arc_index, arc in enumerate(network.arcs):
             if arc.door_id in doors:
@@ -650,21 +659,22 @@ class _SfMover(_Mover):
         out[pick == 0] = np.nan
         return out
 
-    def _push_point(self, arc, door) -> np.ndarray:
-        """Where to aim when taking this arc through this door: just beyond
-        the door centre on the destination side."""
+    def _push_point(self, arc, site: DoorSite) -> np.ndarray:
+        """Where to aim when taking this arc through this door site: just
+        beyond the door centre on the destination side."""
         geometry = self.sim.geometry
-        center = np.array(cells_center(door.cells, geometry.cell_size))
-        # destination-side cells adjacent to the span
+        center = site.center
+        # destination-side cells adjacent to the span; an exit zone's own
+        # cells are the zeros of its distance field
         if arc.dst >= self.n_rooms:
-            labels, label = geometry.zone_grid, arc.dst - self.n_rooms
+            labels, label = self.sim.world.exit_fields[arc.dst - self.n_rooms], 0.0
         else:
             labels, label = geometry.room_labels, arc.dst
         acc = np.zeros(2)
         count = 0
-        for (x, y) in door.cells:
+        for (x, y) in site.cells:
             for nx, ny in geometry.orthogonal(x, y):
-                if int(labels[ny, nx]) == label:
+                if labels[ny, nx] == label:
                     acc += geometry.centres((nx, ny))
                     count += 1
         if count:
@@ -711,21 +721,17 @@ class _SfMover(_Mover):
             if count:
                 self._crossed(t, site_index, count)
 
-        # arrivals: a body whose centre reaches an exit cell is out
-        cx, cy = cells.T
-        leaving = sim.geometry.zone_grid[cy, cx] >= 0
-        through: dict[int, int] = {}
-        for i, x, y in zip(present[leaving].tolist(), cx[leaving].tolist(), cy[leaving].tolist()):
-            site_index = sim._leave(i, t, x, y)
-            if site_index >= 0:
-                through[site_index] = through.get(site_index, 0) + 1
-        for site_index, count in through.items():
-            self._crossed(t, site_index, count)
+        # arrivals: a body whose centre reaches an exit cell is out; each
+        # site's leavers count as one crossing, in order of its first leaver
+        _, site_index = sim._leave(t, present, cells)
+        through = site_index[site_index >= 0]
+        counts = np.bincount(through)
+        for si in dict.fromkeys(through.tolist()):
+            self._crossed(t, si, int(counts[si]))
 
     def _crossed(self, t: float, site_index: int, count: int) -> None:
         sim = self.sim
         sim.crossings.append((t, sim.sites[site_index].door_id, count))
-        self.recent[site_index].append((t, count))
         if self.first_cross_t[site_index] is None:
             self.first_cross_t[site_index] = t
 
@@ -733,31 +739,30 @@ class _SfMover(_Mover):
         sim = self.sim
         window = float(sim.params["clog_window"])
         positions = sim.pop.pos.take(sim.pop.inside(), axis=0)
+        # persons through each door in (t - window, t]; crossings come in time order
+        through = dict.fromkeys((site.door_id for site in sim.sites), 0)
+        for et, door_id, n in reversed(sim.crossings):
+            if et <= t - window:
+                break
+            through[door_id] += n
         for site_index, site in enumerate(sim.sites):
             first = self.first_cross_t[site_index]
             if first is None or t < first + window:
                 continue
-            recent = [(et, n) for (et, n) in self.recent[site_index] if et > t - window - 1.0]
-            self.recent[site_index] = recent
-            through = sum(n for (et, n) in recent if t - window < et <= t)
-            rate = through / window
-            clogged, band = detect_arch(
-                positions,
-                (float(site.center[0]), float(site.center[1])),
-                (float(site.upstream[0]), float(site.upstream[1])),
-                rate,
-                sim.params,
-            )
-            if clogged and not site.clogged:
-                site.clogged = True
-                sim.events.append(
-                    EventRecord(t, "clog_start", site.door_id, {"band": band, "flow": rate})
-                )
-            elif not clogged and site.clogged:
-                site.clogged = False
-                sim.events.append(
-                    EventRecord(t, "clog_end", site.door_id, {"band": band, "flow": rate})
-                )
+            rate = through[site.door_id] / window
+            center, upstream = tuple(site.center.tolist()), tuple(site.upstream.tolist())
+            clogged, band = detect_arch(positions, center, upstream, rate, sim.params)
+            if clogged != self.clogged[site_index]:
+                self.clogged[site_index] = clogged
+                kind = "clog_start" if clogged else "clog_end"
+                sim.events.append(EventRecord(t, kind, site.door_id, {"band": band, "flow": rate}))
+
+    def finish(self, t_end: float) -> None:
+        """Close the clog episodes still open, so their durations are defined."""
+        sim = self.sim
+        for site, clogged in zip(sim.sites, self.clogged):
+            if clogged:
+                sim.events.append(EventRecord(t_end, "clog_end", site.door_id, {"end_of_run": True}))
 
 
 class _FlowMover(_Mover):
@@ -788,16 +793,14 @@ class _FlowMover(_Mover):
             else:
                 point = sim.geometry.centres(node.cell)
             self.node_points[node.id] = np.array(point)
-        doors = {d.id: d for d in sim.geometry.doors}
-        self.arc_points = []
-        for arc in network.arcs:
-            door = doors.get(arc.door_id)
-            if door is not None:
-                self.arc_points.append(np.array(cells_center(door.cells, sim.geometry.cell_size)))
-            else:
-                self.arc_points.append(
-                    0.5 * (self.node_points[arc.src] + self.node_points[arc.dst])
-                )
+        # a declared door's arcs sit at its site's centre, the others midway
+        doors = {site.door_id: site for site in sim.sites[: len(sim.geometry.doors)]}
+        self.arc_points = [
+            doors[arc.door_id].center
+            if arc.door_id in doors
+            else 0.5 * (self.node_points[arc.src] + self.node_points[arc.dst])
+            for arc in network.arcs
+        ]
 
     def _nearest_room_label(self, cx: int, cy: int) -> int:
         """Room of the closest labelled cell (nearest Chebyshev ring, then

@@ -229,13 +229,14 @@ def visibility_range_bulk(od: np.ndarray, health: np.ndarray, params: dict) -> n
     return base * (0.5 + 0.5 * health)
 
 
+def heat(temp, params: dict):
+    """The heat dose of air at ``temp``: degrees above ``temp_crit`` in
+    units of ``temp_scale``, 0 at or below it."""
+    return np.maximum(0.0, np.asarray(temp) - float(params["temp_crit"])) / float(params["temp_scale"])
+
+
 def health_decrement(temp, tox, dt: float, params: dict):
-    """Health lost over ``dt`` from heat above the harm threshold plus
-    toxicity.  Smoke density harms only via visibility, not health, so
-    it is not an argument."""
-    t_crit = float(params["temp_crit"])
-    t_scale = float(params["temp_scale"])
-    c_temp = float(params["c_temp"])
-    c_tox = float(params["c_tox"])
-    heat = np.maximum(0.0, np.asarray(temp) - t_crit) / t_scale
-    return dt * (c_temp * heat + c_tox * np.asarray(tox))
+    """Health lost over ``dt`` from the heat dose plus toxicity.  Smoke
+    density harms only via visibility, not health, so it is not an
+    argument."""
+    return dt * (float(params["c_temp"]) * heat(temp, params) + float(params["c_tox"]) * np.asarray(tox))

@@ -27,7 +27,7 @@ from evacsim import EMPTY_STATE_DIGEST, export_trajectories, parse_scenario, run
 from evacsim.agents import AgentStatus
 from evacsim.engine import SENSE_EPS, _Simulation
 
-from conftest import SCENARIOS, grid_rows, room_doc, run_cli
+from conftest import SCENARIOS, grid_rows, instant_reaction, make_scenario, room_doc, run_cli
 
 
 def _scenario_text(name, max_sim_time=None, backend=None, smoke=None):
@@ -359,6 +359,29 @@ def test_flow_starts_people_on_door_cells_in_the_nearest_room():
     result = run(json.dumps(doc))
     assert result.digest == "135030a0f96c2e29"
     assert _outcome(result) == _outcome_of(2, 100.0, {"exited": 2}, {"mid": 2, "exit:0": 2})
+
+
+@pytest.mark.parametrize("backend", ["ca", "sf"])
+def test_a_door_over_part_of_an_exit_keeps_its_own_cells(backend):
+    # door main covers two of the exit's three cells, so the rest of the
+    # zone is the doorless opening exit:0; whoever leaves from a door cell
+    # leaves through main, as on the route network that flow walks
+    door_cells = [(9, 2), (9, 3)]
+    doc = room_doc(
+        grid_rows(10, 6, exits=door_cells + [(9, 4)]),
+        count=8,
+        backend=backend,
+        max_sim_time=60.0,
+        doors=[{"id": "main", "cells": [list(c) for c in door_cells]}],
+        attributes=instant_reaction(),
+    )
+    sim = _Simulation(make_scenario(doc))
+    result = sim.run()
+    assert result.exited == 8
+    cells = sim.geometry.cells_of(sim.pop.pos)
+    doors = {event.subject: event.payload["door"] for event in result.events if event.kind == "exited"}
+    assert doors == {i: "main" if tuple(cells[i]) in door_cells else "exit:0" for i in doors}
+    assert "main" in doors.values() and "main" in {door_id for _t, door_id, _n in result.crossings}
 
 
 # an L-shaped exit zone, and a room whose mean cell row lies just below a

@@ -17,7 +17,7 @@ import numpy as np
 
 import evacsim
 from evacsim.agents import Beliefs, Percepts, WorldView
-from evacsim.engine import _Simulation
+from evacsim.engine import MOVERS, DoorSite, _Simulation
 
 from conftest import ROOT
 
@@ -211,6 +211,30 @@ def test_each_agent_fact_has_one_record():
         if isinstance(func, ast.FunctionDef) and _names(func)["WorldView"]
     ]
     assert builders == ["_Simulation.__init__"]
+
+
+def test_each_rule_the_movers_share_has_one_implementation():
+    # the clog episodes are the social-force mover's, counted off the one
+    # crossings list; the heat dose is hazard.heat's, and the exit-arrival
+    # rule _Simulation._leave's, so no mover reads the exit-zone grid
+    with open(os.path.join(ROOT, "scenarios", "two_rooms.json"), encoding="utf-8") as fh:
+        scenario = evacsim.parse_scenario(fh.read())
+    assert "clogged" not in DoorSite.__dataclass_fields__
+    assert not hasattr(_Simulation(scenario, replace(scenario.config, backend="sf")).mover, "recent")
+    trees = _trees()
+    classes = {node.name: node for node in ast.walk(trees["engine"]) if isinstance(node, ast.ClassDef)}
+    run_method = next(f for f in classes["_Simulation"].body if isinstance(f, ast.FunctionDef) and f.name == "run")
+    assert not _names(run_method)["sites"] and not _names(run_method)["clogged"]
+    crit_readers = [
+        f"{module}.{func.name}"
+        for module, tree in trees.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(isinstance(c, ast.Constant) and c.value == "temp_crit" for c in ast.walk(func))
+    ]
+    assert crit_readers == ["hazard.heat"]
+    movers = [cls.__name__ for cls in MOVERS.values()]
+    assert [name for name in movers if _names(classes[name])["zone_grid"]] == []
 
 
 def test_each_kind_of_default_is_resolved_in_one_module():

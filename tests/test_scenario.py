@@ -25,11 +25,13 @@ from evacsim import (
     run,
     serialize_scenario,
 )
+from evacsim.engine import door_sites
 from evacsim.scenario import (
     STEP_COSTS,
     STEPS,
     CellKind,
     Geometry,
+    cells_center,
     distance_field,
     half_up,
     los_pairs,
@@ -624,6 +626,25 @@ def test_derive_network_two_rooms_one_door():
         assert arc.capacity >= 1
         assert arc.traversal_time >= 0
     assert not geo.room_labels.flags.writeable and geo.room_labels is geo.room_labels
+
+
+def test_two_rooms_door_sites():
+    # the interior door mid, which bodies cross by plane, and the doorless
+    # exit span, which swallows them; the crowd comes from the west room
+    geometry = load_scenario(os.path.join(SCENARIOS, "two_rooms.json")).geometry
+    sites = {site.door_id: site for site in door_sites(geometry)}
+    assert list(sites) == ["mid", "exit:0"]
+    mid = sites["mid"]
+    assert not mid.covers_exit and sites["exit:0"].covers_exit
+    assert mid.half_span == len(mid.cells) * geometry.cell_size / 2
+    # upstream is -x, and the room there lies wholly west of the door
+    assert mid.upstream.tolist() == [-1.0, 0.0]
+    door_x = min(x for x, _y in mid.cells)
+    for x, y in mid.cells:
+        room = geometry.room_labels[y, x - 1]
+        assert room >= 0 and (np.nonzero(geometry.room_labels == room)[1] < door_x).all()
+    for site in sites.values():
+        assert site.center.tolist() == list(cells_center(site.cells, geometry.cell_size))
 
 
 def test_undeclared_gap_joins_rooms_into_one():
