@@ -205,8 +205,8 @@ def _make_door_site(geometry: Geometry, door_id: str, cells: list[tuple[int, int
 
 
 def door_sites(geometry: Geometry) -> list[DoorSite]:
-    """Instrumented openings: every declared door plus each exit zone
-    whose cells no door covers (synthetic id ``exit:<zone>``)."""
+    """Instrumented openings: every declared door, then each exit zone
+    that the doors do not wholly cover (synthetic id ``exit:<zone>``)."""
     sites = []
     covered: set[tuple[int, int]] = set()
     for door in geometry.doors:
