@@ -127,8 +127,13 @@ def state_digest(
 EMPTY_STATE_DIGEST = state_digest(0.0, (), (), (), (), (), (), ())
 
 
-def load_hazard_field(scenario: Scenario) -> HazardField:
-    """Materialise the scenario's hazard source into a sampled field."""
+def load_hazard_field(scenario: Scenario, horizon: float = math.inf) -> HazardField:
+    """Materialise the scenario's hazard source into a sampled field.
+
+    A built-in generator integrates only as far as ``horizon`` s (see
+    ``builtin_smoke``); a run passes its time limit, while ``evacsim
+    validate`` passes none and so builds the whole ``duration``.  A
+    hazard file is read whole either way."""
     source = scenario.hazard_source
     geometry = scenario.geometry
     if source.kind == "ambient":
@@ -146,7 +151,7 @@ def load_hazard_field(scenario: Scenario) -> HazardField:
     if source.kind == "builtin":
         spec = dict(source.builtin)
         origin = spec.pop("source")
-        return builtin_smoke(geometry, (int(origin[0]), int(origin[1])), spec)
+        return builtin_smoke(geometry, (int(origin[0]), int(origin[1])), spec, horizon)
     raise SimulationError(f"unknown hazard source kind {source.kind!r}")
 
 
@@ -241,7 +246,7 @@ class _Simulation:
         # distance fields, one layer per exit zone and then the all-exits
         # field, which agents without a target descend
         exit_fields = np.stack([distance_field(geometry, z.cells) for z in zones] + [geometry.exit_distance])
-        self.hazard = hazard = load_hazard_field(scenario)
+        self.hazard = hazard = load_hazard_field(scenario, self.config.max_sim_time)
 
         # population: the one copy of every agent's state
         self.pop = spawn_population(scenario.population, geometry, self.streams, self.params, self.config.bodies)

@@ -149,7 +149,9 @@ def load_hazard_series(text: str, height: int, width: int) -> HazardField:
     )
 
 
-def builtin_smoke(geometry, source: tuple[int, int], params: dict) -> HazardField:
+def builtin_smoke(
+    geometry, source: tuple[int, int], params: dict, horizon: float = math.inf
+) -> HazardField:
     """Generate a toy smoke field by discrete diffusion on open cells.
 
     ``params`` is the whole generator table that the scenario parser's
@@ -160,6 +162,12 @@ def builtin_smoke(geometry, source: tuple[int, int], params: dict) -> HazardFiel
     density.  While nothing clamps, total density is conserved up to the
     source injection, so the grid sum after time t equals
     ``rate * t / step``.
+
+    Integration stops at the first emitted frame whose timestamp is at
+    or past ``horizon``, or at ``duration`` if that comes first.  A run
+    passes its time limit: every tick time lies below it, so each
+    ``frame_at`` the run makes sees the same bracketing frames as in the
+    whole field.  With no horizon the whole ``duration`` is generated.
     """
     rate = float(params["rate"])
     diffusion = float(params["diffusion"])
@@ -186,6 +194,8 @@ def builtin_smoke(geometry, source: tuple[int, int], params: dict) -> HazardFiel
     timestamps = [0.0]
     od_frames = [od.copy()]
     for k in range(1, n_steps + 1):
+        if timestamps[-1] >= horizon:
+            break
         nbr_sum = _neighbour_sum(pad, od)
         od = od + diffusion * (nbr_sum - n_open * od)
         od[sy, sx] += rate

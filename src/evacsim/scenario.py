@@ -268,6 +268,7 @@ class Geometry:
         if not (self.kinds == CellKind.EXIT).any():
             raise SemanticViolation("geometry.cells", "grid contains no exit cell")
         seen_door_ids: set[str] = set()
+        door_of_cell: dict[tuple[int, int], str] = {}
         for door in self.doors:
             if door.id in seen_door_ids:
                 raise SemanticViolation("geometry.doors", f"duplicate door id {door.id!r}")
@@ -276,6 +277,12 @@ class Geometry:
                 raise SemanticViolation("geometry.doors", f"door id {door.id!r} takes the prefix 'exit:' of doorless exits")
             seen_door_ids.add(door.id)
             _check_door_span(self, door)
+            # one door per cell: the backends would each credit a shared
+            # cell's crossings to a different door
+            for (x, y) in door.cells:
+                other = door_of_cell.setdefault((x, y), door.id)
+                if other != door.id:
+                    raise SemanticViolation("geometry.doors", f"doors {other!r} and {door.id!r} share cell ({x}, {y})")
         warnings = []
         unreachable = int((self.open_mask & ~np.isfinite(self.exit_distance)).sum())
         if unreachable:
@@ -695,7 +702,8 @@ BUILTIN_SMOKE_DEFAULTS = {
     "diffusion": 0.2,       # neighbour exchange coefficient (stable < 0.25)
     "step": 0.25,           # s, generator integration step
     "frame_interval": 1.0,  # s between emitted frames
-    "duration": 120.0,      # s of generated field
+    "duration": 120.0,      # s of generated field; validate builds all of it,
+                            # a run only up to its max_sim_time
     "temp_per_od": 100.0,   # degC added per unit optical density
     "tox_per_od": 0.02,     # toxicity per unit optical density
 }

@@ -6,7 +6,9 @@ Scenario documents are assembled as plain dicts and serialised with
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import io
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ import numpy as np
 
 from evacsim import parse_scenario
 from evacsim.agents import NO_TARGET, AgentStatus, Population
+from evacsim.cli import main
 
 
 def grid_rows(width, height, exits=(), obstacles=(), walls=()):
@@ -85,7 +88,19 @@ SCENARIOS = os.path.join(ROOT, "scenarios")
 
 
 def run_cli(*args):
-    """``python -m evacsim ARGS`` against this checkout's sources."""
+    """``evacsim ARGS`` in this process: ``cli.main`` with stdout and
+    stderr captured, returned as a ``CompletedProcess`` with its exit
+    code.  ``run_module`` is the same through a real interpreter."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """``python -m evacsim ARGS`` against this checkout's sources, so the
+    exit code passes through ``sys.exit`` and the interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(

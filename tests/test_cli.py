@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from conftest import SCENARIOS, grid_rows, run_cli
+from conftest import SCENARIOS, grid_rows, run_cli, run_module
 
 
 def _bad_attribute(attr, value):
@@ -180,7 +180,9 @@ def test_validate_rejects_what_run_rejects(tmp_path, name, update, where, backen
     for args in [("validate", path), *runs]:
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stdout)
+        assert proc.stderr.count("evacsim:error:") == 1, proc.stderr
         assert proc.stderr.startswith(f"evacsim:error: {where}"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_reports_the_backends_that_ran_when_one_fails(tmp_path):
@@ -203,9 +205,10 @@ def test_compare_reports_the_backends_that_ran_when_one_fails(tmp_path):
 def test_run_reports_a_spawn_region_too_small_for_its_bodies(tmp_path):
     # 40 bodies of radius 0.25-0.35 m do not fit the corridor's 6 x 2 m
     # spawn rectangle; the sampler gives up after its 82 000 draws
-    proc = run_cli("run", os.path.join(SCENARIOS, "corridor.json"), "--backend", "sf", "--out", tmp_path)
+    proc = run_cli("run", os.path.join(SCENARIOS, "corridor.json"), "--backend", "sf", "--out", tmp_path / "out")
     assert proc.returncode == 2, proc.stdout
     assert proc.stderr == "evacsim:error: could not place 40 bodies in the spawn region (16 placed)\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_missing_hazard_file_is_a_runtime_error_without_a_traceback(tmp_path):
@@ -221,6 +224,7 @@ def test_a_missing_hazard_file_is_a_runtime_error_without_a_traceback(tmp_path):
         assert proc.stderr == (
             f"evacsim:error: cannot read hazard series {missing!r}: [Errno 2] No such file or directory: {missing!r}\n"
         ), args
+    assert not (tmp_path / "out").exists()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -447,6 +451,7 @@ def test_a_non_finite_or_mistyped_number_is_one_error_line(tmp_path, update, com
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.count("evacsim:error:") == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr.startswith(f"evacsim:error: {message}"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def _sweep(param="params.v_ref", values="1.3", seeds="0"):
@@ -523,6 +528,7 @@ def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
     proc = run_cli("run", path, "--backend", "ca", "--out", tmp_path / "out")
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr == "evacsim:error: population.spawn: region has 9 free cells for 50 agents\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_simulating_command_exits_3_on_timeout(tmp_path):
@@ -533,12 +539,12 @@ def test_every_simulating_command_exits_3_on_timeout(tmp_path):
     cut = tmp_path / "minimal_1s.json"
     cut.write_text(json.dumps(doc))
     runs = {
-        "run": run_cli("run", minimal, "--max-time", 1, "--out", tmp_path / "run"),
-        "sweep": run_cli(
+        "run": run_module("run", minimal, "--max-time", 1, "--out", tmp_path / "run"),
+        "sweep": run_module(
             "sweep", cut, "--param", "params.v_panic", "--values", "1.5", "--seeds", "0", "--workers", 1,
             "--out", tmp_path / "sweep",
         ),
-        "compare": run_cli("compare", cut),
+        "compare": run_module("compare", cut),
     }
     for command, proc in runs.items():
         assert proc.returncode == 3, (command, proc.stdout, proc.stderr)
@@ -565,3 +571,45 @@ def test_sweep_refuses_a_zero_divisor_before_any_run(tmp_path):
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr == "evacsim:error: config.overrides.v_ref: must be > 0\n"
     assert proc.stdout == "" and not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize(
+    "args, code, stderr",
+    [
+        pytest.param(("--help",), 0, "", id="help"),
+        pytest.param(
+            ("run", "minimal_room.json", "--backend", "warp"),
+            1,
+            "evacsim:error: argument --backend: invalid choice: 'warp'",
+            id="usage",
+        ),
+        pytest.param(("validate", "no_such_scenario.json"), 1, "evacsim:error: scenario: cannot read", id="invalid"),
+        pytest.param(
+            ("run", "corridor.json", "--backend", "sf"),
+            2,
+            "evacsim:error: could not place 40 bodies in the spawn region (16 placed)\n",
+            id="runtime",
+        ),
+    ],
+)
+def test_python_m_evacsim_exits_with_the_code_of_main(tmp_path, args, code, stderr):
+    """The other CLI tests call ``cli.main`` in-process; these go through
+    a real interpreter, so argparse's own exit and ``sys.exit`` of the
+    returned code are covered."""
+    command, *rest = args
+    rest = [os.path.join(SCENARIOS, a) if a.endswith(".json") else a for a in rest]
+    out = ("--out", tmp_path / "out") if command == "run" else ()
+    proc = run_module(command, *rest, *out)
+    assert proc.returncode == code, (proc.stdout, proc.stderr)
+    assert proc.stderr.startswith(stderr) and proc.stderr.count("evacsim:error:") == (1 if code else 0), proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+    if command == "--help":
+        assert proc.stdout.startswith("usage: evacsim")
+
+
+def test_validate_reports_the_whole_generated_smoke_field():
+    """A run generates smoke only up to its time limit; ``validate``
+    builds and counts the scenario's whole 240 s ``duration``."""
+    proc = run_cli("validate", os.path.join(SCENARIOS, "herding_two_exit.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert "hazard: builtin (241 frames)" in proc.stdout.splitlines()

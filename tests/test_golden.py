@@ -27,7 +27,7 @@ from evacsim import EMPTY_STATE_DIGEST, export_trajectories, parse_scenario, run
 from evacsim.agents import AgentStatus
 from evacsim.engine import SENSE_EPS, _Simulation
 
-from conftest import SCENARIOS, grid_rows, instant_reaction, make_scenario, room_doc, run_cli
+from conftest import SCENARIOS, grid_rows, instant_reaction, make_scenario, room_doc, run_module
 
 
 def _scenario_text(name, max_sim_time=None, backend=None, smoke=None):
@@ -533,7 +533,7 @@ def test_wall_projections_of_a_run_end_in_one_warning():
 
 
 def test_cli_run_writes_the_same_digest(tmp_path):
-    proc = run_cli("run", os.path.join(SCENARIOS, "two_rooms.json"), "--out", tmp_path)
+    proc = run_module("run", os.path.join(SCENARIOS, "two_rooms.json"), "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "metrics.json", encoding="utf-8") as fh:
         assert json.load(fh)["digest"] == "225cb0f5cde75f80"

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import math
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evacsim import HazardFormatError, run
+from evacsim import HazardFormatError, parse_scenario, run
 from evacsim.config import PARAM_DEFAULTS
-from evacsim.engine import load_hazard_field
+from evacsim.engine import _Simulation, load_hazard_field
 from evacsim.hazard import (
     AMBIENT_TEMP,
     HazardField,
@@ -18,7 +23,7 @@ from evacsim.hazard import (
 )
 from evacsim.scenario import BUILTIN_SMOKE_DEFAULTS
 
-from conftest import grid_rows, make_scenario, room_doc
+from conftest import SCENARIOS, grid_rows, make_scenario, room_doc
 
 CSV_TWO_FRAMES = """\
 t,x,y,temp,od,tox
@@ -204,6 +209,68 @@ def test_builtin_smoke_rejects_blocked_source():
     geo = _smoke_geometry()
     with pytest.raises(HazardFormatError):
         builtin_smoke(geo, (0, 0), BUILTIN_SMOKE_DEFAULTS)
+
+
+# -- generated smoke, bounded by the run's horizon ------------------------------
+
+
+def _herding(rate=None):
+    """herding_two_exit as shipped (smoke at (20, 20), 240 s of field),
+    with the generator's ``rate`` replaced when given."""
+    with open(os.path.join(SCENARIOS, "herding_two_exit.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if rate is not None:
+        doc["hazard"]["builtin"]["rate"] = rate
+    return parse_scenario(json.dumps(doc))
+
+
+_HERDING_DT = 0.5 / 2.7  # its ca tick: cell_size / v_ref
+HORIZONS = [_HERDING_DT, 10.0, 239.9, 240.0, 300.0]
+
+
+@pytest.fixture(scope="module")
+def herding_full():
+    scenario = _herding()
+    return scenario, load_hazard_field(scenario)
+
+
+@pytest.mark.parametrize("horizon, last_t", zip(HORIZONS, [1.0, 10.0, 240.0, 240.0, 240.0]))
+def test_a_bounded_smoke_field_is_a_prefix_of_the_whole_one(herding_full, horizon, last_t):
+    """The generator stops at the first frame at or past the horizon (one
+    a second here), or at the 240 s ``duration``, and every frame it
+    kept is the whole field's, bit for bit."""
+    scenario, full = herding_full
+    bounded = load_hazard_field(scenario, horizon)
+    n = len(bounded.timestamps)
+    assert len(full.timestamps) == 241
+    assert bounded.timestamps[-1] == last_t
+    assert np.array_equal(bounded.timestamps, full.timestamps[:n])
+    for name in ("temperature", "optical_density", "toxicity"):
+        assert np.array_equal(getattr(bounded, name), getattr(full, name)[:n]), name
+
+
+@pytest.mark.parametrize("horizon", HORIZONS)
+def test_every_tick_below_the_horizon_samples_the_whole_fields_frame(herding_full, horizon):
+    scenario, full = herding_full
+    sim = _Simulation(scenario, replace(scenario.config, max_sim_time=horizon))
+    assert sim.dt == _HERDING_DT
+    bounded = sim.hazard
+    ticks = max(1, math.ceil(horizon / sim.dt - 1e-9))
+    for k in range(ticks):
+        for got, want in zip(bounded.frame_at(k * sim.dt), full.frame_at(k * sim.dt)):
+            assert np.array_equal(got, want), k
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.0])
+@pytest.mark.parametrize("horizon", HORIZONS)
+def test_the_engine_reads_the_same_air_from_a_bounded_field(horizon, rate):
+    scenario = _herding(rate)
+    full = load_hazard_field(scenario)
+    clear = bool(full.optical_density.max() <= 0.0 and full.toxicity.max() <= 0.0
+                 and full.temperature.max() <= AMBIENT_TEMP)
+    assert clear == (rate == 0.0)
+    sim = _Simulation(scenario, replace(scenario.config, max_sim_time=horizon))
+    assert sim.world.ambient_air == clear
 
 
 # -- visibility -------------------------------------------------------------------

@@ -210,6 +210,11 @@ def test_declared_door_on_wall_cell_rejected():
             "door id 'exit:1' takes the prefix 'exit:' of doorless exits",
             id="exit-prefix",
         ),
+        pytest.param(
+            [{"id": "a", "cells": [[3, 2], [3, 3]]}, {"id": "b", "cells": [[2, 3], [3, 3], [4, 3]]}],
+            "doors 'a' and 'b' share cell (3, 3)",
+            id="overlapping-spans",
+        ),
     ],
 )
 def test_a_bad_door_span_is_refused_with_its_reason(doors, message):
