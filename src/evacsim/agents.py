@@ -180,8 +180,7 @@ def spawn_population(
         values = _sample_attr(attr, merged[attr], count, rng_attrs)
         sampled[attr] = np.clip(values, 0.0, 1.0) if attr in FLOAT01 else values
 
-    speed_pref = sampled["speed_pref"]
-    speed_pref[sampled["age"] >= int(params["age_slow_at"])] *= float(params["age_slow_factor"])
+    sampled["speed_pref"][sampled["age"] >= int(params["age_slow_at"])] *= float(params["age_slow_factor"])
 
     rng_rt = streams.reaction
     if "reaction_time" in spec.attributes:
@@ -204,21 +203,11 @@ def spawn_population(
     vision0 = visibility_range_bulk(np.zeros(count), sampled["health"], params)
 
     return Population(
+        **sampled,
         pos=np.array(positions, dtype=np.float64).reshape(count, 2),
         radius=radii,
-        health=sampled["health"],
-        mobility=sampled["mobility"],
-        speed_pref=speed_pref,
         vision=vision0,
         reaction_time=reaction,
-        collaboration=sampled["collaboration"],
-        insistence=sampled["insistence"],
-        knowledge=sampled["knowledge"],
-        experience=sampled["experience"],
-        nervousness=sampled["nervousness"],
-        gender=sampled["gender"],
-        age=sampled["age"],
-        role=sampled["role"],
         status=np.full(count, int(AgentStatus.PREMOVEMENT), dtype=np.uint8),
         end_t=np.full(count, np.nan),
         path_len=np.zeros(count),

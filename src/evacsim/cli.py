@@ -16,11 +16,13 @@ import os
 import sys
 from dataclasses import replace
 
+from .agents import spawn_population
 from .config import BACKENDS, RunConfig
 from .engine import load_hazard_field, run
-from .errors import SimulationError, VALIDATION_ERRORS, SchemaViolation
+from .errors import SimulationError, VALIDATION_ERRORS, SchemaViolation, SemanticViolation
 from .metrics import egress_stats, export_trajectories, metrics_summary
-from .scenario import derive_network, parse_scenario
+from .rng import RngStreams
+from .scenario import parse_scenario
 from .sweep import compare_backends, run_sweep, sweep_summary, write_sweep_csv
 
 ERROR_PREFIX = "evacsim:error:"
@@ -108,17 +110,24 @@ def cmd_validate(args) -> int:
     text, base_dir = _read_scenario_file(args.scenario)
     scenario = parse_scenario(text, base_dir)
     hazard = load_hazard_field(scenario)
-    network = derive_network(scenario.geometry, scenario.config.params())
     geometry = scenario.geometry
+    config = scenario.config
+    if config.bodies:
+        # bodies are placed by a seeded sampler: try the run's own placement
+        try:
+            spawn_population(scenario.population, geometry, RngStreams(config.seed), config.params(), config.bodies)
+        except SimulationError as exc:
+            raise SemanticViolation("population.spawn", str(exc)) from exc
+    topology = geometry.topology
     zones = geometry.exit_zones
     print(f"ok: {geometry.width}x{geometry.height} cells at {geometry.cell_size} m")
     print(f"population: {scenario.population.count}")
     print(f"exits: {len(zones)}  doors: {len(geometry.doors)}")
-    rooms = sum(1 for n in network.nodes if n.kind == "room")
-    print(f"network: {rooms} rooms, {len(network.arcs)} arcs")
+    rooms = sum(1 for n in topology.nodes if n.kind == "room")
+    print(f"network: {rooms} rooms, {len(topology.links)} arcs")
     print(f"hazard: {scenario.hazard_source.kind} ({len(hazard.timestamps)} frames)")
-    print(f"backend: {scenario.config.backend}  seed: {scenario.config.seed}")
-    for warning in scenario.warnings + network.warnings:
+    print(f"backend: {config.backend}  seed: {config.seed}")
+    for warning in [*scenario.warnings, *topology.warnings]:
         print(f"warning: {warning}")
     return EXIT_OK
 

@@ -59,7 +59,6 @@ from .agents import (
     WorldView,
     build_percepts,
     decide,
-    effective_speed,
     inform_neighbors,
     init_beliefs,
     spawn_population,
@@ -381,14 +380,11 @@ class _Simulation:
         if not speaks.any():
             return
         delivered = inform_neighbors(deciders[speaks], announce[speaks], world, self.beliefs, rng)
-        # the rows run sender by sender: one event per sender with a receiver
-        for rows in np.split(delivered, np.flatnonzero(delivered[1:, 0] != delivered[:-1, 0]) + 1):
-            if len(rows):
-                self.events.append(
-                    EventRecord(
-                        t, "informed", int(rows[0, 0]), {"receivers": rows[:, 1].tolist(), "kinds": ["exit_blocked"]}
-                    )
-                )
+        # one event per sender with a receiver, in ascending sender id,
+        # holding how many it told; Beliefs records who heard what
+        senders, counts = np.unique(delivered[:, 0], return_counts=True)
+        for i, n in zip(senders.tolist(), counts.tolist()):
+            self.events.append(EventRecord(t, "informed", i, {"receivers": n}))
 
     def _exit_agent(self, i: int, t: float, zone_id: int, door_id: str | None) -> None:
         self.pop.status[i] = int(AgentStatus.EXITED)
@@ -559,14 +555,10 @@ class _CaMover(_Mover):
         left, _ = sim._leave(t, present, cells)
         occupancy = lattice(cells[~left], present[~left], geometry, k)
 
+        # every walker has decided by now: it decides in the tick it starts
         move_ids = np.flatnonzero(pop.walking())
-        if len(move_ids):
-            # walk at the decided speed (nervousness-scaled); agents that
-            # have not decided yet fall back to their bodily speed
-            v_eff = effective_speed(pop.health[move_ids], pop.mobility[move_ids], pop.speed_pref[move_ids], sim.params)
-            v_des = pop.desired[move_ids]
-            ticks = speed_ticks(np.where(v_des > 0, v_des, v_eff), self.v_grid)
-            move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
+        ticks = speed_ticks(pop.desired[move_ids], self.v_grid)
+        move_ids = move_ids[(ticks > 0) & (k % np.maximum(ticks, 1) == 0)]
         moved = ca_step(
             pop.pos,
             geometry,
@@ -700,12 +692,10 @@ class _SfMover(_Mover):
         sim = self.sim
         pop = sim.pop
         state = self.state
-        desired = np.where(pop.walking(), pop.desired, 0.0)
+        # only walkers have decided, so everyone else inside wants speed 0
         present = pop.inside()
         old_pos = pop.pos.take(present, axis=0)
-        new_pos, cells = sf_step(state, sim.geometry, self.walls, present, desired, self.waypoint, sim.dt, k, sim.params)
-        if len(present) == 0:
-            return
+        new_pos, cells = sf_step(state, sim.geometry, self.walls, present, pop.desired, self.waypoint, sim.dt, k, sim.params)
         delta = new_pos - old_pos
         pop.path_len[present] += np.hypot(delta[:, 0], delta[:, 1])
 
@@ -755,8 +745,7 @@ class _SfMover(_Mover):
             if first is None or t < first + window:
                 continue
             rate = through[site.door_id] / window
-            center, upstream = tuple(site.center.tolist()), tuple(site.upstream.tolist())
-            clogged, band = detect_arch(positions, center, upstream, rate, sim.params)
+            clogged, band = detect_arch(positions, site.center, site.upstream, rate, sim.params)
             if clogged != self.clogged[site_index]:
                 self.clogged[site_index] = clogged
                 kind = "clog_start" if clogged else "clog_end"

@@ -20,7 +20,13 @@ class EventRecord:
     """One timestamped simulation event.
 
     ``subject`` is an agent id for agent events and a door id string
-    for clog events.
+    for clog events.  Payload keys by kind: ``exited`` has ``exit`` (the
+    zone id) and, out through an instrumented door, ``door``; ``died``
+    none; ``replanned`` ``to`` (the new target zone); ``informed``
+    ``receivers``, how many people the sender told of a blocked exit (who
+    they are is in their beliefs); ``clog_start`` and ``clog_end`` ``band``
+    (bodies upstream of the door) and ``flow`` (persons/s over the clog
+    window), or only ``end_of_run`` for an episode the run's end closes.
     """
 
     t: float

@@ -498,8 +498,8 @@ def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):
 
 def arch_band_count(
     positions: np.ndarray,
-    door_center: tuple[float, float],
-    upstream_normal: tuple[float, float],
+    door_center: np.ndarray,
+    upstream_normal: np.ndarray,
     params: dict,
 ) -> int:
     """Bodies inside the semicircular band upstream of a door."""
@@ -514,8 +514,8 @@ def arch_band_count(
 
 def detect_arch(
     positions: np.ndarray,
-    door_center: tuple[float, float],
-    upstream_normal: tuple[float, float],
+    door_center: np.ndarray,
+    upstream_normal: np.ndarray,
     flow_rate: float,
     params: dict,
 ) -> tuple[bool, int]:

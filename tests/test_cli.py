@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from conftest import SCENARIOS, grid_rows, run_cli, run_module
+from conftest import SCENARIOS, grid_rows, room_doc, run_cli, run_module
 
 
 def _bad_attribute(attr, value):
@@ -208,6 +208,22 @@ def test_run_reports_a_spawn_region_too_small_for_its_bodies(tmp_path):
     proc = run_cli("run", os.path.join(SCENARIOS, "corridor.json"), "--backend", "sf", "--out", tmp_path / "out")
     assert proc.returncode == 2, proc.stdout
     assert proc.stderr == "evacsim:error: could not place 40 bodies in the spawn region (16 placed)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_places_sf_bodies_the_way_run_does(tmp_path):
+    # 80 bodies do not fit rect [1, 1, 9, 18] of a 20 x 20 room at 0.5 m
+    # cells; validate runs the run's seeded placement and refuses them
+    doc = room_doc(grid_rows(20, 20, exits=[(19, 10)]), count=80, backend="sf", spawn=[1, 1, 9, 18])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr == "evacsim:error: population.spawn: could not place 80 bodies in the spawn region (74 placed)\n"
+    proc = run_cli("run", path, "--out", tmp_path / "out")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == "evacsim:error: could not place 80 bodies in the spawn region (74 placed)\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -516,12 +532,13 @@ def test_a_mistyped_run_config_field_is_one_error_line_without_a_traceback(tmp_p
 
 
 def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
-    # sf bodies are not one per cell, so an sf scenario passes validation;
-    # run on the lattice, the run's config is checked again and refused
+    # sf bodies are not one per cell: 50 discs of 5-6 cm radius fit nine
+    # cells, so the sf scenario passes validation; run on the lattice, the
+    # run's config is checked again and refused
     with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["population"].update(count=50, spawn={"rect": [1, 1, 3, 3]})
-    doc["config"]["backend"] = "sf"
+    doc["config"].update(backend="sf", overrides={"sf_radius_lo": 0.05, "sf_radius_hi": 0.06})
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert run_cli("validate", path).returncode == 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import json
 import os
 from collections import Counter
@@ -25,9 +26,9 @@ import pytest
 import evacsim.socialforce as sf_mod
 from evacsim import EMPTY_STATE_DIGEST, export_trajectories, parse_scenario, run, serialize_scenario
 from evacsim.agents import AgentStatus
-from evacsim.engine import SENSE_EPS, _Simulation
+from evacsim.engine import MOVERS, SENSE_EPS, _Simulation
 
-from conftest import SCENARIOS, grid_rows, instant_reaction, make_scenario, room_doc, run_module
+from conftest import ROOT, SCENARIOS, grid_rows, instant_reaction, make_scenario, room_doc, run_module
 
 
 def _scenario_text(name, max_sim_time=None, backend=None, smoke=None):
@@ -212,7 +213,7 @@ def test_smoke_beside_an_exit_digest(backend, max_sim_time, digest, outcome, rec
     result = run(_scenario_text("herding_two_exit", max_sim_time, backend, SMOKE_BESIDE_EXIT))
     assert result.digest == digest
     assert _outcome(result) == outcome
-    assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+    assert sum(e.payload["receivers"] for e in result.events if e.kind == "informed") == receivers
 
 
 # a measured-hazard series read from a CSV file: smoke by the west exit
@@ -255,7 +256,7 @@ def test_hazard_file_digest(backend, max_sim_time, digest, outcome, receivers):
     result = run(scenario)
     assert result.digest == digest
     assert _outcome(result) == outcome
-    assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+    assert sum(e.payload["receivers"] for e in result.events if e.kind == "informed") == receivers
 
 
 # one person in ten a top leader and one in ten a second-level leader, with
@@ -307,7 +308,40 @@ def test_leaders_digest(backend, max_sim_time, smoke, digest, outcome, receivers
     result = run(json.dumps(doc))
     assert result.digest == digest
     assert _outcome(result) == outcome
-    assert sum(len(e.payload["receivers"]) for e in result.events if e.kind == "informed") == receivers
+    assert sum(e.payload["receivers"] for e in result.events if e.kind == "informed") == receivers
+
+
+@pytest.mark.parametrize(
+    "backend, max_sim_time, smoke, leaders",
+    [
+        pytest.param("ca", None, SMOKE_BESIDE_EXIT, False, id="smoke-ca"),
+        pytest.param("sf", 10.0, SMOKE_BESIDE_EXIT, False, id="smoke-sf"),
+        pytest.param("ca", None, None, True, id="leaders-ca"),
+        pytest.param("sf", 10.0, None, True, id="leaders-sf"),
+        pytest.param("ca", None, SMOKE_BESIDE_EXIT, True, id="leaders-smoke-ca"),
+    ],
+)
+def test_every_walker_has_decided_before_the_mover_steps(monkeypatch, backend, max_sim_time, smoke, leaders):
+    # the movers read Population.desired as decide left it: only walkers
+    # decide, each in the tick it starts, before the mover steps
+    walked = []
+    for mover in (MOVERS["ca"], MOVERS["sf"]):
+
+        def step(self, k, t, _step=mover.step):
+            pop = self.sim.pop
+            walking = pop.walking()
+            inside = pop.inside()
+            assert (pop.desired[inside[~walking[inside]]] == 0.0).all(), k
+            assert (pop.desired[walking] > 0.0).all(), k
+            walked.append(int(walking.sum()))
+            _step(self, k, t)
+
+        monkeypatch.setattr(mover, "step", step)
+    doc = json.loads(_scenario_text("herding_two_exit", max_sim_time, backend, smoke))
+    if leaders:
+        doc["population"]["attributes"] += LEADERS
+    run(json.dumps(doc))
+    assert max(walked) > 0 and 0 in walked  # some steps before the first start, many after
 
 
 # everyone spawned in room 0 of the derived network: the goldens that
@@ -581,3 +615,19 @@ def test_premovement_starts_everyone_on_the_tick_an_every_tick_check_does(
     for g, w in zip(got.trajectory, want.trajectory):
         assert g[0] == w[0] and np.array_equal(g[5], w[5])
     assert got.digest == want.digest
+
+
+# the benchmark's correctness rule: each workload, run by perfbench/harness.py
+# as `evacsim run` runs it, ends at population seed 0 with the outcome (digest,
+# end time, exits, deaths, events by kind) that perfbench/baseline.json holds
+with open(os.path.join(ROOT, "perfbench", "baseline.json"), encoding="utf-8") as _fh:
+    BASELINE_WORKLOADS = json.load(_fh)["workloads"]
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_WORKLOADS))
+def test_each_benchmark_workload_keeps_its_baseline_outcome_at_seed_0(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    harness = importlib.import_module("harness")
+    text, base_dir = harness.WORKLOADS[name].load()
+    rep = harness.full_run(text, base_dir, 0, str(tmp_path))
+    assert rep.outcome == BASELINE_WORKLOADS[name]["outcomes_at_seed_0"]["0"]

@@ -317,7 +317,9 @@ def test_the_traced_receiver_count_is_the_informed_events_receivers(monkeypatch)
     finally:
         tracer.uninstall()
     informed = [e for e in result.events if e.kind == "informed"]
-    receivers = sum(len(e.payload["receivers"]) for e in informed)
+    # each event counts its sender's receivers, and holds nothing else
+    assert all(e.payload.keys() == {"receivers"} and type(e.payload["receivers"]) is int for e in informed)
+    receivers = sum(e.payload["receivers"] for e in informed)
     assert receivers > 0
     assert tracer.counts["agents.receivers"] == receivers
     # one call per decision round with a sender, not one per sender

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -12,7 +15,7 @@ from evacsim import parse_scenario, run, serialize_scenario
 from evacsim.agents import AgentStatus
 from evacsim.config import BACKENDS
 
-from conftest import grid_rows, make_scenario, room_doc
+from conftest import grid_rows, make_scenario, room_doc, run_cli
 
 
 @st.composite
@@ -80,3 +83,48 @@ def test_a_serialized_drill_parses_back_to_the_same_text_and_run(doc):
     assert serialize_scenario(again) == text
     assert again.config.backend == "ca"
     assert run(again).digest == run(scenario).digest
+
+
+@st.composite
+def crowded_sf_drills(draw):
+    """A drill of ``drills`` in clean air under ``sf`` on 0.5 m cells, a
+    body's width, whose spawn rect holds from a quarter of its free cells
+    to all of them in people: some of these the seeded sampler places,
+    some it cannot."""
+    doc = draw(drills())
+    doc.pop("hazard", None)
+    rows = doc["geometry"]["cells"]
+    width, height = len(rows[0]), len(rows)
+    x0 = draw(st.integers(1, width - 2))
+    x1 = width - 2 - draw(st.integers(0, width - 2 - x0))
+    y0 = draw(st.integers(1, height - 2))
+    y1 = height - 2 - draw(st.integers(0, height - 2 - y0))
+    free = sum(rows[y][x] == "." for y in range(y0, y1 + 1) for x in range(x0, x1 + 1))
+    doc["geometry"]["cell_size"] = 0.5
+    doc["config"]["backend"] = "sf"
+    doc["population"].update(count=draw(st.integers(free // 4, free)), spawn={"rect": [x0, y0, x1, y1]})
+    return doc
+
+
+def test_validate_passes_exactly_when_run_starts():
+    # a run of one tick starts when it exits 0 or 3; a refused placement
+    # is the same message, a validation error under validate
+    started = set()
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(crowded_sf_drills())
+    def check(doc):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "scenario.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            valid = run_cli("validate", path)
+            ran = run_cli("run", path, "--out", os.path.join(scratch, "out"), "--max-time", "0.01")
+        assert (valid.returncode == 0) == (ran.returncode in (0, 3)), (valid.stderr, ran.stderr)
+        if ran.returncode == 2:
+            assert valid.returncode == 1
+            assert valid.stderr == ran.stderr.replace("evacsim:error: ", "evacsim:error: population.spawn: ")
+        started.add(ran.returncode in (0, 3))
+
+    check()
+    assert started == {True, False}
