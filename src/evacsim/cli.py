@@ -56,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parse and validate a scenario, its hazard source and its egress network.",
     )
     p_validate.add_argument("scenario", help="scenario JSON file")
+    p_validate.add_argument("--backend", choices=BACKENDS, help="also check what a run under this backend checks at start")
     p_validate.set_defaults(func=cmd_validate)
 
     p_run = sub.add_parser(
@@ -109,9 +110,14 @@ def _read_scenario_file(path: str) -> tuple[str, str]:
 def cmd_validate(args) -> int:
     text, base_dir = _read_scenario_file(args.scenario)
     scenario = parse_scenario(text, base_dir)
-    hazard = load_hazard_field(scenario)
     geometry = scenario.geometry
     config = scenario.config
+    if args.backend is not None:
+        # the start-up checks of `run --backend`: the population under the run's config
+        config = replace(config, backend=args.backend)
+        config.validate()
+        scenario.population.validate(geometry, config)
+    hazard = load_hazard_field(scenario)
     if config.bodies:
         # bodies are placed by a seeded sampler: try the run's own placement
         try:

@@ -8,14 +8,14 @@ encoded as strings, one character per cell: ``.`` walkable, ``#`` wall,
 in metres put the origin at the top-left corner of cell (0, 0).
 
 ``Geometry`` owns what the floor plan implies, each part built once on
-first use and kept read-only: the step rules, the exit zones and their
-distance field, the room labels, and the parameter-free ``topology`` of
-room and destination nodes and the links between them.
+first use and kept read-only: the step rules and the per-cell step lists
+the distance fields walk, the exit zones and their distance field, the
+room labels, and the parameter-free ``topology`` of room and destination
+nodes and the links between them.
 ``derive_network`` only prices those links under the run parameters.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import Counter
@@ -84,7 +84,8 @@ class Geometry:
 
     def __post_init__(self):
         self.kinds = np.asarray(self.kinds, dtype=np.int8)
-        # derived grids (these masks, the cached properties) are built once, read-only
+        # derived tables (these masks, the cached properties) are built once
+        # and read-only: arrays not writeable, step lists made of tuples
         self.open_mask = (self.kinds == CellKind.EMPTY) | (self.kinds == CellKind.EXIT)
         self.blocked_mask = ~self.open_mask
         self.open_mask.flags.writeable = self.blocked_mask.flags.writeable = False
@@ -115,6 +116,25 @@ class Geometry:
         )
         moves.flags.writeable = False
         return moves
+
+    @cached_property
+    def step_offsets(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The allowed ``moves`` of each flat cell u = y * width + x as a
+        pair (straight, diagonal) of tuples of flat offsets to the steps'
+        targets, each in ``STEPS`` order, the stay step left out.  Cells
+        with the same allowed steps share one pair."""
+        w = self.width
+        offsets = [dy * w + dx for dx, dy in STEPS[1:]]
+        straight = [cost == 1.0 for cost in STEP_COSTS[1:]]
+
+        def pair(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+            allowed = [k for k in range(8) if mask >> k & 1]
+            return (tuple(offsets[k] for k in allowed if straight[k]),
+                    tuple(offsets[k] for k in allowed if not straight[k]))
+
+        masks = np.packbits(self.moves[:, :, 1:], axis=2, bitorder="little").ravel().tolist()
+        pairs = {m: pair(m) for m in set(masks)}
+        return tuple(map(pairs.__getitem__, masks))
 
     def neighbourhood(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, 9) x and y of the ``STEPS`` targets from cells (cx, cy),
@@ -322,34 +342,58 @@ def distance_field(geometry: Geometry, sources: list[tuple[int, int]]) -> np.nda
     steps cost 1, diagonal steps sqrt(2).  Each cell's value is the least
     float sum over the paths that reach it, taken step by step from the
     source.  Adding a non-negative cost never makes a float smaller, so
-    that least sum does not depend on the order in which the heap pops
-    tied entries, nor on the order of ``sources``.
+    that least sum does not depend on the order in which tied entries
+    are taken, nor on the order of ``sources``.
+
+    The search is Dijkstra's, its priority queue two first-in-first-out
+    queues, one per step cost.  Cells are taken in non-decreasing
+    distance, and ``d + cost`` rounded is monotone in ``d``, so what is
+    pushed onto each queue is non-decreasing: each queue stays sorted,
+    and the lower of the two heads is the least entry left.  The sources
+    seed the straight queue at 0, ahead of every entry of 1 or more.
     """
     w = geometry.width
-    # flat cells u = y * w + x.  Cells with the same allowed steps (the
-    # stay step left out) share one list of (offset to the target, cost).
-    steps = [(dy * w + dx, cost) for (dx, dy), cost in zip(STEPS[1:], STEP_COSTS[1:])]
-    masks = np.packbits(geometry.moves[:, :, 1:], axis=2, bitorder="little").ravel().tolist()
-    allowed = {m: [step for k, step in enumerate(steps) if m >> k & 1] for m in set(masks)}
-    moves = list(map(allowed.__getitem__, masks))
+    steps = geometry.step_offsets
+    diagonal_cost = STEP_COSTS[1]  # sqrt(2)
     dist = [math.inf] * (w * geometry.height)
-    heap: list[tuple[float, int]] = []
+    # each queue is a list of distances beside a list of flat cells
+    # y * w + x, read from the head index on
+    straight_d: list[float] = []
+    straight_u: list[int] = []
+    diagonal_d: list[float] = []
+    diagonal_u: list[int] = []
     for (x, y) in sources:
         if geometry.is_open(x, y):
             dist[y * w + x] = 0.0
-            heap.append((0.0, y * w + x))
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = pop(heap)
+            straight_d.append(0.0)
+            straight_u.append(y * w + x)
+    i = j = 0
+    while True:
+        if i < len(straight_d) and (j == len(diagonal_d) or straight_d[i] <= diagonal_d[j]):
+            d, u = straight_d[i], straight_u[i]
+            i += 1
+        elif j < len(diagonal_d):
+            d, u = diagonal_d[j], diagonal_u[j]
+            j += 1
+        else:
+            break
         if d > dist[u]:
             continue
-        for off, cost in moves[u]:
-            v = u + off
-            nd = d + cost
+        straight, diagonal = steps[u]
+        nd = d + 1.0
+        for v in straight:
+            v += u
             if nd < dist[v]:
                 dist[v] = nd
-                push(heap, (nd, v))
+                straight_d.append(nd)
+                straight_u.append(v)
+        nd = d + diagonal_cost
+        for v in diagonal:
+            v += u
+            if nd < dist[v]:
+                dist[v] = nd
+                diagonal_d.append(nd)
+                diagonal_u.append(v)
     return np.array(dist, dtype=np.float64).reshape(geometry.height, w)
 
 

@@ -176,8 +176,10 @@ def test_validate_rejects_what_run_rejects(tmp_path, name, update, where, backen
         doc.setdefault(section, {}).update(fields)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    runs = [("run", path, "--out", tmp_path / "out") + (("--backend", b) if b else ()) for b in backends]
-    for args in [("validate", path), *runs]:
+    flags = [("--backend", b) if b else () for b in backends]
+    validates = [("validate", path)] + [("validate", path, *flag) for flag in flags if flag]
+    runs = [("run", path, "--out", tmp_path / "out", *flag) for flag in flags]
+    for args in validates + runs:
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stdout)
         assert proc.stderr.count("evacsim:error:") == 1, proc.stderr
@@ -507,6 +509,12 @@ def _sweep(param="params.v_ref", values="1.3", seeds="0"):
             id="seed-negative",
         ),
         pytest.param(("run", "minimal_room.json", "--max-time", "0"), "config.max_sim_time: must be > 0", id="max-time-0"),
+        # corridor.json runs under flow; 40 social-force bodies do not fit its spawn rect
+        pytest.param(
+            ("validate", "corridor.json", "--backend", "sf"),
+            "population.spawn: could not place 40 bodies in the spawn region (16 placed)",
+            id="validate-backend-sf-unplaceable",
+        ),
     ],
 )
 def test_a_refused_command_line_is_one_error_line(tmp_path, command, message):
@@ -542,10 +550,22 @@ def test_a_crowded_spawn_region_is_refused_when_the_run_needs_cells(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert run_cli("validate", path).returncode == 0
-    proc = run_cli("run", path, "--backend", "ca", "--out", tmp_path / "out")
-    assert proc.returncode == 1, proc.stdout
-    assert proc.stderr == "evacsim:error: population.spawn: region has 9 free cells for 50 agents\n"
+    for args in [("validate", path, "--backend", "ca"), ("run", path, "--backend", "ca", "--out", tmp_path / "out")]:
+        proc = run_cli(*args)
+        assert proc.returncode == 1, proc.stdout
+        assert proc.stderr == "evacsim:error: population.spawn: region has 9 free cells for 50 agents\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(name[:-5] for name in os.listdir(SCENARIOS) if name.endswith(".json")))
+def test_validate_under_the_scenarios_own_backend_prints_what_plain_validate_prints(name):
+    path = os.path.join(SCENARIOS, f"{name}.json")
+    plain = run_cli("validate", path)
+    with open(path, encoding="utf-8") as fh:
+        own = json.load(fh)["config"]["backend"]
+    assert plain.returncode == 0 and f"backend: {own}  seed:" in plain.stdout
+    proc = run_cli("validate", path, "--backend", own)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (plain.returncode, plain.stdout, plain.stderr)
 
 
 def test_every_simulating_command_exits_3_on_timeout(tmp_path):

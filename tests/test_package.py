@@ -94,7 +94,7 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
                 imported |= {(module, alias.name.split(".")[0]) for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add((module, node.module.split(".")[0]))
-    assert {name for _, name in imported} >= {"numpy", "heapq"}
+    assert {name for _, name in imported} >= {"numpy", "math"}
     assert sorted(f"{module}:{name}" for module, name in imported if name not in allowed) == []
 
 
@@ -137,9 +137,9 @@ def test_the_four_neighbour_offsets_are_written_once():
 
 def test_the_route_search_is_written_once():
     # shortest routes over the egress network are one table
-    # (EgressNetwork.routes); the one priority-queue search left is the
-    # cell distance field, so one module imports heapq and only
-    # distance_field uses it
+    # (EgressNetwork.routes); the one cell search left is the distance
+    # field, which walks two sorted queues, not a heap: no module imports
+    # heapq, and distance_field alone reads the per-cell step lists
     trees = _trees()
     importers = sorted(
         module
@@ -148,13 +148,14 @@ def test_the_route_search_is_written_once():
         if isinstance(node, ast.Import) and any(alias.name == "heapq" for alias in node.names)
         or isinstance(node, ast.ImportFrom) and node.module == "heapq"
     )
-    assert importers == ["scenario"]
-    users = [
-        node.name
-        for node in ast.walk(trees["scenario"])
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _names(node)["heapq"]
+    assert importers == []
+    readers = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _names(node)["step_offsets"]
     ]
-    assert users == ["distance_field"]
+    assert readers == ["scenario:distance_field"]
 
 
 def test_the_sight_test_is_written_once():

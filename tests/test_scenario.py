@@ -411,6 +411,23 @@ def _heap_distances(geometry, sources=None):
     return np.array(dist, dtype=np.float64)
 
 
+def _decoded_moves(geo):
+    """(H, W, 8) bool read back from ``Geometry.step_offsets``: the step k
+    of ``STEPS[1:]`` of each listed offset, of the listed kind, whose
+    target lies on the grid."""
+    out = np.zeros((geo.height, geo.width, 8), dtype=bool)
+    for u, pair in enumerate(geo.step_offsets):
+        y, x = divmod(u, geo.width)
+        for straight, offsets in zip((True, False), pair):
+            for off in offsets:
+                (k,) = [
+                    k for k, ((dx, dy), cost) in enumerate(zip(STEPS[1:], STEP_COSTS[1:]))
+                    if dy * geo.width + dx == off and (cost == 1.0) == straight and geo.in_bounds(x + dx, y + dy)
+                ]
+                out[y, x, k] = True
+    return out
+
+
 # mostly open cells; walls and obstacles leave diagonal corners to squeeze
 # past and pockets cut off from every exit
 CELL_DRAWS = [CellKind.EMPTY] * 6 + [CellKind.WALL, CellKind.WALL, CellKind.OBSTACLE, CellKind.EXIT]
@@ -442,6 +459,7 @@ def test_distance_field_matches_the_two_dimensional_heap_bit_for_bit(plan):
     want = _heap_distances(geo, sources)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    assert np.array_equal(_decoded_moves(geo), geo.moves[:, :, 1:])
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -453,6 +471,78 @@ def test_the_all_exits_field_is_the_least_of_the_zone_fields_bit_for_bit(plan):
     zone_fields = [distance_field(geo, zone.cells) for zone in geo.exit_zones]
     want = np.minimum.reduce(zone_fields) if zone_fields else np.full(geo.kinds.shape, np.inf)
     assert geo.exit_distance.tobytes() == want.tobytes()
+
+
+def _serpentine_rows(width=26, lanes=10):
+    """One corridor folded into ``lanes`` rows joined at alternate ends,
+    the exit at the start of the first row: the far end of the last row
+    is more than 200 steps away."""
+    rows = ["#" * width]
+    for lane in range(lanes):
+        rows.append("#" + "." * (width - 2) + "#")
+        if lane < lanes - 1:
+            gap = width - 2 if lane % 2 == 0 else 1
+            rows.append("".join("." if x == gap else "#" for x in range(width)))
+    rows.append("#" * width)
+    rows[1] = "E" + rows[1][1:]
+    return rows
+
+
+def _smoke_exit_ca_doc():
+    """herding_two_exit as the smoke_exit_ca benchmark edits it: 800
+    people over the room, the smoke source beside the west exit."""
+    with open(os.path.join(SCENARIOS, "herding_two_exit.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["population"]["count"] = 800
+    doc["population"]["spawn"]["rect"] = [1, 1, 40, 40]
+    doc["hazard"]["builtin"].update(source=[4, 21], rate=3.0)
+    return doc
+
+
+SHIPPED = sorted(name[:-5] for name in os.listdir(SCENARIOS) if name.endswith(".json"))
+
+
+def _named_plan(name):
+    if name == "serpentine":
+        return make_scenario(room_doc(_serpentine_rows(), count=0)).geometry
+    if name == "smoke_exit_ca":
+        return make_scenario(_smoke_exit_ca_doc()).geometry
+    return load_scenario(os.path.join(SCENARIOS, f"{name}.json")).geometry
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["smoke_exit_ca", "serpentine"])
+def test_every_field_of_a_run_matches_the_heap_bit_for_bit(name):
+    # the zone fields a run stacks and the all-exits field, on each
+    # shipped plan, the benchmark's edit and one long winding corridor
+    geo = _named_plan(name)
+    got = [distance_field(geo, zone.cells) for zone in geo.exit_zones] + [geo.exit_distance]
+    want = [_heap_distances(geo, zone.cells) for zone in geo.exit_zones] + [_heap_distances(geo)]
+    assert [field.tobytes() for field in got] == [field.tobytes() for field in want]
+    if name == "serpentine":
+        assert geo.exit_distance[np.isfinite(geo.exit_distance)].max() >= 200
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["serpentine"])
+def test_the_step_lists_are_read_only_and_decode_to_the_moves(name):
+    geo = _named_plan(name)
+    steps = geo.step_offsets
+    assert type(steps) is tuple and len(steps) == geo.width * geo.height
+    for pair in set(steps):
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(offsets) is tuple and all(type(off) is int for off in offsets) for offsets in pair)
+    assert np.array_equal(_decoded_moves(geo), geo.moves[:, :, 1:])
+
+
+def test_the_step_lists_are_built_once_per_geometry(monkeypatch):
+    # the five fields of a big_hall_ca run share one table
+    kinds = load_scenario(os.path.join(SCENARIOS, "big_hall_ca.json")).geometry.kinds
+    geo = Geometry(width=kinds.shape[1], height=kinds.shape[0], cell_size=0.4, kinds=kinds, doors=[])
+    packs = []
+    packbits = np.packbits
+    monkeypatch.setattr(np, "packbits", lambda *a, **k: packs.append(1) or packbits(*a, **k))
+    fields = [distance_field(geo, zone.cells) for zone in geo.exit_zones] + [geo.exit_distance]
+    assert len(fields) == 5 and len(packs) == 1
+    assert geo.step_offsets is geo.step_offsets and len(packs) == 1
 
 
 # -- line of sight ------------------------------------------------------------
