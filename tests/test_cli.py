@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -202,6 +203,24 @@ def test_compare_reports_the_backends_that_ran_when_one_fails(tmp_path):
     assert written["sf"]["error"].startswith("could not place 40 bodies")
     assert all(value is None for key, value in written["sf"].items() if key not in ("backend", "error"))
     assert set(written["sf"]) == set(written["ca"]) == set(written["flow"])
+
+
+def test_compare_writes_the_same_bytes(tmp_path):
+    # minimal_room cut to 1 s: every backend times out with all 12 inside,
+    # and compare.json pins each run's state digest
+    with open(os.path.join(SCENARIOS, "minimal_room.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["config"]["max_sim_time"] = 1.0
+    cut = tmp_path / "minimal_1s.json"
+    cut.write_text(json.dumps(doc))
+    proc = run_cli("compare", cut, "--out", tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "62a99fc3c5adc04cf585a4d84d20d38b941eb524fe0fbf84c7a5b15042ae5579"
+    )
+    assert hashlib.sha256((tmp_path / "out" / "compare.json").read_bytes()).hexdigest() == (
+        "f39136c453f26a27100c8e0869aba5fb92bf8a128dc602909c63d1cee08f3b71"
+    )
 
 
 def test_run_reports_a_spawn_region_too_small_for_its_bodies(tmp_path):
