@@ -380,7 +380,7 @@ class WorldView:
     od_frame: np.ndarray           # (H, W) current optical density
     temp_frame: np.ndarray
     tox_frame: np.ndarray
-    exit_fields: np.ndarray        # (E + 1, H, W) cells to each exit zone, then to the nearest exit
+    exit_fields: np.ndarray        # (E + 1, H, W): in a run, the geometry's own exit_fields
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
     ambient_air: bool = False      # every hazard frame of the run is clear air

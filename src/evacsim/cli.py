@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .agents import spawn_population
-from .config import BACKENDS, RunConfig
+from .config import BACKENDS
 from .engine import load_hazard_field, run
 from .errors import SimulationError, VALIDATION_ERRORS, SchemaViolation, SemanticViolation
 from .metrics import egress_stats, export_trajectories, metrics_summary
@@ -138,21 +138,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _apply_run_overrides(config: RunConfig, args) -> RunConfig:
-    updated = replace(
+def cmd_run(args) -> int:
+    text, base_dir = _read_scenario_file(args.scenario)
+    scenario = parse_scenario(text, base_dir)
+    config = scenario.config
+    # run() checks the overridden config before it starts
+    config = replace(
         config,
         backend=args.backend or config.backend,
         max_sim_time=config.max_sim_time if args.max_time is None else args.max_time,
         seed=config.seed if args.seed is None else args.seed,
     )
-    updated.validate()
-    return updated
-
-
-def cmd_run(args) -> int:
-    text, base_dir = _read_scenario_file(args.scenario)
-    scenario = parse_scenario(text, base_dir)
-    config = _apply_run_overrides(scenario.config, args)
     result = run(scenario, config)
 
     os.makedirs(args.out, exist_ok=True)

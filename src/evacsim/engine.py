@@ -25,7 +25,7 @@ copy: the social-force state holds its ``pos`` array, and the lattice
 mover builds its occupancy grid from ``pos`` at each step, refusing two
 people on one cell with an error naming the tick ``k``.  The run's one
 ``WorldView`` (``_Simulation.world``) holds the air, whose frames the
-hazard phase brings to each tick, and the distance fields, stacked once
+hazard phase brings to each tick, and the geometry's own ``exit_fields``
 (a layer per exit zone, then the all-exits field) for the lattice, the
 social-force steering and the decisions.  The hazard phase returns who
 senses the hazard.  Sensing starts a waiting agent before its delay is
@@ -83,7 +83,7 @@ from .scenario import (
     Scenario,
     cells_center,
     derive_network,
-    distance_field,
+    distance_field,  # not called here; perfbench/tracing.py wraps it by this name
     parse_scenario,
 )
 from .socialforce import SfState, detect_arch, exposed_wall_cells, sf_step, wall_table
@@ -191,8 +191,8 @@ def _make_door_site(geometry: Geometry, door_id: str, cells: list[tuple[int, int
     for (x, y) in cells:
         for sign in (1, -1):
             nx, ny = x + sign * step[0], y + sign * step[1]
-            if geometry.in_bounds(nx, ny) and math.isfinite(geometry.exit_distance[ny, nx]):
-                farthest[sign] = max(farthest[sign], float(geometry.exit_distance[ny, nx]))
+            if geometry.in_bounds(nx, ny) and math.isfinite(geometry.exit_fields[-1, ny, nx]):
+                farthest[sign] = max(farthest[sign], float(geometry.exit_fields[-1, ny, nx]))
     upstream = np.zeros(2)
     upstream[normal_axis] = 1.0 if farthest[1] >= farthest[-1] else -1.0
     tangent_axis = 1 - normal_axis
@@ -242,9 +242,6 @@ class _Simulation:
 
         geometry = self.geometry
         zones = geometry.exit_zones
-        # distance fields, one layer per exit zone and then the all-exits
-        # field, which agents without a target descend
-        exit_fields = np.stack([distance_field(geometry, z.cells) for z in zones] + [geometry.exit_distance])
         self.hazard = hazard = load_hazard_field(scenario, self.config.max_sim_time)
 
         # population: the one copy of every agent's state
@@ -267,7 +264,7 @@ class _Simulation:
             od_frame=od_frame,
             temp_frame=temp_frame,
             tox_frame=tox_frame,
-            exit_fields=exit_fields,
+            exit_fields=geometry.exit_fields,
             zone_cells=[np.asarray(z.cells, dtype=np.int64) for z in zones],
             has_interior_blockers=bool(geometry.blocked_mask[1:-1, 1:-1].any()),
             ambient_air=bool(

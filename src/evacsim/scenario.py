@@ -9,8 +9,8 @@ in metres put the origin at the top-left corner of cell (0, 0).
 
 ``Geometry`` owns what the floor plan implies, each part built once on
 first use and kept read-only: the step rules and the per-cell step lists
-the distance fields walk, the exit zones and their distance field, the
-room labels, and the parameter-free ``topology`` of room and destination
+the distance fields walk, the exit zones and ``exit_fields``, the room
+labels, and the parameter-free ``topology`` of room and destination
 nodes and the links between them.
 ``derive_network`` only prices those links under the run parameters.
 """
@@ -89,13 +89,6 @@ class Geometry:
         self.open_mask = (self.kinds == CellKind.EMPTY) | (self.kinds == CellKind.EXIT)
         self.blocked_mask = ~self.open_mask
         self.open_mask.flags.writeable = self.blocked_mask.flags.writeable = False
-
-    @cached_property
-    def exit_distance(self) -> np.ndarray:
-        """Distance field (cells) to the nearest exit cell of any zone."""
-        dist = distance_field(self, [c for zone in self.exit_zones for c in zone.cells])
-        dist.flags.writeable = False
-        return dist
 
     @cached_property
     def moves(self) -> np.ndarray:
@@ -210,6 +203,19 @@ class Geometry:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def exit_fields(self) -> np.ndarray:
+        """(E + 1, H, W) distance fields in cells: to each exit zone in
+        order, then to the nearest exit, their least (the bits a search
+        from every exit cell gives, as its paths are the union of the
+        zones'); with no exit zone the one layer is all inf."""
+        fields = np.full((len(self.exit_zones) + 1, self.height, self.width), np.inf)
+        for layer, zone in zip(fields, self.exit_zones):
+            layer[:] = distance_field(self, zone.cells)
+        np.minimum.reduce(fields[:-1], out=fields[-1], initial=np.inf)
+        fields.flags.writeable = False
+        return fields
+
     # -- rooms and links -------------------------------------------------
     @cached_property
     def room_labels(self) -> np.ndarray:
@@ -304,7 +310,7 @@ class Geometry:
                 if other != door.id:
                     raise SemanticViolation("geometry.doors", f"doors {other!r} and {door.id!r} share cell ({x}, {y})")
         warnings = []
-        unreachable = int((self.open_mask & ~np.isfinite(self.exit_distance)).sum())
+        unreachable = int((self.open_mask & ~np.isfinite(self.exit_fields[-1])).sum())
         if unreachable:
             warnings.append(f"{unreachable} open cell(s) cannot reach any exit")
         return warnings
@@ -679,7 +685,7 @@ class PopulationSpec:
         mask, x0, y0 = self._spawn_mask(geometry)
         region = "rect" if self.spawn_rect is not None else "grid"  # a room with no way out is refused above
         height, width = mask.shape
-        sealed = np.count_nonzero(mask & ~np.isfinite(geometry.exit_distance[y0:y0 + height, x0:x0 + width]))
+        sealed = np.count_nonzero(mask & ~np.isfinite(geometry.exit_fields[-1, y0:y0 + height, x0:x0 + width]))
         if sealed:
             raise SemanticViolation("population.spawn", f"{sealed} open cell(s) in the {region} cannot reach an exit")
         free = np.count_nonzero(mask)

@@ -14,7 +14,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import BACKENDS
 from .engine import run
@@ -179,20 +179,18 @@ COMPARE_FIELDS = ("backend", "error", "dt", "seed", "population", "exited", "fat
 
 
 def compare_backends(text: str, base_dir: str = ".", seed: int | None = None) -> list[dict]:
-    """Run the same scenario under each backend with one shared seed, so
-    the populations (attributes, placement order) match draw for draw.
-    A backend whose run fails gets its ``error`` and None in every field.
+    """Run the scenario under each backend with one shared seed, so the
+    populations (attributes, placement order) match draw for draw.  The
+    text is parsed once, so the runs share its geometry and the tables
+    derived from it.  A backend whose run fails gets its ``error`` and
+    None in every field.
     """
+    scenario = parse_scenario(text, base_dir)
+    config = scenario.config if seed is None else replace(scenario.config, seed=seed)
     out = []
     for backend in BACKENDS:
-        doc = json.loads(text)
-        cfg = doc.setdefault("config", {})
-        cfg["backend"] = backend
-        if seed is not None:
-            cfg["seed"] = seed
-        scenario = parse_scenario(json.dumps(doc), base_dir)
         try:
-            result = run(scenario)
+            result = run(scenario, replace(config, backend=backend))
         except SimulationError as exc:
             out.append({**dict.fromkeys(COMPARE_FIELDS), "backend": backend, "error": str(exc)})
             continue

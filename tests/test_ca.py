@@ -44,7 +44,7 @@ def _step_once(geo, cells, seed=0, noise=0.0, fields=None):
     occupancy = _lattice(geo, pos)
     before = occupancy.copy()
     if fields is None:
-        fields = geo.exit_distance[None]
+        fields = geo.exit_fields[-1:]
     idx = np.zeros(len(cells), dtype=np.int64)
     ids = np.arange(len(cells), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -259,7 +259,7 @@ def enumerate_corridor(geo, dt, starts, reaction, max_ticks=500):
     tick).  Only valid while proposals never contest a cell, which holds
     in single-file corridors with one exit; asserted below.
     """
-    field = geo.exit_distance
+    field = geo.exit_fields[-1]
     exit_cells = {cell for zone in geo.exit_zones for cell in zone.cells}
     pos = dict(starts)
     eligible = {i: math.ceil(reaction / dt - 1e-9) for i in pos}

@@ -17,7 +17,7 @@ from evacsim.flow import Cohort, FlowState, flow_route, flow_step
 from evacsim.metrics import egress_stats
 from evacsim.scenario import Arc, EgressNetwork, Node, derive_network
 
-from conftest import SCENARIOS, distances_to, make_scenario, route_to_destination
+from conftest import SCENARIOS, distances_to, grid_rows, make_scenario, route_to_destination
 
 
 def _path_network(n_hops=1, traversal=1, capacity=1):
@@ -287,6 +287,53 @@ def test_corridor_run_drains_in_closed_form(count, c_door, capacity):
     assert t_total == math.ceil(count / capacity)
     assert result.t_end == t_total + 1
 
+
+def _two_doors_in_series(count, c1, c2):
+    """Room A (x 1-7), door d1 over (8, 2)-(8, 5), room B (x 9-15), door
+    d2 over the two exit cells (16, 3)-(16, 4); ``count`` people in room
+    A react at once.  At c_door 1 a door's capacity is its width in
+    metres, and its arc takes ceil(span / v_ref) ticks: T1 = 2, T2 = 1."""
+    rows = grid_rows(17, 9, exits=[(16, 3), (16, 4)], walls=[(8, y) for y in (1, 6, 7)])
+    doors = [
+        {"id": "d1", "cells": [[8, y] for y in range(2, 6)], "width": float(c1)},
+        {"id": "d2", "cells": [[16, 3], [16, 4]], "width": float(c2)},
+    ]
+    return {
+        "geometry": {"cell_size": 0.5, "cells": rows, "doors": doors},
+        "population": {
+            "count": count,
+            "spawn": {"node": 0},
+            "attributes": [{"attr": "reaction_time", "dist": "constant", "value": 0.0}],
+        },
+        "config": {"backend": "flow", "overrides": {"c_door": 1.0}},
+    }
+
+
+@pytest.mark.parametrize("c1, c2", [(1, 1), (3, 1), (1, 3), (3, 6), (6, 3)])
+def test_two_doors_in_series_drain_in_closed_form(c1, c2):
+    """The last exit is stamped at ceil(N / min(c1, c2)) + T1 + T2 ticks
+    of 1 s, and the run ends on the tick after it.
+
+    ``flow_step`` departs before it delivers, so a cohort that reaches
+    room B at tick k joins B's queue after B's departures of tick k and
+    leaves B from tick k + 1 on.  Room A sends c1 a tick from tick 0, its
+    last cohort at ceil(N / c1) - 1, which reaches B at ceil(N / c1) - 1
+    + T1.  If c2 >= c1, B passes each cohort on the tick after it
+    arrives, the last at ceil(N / c1) + T1.  If c2 < c1, B's queue never
+    runs dry from tick T1 + 1 on and sends c2 a tick, the last at
+    ceil(N / c2) + T1.  Either way the last person leaves B at
+    ceil(N / min(c1, c2)) + T1 and reaches the exit T2 ticks later."""
+    for count in range(1, 31):
+        scenario = make_scenario(_two_doors_in_series(count, c1, c2))
+        arcs = derive_network(scenario.geometry, scenario.config.params()).arcs
+        assert [(a.src, a.dst, a.traversal_time, a.capacity) for a in arcs] == [
+            (0, 1, 2, c1), (1, 0, 2, c1), (1, 2, 1, c2)
+        ]
+        result = run(scenario)
+        t_total, _, _, fatalities = egress_stats(result)
+        assert (result.exited, fatalities, result.timeout) == (count, 0, False)
+        assert t_total == math.ceil(count / min(c1, c2)) + 2 + 1, count
+        assert result.t_end == t_total + 1
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_people_who_cannot_walk_stay_inside_under_every_backend(backend):

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import evacsim
 import evacsim.cli
+import evacsim.engine
+import evacsim.scenario
 from evacsim import (
     PARAM_DEFAULTS,
     ScenarioSyntaxError,
@@ -25,7 +27,7 @@ from evacsim import (
     run,
     serialize_scenario,
 )
-from evacsim.engine import door_sites
+from evacsim.engine import _Simulation, door_sites
 from evacsim.scenario import (
     STEP_COSTS,
     STEPS,
@@ -37,6 +39,7 @@ from evacsim.scenario import (
     los_pairs,
     unreachable_nodes,
 )
+from evacsim.sweep import compare_backends
 
 from conftest import SCENARIOS, doc_text, grid_rows, make_scenario, room_doc, run_cli
 
@@ -345,7 +348,7 @@ def test_distance_field_matches_relaxation_reference():
         rows[1][ex] = "."  # keep the exit approachable
         doc = room_doc(["".join(r) for r in rows], count=1, spawn=[ex, 1, ex, 1])
         geo = make_scenario(doc).geometry
-        got = geo.exit_distance
+        got = geo.exit_fields[-1]
         want = _bellman_distances(geo, [cell for zone in geo.exit_zones for cell in zone.cells])
         assert np.allclose(got, want, equal_nan=True), f"trial {trial}"
 
@@ -362,7 +365,7 @@ def test_distance_field_blocks_diagonal_corner_cuts():
     ]
     doc = room_doc(rows, count=1, spawn=[1, 1, 1, 1])
     geo = make_scenario(doc).geometry
-    d = geo.exit_distance
+    d = geo.exit_fields[-1]
     # every diagonal here squeezes past the blocked (2, 2) corner, so the
     # legal path is all straight steps: (1,3) -> (1,2) -> (1,1) -> (2,1) -> exit
     assert np.isclose(d[3, 1], 4.0)
@@ -379,7 +382,7 @@ def test_distance_field_unreachable_cells_are_infinite():
     # do not spawn on exits
     doc = room_doc(rows, count=0, spawn=[3, 1, 3, 1])
     geo = make_scenario(doc).geometry
-    d = geo.exit_distance
+    d = geo.exit_fields[-1]
     assert np.isinf(d[1, 1])
     assert d[1, 3] == 0.0
 
@@ -455,7 +458,7 @@ def plans(draw):
 @given(plans())
 def test_distance_field_matches_the_two_dimensional_heap_bit_for_bit(plan):
     geo, sources = plan
-    got = geo.exit_distance if sources is None else distance_field(geo, sources)
+    got = geo.exit_fields[-1] if sources is None else distance_field(geo, sources)
     want = _heap_distances(geo, sources)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -466,11 +469,14 @@ def test_distance_field_matches_the_two_dimensional_heap_bit_for_bit(plan):
 @given(plans())
 def test_the_all_exits_field_is_the_least_of_the_zone_fields_bit_for_bit(plan):
     # each field is the least float sum over a set of paths, and the
-    # exits' paths are the union of the zones' paths
+    # exits' paths are the union of the zones' paths: so a search from
+    # every exit cell gives the last layer of the geometry's exit fields
     geo, _ = plan
     zone_fields = [distance_field(geo, zone.cells) for zone in geo.exit_zones]
     want = np.minimum.reduce(zone_fields) if zone_fields else np.full(geo.kinds.shape, np.inf)
-    assert geo.exit_distance.tobytes() == want.tobytes()
+    every_exit = distance_field(geo, [cell for zone in geo.exit_zones for cell in zone.cells])
+    assert every_exit.tobytes() == want.tobytes()
+    assert geo.exit_fields.tobytes() == np.stack([*zone_fields, want]).tobytes()
 
 
 def _serpentine_rows(width=26, lanes=10):
@@ -512,14 +518,15 @@ def _named_plan(name):
 
 @pytest.mark.parametrize("name", SHIPPED + ["smoke_exit_ca", "serpentine"])
 def test_every_field_of_a_run_matches_the_heap_bit_for_bit(name):
-    # the zone fields a run stacks and the all-exits field, on each
-    # shipped plan, the benchmark's edit and one long winding corridor
+    # the geometry's exit fields, a layer per zone and the all-exits
+    # field, on each shipped plan, the benchmark's edit and one long
+    # winding corridor
     geo = _named_plan(name)
-    got = [distance_field(geo, zone.cells) for zone in geo.exit_zones] + [geo.exit_distance]
+    got = list(geo.exit_fields)
     want = [_heap_distances(geo, zone.cells) for zone in geo.exit_zones] + [_heap_distances(geo)]
     assert [field.tobytes() for field in got] == [field.tobytes() for field in want]
     if name == "serpentine":
-        assert geo.exit_distance[np.isfinite(geo.exit_distance)].max() >= 200
+        assert got[-1][np.isfinite(got[-1])].max() >= 200
 
 
 @pytest.mark.parametrize("name", SHIPPED + ["serpentine"])
@@ -534,15 +541,41 @@ def test_the_step_lists_are_read_only_and_decode_to_the_moves(name):
 
 
 def test_the_step_lists_are_built_once_per_geometry(monkeypatch):
-    # the five fields of a big_hall_ca run share one table
+    # the four zone searches of big_hall_ca share one table
     kinds = load_scenario(os.path.join(SCENARIOS, "big_hall_ca.json")).geometry.kinds
     geo = Geometry(width=kinds.shape[1], height=kinds.shape[0], cell_size=0.4, kinds=kinds, doors=[])
     packs = []
     packbits = np.packbits
     monkeypatch.setattr(np, "packbits", lambda *a, **k: packs.append(1) or packbits(*a, **k))
-    fields = [distance_field(geo, zone.cells) for zone in geo.exit_zones] + [geo.exit_distance]
+    fields = geo.exit_fields
     assert len(fields) == 5 and len(packs) == 1
     assert geo.step_offsets is geo.step_offsets and len(packs) == 1
+
+
+def test_each_exit_field_is_searched_once_per_scenario(monkeypatch):
+    # herding_two_exit has two exit zones: its parse finds both fields,
+    # and the runs that share the parsed scenario search no more
+    calls = []
+    search = distance_field
+
+    def counted(geometry, sources):
+        calls.append(len(sources))
+        return search(geometry, sources)
+
+    for module in (evacsim.scenario, evacsim.engine):
+        monkeypatch.setattr(module, "distance_field", counted)
+    with open(os.path.join(SCENARIOS, "herding_two_exit.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["config"]["max_sim_time"] = 1.0
+    scenario = parse_scenario(json.dumps(doc), SCENARIOS)
+    sim = _Simulation(scenario)
+    sim.run()
+    assert len(calls) == len(scenario.geometry.exit_zones) == 2
+    assert sim.world.exit_fields is scenario.geometry.exit_fields
+    assert not sim.world.exit_fields.flags.writeable
+    calls.clear()
+    compare_backends(json.dumps(doc), SCENARIOS)
+    assert len(calls) == 2
 
 
 # -- line of sight ------------------------------------------------------------

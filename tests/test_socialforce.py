@@ -936,7 +936,7 @@ class _ScalarSteering:
         cx = min(geo.width - 1, max(0, int(pos[0] / geo.cell_size)))
         cy = min(geo.height - 1, max(0, int(pos[1] / geo.cell_size)))
         if zone == NO_TARGET:
-            wp = _field_hop(geo, geo.exit_distance, cx, cy)
+            wp = _field_hop(geo, geo.exit_fields[-1], cx, cy)
         else:
             wp = self._route_waypoint(pos, zone, cx, cy)
         return (math.nan, math.nan) if wp is None else wp
