@@ -273,6 +273,30 @@ def test_the_engine_reads_the_same_air_from_a_bounded_field(horizon, rate):
     assert sim.world.ambient_air == clear
 
 
+@pytest.mark.parametrize(
+    "air, sensed",
+    [
+        pytest.param("20.001,0,0", [0], id="temperature"),
+        pytest.param("20,0.001,0", [0], id="optical-density"),
+        pytest.param("20,0,0.001", [0], id="toxicity"),
+        pytest.param("20,0,0", [], id="ambient"),
+        pytest.param("20.0000000005,0,0", [], id="temperature-within-eps"),
+    ],
+)
+def test_each_channel_alone_is_sensed(tmp_path, air, sensed):
+    """One person waiting out a 100 s reaction time senses air that
+    differs from ambient in any one channel; a temperature within the
+    sensing tolerance of ambient is clear air."""
+    (tmp_path / "air.csv").write_text(f"t,x,y,temp,od,tox\n0,2,2,{air}\n", encoding="utf-8")
+    wait = [{"attr": "reaction_time", "dist": "constant", "value": 100.0}]
+    doc = room_doc(grid_rows(6, 5, exits=[(5, 2)]), count=1, spawn=[2, 2, 2, 2], attributes=wait,
+                   hazard={"file": "air.csv"})
+    sim = _Simulation(parse_scenario(json.dumps(doc), str(tmp_path)))
+    assert sim.due_t[0] == 100.0
+    assert sim._hazard_phase(0.0).tolist() == sensed
+    assert sim.world.ambient_air == (not sensed)
+
+
 # -- visibility -------------------------------------------------------------------
 
 
