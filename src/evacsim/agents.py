@@ -13,13 +13,13 @@ feet).  What the agents believe lives in one :class:`Beliefs` record
 beside it: (N, E) flags for the exits each agent knows, knew before the
 alarm and holds to be blocked, and a ring of its recent positions for
 the progress check.  The run's one :class:`WorldView` holds the time,
-the hazard frames and the exit fields.  Nothing keeps a second copy.
+the air and the exit fields.  Nothing keeps a second copy.
 
 A decision round works on the round's decider rows at once.
 :func:`build_percepts` senses for all of them together and returns one
 :class:`Percepts` record of (n,) and (n, E) arrays: walking speed, local
-smoke (read off the view's smoke frame), which exits are in sight,
-walking distances and the hazard along every sight line.
+smoke (read off the view's air), which exits are in sight, walking
+distances and the hazard along every sight line.
 :func:`decide` then updates beliefs, insistence, nervousness, targets
 and desired speeds for every row, drawing the replan lottery in
 ascending id order, and calls :func:`choose_exit` once for the rows that
@@ -48,7 +48,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import SimulationError
-from .hazard import heat, visibility_range_bulk
+from .hazard import OD, TEMP, TOX, heat, visibility_range_bulk
 from .scenario import FLOAT01, DistSpec, Geometry, PopulationSpec, los_pairs
 
 
@@ -368,18 +368,16 @@ PAIR_BLOCK = 1 << 15  # observer x person elements in one block of the sight tes
 @dataclass
 class WorldView:
     """What the perception/decision layer reads: the population, the
-    current time and hazard frames, and the exit geometry.  A run keeps
-    one, brought up to date by the engine's hazard and decision phases.
-    The herd statistics and the exit-blocked messages find who sees whom
-    through :meth:`in_sight`."""
+    current time, the air then (one frame of the hazard field) and the
+    exit geometry.  A run keeps one, brought up to date by the engine's
+    hazard and decision phases.  The herd statistics and the
+    exit-blocked messages find who sees whom through :meth:`in_sight`."""
 
     geometry: Geometry
     params: dict
     t: float
     pop: Population
-    od_frame: np.ndarray           # (H, W) current optical density
-    temp_frame: np.ndarray
-    tox_frame: np.ndarray
+    air: np.ndarray                # (3, H, W) current air, indexed by hazard.TEMP, OD, TOX
     exit_fields: np.ndarray        # (E + 1, H, W): in a run, the geometry's own exit_fields
     zone_cells: list[np.ndarray]   # per zone, (K, 2) cell coords
     has_interior_blockers: bool = False
@@ -435,15 +433,9 @@ SIGHT_SAMPLES = 8  # points sampled along each sight line
 
 
 def sight_line_hazard(
-    od_frame: np.ndarray,
-    temp_frame: np.ndarray,
-    tox_frame: np.ndarray,
-    start: np.ndarray,
-    stop: np.ndarray,
-    max_cells: np.ndarray,
-    params: dict,
+    air: np.ndarray, start: np.ndarray, stop: np.ndarray, max_cells: np.ndarray, params: dict
 ) -> np.ndarray:
-    """Mean hazard (optical density + heat dose + toxicity)
+    """Mean hazard (optical density + heat dose + toxicity) of the ``air``
     over evenly spaced points from each (P, 2) start cell toward its stop
     cell, the line clipped at ``max_cells``, the perceiver's sight range."""
     start = np.asarray(start, dtype=np.float64)
@@ -458,10 +450,10 @@ def sight_line_hazard(
     step = (end - start) / (SIGHT_SAMPLES - 1)
     points = np.arange(SIGHT_SAMPLES, dtype=np.float64)[None, :, None] * step[:, None, :] + start[:, None, :]
     points[:, -1] = end
-    height, width = od_frame.shape
+    _, height, width = air.shape
     xs = np.clip(points[:, :, 0].astype(np.int64), 0, width - 1)
     ys = np.clip(points[:, :, 1].astype(np.int64), 0, height - 1)
-    return (od_frame[ys, xs] + heat(temp_frame[ys, xs], params) + tox_frame[ys, xs]).mean(axis=1)
+    return (air[OD, ys, xs] + heat(air[TEMP, ys, xs], params) + air[TOX, ys, xs]).mean(axis=1)
 
 
 @dataclass
@@ -566,15 +558,13 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
         rows, zones = np.nonzero(visible)
         first_cell = np.cumsum([0] + [len(zc) for zc in world.zone_cells])
         stop = np.concatenate(world.zone_cells)[first_cell[zones] + nearest[rows, zones]]
-        hazard[rows, zones] = sight_line_hazard(
-            world.od_frame, world.temp_frame, world.tox_frame, cells[rows], stop, vision[rows] / cs, p
-        )
+        hazard[rows, zones] = sight_line_hazard(world.air, cells[rows], stop, vision[rows] / cs, p)
         middle = np.array([zc[len(zc) // 2] for zc in world.zone_cells])
-        exit_od[rows, zones] = world.od_frame[middle[zones, 1], middle[zones, 0]]
+        exit_od[rows, zones] = world.air[OD, middle[zones, 1], middle[zones, 0]]
 
     return Percepts(
         speed=effective_speed(pop.health[indices], pop.mobility[indices], pop.speed_pref[indices], p),
-        local_od=world.od_frame[cells[:, 1], cells[:, 0]],
+        local_od=world.air[OD, cells[:, 1], cells[:, 0]],
         visible=visible,
         distance=distance,
         hazard=hazard,
@@ -585,6 +575,13 @@ def build_percepts(world: WorldView, indices: np.ndarray) -> Percepts:
 # ---------------------------------------------------------------------------
 # decisions
 # ---------------------------------------------------------------------------
+
+
+def _known_and_unsure(percepts: Percepts, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of each row's (n, E) exits, those out of sight but ``known`` and
+    walkable, and those it could only follow a neighbour to: the rest."""
+    known = known & ~percepts.visible & np.isfinite(percepts.distance)
+    return known, ~percepts.visible & ~known
 
 
 def choose_exit(
@@ -602,8 +599,8 @@ def choose_exit(
     id.  Rows with no candidate exit get NO_TARGET.
     """
     visible = percepts.visible
-    known = beliefs.known[rows] & ~visible & np.isfinite(percepts.distance)
-    follow = ~visible & ~known & np.isfinite(percepts.follow)
+    known, unsure = _known_and_unsure(percepts, beliefs.known[rows])
+    follow = unsure & np.isfinite(percepts.follow)
     candidate = (visible | known | follow) & ~beliefs.blocked[rows]
 
     distance = np.where(follow, percepts.follow + float(params["follow_penalty"]), percepts.distance)
@@ -739,8 +736,8 @@ def decide(
     chosen = np.nonzero(need)[0]
     if len(chosen):
         herd = percepts.take(chosen)
-        # choose_exit reads follow only off the exits neither in sight nor known and walkable
-        unsure = (~herd.visible & ~(beliefs.known[rows[chosen]] & np.isfinite(herd.distance))).any(axis=1)
+        # choose_exit reads follow distances only off these rows' unsure exits
+        unsure = _known_and_unsure(herd, beliefs.known[rows[chosen]])[1].any(axis=1)
         votes, totals, congestion, follow = _neighbour_stats(world, rows[chosen], unsure)
         herd = replace(herd, congestion=congestion, votes=votes, totals=totals, follow=follow)
         new_target[chosen] = choose_exit(pop, rows[chosen], herd, beliefs, params)

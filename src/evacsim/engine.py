@@ -10,24 +10,27 @@ stamped strictly before s.
 
 The first three phases, exits, deaths and result assembly are shared.
 The backend is one mover from ``MOVERS``, picked by ``config.backend``;
-the shared phases call only its ``steer(ids)`` (after a decision round),
-``step(k, t)`` (one movement tick with its arrivals and door crossings),
-``remove(i)`` (agent i died), ``finish(t_end)`` (the run is over) and
-``warnings``.  Class constants on each mover give its default decision
-and trajectory cadence and whether it decides at all; a mover that moves
-or steers on the route network derives the network itself.  Whoever
-stands on an exit cell leaves by one rule, ``_Simulation._leave``; the
-clog episodes at the doors are the social-force mover's own.
+the shared phases call only its ``steer(sim, ids)`` (after a decision
+round), ``step(sim, k, t)`` (one movement tick with its arrivals and door
+crossings), ``remove(i)`` (agent i died), ``finish(sim, t_end)`` (the run
+is over) and ``warnings``; a hook that reads the run is passed it, so no
+mover holds a reference back.  Class constants on each mover give its
+default decision and trajectory cadence and whether it decides at all; a
+mover that moves or steers on the route network derives the network
+itself.  Whoever stands on an exit cell leaves by one rule,
+``_Simulation._leave``; the clog episodes at the doors are the
+social-force mover's own.
 
 Each fact has one owner.  ``Population`` holds every agent's state,
 desired speed (``Population.desired``) included, and no mover keeps a
 copy: the social-force state holds its ``pos`` array, and the lattice
 mover builds its occupancy grid from ``pos`` at each step, refusing two
 people on one cell with an error naming the tick ``k``.  The run's one
-``WorldView`` (``_Simulation.world``) holds the air, whose frames the
-hazard phase brings to each tick, and the geometry's own ``exit_fields``
-(a layer per exit zone, then the all-exits field) for the lattice, the
-social-force steering and the decisions.  The hazard phase returns who
+``WorldView`` (``_Simulation.world``) holds the air, the one (3, H, W)
+frame the hazard phase samples from the hazard field at each tick, and
+the geometry's own ``exit_fields`` (a layer per exit zone, then the
+all-exits field) for the lattice, the social-force steering and the
+decisions.  The hazard phase returns who
 senses the hazard.  Sensing starts a waiting agent before its delay is
 up; otherwise the pre-movement phase sleeps until the earliest delay is
 up.  ``Geometry.moves`` says which ``scenario.STEPS`` are allowed from a
@@ -49,7 +52,6 @@ import hashlib
 import math
 import os
 import struct
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +70,10 @@ from .config import RunConfig, half_up
 from .errors import SimulationError
 from .flow import FlowState, flow_step
 from .hazard import (
-    AMBIENT_TEMP,
+    AMBIENT_AIR,
+    OD,
+    TEMP,
+    TOX,
     HazardField,
     builtin_smoke,
     health_decrement,
@@ -253,25 +258,22 @@ class _Simulation:
         self.due_t = np.maximum(alarm, alarm + self.pop.reaction_time)
         self.wake_t = float(self.due_t.min(initial=math.inf))
 
+        # clear air throughout: no channel of any frame above ambient, the
+        # temperature allowed SENSE_EPS
+        ceiling = np.array(AMBIENT_AIR)
+        ceiling[TEMP] += SENSE_EPS
         # the run's one view of the air and the exits; the hazard phase
-        # keeps its frames current and the decision phase its time
-        temp_frame, od_frame, tox_frame = hazard.frame_at(0.0)
+        # keeps its air current and the decision phase its time
         self.world = WorldView(
             geometry=geometry,
             params=self.params,
             t=0.0,
             pop=self.pop,
-            od_frame=od_frame,
-            temp_frame=temp_frame,
-            tox_frame=tox_frame,
+            air=hazard.frame_at(0.0),
             exit_fields=geometry.exit_fields,
             zone_cells=[np.asarray(z.cells, dtype=np.int64) for z in zones],
             has_interior_blockers=bool(geometry.blocked_mask[1:-1, 1:-1].any()),
-            ambient_air=bool(
-                hazard.optical_density.max() <= 0.0
-                and hazard.toxicity.max() <= 0.0
-                and hazard.temperature.max() <= AMBIENT_TEMP + SENSE_EPS
-            ),
+            ambient_air=bool((hazard.air.max(axis=(0, 2, 3)) <= ceiling).all()),
         )
 
         # cadences; an interval parameter <= 0 takes the mover's default
@@ -306,21 +308,19 @@ class _Simulation:
     # -- per-tick phases -----------------------------------------------------
 
     def _hazard_phase(self, t: float) -> np.ndarray:
-        """Bring the view's frames to time t, hurt and kill the people
+        """Bring the view's air to time t, hurt and kill the people
         inside and refresh their sight; returns the ascending ids of those
         whose air differs from ambient (none in clean air)."""
         world = self.world
         if world.ambient_air:
             return np.zeros(0, dtype=np.int64)
-        world.temp_frame, world.od_frame, world.tox_frame = self.hazard.frame_at(t)
+        world.air = self.hazard.frame_at(t)
         inside = self.pop.inside()
         cx, cy = self.geometry.cells_of(self.pop.pos.take(inside, axis=0)).T
-        temp = world.temp_frame[cy, cx]
-        od = world.od_frame[cy, cx]
-        tox = world.tox_frame[cy, cx]
-        sensed = inside[(od > SENSE_EPS) | (temp > AMBIENT_TEMP + SENSE_EPS) | (tox > SENSE_EPS)]
+        air = world.air[:, cy, cx]
+        sensed = inside[(air > np.reshape(AMBIENT_AIR, (-1, 1)) + SENSE_EPS).any(axis=0)]
 
-        dec = health_decrement(temp, tox, self.dt, self.params)
+        dec = health_decrement(air[TEMP], air[TOX], self.dt, self.params)
         hurt = dec > 0
         if hurt.any():
             rows = inside[hurt]
@@ -328,7 +328,7 @@ class _Simulation:
             dead = rows[self.pop.health[rows] <= 0.0]
             for i in dead:
                 self._kill(int(i), t)
-        self.pop.vision[inside] = visibility_range_bulk(od, self.pop.health[inside], self.params)
+        self.pop.vision[inside] = visibility_range_bulk(air[OD], self.pop.health[inside], self.params)
         return sensed
 
     def _kill(self, i: int, t: float) -> None:
@@ -371,7 +371,7 @@ class _Simulation:
         self.pop.replans[replanners] += 1
         for i in replanners.tolist():
             self.events.append(EventRecord(t, "replanned", i, {"to": int(self.pop.target[i])}))
-        self.mover.steer(deciders)
+        self.mover.steer(self, deciders)
         # message barrier: deliveries land after every decision this round
         speaks = announce.any(axis=1)
         if not speaks.any():
@@ -437,12 +437,12 @@ class _Simulation:
             sensed = self._hazard_phase(t)
             newly_moving = self._premovement_phase(t, sensed)
             self._decision_phase(k, t, newly_moving)
-            self.mover.step(k, t)
+            self.mover.step(self, k, t)
             k += 1
         t_end = k * self.dt
         inside = len(self.pop.inside())
         timeout = inside > 0
-        self.mover.finish(t_end)
+        self.mover.finish(self, t_end)
         if not self.trajectory or self.trajectory[-1][0] != t_end:
             self._sample(t_end)
 
@@ -515,20 +515,17 @@ class _Mover:
     trajectory_interval = 0.0  # s between samples by default; 0 = every tick
     decides = True             # runs decision rounds at all
 
-    def __init__(self, sim: _Simulation):
-        self.sim = weakref.proxy(sim)  # a cycle would keep finished runs alive until gc
-
     @property
     def warnings(self) -> list[str]:
         return []
 
-    def steer(self, ids: np.ndarray) -> None:
+    def steer(self, sim: _Simulation, ids: np.ndarray) -> None:
         pass
 
     def remove(self, i: int) -> None:
         pass
 
-    def finish(self, t_end: float) -> None:
+    def finish(self, sim: _Simulation, t_end: float) -> None:
         pass
 
 
@@ -539,11 +536,9 @@ class _CaMover(_Mover):
     and builds the lattice of those still inside after arrivals."""
 
     def __init__(self, sim: _Simulation):
-        super().__init__(sim)
         self.v_grid = sim.geometry.cell_size / sim.dt
 
-    def step(self, k: int, t: float) -> None:
-        sim = self.sim
+    def step(self, sim: _Simulation, k: int, t: float) -> None:
         pop = sim.pop
         geometry = sim.geometry
         # arrival check first: anyone standing on an exit cell leaves
@@ -591,7 +586,6 @@ class _SfMover(_Mover):
     trajectory_interval = SF_TRAJECTORY_INTERVAL
 
     def __init__(self, sim: _Simulation):
-        super().__init__(sim)
         self.state = SfState.from_bodies(sim.pop.pos, sim.pop.radius, sim.params)
         self.walls = wall_table(exposed_wall_cells(sim.geometry), sim.geometry, float(sim.params["sf_cutoff"]))
         self.waypoint = np.full((len(sim.pop), 2), np.nan)
@@ -610,7 +604,7 @@ class _SfMover(_Mover):
         self.door_aim = np.full((len(network.arcs) + 1, 2), np.nan)
         for arc_index, arc in enumerate(network.arcs):
             if arc.door_id in doors:
-                self.door_aim[arc_index] = self._push_point(arc, doors[arc.door_id])
+                self.door_aim[arc_index] = self._push_point(sim, arc, doors[arc.door_id])
 
     @property
     def warnings(self) -> list[str]:
@@ -618,18 +612,17 @@ class _SfMover(_Mover):
 
     # -- steering ------------------------------------------------------------
 
-    def steer(self, ids: np.ndarray) -> None:
+    def steer(self, sim: _Simulation, ids: np.ndarray) -> None:
         """Aim each decider through the door of the next route arc toward
         its target exit, or at the nearest exit cell when that arc has no
         door.  Off the route (outside any room), or once the aim is within
         ``waypoint_reach``, hop down the target's field instead; an agent
         without a target hops down the all-exits field.  NaN marks a
         decider with nowhere lower to go."""
-        sim = self.sim
         pos = sim.pop.pos.take(ids, axis=0)
         cx, cy = sim.geometry.cells_of(pos).T
         layer = sim.field_layer(sim.pop.target[ids])
-        hop = self._hop(layer, cx, cy)
+        hop = self._hop(sim, layer, cx, cy)
         arc = self.next_arc[layer, sim.geometry.room_labels[cy, cx]]
         aim = self.door_aim[arc]
         doorless = (arc >= 0) & np.isnan(aim[:, 0])
@@ -641,10 +634,10 @@ class _SfMover(_Mover):
         reached = np.hypot(aim[:, 0] - pos[:, 0], aim[:, 1] - pos[:, 1]) < float(sim.params["waypoint_reach"])
         self.waypoint[ids] = np.where((reached & ~np.isnan(hop[:, 0]))[:, None], hop, aim)
 
-    def _hop(self, layer: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _hop(sim: _Simulation, layer: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """(n, 2) centre of the steepest-descent neighbour of each cell on
         its field layer, NaN where no allowed step leads lower."""
-        sim = self.sim
         nx, ny, allowed = sim.geometry.neighbourhood(cx, cy)
         # step 0 stays put and wins ties, so only a strictly lower step is taken
         pick = np.argmin(np.where(allowed, sim.world.exit_fields[layer[:, None], ny, nx], np.inf), axis=1)
@@ -653,15 +646,15 @@ class _SfMover(_Mover):
         out[pick == 0] = np.nan
         return out
 
-    def _push_point(self, arc, site: DoorSite) -> np.ndarray:
+    def _push_point(self, sim: _Simulation, arc, site: DoorSite) -> np.ndarray:
         """Where to aim when taking this arc through this door site: just
         beyond the door centre on the destination side."""
-        geometry = self.sim.geometry
+        geometry = sim.geometry
         center = site.center
         # destination-side cells adjacent to the span; an exit zone's own
         # cells are the zeros of its distance field
         if arc.dst >= self.n_rooms:
-            labels, label = self.sim.world.exit_fields[arc.dst - self.n_rooms], 0.0
+            labels, label = sim.world.exit_fields[arc.dst - self.n_rooms], 0.0
         else:
             labels, label = geometry.room_labels, arc.dst
         acc = np.zeros(2)
@@ -680,13 +673,12 @@ class _SfMover(_Mover):
 
     # -- movement ------------------------------------------------------------
 
-    def step(self, k: int, t: float) -> None:
-        self._move(k, t)
+    def step(self, sim: _Simulation, k: int, t: float) -> None:
+        self._move(sim, k, t)
         if k % self.arch_every == 0:
-            self._clog_phase(t)
+            self._clog_phase(sim, t)
 
-    def _move(self, k: int, t: float) -> None:
-        sim = self.sim
+    def _move(self, sim: _Simulation, k: int, t: float) -> None:
         pop = sim.pop
         state = self.state
         # only walkers have decided, so everyone else inside wants speed 0
@@ -711,7 +703,7 @@ class _SfMover(_Mover):
             crossed = (s_old > 0) & (s_new <= 0) & (offset <= site.half_span + CROSS_SLACK)
             count = int(crossed.sum())
             if count:
-                self._crossed(t, site_index, count)
+                self._crossed(sim, t, site_index, count)
 
         # arrivals: a body whose centre reaches an exit cell is out; each
         # site's leavers count as one crossing, in order of its first leaver
@@ -719,16 +711,14 @@ class _SfMover(_Mover):
         through = site_index[site_index >= 0]
         counts = np.bincount(through)
         for si in dict.fromkeys(through.tolist()):
-            self._crossed(t, si, int(counts[si]))
+            self._crossed(sim, t, si, int(counts[si]))
 
-    def _crossed(self, t: float, site_index: int, count: int) -> None:
-        sim = self.sim
+    def _crossed(self, sim: _Simulation, t: float, site_index: int, count: int) -> None:
         sim.crossings.append((t, sim.sites[site_index].door_id, count))
         if self.first_cross_t[site_index] is None:
             self.first_cross_t[site_index] = t
 
-    def _clog_phase(self, t: float) -> None:
-        sim = self.sim
+    def _clog_phase(self, sim: _Simulation, t: float) -> None:
         window = float(sim.params["clog_window"])
         positions = sim.pop.pos.take(sim.pop.inside(), axis=0)
         # persons through each door in (t - window, t]; crossings come in time order
@@ -748,9 +738,8 @@ class _SfMover(_Mover):
                 kind = "clog_start" if clogged else "clog_end"
                 sim.events.append(EventRecord(t, kind, site.door_id, {"band": band, "flow": rate}))
 
-    def finish(self, t_end: float) -> None:
+    def finish(self, sim: _Simulation, t_end: float) -> None:
         """Close the clog episodes still open, so their durations are defined."""
-        sim = self.sim
         for site, clogged in zip(sim.sites, self.clogged):
             if clogged:
                 sim.events.append(EventRecord(t_end, "clog_end", site.door_id, {"end_of_run": True}))
@@ -763,7 +752,6 @@ class _FlowMover(_Mover):
     decides = False
 
     def __init__(self, sim: _Simulation):
-        super().__init__(sim)
         network = derive_network(sim.geometry, sim.params)
         self.n_rooms = sim.geometry.topology.n_rooms
         room_labels = sim.geometry.room_labels
@@ -771,18 +759,18 @@ class _FlowMover(_Mover):
         assignment: dict[int, int] = {}
         for i, (cx, cy) in enumerate(sim.geometry.cells_of(sim.pop.pos).tolist()):
             label = spawn_node if spawn_node is not None else int(room_labels[cy, cx])
-            assignment[i] = label if label >= 0 else self._nearest_room_label(cx, cy)
+            assignment[i] = label if label >= 0 else self._nearest_room_label(room_labels, cx, cy)
         self.state = FlowState.from_assignment(network, assignment)
 
         # display/health positions for the coarse model: a room at its
-        # cells' mean, a destination at its representative cell
+        # cells' mean, a destination at its exit zone's centroid cell
         self.node_points: dict[int, np.ndarray] = {}
         for node in network.nodes:
             if node.kind == "room":
                 ys, xs = np.nonzero(room_labels == node.id)
                 point = cells_center(list(zip(xs.tolist(), ys.tolist())), sim.geometry.cell_size)
             else:
-                point = sim.geometry.centres(node.cell)
+                point = sim.geometry.centres(_centroid_cell(sim.geometry.exit_zones[node.id - self.n_rooms].cells))
             self.node_points[node.id] = np.array(point)
         # a declared door's arcs sit at its site's centre, the others midway
         doors = {site.door_id: site for site in sim.sites[: len(sim.geometry.doors)]}
@@ -793,11 +781,11 @@ class _FlowMover(_Mover):
             for arc in network.arcs
         ]
 
-    def _nearest_room_label(self, cx: int, cy: int) -> int:
-        """Room of the closest labelled cell (nearest Chebyshev ring, then
-        squared distance, then the lower label); for agents spawned on
-        door-span cells that belong to no room region."""
-        labels = self.sim.geometry.room_labels
+    @staticmethod
+    def _nearest_room_label(labels: np.ndarray, cx: int, cy: int) -> int:
+        """Room of the closest labelled cell of ``labels`` (nearest Chebyshev
+        ring, then squared distance, then the lower label); for agents
+        spawned on door-span cells that belong to no room region."""
         ys, xs = np.nonzero(labels >= 0)
         if len(xs) == 0:
             raise SimulationError(f"no room region near cell ({cx}, {cy})")
@@ -811,8 +799,8 @@ class _FlowMover(_Mover):
     def remove(self, i: int) -> None:
         self.state.remove(i)
 
-    def step(self, k: int, t: float) -> None:
-        sim, pop = self.sim, self.sim.pop
+    def step(self, sim: _Simulation, k: int, t: float) -> None:
+        pop = sim.pop
         for cohort in flow_step(self.state, pop.walking(), k):
             arc = self.state.network.arcs[cohort.arc_index]
             if arc.door_id:
@@ -826,6 +814,13 @@ class _FlowMover(_Mover):
         for cohort in self.state.in_transit:
             pop.pos[cohort.ids] = self.arc_points[cohort.arc_index]
         self.state.check_conservation(k, pop.inside())
+
+
+def _centroid_cell(cells: list[tuple[int, int]]) -> tuple[int, int]:
+    """The cell nearest the mean of ``cells`` (then the lower y, then x)."""
+    cx = sum(c[0] for c in cells) / len(cells)
+    cy = sum(c[1] for c in cells) / len(cells)
+    return min(cells, key=lambda c: ((c[0] - cx) ** 2 + (c[1] - cy) ** 2, c[1], c[0]))
 
 
 MOVERS = {"ca": _CaMover, "sf": _SfMover, "flow": _FlowMover}

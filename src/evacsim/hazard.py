@@ -1,10 +1,13 @@
 """Time-indexed environmental hazard fields.
 
-A hazard field holds per-cell temperature (degC), optical smoke density
-(1/m) and toxicity (dose rate, fraction of full health per second) on
-the scenario grid, at a strictly increasing list of timestamps.
-Sampling interpolates linearly in time and extrapolates by holding the
-first/last frame.
+A hazard field holds the air on the scenario grid as one stack of
+frames, one per timestamp of a strictly increasing list.  Each frame is
+a (3, H, W) array whose channels, in the order ``TEMP, OD, TOX``, are
+the temperature (degC), the optical smoke density (1/m) and the
+toxicity (dose rate, fraction of full health per second) of each cell;
+``AMBIENT_AIR`` is clear air in that order.  Every other module indexes
+a frame by these names.  Sampling interpolates linearly in time and
+extrapolates by holding the first/last frame.
 """
 from __future__ import annotations
 
@@ -16,15 +19,15 @@ import numpy as np
 
 from .errors import HazardFormatError
 
+TEMP, OD, TOX = range(3)  # the channels of a frame
 AMBIENT_TEMP = 20.0  # degC everywhere unless a frame says otherwise
+AMBIENT_AIR = (AMBIENT_TEMP, 0.0, 0.0)  # clear air, by channel
 
 
 @dataclass(eq=False)
 class HazardField:
     timestamps: np.ndarray  # (T,) float64, strictly increasing
-    temperature: np.ndarray  # (T, H, W)
-    optical_density: np.ndarray
-    toxicity: np.ndarray
+    air: np.ndarray  # (T, 3, H, W) float64, channels TEMP, OD, TOX
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
@@ -32,44 +35,25 @@ class HazardField:
             raise HazardFormatError("field needs at least one frame")
         if np.any(np.diff(self.timestamps) <= 0):
             raise HazardFormatError("timestamps must be strictly increasing")
-        shape = self.temperature.shape
-        if self.optical_density.shape != shape or self.toxicity.shape != shape:
-            raise HazardFormatError("frame stacks disagree in shape")
-        if shape[0] != len(self.timestamps):
+        if self.air.shape[0] != len(self.timestamps):
             raise HazardFormatError("frame count does not match timestamps")
 
     @classmethod
     def ambient(cls, height: int, width: int) -> "HazardField":
-        shape = (1, height, width)
-        return cls(
-            timestamps=np.array([0.0]),
-            temperature=np.full(shape, AMBIENT_TEMP),
-            optical_density=np.zeros(shape),
-            toxicity=np.zeros(shape),
-        )
+        air = np.tile(np.reshape(AMBIENT_AIR, (-1, 1, 1)), (1, 1, height, width))
+        return cls(timestamps=np.array([0.0]), air=air)
 
-    def _bracket(self, t: float) -> tuple[int, int, float]:
+    def frame_at(self, t: float) -> np.ndarray:
+        """The (3, H, W) air at time ``t``."""
         ts = self.timestamps
         if t <= ts[0]:
-            return 0, 0, 0.0
+            return self.air[0]
         if t >= ts[-1]:
-            last = len(ts) - 1
-            return last, last, 0.0
+            return self.air[-1]
         hi = int(np.searchsorted(ts, t, side="right"))
         lo = hi - 1
-        alpha = (t - ts[lo]) / (ts[hi] - ts[lo])
-        return lo, hi, float(alpha)
-
-    def frame_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lo, hi, alpha = self._bracket(t)
-        if lo == hi:
-            return self.temperature[lo], self.optical_density[lo], self.toxicity[lo]
-        w0 = 1.0 - alpha
-        return (
-            w0 * self.temperature[lo] + alpha * self.temperature[hi],
-            w0 * self.optical_density[lo] + alpha * self.optical_density[hi],
-            w0 * self.toxicity[lo] + alpha * self.toxicity[hi],
-        )
+        alpha = float((t - ts[lo]) / (ts[hi] - ts[lo]))
+        return (1.0 - alpha) * self.air[lo] + alpha * self.air[hi]
 
 
 def load_hazard_series(text: str, height: int, width: int) -> HazardField:
@@ -132,21 +116,11 @@ def load_hazard_series(text: str, height: int, width: int) -> HazardField:
     if not frames:
         return HazardField.ambient(height, width)
 
-    n = len(frames)
-    temp = np.full((n, height, width), AMBIENT_TEMP)
-    od = np.zeros((n, height, width))
-    tox = np.zeros((n, height, width))
+    air = np.repeat(HazardField.ambient(height, width).air, len(frames), axis=0)
     for i, (_, cells) in enumerate(frames):
-        for (x, y), (tv, ov, xv) in cells.items():
-            temp[i, y, x] = tv
-            od[i, y, x] = ov
-            tox[i, y, x] = xv
-    return HazardField(
-        timestamps=np.array([t for t, _ in frames]),
-        temperature=temp,
-        optical_density=od,
-        toxicity=tox,
-    )
+        for (x, y), channels in cells.items():  # the columns come in channel order
+            air[i, :, y, x] = channels
+    return HazardField(timestamps=np.array([t for t, _ in frames]), air=air)
 
 
 def builtin_smoke(
@@ -190,28 +164,30 @@ def builtin_smoke(
 
     n_steps = int(round(duration / step))
     every = max(1, int(round(frame_interval / step)))
-
-    timestamps = [0.0]
-    od_frames = [od.copy()]
-    for k in range(1, n_steps + 1):
-        if timestamps[-1] >= horizon:
+    # the steps that emit a frame: every ``every``-th and the last, up to
+    # the first whose time is at or past the horizon
+    emit = []
+    for k in (*range(0, n_steps, every), n_steps):
+        emit.append(k)
+        if k * step >= horizon:
             break
-        nbr_sum = _neighbour_sum(pad, od)
-        od = od + diffusion * (nbr_sum - n_open * od)
-        od[sy, sx] += rate
-        od *= open_f
-        np.maximum(od, 0.0, out=od)
-        if k % every == 0 or k == n_steps:
-            timestamps.append(k * step)
-            od_frames.append(od.copy())
 
-    od_stack = np.stack(od_frames)
-    return HazardField(
-        timestamps=np.array(timestamps),
-        temperature=AMBIENT_TEMP + temp_per_od * od_stack,
-        optical_density=od_stack,
-        toxicity=tox_per_od * od_stack,
-    )
+    air = np.empty((len(emit), len(AMBIENT_AIR), *open_mask.shape))
+    k = 0
+    for frame, k_frame in zip(air, emit):
+        while k < k_frame:
+            k += 1
+            nbr_sum = _neighbour_sum(pad, od)
+            od = od + diffusion * (nbr_sum - n_open * od)
+            od[sy, sx] += rate
+            od *= open_f
+            np.maximum(od, 0.0, out=od)
+        # AMBIENT_TEMP + temp_per_od * od and tox_per_od * od, in place
+        frame[OD] = od
+        np.multiply(od, temp_per_od, out=frame[TEMP])
+        frame[TEMP] += AMBIENT_TEMP
+        np.multiply(od, tox_per_od, out=frame[TOX])
+    return HazardField(timestamps=np.array([k * step for k in emit]), air=air)
 
 
 def _neighbour_sum(pad: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -246,11 +246,8 @@ class Geometry:
         zone_grid = self.zone_grid
         cs = self.cell_size
         n_rooms = int(labels.max()) + 1
-        nodes = []
-        for room in range(n_rooms):
-            ys, xs = np.nonzero(labels == room)
-            nodes.append(Node(room, "room", _region_centroid_cell(list(zip(xs.tolist(), ys.tolist())))))
-        nodes += [Node(n_rooms + z.id, "destination", _region_centroid_cell(z.cells)) for z in self.exit_zones]
+        nodes = [Node(room, "room") for room in range(n_rooms)]
+        nodes += [Node(n_rooms + z.id, "destination") for z in self.exit_zones]
 
         links: list[Link] = []
         for door in self.doors:
@@ -449,7 +446,6 @@ def los_pairs(blocked: np.ndarray, a_cells: np.ndarray, b_cells: np.ndarray) -> 
 class Node:
     id: int
     kind: str                 # "room" | "destination"
-    cell: tuple[int, int]     # representative cell
 
 
 class Link(NamedTuple):
@@ -527,12 +523,6 @@ def unreachable_nodes(nodes, edges) -> set[int]:
                 reachable.add(edge.src)
                 changed = True
     return {n.id for n in nodes} - reachable
-
-
-def _region_centroid_cell(cells: list[tuple[int, int]]) -> tuple[int, int]:
-    cx = sum(c[0] for c in cells) / len(cells)
-    cy = sum(c[1] for c in cells) / len(cells)
-    return min(cells, key=lambda c: ((c[0] - cx) ** 2 + (c[1] - cy) ** 2, c[1], c[0]))
 
 
 def derive_network(geometry: Geometry, params: dict) -> EgressNetwork:

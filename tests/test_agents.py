@@ -34,6 +34,7 @@ from evacsim.agents import (
     update_insistence,
 )
 from evacsim.config import PARAM_DEFAULTS
+from evacsim.hazard import OD, TEMP, TOX
 from evacsim.rng import RngStreams
 from evacsim.scenario import DistSpec, PopulationSpec, los_pairs
 
@@ -104,15 +105,12 @@ def _view(pop, geometry=None, has_interior_blockers=False, t=0.0):
     """The view of ``pop`` at time ``t`` in clear air, in ``geometry`` (by
     default an open 10 x 8 room), with EXITS exit zones that nobody can reach."""
     geometry = geometry or _geometry()
-    zeros = np.zeros((geometry.height, geometry.width))
     return WorldView(
         geometry=geometry,
         params=PARAM_DEFAULTS,
         t=t,
         pop=pop,
-        od_frame=zeros,
-        temp_frame=zeros,
-        tox_frame=zeros,
+        air=np.zeros((3, geometry.height, geometry.width)),
         exit_fields=np.full((EXITS + 1, geometry.height, geometry.width), np.inf),
         zone_cells=[np.zeros((1, 2), dtype=np.int64)] * EXITS,
         has_interior_blockers=has_interior_blockers,
@@ -1034,7 +1032,9 @@ def test_sight_line_hazard_matches_one_line_at_a_time_exactly():
     stop[600:650] = start[600:650]        # zero length
     max_cells = rng.uniform(0.0, 40.0, lines)  # many lines clipped at the sight range
     max_cells[650:700] = 0.0
-    got = sight_line_hazard(od, temp, tox, start, stop, max_cells, PARAM_DEFAULTS)
+    air = np.empty((3, height, width))
+    air[OD], air[TEMP], air[TOX] = od, temp, tox
+    got = sight_line_hazard(air, start, stop, max_cells, PARAM_DEFAULTS)
     want = [
         _hazard_along_one_line(od, temp, tox, start[i], stop[i], max_cells[i], PARAM_DEFAULTS) for i in range(lines)
     ]

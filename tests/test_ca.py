@@ -246,7 +246,7 @@ def test_a_lattice_fault_names_the_tick_being_stepped():
     sim, message = corrupted()
     sim.pop.status[:] = int(AgentStatus.MOVING)
     with pytest.raises(SimulationError, match=rf"^tick 7: {message}"):
-        sim.mover.step(7, 7 * sim.dt)
+        sim.mover.step(sim, 7, 7 * sim.dt)
 
 
 # -- scalar reference over whole runs -------------------------------------------

@@ -22,8 +22,8 @@ from conftest import SCENARIOS, distances_to, grid_rows, make_scenario, route_to
 
 def _path_network(n_hops=1, traversal=1, capacity=1):
     """room 0 -> room 1 -> ... -> destination, uniform arcs."""
-    nodes = [Node(id=i, kind="room", cell=(i, 0)) for i in range(n_hops)]
-    nodes.append(Node(id=n_hops, kind="destination", cell=(n_hops, 0)))
+    nodes = [Node(id=i, kind="room") for i in range(n_hops)]
+    nodes.append(Node(id=n_hops, kind="destination"))
     arcs = [
         Arc(src=i, dst=i + 1, traversal_time=traversal, capacity=capacity, door_id=f"a{i}")
         for i in range(n_hops)
@@ -149,10 +149,10 @@ def test_a_person_missing_from_the_network_is_named_with_the_tick():
 def test_flow_route_picks_nearest_destination():
     # two destinations; rooms route to whichever is closer in time
     nodes = [
-        Node(id=0, kind="room", cell=(0, 0)),
-        Node(id=1, kind="room", cell=(1, 0)),
-        Node(id=2, kind="destination", cell=(2, 0)),
-        Node(id=3, kind="destination", cell=(3, 0)),
+        Node(id=0, kind="room"),
+        Node(id=1, kind="room"),
+        Node(id=2, kind="destination"),
+        Node(id=3, kind="destination"),
     ]
     arcs = [
         Arc(src=0, dst=2, traversal_time=5, capacity=1, door_id="far"),
@@ -172,9 +172,9 @@ def test_flow_route_picks_nearest_destination():
 
 def test_unreachable_room_is_a_connectivity_error():
     nodes = [
-        Node(id=0, kind="room", cell=(0, 0)),
-        Node(id=1, kind="room", cell=(1, 0)),
-        Node(id=2, kind="destination", cell=(2, 0)),
+        Node(id=0, kind="room"),
+        Node(id=1, kind="room"),
+        Node(id=2, kind="destination"),
     ]
     arcs = [Arc(src=0, dst=2, traversal_time=1, capacity=1, door_id="only")]
     net = EgressNetwork(nodes=nodes, arcs=arcs, warnings=[])
@@ -190,7 +190,7 @@ def networks(draw):
     included; some rooms reach no destination, and some networks have
     none at all."""
     ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=7, unique=True))
-    nodes = [Node(id=i, kind=draw(st.sampled_from(["room", "destination"])), cell=(i, 0)) for i in ids]
+    nodes = [Node(id=i, kind=draw(st.sampled_from(["room", "destination"]))) for i in ids]
     arc = st.builds(
         lambda src, dst, ticks: Arc(src=src, dst=dst, traversal_time=ticks, capacity=1),
         st.sampled_from(ids),

@@ -327,14 +327,14 @@ def test_every_walker_has_decided_before_the_mover_steps(monkeypatch, backend, m
     walked = []
     for mover in (MOVERS["ca"], MOVERS["sf"]):
 
-        def step(self, k, t, _step=mover.step):
-            pop = self.sim.pop
+        def step(self, sim, k, t, _step=mover.step):
+            pop = sim.pop
             walking = pop.walking()
             inside = pop.inside()
             assert (pop.desired[inside[~walking[inside]]] == 0.0).all(), k
             assert (pop.desired[walking] > 0.0).all(), k
             walked.append(int(walking.sum()))
-            _step(self, k, t)
+            _step(self, sim, k, t)
 
         monkeypatch.setattr(mover, "step", step)
     doc = json.loads(_scenario_text("herding_two_exit", max_sim_time, backend, smoke))

@@ -15,6 +15,9 @@ from evacsim.config import PARAM_DEFAULTS
 from evacsim.engine import _Simulation, load_hazard_field
 from evacsim.hazard import (
     AMBIENT_TEMP,
+    OD,
+    TEMP,
+    TOX,
     HazardField,
     builtin_smoke,
     health_decrement,
@@ -40,29 +43,29 @@ t,x,y,temp,od,tox
 def test_csv_frames_group_by_timestamp():
     field = load_hazard_series(CSV_TWO_FRAMES, height=3, width=4)
     assert list(field.timestamps) == [0.0, 10.0]
-    assert field.temperature[0, 1, 2] == 30.0
-    assert field.optical_density[1, 1, 2] == 3.0
-    assert field.toxicity[1, 1, 2] == pytest.approx(0.3)
+    assert field.air[0, TEMP, 1, 2] == 30.0
+    assert field.air[1, OD, 1, 2] == 3.0
+    assert field.air[1, TOX, 1, 2] == pytest.approx(0.3)
 
 
 def test_csv_unlisted_cells_stay_ambient():
     field = load_hazard_series(CSV_TWO_FRAMES, height=3, width=4)
-    assert field.temperature[0, 0, 0] == AMBIENT_TEMP
-    assert field.optical_density[0, 0, 0] == 0.0
-    assert field.toxicity[1, 2, 3] == 0.0
+    assert field.air[0, TEMP, 0, 0] == AMBIENT_TEMP
+    assert field.air[0, OD, 0, 0] == 0.0
+    assert field.air[1, TOX, 2, 3] == 0.0
 
 
 def test_csv_accepts_trailing_pressure_column_and_comments():
     text = "# a comment\n0,1,1,25,0.5,0.0,101325\n"
     field = load_hazard_series(text, height=3, width=3)
-    assert field.temperature[0, 1, 1] == 25.0
+    assert field.air[0, TEMP, 1, 1] == 25.0
 
 
 def test_csv_empty_document_is_ambient():
     field = load_hazard_series("", height=2, width=2)
     assert field.timestamps.shape == (1,)
-    assert (field.temperature == AMBIENT_TEMP).all()
-    assert (field.optical_density == 0).all()
+    assert (field.air[:, TEMP] == AMBIENT_TEMP).all()
+    assert (field.air[:, OD] == 0).all()
 
 
 def test_csv_errors_carry_row_numbers():
@@ -140,29 +143,29 @@ def test_builtin_smoke_injects_mass_at_fixed_rate():
     field = builtin_smoke(geo, (2, 2), params)
     for k, t in enumerate(field.timestamps):
         expected = 0.4 * t / 0.5
-        assert field.optical_density[k].sum() == pytest.approx(expected, rel=1e-9), t
+        assert field.air[k, OD].sum() == pytest.approx(expected, rel=1e-9), t
 
 
 def test_builtin_smoke_stays_nonnegative_and_off_walls():
     geo = _smoke_geometry()
     field = builtin_smoke(geo, (2, 2), {**BUILTIN_SMOKE_DEFAULTS, "duration": 30.0})
-    assert (field.optical_density >= 0).all()
+    assert (field.air[:, OD] >= 0).all()
     blocked = geo.blocked_mask
-    assert (field.optical_density[:, blocked] == 0).all()
+    assert (field.air[:, OD, blocked] == 0).all()
 
 
 def test_builtin_smoke_temperature_and_toxicity_track_density():
     geo = _smoke_geometry()
     field = builtin_smoke(geo, (2, 2), {**BUILTIN_SMOKE_DEFAULTS, "temp_per_od": 50.0, "tox_per_od": 0.01})
-    od = field.optical_density
-    assert np.allclose(field.temperature, AMBIENT_TEMP + 50.0 * od)
-    assert np.allclose(field.toxicity, 0.01 * od)
+    od = field.air[:, OD]
+    assert np.array_equal(field.air[:, TEMP], AMBIENT_TEMP + 50.0 * od)
+    assert np.array_equal(field.air[:, TOX], 0.01 * od)
 
 
 def test_builtin_smoke_spreads_towards_the_far_corner():
     geo = _smoke_geometry()
     field = builtin_smoke(geo, (2, 2), {**BUILTIN_SMOKE_DEFAULTS, "duration": 60.0, "rate": 1.0})
-    far = field.optical_density[:, 5, 7]
+    far = field.air[:, OD, 5, 7]
     assert far[0] == 0.0
     assert far[-1] > 0.0
 
@@ -202,7 +205,7 @@ def test_builtin_smoke_matches_the_shifted_copy_reference_exactly():
               "duration": 60.0}
     field = builtin_smoke(geo, (3, 7), params)
     expected = _reference_smoke_frames(geo, (3, 7), 0.7, 0.2, 120)
-    assert np.array_equal(field.optical_density, expected)
+    assert np.array_equal(field.air[:, OD], expected)
 
 
 def test_builtin_smoke_rejects_blocked_source():
@@ -245,8 +248,7 @@ def test_a_bounded_smoke_field_is_a_prefix_of_the_whole_one(herding_full, horizo
     assert len(full.timestamps) == 241
     assert bounded.timestamps[-1] == last_t
     assert np.array_equal(bounded.timestamps, full.timestamps[:n])
-    for name in ("temperature", "optical_density", "toxicity"):
-        assert np.array_equal(getattr(bounded, name), getattr(full, name)[:n]), name
+    assert np.array_equal(bounded.air, full.air[:n])
 
 
 @pytest.mark.parametrize("horizon", HORIZONS)
@@ -266,8 +268,8 @@ def test_every_tick_below_the_horizon_samples_the_whole_fields_frame(herding_ful
 def test_the_engine_reads_the_same_air_from_a_bounded_field(horizon, rate):
     scenario = _herding(rate)
     full = load_hazard_field(scenario)
-    clear = bool(full.optical_density.max() <= 0.0 and full.toxicity.max() <= 0.0
-                 and full.temperature.max() <= AMBIENT_TEMP)
+    clear = bool(full.air[:, OD].max() <= 0.0 and full.air[:, TOX].max() <= 0.0
+                 and full.air[:, TEMP].max() <= AMBIENT_TEMP)
     assert clear == (rate == 0.0)
     sim = _Simulation(scenario, replace(scenario.config, max_sim_time=horizon))
     assert sim.world.ambient_air == clear

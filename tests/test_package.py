@@ -18,6 +18,7 @@ import numpy as np
 import evacsim
 from evacsim.agents import Beliefs, Percepts, WorldView
 from evacsim.engine import MOVERS, DoorSite, _Simulation
+from evacsim.hazard import HazardField
 
 from conftest import ROOT
 
@@ -212,6 +213,36 @@ def test_each_agent_fact_has_one_record():
         if isinstance(func, ast.FunctionDef) and _names(func)["WorldView"]
     ]
     assert builders == ["_Simulation.__init__"]
+
+
+def test_the_air_is_one_record():
+    # the air is one (T, 3, H, W) stack in HazardField and one (3, H, W)
+    # frame in the run's WorldView, indexed by the channel names that
+    # hazard alone defines; no module keeps a per-channel record of it,
+    # and no mover holds a reference back to the run
+    assert tuple(HazardField.__dataclass_fields__) == ("timestamps", "air")
+    fields = set(WorldView.__dataclass_fields__)
+    assert "air" in fields and not [name for name in fields if name.endswith("_frame")]
+    trees = _trees()
+    per_channel = sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("temperature", "optical_density", "toxicity")
+    )
+    assert per_channel == []
+    channel_owners = sorted(
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in ("TEMP", "OD", "TOX")
+    )
+    assert channel_owners == ["hazard"] * 3
+    imported = {
+        alias.name.split(".")[0] for node in ast.walk(trees["engine"]) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert "weakref" not in imported
 
 
 def test_each_rule_the_movers_share_has_one_implementation():

@@ -993,7 +993,7 @@ def test_bulk_steering_matches_the_scalar_reference(name):
         ids = np.arange(stop - start)
         sim.pop.pos[ids] = pos[start:stop]
         sim.pop.target[ids] = zone[start:stop]
-        sim.mover.steer(ids)
+        sim.mover.steer(sim, ids)
         got[start:stop] = sim.mover.waypoint[ids]
     assert np.isnan(want[:, 0]).any() and not np.isnan(want[:, 0]).all()
     np.testing.assert_array_equal(got, want)
