@@ -20,6 +20,7 @@ from evacsim.scenario import derive_network, distance_field, load_scenario
 from evacsim.socialforce import (
     MAX_DT,
     SfState,
+    _neighbor_list,
     apply_contact_friction,
     arch_band_count,
     detect_arch,
@@ -620,6 +621,64 @@ def test_kernels_match_the_reference_without_pairs():
     assert np.array_equal(got_vel, vel)
 
 
+def _assert_same_bits(got, want):
+    """``_assert_same``, with signed zeros told apart."""
+    _assert_same(got, want)
+    for g, w in zip((got[0], *got[1]), (want[0], *want[1])):
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([CUTOFF, 0.5]), st.data())
+def test_pairs_beyond_the_cutoff_are_inert(seed, cutoff, data):
+    # the same bits, contacts included, from any ascending superset of
+    # the pairs within the cutoff: what lets the neighbour list, its skin
+    # and its cache change without moving a digest
+    params = dict(PARAM_DEFAULTS, sf_cutoff=cutoff)
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 5.0, size=(40, 2))
+    radius = rng.uniform(0.25, 0.35, size=len(pos))
+    i, j = np.triu_indices(len(pos), 1)
+    dx, dy = (pos[i] - pos[j]).T
+    within = dx * dx + dy * dy <= cutoff * cutoff
+    far = np.flatnonzero(~within).tolist()
+    extra = far if data.draw(st.booleans()) else sorted(data.draw(st.sets(st.sampled_from(far))))
+    rows = np.union1d(np.flatnonzero(within), np.array(extra, dtype=np.int64))
+    want = _pair_forces(pos, radius, params, (i[within], j[within]))
+    _assert_same_bits(_pair_forces(pos, radius, params, (i[rows], j[rows])), want)
+    assert len(want[1][0]) > 0
+
+
+def test_wall_only_friction_matches_the_reference_bit_for_bit():
+    # bodies pressed against the south and west walls, none touching
+    # another, with -0.0 velocity components on touched and untouched
+    # rows: the friction pass over wall contacts alone, signed zeros too
+    geo = _open_floor(14.0, 14.0)
+    along = np.arange(1.0, 13.0, 0.9)
+    pos = np.concatenate([
+        np.stack([along, np.full(len(along), 0.74)], axis=1),
+        np.stack([np.full(len(along) - 2, 0.76), along[2:] + 0.45], axis=1),
+        [[6.0, 6.0], [8.0, 7.0]],
+    ])
+    rng = np.random.default_rng(4)
+    radius = rng.uniform(0.25, 0.35, size=len(pos))
+    mass = rng.uniform(60.0, 90.0)
+    _, pair_contacts = _pair_forces(pos, radius, PARAM_DEFAULTS, _pairs(pos))
+    _, wall_contacts = wall_forces(pos, radius, _walls(geo), geo, PARAM_DEFAULTS)
+    touched = wall_contacts[0]
+    assert len(pair_contacts[0]) == 0 and 0 < len(touched) < len(pos)
+    vel = rng.uniform(-1.5, 1.5, size=(len(pos), 2))
+    vel[::3, 0] = -0.0
+    vel[1::4, 1] = -0.0
+    vel[touched[0]] = -0.0
+    untouched = np.setdiff1d(np.arange(len(pos)), touched)
+    assert np.signbit(vel[touched][vel[touched] == 0]).any() and np.signbit(vel[untouched][vel[untouched] == 0]).any()
+    for dt in (0.02, 0.05):
+        got = apply_contact_friction(vel.copy(), mass, pair_contacts, wall_contacts, dt, PARAM_DEFAULTS)
+        want = _ref_friction(vel.copy(), np.full(len(pos), mass), pair_contacts, wall_contacts, dt, PARAM_DEFAULTS)
+        assert got.tobytes() == want.tobytes()
+
+
 def _ref_driving(pos, vel, mass, desired_speed, waypoint, params):
     heading = waypoint - pos
     has_goal = np.isfinite(heading).all(axis=1)
@@ -788,17 +847,52 @@ def test_a_body_that_starts_inside_a_wall_is_an_error():
 
 
 def test_neighbor_cache_survives_drift_without_missing_pairs():
+    # slow walkers on a loose lattice, each heading its own way, reuse one
+    # list over several steps; the list each step is about to use gives
+    # the forces and contacts of a fresh enumeration of the pairs within
+    # the cutoff, bit for bit
     geo = _open_floor(10.0, 10.0)
+    walls = _walls(geo, NO_WALLS)
     rng = np.random.default_rng(11)
-    n = 60
-    state = _free_state(rng.uniform(2.0, 8.0, size=(n, 2)))
-    v_des = np.full(n, 1.34)
-    for step in range(60):
-        waypoint = state.pos + rng.uniform(-2, 2, size=(n, 2))
-        sf_step(state, geo, _walls(geo, NO_WALLS), np.arange(n), v_des, waypoint, 0.05, step, PARAM_DEFAULTS)
-        force, _ = _pair_forces(state.pos, state.radius, PARAM_DEFAULTS, _pairs(state.pos))
-        cached, _ = _pair_forces(state.pos, state.radius, PARAM_DEFAULTS, state._nbr.pairs)
-        assert np.allclose(force, cached, atol=1e-9), step
+    xs, ys = np.meshgrid(np.arange(2.5, 8.0, 1.0), np.arange(2.5, 8.0, 1.0))
+    state = _free_state(np.stack([xs.ravel(), ys.ravel()], axis=1) + rng.uniform(-0.1, 0.1, size=(xs.size, 2)))
+    present = np.arange(xs.size)
+    heading = rng.uniform(0.0, 2.0 * np.pi, size=xs.size)
+    waypoint = state.pos + 20.0 * np.stack([np.cos(heading), np.sin(heading)], axis=1)
+    v_des = np.full(xs.size, 0.5)
+    reused = 0
+    for step in range(80):
+        pos = state.pos.take(present, axis=0)
+        before = state._nbr
+        nbr = _neighbor_list(state, present, pos, CUTOFF)
+        reused += nbr is before
+        cached = _pair_forces(pos, state.radius, PARAM_DEFAULTS, nbr.pairs)
+        fresh = _pair_forces(pos, state.radius, PARAM_DEFAULTS, _pairs(pos))
+        _assert_same(cached, fresh)
+        sf_step(state, geo, walls, present, v_des, waypoint, 0.05, step, PARAM_DEFAULTS)
+    assert 40 <= reused < 79
+
+
+def test_a_body_leaving_forces_a_neighbour_rebuild():
+    # bodies at rest keep their list; once one leaves, the next step
+    # enumerates the pairs of those still present
+    geo = _open_floor(10.0, 10.0)
+    walls = _walls(geo, NO_WALLS)
+    xs, ys = np.meshgrid(np.arange(2.0, 8.5, 1.5), np.arange(2.0, 8.5, 1.5))
+    n = xs.size
+    state = _free_state(np.stack([xs.ravel(), ys.ravel()], axis=1))
+    waypoint = np.full((n, 2), np.nan)
+    present = np.arange(n)
+    sf_step(state, geo, walls, present, np.zeros(n), waypoint, 0.05, 0, PARAM_DEFAULTS)
+    first = state._nbr
+    sf_step(state, geo, walls, present, np.zeros(n), waypoint, 0.05, 1, PARAM_DEFAULTS)
+    assert state._nbr is first
+    present = np.delete(present, 7)
+    sf_step(state, geo, walls, present, np.zeros(n), waypoint, 0.05, 2, PARAM_DEFAULTS)
+    assert state._nbr is not first and np.array_equal(state._nbr.rows, present)
+    reach = CUTOFF + 0.4
+    want = SpatialHash(state.pos[present], reach).query_pairs(reach)
+    assert all(np.array_equal(g, w) for g, w in zip(state._nbr.pairs, want))
 
 
 # -- jam detection -----------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacsim.spatialhash import SpatialHash
 
@@ -24,6 +26,36 @@ def test_query_pairs_matches_brute_force():
         got = sorted(zip(pi.tolist(), pj.tolist()))
         want = brute_force_pairs(pos, radius)
         assert got == want, f"trial {trial}"
+
+
+@st.composite
+def _clouds(draw):
+    """Points on a lattice of 1/64 of a power-of-two bucket, so every
+    bucket and distance is exact and many points sit on bucket edges: all
+    in one bucket, in one bucket row, in one bucket column or spread out,
+    at negative and positive coordinates, some repeated; the bucket size
+    and a query radius of at most one bucket."""
+    cell = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    radius = cell * draw(st.sampled_from([1.0, 0.75, 0.5, 0.25]))
+    layout = draw(st.sampled_from(["bucket", "row", "column", "spread"]))
+    low_x, low_y = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    wide = 1 if layout in ("bucket", "column") else draw(st.integers(1, 8))
+    tall = 1 if layout in ("bucket", "row") else draw(st.integers(1, 8))
+    bucket = st.tuples(st.integers(low_x, low_x + wide - 1), st.integers(low_y, low_y + tall - 1))
+    offset = st.one_of(st.just(0), st.integers(0, 63))      # 0: on the bucket's low edge
+    points = draw(st.lists(st.tuples(bucket, offset, offset), max_size=40))
+    pos = np.array([(64 * bx + ox, 64 * by + oy) for (bx, by), ox, oy in points], dtype=float).reshape(-1, 2)
+    repeats = draw(st.lists(st.integers(0, len(pos) - 1), max_size=5)) if len(pos) else []
+    return np.concatenate([pos, pos[repeats]]) * (cell / 64), cell, radius
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_clouds())
+def test_query_pairs_equals_the_brute_force_pairs_in_order(cloud):
+    pos, cell, radius = cloud
+    pi, pj = SpatialHash(pos, cell).query_pairs(radius)
+    assert pi.dtype == pj.dtype == np.int64
+    assert list(zip(pi.tolist(), pj.tolist())) == brute_force_pairs(pos, radius)
 
 
 def test_query_pairs_output_is_sorted_and_oriented():
