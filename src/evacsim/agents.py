@@ -105,7 +105,7 @@ class Population:
     def inside(self) -> np.ndarray:
         """Ascending ids of the people in the building, waiting or moving
         (the two lowest status codes)."""
-        return np.flatnonzero(self.status <= _MOVING)
+        return (self.status <= _MOVING).nonzero()[0]
 
     def walking(self) -> np.ndarray:
         """(N,) mask of the people moving on their own feet."""

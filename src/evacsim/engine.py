@@ -400,6 +400,8 @@ class _Simulation:
         cx, cy = cells.T
         zone = self.geometry.zone_grid[cy, cx]
         left = zone >= 0
+        if not left.any():
+            return left, np.zeros(0, np.int32)
         site_index = self.site_of_cell[cy[left], cx[left]]
         for i, z, si in zip(ids[left].tolist(), zone[left].tolist(), site_index.tolist()):
             self._exit_agent(i, t, z, self.sites[si].door_id if si >= 0 else None)
@@ -708,10 +710,11 @@ class _SfMover(_Mover):
         # arrivals: a body whose centre reaches an exit cell is out; each
         # site's leavers count as one crossing, in order of its first leaver
         _, site_index = sim._leave(t, present, cells)
-        through = site_index[site_index >= 0]
-        counts = np.bincount(through)
-        for si in dict.fromkeys(through.tolist()):
-            self._crossed(sim, t, si, int(counts[si]))
+        if len(site_index):
+            through = site_index[site_index >= 0]
+            counts = np.bincount(through)
+            for si in dict.fromkeys(through.tolist()):
+                self._crossed(sim, t, si, int(counts[si]))
 
     def _crossed(self, sim: _Simulation, t: float, site_index: int, count: int) -> None:
         sim.crossings.append((t, sim.sites[site_index].door_id, count))

@@ -10,16 +10,18 @@ This combination is what produces arch formation and the
 faster-is-slower effect at doorways.
 
 The nearest wall point comes from a per-cell candidate table, built once
-per run.  A cell's row holds the exposed wall cells within the cutoff
-that can be the nearest wall to some point of the cell.  A wall's gap is
-the distance between its box and the cell's, its reach the distance from
-the cell's farthest point; a wall stays only if its gap is at most the
-smallest reach over the cell's walls.  That reach bounds the distance
-from every point of the cell to its nearest wall, and gap and reach are
-whole numbers of cells once squared, so a wall dropped is farther than
-the nearest by at least cs / (2U + 1), U that reach in cells: never the
-nearest, nor tied with it.  A step clips each body against its own
-cell's few candidates, not against every wall cell.
+per run.  A cell's candidates are the exposed wall cells within the
+cutoff that can be the nearest wall to some point of the cell.  A wall's
+gap is the distance between its box and the cell's, its reach the
+distance from the cell's farthest point; a wall stays only if its gap is
+at most the smallest reach over the cell's walls.  That reach bounds the
+distance from every point of the cell to its nearest wall, and gap and
+reach are whole numbers of cells once squared, so a wall dropped is
+farther than the nearest by at least cs / (2U + 1), U that reach in
+cells: never the nearest, nor tied with it.  The table keeps every
+cell's candidate boxes in one unpadded run, so a step gathers each
+body's own cell's few candidates in one call, neither every wall cell
+nor a row padded to the longest.
 
 Integration is semi-implicit Euler with a speed clamp and a positional
 backstop that keeps body centres out of wall cells even when contact
@@ -27,6 +29,7 @@ forces spike.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,6 +54,12 @@ NEIGHBOR_SKIN = 0.4
 # ticks of wall projection listed by name in the run's one summary warning
 PROJECTION_EXAMPLES = 3
 
+# the contact lists of a step without contact, shared: an empty array has no entry to write
+_NO_PAIR_CONTACTS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
+_NO_WALL_CONTACTS = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
+
+
+
 def _xy_slots(rows: np.ndarray) -> np.ndarray:
     """Flat indices of the x, y entries of ``rows`` in an (N, 2) array."""
     return (2 * rows[:, None] + (0, 1)).ravel()
@@ -74,6 +83,7 @@ class SfState:
 
     Which bodies are in the building and which tick it is are not
     recorded here: ``sf_step`` takes both per step, and the rows of everyone else stay put.
+    People only ever leave, so a step's present set is a subset of the last one's.
     Built by ``from_bodies``, ``pos`` and ``radius`` are the population's
     own arrays, not copies, and every body has the mass ``sf_mass``.  The
     neighbour list caches the present rows' radius and each candidate
@@ -114,15 +124,18 @@ class WallTable:
     cutoff of its box whose gap is at most the smallest farthest-point
     reach of those walls, a bound on every point's nearest-wall distance.
 
-    On a grid W cells wide, cell (x, y)'s candidates are the first
-    ``count[y * W + x]`` entries of ``rows[y * W + x]``; the rest is
-    padding with the index M of the sentinel column of ``lo``, whose box
-    lies at +inf.
+    On a grid W cells wide, cell c = y * W + x has ``count[c]``
+    candidates.  ``box`` holds them without padding, cell after cell,
+    from column ``start[c]``: the x and y of each box's low corner, then
+    of its high corner.  ``rows[c]`` lists their wall indices, padded
+    with the index M of ``lo``'s sentinel column, whose box lies at +inf.
     """
 
     lo: np.ndarray           # (2, M + 1) m, x and y of each wall box's low corner
     rows: np.ndarray         # (H * W, K) int32 wall indices
     count: np.ndarray        # (H * W,) candidates per cell
+    start: np.ndarray        # (H * W,) each cell's first column of box
+    box: np.ndarray          # (4, count.sum()) m, low x, low y, high x, high y per candidate
     cutoff: float
 
 
@@ -142,35 +155,26 @@ def exposed_wall_cells(geometry: Geometry) -> np.ndarray:
     return np.stack([xs, ys], axis=1).astype(np.int64)
 
 
-def driving_force(
-    pos: np.ndarray,
-    vel: np.ndarray,
-    mass: float,
-    desired_speed: np.ndarray,
-    waypoint: np.ndarray,
-    params: dict,
-) -> np.ndarray:
+def driving_force(pos: np.ndarray, vel: np.ndarray, mass: float, desired_speed: np.ndarray, waypoint: np.ndarray,
+                  params: dict) -> np.ndarray:
     """m (v_des e - v) / tau toward each body's waypoint, every body of
     mass ``mass``.
 
     Rows with a NaN waypoint (nothing to head for) relax to rest.
     """
     heading = waypoint - pos
-    norm = np.sqrt(heading[:, 0] * heading[:, 0] + heading[:, 1] * heading[:, 1])
+    sq = np.square(heading)                  # x * x, the same bits, in one call
+    norm = np.sqrt(sq[:, 0] + sq[:, 1])
     e = heading / np.maximum(norm, 1e-12)[:, None]
     # a NaN heading stays NaN through the unit vector, and the where drops
     # it; a finite sum of norms means every row has a goal
-    if not np.isfinite(norm.sum()):
+    if not math.isfinite(norm.sum()):
         e = np.where((np.isfinite(heading[:, 0]) & np.isfinite(heading[:, 1]))[:, None], e, 0.0)
     return mass * (desired_speed[:, None] * e - vel) / float(params["sf_tau"])
 
 
-def pair_forces(
-    pos: np.ndarray,
-    params: dict,
-    pairs: tuple[np.ndarray, np.ndarray],
-    r_sum: np.ndarray,
-) -> tuple[np.ndarray, tuple]:
+def pair_forces(pos: np.ndarray, params: dict, pairs: tuple[np.ndarray, np.ndarray],
+                r_sum: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Body-body psychological repulsion plus normal compression.
 
     ``pairs`` are candidate rows ``(i, j)``, ascending, for example from
@@ -186,8 +190,10 @@ def pair_forces(
     i, j = pairs
     # a row take is ~11x faster than pos[i] (5 vs 55 us on 2868 rows,
     # numpy 2.4), so every (n, 2) row gather of a step is a take
-    dx, dy = (pos.take(i, axis=0) - pos.take(j, axis=0)).T
-    d2 = dx * dx + dy * dy
+    diff = pos.take(i, axis=0) - pos.take(j, axis=0)
+    sq = np.square(diff)
+    d2 = sq[:, 0] + sq[:, 1]
+    dx, dy = diff.T
     # far pairs are masked, not dropped: set infinitely far, they exert
     # +0.0 along a +-0.0 normal, and as a bin starts at +0.0 their terms
     # leave every partial sum as it was
@@ -200,17 +206,22 @@ def pair_forces(
     else:
         nx, ny = dx / dist, dy / dist
     gap = r_sum - dist
-    overlap = np.maximum(gap, 0.0)
-    f = a * np.exp(gap / b) + k * overlap
+    f = a * np.exp(gap / b)
+    # without an overlap the compression term is +0.0 and moves no force bit
+    touching = gap.max(initial=-np.inf) > 0.0
+    if touching:
+        overlap = np.maximum(gap, 0.0)
+        f = f + k * overlap
     fx, fy = f * nx, f * ny
     force = np.empty((n, 2))
     # x + bincount(j, -fx) and x - bincount(j, fx) are the same bits:
     # rounding is sign-symmetric, and an exact zero sum is +0.0 either way
     force[:, 0] = np.bincount(i, fx, n) - np.bincount(j, fx, n)
     force[:, 1] = np.bincount(i, fy, n) - np.bincount(j, fy, n)
-
-    touch = np.nonzero(overlap > 0.0)[0]
-    tangent = np.concatenate([-ny.take(touch)[:, None], nx.take(touch)[:, None]], axis=1)
+    if not touching:
+        return force, _NO_PAIR_CONTACTS
+    touch = (overlap > 0.0).nonzero()[0]
+    tangent = np.stack([-ny.take(touch), nx.take(touch)], axis=1)
     return force, (i.take(touch), j.take(touch), tangent, overlap.take(touch))
 
 
@@ -240,19 +251,16 @@ def wall_table(wall_cells: np.ndarray, geometry: Geometry, cutoff: float) -> Wal
     order = np.argsort(cell, kind="stable")                # keeps wall ids ascending per cell
     cell, wall = cell[order], wall[order]
     count = np.bincount(cell, minlength=h * w)
+    start = np.cumsum(count) - count
     rows = np.full((h * w, max(int(count.max(initial=0)), 1)), m, dtype=np.int32)
-    rows[cell, np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)] = wall
+    rows[cell, np.arange(len(cell)) - np.repeat(start, count)] = wall
     lo = np.hstack([np.asarray(wall_cells, dtype=np.float64).T * cell_size, [[np.inf], [np.inf]]])
-    return WallTable(lo=lo, rows=rows, count=count, cutoff=cutoff)
+    box = np.concatenate([lo, lo + cell_size]).take(wall, axis=1)
+    return WallTable(lo=lo, rows=rows, count=count, start=start, box=box, cutoff=cutoff)
 
 
-def wall_forces(
-    pos: np.ndarray,
-    radius: np.ndarray,
-    walls: WallTable,
-    geometry: Geometry,
-    params: dict,
-) -> tuple[np.ndarray, tuple]:
+def wall_forces(pos: np.ndarray, radius: np.ndarray, walls: WallTable, geometry: Geometry,
+                params: dict) -> tuple[np.ndarray, tuple]:
     """Repulsion and normal compression against the closest wall point.
 
     The wall surface is a continuum, so each body interacts with its
@@ -278,44 +286,45 @@ def wall_forces(
     cells = (pos / cs).astype(np.int64)
     flat = np.ravel_multi_index((cells[:, 1], cells[:, 0]), (geometry.height, geometry.width), mode="clip")
     count = walls.count.take(flat)
-    body = np.nonzero(count)[0]                               # bodies with a candidate
+    body = count.nonzero()[0]                                 # bodies with a candidate
     if len(body) == 0:
-        return force, (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
+        return force, _NO_WALL_CONTACTS
     a, b, k = (float(params[key]) for key in ("sf_a", "sf_b", "sf_k"))
-    cand = walls.rows[:, : count.max()].take(flat.take(body), axis=0)  # (n', K)
-    body_pos = pos.take(body, axis=0)
-    px, py = body_pos[:, :1], body_pos[:, 1:]
-    lo_x, lo_y = walls.lo[0].take(cand), walls.lo[1].take(cand)
-    dx = px - np.minimum(np.maximum(px, lo_x), lo_x + cs)    # offset from the nearest box point
-    dy = py - np.minimum(np.maximum(py, lo_y), lo_y + cs)
-    d2 = dx ** 2 + dy ** 2
-    col = np.argmin(d2, axis=1)                               # nearest cell per body
-    at = np.arange(len(body)) * d2.shape[1] + col             # its flat index in d2
-    best_d2 = d2.take(at)
-    rel = np.nonzero(best_d2 < cutoff * cutoff)[0]
+    # each body's candidates as one run of columns, every run in one gather
+    n_cand = count.take(body)
+    end = np.cumsum(n_cand)
+    first = end - n_cand                                      # each body's first column
+    slot = np.arange(end[-1])
+    box = walls.box.take(np.repeat(walls.start.take(flat.take(body)) - first, n_cand) + slot, axis=1)
+    p = pos.T.take(np.repeat(body, n_cand), axis=1)
+    d = p - np.minimum(np.maximum(p, box[:2]), box[2:])       # offset from the nearest box point
+    sq = np.square(d)
+    d2 = sq[0] + sq[1]
+    best_d2 = np.minimum.reduceat(d2, first)
+    # each body's first candidate at its minimum: the argmin in wall order
+    at = np.minimum.reduceat(np.where(d2 == np.repeat(best_d2, n_cand), slot, len(slot)), first)
+    rel = (best_d2 < cutoff * cutoff).nonzero()[0]
     dist = np.maximum(np.sqrt(best_d2.take(rel)), 1e-9)
     at = at.take(rel)
-    nx, ny = dx.take(at) / dist, dy.take(at) / dist
+    nx, ny = d[0].take(at) / dist, d[1].take(at) / dist
     rows = body.take(rel)
     gap = radius.take(rows) - dist
-    overlap = np.maximum(gap, 0.0)
-    magnitude = a * np.exp(gap / b) + k * overlap
+    magnitude = a * np.exp(gap / b)
+    touching = gap.max(initial=-np.inf) > 0.0                 # as in pair_forces
+    if touching:
+        overlap = np.maximum(gap, 0.0)
+        magnitude = magnitude + k * overlap
     force[rows, 0] = magnitude * nx
     force[rows, 1] = magnitude * ny
-
-    touch = np.nonzero(overlap > 0.0)[0]
-    tangent = np.concatenate([-ny.take(touch)[:, None], nx.take(touch)[:, None]], axis=1)
+    if not touching:
+        return force, _NO_WALL_CONTACTS
+    touch = (overlap > 0.0).nonzero()[0]
+    tangent = np.stack([-ny.take(touch), nx.take(touch)], axis=1)
     return force, (rows.take(touch), tangent, overlap.take(touch))
 
 
-def apply_contact_friction(
-    vel: np.ndarray,
-    mass: float,
-    pair_contacts: tuple,
-    wall_contacts: tuple,
-    dt: float,
-    params: dict,
-) -> np.ndarray:
+def apply_contact_friction(vel: np.ndarray, mass: float, pair_contacts: tuple, wall_contacts: tuple, dt: float,
+                           params: dict) -> np.ndarray:
     """Damp tangential sliding at touching contacts between bodies of
     mass ``mass``, in place.
 
@@ -327,23 +336,33 @@ def apply_contact_friction(
     bodies' touching contacts, and the pass is swept a fixed number of
     times so heavily-wedged bodies still reach near-full damping.
     Impulses are equal and opposite, so momentum is conserved.  A sweep
-    sums each kind of impulse with one bincount over the x, y slots.
+    sums each kind of impulse with one bincount over the x, y slots.  A
+    body has at most one wall contact (``wall_forces`` gives each its
+    nearest wall point), so without pair contacts a sweep adds each wall
+    impulse straight to its row.
     """
     kappa = float(params["sf_kappa"])
     i, j, tan_p, gap_p = pair_contacts
     rows, tan_w, gap_w = wall_contacts
     if len(i) == 0 and len(rows) == 0:
         return vel
+    if len(i) == 0:
+        # a bincount adds +0.0 to every slot it does not kick, turning
+        # -0.0 into +0.0 once; with no -0.0 left, a row plus its kick is
+        # the row plus (0.0 + kick)
+        gain_w = mass * (1.0 - 1.0 / (1.0 + kappa * gap_w * dt / mass))
+        vel += 0.0
+        for _ in range(FRICTION_SWEEPS):
+            v = vel.take(rows, axis=0)
+            vel[rows] = v + -(gain_w * (v * tan_w).sum(axis=1) / mass)[:, None] * tan_w
+        return vel
 
     n = len(vel)
     counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + np.bincount(rows, minlength=n)
-
-    if len(i):
-        m_red = 1.0 / (1.0 / mass + 1.0 / mass)
-        damp = 1.0 - 1.0 / (1.0 + kappa * gap_p * dt / m_red)
-        share = np.maximum(np.maximum(counts.take(i), counts.take(j)), 1)
-        gain_p = m_red * damp / share
-        slot_i, slot_j = _xy_slots(i), _xy_slots(j)
+    m_red = 1.0 / (1.0 / mass + 1.0 / mass)
+    damp = 1.0 - 1.0 / (1.0 + kappa * gap_p * dt / m_red)
+    gain_p = m_red * damp / np.maximum(np.maximum(counts.take(i), counts.take(j)), 1)
+    slot_i, slot_j = _xy_slots(i), _xy_slots(j)
     if len(rows):
         damp_w = 1.0 - 1.0 / (1.0 + kappa * gap_w * dt / mass)
         gain_w = mass * damp_w / np.maximum(counts[rows], 1)
@@ -353,11 +372,9 @@ def apply_contact_friction(
         # the sum of per-kind bincounts, in the order i, j, walls, keeps
         # each slot's additions in the order of a scatter per kind; j's
         # kick is i's negated, and negation is exact
-        delta = 0.0
-        if len(i):
-            dv_t = ((vel.take(j, axis=0) - vel.take(i, axis=0)) * tan_p).sum(axis=1)
-            kick = ((gain_p * dv_t / mass)[:, None] * tan_p).ravel()
-            delta = np.bincount(slot_i, kick, 2 * n) + np.bincount(slot_j, -kick, 2 * n)
+        dv_t = ((vel.take(j, axis=0) - vel.take(i, axis=0)) * tan_p).sum(axis=1)
+        kick = ((gain_p * dv_t / mass)[:, None] * tan_p).ravel()
+        delta = np.bincount(slot_i, kick, 2 * n) + np.bincount(slot_j, -kick, 2 * n)
         if len(rows):
             v_t = (vel.take(rows, axis=0) * tan_w).sum(axis=1)
             delta = delta + np.bincount(slot_w, (-(gain_w * v_t / mass)[:, None] * tan_w).ravel(), 2 * n)
@@ -369,17 +386,18 @@ def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: flo
     """Candidate pair list over the present rows, reused across steps.
 
     Enumerated at cutoff + NEIGHBOR_SKIN and kept until a body drifts
-    half the skin from its reference position (or the present set
-    changes), which guarantees the list still contains every pair
-    truly within the cutoff.
+    half the skin from its reference position (or someone leaves),
+    which guarantees the list still contains every pair truly within
+    the cutoff.  People only ever leave, so a present set as long as the
+    list's is the list's own.
     """
     nbr = state._nbr
-    fresh = nbr is not None and len(nbr.rows) == len(idx) and bool((nbr.rows == idx).all())
+    fresh = nbr is not None and len(nbr.rows) == len(idx)
     if fresh:
-        # a drift is below 1.5 x its largest component: the first test only saves the second
-        drift = pos - nbr.ref
-        fresh = np.abs(drift).max() * 1.5 < NEIGHBOR_SKIN / 2
-        fresh = fresh or (drift[:, 0] ** 2 + drift[:, 1] ** 2).max() < (NEIGHBOR_SKIN / 2) ** 2
+        # a squared drift is at most twice its larger squared component:
+        # the first test only saves the second
+        sq = np.square(pos - nbr.ref)
+        fresh = sq.max() * 2 < (NEIGHBOR_SKIN / 2) ** 2 or (sq[:, 0] + sq[:, 1]).max() < (NEIGHBOR_SKIN / 2) ** 2
     if not fresh:
         reach = cutoff + NEIGHBOR_SKIN
         i, j = SpatialHash(pos, reach).query_pairs(reach)
@@ -390,17 +408,8 @@ def _neighbor_list(state: SfState, idx: np.ndarray, pos: np.ndarray, cutoff: flo
     return nbr
 
 
-def sf_step(
-    state: SfState,
-    geometry: Geometry,
-    walls: WallTable,
-    present: np.ndarray,
-    desired_speed: np.ndarray,
-    waypoint: np.ndarray,
-    dt: float,
-    tick: int,
-    params: dict,
-) -> tuple[np.ndarray, np.ndarray]:
+def sf_step(state: SfState, geometry: Geometry, walls: WallTable, present: np.ndarray, desired_speed: np.ndarray,
+            waypoint: np.ndarray, dt: float, tick: int, params: dict) -> tuple[np.ndarray, np.ndarray]:
     """One semi-implicit Euler step, the step of tick ``tick``, over the
     bodies ``present`` (ascending ids of the people in the building).
     Returns their (n, 2) new positions and the (n, 2) cells holding them.
@@ -496,12 +505,7 @@ def _resolve_wall_penetration(geometry: Geometry, old_pos, new_pos, vel):
 # ---------------------------------------------------------------------------
 
 
-def arch_band_count(
-    positions: np.ndarray,
-    door_center: np.ndarray,
-    upstream_normal: np.ndarray,
-    params: dict,
-) -> int:
+def arch_band_count(positions: np.ndarray, door_center: np.ndarray, upstream_normal: np.ndarray, params: dict) -> int:
     """Bodies inside the semicircular band upstream of a door."""
     inner, outer = float(params["clog_band_inner"]), float(params["clog_band_outer"])
     if len(positions) == 0:
@@ -512,13 +516,8 @@ def arch_band_count(
     return int(((dist >= inner) & (dist <= outer) & (side > 0)).sum())
 
 
-def detect_arch(
-    positions: np.ndarray,
-    door_center: np.ndarray,
-    upstream_normal: np.ndarray,
-    flow_rate: float,
-    params: dict,
-) -> tuple[bool, int]:
+def detect_arch(positions: np.ndarray, door_center: np.ndarray, upstream_normal: np.ndarray, flow_rate: float,
+                params: dict) -> tuple[bool, int]:
     """Clog test for one door: stalled flow plus a packed upstream band.
 
     ``flow_rate`` is the door's measured crossings per second over the

@@ -1,30 +1,19 @@
 """Uniform spatial hash for the neighbour pairs of a point set.
 
 Positions are binned into square buckets of side ``cell``, the cell-list
-method of molecular dynamics.  :meth:`SpatialHash.query_pairs` scans each
-occupied bucket against its forward half-neighbourhood in one set of
-array operations, so every unordered pair among the points is produced
-exactly once.  A query radius may not exceed ``cell``: the stencil would
-miss points, so the query raises instead.  The query is deterministic:
-the same points give the same pairs, sorted by (i, j).
+method of molecular dynamics.  :meth:`SpatialHash.query_pairs` counts the
+points of every bucket of the points' bounding box, padded by one empty
+column on each side and one empty row on top, in one dense start table.
+Each point then takes the later points of its own bucket and the whole
+of the four buckets of its forward half-neighbourhood, in one ragged
+expansion, so every unordered pair among the points is produced exactly
+once.  A query radius may not exceed ``cell``: the stencil would miss
+points, so the query raises instead.  The query is deterministic: the
+same points give the same pairs, sorted by (i, j).
 """
 from __future__ import annotations
 
 import numpy as np
-
-# bucket offsets (dx, dy): the forward half of the 3x3 neighbourhood,
-# the bucket itself handled separately
-_FORWARD = np.array(((1, 0), (-1, 1), (0, 1), (1, 1)))
-
-
-def _ragged_ranges(owners: np.ndarray, starts: np.ndarray, counts: np.ndarray):
-    """Expand per-owner slices into flat (owner, member) index pairs.
-
-    For each k, emits (owners[k], starts[k] + 0..counts[k]-1).
-    """
-    counts = np.maximum(counts, 0)
-    members = np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return np.repeat(owners, counts), members
 
 
 class SpatialHash:
@@ -40,33 +29,28 @@ class SpatialHash:
         n = len(self.positions)
         if n < 2:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        # each point's bucket, counted from the lowest, as one row-major key
+        # each point's bucket as one row-major key, the lowest occupied
+        # column at 1, so no forward bucket wraps onto an occupied one
         bucket = np.floor(self.positions / self.cell).astype(np.int64)
-        bucket -= bucket.min(axis=0)
-        nx = int(bucket[:, 0].max()) + 1
-        key = bucket[:, 0] + nx * bucket[:, 1]
+        bucket -= bucket.min(axis=0) - (1, 0)
+        width = int(bucket[:, 0].max()) + 2
+        key = bucket[:, 0] + width * bucket[:, 1]
         order = np.argsort(key, kind="stable")
-        keys = key[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are sorted and non-negative
-        uniq = keys[starts]
-        ends = np.append(starts[1:], n)
-        slots = np.arange(n)
-        # within-bucket: each point pairs with the later points of its bucket
-        bucket_end = ends[np.searchsorted(uniq, keys)]
-        same_l, same_r = _ragged_ranges(slots, slots + 1, bucket_end - slots - 1)
-        # forward half-neighbourhood: each point against whole buckets
-        bx = (keys % nx)[:, None] + _FORWARD[:, 0]
-        flat = bx + nx * ((keys // nx)[:, None] + _FORWARD[:, 1])
-        hit = np.minimum(np.searchsorted(uniq, flat), len(uniq) - 1)
-        ok = (bx >= 0) & (bx < nx) & (uniq[hit] == flat)
-        first = np.where(ok, starts[hit], 0)
-        counts = np.where(ok, ends[hit] - first, 0)
-        near_l, near_r = _ragged_ranges(np.repeat(slots, len(_FORWARD)), first.ravel(), counts.ravel())
-
-        i = order[np.concatenate([same_l, near_l])]
-        j = order[np.concatenate([same_r, near_r])]
-        d = self.positions.take(i, axis=0) - self.positions.take(j, axis=0)
-        keep = (d[:, 0] ** 2 + d[:, 1] ** 2) <= radius * radius
-        i, j = i[keep], j[keep]
+        keys = key.take(order)
+        end = np.cumsum(np.bincount(keys, minlength=keys[-1] + width + 2))
+        start = np.concatenate(([0], end[:-1]))
+        # per slot in bucket order: its own bucket's later slots, then the
+        # buckets (1, 0), (-1, 1), (0, 1) and (1, 1) away, each a run of slots
+        target = keys[:, None] + (0, 1, width - 1, width, width + 1)
+        first = start.take(target)
+        first[:, 0] = np.arange(1, n + 1)
+        counts = end.take(target) - first
+        owner = np.repeat(np.arange(n), counts.sum(axis=1))
+        counts = counts.ravel()
+        member = np.arange(len(owner)) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
+        xy = self.positions.T.take(order, axis=1)             # (2, n) in bucket order
+        sq = np.square(xy.take(owner, axis=1) - xy.take(member, axis=1))
+        keep = (sq[0] + sq[1] <= radius * radius).nonzero()[0]
+        i, j = order.take(owner.take(keep)), order.take(member.take(keep))
         # one key per unordered pair, sorted, gives the pairs in (i, j) order
         return np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
