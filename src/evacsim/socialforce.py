@@ -59,7 +59,6 @@ _NO_PAIR_CONTACTS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 
 _NO_WALL_CONTACTS = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0))
 
 
-
 def _xy_slots(rows: np.ndarray) -> np.ndarray:
     """Flat indices of the x, y entries of ``rows`` in an (N, 2) array."""
     return (2 * rows[:, None] + (0, 1)).ravel()
